@@ -41,15 +41,16 @@ from .graded import (
     graded_tensor,
     identity,
     operator_norm,
+    operator_norms,
 )
 from .pairs import (
     AsymptoticPair,
     COMPOSE_EXPONENT_THRESHOLD,
     COMMUTATION_EXPONENT_THRESHOLD,
     DecayProfile,
-    decay_profile,
     default_t_grid,
     factorization_defect_profiles,
+    generator_profiles,
 )
 
 __all__ = [
@@ -266,17 +267,12 @@ def perturbation_check(
         raise ValueError("potential lives on the wrong space")
     grid = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
     spec_v = Spectrum.of(potential)
-    profiles: dict[str, dict[str, DecayProfile]] = {}
-    for name, gen in pair.rep.generators.items():
-        profiles[name] = {}
-        for f in functions:
-            at_zero = complex(np.asarray(f(np.zeros(1)))[0])
 
-            def family(t, _f=f, _gen=gen, _z=at_zero):
-                moved = spec_v.apply(_f, 1.0 / t) @ _gen.entries
-                return moved - _z * _gen.entries
+    def homom_defect(f, moved, a):
+        at_zero = complex(np.asarray(f(np.zeros(1)))[0])
+        return operator_norms(moved @ a - at_zero * a)
 
-            profiles[name][f.name] = decay_profile(family, grid)
+    profiles = generator_profiles(functions, pair.rep.generators, grid, spec_v, homom_defect)
     defect_even, defect_odd = factorization_defect_profiles(pair.d, potential, grid)
     passed = (
         all(p.fitted_exponent <= homom_threshold for per in profiles.values() for p in per.values())

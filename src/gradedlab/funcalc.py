@@ -6,6 +6,13 @@ functions, contractive (||f(D)|| <= sup|f|), and satisfies
 gamma f(D) gamma = f(-D), so even functions of D are even and odd
 functions are odd.
 
+Profiles over a t-grid use the grid engine: Spectrum.apply_grid returns
+f(s D) for a whole chunk of scales as one (S, d, d) stack from a single
+eigendecomposition, and map_grid cuts the grid into chunks that hold at
+most STACK_ENTRIES entries.  Batched LAPACK and BLAS kernels run the same
+computation on every matrix of a stack, so stacked values equal a
+point-by-point evaluation bit for bit.
+
 The named function table carries exact sup norms so contractivity can
 be certified without sampling.  User-supplied functions may declare a
 sup-norm bound; without one, contractivity checks are skipped for them.
@@ -40,6 +47,9 @@ __all__ = [
     "bounded_transform_function",
     "cutoff_function",
     "user_function",
+    "STACK_ENTRIES",
+    "grid_chunks",
+    "map_grid",
     "Spectrum",
     "apply_function",
     "bounded_transform",
@@ -115,9 +125,40 @@ def user_function(name, fn, sup_norm=None, parity=None) -> ScalarFunction:
     return ScalarFunction(name, fn, sup_norm, parity)
 
 
+# Most complex entries one grid stack may hold: 2**14 (256 KiB).  Grids at
+# d <= 16 then run in one or a few stacks, while d = 127 runs one matrix
+# per stack and needs no more memory than a single evaluation.
+STACK_ENTRIES = 2**14
+
+
+def grid_chunks(count: int, dim: int) -> list[slice]:
+    """Consecutive slices of range(count) whose (rows, dim, dim) stacks stay
+    within STACK_ENTRIES; a chunk always holds at least one matrix."""
+    step = max(1, STACK_ENTRIES // (dim * dim))
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
+
+
+def map_grid(fn: Callable[[np.ndarray], np.ndarray], rows: np.ndarray, dim: int) -> np.ndarray:
+    """fn over chunks of rows (see grid_chunks), concatenated on axis 0.
+
+    fn receives a chunk of rows (grid scales or row indices) and returns
+    an array whose first axis runs over that chunk.
+    """
+    rows = np.asarray(rows)
+    return np.concatenate([fn(rows[chunk]) for chunk in grid_chunks(rows.shape[0], dim)])
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
+    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+
+    A (k, d, d) stack of matrices gives a stack of spectra: eigenvalues
+    (k, d), eigenvectors (k, d, d), and every method acts matrix by matrix.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -130,26 +171,47 @@ class Spectrum:
             matrix = operator.entries
         else:
             matrix = np.asarray(operator, dtype=np.complex128)
-        scale = max(1.0, float(np.abs(matrix).max(initial=0.0)))
-        if np.abs(matrix - matrix.conj().T).max(initial=0.0) > VALIDATION_TOL * scale:
+        each = (-2, -1)
+        scale = np.maximum(1.0, np.abs(matrix).max(axis=each, initial=0.0))
+        if np.any(np.abs(matrix - _adjoint(matrix)).max(axis=each, initial=0.0) > VALIDATION_TOL * scale):
             raise ValueError("eigendecomposition requires a Hermitian matrix")
         values, vectors = np.linalg.eigh(matrix)
         spec = cls(values, vectors)
-        norm = max(1.0, float(np.abs(values).max(initial=0.0)))
-        residual = np.abs(spec.reconstruct() - matrix).max(initial=0.0)
-        gram = vectors.conj().T @ vectors
-        unitary_defect = np.abs(gram - np.eye(len(values))).max(initial=0.0)
-        if residual > tol * norm or unitary_defect > tol:
+        norm = np.maximum(1.0, np.abs(values).max(axis=-1, initial=0.0))
+        residual = np.abs(spec.reconstruct() - matrix).max(axis=each, initial=0.0)
+        gram = _adjoint(vectors) @ vectors
+        unitary_defect = np.abs(gram - np.eye(values.shape[-1])).max(axis=each, initial=0.0)
+        if np.any(residual > tol * norm) or np.any(unitary_defect > tol):
             raise ValueError("eigendecomposition failed accuracy validation")
         return spec
 
     def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues[None, :]) @ self.eigenvectors.conj().T
+        return self.synthesize(self.eigenvalues)
+
+    def synthesize(self, weights: np.ndarray) -> np.ndarray:
+        """U diag(w) U* for each row w of weights (last axis: one weight per
+        eigenvalue); leading axes of weights become stack axes."""
+        return (self.eigenvectors * weights[..., None, :]) @ _adjoint(self.eigenvectors)
+
+    def weights(self, f: ScalarFunction, scales: np.ndarray) -> np.ndarray:
+        """Rows f(s * eigenvalues), one per s in scales, as complex numbers."""
+        if self.eigenvalues.ndim != 1:
+            raise ValueError("grid evaluation needs the spectrum of a single matrix")
+        scales = np.asarray(scales, dtype=float)
+        return np.asarray(f(scales[:, None] * self.eigenvalues[None, :]), dtype=np.complex128)
 
     def apply(self, f: ScalarFunction, scale: float = 1.0) -> np.ndarray:
         """Matrix of f(scale * D) in the original basis."""
-        w = np.asarray(f(scale * self.eigenvalues), dtype=np.complex128)
-        return (self.eigenvectors * w[None, :]) @ self.eigenvectors.conj().T
+        return self.synthesize(np.asarray(f(scale * self.eigenvalues), dtype=np.complex128))
+
+    def apply_grid(self, f: ScalarFunction, scales: np.ndarray) -> np.ndarray:
+        """Stack of f(s * D) for every s in scales, shape (len(scales), d, d).
+
+        Row k equals apply(f, scales[k]) bit for bit: the batched LAPACK
+        and BLAS kernels run the same computation on each matrix.  The
+        stack is as long as scales; chunk long grids with map_grid.
+        """
+        return self.synthesize(self.weights(f, scales))
 
 
 def apply_function(d: OddSelfAdjoint, f: ScalarFunction, scale: float = 1.0) -> GradedMatrix:
@@ -194,8 +256,7 @@ def integral_decomposition(d: OddSelfAdjoint, n_scale: float, quad_points: int) 
     a2 = (lam / n_scale) ** 2 + 1.0
     kernel = (a2[:, None] + (s**2)[None, :]) ** -1.5
     values = lam * (kernel @ jacobian)
-    out = (spec.eigenvectors * values[None, :]) @ spec.eigenvectors.conj().T
-    return GradedMatrix(d.space, out)
+    return GradedMatrix(d.space, spec.synthesize(values))
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,12 @@ __all__ = [
     "gamma_matrix",
     "parity_decompose",
     "graded_commutator",
+    "graded_commutator_array",
     "graded_tensor",
     "direct_sum",
     "conjugate_by_grading",
     "operator_norm",
+    "operator_norms",
 ]
 
 # Default constructor-validation tolerance; overridable per call where noted.
@@ -217,33 +219,46 @@ class OddSelfAdjoint:
         return OddSelfAdjoint(self.underlying * float(factor))
 
 
+def _parity_parts(signs: np.ndarray, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    conj = (signs[:, None] * entries) * signs[None, :]
+    return (entries + conj) * 0.5, (entries - conj) * 0.5
+
+
 def parity_decompose(m: GradedMatrix) -> tuple[GradedMatrix, GradedMatrix]:
     """Split m = even + odd; exact (the two halves sum back bit for bit).
 
     The even part commutes with gamma, the odd part anticommutes.
     """
-    signs = m.space.gamma_signs()
-    conj = (signs[:, None] * m.entries) * signs[None, :]
-    even = GradedMatrix(m.space, (m.entries + conj) * 0.5)
-    odd = GradedMatrix(m.space, (m.entries - conj) * 0.5)
-    return even, odd
+    even, odd = _parity_parts(m.space.gamma_signs(), m.entries)
+    return GradedMatrix(m.space, even), GradedMatrix(m.space, odd)
 
 
 def _commutator_term(a: np.ndarray, b: np.ndarray, sign: float) -> np.ndarray:
     return a @ b - sign * (b @ a)
 
 
+def graded_commutator_array(space: GradedSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entries of [a, b] for entry arrays a, b on `space`.
+
+    Either operand may carry leading stack axes, so one call commutes a
+    whole stack; each matrix of the result equals graded_commutator of
+    the corresponding pair bit for bit.
+    """
+    signs = space.gamma_signs()
+    a0, a1 = _parity_parts(signs, a)
+    b0, b1 = _parity_parts(signs, b)
+    out = _commutator_term(a0, b0, 1.0)
+    out += _commutator_term(a0, b1, 1.0)
+    out += _commutator_term(a1, b0, 1.0)
+    out += _commutator_term(a1, b1, -1.0)
+    return out
+
+
 def graded_commutator(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     """[a, b] = ab - (-1)^(pa*pb) ba, extended bilinearly over parity parts."""
     if a.space != b.space:
         raise ValueError("graded commutator needs matrices on the same space")
-    a0, a1 = parity_decompose(a)
-    b0, b1 = parity_decompose(b)
-    out = _commutator_term(a0.entries, b0.entries, 1.0)
-    out += _commutator_term(a0.entries, b1.entries, 1.0)
-    out += _commutator_term(a1.entries, b0.entries, 1.0)
-    out += _commutator_term(a1.entries, b1.entries, -1.0)
-    return GradedMatrix(a.space, out)
+    return GradedMatrix(a.space, graded_commutator_array(a.space, a.entries, b.entries))
 
 
 def graded_tensor(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
@@ -286,3 +301,9 @@ def operator_norm(a) -> float:
     if entries.size == 0:
         return 0.0
     return float(np.linalg.norm(entries, 2))
+
+
+def operator_norms(stack: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix in a (..., d, d) stack; each
+    equals operator_norm of that matrix bit for bit."""
+    return np.linalg.norm(stack, 2, axis=(-2, -1))

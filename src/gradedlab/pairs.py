@@ -14,8 +14,8 @@ measuring the defect between the functional calculus of the summed
 operator and the naive two-step image e^{-t^-2 D'^2} e^{-t^-2 D^2} a,
 which decays like t^-2 when [psi(D), D'] is bounded.
 
-Everything is pure and deterministic; profile grid points can be
-evaluated independently.
+Everything is pure and deterministic; profiles are evaluated on whole
+t-grid stacks by the grid engine of funcalc (Spectrum.apply_grid).
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .funcalc import (
     Spectrum,
     bounded_transform,
     cutoff_function,
+    map_grid,
 )
 from .graded import (
     GradedMatrix,
@@ -44,9 +45,11 @@ from .graded import (
     conjugate_by_grading,
     direct_sum,
     graded_commutator,
+    graded_commutator_array,
     graded_tensor,
     identity,
     operator_norm,
+    operator_norms,
 )
 
 __all__ = [
@@ -57,6 +60,7 @@ __all__ = [
     "default_t_grid",
     "DecayProfile",
     "decay_profile",
+    "generator_profiles",
     "RepresentedAlgebra",
     "AsymptoticPair",
     "PairReport",
@@ -102,6 +106,8 @@ class DecayProfile:
     the upper half of the grid; early-t transients would otherwise
     pollute the asymptotic slope.  Sub-floor values are excluded, and a
     profile that is zero on the whole fit window reports exponent -inf.
+    A non-finite value in the fit window makes the fit fail: exponent,
+    constant and residual are NaN, so no threshold comparison passes.
     """
 
     t_grid: np.ndarray
@@ -122,6 +128,8 @@ class DecayProfile:
             raise ValueError("grid must be strictly increasing and positive")
         upper = slice(t_grid.size // 2, None)
         ts, vs = t_grid[upper], values[upper]
+        if not np.all(np.isfinite(vs)):
+            return cls(t_grid, values, np.nan, np.nan, np.nan)
         usable = vs >= FIT_FLOOR
         if usable.sum() < 2:
             return cls(t_grid, values, float("-inf"), 0.0, 0.0)
@@ -157,6 +165,41 @@ def decay_profile(family: Callable[[float], object], t_grid: np.ndarray) -> Deca
         raise ValueError("empty grid")
     values = [operator_norm(family(float(t))) for t in t_grid]
     return DecayProfile.from_values(t_grid, values)
+
+
+def generator_profiles(
+    functions: Sequence[ScalarFunction],
+    generators: Mapping[str, GradedMatrix],
+    t_grid: np.ndarray,
+    stacks: Spectrum | Callable[[np.ndarray], Sequence[object]],
+    measure: Callable[[ScalarFunction, object, np.ndarray], np.ndarray],
+) -> dict[str, dict[str, DecayProfile]]:
+    """Profiles of t -> measure(f, F, a) per generator a and function f.
+
+    stacks(scales) returns one F per function, each evaluated on a whole
+    chunk of grid scales 1/t at once; a Spectrum of D stands for the
+    stacks f(t^-1 D).  measure maps F and the entries of a to one norm
+    per scale.
+    """
+    dim = next(iter(generators.values())).space.dim
+    if isinstance(stacks, Spectrum):
+        spec = stacks
+        stacks = lambda scales: [spec.apply_grid(f, scales) for f in functions]
+
+    def norms(scales):
+        per_function = zip(functions, stacks(scales))
+        columns = [[measure(f, stacked, a.entries) for a in generators.values()] for f, stacked in per_function]
+        return np.moveaxis(np.asarray(columns), -1, 0)
+
+    values = map_grid(norms, 1.0 / t_grid, dim)
+    return {
+        name: {f.name: DecayProfile.from_values(t_grid, values[:, i, j]) for i, f in enumerate(functions)}
+        for j, name in enumerate(generators)
+    }
+
+
+def _commutator_norms(space: GradedSpace):
+    return lambda f, stack, a: operator_norms(graded_commutator_array(space, stack, a))
 
 
 @dataclass(frozen=True)
@@ -262,21 +305,12 @@ def validate_pair(
     """
     grid = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
     spec = Spectrum.of(pair.d)
-    containment: dict[str, dict[str, float]] = {}
-    profiles: dict[str, dict[str, DecayProfile]] = {}
-    for name, gen in pair.rep.generators.items():
-        containment[name] = {}
-        profiles[name] = {}
-        for f in functions:
-            f_of_d = GradedMatrix(pair.space, spec.apply(f))
-            if pair.corner is not None:
-                containment[name][f.name] = _off_corner_mass(f_of_d @ gen, pair.corner)
-
-            def family(t, _f=f, _gen=gen):
-                scaled = GradedMatrix(pair.space, spec.apply(_f, 1.0 / t))
-                return graded_commutator(scaled, _gen)
-
-            profiles[name][f.name] = decay_profile(family, grid)
+    containment: dict[str, dict[str, float]] = {
+        name: {f.name: _off_corner_mass(GradedMatrix(pair.space, spec.apply(f)) @ gen, pair.corner) for f in functions}
+        if pair.corner is not None else {}
+        for name, gen in pair.rep.generators.items()
+    }
+    profiles = generator_profiles(functions, pair.rep.generators, grid, spec, _commutator_norms(pair.space))
     containment_passed: bool | None = None
     if pair.corner is not None:
         containment_passed = all(
@@ -345,20 +379,25 @@ def bounded_commutator_check(
     return BCReport(norm, note, threshold, passed)
 
 
-def _factorization_defects(
-    spec_sum: Spectrum, spec_d: Spectrum, spec_dp: Spectrum, t: float
-) -> tuple[float, float]:
-    scale = 1.0 / t
-    heat_sum = spec_sum.apply(GAUSS0, scale)
-    heat_d = spec_d.apply(GAUSS0, scale)
-    heat_dp = spec_dp.apply(GAUSS0, scale)
-    even = heat_sum - heat_d @ heat_dp
-    odd = (
-        spec_sum.apply(GAUSS1, scale)
-        - spec_d.apply(GAUSS1, scale) @ heat_dp
-        - heat_d @ spec_dp.apply(GAUSS1, scale)
-    )
-    return float(np.linalg.norm(even, 2)), float(np.linalg.norm(odd, 2))
+def _factorization_defects(d: OddSelfAdjoint, d_prime: OddSelfAdjoint, t_grid: np.ndarray) -> np.ndarray:
+    """Both factorization defects (see factorization_defect), one (even, odd) row per t."""
+    if d.space != d_prime.space:
+        raise ValueError("operators live on different spaces")
+    spec_sum, spec_d, spec_dp = Spectrum.of(d + d_prime), Spectrum.of(d), Spectrum.of(d_prime)
+
+    def defects(scales):
+        heat_sum = spec_sum.apply_grid(GAUSS0, scales)
+        heat_d = spec_d.apply_grid(GAUSS0, scales)
+        heat_dp = spec_dp.apply_grid(GAUSS0, scales)
+        even = heat_sum - heat_d @ heat_dp
+        odd = (
+            spec_sum.apply_grid(GAUSS1, scales)
+            - spec_d.apply_grid(GAUSS1, scales) @ heat_dp
+            - heat_d @ spec_dp.apply_grid(GAUSS1, scales)
+        )
+        return np.stack([operator_norms(even), operator_norms(odd)], axis=-1)
+
+    return map_grid(defects, 1.0 / np.asarray(t_grid, dtype=float), d.space.dim)
 
 
 def factorization_defect(d: OddSelfAdjoint, d_prime: OddSelfAdjoint, t: float) -> tuple[float, float]:
@@ -373,10 +412,8 @@ def factorization_defect(d: OddSelfAdjoint, d_prime: OddSelfAdjoint, t: float) -
     """
     if t <= 0:
         raise ValueError("scale t must be positive")
-    if d.space != d_prime.space:
-        raise ValueError("operators live on different spaces")
-    spec_sum = Spectrum.of(d + d_prime)
-    return _factorization_defects(spec_sum, Spectrum.of(d), Spectrum.of(d_prime), float(t))
+    even, odd = _factorization_defects(d, d_prime, np.array([t]))[0]
+    return float(even), float(odd)
 
 
 def factorization_defect_profiles(
@@ -384,14 +421,8 @@ def factorization_defect_profiles(
 ) -> tuple[DecayProfile, DecayProfile]:
     """Decay profiles of both factorization defects over a t-grid."""
     grid = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
-    spec_sum = Spectrum.of(d + d_prime)
-    spec_d, spec_dp = Spectrum.of(d), Spectrum.of(d_prime)
-    evens, odds = [], []
-    for t in grid:
-        even, odd = _factorization_defects(spec_sum, spec_d, spec_dp, float(t))
-        evens.append(even)
-        odds.append(odd)
-    return DecayProfile.from_values(grid, evens), DecayProfile.from_values(grid, odds)
+    values = _factorization_defects(d, d_prime, grid)
+    return DecayProfile.from_values(grid, values[:, 0]), DecayProfile.from_values(grid, values[:, 1])
 
 
 def identity_pushforward(m: GradedMatrix) -> GradedMatrix:
@@ -444,23 +475,18 @@ def compose_pairs(
     spec_total = Spectrum.of(d_total)
     spec_inner = Spectrum.of(pushed_d)
     spec_outer = Spectrum.of(p_bc.d)
-    profiles: dict[str, dict[str, DecayProfile]] = {}
-    for name, rho in composed_gens.items():
-        evens, odds = [], []
-        for t in grid:
-            s = 1.0 / float(t)
-            heat_inner = spec_inner.apply(GAUSS0, s)
-            heat_outer = spec_outer.apply(GAUSS0, s)
-            naive_even = heat_outer @ heat_inner @ rho.entries
-            evens.append(np.linalg.norm(spec_total.apply(GAUSS0, s) @ rho.entries - naive_even, 2))
-            naive_odd = (
-                spec_outer.apply(GAUSS1, s) @ heat_inner + heat_outer @ spec_inner.apply(GAUSS1, s)
-            ) @ rho.entries
-            odds.append(np.linalg.norm(spec_total.apply(GAUSS1, s) @ rho.entries - naive_odd, 2))
-        profiles[name] = {
-            GAUSS0.name: DecayProfile.from_values(grid, evens),
-            GAUSS1.name: DecayProfile.from_values(grid, odds),
-        }
+
+    def exact_and_naive(scales):
+        # f(t^-1 D_total) and the naive two-step image, for gauss0 and (by the product rule) gauss1
+        heat_inner, heat_outer = spec_inner.apply_grid(GAUSS0, scales), spec_outer.apply_grid(GAUSS0, scales)
+        odd_inner, odd_outer = spec_inner.apply_grid(GAUSS1, scales), spec_outer.apply_grid(GAUSS1, scales)
+        naive = (heat_outer @ heat_inner, odd_outer @ heat_inner + heat_outer @ odd_inner)
+        return [(spec_total.apply_grid(f, scales), n) for f, n in zip((GAUSS0, GAUSS1), naive)]
+
+    profiles = generator_profiles(
+        (GAUSS0, GAUSS1), composed_gens, grid, exact_and_naive,
+        lambda f, pair, rho: operator_norms(pair[0] @ rho - pair[1] @ rho),
+    )
     passed = all(
         profile.fitted_exponent <= exponent_threshold
         for per_gen in profiles.values()
@@ -632,35 +658,17 @@ def commutator_transfer_check(
     grid = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
     d_n = bounded_transform(p_ab.d, transform_scale)
     transfer_norm = operator_norm(graded_commutator(d_prime.underlying, d_n.underlying))
+    commutator = _commutator_norms(p_ab.space)
     spec_prime = Spectrum.of(d_prime)
-    transform_profiles: dict[str, DecayProfile] = {}
-    generator_profiles: dict[str, dict[str, DecayProfile]] = {name: {} for name in p_ab.rep.names()}
-    violation = 0.0
-    for f in functions:
-        values = []
-        for t in grid:
-            lhs = operator_norm(
-                graded_commutator(GradedMatrix(p_ab.space, spec_prime.apply(f, 1.0 / float(t))), d_n.underlying)
-            )
-            values.append(lhs)
-            violation = max(violation, lhs - transfer_norm / float(t))
-        transform_profiles[f.name] = DecayProfile.from_values(grid, values)
-        for name, gen in p_ab.rep.generators.items():
-            gen_values = [
-                operator_norm(
-                    graded_commutator(
-                        GradedMatrix(p_ab.space, spec_prime.apply(f, 1.0 / float(t))), gen
-                    )
-                )
-                for t in grid
-            ]
-            generator_profiles[name][f.name] = DecayProfile.from_values(grid, gen_values)
+    transform_profiles = generator_profiles(functions, {"": d_n.underlying}, grid, spec_prime, commutator)[""]
+    gen_profiles = generator_profiles(functions, p_ab.rep.generators, grid, spec_prime, commutator)
+    violation = max(0.0, *(float((p.values - transfer_norm / grid).max()) for p in transform_profiles.values()))
     passed = violation <= bound_tol
     return TransferReport(
         transform_scale,
         transfer_norm,
         transform_profiles,
-        generator_profiles,
+        gen_profiles,
         bound_tol,
         violation,
         passed,

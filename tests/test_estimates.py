@@ -200,6 +200,11 @@ def test_transform_commutator_rejects_bad_scales():
         transform_commutator_check(SX, SX, [0.0, 1.0])
 
 
+def test_transform_commutator_rejects_empty_scale_grid():
+    with pytest.raises(ValueError):
+        transform_commutator_check(SX, SX, [])
+
+
 # -- double-limit sweep ---------------------------------------------------------------
 
 

@@ -28,7 +28,7 @@ from gradedlab import (
     zeros,
 )
 from gradedlab.funcalc import CAYLEY, GAUSS1
-from gradedlab.pairs import DecayProfile
+from gradedlab.pairs import COMPOSE_EXPONENT_THRESHOLD, DecayProfile
 from gradedlab.sampling import (
     balanced_space,
     random_even,
@@ -82,6 +82,20 @@ def test_decay_profile_random_commutator_family():
         lambda t: graded_commutator(apply_function(d, GAUSS0, 1.0 / t), spec_t), GRID
     )
     assert profile.fitted_exponent <= -0.75
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_decay_profile_non_finite_fit_window_fails(bad):
+    grid = default_t_grid()
+    everywhere = DecayProfile.from_values(grid, np.full(grid.size, bad))
+    one_point = DecayProfile.from_values(grid, np.where(np.arange(grid.size) == grid.size - 3, bad, grid**-2.0))
+    for profile in (everywhere, one_point):
+        assert np.isnan(profile.fitted_exponent)
+        assert not profile.fitted_exponent <= COMPOSE_EXPONENT_THRESHOLD
+        assert not profile.fitted_exponent <= float("-inf")
+    # the fit window is the upper half of the grid; earlier points do not fit
+    early = DecayProfile.from_values(grid, np.where(np.arange(grid.size) == 0, bad, grid**-2.0))
+    assert abs(early.fitted_exponent + 2.0) <= 1e-6
 
 
 def test_decay_profile_grid_errors():
