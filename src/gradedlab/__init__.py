@@ -5,7 +5,6 @@ Core layers:
 * graded      -- graded spaces, matrices, commutators, Koszul tensor products
 * funcalc     -- spectral functional calculus, bounded transforms, cutoffs
 * pairs       -- asymptotic pairs, decay profiles, the composition calculus
-* clifford    -- irreducible Clifford matrix models
 * bott        -- Hermite-truncated Bott-Dirac model and perturbation checks
 * estimates   -- exponential and transform bound certificates
 * experiments -- seeded verification suites behind the `lab` command
@@ -39,31 +38,18 @@ from .funcalc import (
     bounded_transform,
     bounded_transform_function,
     cutoff_function,
-    integral_decomposition,
-    resolvent_commutator_check,
-    user_function,
 )
 from .pairs import (
     AsymptoticPair,
-    BCReport,
     Composition,
     DecayProfile,
     RepresentedAlgebra,
-    bounded_commutator_check,
-    commutator_transfer_check,
-    comultiplication_check,
     compose_pairs,
-    corner_membership_check,
-    decay_profile,
     default_t_grid,
-    factorization_defect,
     factorization_defect_profiles,
     identity_pushforward,
-    pair_inverse,
-    pair_sum,
     validate_pair,
 )
-from .clifford import CliffordRep, clifford_rep
 from .bott import (
     BottOperators,
     HermiteModel,

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .funcalc import CAYLEY, MULTIPLIER_G, ScalarFunction, Spectrum
+from .funcalc import CAYLEY, MULTIPLIER_G, Spectrum
 from .graded import (
     GradedMatrix,
     GradedSpace,
@@ -240,28 +240,23 @@ def dc_commutator_check(ops: BottOperators) -> dict:
 class PerturbationReport:
     """Certificates that a bounded odd potential does not change the class.
 
-    homom_profiles: t -> ||f(t^-1 V) b - f(0) b|| per generator, fitted
-    exponent at least t^-1 decay (the resolvent-type functions give
+    homom_profiles: t -> ||f(t^-1 V) b - f(0) b|| per generator and
+    f in (cayley, g), fitted exponent at least t^-1 decay
+    (COMMUTATION_EXPONENT_THRESHOLD; the resolvent-type functions give
     t^-2 for even f, t^-1 for odd f).
     defect profiles: heat factorization defects of (D, V), certifying
-    that composing with the potential pair lands on (phi, D + V).
+    that composing with the potential pair lands on (phi, D + V); their
+    exponents must reach COMPOSE_EXPONENT_THRESHOLD.
     """
 
     homom_profiles: dict[str, dict[str, DecayProfile]]
     defect_even: DecayProfile
     defect_odd: DecayProfile
-    homom_threshold: float
-    defect_threshold: float
     passed: bool
 
 
 def perturbation_check(
-    pair: AsymptoticPair,
-    potential: OddSelfAdjoint,
-    t_grid: np.ndarray | None = None,
-    functions: Sequence[ScalarFunction] = (CAYLEY, MULTIPLIER_G),
-    homom_threshold: float = COMMUTATION_EXPONENT_THRESHOLD,
-    defect_threshold: float = COMPOSE_EXPONENT_THRESHOLD,
+    pair: AsymptoticPair, potential: OddSelfAdjoint, t_grid: np.ndarray | None = None
 ) -> PerturbationReport:
     if pair.space != potential.space:
         raise ValueError("potential lives on the wrong space")
@@ -272,11 +267,11 @@ def perturbation_check(
         at_zero = complex(np.asarray(f(np.zeros(1)))[0])
         return operator_norms(moved @ a - at_zero * a)
 
-    profiles = generator_profiles(functions, pair.rep.generators, grid, spec_v, homom_defect)
+    profiles = generator_profiles((CAYLEY, MULTIPLIER_G), pair.rep.generators, grid, spec_v, homom_defect)
     defect_even, defect_odd = factorization_defect_profiles(pair.d, potential, grid)
     passed = (
-        all(p.fitted_exponent <= homom_threshold for per in profiles.values() for p in per.values())
-        and defect_even.fitted_exponent <= defect_threshold
-        and defect_odd.fitted_exponent <= defect_threshold
+        all(p.fitted_exponent <= COMMUTATION_EXPONENT_THRESHOLD for per in profiles.values() for p in per.values())
+        and defect_even.fitted_exponent <= COMPOSE_EXPONENT_THRESHOLD
+        and defect_odd.fitted_exponent <= COMPOSE_EXPONENT_THRESHOLD
     )
-    return PerturbationReport(profiles, defect_even, defect_odd, homom_threshold, defect_threshold, passed)
+    return PerturbationReport(profiles, defect_even, defect_odd, passed)

@@ -15,13 +15,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .funcalc import (
-    RESOLVENT_PLUS,
-    ScalarFunction,
-    Spectrum,
-    bounded_transform_function,
-    map_grid,
-)
+from .funcalc import RESOLVENT_PLUS, Spectrum, bounded_transform_function, map_grid
 from .graded import (
     GradedMatrix,
     OddSelfAdjoint,
@@ -231,9 +225,9 @@ class SweepReport:
     """Double-limit sweep of the transform against the plain calculus.
 
     defects[i, j] = ||f(D_{t,N_i} + D'_{t,N_i}) - f(D_t + D'_t)|| at
-    t = t_j.  suprema[i] is the supremum over the top decade of t; the
-    double limit is certified by the suprema being nonincreasing in N
-    and small at the largest N.  The sweep also certifies the relative
+    t = t_j, for the resolvent f(x) = (x + i)^-1.  suprema[i] is the
+    supremum over the top decade of t; the double limit is certified by
+    the suprema being nonincreasing in N and small at the largest N.  The sweep also certifies the relative
     boundedness ||D (D + D' + i)^{-1}||^2 <= 1 + ||[D, D']|| used to
     control the factorization.
     """
@@ -251,7 +245,6 @@ class SweepReport:
 def transform_sum_sweep(
     d: OddSelfAdjoint,
     d_prime: OddSelfAdjoint,
-    f: ScalarFunction = RESOLVENT_PLUS,
     n_grid: Sequence[float] | None = None,
     t_grid: np.ndarray | None = None,
     final_tol: float = 1e-6,
@@ -277,12 +270,12 @@ def transform_sum_sweep(
     transforms = [bounded_transform_function(n) for n in n_values]
     w_d = np.concatenate([spec_d.weights(g, scales) for g in transforms])
     w_dp = np.concatenate([spec_dp.weights(g, scales) for g in transforms])
-    w_sum = spec_sum.weights(f, scales)
+    w_sum = spec_sum.weights(RESOLVENT_PLUS, scales)
 
     def defects_of(rows):
         smoothed = spec_d.synthesize(w_d[rows]) + spec_dp.synthesize(w_dp[rows])
         plain = spec_sum.synthesize(w_sum[rows % grid.size])
-        return operator_norms(Spectrum.of(smoothed).apply(f) - plain)
+        return operator_norms(Spectrum.of(smoothed).apply(RESOLVENT_PLUS) - plain)
 
     defects = map_grid(defects_of, np.arange(len(w_d)), d.space.dim).reshape(n_values.size, grid.size)
     top_decade = grid >= grid[-1] / 10.0

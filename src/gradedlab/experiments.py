@@ -96,6 +96,11 @@ class ConfigError(ValueError):
     pass
 
 
+# Largest dense operator dimension a config may ask for.  One complex
+# 4096 x 4096 matrix takes 268 MB, and a run holds several at once.
+MAX_DENSE_DIM = 4096
+
+
 _DEFAULTS: dict[str, dict] = {
     "commbound": {"trials": 200, "dims": [4, 8, 16], "n_grid": [0.5, 1, 2, 4, 8, 16],
                   "t_grid": {"start": 1.0, "stop": 1e3, "points": 60}},
@@ -135,14 +140,32 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.t_points < 2 or self.t_start <= 0 or self.t_stop <= self.t_start:
             raise ConfigError("invalid t grid")
-        if any(n <= 0 for n in self.n_grid):
+        if not self.n_grid or any(n <= 0 for n in self.n_grid):
             raise ConfigError("invalid transform-scale grid")
-        if any(d < 2 or d % 2 for d in self.dims):
-            raise ConfigError("dims must be even and >= 2")
+        if not self.dims or any(d < 2 or d % 2 for d in self.dims):
+            raise ConfigError("dims must be a non-empty list of even integers >= 2")
         if self.n_basis < 8:
             raise ConfigError("n_basis must be >= 8")
         if self.coordinates < 1:
             raise ConfigError("coordinates must be >= 1")
+        for key, value in self.tolerances.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ConfigError(f"tolerance {key!r} must be a finite number")
+        if self.tolerances.get("kernel", 1.0) <= 0:
+            raise ConfigError("kernel tolerance must be positive")
+        largest = self._largest_dense_dim()
+        if largest > MAX_DENSE_DIM:
+            raise ConfigError(f"largest dense operator would be {largest}-dimensional, above {MAX_DENSE_DIM}")
+
+    def _largest_dense_dim(self) -> int:
+        """Dimension of the largest dense matrix the experiment builds."""
+        largest = max(self.dims)
+        if self.experiment == "bott":
+            # the convergence step doubles the basis: 2 (2 n_basis) - 1 per coordinate
+            largest = max(largest, (4 * self.n_basis - 1) ** self.coordinates)
+        elif self.experiment == "perturb":
+            largest = max(largest, 2 * self.n_basis - 1)
+        return largest
 
     def tolerance(self, key: str, default: float) -> float:
         return float(self.tolerances.get(key, default))
@@ -245,6 +268,14 @@ def _summarize(certificates, claims: dict[str, str]) -> list[CheckSummary]:
     ]
 
 
+def _trials(cfg: ExperimentConfig):
+    """(index, seed, rng, space) for each trial, dims taken round-robin."""
+    for i in range(cfg.trials):
+        seed = trial_seed(cfg.seed, i)
+        rng = rng_for(seed)
+        yield i, seed, rng, balanced_space(cfg.dims[i % len(cfg.dims)])
+
+
 def _result(cfg, claims, certs, profiles=None, summary=None, tables=None) -> ExperimentResult:
     return ExperimentResult(
         cfg.experiment,
@@ -268,10 +299,7 @@ def run_commbound(cfg: ExperimentConfig) -> ExperimentResult:
     }
     grid = cfg.t_grid()
     certs: list[BoundCertificate] = []
-    for i in range(cfg.trials):
-        seed = trial_seed(cfg.seed, i)
-        rng = rng_for(seed)
-        space = balanced_space(cfg.dims[i % len(cfg.dims)])
+    for i, seed, rng, space in _trials(cfg):
         d = random_odd_selfadjoint(rng, space)
         d_prime = random_odd_selfadjoint(rng, space)
         certs.extend(transform_commutator_check(d, d_prime, cfg.n_grid, grid, seed=list(seed)))
@@ -290,10 +318,7 @@ def run_expfactor(cfg: ExperimentConfig) -> ExperimentResult:
     certs: list[BoundCertificate] = []
     profiles: list[tuple[str, DecayProfile]] = []
     exponents = []
-    for i in range(cfg.trials):
-        seed = trial_seed(cfg.seed, i)
-        rng = rng_for(seed)
-        space = balanced_space(cfg.dims[i % len(cfg.dims)])
+    for i, seed, rng, space in _trials(cfg):
         d = random_odd_selfadjoint(rng, space, norm=1.0)
         d_prime = random_odd_selfadjoint(rng, space, norm=1.0)
         even_prof, odd_prof = factorization_defect_profiles(d, d_prime, grid)
@@ -328,25 +353,18 @@ def _exact_factorization_certs(grid) -> list[BoundCertificate]:
     two = GradedSpace((0, 1))
     sigma_x = OddSelfAdjoint(GradedMatrix(two, np.array([[0, 1], [1, 0]], dtype=complex)))
     sigma_y = OddSelfAdjoint(GradedMatrix(two, np.array([[0, -1j], [1j, 0]], dtype=complex)))
+    cases = {
+        "pauli": (sigma_x, sigma_y),
+        "tensor-lift": (
+            OddSelfAdjoint(graded_tensor(sigma_x.underlying, identity(two))),
+            OddSelfAdjoint(graded_tensor(identity(two), sigma_y.underlying)),
+        ),
+    }
     certs = []
-    even_prof, odd_prof = factorization_defect_profiles(sigma_x, sigma_y, grid)
-    certs.append(
-        BoundCertificate(
-            "factorization_exact[pauli]",
-            max(float(even_prof.values.max()), float(odd_prof.values.max())),
-            1e-12,
-        )
-    )
-    lift_left = OddSelfAdjoint(graded_tensor(sigma_x.underlying, identity(two)))
-    lift_right = OddSelfAdjoint(graded_tensor(identity(two), sigma_y.underlying))
-    even_prof, odd_prof = factorization_defect_profiles(lift_left, lift_right, grid)
-    certs.append(
-        BoundCertificate(
-            "factorization_exact[tensor-lift]",
-            max(float(even_prof.values.max()), float(odd_prof.values.max())),
-            1e-12,
-        )
-    )
+    for name, (d, d_prime) in cases.items():
+        even_prof, odd_prof = factorization_defect_profiles(d, d_prime, grid)
+        worst = max(float(even_prof.values.max()), float(odd_prof.values.max()))
+        certs.append(BoundCertificate(f"factorization_exact[{name}]", worst, 1e-12))
     return certs
 
 
@@ -361,10 +379,7 @@ def run_techlemma(cfg: ExperimentConfig) -> ExperimentResult:
     slack = cfg.tolerance("monotone_slack", 1e-12)
     certs: list[BoundCertificate] = []
     profiles: list[tuple[str, DecayProfile]] = []
-    for i in range(cfg.trials):
-        seed = trial_seed(cfg.seed, i)
-        rng = rng_for(seed)
-        space = balanced_space(cfg.dims[i % len(cfg.dims)])
+    for i, seed, rng, space in _trials(cfg):
         d = random_odd_selfadjoint(rng, space, norm=1.0)
         d_prime = random_odd_selfadjoint(rng, space, norm=1.0)
         report = transform_sum_sweep(
@@ -393,10 +408,7 @@ def run_compose(cfg: ExperimentConfig) -> ExperimentResult:
     certs: list[BoundCertificate] = []
     profiles: list[tuple[str, DecayProfile]] = []
     exponents = []
-    for i in range(cfg.trials):
-        seed = trial_seed(cfg.seed, i)
-        rng = rng_for(seed)
-        space = balanced_space(cfg.dims[i % len(cfg.dims)])
+    for i, seed, rng, space in _trials(cfg):
         gens = {
             "a_even": random_even(rng, space, norm=1.0),
             "a_odd": random_odd(rng, space, norm=1.0),
@@ -565,10 +577,7 @@ def run_perturb(cfg: ExperimentConfig) -> ExperimentResult:
             BoundCertificate(f"perturb_defect[{tag},odd]", report.defect_odd.fitted_exponent, defect_threshold, seed)
         )
 
-    for i in range(cfg.trials):
-        seed = trial_seed(cfg.seed, i)
-        rng = rng_for(seed)
-        space = balanced_space(cfg.dims[i % len(cfg.dims)])
+    for i, seed, rng, space in _trials(cfg):
         gens = {"a_even": random_even(rng, space, norm=1.0), "a_odd": random_odd(rng, space, norm=1.0)}
         pair = AsymptoticPair(RepresentedAlgebra(space, gens), random_odd_selfadjoint(rng, space, norm=1.0))
         potential = random_odd_selfadjoint(rng, space, norm=1.0)
@@ -597,10 +606,7 @@ def run_appendix_b(cfg: ExperimentConfig) -> ExperimentResult:
     }
     certs: list[BoundCertificate] = []
     profiles: list[tuple[str, DecayProfile]] = []
-    for i in range(cfg.trials):
-        seed = trial_seed(cfg.seed, i)
-        rng = rng_for(seed)
-        space = balanced_space(cfg.dims[i % len(cfg.dims)])
+    for i, seed, rng, space in _trials(cfg):
         x = random_even(rng, space, norm=3.0 * float(rng.uniform(0.1, 1.0)))
         y = random_even(rng, space, norm=operator_norm(x) * float(rng.uniform(0.0, 1.0)))
         cert = exp_shift_bound_check(x, y, seed=list(seed))

@@ -14,8 +14,7 @@ computation on every matrix of a stack, so stacked values equal a
 point-by-point evaluation bit for bit.
 
 The named function table carries exact sup norms so contractivity can
-be certified without sampling.  User-supplied functions may declare a
-sup-norm bound; without one, contractivity checks are skipped for them.
+be certified without sampling.
 """
 
 from __future__ import annotations
@@ -26,13 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graded import (
-    GradedMatrix,
-    OddSelfAdjoint,
-    VALIDATION_TOL,
-    graded_commutator,
-    operator_norm,
-)
+from .graded import GradedMatrix, OddSelfAdjoint, VALIDATION_TOL
 
 __all__ = [
     "ScalarFunction",
@@ -46,16 +39,12 @@ __all__ = [
     "PAIR_FUNCTIONS",
     "bounded_transform_function",
     "cutoff_function",
-    "user_function",
     "STACK_ENTRIES",
     "grid_chunks",
     "map_grid",
     "Spectrum",
     "apply_function",
     "bounded_transform",
-    "integral_decomposition",
-    "ResolventCommutatorReport",
-    "resolvent_commutator_check",
 ]
 
 
@@ -119,10 +108,6 @@ def cutoff_function(radius: float) -> ScalarFunction:
         return u * u * (3.0 - 2.0 * u)
 
     return ScalarFunction(f"cutoff[{r:g}]", chi, 1.0, 0)
-
-
-def user_function(name, fn, sup_norm=None, parity=None) -> ScalarFunction:
-    return ScalarFunction(name, fn, sup_norm, parity)
 
 
 # Most complex entries one grid stack may hold: 2**14 (256 KiB).  Grids at
@@ -231,63 +216,3 @@ def bounded_transform(d: OddSelfAdjoint, n_scale: float) -> OddSelfAdjoint:
     # i_N is odd and real, so the result is exactly odd Hermitian up to roundoff
     sym = (m.entries + m.entries.conj().T) * 0.5
     return OddSelfAdjoint(GradedMatrix(d.space, sym))
-
-
-def integral_decomposition(d: OddSelfAdjoint, n_scale: float, quad_points: int) -> GradedMatrix:
-    """Resolvent-kernel integral reproducing the bounded transform.
-
-    Evaluates int_0^inf (D^2/N^2 + 1 + s^2)^(-3/2) D ds by Gauss-Legendre
-    quadrature after the substitution s = tan(theta); the scalar identity
-    int_0^inf (a^2 + s^2)^(-3/2) ds = a^(-2) makes the integral equal to
-    i_N(D) exactly, so the quadrature converges to bounded_transform(d, N)
-    as quad_points grows.  The integrand is evaluated in the eigenbasis of
-    D, where all factors commute.
-    """
-    if n_scale <= 0:
-        raise ValueError("transform scale must be positive")
-    if quad_points < 8:
-        raise ValueError("need at least 8 quadrature points")
-    spec = Spectrum.of(d)
-    nodes, weights = np.polynomial.legendre.leggauss(int(quad_points))
-    theta = (nodes + 1.0) * (np.pi / 4.0)
-    jacobian = weights * (np.pi / 4.0) / np.cos(theta) ** 2
-    s = np.tan(theta)
-    lam = spec.eigenvalues
-    a2 = (lam / n_scale) ** 2 + 1.0
-    kernel = (a2[:, None] + (s**2)[None, :]) ** -1.5
-    values = lam * (kernel @ jacobian)
-    return GradedMatrix(d.space, spec.synthesize(values))
-
-
-@dataclass(frozen=True)
-class ResolventCommutatorReport:
-    """Commutator contraction certificate for the resolvent-type functions.
-
-    lhs_cayley = ||[ (D^2+1)^(-1), T ]||, lhs_g = ||[ D(D^2+1)^(-1), T ]||,
-    both certified against rhs = ||[D, T]|| + tol.
-    """
-
-    lhs_cayley: float
-    lhs_g: float
-    rhs: float
-    tol: float
-    passed: bool
-
-
-def resolvent_commutator_check(
-    d: OddSelfAdjoint, t: GradedMatrix, tol: float = 1e-10
-) -> ResolventCommutatorReport:
-    """Certify ||[f(D), T]|| <= ||[D, T]|| for f = cayley and f = g.
-
-    T must be homogeneous; the estimates are graded-commutator statements
-    about homogeneous multipliers.
-    """
-    if t.parity() is None:
-        raise ValueError("commutator contraction check needs homogeneous T")
-    if d.space != t.space:
-        raise ValueError("operator and test element live on different spaces")
-    rhs = operator_norm(graded_commutator(d.underlying, t))
-    lhs_cayley = operator_norm(graded_commutator(apply_function(d, CAYLEY), t))
-    lhs_g = operator_norm(graded_commutator(apply_function(d, MULTIPLIER_G), t))
-    passed = lhs_cayley <= rhs + tol and lhs_g <= rhs + tol
-    return ResolventCommutatorReport(lhs_cayley, lhs_g, rhs, tol, passed)

@@ -41,7 +41,7 @@ __all__ = [
     "operator_norms",
 ]
 
-# Default constructor-validation tolerance; overridable per call where noted.
+# Constructor-validation tolerance, relative to the largest entry.
 VALIDATION_TOL = 1e-12
 
 
@@ -56,10 +56,6 @@ class GradedSpace:
             raise ValueError("graded space needs dimension >= 1")
         if any(p not in (0, 1) for p in self.parity):
             raise ValueError("parity entries must be 0 or 1")
-
-    @classmethod
-    def ungraded(cls, dim: int) -> "GradedSpace":
-        return cls((0,) * dim)
 
     @classmethod
     def split(cls, even: int, odd: int) -> "GradedSpace":
@@ -100,12 +96,6 @@ class GradedMatrix:
 
     # -- structure ---------------------------------------------------------
 
-    def even_part(self) -> "GradedMatrix":
-        return parity_decompose(self)[0]
-
-    def odd_part(self) -> "GradedMatrix":
-        return parity_decompose(self)[1]
-
     def parity(self, tol: float = VALIDATION_TOL) -> int | None:
         """0 or 1 for homogeneous matrices, None for mixed ones."""
         even, odd = parity_decompose(self)
@@ -117,9 +107,6 @@ class GradedMatrix:
         if even_small:
             return 1
         return None
-
-    def adjoint(self) -> "GradedMatrix":
-        return GradedMatrix(self.space, self.entries.conj().T)
 
     def is_hermitian(self, tol: float = VALIDATION_TOL) -> bool:
         scale = max(1.0, float(np.abs(self.entries).max(initial=0.0)))
@@ -151,10 +138,6 @@ class GradedMatrix:
         self._check_space(other)
         return GradedMatrix(self.space, self.entries @ other.entries)
 
-    def allclose(self, other: "GradedMatrix", tol: float = VALIDATION_TOL) -> bool:
-        self._check_space(other)
-        return bool(np.abs(self.entries - other.entries).max(initial=0.0) <= tol)
-
 
 def identity(space: GradedSpace) -> GradedMatrix:
     return GradedMatrix(space, np.eye(space.dim, dtype=np.complex128))
@@ -174,29 +157,20 @@ class OddSelfAdjoint:
 
     Plays the role of the unbounded odd self-adjoint multipliers (Dirac
     operators, Clifford multiplications, potentials) at finite scale.
-    Construction validates Hermiticity and oddness to `tol`.
+    Construction validates Hermiticity and oddness to VALIDATION_TOL.
     """
 
     underlying: GradedMatrix
 
     def __post_init__(self):
-        tol = getattr(self, "_tol", VALIDATION_TOL)
         m = self.underlying
-        if not m.is_hermitian(tol):
+        if not m.is_hermitian():
             raise ValueError("odd self-adjoint operator must be Hermitian")
         signs = m.space.gamma_signs()
         flipped = (signs[:, None] * m.entries) * signs[None, :]
         scale = max(1.0, float(np.abs(m.entries).max(initial=0.0)))
-        if np.abs(flipped + m.entries).max(initial=0.0) > tol * scale:
+        if np.abs(flipped + m.entries).max(initial=0.0) > VALIDATION_TOL * scale:
             raise ValueError("operator does not anticommute with the grading")
-
-    @classmethod
-    def of(cls, space: GradedSpace, entries: np.ndarray, tol: float = VALIDATION_TOL) -> "OddSelfAdjoint":
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "_tol", tol)
-        object.__setattr__(obj, "underlying", GradedMatrix(space, entries))
-        obj.__post_init__()
-        return obj
 
     @property
     def space(self) -> GradedSpace:
@@ -214,9 +188,6 @@ class OddSelfAdjoint:
 
     def __neg__(self) -> "OddSelfAdjoint":
         return OddSelfAdjoint(-self.underlying)
-
-    def scaled(self, factor: float) -> "OddSelfAdjoint":
-        return OddSelfAdjoint(self.underlying * float(factor))
 
 
 def _parity_parts(signs: np.ndarray, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -25,28 +25,13 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .funcalc import (
-    CAYLEY,
-    GAUSS0,
-    GAUSS1,
-    MULTIPLIER_G,
-    PAIR_FUNCTIONS,
-    ScalarFunction,
-    Spectrum,
-    bounded_transform,
-    cutoff_function,
-    map_grid,
-)
+from .funcalc import GAUSS0, GAUSS1, PAIR_FUNCTIONS, ScalarFunction, Spectrum, map_grid
 from .graded import (
     GradedMatrix,
     GradedSpace,
     OddSelfAdjoint,
     VALIDATION_TOL,
-    conjugate_by_grading,
-    direct_sum,
-    graded_commutator,
     graded_commutator_array,
-    graded_tensor,
     identity,
     operator_norm,
     operator_norms,
@@ -55,36 +40,27 @@ from .graded import (
 __all__ = [
     "DEFAULT_GRID_POINTS",
     "FIT_FLOOR",
+    "CONTAINMENT_TOL",
     "COMMUTATION_EXPONENT_THRESHOLD",
     "COMPOSE_EXPONENT_THRESHOLD",
     "default_t_grid",
     "DecayProfile",
-    "decay_profile",
     "generator_profiles",
     "RepresentedAlgebra",
     "AsymptoticPair",
     "PairReport",
     "validate_pair",
-    "pair_sum",
-    "pair_inverse",
-    "BCReport",
-    "bounded_commutator_check",
-    "factorization_defect",
     "factorization_defect_profiles",
     "Composition",
     "identity_pushforward",
     "compose_pairs",
-    "ComultiplicationReport",
-    "comultiplication_check",
-    "CornerReport",
-    "corner_membership_check",
-    "TransferReport",
-    "commutator_transfer_check",
 ]
 
 DEFAULT_GRID_POINTS = 60
 # Norm values below this are treated as exact zeros and excluded from fits.
 FIT_FLOOR = 1e-14
+# Largest off-corner mass ||(1 - P) m|| + ||m (1 - P)|| a contained f(D) phi(a) may carry.
+CONTAINMENT_TOL = 1e-8
 # Slope thresholds: t^-1 decay for pair commutators, t^-2 for composition
 # defects, each with 0.25 slack absorbing fit noise (a policy, not a theorem).
 COMMUTATION_EXPONENT_THRESHOLD = -1.0 + 0.25
@@ -138,33 +114,11 @@ class DecayProfile:
         rms = float(np.sqrt(np.mean(residual**2)))
         return cls(t_grid, values, float(slope), float(np.exp(intercept)), rms)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "grid": [float(t) for t in self.t_grid],
-            "values": [float(v) for v in self.values],
-            "exponent": float(self.fitted_exponent),
-            "constant": float(self.fitted_constant),
-            "residual": float(self.fit_residual),
-        }
-
     def csv_text(self) -> str:
         lines = ["t,value"]
         for t, v in zip(self.t_grid, self.values):
             lines.append(f"{t:.12e},{v:.12e}")
         return "\n".join(lines) + "\n"
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="ascii") as handle:
-            handle.write(self.csv_text())
-
-
-def decay_profile(family: Callable[[float], object], t_grid: np.ndarray) -> DecayProfile:
-    """Profile of t -> ||family(t)||; family returns a matrix-like value."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size == 0:
-        raise ValueError("empty grid")
-    values = [operator_norm(family(float(t))) for t in t_grid]
-    return DecayProfile.from_values(t_grid, values)
 
 
 def generator_profiles(
@@ -204,16 +158,10 @@ def _commutator_norms(space: GradedSpace):
 
 @dataclass(frozen=True)
 class RepresentedAlgebra:
-    """Named generator images phi(a) of a represented algebra.
-
-    The optional product table maps generator-name pairs to the name of
-    their product; when present, check_products certifies the images
-    multiply accordingly.
-    """
+    """Named generator images phi(a) of a represented algebra."""
 
     space: GradedSpace
     generators: Mapping[str, GradedMatrix]
-    product_table: Mapping[tuple[str, str], str] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "generators", dict(self.generators))
@@ -222,18 +170,6 @@ class RepresentedAlgebra:
         for name, g in self.generators.items():
             if g.space != self.space:
                 raise ValueError(f"generator {name!r} lives on the wrong space")
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(self.generators)
-
-    def check_products(self, tol: float = 1e-10) -> bool:
-        if not self.product_table:
-            return True
-        for (left, right), product in self.product_table.items():
-            got = self.generators[left] @ self.generators[right]
-            if not got.allclose(self.generators[product], tol):
-                return False
-        return True
 
 
 def _validate_corner(corner: GradedMatrix, tol: float = VALIDATION_TOL) -> None:
@@ -283,104 +219,46 @@ class PairReport:
 
     containment: dict[str, dict[str, float]]
     profiles: dict[str, dict[str, DecayProfile]]
-    containment_tol: float
-    exponent_threshold: float
     containment_passed: bool | None
-    commutation_passed: bool
     passed: bool
 
 
-def validate_pair(
-    pair: AsymptoticPair,
-    t_grid: np.ndarray | None = None,
-    functions: Sequence[ScalarFunction] = PAIR_FUNCTIONS,
-    containment_tol: float = 1e-8,
-    exponent_threshold: float = COMMUTATION_EXPONENT_THRESHOLD,
-) -> PairReport:
+def validate_pair(pair: AsymptoticPair, t_grid: np.ndarray | None = None) -> PairReport:
     """Measure both defining conditions of an asymptotic pair.
 
-    Containment is checked only when a corner is designated.  Commutation
-    profiles are fitted per generator and function; a profile that is
-    identically zero passes with the -inf sentinel.
+    Containment (off-corner mass at most CONTAINMENT_TOL) is checked only
+    when a corner is designated.  Commutation profiles are fitted per
+    generator and PAIR_FUNCTIONS entry and must reach
+    COMMUTATION_EXPONENT_THRESHOLD; a profile that is identically zero
+    passes with the -inf sentinel.
     """
     grid = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
     spec = Spectrum.of(pair.d)
     containment: dict[str, dict[str, float]] = {
-        name: {f.name: _off_corner_mass(GradedMatrix(pair.space, spec.apply(f)) @ gen, pair.corner) for f in functions}
+        name: {
+            f.name: _off_corner_mass(GradedMatrix(pair.space, spec.apply(f)) @ gen, pair.corner)
+            for f in PAIR_FUNCTIONS
+        }
         if pair.corner is not None else {}
         for name, gen in pair.rep.generators.items()
     }
-    profiles = generator_profiles(functions, pair.rep.generators, grid, spec, _commutator_norms(pair.space))
+    profiles = generator_profiles(PAIR_FUNCTIONS, pair.rep.generators, grid, spec, _commutator_norms(pair.space))
     containment_passed: bool | None = None
     if pair.corner is not None:
         containment_passed = all(
-            mass <= containment_tol for per_gen in containment.values() for mass in per_gen.values()
+            mass <= CONTAINMENT_TOL for per_gen in containment.values() for mass in per_gen.values()
         )
     commutation_passed = all(
-        p.fitted_exponent <= exponent_threshold for per_gen in profiles.values() for p in per_gen.values()
+        p.fitted_exponent <= COMMUTATION_EXPONENT_THRESHOLD
+        for per_gen in profiles.values()
+        for p in per_gen.values()
     )
     passed = commutation_passed and containment_passed is not False
-    return PairReport(
-        containment,
-        profiles,
-        containment_tol,
-        exponent_threshold,
-        containment_passed,
-        commutation_passed,
-        passed,
-    )
-
-
-def pair_sum(p: AsymptoticPair, q: AsymptoticPair) -> AsymptoticPair:
-    """Blockwise sum diag(phi, phi~), diag(D, D~); generators match by name."""
-    if set(p.rep.names()) != set(q.rep.names()):
-        raise ValueError("pair sum needs identical generator name sets")
-    generators = {name: direct_sum(p.rep.generators[name], q.rep.generators[name]) for name in p.rep.names()}
-    d = OddSelfAdjoint(direct_sum(p.d.underlying, q.d.underlying))
-    corner = None
-    if p.corner is not None or q.corner is not None:
-        left = p.corner if p.corner is not None else identity(p.space)
-        right = q.corner if q.corner is not None else identity(q.space)
-        corner = direct_sum(left, right)
-    rep = RepresentedAlgebra(d.space, generators)
-    return AsymptoticPair(rep, d, corner)
-
-
-def pair_inverse(p: AsymptoticPair) -> AsymptoticPair:
-    """Additive inverse: opposite representation gamma phi(a) gamma with -D."""
-    generators = {name: conjugate_by_grading(g) for name, g in p.rep.generators.items()}
-    rep = RepresentedAlgebra(p.space, generators, p.rep.product_table)
-    return AsymptoticPair(rep, -p.d, p.corner)
-
-
-@dataclass(frozen=True)
-class BCReport:
-    """Bounded-commutator report for a candidate composition.
-
-    In finite dimensions the domain conditions (common core, core
-    stability under transforms and resolvents) hold automatically; what
-    remains quantitative is the norm of the graded commutator [D, D'].
-    """
-
-    commutator_norm: float
-    core_note: str
-    threshold: float | None
-    passed: bool
-
-
-def bounded_commutator_check(
-    d: OddSelfAdjoint, d_prime: OddSelfAdjoint, threshold: float | None = None
-) -> BCReport:
-    if d.space != d_prime.space:
-        raise ValueError("operators live on different spaces")
-    norm = operator_norm(graded_commutator(d.underlying, d_prime.underlying))
-    note = "finite-dimensional model: the whole space is a common core, stable under transforms and resolvents"
-    passed = True if threshold is None else norm <= threshold
-    return BCReport(norm, note, threshold, passed)
+    return PairReport(containment, profiles, containment_passed, passed)
 
 
 def _factorization_defects(d: OddSelfAdjoint, d_prime: OddSelfAdjoint, t_grid: np.ndarray) -> np.ndarray:
-    """Both factorization defects (see factorization_defect), one (even, odd) row per t."""
+    """Both factorization defects, one (even, odd) row per t."""
     if d.space != d_prime.space:
         raise ValueError("operators live on different spaces")
     spec_sum, spec_d, spec_dp = Spectrum.of(d + d_prime), Spectrum.of(d), Spectrum.of(d_prime)
@@ -400,8 +278,10 @@ def _factorization_defects(d: OddSelfAdjoint, d_prime: OddSelfAdjoint, t_grid: n
     return map_grid(defects, 1.0 / np.asarray(t_grid, dtype=float), d.space.dim)
 
 
-def factorization_defect(d: OddSelfAdjoint, d_prime: OddSelfAdjoint, t: float) -> tuple[float, float]:
-    """Heat-kernel factorization defects at scale t.
+def factorization_defect_profiles(
+    d: OddSelfAdjoint, d_prime: OddSelfAdjoint, t_grid: np.ndarray | None = None
+) -> tuple[DecayProfile, DecayProfile]:
+    """Decay profiles of both heat-kernel factorization defects over a t-grid.
 
     even = || e^{-t^-2 (D+D')^2} - e^{-t^-2 D^2} e^{-t^-2 D'^2} ||
     odd  = the same defect for x e^{-x^2} with the product rule splitting
@@ -410,16 +290,6 @@ def factorization_defect(d: OddSelfAdjoint, d_prime: OddSelfAdjoint, t: float) -
     Both vanish identically when [D, D'] = 0, and the even defect is
     t^-2 ||[D, D']|| + O(t^-4) in general.
     """
-    if t <= 0:
-        raise ValueError("scale t must be positive")
-    even, odd = _factorization_defects(d, d_prime, np.array([t]))[0]
-    return float(even), float(odd)
-
-
-def factorization_defect_profiles(
-    d: OddSelfAdjoint, d_prime: OddSelfAdjoint, t_grid: np.ndarray | None = None
-) -> tuple[DecayProfile, DecayProfile]:
-    """Decay profiles of both factorization defects over a t-grid."""
     grid = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
     values = _factorization_defects(d, d_prime, grid)
     return DecayProfile.from_values(grid, values[:, 0]), DecayProfile.from_values(grid, values[:, 1])
@@ -434,9 +304,7 @@ class Composition:
     """compose_pairs output: the composed pair plus its certificates."""
 
     pair: AsymptoticPair
-    bc: BCReport
     defect_profiles: dict[str, dict[str, DecayProfile]]
-    exponent_threshold: float
     passed: bool
 
 
@@ -468,7 +336,6 @@ def compose_pairs(
         if pushed.space != p_bc.space:
             raise ValueError("pushforward does not land on the target space")
         composed_gens[name] = pushed
-    bc = bounded_commutator_check(pushed_d, p_bc.d)
     d_total = pushed_d + p_bc.d
     composed = AsymptoticPair(RepresentedAlgebra(p_bc.space, composed_gens), d_total, p_bc.corner)
 
@@ -492,184 +359,4 @@ def compose_pairs(
         for per_gen in profiles.values()
         for profile in per_gen.values()
     )
-    return Composition(composed, bc, profiles, exponent_threshold, passed)
-
-
-@dataclass(frozen=True)
-class ComultiplicationReport:
-    """Certificates that the two tensor lifts of D graded-commute and the
-    functional calculus of their sum factors exactly."""
-
-    lift_commutator_norm: float
-    scales: np.ndarray
-    gauss0_defects: np.ndarray
-    gauss1_defects: np.ndarray
-    commute_tol: float
-    factor_tol: float
-    passed: bool
-
-
-def comultiplication_check(
-    d: OddSelfAdjoint,
-    scales: Sequence[float] | None = None,
-    commute_tol: float = 1e-12,
-    factor_tol: float = 1e-10,
-) -> ComultiplicationReport:
-    """Check f(D (x) 1 + 1 (x) D) = the product of the lifted calculi.
-
-    The lifts graded-commute by the Koszul realization, so the heat
-    kernel of the sum factors exactly, as does its odd companion
-    x e^{-x^2} via the product-rule splitting.  Both identities are
-    certified at every probe scale.
-    """
-    scale_grid = np.asarray([1.0, 4.0, 16.0] if scales is None else list(scales), dtype=float)
-    one = identity(d.space)
-    lift_left = graded_tensor(d.underlying, one)
-    lift_right = graded_tensor(one, d.underlying)
-    commutator_norm = operator_norm(graded_commutator(lift_left, lift_right))
-    total = OddSelfAdjoint(lift_left + lift_right)
-    spec_total = Spectrum.of(total)
-    spec_d = Spectrum.of(d)
-    g0_defects, g1_defects = [], []
-    for t in scale_grid:
-        s = 1.0 / float(t)
-        heat = GradedMatrix(d.space, spec_d.apply(GAUSS0, s))
-        heat_odd = GradedMatrix(d.space, spec_d.apply(GAUSS1, s))
-        lifted_even = graded_tensor(heat, heat)
-        g0_defects.append(
-            float(np.linalg.norm(spec_total.apply(GAUSS0, s) - lifted_even.entries, 2))
-        )
-        lifted_odd = graded_tensor(heat_odd, heat) + graded_tensor(heat, heat_odd)
-        g1_defects.append(
-            float(np.linalg.norm(spec_total.apply(GAUSS1, s) - lifted_odd.entries, 2))
-        )
-    passed = (
-        commutator_norm <= commute_tol
-        and max(g0_defects) <= factor_tol
-        and max(g1_defects) <= factor_tol
-    )
-    return ComultiplicationReport(
-        commutator_norm,
-        scale_grid,
-        np.asarray(g0_defects),
-        np.asarray(g1_defects),
-        commute_tol,
-        factor_tol,
-        passed,
-    )
-
-
-@dataclass(frozen=True)
-class CornerReport:
-    """Corner-membership certificate built on the cutoff identity."""
-
-    plateau_radius: float
-    identity_defect_max: float
-    off_corner_mass: dict[str, dict[str, float]]
-    family_supremum: dict[str, dict[str, float]]
-    identity_tol: float
-    mass_tol: float
-    passed: bool
-
-
-def corner_membership_check(
-    pair: AsymptoticPair,
-    t_grid: np.ndarray | None = None,
-    functions: Sequence[ScalarFunction] = (GAUSS0, GAUSS1),
-    identity_tol: float = 1e-12,
-    mass_tol: float = 1e-10,
-) -> CornerReport:
-    """Certify chi(t^-1 D) f(D) phi(a) = f(D) phi(a) and bound corner leakage.
-
-    chi is a plateau function equal to one on [-R, R] with R at least
-    ||D||, so the scaled spectrum stays inside the plateau for every
-    t >= 1 and the identity holds exactly.  Consequently the off-corner
-    mass of the t-independent left side is bounded by the supremum of
-    the t-family's off-corner mass.
-    """
-    if pair.corner is None:
-        raise ValueError("corner membership needs a designated corner")
-    grid = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
-    if np.any(grid < 1.0):
-        raise ValueError("corner membership grid must start at t >= 1")
-    spec = Spectrum.of(pair.d)
-    radius = max(operator_norm(pair.d), 1.0)
-    chi = cutoff_function(radius)
-    identity_defect = 0.0
-    masses: dict[str, dict[str, float]] = {}
-    family_sup: dict[str, dict[str, float]] = {}
-    for name, gen in pair.rep.generators.items():
-        masses[name] = {}
-        family_sup[name] = {}
-        for f in functions:
-            target = GradedMatrix(pair.space, spec.apply(f)) @ gen
-            masses[name][f.name] = _off_corner_mass(target, pair.corner)
-            sup = 0.0
-            for t in grid:
-                cut = GradedMatrix(pair.space, spec.apply(chi, 1.0 / float(t)))
-                member = cut @ target
-                identity_defect = max(identity_defect, operator_norm(member - target))
-                sup = max(sup, _off_corner_mass(member, pair.corner))
-            family_sup[name][f.name] = sup
-    passed = identity_defect <= identity_tol and all(
-        masses[name][fn] <= family_sup[name][fn] + mass_tol
-        for name in masses
-        for fn in masses[name]
-    )
-    return CornerReport(radius, identity_defect, masses, family_sup, identity_tol, mass_tol, passed)
-
-
-@dataclass(frozen=True)
-class TransferReport:
-    """Commutator transfer certificates for the outer operator.
-
-    transform_profiles: t -> ||[f(t^-1 D'), D_N]||, certified pointwise
-    against the contraction bound t^-1 ||[D', D_N]||.
-    generator_profiles: the same commutators against each generator,
-    reported for decay inspection.
-    """
-
-    transform_scale: float
-    transfer_norm: float
-    transform_profiles: dict[str, DecayProfile]
-    generator_profiles: dict[str, dict[str, DecayProfile]]
-    bound_tol: float
-    bound_violation: float
-    passed: bool
-
-
-def commutator_transfer_check(
-    p_ab: AsymptoticPair,
-    d_prime: OddSelfAdjoint,
-    t_grid: np.ndarray | None = None,
-    transform_scale: float = 1.0,
-    functions: Sequence[ScalarFunction] = (CAYLEY, MULTIPLIER_G),
-    bound_tol: float = 1e-10,
-) -> TransferReport:
-    """Measure how functions of the outer operator commute past the pair.
-
-    The quantitative certificate is the contraction
-    ||[f(t^-1 D'), D_N]|| <= t^-1 ||[D', D_N]|| + tol at every grid
-    point, for f the resolvent-type generators; profiles against the
-    pair's generators are reported alongside.
-    """
-    if p_ab.space != d_prime.space:
-        raise ValueError("operators live on different spaces")
-    grid = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
-    d_n = bounded_transform(p_ab.d, transform_scale)
-    transfer_norm = operator_norm(graded_commutator(d_prime.underlying, d_n.underlying))
-    commutator = _commutator_norms(p_ab.space)
-    spec_prime = Spectrum.of(d_prime)
-    transform_profiles = generator_profiles(functions, {"": d_n.underlying}, grid, spec_prime, commutator)[""]
-    gen_profiles = generator_profiles(functions, p_ab.rep.generators, grid, spec_prime, commutator)
-    violation = max(0.0, *(float((p.values - transfer_norm / grid).max()) for p in transform_profiles.values()))
-    passed = violation <= bound_tol
-    return TransferReport(
-        transform_scale,
-        transfer_norm,
-        transform_profiles,
-        gen_profiles,
-        bound_tol,
-        violation,
-        passed,
-    )
+    return Composition(composed, profiles, passed)

@@ -5,6 +5,7 @@ import pytest
 
 from gradedlab.cli import main
 from gradedlab.experiments import (
+    MAX_DENSE_DIM,
     ConfigError,
     ExperimentConfig,
     UnknownExperimentError,
@@ -48,8 +49,9 @@ def test_every_experiment_runs_and_reports(tmp_path, experiment):
         assert set(record) == {"check", "seed", "lhs", "rhs", "margin", "pass"}
 
 
-def test_reports_are_byte_identical(tmp_path):
-    config = write_config(tmp_path, experiment="commbound", **SMALL["commbound"])
+@pytest.mark.parametrize("experiment", sorted(SMALL))
+def test_reports_are_byte_identical(tmp_path, experiment):
+    config = write_config(tmp_path, experiment=experiment, **SMALL[experiment])
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["--config", config, "--out", str(out1)]) == 0
     assert main(["--config", config, "--out", str(out2)]) == 0
@@ -93,6 +95,41 @@ def test_invalid_grid_exits_3(tmp_path):
         tmp_path, experiment="commbound", t_grid={"start": 10.0, "stop": 1.0, "points": 8}
     )
     assert main(["--config", config, "--out", str(tmp_path / "out")]) == 3
+
+
+@pytest.mark.parametrize(
+    "experiment,fields",
+    [
+        ("commbound", {"dims": []}),
+        ("commbound", {"n_grid": []}),
+        ("expfactor", {"tolerances": {"rate_rel": "x"}}),
+        ("techlemma", {"tolerances": {"final_sup": float("nan")}}),
+        ("bott", {"tolerances": {"kernel": -1}}),
+    ],
+    ids=["empty-dims", "empty-n-grid", "non-numeric-tolerance", "nan-tolerance", "non-positive-kernel"],
+)
+def test_malformed_config_exits_3_and_writes_nothing(tmp_path, experiment, fields):
+    config = write_config(tmp_path, experiment=experiment, **fields)
+    out = tmp_path / "out"
+    assert main(["--config", config, "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_oversized_dense_config_exits_3_and_writes_nothing(tmp_path):
+    """Two coordinates at n_basis = 64 would build 16,129-dimensional dense
+    operators, and 65,025-dimensional ones in the convergence step."""
+    # config-level checks first, so a broken guard fails here and not by allocating
+    with pytest.raises(ConfigError):
+        ExperimentConfig(experiment="bott", n_basis=64, coordinates=2)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(experiment="perturb", n_basis=2049)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(experiment="commbound", dims=(MAX_DENSE_DIM + 2,))
+    ExperimentConfig(experiment="bott", n_basis=12, coordinates=2)  # bott-2d: 2,209 dimensions, accepted
+    config = write_config(tmp_path, experiment="bott", coordinates=2, n_basis=64)
+    out = tmp_path / "out"
+    assert main(["--config", config, "--out", str(out)]) == 3
+    assert not out.exists()
 
 
 def test_unwritable_output_exits_4(tmp_path):

@@ -9,8 +9,9 @@ from gradedlab import (
     RepresentedAlgebra,
     apply_function,
     bott_dirac,
-    clifford_rep,
     dc_commutator_check,
+    graded_commutator,
+    graded_tensor,
     ground_vector,
     hermite_model,
     identity,
@@ -25,44 +26,52 @@ from gradedlab.funcalc import CAYLEY
 from gradedlab.pairs import default_t_grid
 from gradedlab.sampling import balanced_space, random_even, rng_for
 
-from helpers import SIGMA_X, SX, TWO, max_abs
+from helpers import SIGMA_X, SIGMA_Y, SX, TWO, max_abs
 
 GRID = default_t_grid(points=24)
 
 
-# -- clifford representations -------------------------------------------------
+# -- clifford generators from graded-tensor lifts ------------------------------
+
+
+def clifford_generators(n):
+    """e_1..e_n of Cliff_C(R^n) on ceil(n/2) graded factors C^(1|1):
+    e_(2k-1) and e_(2k) lift sigma_x and sigma_y to factor k.  The Koszul
+    sign of graded_tensor supplies the Jordan-Wigner string Z..Z."""
+    gens = []
+    for index in range(n):
+        lifted = None
+        for factor in range((n + 1) // 2):
+            m = (SIGMA_X, SIGMA_Y)[index % 2] if factor == index // 2 else identity(TWO)
+            lifted = m if lifted is None else graded_tensor(lifted, m)
+        gens.append(lifted)
+    return gens
 
 
 def test_clifford_one_is_sigma_x():
-    rep = clifford_rep(1)
-    assert rep.space.parity == (0, 1)
-    assert np.array_equal(rep.generators[0].entries, SIGMA_X.entries)
+    (e1,) = clifford_generators(1)
+    assert e1.space.parity == (0, 1)
+    assert np.array_equal(e1.entries, SIGMA_X.entries)
 
 
 def test_clifford_two_anticommute_and_square():
-    rep = clifford_rep(2)
-    e1, e2 = rep.generators
+    e1, e2 = clifford_generators(2)
     assert max_abs(e1 @ e2 + e2 @ e1) <= 1e-14
-    assert max_abs(e1 @ e1 - identity(rep.space)) <= 1e-14
-    assert max_abs(e2 @ e2 - identity(rep.space)) <= 1e-14
+    assert max_abs(e1 @ e1 - identity(e1.space)) <= 1e-14
+    assert max_abs(e2 @ e2 - identity(e2.space)) <= 1e-14
 
 
 def test_clifford_relations_all_supported_sizes():
     """[e_i, e_j] = 2 delta_ij in the graded sense, for every n <= 6."""
     for n in range(1, 7):
-        rep = clifford_rep(n)
-        assert rep.space.dim == 2 ** ((n + 1) // 2)
-        assert rep.relation_defect() <= 1e-12
-        for e in rep.generators:
-            assert e.parity() == 1
-            assert e.is_hermitian()
-
-
-def test_clifford_range_errors():
-    with pytest.raises(ValueError):
-        clifford_rep(0)
-    with pytest.raises(ValueError):
-        clifford_rep(7)
+        gens = clifford_generators(n)
+        space = gens[0].space
+        assert space.dim == 2 ** ((n + 1) // 2)
+        for i, ei in enumerate(gens):
+            assert ei.parity() == 1 and ei.is_hermitian()
+            for j, ej in enumerate(gens):
+                expected = 2.0 * identity(space) if i == j else zeros(space)
+                assert operator_norm(graded_commutator(ei, ej) - expected) <= 1e-12
 
 
 # -- hermite model -------------------------------------------------------------

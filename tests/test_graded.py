@@ -207,12 +207,3 @@ def test_graded_matrix_immutability():
     m = identity(TWO)
     with pytest.raises(ValueError):
         m.entries[0, 0] = 5.0
-
-
-def test_odd_selfadjoint_tolerance_override():
-    """Validation tolerances are fixed defaults, overridable per call."""
-    near = GradedMatrix(TWO, np.array([[0, 1], [1 + 2e-9, 0]], dtype=complex))
-    with pytest.raises(ValueError):
-        OddSelfAdjoint(near)
-    loose = OddSelfAdjoint.of(near.space, near.entries, tol=1e-6)
-    assert operator_norm(loose) > 0.99
