@@ -45,10 +45,8 @@ from .graded import (
 )
 from .pairs import (
     AsymptoticPair,
-    COMPOSE_EXPONENT_THRESHOLD,
-    COMMUTATION_EXPONENT_THRESHOLD,
     DecayProfile,
-    default_t_grid,
+    checked_t_grid,
     factorization_defect_profiles,
     generator_profiles,
 )
@@ -238,29 +236,25 @@ def dc_commutator_check(ops: BottOperators) -> dict:
 
 @dataclass(frozen=True)
 class PerturbationReport:
-    """Certificates that a bounded odd potential does not change the class.
+    """Measurements that a bounded odd potential does not change the class.
 
     homom_profiles: t -> ||f(t^-1 V) b - f(0) b|| per generator and
-    f in (cayley, g), fitted exponent at least t^-1 decay
-    (COMMUTATION_EXPONENT_THRESHOLD; the resolvent-type functions give
-    t^-2 for even f, t^-1 for odd f).
-    defect profiles: heat factorization defects of (D, V), certifying
-    that composing with the potential pair lands on (phi, D + V); their
-    exponents must reach COMPOSE_EXPONENT_THRESHOLD.
+    f in (cayley, g); the resolvent-type functions decay like t^-2 for
+    even f and t^-1 for odd f.
+    defect profiles: heat factorization defects of (D, V), whose t^-2
+    decay certifies that composing with the potential pair lands on
+    (phi, D + V).
     """
 
     homom_profiles: dict[str, dict[str, DecayProfile]]
     defect_even: DecayProfile
     defect_odd: DecayProfile
-    passed: bool
 
 
-def perturbation_check(
-    pair: AsymptoticPair, potential: OddSelfAdjoint, t_grid: np.ndarray | None = None
-) -> PerturbationReport:
+def perturbation_check(pair: AsymptoticPair, potential: OddSelfAdjoint, t_grid: np.ndarray) -> PerturbationReport:
     if pair.space != potential.space:
         raise ValueError("potential lives on the wrong space")
-    grid = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
+    grid = checked_t_grid(t_grid)
     spec_v = Spectrum.of(potential)
 
     def homom_defect(f, moved, a):
@@ -269,9 +263,4 @@ def perturbation_check(
 
     profiles = generator_profiles((CAYLEY, MULTIPLIER_G), pair.rep.generators, grid, spec_v, homom_defect)
     defect_even, defect_odd = factorization_defect_profiles(pair.d, potential, grid)
-    passed = (
-        all(p.fitted_exponent <= COMMUTATION_EXPONENT_THRESHOLD for per in profiles.values() for p in per.values())
-        and defect_even.fitted_exponent <= COMPOSE_EXPONENT_THRESHOLD
-        and defect_odd.fitted_exponent <= COMPOSE_EXPONENT_THRESHOLD
-    )
-    return PerturbationReport(profiles, defect_even, defect_odd, passed)
+    return PerturbationReport(profiles, defect_even, defect_odd)

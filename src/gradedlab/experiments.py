@@ -27,6 +27,7 @@ from .bott import (
     spectrum_and_kernel,
 )
 from .estimates import (
+    MONOTONE_SLACK,
     BoundCertificate,
     exp_product_bound_check,
     exp_product_path_profiles,
@@ -47,6 +48,8 @@ from .graded import (
     zeros,
 )
 from .pairs import (
+    COMMUTATION_EXPONENT_THRESHOLD,
+    COMPOSE_EXPONENT_THRESHOLD,
     AsymptoticPair,
     DecayProfile,
     RepresentedAlgebra,
@@ -138,12 +141,19 @@ class ExperimentConfig:
             raise ConfigError("seed must be a nonnegative integer")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.t_points < 2 or self.t_start <= 0 or self.t_stop <= self.t_start:
-            raise ConfigError("invalid t grid")
-        if not self.n_grid or any(n <= 0 for n in self.n_grid):
+        if not self.n_grid or not all(0 < n < math.inf for n in self.n_grid):
             raise ConfigError("invalid transform-scale grid")
         if not self.dims or any(d < 2 or d % 2 for d in self.dims):
             raise ConfigError("dims must be a non-empty list of even integers >= 2")
+        # the largest grid-shaped arrays: the weight stacks of commbound and
+        # techlemma, one row of max(dims) weights per (N, t) pair
+        grid_entries = (self.t_points + 1) * max(len(self.n_grid), 7) * max(self.dims)
+        if grid_entries > MAX_DENSE_DIM**2:
+            raise ConfigError(f"t grid of {self.t_points} points would need {grid_entries} weights")
+        try:
+            self.t_grid()
+        except ValueError as exc:
+            raise ConfigError(f"invalid t grid: {exc}") from exc
         if self.n_basis < 8:
             raise ConfigError("n_basis must be >= 8")
         if self.coordinates < 1:
@@ -231,7 +241,7 @@ def load_config(
             tolerances=dict(merged.get("tolerances", {})),
             out=merged.get("out"),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, (UnknownExperimentError, ConfigError)):
             raise
         raise ConfigError(f"malformed config: {exc}") from exc
@@ -376,15 +386,13 @@ def run_techlemma(cfg: ExperimentConfig) -> ExperimentResult:
     }
     grid = cfg.t_grid()
     final_tol = cfg.tolerance("final_sup", 1e-6)
-    slack = cfg.tolerance("monotone_slack", 1e-12)
+    slack = cfg.tolerance("monotone_slack", MONOTONE_SLACK)
     certs: list[BoundCertificate] = []
     profiles: list[tuple[str, DecayProfile]] = []
     for i, seed, rng, space in _trials(cfg):
         d = random_odd_selfadjoint(rng, space, norm=1.0)
         d_prime = random_odd_selfadjoint(rng, space, norm=1.0)
-        report = transform_sum_sweep(
-            d, d_prime, t_grid=grid, final_tol=final_tol, monotone_slack=slack, seed=list(seed)
-        )
+        report = transform_sum_sweep(d, d_prime, grid)
         worst_jump = float(np.diff(report.suprema).max(initial=-math.inf))
         certs.append(BoundCertificate(f"sweep_monotone[trial={i}]", max(worst_jump, 0.0), slack, list(seed)))
         certs.append(BoundCertificate(f"sweep_final[trial={i}]", report.final_supremum, final_tol, list(seed)))
@@ -404,7 +412,7 @@ def run_compose(cfg: ExperimentConfig) -> ExperimentResult:
         "compose_identity": "composition with the trivial pair (identity, 0) is exact",
     }
     grid = cfg.t_grid()
-    threshold = cfg.tolerance("compose_exponent", -1.75)
+    threshold = cfg.tolerance("compose_exponent", COMPOSE_EXPONENT_THRESHOLD)
     certs: list[BoundCertificate] = []
     profiles: list[tuple[str, DecayProfile]] = []
     exponents = []
@@ -423,7 +431,7 @@ def run_compose(cfg: ExperimentConfig) -> ExperimentResult:
             RepresentedAlgebra(space, {"b": random_even(rng, space, norm=1.0)}),
             random_odd_selfadjoint(rng, space, norm=1.0),
         )
-        comp = compose_pairs(p_ab, p_bc, pushforward, grid, exponent_threshold=threshold)
+        comp = compose_pairs(p_ab, p_bc, pushforward, grid)
         for gen_name, per_fn in comp.defect_profiles.items():
             for fn_name, profile in per_fn.items():
                 certs.append(
@@ -458,6 +466,11 @@ def _identity_composition_cert(cfg: ExperimentConfig) -> BoundCertificate:
     for name in gens:
         defect = max(defect, float(np.abs(comp.pair.rep.generators[name].entries - gens[name].entries).max()))
     return BoundCertificate("compose_identity", defect, 0.0, list(seed))
+
+
+def _worst_exponent(profiles: dict[str, dict[str, DecayProfile]]) -> float:
+    """Largest fitted exponent, NaN if any fit failed (max() would depend on the order)."""
+    return float(np.max([p.fitted_exponent for per_fn in profiles.values() for p in per_fn.values()]))
 
 
 def run_bott(cfg: ExperimentConfig) -> ExperimentResult:
@@ -500,9 +513,11 @@ def run_bott(cfg: ExperimentConfig) -> ExperimentResult:
     # truncation convergence across doubled bases
     residuals = []
     for basis in (max(8, cfg.n_basis // 2), cfg.n_basis, 2 * cfg.n_basis):
-        ops_b = bott_dirac(hermite_model(basis, cfg.coordinates))
-        eig_b, _ = spectrum_and_kernel(ops_b.bott, kernel_tol)
-        mags = np.sort(np.abs(eig_b))
+        if basis == cfg.n_basis:
+            ops_b, mags = ops, magnitudes
+        else:
+            ops_b = bott_dirac(hermite_model(basis, cfg.coordinates))
+            mags = np.sort(np.abs(spectrum_and_kernel(ops_b.bott, kernel_tol)[0]))
         residuals.append(
             (
                 basis,
@@ -523,24 +538,19 @@ def run_bott(cfg: ExperimentConfig) -> ExperimentResult:
         grid = cfg.t_grid()
         unit_rep = RepresentedAlgebra(ops.space, {"unit": identity(ops.space)})
         scalar_pair = AsymptoticPair(unit_rep, ops.clifford_mult)
-        certs.append(
-            BoundCertificate(
-                "bott_pair[scalar]", 0.0 if validate_pair(scalar_pair, grid).passed else 1.0, 0.0
-            )
-        )
         mult_rep = RepresentedAlgebra(ops.space, multiplication_generators(model))
         dirac_pair = AsymptoticPair(mult_rep, ops.dirac)
-        certs.append(
-            BoundCertificate(
-                "bott_pair[multiplication]", 0.0 if validate_pair(dirac_pair, grid).passed else 1.0, 0.0
-            )
-        )
+        for name, pair in (("scalar", scalar_pair), ("multiplication", dirac_pair)):
+            worst = _worst_exponent(validate_pair(pair, grid).profiles)
+            certs.append(BoundCertificate(f"bott_pair[{name}]", worst, COMMUTATION_EXPONENT_THRESHOLD))
         comp = compose_pairs(scalar_pair, dirac_pair, identity_pushforward, grid)
         _, comp_kernel = spectrum_and_kernel(comp.pair.d, kernel_tol)
         certs.append(BoundCertificate("bott_compose_kernel", float(abs(comp_kernel - 1)), 0.0))
         certs.append(
             BoundCertificate(
-                "bott_compose_kernel[defect-exponents]", 0.0 if comp.passed else 1.0, 0.0
+                "bott_compose_kernel[defect-exponents]",
+                _worst_exponent(comp.defect_profiles),
+                COMPOSE_EXPONENT_THRESHOLD,
             )
         )
     return _result(cfg, claims, certs, summary=summary, tables=tables)
@@ -552,9 +562,9 @@ def run_perturb(cfg: ExperimentConfig) -> ExperimentResult:
         "perturb_defect": "heat factorization defect of (D, V) decays with exponent <= -1.75",
     }
     grid = cfg.t_grid()
-    odd_threshold = cfg.tolerance("homom_exponent", -0.75)
-    even_threshold = cfg.tolerance("cayley_exponent", -1.75)
-    defect_threshold = cfg.tolerance("defect_exponent", -1.75)
+    odd_threshold = cfg.tolerance("homom_exponent", COMMUTATION_EXPONENT_THRESHOLD)
+    even_threshold = cfg.tolerance("cayley_exponent", COMPOSE_EXPONENT_THRESHOLD)
+    defect_threshold = cfg.tolerance("defect_exponent", COMPOSE_EXPONENT_THRESHOLD)
     certs: list[BoundCertificate] = []
     profiles: list[tuple[str, DecayProfile]] = []
 

@@ -20,6 +20,7 @@ t-grid stacks by the grid engine of funcalc (Spectrum.apply_grid).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -40,10 +41,10 @@ from .graded import (
 __all__ = [
     "DEFAULT_GRID_POINTS",
     "FIT_FLOOR",
-    "CONTAINMENT_TOL",
     "COMMUTATION_EXPONENT_THRESHOLD",
     "COMPOSE_EXPONENT_THRESHOLD",
     "default_t_grid",
+    "checked_t_grid",
     "DecayProfile",
     "generator_profiles",
     "RepresentedAlgebra",
@@ -59,8 +60,6 @@ __all__ = [
 DEFAULT_GRID_POINTS = 60
 # Norm values below this are treated as exact zeros and excluded from fits.
 FIT_FLOOR = 1e-14
-# Largest off-corner mass ||(1 - P) m|| + ||m (1 - P)|| a contained f(D) phi(a) may carry.
-CONTAINMENT_TOL = 1e-8
 # Slope thresholds: t^-1 decay for pair commutators, t^-2 for composition
 # defects, each with 0.25 slack absorbing fit noise (a policy, not a theorem).
 COMMUTATION_EXPONENT_THRESHOLD = -1.0 + 0.25
@@ -68,10 +67,21 @@ COMPOSE_EXPONENT_THRESHOLD = -2.0 + 0.25
 
 
 def default_t_grid(start: float = 1.0, stop: float = 1e3, points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
-    """Geometric scale grid; two decades above unit scale by default."""
-    if points < 2 or start <= 0 or stop <= start:
-        raise ValueError("grid needs points >= 2 and 0 < start < stop")
-    return np.geomspace(start, stop, points)
+    """Geometric scale grid; three decades above unit scale by default."""
+    if points < 2 or not 0 < start < stop < math.inf:
+        raise ValueError("grid needs points >= 2 and 0 < start < stop < inf")
+    return checked_t_grid(np.geomspace(start, stop, points))
+
+
+def checked_t_grid(t_grid) -> np.ndarray:
+    """t_grid as a float array, or ValueError unless it has at least 2
+    points, all finite, positive and strictly increasing."""
+    grid = np.asarray(t_grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 2:
+        raise ValueError("t grid needs at least 2 points")
+    if not np.all(np.isfinite(grid)) or grid[0] <= 0 or np.any(np.diff(grid) <= 0):
+        raise ValueError("t grid must be finite, positive and strictly increasing")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -94,14 +104,10 @@ class DecayProfile:
 
     @classmethod
     def from_values(cls, t_grid: np.ndarray, values: Sequence[float]) -> "DecayProfile":
-        t_grid = np.asarray(t_grid, dtype=float)
+        t_grid = checked_t_grid(t_grid)
         values = np.asarray(values, dtype=float)
-        if t_grid.size < 2:
-            raise ValueError("decay profile needs at least 2 grid points")
         if t_grid.size != values.size:
             raise ValueError("grid and value lengths differ")
-        if np.any(np.diff(t_grid) <= 0) or t_grid[0] <= 0:
-            raise ValueError("grid must be strictly increasing and positive")
         upper = slice(t_grid.size // 2, None)
         ts, vs = t_grid[upper], values[upper]
         if not np.all(np.isfinite(vs)):
@@ -219,20 +225,19 @@ class PairReport:
 
     containment: dict[str, dict[str, float]]
     profiles: dict[str, dict[str, DecayProfile]]
-    containment_passed: bool | None
-    passed: bool
 
 
-def validate_pair(pair: AsymptoticPair, t_grid: np.ndarray | None = None) -> PairReport:
+def validate_pair(pair: AsymptoticPair, t_grid: np.ndarray) -> PairReport:
     """Measure both defining conditions of an asymptotic pair.
 
-    Containment (off-corner mass at most CONTAINMENT_TOL) is checked only
-    when a corner is designated.  Commutation profiles are fitted per
-    generator and PAIR_FUNCTIONS entry and must reach
-    COMMUTATION_EXPONENT_THRESHOLD; a profile that is identically zero
-    passes with the -inf sentinel.
+    Containment (the off-corner mass ||(1 - P) m|| + ||m (1 - P)|| of
+    m = f(D) phi(a)) is measured only when a corner is designated.
+    Commutation profiles are fitted per generator and PAIR_FUNCTIONS
+    entry; a pair commutes asymptotically when every fitted exponent
+    reaches COMMUTATION_EXPONENT_THRESHOLD, and a profile that is
+    identically zero fits the -inf sentinel.
     """
-    grid = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
+    grid = checked_t_grid(t_grid)
     spec = Spectrum.of(pair.d)
     containment: dict[str, dict[str, float]] = {
         name: {
@@ -243,18 +248,7 @@ def validate_pair(pair: AsymptoticPair, t_grid: np.ndarray | None = None) -> Pai
         for name, gen in pair.rep.generators.items()
     }
     profiles = generator_profiles(PAIR_FUNCTIONS, pair.rep.generators, grid, spec, _commutator_norms(pair.space))
-    containment_passed: bool | None = None
-    if pair.corner is not None:
-        containment_passed = all(
-            mass <= CONTAINMENT_TOL for per_gen in containment.values() for mass in per_gen.values()
-        )
-    commutation_passed = all(
-        p.fitted_exponent <= COMMUTATION_EXPONENT_THRESHOLD
-        for per_gen in profiles.values()
-        for p in per_gen.values()
-    )
-    passed = commutation_passed and containment_passed is not False
-    return PairReport(containment, profiles, containment_passed, passed)
+    return PairReport(containment, profiles)
 
 
 def _factorization_defects(d: OddSelfAdjoint, d_prime: OddSelfAdjoint, t_grid: np.ndarray) -> np.ndarray:
@@ -275,11 +269,11 @@ def _factorization_defects(d: OddSelfAdjoint, d_prime: OddSelfAdjoint, t_grid: n
         )
         return np.stack([operator_norms(even), operator_norms(odd)], axis=-1)
 
-    return map_grid(defects, 1.0 / np.asarray(t_grid, dtype=float), d.space.dim)
+    return map_grid(defects, 1.0 / t_grid, d.space.dim)
 
 
 def factorization_defect_profiles(
-    d: OddSelfAdjoint, d_prime: OddSelfAdjoint, t_grid: np.ndarray | None = None
+    d: OddSelfAdjoint, d_prime: OddSelfAdjoint, t_grid: np.ndarray
 ) -> tuple[DecayProfile, DecayProfile]:
     """Decay profiles of both heat-kernel factorization defects over a t-grid.
 
@@ -290,7 +284,7 @@ def factorization_defect_profiles(
     Both vanish identically when [D, D'] = 0, and the even defect is
     t^-2 ||[D, D']|| + O(t^-4) in general.
     """
-    grid = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
+    grid = checked_t_grid(t_grid)
     values = _factorization_defects(d, d_prime, grid)
     return DecayProfile.from_values(grid, values[:, 0]), DecayProfile.from_values(grid, values[:, 1])
 
@@ -301,32 +295,31 @@ def identity_pushforward(m: GradedMatrix) -> GradedMatrix:
 
 @dataclass(frozen=True)
 class Composition:
-    """compose_pairs output: the composed pair plus its certificates."""
+    """compose_pairs output: the composed pair and its defect profiles."""
 
     pair: AsymptoticPair
     defect_profiles: dict[str, dict[str, DecayProfile]]
-    passed: bool
 
 
 def compose_pairs(
     p_ab: AsymptoticPair,
     p_bc: AsymptoticPair,
     pushforward: Callable[[GradedMatrix], GradedMatrix],
-    t_grid: np.ndarray | None = None,
-    exponent_threshold: float = COMPOSE_EXPONENT_THRESHOLD,
+    t_grid: np.ndarray,
 ) -> Composition:
     """Compose (phi, D) with (psi, D') into (psi o phi, psi(D) + D').
 
     The pushforward realizes psi on the matrices of the first pair; by
     functoriality it yields both psi(D) and the composed generators
-    psi(phi(a)).  The certificate measures, for every composed generator,
-    the defect between f(t^-1(psi(D) + D')) rho(a) and the naive two-step
-    image built from the separate calculi of D' and psi(D); its fitted
-    decay exponent must reach the threshold (t^-2 rate with slack).
+    psi(phi(a)).  The defect profiles measure, for every composed
+    generator, the distance between f(t^-1(psi(D) + D')) rho(a) and the
+    naive two-step image built from the separate calculi of D' and
+    psi(D); the composition formula holds when their fitted exponents
+    reach COMPOSE_EXPONENT_THRESHOLD (t^-2 rate with slack).
     """
     if pushforward is None:
         raise ValueError("composition needs an explicit pushforward")
-    grid = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
+    grid = checked_t_grid(t_grid)
     pushed_d = OddSelfAdjoint(pushforward(p_ab.d.underlying))
     if pushed_d.space != p_bc.space:
         raise ValueError("pushforward does not land on the target space")
@@ -354,9 +347,4 @@ def compose_pairs(
         (GAUSS0, GAUSS1), composed_gens, grid, exact_and_naive,
         lambda f, pair, rho: operator_norms(pair[0] @ rho - pair[1] @ rho),
     )
-    passed = all(
-        profile.fitted_exponent <= exponent_threshold
-        for per_gen in profiles.values()
-        for profile in per_gen.values()
-    )
-    return Composition(composed, profiles, passed)
+    return Composition(composed, profiles)

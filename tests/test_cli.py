@@ -105,8 +105,18 @@ def test_invalid_grid_exits_3(tmp_path):
         ("expfactor", {"tolerances": {"rate_rel": "x"}}),
         ("techlemma", {"tolerances": {"final_sup": float("nan")}}),
         ("bott", {"tolerances": {"kernel": -1}}),
+        ("commbound", {"t_grid": {"stop": float("inf")}}),
+        ("expfactor", {"t_grid": {"start": 1.0, "stop": 1.0 + 1e-15, "points": 8}}),
+        ("techlemma", {"t_grid": {"start": float("nan")}}),
+        ("compose", {"t_grid": {"points": float("inf")}}),
+        ("commbound", {"n_grid": [float("nan")]}),
+        ("commbound", {"n_grid": [1.0, float("inf")]}),
     ],
-    ids=["empty-dims", "empty-n-grid", "non-numeric-tolerance", "nan-tolerance", "non-positive-kernel"],
+    ids=[
+        "empty-dims", "empty-n-grid", "non-numeric-tolerance", "nan-tolerance", "non-positive-kernel",
+        "infinite-t-stop", "collapsed-t-grid", "nan-t-start", "infinite-t-points", "nan-n-grid",
+        "infinite-n-grid",
+    ],
 )
 def test_malformed_config_exits_3_and_writes_nothing(tmp_path, experiment, fields):
     config = write_config(tmp_path, experiment=experiment, **fields)
@@ -127,6 +137,21 @@ def test_oversized_dense_config_exits_3_and_writes_nothing(tmp_path):
         ExperimentConfig(experiment="commbound", dims=(MAX_DENSE_DIM + 2,))
     ExperimentConfig(experiment="bott", n_basis=12, coordinates=2)  # bott-2d: 2,209 dimensions, accepted
     config = write_config(tmp_path, experiment="bott", coordinates=2, n_basis=64)
+    out = tmp_path / "out"
+    assert main(["--config", config, "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_oversized_t_grid_exits_3_and_writes_nothing(tmp_path):
+    """The weight stacks hold (t_points + 1) max(len(n_grid), 7) rows of
+    max(dims) weights; a grid past MAX_DENSE_DIM^2 entries is refused."""
+    rows_allowed = MAX_DENSE_DIM**2 // (7 * 16)
+    ExperimentConfig(experiment="commbound", dims=(16,), t_points=rows_allowed - 1)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(experiment="commbound", dims=(16,), t_points=rows_allowed)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(experiment="techlemma", n_grid=(1.0,) * 64, dims=(16,), t_points=rows_allowed // 8)
+    config = write_config(tmp_path, experiment="commbound", t_grid={"start": 1.0, "stop": 1e3, "points": 10**9})
     out = tmp_path / "out"
     assert main(["--config", config, "--out", str(out)]) == 3
     assert not out.exists()

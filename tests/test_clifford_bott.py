@@ -22,11 +22,13 @@ from gradedlab import (
     validate_pair,
     zeros,
 )
+from gradedlab.estimates import BoundCertificate
+from gradedlab.experiments import ExperimentConfig, _worst_exponent, run_experiment
 from gradedlab.funcalc import CAYLEY
-from gradedlab.pairs import default_t_grid
+from gradedlab.pairs import COMMUTATION_EXPONENT_THRESHOLD, COMPOSE_EXPONENT_THRESHOLD, DecayProfile, default_t_grid
 from gradedlab.sampling import balanced_space, random_even, rng_for
 
-from helpers import SIGMA_X, SIGMA_Y, SX, TWO, max_abs
+from helpers import SIGMA_X, SIGMA_Y, SX, TWO, commutes_asymptotically, composes, fitted_exponents, max_abs
 
 GRID = default_t_grid(points=24)
 
@@ -210,11 +212,43 @@ def test_bott_pairs_validate():
     scalar_pair = AsymptoticPair(
         RepresentedAlgebra(ops.space, {"unit": identity(ops.space)}), ops.clifford_mult
     )
-    assert validate_pair(scalar_pair, GRID).passed
+    assert set(fitted_exponents(validate_pair(scalar_pair, GRID).profiles)) == {-math.inf}
     mult_pair = AsymptoticPair(
         RepresentedAlgebra(ops.space, multiplication_generators(model)), ops.dirac
     )
-    assert validate_pair(mult_pair, GRID).passed
+    assert commutes_asymptotically(validate_pair(mult_pair, GRID))
+
+
+def test_bott_pair_certificate_records_the_worst_exponent():
+    """bott_pair[multiplication] carries the largest fitted exponent of
+    validate_pair on the same pair, against the commutation threshold."""
+    cfg = ExperimentConfig("bott", n_basis=8, t_points=12)
+    certs = {c.check: c for c in run_experiment(cfg).certificates}
+    model = hermite_model(8)
+    ops = bott_dirac(model)
+    mult_pair = AsymptoticPair(
+        RepresentedAlgebra(ops.space, multiplication_generators(model)), ops.dirac
+    )
+    exponents = fitted_exponents(validate_pair(mult_pair, cfg.t_grid()).profiles)
+    cert = certs["bott_pair[multiplication]"]
+    assert cert.lhs == max(exponents) and cert.rhs == COMMUTATION_EXPONENT_THRESHOLD
+    assert cert.passed
+    assert certs["bott_pair[scalar]"].lhs == -math.inf
+    assert certs["bott_compose_kernel[defect-exponents]"].rhs == COMPOSE_EXPONENT_THRESHOLD
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_worst_exponent_certificate_fails_on_a_failed_fit(position):
+    """One NaN exponent (a failed fit) makes the worst exponent NaN in any
+    position, and the certificate built from it fails."""
+    grid = default_t_grid(points=8)
+    fits = [DecayProfile.from_values(grid, v) for v in (np.zeros(8), 1.0 / grid**2)]
+    failed = DecayProfile.from_values(grid, np.full(8, np.inf))
+    assert math.isnan(failed.fitted_exponent)
+    fits.insert(position, failed)
+    worst = _worst_exponent({"a": {f"f{i}": p for i, p in enumerate(fits)}})
+    assert math.isnan(worst)
+    assert not BoundCertificate("bott_pair[test]", worst, COMMUTATION_EXPONENT_THRESHOLD).passed
 
 
 def test_bott_composition_yields_bott_dirac():
@@ -231,13 +265,23 @@ def test_bott_composition_yields_bott_dirac():
         RepresentedAlgebra(ops.space, multiplication_generators(model)), ops.dirac
     )
     comp = compose_pairs(scalar_pair, mult_pair, identity_pushforward, GRID)
-    assert comp.passed
+    assert composes(comp)
     assert np.abs(comp.pair.d.mat - ops.bott.mat).max() <= 1e-14
     _, kernel_dim = spectrum_and_kernel(comp.pair.d, 1e-8)
     assert kernel_dim == 1
 
 
 # -- perturbation ----------------------------------------------------------------
+
+
+def assert_perturbation_rates(report):
+    """The thresholds `lab perturb` certifies: cayley and both factorization
+    defects at the t^-2 rate, the odd generator g at t^-1 (with slack)."""
+    for per_fn in report.homom_profiles.values():
+        assert per_fn["cayley"].fitted_exponent <= COMPOSE_EXPONENT_THRESHOLD
+        assert per_fn["g"].fitted_exponent <= COMMUTATION_EXPONENT_THRESHOLD
+    assert report.defect_even.fitted_exponent <= COMPOSE_EXPONENT_THRESHOLD
+    assert report.defect_odd.fitted_exponent <= COMPOSE_EXPONENT_THRESHOLD
 
 
 def test_perturbation_zero_potential():
@@ -248,7 +292,7 @@ def test_perturbation_zero_potential():
         OddSelfAdjoint(zeros(space)),
     )
     report = perturbation_check(pair, OddSelfAdjoint(zeros(space)), GRID)
-    assert report.passed
+    assert_perturbation_rates(report)
     for per_fn in report.homom_profiles.values():
         for profile in per_fn.values():
             assert profile.values.max() == 0.0
@@ -280,12 +324,7 @@ def test_perturbation_rates():
     )
     potential = random_odd_selfadjoint(rng, space, norm=1.0)
     report = perturbation_check(pair, potential, default_t_grid(points=40))
-    assert report.passed
-    for per_fn in report.homom_profiles.values():
-        assert per_fn["cayley"].fitted_exponent <= -1.75
-        assert per_fn["g"].fitted_exponent <= -0.75
-    assert report.defect_even.fitted_exponent <= -1.75
-    assert report.defect_odd.fitted_exponent <= -1.75
+    assert_perturbation_rates(report)
 
 
 def test_perturbation_rejects_space_mismatch():
@@ -311,4 +350,4 @@ def test_perturbation_bott_model():
         RepresentedAlgebra(ops.space, multiplication_generators(model)), ops.dirac
     )
     report = perturbation_check(pair, ops.clifford_mult, GRID)
-    assert report.passed
+    assert_perturbation_rates(report)

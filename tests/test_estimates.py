@@ -24,6 +24,7 @@ from gradedlab.estimates import (
     exp_shift_bound_check,
 )
 from gradedlab.funcalc import Spectrum, bounded_transform_function
+from gradedlab.pairs import default_t_grid
 from gradedlab.sampling import (
     balanced_space,
     random_even,
@@ -33,6 +34,10 @@ from gradedlab.sampling import (
 )
 
 from helpers import SIGMA_X, SIGMA_Y, SX, TWO
+
+GRID = default_t_grid()
+# techlemma's default t grid
+SWEEP_GRID = default_t_grid(10.0, 1e3, 30)
 
 
 # -- matrix exponential ---------------------------------------------------------
@@ -140,7 +145,7 @@ def test_exp_product_path_profiles_decay():
     space = balanced_space(8)
     d = random_odd_selfadjoint(rng, space, norm=1.0)
     dp = random_odd_selfadjoint(rng, space, norm=1.0)
-    lhs, rhs = exp_product_path_profiles(d, dp)
+    lhs, rhs = exp_product_path_profiles(d, dp, GRID)
     assert np.all(lhs.values <= rhs.values + 1e-10)
     assert lhs.fitted_exponent <= -1.75
 
@@ -170,7 +175,7 @@ def test_series_two_step_ratio_test():
 def test_transform_commutator_tensor_lifts():
     lift_d = OddSelfAdjoint(graded_tensor(SIGMA_X, identity(TWO)))
     lift_dp = OddSelfAdjoint(graded_tensor(identity(TWO), SIGMA_Y))
-    certs = transform_commutator_check(lift_d, lift_dp, [0.5, 1.0, 2.0])
+    certs = transform_commutator_check(lift_d, lift_dp, [0.5, 1.0, 2.0], GRID)
     for cert in certs:
         assert cert.lhs <= 1e-12
 
@@ -178,7 +183,7 @@ def test_transform_commutator_tensor_lifts():
 def test_transform_commutator_pauli_values():
     """i_1(sigma_x) = sigma_x / 2, so the smoothed self-commutator is
     2 (1/2)^2 = 1/2 against the plain value 2."""
-    certs = transform_commutator_check(SX, SX, [1.0])
+    certs = transform_commutator_check(SX, SX, [1.0], GRID)
     plain = certs[0]
     assert abs(plain.lhs - 0.5) <= 1e-12
     assert abs(plain.rhs - 2.0) <= 1e-12
@@ -191,18 +196,18 @@ def test_transform_commutator_random_suite():
         space = balanced_space(int(rng.choice([4, 8, 16])))
         d = random_odd_selfadjoint(rng, space)
         dp = random_odd_selfadjoint(rng, space)
-        certs = transform_commutator_check(d, dp, [0.5, 1, 2, 4, 8, 16])
+        certs = transform_commutator_check(d, dp, [0.5, 1, 2, 4, 8, 16], GRID)
         assert all(c.passed for c in certs), f"trial {trial}"
 
 
 def test_transform_commutator_rejects_bad_scales():
     with pytest.raises(ValueError):
-        transform_commutator_check(SX, SX, [0.0, 1.0])
+        transform_commutator_check(SX, SX, [0.0, 1.0], GRID)
 
 
 def test_transform_commutator_rejects_empty_scale_grid():
     with pytest.raises(ValueError):
-        transform_commutator_check(SX, SX, [])
+        transform_commutator_check(SX, SX, [], GRID)
 
 
 # -- double-limit sweep ---------------------------------------------------------------
@@ -210,8 +215,9 @@ def test_transform_commutator_rejects_empty_scale_grid():
 
 def test_sweep_zero_operators():
     d0 = OddSelfAdjoint(zeros(TWO))
-    report = transform_sum_sweep(d0, d0)
-    assert report.passed
+    report = transform_sum_sweep(d0, d0, SWEEP_GRID)
+    assert report.monotone and report.final_supremum == 0.0
+    assert all(cert.passed for cert in report.relative_bound_certificates)
     assert np.all(report.defects == 0.0)
 
 
@@ -240,12 +246,11 @@ def test_sweep_random_suite():
         space = balanced_space(8)
         d = random_odd_selfadjoint(rng, space, norm=1.0)
         dp = random_odd_selfadjoint(rng, space, norm=1.0)
-        report = transform_sum_sweep(d, dp)
+        report = transform_sum_sweep(d, dp, SWEEP_GRID)
         assert report.monotone, f"trial {trial}: suprema {report.suprema}"
-        assert report.final_supremum <= 1e-6
+        assert report.final_supremum <= 1e-6  # techlemma's sweep_final threshold
         for cert in report.relative_bound_certificates:
             assert cert.passed
-        assert report.passed
 
 
 def test_sweep_relative_bound_certificate_values():
@@ -254,7 +259,7 @@ def test_sweep_relative_bound_certificate_values():
     space = balanced_space(8)
     d = random_odd_selfadjoint(rng, space)
     dp = random_odd_selfadjoint(rng, space)
-    report = transform_sum_sweep(d, dp)
+    report = transform_sum_sweep(d, dp, SWEEP_GRID)
     resolvent = np.linalg.inv(d.mat + dp.mat + 1j * np.eye(8))
     direct = operator_norm(d.mat @ resolvent) ** 2
     assert abs(report.relative_bound_certificates[0].lhs - direct) <= 1e-12
@@ -277,6 +282,6 @@ def test_relative_bound_holds_for_100_random_pairs():
 
 def test_sweep_grid_validation():
     with pytest.raises(ValueError):
-        transform_sum_sweep(SX, SX, n_grid=[])
+        transform_sum_sweep(SX, SX, SWEEP_GRID, n_grid=[])
     with pytest.raises(ValueError):
         transform_sum_sweep(SX, SX, t_grid=np.array([1.0]))

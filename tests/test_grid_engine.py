@@ -9,7 +9,12 @@ once per grid point.
 import numpy as np
 import pytest
 
-from gradedlab.estimates import BoundCertificate, transform_commutator_check, transform_sum_sweep
+from gradedlab.estimates import (
+    BoundCertificate,
+    exp_product_path_profiles,
+    transform_commutator_check,
+    transform_sum_sweep,
+)
 from gradedlab.funcalc import (
     CAYLEY,
     GAUSS0,
@@ -29,10 +34,12 @@ from gradedlab.bott import perturbation_check
 from gradedlab.graded import GradedMatrix, OddSelfAdjoint, graded_commutator, operator_norm, zeros
 from gradedlab.pairs import (
     AsymptoticPair,
+    DecayProfile,
     RepresentedAlgebra,
     compose_pairs,
     default_t_grid,
     factorization_defect_profiles,
+    identity_pushforward,
     validate_pair,
 )
 from gradedlab.sampling import (
@@ -274,3 +281,35 @@ def test_transform_sum_sweep_matches_oracle(dim, stack_rows):
     assert within_cap(stack_rows, dim)
     if dim == 34:
         assert max(stack_rows) == STACK_ENTRIES // (dim * dim)
+
+
+# -- the t-grid contract ------------------------------------------------------------
+
+_, _PAIR, _D_PRIME = operands(4)
+T_GRID_CONSUMERS = {
+    "from_values": lambda grid: DecayProfile.from_values(grid, np.ones(len(grid))),
+    "validate_pair": lambda grid: validate_pair(_PAIR, grid),
+    "factorization_defect_profiles": lambda grid: factorization_defect_profiles(_PAIR.d, _D_PRIME, grid),
+    "compose_pairs": lambda grid: compose_pairs(_PAIR, _PAIR, identity_pushforward, grid),
+    "perturbation_check": lambda grid: perturbation_check(_PAIR, _D_PRIME, grid),
+    "exp_product_path_profiles": lambda grid: exp_product_path_profiles(_PAIR.d, _D_PRIME, grid),
+    "transform_commutator_check": lambda grid: transform_commutator_check(_PAIR.d, _D_PRIME, (1.0,), grid),
+    "transform_sum_sweep": lambda grid: transform_sum_sweep(_PAIR.d, _D_PRIME, grid),
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(T_GRID_CONSUMERS))
+@pytest.mark.parametrize(
+    "grid", [[0.0, 1.0], [1.0], [2.0, 1.0], [1.0, np.inf]], ids=["zero", "single", "decreasing", "inf"]
+)
+def test_bad_t_grid_is_rejected_before_linear_algebra(consumer, grid, monkeypatch):
+    """Every t-grid consumer raises ValueError on a grid that is too short,
+    non-positive, not increasing or not finite, before any LAPACK call."""
+
+    def no_linear_algebra(*args, **kwargs):
+        raise AssertionError("linear algebra ran on a bad t grid")
+
+    for name in ("eigh", "eigvalsh", "norm", "svd", "inv"):
+        monkeypatch.setattr(np.linalg, name, no_linear_algebra)
+    with pytest.raises(ValueError, match="t grid"):
+        T_GRID_CONSUMERS[consumer](np.asarray(grid))
