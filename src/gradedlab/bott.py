@@ -261,6 +261,7 @@ def perturbation_check(pair: AsymptoticPair, potential: OddSelfAdjoint, t_grid: 
         at_zero = complex(np.asarray(f(np.zeros(1)))[0])
         return operator_norms(moved @ a - at_zero * a)
 
-    profiles = generator_profiles((CAYLEY, MULTIPLIER_G), pair.rep.generators, grid, spec_v, homom_defect)
+    generators = {name: gen.entries for name, gen in pair.rep.generators.items()}
+    profiles = generator_profiles((CAYLEY, MULTIPLIER_G), generators, grid, spec_v, homom_defect)
     defect_even, defect_odd = factorization_defect_profiles(pair.d, potential, grid)
     return PerturbationReport(profiles, defect_even, defect_odd)

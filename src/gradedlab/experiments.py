@@ -102,6 +102,9 @@ class ConfigError(ValueError):
 # Largest dense operator dimension a config may ask for.  One complex
 # 4096 x 4096 matrix takes 268 MB, and a run holds several at once.
 MAX_DENSE_DIM = 4096
+# The only keys a config file may set, besides "experiment", at its top level and in t_grid.
+_CONFIG_KEYS = {"seed", "trials", "dims", "n_grid", "n_basis", "coordinates", "tolerances", "out"}
+_GRID_KEYS = {"start", "stop", "points"}
 
 
 _DEFAULTS: dict[str, dict] = {
@@ -197,6 +200,13 @@ class ExperimentConfig:
         }
 
 
+def _integer(value) -> int:
+    """value as an int; a bool or a non-integral number is a ConfigError."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def load_config(
     path: str | Path | None = None,
     experiment: str | None = None,
@@ -226,18 +236,21 @@ def load_config(
     grid = merged.pop("t_grid", {})
     if not isinstance(grid, dict):
         raise ConfigError("t_grid must be an object with start/stop/points")
+    unknown = sorted(set(merged) - _CONFIG_KEYS) + [f"t_grid.{k}" for k in sorted(set(grid) - _GRID_KEYS)]
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     try:
         return ExperimentConfig(
             experiment=name,
-            seed=int(merged.get("seed", 42)),
-            trials=int(merged.get("trials", 1)),
-            dims=tuple(int(d) for d in merged.get("dims", (8,))),
+            seed=_integer(merged.get("seed", 42)),
+            trials=_integer(merged.get("trials", 1)),
+            dims=tuple(_integer(d) for d in merged.get("dims", (8,))),
             t_start=float(grid.get("start", 1.0)),
             t_stop=float(grid.get("stop", 1e3)),
-            t_points=int(grid.get("points", 60)),
+            t_points=_integer(grid.get("points", 60)),
             n_grid=tuple(float(n) for n in merged.get("n_grid", (0.5, 1, 2, 4, 8, 16))),
-            n_basis=int(merged.get("n_basis", 64)),
-            coordinates=int(merged.get("coordinates", 1)),
+            n_basis=_integer(merged.get("n_basis", 64)),
+            coordinates=_integer(merged.get("coordinates", 1)),
             tolerances=dict(merged.get("tolerances", {})),
             out=merged.get("out"),
         )

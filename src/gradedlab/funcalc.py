@@ -10,8 +10,10 @@ Profiles over a t-grid use the grid engine: Spectrum.apply_grid returns
 f(s D) for a whole chunk of scales as one (S, d, d) stack from a single
 eigendecomposition, and map_grid cuts the grid into chunks that hold at
 most STACK_ENTRIES entries.  Batched LAPACK and BLAS kernels run the same
-computation on every matrix of a stack, so stacked values equal a
-point-by-point evaluation bit for bit.
+computation on every matrix of a stack, so apply_grid stacks equal a
+point-by-point evaluation bit for bit.  Spectrum.commutators forms graded
+commutators [f(s D), a] in D's eigenbasis as Schur products, equal to the
+original-basis products up to roundoff, with no matrix product per scale.
 
 The named function table carries exact sup norms so contractivity can
 be certified without sampling.
@@ -163,15 +165,12 @@ class Spectrum:
         values, vectors = np.linalg.eigh(matrix)
         spec = cls(values, vectors)
         norm = np.maximum(1.0, np.abs(values).max(axis=-1, initial=0.0))
-        residual = np.abs(spec.reconstruct() - matrix).max(axis=each, initial=0.0)
+        residual = np.abs(spec.synthesize(values) - matrix).max(axis=each, initial=0.0)
         gram = _adjoint(vectors) @ vectors
         unitary_defect = np.abs(gram - np.eye(values.shape[-1])).max(axis=each, initial=0.0)
         if np.any(residual > tol * norm) or np.any(unitary_defect > tol):
             raise ValueError("eigendecomposition failed accuracy validation")
         return spec
-
-    def reconstruct(self) -> np.ndarray:
-        return self.synthesize(self.eigenvalues)
 
     def synthesize(self, weights: np.ndarray) -> np.ndarray:
         """U diag(w) U* for each row w of weights (last axis: one weight per
@@ -197,6 +196,19 @@ class Spectrum:
         stack is as long as scales; chunk long grids with map_grid.
         """
         return self.synthesize(self.weights(f, scales))
+
+    def eigenbasis(self, m: np.ndarray) -> np.ndarray:
+        """U* m U; leading axes of m are stack axes."""
+        return _adjoint(self.eigenvectors) @ m @ self.eigenvectors
+
+    def commutators(self, f: ScalarFunction, scales: np.ndarray, parts: np.ndarray) -> np.ndarray:
+        """U* [f(s D), a] U for each s in scales, for an odd D, from the eigenbasis
+        parity parts (a_0, a_1) of a.  As gamma f(D) gamma = f(-D), the graded
+        commutator is f(D) a - a_0 f(D) - a_1 f(-D): entry (i, j) is the Schur product
+        (w_i - w_j) a_0[i, j] + (w_i - v_j) a_1[i, j] with w = f(s lambda), v = f(-s lambda).
+        """
+        w, v = self.weights(f, scales)[:, :, None], self.weights(f, -np.asarray(scales))[:, None, :]
+        return (w - w.swapaxes(1, 2)) * parts[0] + (w - v) * parts[1]
 
 
 def apply_function(d: OddSelfAdjoint, f: ScalarFunction, scale: float = 1.0) -> GradedMatrix:

@@ -33,7 +33,6 @@ __all__ = [
     "gamma_matrix",
     "parity_decompose",
     "graded_commutator",
-    "graded_commutator_array",
     "graded_tensor",
     "direct_sum",
     "conjugate_by_grading",
@@ -204,32 +203,18 @@ def parity_decompose(m: GradedMatrix) -> tuple[GradedMatrix, GradedMatrix]:
     return GradedMatrix(m.space, even), GradedMatrix(m.space, odd)
 
 
-def _commutator_term(a: np.ndarray, b: np.ndarray, sign: float) -> np.ndarray:
-    return a @ b - sign * (b @ a)
-
-
-def graded_commutator_array(space: GradedSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entries of [a, b] for entry arrays a, b on `space`.
-
-    Either operand may carry leading stack axes, so one call commutes a
-    whole stack; each matrix of the result equals graded_commutator of
-    the corresponding pair bit for bit.
-    """
-    signs = space.gamma_signs()
-    a0, a1 = _parity_parts(signs, a)
-    b0, b1 = _parity_parts(signs, b)
-    out = _commutator_term(a0, b0, 1.0)
-    out += _commutator_term(a0, b1, 1.0)
-    out += _commutator_term(a1, b0, 1.0)
-    out += _commutator_term(a1, b1, -1.0)
-    return out
-
-
 def graded_commutator(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     """[a, b] = ab - (-1)^(pa*pb) ba, extended bilinearly over parity parts."""
     if a.space != b.space:
         raise ValueError("graded commutator needs matrices on the same space")
-    return GradedMatrix(a.space, graded_commutator_array(a.space, a.entries, b.entries))
+    signs = a.space.gamma_signs()
+    a0, a1 = _parity_parts(signs, a.entries)
+    b0, b1 = _parity_parts(signs, b.entries)
+    out = a0 @ b0 - b0 @ a0
+    out += a0 @ b1 - b1 @ a0
+    out += a1 @ b0 - b0 @ a1
+    out += a1 @ b1 + b1 @ a1
+    return GradedMatrix(a.space, out)
 
 
 def graded_tensor(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:

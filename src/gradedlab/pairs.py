@@ -15,7 +15,10 @@ operator and the naive two-step image e^{-t^-2 D'^2} e^{-t^-2 D^2} a,
 which decays like t^-2 when [psi(D), D'] is bounded.
 
 Everything is pure and deterministic; profiles are evaluated on whole
-t-grid stacks by the grid engine of funcalc (Spectrum.apply_grid).
+t-grid stacks by the grid engine of funcalc.  The commutation profiles
+are measured in D's eigenbasis (Spectrum.commutators), so they match a
+point-by-point evaluation to roundoff rather than bit for bit; every
+other profile is bit-identical to one (Spectrum.apply_grid).
 """
 
 from __future__ import annotations
@@ -32,10 +35,10 @@ from .graded import (
     GradedSpace,
     OddSelfAdjoint,
     VALIDATION_TOL,
-    graded_commutator_array,
     identity,
     operator_norm,
     operator_norms,
+    parity_decompose,
 )
 
 __all__ = [
@@ -129,26 +132,26 @@ class DecayProfile:
 
 def generator_profiles(
     functions: Sequence[ScalarFunction],
-    generators: Mapping[str, GradedMatrix],
+    generators: Mapping[str, np.ndarray],
     t_grid: np.ndarray,
     stacks: Spectrum | Callable[[np.ndarray], Sequence[object]],
     measure: Callable[[ScalarFunction, object, np.ndarray], np.ndarray],
 ) -> dict[str, dict[str, DecayProfile]]:
     """Profiles of t -> measure(f, F, a) per generator a and function f.
 
-    stacks(scales) returns one F per function, each evaluated on a whole
-    chunk of grid scales 1/t at once; a Spectrum of D stands for the
-    stacks f(t^-1 D).  measure maps F and the entries of a to one norm
-    per scale.
+    Each generator is an array whose last two axes are d x d.  stacks(scales)
+    returns one F per function, each evaluated on a whole chunk of grid
+    scales 1/t at once; a Spectrum of D stands for the stacks f(t^-1 D).
+    measure maps F and a generator to one norm per scale.
     """
-    dim = next(iter(generators.values())).space.dim
+    dim = next(iter(generators.values())).shape[-1]
     if isinstance(stacks, Spectrum):
         spec = stacks
         stacks = lambda scales: [spec.apply_grid(f, scales) for f in functions]
 
     def norms(scales):
         per_function = zip(functions, stacks(scales))
-        columns = [[measure(f, stacked, a.entries) for a in generators.values()] for f, stacked in per_function]
+        columns = [[measure(f, stacked, a) for a in generators.values()] for f, stacked in per_function]
         return np.moveaxis(np.asarray(columns), -1, 0)
 
     values = map_grid(norms, 1.0 / t_grid, dim)
@@ -156,10 +159,6 @@ def generator_profiles(
         name: {f.name: DecayProfile.from_values(t_grid, values[:, i, j]) for i, f in enumerate(functions)}
         for j, name in enumerate(generators)
     }
-
-
-def _commutator_norms(space: GradedSpace):
-    return lambda f, stack, a: operator_norms(graded_commutator_array(space, stack, a))
 
 
 @dataclass(frozen=True)
@@ -234,8 +233,8 @@ def validate_pair(pair: AsymptoticPair, t_grid: np.ndarray) -> PairReport:
     m = f(D) phi(a)) is measured only when a corner is designated.
     Commutation profiles are fitted per generator and PAIR_FUNCTIONS
     entry; a pair commutes asymptotically when every fitted exponent
-    reaches COMMUTATION_EXPONENT_THRESHOLD, and a profile that is
-    identically zero fits the -inf sentinel.
+    reaches COMMUTATION_EXPONENT_THRESHOLD, and a profile that vanishes
+    up to roundoff (below FIT_FLOOR) fits the -inf sentinel.
     """
     grid = checked_t_grid(t_grid)
     spec = Spectrum.of(pair.d)
@@ -247,7 +246,13 @@ def validate_pair(pair: AsymptoticPair, t_grid: np.ndarray) -> PairReport:
         if pair.corner is not None else {}
         for name, gen in pair.rep.generators.items()
     }
-    profiles = generator_profiles(PAIR_FUNCTIONS, pair.rep.generators, grid, spec, _commutator_norms(pair.space))
+    # each generator's parity parts move to D's eigenbasis once (Spectrum.commutators)
+    parts = {name: spec.eigenbasis(np.stack([p.entries for p in parity_decompose(gen)]))
+             for name, gen in pair.rep.generators.items()}
+    profiles = generator_profiles(
+        PAIR_FUNCTIONS, parts, grid, lambda scales: [scales] * len(PAIR_FUNCTIONS),
+        lambda f, scales, a: operator_norms(spec.commutators(f, scales, a)),
+    )
     return PairReport(containment, profiles)
 
 
@@ -344,7 +349,7 @@ def compose_pairs(
         return [(spec_total.apply_grid(f, scales), n) for f, n in zip((GAUSS0, GAUSS1), naive)]
 
     profiles = generator_profiles(
-        (GAUSS0, GAUSS1), composed_gens, grid, exact_and_naive,
+        (GAUSS0, GAUSS1), {name: gen.entries for name, gen in composed_gens.items()}, grid, exact_and_naive,
         lambda f, pair, rho: operator_norms(pair[0] @ rho - pair[1] @ rho),
     )
     return Composition(composed, profiles)

@@ -111,11 +111,21 @@ def test_invalid_grid_exits_3(tmp_path):
         ("compose", {"t_grid": {"points": float("inf")}}),
         ("commbound", {"n_grid": [float("nan")]}),
         ("commbound", {"n_grid": [1.0, float("inf")]}),
+        ("bott", {"n_basiss": 8, "t_grid": {"pionts": 12}}),
+        ("bott", {"n_basiss": 8}),
+        ("bott", {"t_grid": {"start": 1.0, "stop": 1e3, "pionts": 12}}),
+        ("bott", {"seed": 1.5}),
+        ("commbound", {"trials": True}),
+        ("commbound", {"dims": [4, 8.9]}),
+        ("bott", {"n_basis": 8.9}),
+        ("bott", {"coordinates": True}),
+        ("compose", {"t_grid": {"points": 12.5}}),
     ],
     ids=[
         "empty-dims", "empty-n-grid", "non-numeric-tolerance", "nan-tolerance", "non-positive-kernel",
         "infinite-t-stop", "collapsed-t-grid", "nan-t-start", "infinite-t-points", "nan-n-grid",
-        "infinite-n-grid",
+        "infinite-n-grid", "misspelt-keys", "unknown-key", "unknown-t-grid-key", "fractional-seed",
+        "bool-trials", "fractional-dims", "fractional-n-basis", "bool-coordinates", "fractional-t-points",
     ],
 )
 def test_malformed_config_exits_3_and_writes_nothing(tmp_path, experiment, fields):
@@ -230,6 +240,13 @@ def test_load_config_validation(tmp_path):
     malformed_grid.write_text(json.dumps({"experiment": "bott", "t_grid": 5}))
     with pytest.raises(ConfigError):
         load_config(malformed_grid)
+
+
+def test_integral_numbers_are_accepted_for_integer_fields(tmp_path):
+    config = write_config(tmp_path, experiment="bott", seed=7.0, n_basis=12.0, t_grid={"points": 12.0})
+    loaded = load_config(config)
+    assert (loaded.seed, loaded.n_basis, loaded.t_points) == (7, 12, 12)
+    assert all(type(v) is int for v in (loaded.seed, loaded.n_basis, loaded.t_points))
 
 
 def test_flag_overrides_config_experiment(tmp_path):
