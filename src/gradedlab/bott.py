@@ -66,8 +66,8 @@ __all__ = [
 
 _FIBER_PARITY = GradedSpace((0, 1))
 # Left multiplication by e and signed right multiplication on span(1, e).
-_LEFT_E = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-_RIGHT_E_SIGNED = np.array([[0, -1], [1, 0]], dtype=np.complex128)
+_LEFT_E = np.array([[0.0, 1.0], [1.0, 0.0]])
+_RIGHT_E_SIGNED = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -258,7 +258,7 @@ def perturbation_check(pair: AsymptoticPair, potential: OddSelfAdjoint, t_grid: 
     spec_v = Spectrum.of(potential)
 
     def homom_defect(f, moved, a):
-        at_zero = complex(np.asarray(f(np.zeros(1)))[0])
+        at_zero = f(np.zeros(1))[0]
         return operator_norms(moved @ a - at_zero * a)
 
     generators = {name: gen.entries for name, gen in pair.rep.generators.items()}

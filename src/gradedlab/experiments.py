@@ -99,12 +99,23 @@ class ConfigError(ValueError):
     pass
 
 
-# Largest dense operator dimension a config may ask for.  One complex
-# 4096 x 4096 matrix takes 268 MB, and a run holds several at once.
+# Largest dense operator dimension a config may ask for.  One 4096 x 4096
+# matrix takes 134 MB real or 268 MB complex, and a run holds several at once.
 MAX_DENSE_DIM = 4096
 # The only keys a config file may set, besides "experiment", at its top level and in t_grid.
 _CONFIG_KEYS = {"seed", "trials", "dims", "n_grid", "n_basis", "coordinates", "tolerances", "out"}
 _GRID_KEYS = {"start", "stop", "points"}
+# The tolerance keys each experiment reads, with their defaults; no other key may be set.
+_TOLERANCES: dict[str, dict[str, float]] = {
+    "commbound": {},
+    "expfactor": {"rate_rel": 0.02, "exponent_window": 0.1},
+    "techlemma": {"final_sup": 1e-6, "monotone_slack": MONOTONE_SLACK},
+    "compose": {"compose_exponent": COMPOSE_EXPONENT_THRESHOLD},
+    "bott": {"kernel": 1e-8, "gap": 1e-6, "interior": 1e-10, "convergence_slack": 1e-12},
+    "perturb": {"homom_exponent": COMMUTATION_EXPONENT_THRESHOLD, "cayley_exponent": COMPOSE_EXPONENT_THRESHOLD,
+                "defect_exponent": COMPOSE_EXPONENT_THRESHOLD},
+    "appendixB": {},
+}
 
 
 _DEFAULTS: dict[str, dict] = {
@@ -161,6 +172,9 @@ class ExperimentConfig:
             raise ConfigError("n_basis must be >= 8")
         if self.coordinates < 1:
             raise ConfigError("coordinates must be >= 1")
+        unknown = sorted(set(self.tolerances) - set(_TOLERANCES[self.experiment]))
+        if unknown:
+            raise ConfigError(f"unknown tolerance keys for {self.experiment}: {', '.join(unknown)}")
         for key, value in self.tolerances.items():
             if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
                 raise ConfigError(f"tolerance {key!r} must be a finite number")
@@ -180,8 +194,8 @@ class ExperimentConfig:
             largest = max(largest, 2 * self.n_basis - 1)
         return largest
 
-    def tolerance(self, key: str, default: float) -> float:
-        return float(self.tolerances.get(key, default))
+    def tolerance(self, key: str) -> float:
+        return float(self.tolerances.get(key, _TOLERANCES[self.experiment][key]))
 
     def t_grid(self) -> np.ndarray:
         return default_t_grid(self.t_start, self.t_stop, self.t_points)
@@ -200,9 +214,16 @@ class ExperimentConfig:
         }
 
 
+def _number(value) -> float:
+    """value as a float; a bool or a non-number (a string, say) is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _integer(value) -> int:
-    """value as an int; a bool or a non-integral number is a ConfigError."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """value as an int; a non-number or a non-integral number is a ConfigError."""
+    if not _number(value).is_integer():
         raise ConfigError(f"expected an integer, got {value!r}")
     return int(value)
 
@@ -245,10 +266,10 @@ def load_config(
             seed=_integer(merged.get("seed", 42)),
             trials=_integer(merged.get("trials", 1)),
             dims=tuple(_integer(d) for d in merged.get("dims", (8,))),
-            t_start=float(grid.get("start", 1.0)),
-            t_stop=float(grid.get("stop", 1e3)),
+            t_start=_number(grid.get("start", 1.0)),
+            t_stop=_number(grid.get("stop", 1e3)),
             t_points=_integer(grid.get("points", 60)),
-            n_grid=tuple(float(n) for n in merged.get("n_grid", (0.5, 1, 2, 4, 8, 16))),
+            n_grid=tuple(_number(n) for n in merged.get("n_grid", (0.5, 1, 2, 4, 8, 16))),
             n_basis=_integer(merged.get("n_basis", 64)),
             coordinates=_integer(merged.get("coordinates", 1)),
             tolerances=dict(merged.get("tolerances", {})),
@@ -336,8 +357,8 @@ def run_expfactor(cfg: ExperimentConfig) -> ExperimentResult:
         "factorization_exact": "graded-commuting operators factor exactly (defects at rounding level)",
     }
     grid = cfg.t_grid()
-    rate_tol = cfg.tolerance("rate_rel", 0.02)
-    exp_tol = cfg.tolerance("exponent_window", 0.1)
+    rate_tol = cfg.tolerance("rate_rel")
+    exp_tol = cfg.tolerance("exponent_window")
     certs: list[BoundCertificate] = []
     profiles: list[tuple[str, DecayProfile]] = []
     exponents = []
@@ -398,8 +419,8 @@ def run_techlemma(cfg: ExperimentConfig) -> ExperimentResult:
         "relative_bound": "||D (D + D' + i)^-1||^2 <= 1 + ||[D, D']||",
     }
     grid = cfg.t_grid()
-    final_tol = cfg.tolerance("final_sup", 1e-6)
-    slack = cfg.tolerance("monotone_slack", MONOTONE_SLACK)
+    final_tol = cfg.tolerance("final_sup")
+    slack = cfg.tolerance("monotone_slack")
     certs: list[BoundCertificate] = []
     profiles: list[tuple[str, DecayProfile]] = []
     for i, seed, rng, space in _trials(cfg):
@@ -425,7 +446,7 @@ def run_compose(cfg: ExperimentConfig) -> ExperimentResult:
         "compose_identity": "composition with the trivial pair (identity, 0) is exact",
     }
     grid = cfg.t_grid()
-    threshold = cfg.tolerance("compose_exponent", COMPOSE_EXPONENT_THRESHOLD)
+    threshold = cfg.tolerance("compose_exponent")
     certs: list[BoundCertificate] = []
     profiles: list[tuple[str, DecayProfile]] = []
     exponents = []
@@ -497,9 +518,9 @@ def run_bott(cfg: ExperimentConfig) -> ExperimentResult:
         "bott_pair": "the model pairs satisfy the decay conditions",
         "bott_compose_kernel": "composing the two model pairs yields the Bott-Dirac operator with kernel dimension 1",
     }
-    kernel_tol = cfg.tolerance("kernel", 1e-8)
-    gap_tol = cfg.tolerance("gap", 1e-6)
-    interior_tol = cfg.tolerance("interior", 1e-10)
+    kernel_tol = cfg.tolerance("kernel")
+    gap_tol = cfg.tolerance("gap")
+    interior_tol = cfg.tolerance("interior")
     certs: list[BoundCertificate] = []
     tables: dict[str, str] = {}
     summary: dict = {}
@@ -544,7 +565,7 @@ def run_bott(cfg: ExperimentConfig) -> ExperimentResult:
     worst_growth = 0.0
     for (_, g0, s0), (_, g1, s1) in zip(residuals, residuals[1:]):
         worst_growth = max(worst_growth, g1 - g0, s1 - s0)
-    certs.append(BoundCertificate("bott_convergence", worst_growth, cfg.tolerance("convergence_slack", 1e-12)))
+    certs.append(BoundCertificate("bott_convergence", worst_growth, cfg.tolerance("convergence_slack")))
 
     # the two model pairs and their composition
     if cfg.coordinates == 1:
@@ -575,9 +596,9 @@ def run_perturb(cfg: ExperimentConfig) -> ExperimentResult:
         "perturb_defect": "heat factorization defect of (D, V) decays with exponent <= -1.75",
     }
     grid = cfg.t_grid()
-    odd_threshold = cfg.tolerance("homom_exponent", COMMUTATION_EXPONENT_THRESHOLD)
-    even_threshold = cfg.tolerance("cayley_exponent", COMPOSE_EXPONENT_THRESHOLD)
-    defect_threshold = cfg.tolerance("defect_exponent", COMPOSE_EXPONENT_THRESHOLD)
+    odd_threshold = cfg.tolerance("homom_exponent")
+    even_threshold = cfg.tolerance("cayley_exponent")
+    defect_threshold = cfg.tolerance("defect_exponent")
     certs: list[BoundCertificate] = []
     profiles: list[tuple[str, DecayProfile]] = []
 

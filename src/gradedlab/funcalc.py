@@ -112,9 +112,9 @@ def cutoff_function(radius: float) -> ScalarFunction:
     return ScalarFunction(f"cutoff[{r:g}]", chi, 1.0, 0)
 
 
-# Most complex entries one grid stack may hold: 2**14 (256 KiB).  Grids at
-# d <= 16 then run in one or a few stacks, while d = 127 runs one matrix
-# per stack and needs no more memory than a single evaluation.
+# Most entries one grid stack may hold: 2**14 (256 KiB complex, 128 KiB
+# real).  Grids at d <= 16 then run in one or a few stacks, while d = 127
+# runs one matrix per stack and needs no more memory than one evaluation.
 STACK_ENTRIES = 2**14
 
 
@@ -145,6 +145,8 @@ class Spectrum:
 
     A (k, d, d) stack of matrices gives a stack of spectra: eigenvalues
     (k, d), eigenvectors (k, d, d), and every method acts matrix by matrix.
+    Real symmetric input runs the real LAPACK kernels and has real
+    eigenvectors; complex input stays complex.
     """
 
     eigenvalues: np.ndarray
@@ -157,7 +159,8 @@ class Spectrum:
         elif isinstance(operator, GradedMatrix):
             matrix = operator.entries
         else:
-            matrix = np.asarray(operator, dtype=np.complex128)
+            matrix = np.asarray(operator)
+            matrix = matrix.astype(np.result_type(matrix, np.float64), copy=False)
         each = (-2, -1)
         scale = np.maximum(1.0, np.abs(matrix).max(axis=each, initial=0.0))
         if np.any(np.abs(matrix - _adjoint(matrix)).max(axis=each, initial=0.0) > VALIDATION_TOL * scale):
@@ -178,15 +181,15 @@ class Spectrum:
         return (self.eigenvectors * weights[..., None, :]) @ _adjoint(self.eigenvectors)
 
     def weights(self, f: ScalarFunction, scales: np.ndarray) -> np.ndarray:
-        """Rows f(s * eigenvalues), one per s in scales, as complex numbers."""
+        """Rows f(s * eigenvalues), one per s in scales, in f's own dtype."""
         if self.eigenvalues.ndim != 1:
             raise ValueError("grid evaluation needs the spectrum of a single matrix")
         scales = np.asarray(scales, dtype=float)
-        return np.asarray(f(scales[:, None] * self.eigenvalues[None, :]), dtype=np.complex128)
+        return np.asarray(f(scales[:, None] * self.eigenvalues[None, :]))
 
     def apply(self, f: ScalarFunction, scale: float = 1.0) -> np.ndarray:
-        """Matrix of f(scale * D) in the original basis."""
-        return self.synthesize(np.asarray(f(scale * self.eigenvalues), dtype=np.complex128))
+        """Matrix of f(scale * D) in the original basis (real for real D and f)."""
+        return self.synthesize(np.asarray(f(scale * self.eigenvalues)))
 
     def apply_grid(self, f: ScalarFunction, scales: np.ndarray) -> np.ndarray:
         """Stack of f(s * D) for every s in scales, shape (len(scales), d, d).

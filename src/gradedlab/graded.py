@@ -1,11 +1,13 @@
 """Dense Z/2-graded linear algebra.
 
-A graded space is a finite-dimensional complex vector space whose basis
-vectors carry a parity in {0, 1}.  The grading operator gamma is the
-diagonal sign matrix diag((-1)**parity); a matrix is even if it commutes
-with gamma and odd if it anticommutes.  Everything in this module is a
-pure function of immutable values (entry arrays are marked read-only),
-so values are safe to share across threads.
+A graded space is a finite-dimensional vector space whose basis vectors
+carry a parity in {0, 1}.  The grading operator gamma is the diagonal
+sign matrix diag((-1)**parity); a matrix is even if it commutes with
+gamma and odd if it anticommutes.  Entries are float64 for real data and
+complex128 for complex data, so real models such as the Bott-Dirac
+operator stay in real arithmetic; mixing the two promotes to complex.
+Everything in this module is a pure function of immutable values (entry
+arrays are marked read-only), so values are safe to share across threads.
 
 Sign conventions:
 
@@ -70,18 +72,19 @@ class GradedSpace:
         return np.where(np.asarray(self.parity) == 0, 1.0, -1.0)
 
     def gamma(self) -> np.ndarray:
-        return np.diag(self.gamma_signs().astype(np.complex128))
+        return np.diag(self.gamma_signs())
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
-    out = np.array(array, dtype=np.complex128)
+    """Read-only copy: complex input as complex128, any other as float64."""
+    out = np.array(array, dtype=np.result_type(array, np.float64))
     out.setflags(write=False)
     return out
 
 
 @dataclass(frozen=True)
 class GradedMatrix:
-    """Complex square matrix on a graded space."""
+    """Real or complex square matrix on a graded space."""
 
     space: GradedSpace
     entries: np.ndarray
@@ -139,11 +142,11 @@ class GradedMatrix:
 
 
 def identity(space: GradedSpace) -> GradedMatrix:
-    return GradedMatrix(space, np.eye(space.dim, dtype=np.complex128))
+    return GradedMatrix(space, np.eye(space.dim))
 
 
 def zeros(space: GradedSpace) -> GradedMatrix:
-    return GradedMatrix(space, np.zeros((space.dim, space.dim), dtype=np.complex128))
+    return GradedMatrix(space, np.zeros((space.dim, space.dim)))
 
 
 def gamma_matrix(space: GradedSpace) -> GradedMatrix:
@@ -237,7 +240,7 @@ def graded_tensor(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
 def direct_sum(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     """Block-diagonal sum on the concatenated space."""
     da, db = a.space.dim, b.space.dim
-    out = np.zeros((da + db, da + db), dtype=np.complex128)
+    out = np.zeros((da + db, da + db), dtype=np.result_type(a.entries, b.entries))
     out[:da, :da] = a.entries
     out[da:, da:] = b.entries
     return GradedMatrix(GradedSpace(a.space.parity + b.space.parity), out)

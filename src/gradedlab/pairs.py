@@ -29,7 +29,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .funcalc import GAUSS0, GAUSS1, PAIR_FUNCTIONS, ScalarFunction, Spectrum, map_grid
+from .funcalc import GAUSS0, GAUSS1, PAIR_FUNCTIONS, RESOLVENT_MINUS, RESOLVENT_PLUS, ScalarFunction, Spectrum, map_grid
 from .graded import (
     GradedMatrix,
     GradedSpace,
@@ -234,7 +234,9 @@ def validate_pair(pair: AsymptoticPair, t_grid: np.ndarray) -> PairReport:
     Commutation profiles are fitted per generator and PAIR_FUNCTIONS
     entry; a pair commutes asymptotically when every fitted exponent
     reaches COMMUTATION_EXPONENT_THRESHOLD, and a profile that vanishes
-    up to roundoff (below FIT_FLOOR) fits the -inf sentinel.
+    up to roundoff (below FIT_FLOOR) fits the -inf sentinel.  A generator
+    equal to c 1 is not measured: its profiles are exact zeros.  With real
+    D and a real generator, resolvent- reuses the resolvent+ profile.
     """
     grid = checked_t_grid(t_grid)
     spec = Spectrum.of(pair.d)
@@ -246,13 +248,22 @@ def validate_pair(pair: AsymptoticPair, t_grid: np.ndarray) -> PairReport:
         if pair.corner is not None else {}
         for name, gen in pair.rep.generators.items()
     }
-    # each generator's parity parts move to D's eigenbasis once (Spectrum.commutators)
-    parts = {name: spec.eigenbasis(np.stack([p.entries for p in parity_decompose(gen)]))
-             for name, gen in pair.rep.generators.items()}
-    profiles = generator_profiles(
-        PAIR_FUNCTIONS, parts, grid, lambda scales: [scales] * len(PAIR_FUNCTIONS),
-        lambda f, scales, a: operator_norms(spec.commutators(f, scales, a)),
-    )
+    profiles = {}
+    for name, gen in pair.rep.generators.items():
+        if np.array_equal(gen.entries, gen.entries[0, 0] * np.eye(pair.space.dim)):
+            # c 1 graded-commutes with every f(D): its profiles are exact zeros
+            profiles[name] = {f.name: DecayProfile.from_values(grid, np.zeros(grid.size)) for f in PAIR_FUNCTIONS}
+            continue
+        # the parity parts move to D's eigenbasis once (Spectrum.commutators).  When
+        # they are real, resolvent-(x) = conj(resolvent+(x)) makes the resolvent-
+        # commutators the conjugates of the resolvent+ ones, with the same norms
+        parts = spec.eigenbasis(np.stack([p.entries for p in parity_decompose(gen)]))
+        functions = [f for f in PAIR_FUNCTIONS if f is not RESOLVENT_MINUS or np.iscomplexobj(parts)]
+        measured = generator_profiles(
+            functions, {name: parts}, grid, lambda scales: [scales] * len(functions),
+            lambda f, scales, a: operator_norms(spec.commutators(f, scales, a)),
+        )[name]
+        profiles[name] = {f.name: measured.get(f.name, measured[RESOLVENT_PLUS.name]) for f in PAIR_FUNCTIONS}
     return PairReport(containment, profiles)
 
 

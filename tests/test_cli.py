@@ -120,12 +120,20 @@ def test_invalid_grid_exits_3(tmp_path):
         ("bott", {"n_basis": 8.9}),
         ("bott", {"coordinates": True}),
         ("compose", {"t_grid": {"points": 12.5}}),
+        ("bott", {"tolerances": {"kernal": 1e-3}}),
+        ("commbound", {"tolerances": {"kernel": 1e-3}}),
+        ("commbound", {"dims": "48"}),
+        ("commbound", {"n_grid": "12"}),
+        ("commbound", {"dims": ["4", "8"]}),
+        ("expfactor", {"t_grid": {"start": "10"}}),
     ],
     ids=[
         "empty-dims", "empty-n-grid", "non-numeric-tolerance", "nan-tolerance", "non-positive-kernel",
         "infinite-t-stop", "collapsed-t-grid", "nan-t-start", "infinite-t-points", "nan-n-grid",
         "infinite-n-grid", "misspelt-keys", "unknown-key", "unknown-t-grid-key", "fractional-seed",
         "bool-trials", "fractional-dims", "fractional-n-basis", "bool-coordinates", "fractional-t-points",
+        "misspelt-tolerance", "other-experiments-tolerance", "string-dims", "string-n-grid", "string-dims-entries",
+        "string-t-start",
     ],
 )
 def test_malformed_config_exits_3_and_writes_nothing(tmp_path, experiment, fields):

@@ -312,11 +312,11 @@ def test_validate_pair_matches_mpmath():
 
 
 def test_bott_scalar_pair_stays_below_the_fit_floor():
-    """The unit generator commutes exactly, so in D's eigenbasis its
-    commutators are pure roundoff (about 2e-15 at n_basis 64); the
-    bott_pair[scalar] certificate needs them below FIT_FLOOR, fitting -inf."""
+    """The unit generator commutes exactly, so validate_pair records exact
+    zeros for it without measuring; the bott_pair[scalar] certificate needs
+    them below FIT_FLOOR, fitting -inf."""
     profiles = validate_pair(bott_pairs()[0], default_t_grid()).profiles["unit"]
-    assert max(p.values.max() for p in profiles.values()) < FIT_FLOOR
+    assert max(p.values.max() for p in profiles.values()) == 0.0 < FIT_FLOOR
     assert all(p.fitted_exponent == -np.inf for p in profiles.values())
 
 
