@@ -3,7 +3,7 @@
 Core layers:
 
 * graded      -- graded spaces, matrices, commutators, Koszul tensor products
-* funcalc     -- spectral functional calculus, bounded transforms, cutoffs
+* funcalc     -- spectral functional calculus, bounded transforms
 * pairs       -- asymptotic pairs, decay profiles, the composition calculus
 * bott        -- Hermite-truncated Bott-Dirac model and perturbation checks
 * estimates   -- exponential and transform bound certificates
@@ -34,10 +34,7 @@ from .funcalc import (
     RESOLVENT_PLUS,
     ScalarFunction,
     Spectrum,
-    apply_function,
-    bounded_transform,
     bounded_transform_function,
-    cutoff_function,
 )
 from .pairs import (
     AsymptoticPair,

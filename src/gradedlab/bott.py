@@ -64,7 +64,6 @@ __all__ = [
     "perturbation_check",
 ]
 
-_FIBER_PARITY = GradedSpace((0, 1))
 # Left multiplication by e and signed right multiplication on span(1, e).
 _LEFT_E = np.array([[0.0, 1.0], [1.0, 0.0]])
 _RIGHT_E_SIGNED = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -78,11 +77,6 @@ class HermiteModel:
     n: int
     x_mat: np.ndarray
     d_mat: np.ndarray
-
-    @property
-    def coordinate_dim(self) -> int:
-        # paired truncation: even fiber sector keeps K levels, odd K - 1
-        return 2 * self.n_basis - 1
 
 
 def hermite_model(n_basis: int, n: int = 1) -> HermiteModel:
@@ -262,6 +256,9 @@ def perturbation_check(pair: AsymptoticPair, potential: OddSelfAdjoint, t_grid: 
         return operator_norms(moved @ a - at_zero * a)
 
     generators = {name: gen.entries for name, gen in pair.rep.generators.items()}
-    profiles = generator_profiles((CAYLEY, MULTIPLIER_G), generators, grid, spec_v, homom_defect)
+    functions = (CAYLEY, MULTIPLIER_G)
+    profiles = generator_profiles(
+        functions, generators, grid, lambda scales: [spec_v.apply_grid(f, scales) for f in functions], homom_defect
+    )
     defect_even, defect_odd = factorization_defect_profiles(pair.d, potential, grid)
     return PerturbationReport(profiles, defect_even, defect_odd)

@@ -102,9 +102,6 @@ class ConfigError(ValueError):
 # Largest dense operator dimension a config may ask for.  One 4096 x 4096
 # matrix takes 134 MB real or 268 MB complex, and a run holds several at once.
 MAX_DENSE_DIM = 4096
-# The only keys a config file may set, besides "experiment", at its top level and in t_grid.
-_CONFIG_KEYS = {"seed", "trials", "dims", "n_grid", "n_basis", "coordinates", "tolerances", "out"}
-_GRID_KEYS = {"start", "stop", "points"}
 # The tolerance keys each experiment reads, with their defaults; no other key may be set.
 _TOLERANCES: dict[str, dict[str, float]] = {
     "commbound": {},
@@ -118,18 +115,15 @@ _TOLERANCES: dict[str, dict[str, float]] = {
 }
 
 
+# Each experiment's departures from the ExperimentConfig field defaults, in config-file form.
 _DEFAULTS: dict[str, dict] = {
-    "commbound": {"trials": 200, "dims": [4, 8, 16], "n_grid": [0.5, 1, 2, 4, 8, 16],
-                  "t_grid": {"start": 1.0, "stop": 1e3, "points": 60}},
-    "expfactor": {"trials": 50, "dims": [8], "t_grid": {"start": 10.0, "stop": 1e3, "points": 40}},
-    "techlemma": {"trials": 20, "dims": [8], "t_grid": {"start": 10.0, "stop": 1e3, "points": 30}},
-    "compose": {"trials": 50, "dims": [8], "t_grid": {"start": 1.0, "stop": 1e3, "points": 60}},
-    "bott": {"trials": 1, "dims": [8], "n_basis": 64, "coordinates": 1,
-             "t_grid": {"start": 1.0, "stop": 1e3, "points": 60}},
-    "perturb": {"trials": 10, "dims": [8], "n_basis": 16,
-                "t_grid": {"start": 1.0, "stop": 1e3, "points": 60}},
-    "appendixB": {"trials": 500, "dims": [4, 8, 16],
-                  "t_grid": {"start": 1.0, "stop": 1e3, "points": 40}},
+    "commbound": {"trials": 200, "dims": [4, 8, 16]},
+    "expfactor": {"trials": 50, "t_grid": {"start": 10.0, "points": 40}},
+    "techlemma": {"trials": 20, "t_grid": {"start": 10.0, "points": 30}},
+    "compose": {"trials": 50},
+    "bott": {},
+    "perturb": {"trials": 10, "n_basis": 16},
+    "appendixB": {"trials": 500, "dims": [4, 8, 16], "t_grid": {"points": 40}},
 }
 
 
@@ -228,13 +222,30 @@ def _integer(value) -> int:
     return int(value)
 
 
+# The keys a config file may set besides "experiment", each with the parser of the
+# ExperimentConfig field it fills; t_grid's keys fill t_start, t_stop and t_points.
+_PARSERS = {
+    "seed": _integer,
+    "trials": _integer,
+    "dims": lambda v: tuple(_integer(d) for d in v),
+    "n_grid": lambda v: tuple(_number(n) for n in v),
+    "n_basis": _integer,
+    "coordinates": _integer,
+    "tolerances": dict,
+    "out": lambda v: v,
+}
+_GRID_PARSERS = {"start": _number, "stop": _number, "points": _integer}
+
+
 def load_config(
     path: str | Path | None = None,
     experiment: str | None = None,
     seed: int | None = None,
     out: str | None = None,
 ) -> ExperimentConfig:
-    """Assemble a config from defaults, an optional JSON file, and overrides."""
+    """Assemble a config from the experiment's defaults, an optional JSON file,
+    and overrides, merged key by key (t_grid too); absent keys keep the
+    ExperimentConfig field defaults."""
     data: dict = {}
     if path is not None:
         try:
@@ -248,33 +259,19 @@ def load_config(
         raise ConfigError("no experiment selected")
     if name not in EXPERIMENT_NAMES:
         raise UnknownExperimentError(f"unknown experiment {name!r}")
-    merged = dict(_DEFAULTS[name])
-    merged.update({k: v for k, v in data.items() if k != "experiment"})
-    if seed is not None:
-        merged["seed"] = seed
-    if out is not None:
-        merged["out"] = out
+    flags = {key: value for key, value in (("seed", seed), ("out", out)) if value is not None}
+    merged = {**_DEFAULTS[name], **{k: v for k, v in data.items() if k != "experiment"}, **flags}
     grid = merged.pop("t_grid", {})
     if not isinstance(grid, dict):
         raise ConfigError("t_grid must be an object with start/stop/points")
-    unknown = sorted(set(merged) - _CONFIG_KEYS) + [f"t_grid.{k}" for k in sorted(set(grid) - _GRID_KEYS)]
+    grid = {**_DEFAULTS[name].get("t_grid", {}), **grid}
+    unknown = sorted(set(merged) - set(_PARSERS)) + [f"t_grid.{k}" for k in sorted(set(grid) - set(_GRID_PARSERS))]
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     try:
-        return ExperimentConfig(
-            experiment=name,
-            seed=_integer(merged.get("seed", 42)),
-            trials=_integer(merged.get("trials", 1)),
-            dims=tuple(_integer(d) for d in merged.get("dims", (8,))),
-            t_start=_number(grid.get("start", 1.0)),
-            t_stop=_number(grid.get("stop", 1e3)),
-            t_points=_integer(grid.get("points", 60)),
-            n_grid=tuple(_number(n) for n in merged.get("n_grid", (0.5, 1, 2, 4, 8, 16))),
-            n_basis=_integer(merged.get("n_basis", 64)),
-            coordinates=_integer(merged.get("coordinates", 1)),
-            tolerances=dict(merged.get("tolerances", {})),
-            out=merged.get("out"),
-        )
+        fields = {key: _PARSERS[key](value) for key, value in merged.items()}
+        fields.update({f"t_{key}": _GRID_PARSERS[key](value) for key, value in grid.items()})
+        return ExperimentConfig(experiment=name, **fields)
     except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, (UnknownExperimentError, ConfigError)):
             raise
@@ -575,7 +572,7 @@ def run_bott(cfg: ExperimentConfig) -> ExperimentResult:
         mult_rep = RepresentedAlgebra(ops.space, multiplication_generators(model))
         dirac_pair = AsymptoticPair(mult_rep, ops.dirac)
         for name, pair in (("scalar", scalar_pair), ("multiplication", dirac_pair)):
-            worst = _worst_exponent(validate_pair(pair, grid).profiles)
+            worst = _worst_exponent(validate_pair(pair, grid))
             certs.append(BoundCertificate(f"bott_pair[{name}]", worst, COMMUTATION_EXPONENT_THRESHOLD))
         comp = compose_pairs(scalar_pair, dirac_pair, identity_pushforward, grid)
         _, comp_kernel = spectrum_and_kernel(comp.pair.d, kernel_tol)

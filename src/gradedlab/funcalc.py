@@ -40,13 +40,10 @@ __all__ = [
     "NAMED_FUNCTIONS",
     "PAIR_FUNCTIONS",
     "bounded_transform_function",
-    "cutoff_function",
     "STACK_ENTRIES",
     "grid_chunks",
     "map_grid",
     "Spectrum",
-    "apply_function",
-    "bounded_transform",
 ]
 
 
@@ -92,24 +89,6 @@ def bounded_transform_function(n_scale: float) -> ScalarFunction:
         float(n_scale) / 2.0,
         1,
     )
-
-
-def cutoff_function(radius: float) -> ScalarFunction:
-    """C^1 plateau function: 1 on [-R, R], 0 off [-2R, 2R].
-
-    The shoulders are the cubic smoothstep 3u^2 - 2u^3 in
-    u = (2R - |x|)/R, so the function and its first derivative are
-    continuous everywhere.
-    """
-    if radius <= 0:
-        raise ValueError("cutoff radius must be positive")
-    r = float(radius)
-
-    def chi(x):
-        u = np.clip((2.0 * r - np.abs(x)) / r, 0.0, 1.0)
-        return u * u * (3.0 - 2.0 * u)
-
-    return ScalarFunction(f"cutoff[{r:g}]", chi, 1.0, 0)
 
 
 # Most entries one grid stack may hold: 2**14 (256 KiB complex, 128 KiB
@@ -212,22 +191,3 @@ class Spectrum:
         """
         w, v = self.weights(f, scales)[:, :, None], self.weights(f, -np.asarray(scales))[:, None, :]
         return (w - w.swapaxes(1, 2)) * parts[0] + (w - v) * parts[1]
-
-
-def apply_function(d: OddSelfAdjoint, f: ScalarFunction, scale: float = 1.0) -> GradedMatrix:
-    """f(scale * D) via the spectral theorem."""
-    spec = Spectrum.of(d)
-    return GradedMatrix(d.space, spec.apply(f, scale))
-
-
-def bounded_transform(d: OddSelfAdjoint, n_scale: float) -> OddSelfAdjoint:
-    """D_N = i_N(D) with i_N(x) = x (1 + x^2/N^2)^(-1).
-
-    Odd and Hermitian with ||D_N|| <= N/2; f(D_N) -> f(D) in norm as the
-    scale N grows, for f vanishing at infinity.
-    """
-    f = bounded_transform_function(n_scale)
-    m = apply_function(d, f)
-    # i_N is odd and real, so the result is exactly odd Hermitian up to roundoff
-    sym = (m.entries + m.entries.conj().T) * 0.5
-    return OddSelfAdjoint(GradedMatrix(d.space, sym))

@@ -2,12 +2,9 @@
 
 An asymptotic pair is a represented algebra (a named family of generator
 matrices) together with an odd self-adjoint operator D on the same graded
-space, optionally with a designated corner projection P marking the target
-subalgebra P M P.  The two defining conditions are measured, not assumed:
-
-* containment: f(D) phi(a) has negligible mass outside the corner;
-* asymptotic commutation: t -> ||[f(t^-1 D), phi(a)]|| decays, certified
-  by fitting a log-log slope over a geometric t-grid.
+space.  Its defining condition, asymptotic commutation, is measured, not
+assumed: t -> ||[f(t^-1 D), phi(a)]|| decays, certified by fitting a
+log-log slope over a geometric t-grid.
 
 The composition of two pairs is (psi o phi, psi(D) + D'), certified by
 measuring the defect between the functional calculus of the summed
@@ -30,16 +27,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .funcalc import GAUSS0, GAUSS1, PAIR_FUNCTIONS, RESOLVENT_MINUS, RESOLVENT_PLUS, ScalarFunction, Spectrum, map_grid
-from .graded import (
-    GradedMatrix,
-    GradedSpace,
-    OddSelfAdjoint,
-    VALIDATION_TOL,
-    identity,
-    operator_norm,
-    operator_norms,
-    parity_decompose,
-)
+from .graded import GradedMatrix, GradedSpace, OddSelfAdjoint, operator_norms, parity_decompose
 
 __all__ = [
     "DEFAULT_GRID_POINTS",
@@ -52,7 +40,6 @@ __all__ = [
     "generator_profiles",
     "RepresentedAlgebra",
     "AsymptoticPair",
-    "PairReport",
     "validate_pair",
     "factorization_defect_profiles",
     "Composition",
@@ -95,15 +82,13 @@ class DecayProfile:
     the upper half of the grid; early-t transients would otherwise
     pollute the asymptotic slope.  Sub-floor values are excluded, and a
     profile that is zero on the whole fit window reports exponent -inf.
-    A non-finite value in the fit window makes the fit fail: exponent,
-    constant and residual are NaN, so no threshold comparison passes.
+    A non-finite value in the fit window makes the fit fail: the exponent
+    is NaN, so no threshold comparison passes.
     """
 
     t_grid: np.ndarray
     values: np.ndarray
     fitted_exponent: float
-    fitted_constant: float
-    fit_residual: float
 
     @classmethod
     def from_values(cls, t_grid: np.ndarray, values: Sequence[float]) -> "DecayProfile":
@@ -114,14 +99,12 @@ class DecayProfile:
         upper = slice(t_grid.size // 2, None)
         ts, vs = t_grid[upper], values[upper]
         if not np.all(np.isfinite(vs)):
-            return cls(t_grid, values, np.nan, np.nan, np.nan)
+            return cls(t_grid, values, np.nan)
         usable = vs >= FIT_FLOOR
         if usable.sum() < 2:
-            return cls(t_grid, values, float("-inf"), 0.0, 0.0)
-        slope, intercept = np.polyfit(np.log(ts[usable]), np.log(vs[usable]), 1)
-        residual = np.log(vs[usable]) - (slope * np.log(ts[usable]) + intercept)
-        rms = float(np.sqrt(np.mean(residual**2)))
-        return cls(t_grid, values, float(slope), float(np.exp(intercept)), rms)
+            return cls(t_grid, values, float("-inf"))
+        slope, _ = np.polyfit(np.log(ts[usable]), np.log(vs[usable]), 1)
+        return cls(t_grid, values, float(slope))
 
     def csv_text(self) -> str:
         lines = ["t,value"]
@@ -134,20 +117,16 @@ def generator_profiles(
     functions: Sequence[ScalarFunction],
     generators: Mapping[str, np.ndarray],
     t_grid: np.ndarray,
-    stacks: Spectrum | Callable[[np.ndarray], Sequence[object]],
+    stacks: Callable[[np.ndarray], Sequence[object]],
     measure: Callable[[ScalarFunction, object, np.ndarray], np.ndarray],
 ) -> dict[str, dict[str, DecayProfile]]:
     """Profiles of t -> measure(f, F, a) per generator a and function f.
 
     Each generator is an array whose last two axes are d x d.  stacks(scales)
     returns one F per function, each evaluated on a whole chunk of grid
-    scales 1/t at once; a Spectrum of D stands for the stacks f(t^-1 D).
-    measure maps F and a generator to one norm per scale.
+    scales 1/t at once.  measure maps F and a generator to one norm per scale.
     """
     dim = next(iter(generators.values())).shape[-1]
-    if isinstance(stacks, Spectrum):
-        spec = stacks
-        stacks = lambda scales: [spec.apply_grid(f, scales) for f in functions]
 
     def norms(scales):
         per_function = zip(functions, stacks(scales))
@@ -177,77 +156,39 @@ class RepresentedAlgebra:
                 raise ValueError(f"generator {name!r} lives on the wrong space")
 
 
-def _validate_corner(corner: GradedMatrix, tol: float = VALIDATION_TOL) -> None:
-    p = corner.entries
-    if np.abs(p - p.conj().T).max(initial=0.0) > tol:
-        raise ValueError("corner projection must be Hermitian")
-    if np.abs(p @ p - p).max(initial=0.0) > tol:
-        raise ValueError("corner must be idempotent")
-    if corner.parity() != 0:
-        raise ValueError("corner projection must be even")
-
-
 @dataclass(frozen=True)
 class AsymptoticPair:
     """Represented algebra together with an odd self-adjoint operator.
 
-    Construction checks structure only (matching spaces, corner a valid
-    even projection); the defining decay conditions are measured by
-    validate_pair.
+    Construction checks structure only (matching spaces); the defining
+    decay condition is measured by validate_pair.
     """
 
     rep: RepresentedAlgebra
     d: OddSelfAdjoint
-    corner: GradedMatrix | None = None
 
     def __post_init__(self):
         if self.rep.space != self.d.space:
             raise ValueError("representation and operator on different spaces")
-        if self.corner is not None:
-            if self.corner.space != self.d.space:
-                raise ValueError("corner on the wrong space")
-            _validate_corner(self.corner)
 
     @property
     def space(self) -> GradedSpace:
         return self.rep.space
 
 
-def _off_corner_mass(m: GradedMatrix, corner: GradedMatrix) -> float:
-    complement = identity(m.space) - corner
-    return operator_norm(complement @ m) + operator_norm(m @ complement)
+def validate_pair(pair: AsymptoticPair, t_grid: np.ndarray) -> dict[str, dict[str, DecayProfile]]:
+    """Commutation profiles of an asymptotic pair, {generator: {function: profile}}.
 
-
-@dataclass(frozen=True)
-class PairReport:
-    """validate_pair output: per-generator, per-function measurements."""
-
-    containment: dict[str, dict[str, float]]
-    profiles: dict[str, dict[str, DecayProfile]]
-
-
-def validate_pair(pair: AsymptoticPair, t_grid: np.ndarray) -> PairReport:
-    """Measure both defining conditions of an asymptotic pair.
-
-    Containment (the off-corner mass ||(1 - P) m|| + ||m (1 - P)|| of
-    m = f(D) phi(a)) is measured only when a corner is designated.
-    Commutation profiles are fitted per generator and PAIR_FUNCTIONS
-    entry; a pair commutes asymptotically when every fitted exponent
-    reaches COMMUTATION_EXPONENT_THRESHOLD, and a profile that vanishes
-    up to roundoff (below FIT_FLOOR) fits the -inf sentinel.  A generator
-    equal to c 1 is not measured: its profiles are exact zeros.  With real
-    D and a real generator, resolvent- reuses the resolvent+ profile.
+    Profiles are fitted per generator and PAIR_FUNCTIONS entry, the shape
+    of Composition.defect_profiles.  A pair commutes asymptotically when
+    every fitted exponent reaches COMMUTATION_EXPONENT_THRESHOLD, and a
+    profile that vanishes up to roundoff (below FIT_FLOOR) fits the -inf
+    sentinel.  A generator equal to c 1 is not measured: its profiles are
+    exact zeros.  With real D and a real generator, resolvent- reuses the
+    resolvent+ profile.
     """
     grid = checked_t_grid(t_grid)
     spec = Spectrum.of(pair.d)
-    containment: dict[str, dict[str, float]] = {
-        name: {
-            f.name: _off_corner_mass(GradedMatrix(pair.space, spec.apply(f)) @ gen, pair.corner)
-            for f in PAIR_FUNCTIONS
-        }
-        if pair.corner is not None else {}
-        for name, gen in pair.rep.generators.items()
-    }
     profiles = {}
     for name, gen in pair.rep.generators.items():
         if np.array_equal(gen.entries, gen.entries[0, 0] * np.eye(pair.space.dim)):
@@ -264,7 +205,7 @@ def validate_pair(pair: AsymptoticPair, t_grid: np.ndarray) -> PairReport:
             lambda f, scales, a: operator_norms(spec.commutators(f, scales, a)),
         )[name]
         profiles[name] = {f.name: measured.get(f.name, measured[RESOLVENT_PLUS.name]) for f in PAIR_FUNCTIONS}
-    return PairReport(containment, profiles)
+    return profiles
 
 
 def _factorization_defects(d: OddSelfAdjoint, d_prime: OddSelfAdjoint, t_grid: np.ndarray) -> np.ndarray:
@@ -346,7 +287,7 @@ def compose_pairs(
             raise ValueError("pushforward does not land on the target space")
         composed_gens[name] = pushed
     d_total = pushed_d + p_bc.d
-    composed = AsymptoticPair(RepresentedAlgebra(p_bc.space, composed_gens), d_total, p_bc.corner)
+    composed = AsymptoticPair(RepresentedAlgebra(p_bc.space, composed_gens), d_total)
 
     spec_total = Spectrum.of(d_total)
     spec_inner = Spectrum.of(pushed_d)

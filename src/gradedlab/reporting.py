@@ -56,8 +56,6 @@ def jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-_SCI_NUMBER = {"type": "string", "pattern": r"^-?(inf|nan|\d\.\d{12}e[+-]\d{2,3})$"}
-
 REPORT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "type": "object",
@@ -127,7 +125,7 @@ def emit_report(result, out_dir) -> list[Path]:
     }
     for name, profile in result.profiles:
         files[f"profile_{name}.csv"] = profile.csv_text()
-    for name, text in getattr(result, "tables", {}).items():
+    for name, text in result.tables.items():
         files[f"{name}.csv"] = text
 
     out = Path(out_dir)

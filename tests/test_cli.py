@@ -250,6 +250,37 @@ def test_load_config_validation(tmp_path):
         load_config(malformed_grid)
 
 
+@pytest.mark.parametrize(
+    "experiment, t_grid, expected",
+    [
+        ("expfactor", {"points": 12}, (10.0, 1e3, 12)),
+        ("techlemma", {"points": 12}, (10.0, 1e3, 12)),
+        ("appendixB", {"start": 2.0}, (2.0, 1e3, 40)),
+    ],
+)
+def test_partial_t_grid_keeps_the_experiment_grid_defaults(tmp_path, experiment, t_grid, expected):
+    """A file's t_grid overrides the experiment's own grid key by key."""
+    loaded = load_config(write_config(tmp_path, experiment=experiment, t_grid=t_grid))
+    assert (loaded.t_start, loaded.t_stop, loaded.t_points) == expected
+
+
+def test_default_configs_resolve_per_experiment():
+    """Each experiment's departures from the ExperimentConfig field defaults."""
+    common = {"seed": 42, "trials": 1, "dims": [8], "t_grid": {"start": 1.0, "stop": 1e3, "points": 60},
+              "n_grid": [0.5, 1.0, 2.0, 4.0, 8.0, 16.0], "n_basis": 64, "coordinates": 1, "tolerances": {}}
+    departures = {
+        "commbound": {"trials": 200, "dims": [4, 8, 16]},
+        "expfactor": {"trials": 50, "t_grid": {"start": 10.0, "stop": 1e3, "points": 40}},
+        "techlemma": {"trials": 20, "t_grid": {"start": 10.0, "stop": 1e3, "points": 30}},
+        "compose": {"trials": 50},
+        "bott": {},
+        "perturb": {"trials": 10, "n_basis": 16},
+        "appendixB": {"trials": 500, "dims": [4, 8, 16], "t_grid": {"start": 1.0, "stop": 1e3, "points": 40}},
+    }
+    for name, changed in departures.items():
+        assert load_config(None, experiment=name).as_dict() == {"experiment": name, **common, **changed}
+
+
 def test_integral_numbers_are_accepted_for_integer_fields(tmp_path):
     config = write_config(tmp_path, experiment="bott", seed=7.0, n_basis=12.0, t_grid={"points": 12.0})
     loaded = load_config(config)

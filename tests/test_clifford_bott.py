@@ -5,9 +5,10 @@ import pytest
 
 from gradedlab import (
     AsymptoticPair,
+    GradedMatrix,
     OddSelfAdjoint,
     RepresentedAlgebra,
-    apply_function,
+    Spectrum,
     bott_dirac,
     dc_commutator_check,
     graded_commutator,
@@ -212,7 +213,7 @@ def test_bott_pairs_validate():
     scalar_pair = AsymptoticPair(
         RepresentedAlgebra(ops.space, {"unit": identity(ops.space)}), ops.clifford_mult
     )
-    assert set(fitted_exponents(validate_pair(scalar_pair, GRID).profiles)) == {-math.inf}
+    assert set(fitted_exponents(validate_pair(scalar_pair, GRID))) == {-math.inf}
     mult_pair = AsymptoticPair(
         RepresentedAlgebra(ops.space, multiplication_generators(model)), ops.dirac
     )
@@ -229,7 +230,7 @@ def test_bott_pair_certificate_records_the_worst_exponent():
     mult_pair = AsymptoticPair(
         RepresentedAlgebra(ops.space, multiplication_generators(model)), ops.dirac
     )
-    exponents = fitted_exponents(validate_pair(mult_pair, cfg.t_grid()).profiles)
+    exponents = fitted_exponents(validate_pair(mult_pair, cfg.t_grid()))
     cert = certs["bott_pair[multiplication]"]
     assert cert.lhs == max(exponents) and cert.rhs == COMMUTATION_EXPONENT_THRESHOLD
     assert cert.passed
@@ -303,7 +304,7 @@ def test_perturbation_pauli_scalar_expansion():
     scaled resolvent is (1 + t^-2)^(-1) on both eigenvalues."""
     b = identity(TWO)
     for t in (10.0, 100.0, 1000.0):
-        moved = apply_function(SX, CAYLEY, 1.0 / t)
+        moved = GradedMatrix(TWO, Spectrum.of(SX).apply(CAYLEY, 1.0 / t))
         defect = operator_norm(moved @ b - b)
         assert defect <= (1.0 / t**2) * operator_norm(b) + 1e-15
 

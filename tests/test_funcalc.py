@@ -9,10 +9,7 @@ from gradedlab import (
     NAMED_FUNCTIONS,
     OddSelfAdjoint,
     Spectrum,
-    apply_function,
-    bounded_transform,
     bounded_transform_function,
-    cutoff_function,
     graded_commutator,
     identity,
     operator_norm,
@@ -42,20 +39,17 @@ def test_named_sup_norms_match_dense_scan():
     assert abs(observed - 1.5) <= 1e-6
 
 
-def test_cutoff_shape():
-    chi = cutoff_function(2.0)
-    assert np.all(chi(np.linspace(-2, 2, 101)) == 1.0)
-    assert np.all(chi(np.array([4.0, -4.0, 7.0])) == 0.0)
-    mid = chi(np.array([3.0]))[0]
-    assert 0.0 < mid < 1.0
+def bounded_transform(d, n_scale) -> np.ndarray:
+    """D_N = i_N(D) with i_N(x) = x (1 + x^2/N^2)^(-1), through the spectrum of D."""
+    return Spectrum.of(d).apply(bounded_transform_function(n_scale))
 
 
 def test_apply_function_identity_cases():
     d0 = OddSelfAdjoint(zeros(TWO))
-    assert max_abs(apply_function(d0, GAUSS0) - identity(TWO)) <= 1e-15
+    assert max_abs(Spectrum.of(d0).apply(GAUSS0) - np.eye(2)) <= 1e-15
     # sigma_x squares to 1, so the heat value is e^{-1} on both eigenvalues
-    heat = apply_function(SX, GAUSS0)
-    assert max_abs(heat - math.exp(-1.0) * identity(TWO)) <= 1e-14
+    heat = Spectrum.of(SX).apply(GAUSS0)
+    assert max_abs(heat - math.exp(-1.0) * np.eye(2)) <= 1e-14
 
 
 def test_resolvent_identity():
@@ -63,8 +57,8 @@ def test_resolvent_identity():
     for _ in range(10):
         space = balanced_space(8)
         d = random_odd_selfadjoint(rng, space)
-        resolvent = apply_function(d, RESOLVENT_PLUS)
-        product = resolvent.entries @ (d.mat + 1j * np.eye(8))
+        resolvent = Spectrum.of(d).apply(RESOLVENT_PLUS)
+        product = resolvent @ (d.mat + 1j * np.eye(8))
         assert np.abs(product - np.eye(8)).max() <= 1e-10 * max(1.0, operator_norm(d))
 
 
@@ -72,12 +66,12 @@ def test_functional_calculus_is_multiplicative():
     """f(D) g(D) = (fg)(D) for the named functions."""
     rng = rng_for(11)
     space = balanced_space(8)
-    d = random_odd_selfadjoint(rng, space)
+    spec = Spectrum.of(random_odd_selfadjoint(rng, space))
     for f in NAMED_FUNCTIONS:
         for g in NAMED_FUNCTIONS:
             product = ScalarFunction("fg", lambda x, _f=f, _g=g: _f(x) * _g(x))
-            lhs = apply_function(d, f) @ apply_function(d, g)
-            rhs = apply_function(d, product)
+            lhs = spec.apply(f) @ spec.apply(g)
+            rhs = spec.apply(product)
             scale = max(1.0, operator_norm(rhs))
             assert operator_norm(lhs - rhs) <= 1e-10 * scale
 
@@ -88,7 +82,7 @@ def test_contractivity():
         space = random_space(rng, 8)
         d = random_odd_selfadjoint(rng, space, norm=float(rng.uniform(0.5, 20.0)))
         for f in NAMED_FUNCTIONS:
-            assert operator_norm(apply_function(d, f)) <= f.sup_norm + 1e-10
+            assert operator_norm(Spectrum.of(d).apply(f)) <= f.sup_norm + 1e-10
 
 
 def test_grading_covariance():
@@ -99,9 +93,9 @@ def test_grading_covariance():
     for _ in range(5):
         d = random_odd_selfadjoint(rng, space)
         for f in NAMED_FUNCTIONS:
-            value = apply_function(d, f)
-            flipped = apply_function(-d, f)
-            assert np.abs(gamma @ value.entries @ gamma - flipped.entries).max() <= 1e-10
+            value = GradedMatrix(space, Spectrum.of(d).apply(f))
+            flipped = Spectrum.of(-d).apply(f)
+            assert np.abs(gamma @ value.entries @ gamma - flipped).max() <= 1e-10
             if f.parity is not None:
                 assert value.parity(1e-10) == f.parity
 
@@ -130,13 +124,13 @@ def test_degenerate_eigenvalues_are_basis_invariant():
 
 
 def test_bounded_transform_values():
-    assert max_abs(bounded_transform(OddSelfAdjoint(zeros(TWO)), 5.0).underlying) == 0.0
+    assert max_abs(bounded_transform(OddSelfAdjoint(zeros(TWO)), 5.0)) == 0.0
     half = bounded_transform(SX, 1.0)
-    assert max_abs(half.underlying - 0.5 * SIGMA_X) <= 1e-14
+    assert max_abs(half - 0.5 * SIGMA_X.entries) <= 1e-14
     with pytest.raises(ValueError):
-        bounded_transform(SX, 0.0)
+        bounded_transform_function(0.0)
     with pytest.raises(ValueError):
-        bounded_transform(SX, -2.0)
+        bounded_transform_function(-2.0)
 
 
 def test_bounded_transform_norm_bound():
@@ -150,9 +144,9 @@ def test_transform_heat_distance_decreasing_in_scale():
     """||gauss0(D_N) - gauss0(D)|| decreases over N in {1, 10, 100} at ||D|| = 10."""
     rng = rng_for(16)
     d = random_odd_selfadjoint(rng, balanced_space(8), norm=10.0)
-    target = apply_function(d, GAUSS0)
+    target = Spectrum.of(d).apply(GAUSS0)
     distances = [
-        operator_norm(apply_function(bounded_transform(d, n), GAUSS0) - target)
+        operator_norm(Spectrum.of(bounded_transform(d, n)).apply(GAUSS0) - target)
         for n in (1.0, 10.0, 100.0)
     ]
     assert distances[0] > distances[1] > distances[2]
@@ -163,10 +157,10 @@ def test_transform_convergence_monotone_and_small():
     rng = rng_for(17)
     d = random_odd_selfadjoint(rng, balanced_space(8), norm=1.0)
     for f in (GAUSS0, RESOLVENT_PLUS):
-        target = apply_function(d, f)
+        target = Spectrum.of(d).apply(f)
         scales = [1.0, 10.0, 100.0, 1e3, 1e4]
         distances = [
-            operator_norm(apply_function(bounded_transform(d, n), f) - target) for n in scales
+            operator_norm(Spectrum.of(bounded_transform(d, n)).apply(f) - target) for n in scales
         ]
         assert all(b <= a + 1e-15 for a, b in zip(distances, distances[1:]))
         assert distances[-1] <= 1e-8
@@ -174,7 +168,8 @@ def test_transform_convergence_monotone_and_small():
 
 def commutator_norms(d, t):
     """||[f(D), T]|| for the resolvent-type f = cayley and g, and ||[D, T]||."""
-    lhs = [operator_norm(graded_commutator(apply_function(d, f), t)) for f in (CAYLEY, MULTIPLIER_G)]
+    spec = Spectrum.of(d)
+    lhs = [operator_norm(graded_commutator(GradedMatrix(d.space, spec.apply(f)), t)) for f in (CAYLEY, MULTIPLIER_G)]
     return lhs, operator_norm(graded_commutator(d.underlying, t))
 
 

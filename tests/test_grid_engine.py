@@ -30,7 +30,6 @@ from gradedlab.funcalc import (
     STACK_ENTRIES,
     Spectrum,
     bounded_transform_function,
-    cutoff_function,
     grid_chunks,
     map_grid,
 )
@@ -56,7 +55,7 @@ from gradedlab.sampling import (
     rng_for,
 )
 
-GRID_FUNCTIONS = (*NAMED_FUNCTIONS, bounded_transform_function(3.0), cutoff_function(0.7))
+GRID_FUNCTIONS = (*NAMED_FUNCTIONS, bounded_transform_function(3.0))
 # 4 runs every grid in one stack; 34 needs 14-matrix chunks, so grids cross chunk boundaries
 TOY_DIMS = (4, 34)
 
@@ -247,7 +246,7 @@ def bott_pairs(n_basis=64):
 def test_validate_pair_matches_oracle(case, stack_rows):
     pair = bott_pairs()[1] if case == "bott" else operands(case)[1]
     grid = default_t_grid(points=24)
-    report = validate_pair(pair, grid)
+    profiles = validate_pair(pair, grid)
     spec = Spectrum.of(pair.d)
     for name, gen in pair.rep.generators.items():
         for f in PAIR_FUNCTIONS:
@@ -255,7 +254,7 @@ def test_validate_pair_matches_oracle(case, stack_rows):
                 operator_norm(graded_commutator(GradedMatrix(pair.space, spec.apply(f, 1.0 / float(t))), gen))
                 for t in grid
             ])
-            got = report.profiles[name][f.name].values
+            got = profiles[name][f.name].values
             resolved = want >= FIT_FLOOR
             # the loop's products carry about eps ||a|| absolute error: at
             # t = 1e3 its gauss0 values (~1e-6) are off by 4e-10 relative
@@ -305,7 +304,7 @@ def test_validate_pair_matches_mpmath():
     assert gen.parity() is None and not gen.is_hermitian()
     d = random_odd_selfadjoint(rng, space, norm=1.0)
     grid = default_t_grid(points=3)
-    profiles = validate_pair(AsymptoticPair(RepresentedAlgebra(space, {"a": gen}), d), grid).profiles["a"]
+    profiles = validate_pair(AsymptoticPair(RepresentedAlgebra(space, {"a": gen}), d), grid)["a"]
     for f in PAIR_FUNCTIONS:
         want = [mp_commutator_norm(f, d, gen, t) for t in grid]
         np.testing.assert_allclose(profiles[f.name].values, want, rtol=1e-12, atol=4 * np.finfo(float).eps)
@@ -315,7 +314,7 @@ def test_bott_scalar_pair_stays_below_the_fit_floor():
     """The unit generator commutes exactly, so validate_pair records exact
     zeros for it without measuring; the bott_pair[scalar] certificate needs
     them below FIT_FLOOR, fitting -inf."""
-    profiles = validate_pair(bott_pairs()[0], default_t_grid()).profiles["unit"]
+    profiles = validate_pair(bott_pairs()[0], default_t_grid())["unit"]
     assert max(p.values.max() for p in profiles.values()) == 0.0 < FIT_FLOOR
     assert all(p.fitted_exponent == -np.inf for p in profiles.values())
 

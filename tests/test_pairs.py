@@ -1,3 +1,6 @@
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
@@ -8,10 +11,8 @@ from gradedlab import (
     OddSelfAdjoint,
     RepresentedAlgebra,
     Spectrum,
-    apply_function,
     compose_pairs,
     conjugate_by_grading,
-    cutoff_function,
     default_t_grid,
     direct_sum,
     factorization_defect_profiles,
@@ -23,9 +24,8 @@ from gradedlab import (
     validate_pair,
     zeros,
 )
-from gradedlab.funcalc import GAUSS0, GAUSS1, PAIR_FUNCTIONS
-from gradedlab.graded import operator_norms
-from gradedlab.pairs import COMPOSE_EXPONENT_THRESHOLD, DecayProfile
+from gradedlab.funcalc import GAUSS0, GAUSS1
+from gradedlab.pairs import COMMUTATION_EXPONENT_THRESHOLD, COMPOSE_EXPONENT_THRESHOLD, DecayProfile
 from gradedlab.sampling import (
     balanced_space,
     random_even,
@@ -35,7 +35,7 @@ from gradedlab.sampling import (
     rng_for,
 )
 
-from helpers import SIGMA_X, SIGMA_Y, SIGMA_Z, SX, SY, TWO, commutes_asymptotically, composes, within_containment
+from helpers import SIGMA_X, SIGMA_Y, SIGMA_Z, SX, SY, TWO, commutes_asymptotically, composes
 
 GRID = default_t_grid(points=24)
 
@@ -45,9 +45,7 @@ def two_block_pair():
     space = GradedSpace((0, 1, 0, 1))
     gen = direct_sum(identity(TWO), zeros(TWO))
     d = OddSelfAdjoint(direct_sum(SIGMA_X, zeros(TWO)))
-    corner = GradedMatrix(space, np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex))
-    rep = RepresentedAlgebra(space, {"unit_top": gen})
-    return AsymptoticPair(rep, d, corner)
+    return AsymptoticPair(RepresentedAlgebra(space, {"unit_top": gen}), d)
 
 
 def norm_profile(family):
@@ -62,22 +60,20 @@ def test_decay_profile_zero_family():
     profile = norm_profile(lambda t: zeros(TWO))
     assert np.all(profile.values == 0.0)
     assert profile.fitted_exponent == float("-inf")
-    assert profile.fitted_constant == 0.0
 
 
 def test_decay_profile_exact_power_law():
     profile = norm_profile(lambda t: (t**-2.0) * identity(TWO))
     assert abs(profile.fitted_exponent + 2.0) <= 1e-6
-    assert abs(profile.fitted_constant - 1.0) <= 1e-6
 
 
 def test_decay_profile_random_commutator_family():
     """Heat commutators of a random pair decay at the resolvent rate."""
     rng = rng_for(30)
     space = balanced_space(8)
-    d = random_odd_selfadjoint(rng, space)
+    spec = Spectrum.of(random_odd_selfadjoint(rng, space))
     spec_t = random_even(rng, space)
-    profile = norm_profile(lambda t: graded_commutator(apply_function(d, GAUSS0, 1.0 / t), spec_t))
+    profile = norm_profile(lambda t: graded_commutator(GradedMatrix(space, spec.apply(GAUSS0, 1.0 / t)), spec_t))
     assert profile.fitted_exponent <= -0.75
 
 
@@ -123,9 +119,7 @@ def test_validate_pair_identity_generator():
     space = balanced_space(6)
     rep = RepresentedAlgebra(space, {"unit": identity(space)})
     pair = AsymptoticPair(rep, random_odd_selfadjoint(rng, space))
-    report = validate_pair(pair, GRID)
-    assert commutes_asymptotically(report)
-    assert report.containment == {"unit": {}}  # no corner, nothing measured
+    assert commutes_asymptotically(validate_pair(pair, GRID))
 
 
 def test_validate_pair_pauli_closed_form():
@@ -133,12 +127,12 @@ def test_validate_pair_pauli_closed_form():
     exactly 2 t^-1 e^(-1/t^2)."""
     rep = RepresentedAlgebra(TWO, {"z": SIGMA_Z})
     pair = AsymptoticPair(rep, SX)
-    report = validate_pair(pair, GRID)
-    profile = report.profiles["z"][GAUSS1.name]
+    profiles = validate_pair(pair, GRID)
+    profile = profiles["z"][GAUSS1.name]
     expected = 2.0 / GRID * np.exp(-1.0 / GRID**2)
     np.testing.assert_allclose(profile.values, expected, rtol=1e-10)
     assert abs(profile.fitted_exponent + 1.0) <= 0.01
-    assert commutes_asymptotically(report)
+    assert commutes_asymptotically(profiles)
 
 
 def test_validate_pair_space_mismatch():
@@ -149,15 +143,7 @@ def test_validate_pair_space_mismatch():
 
 
 def test_validate_pair_block_corner():
-    report = validate_pair(two_block_pair(), GRID)
-    assert within_containment(report)
-    assert commutes_asymptotically(report)
-
-
-def test_corner_requires_projection():
-    bad = GradedMatrix(TWO, np.array([[0.5, 0], [0, 0]], dtype=complex))
-    with pytest.raises(ValueError):
-        AsymptoticPair(RepresentedAlgebra(TWO, {"z": SIGMA_Z}), SX, bad)
+    assert commutes_asymptotically(validate_pair(two_block_pair(), GRID))
 
 
 # -- group structure: block sums and the opposite pair ----------------------
@@ -185,8 +171,8 @@ def test_pair_sum_with_zero_pair_keeps_profiles():
         RepresentedAlgebra(space, {"a": zeros(space)}), OddSelfAdjoint(zeros(space))
     )
     total = block_sum(pair, zero_pair)
-    rep_a = validate_pair(pair, GRID).profiles["a"]
-    rep_total = validate_pair(total, GRID).profiles["a"]
+    rep_a = validate_pair(pair, GRID)["a"]
+    rep_total = validate_pair(total, GRID)["a"]
     for fn in rep_a:
         np.testing.assert_allclose(rep_total[fn].values, rep_a[fn].values, atol=1e-12)
 
@@ -203,9 +189,9 @@ def test_pair_sum_profile_is_pointwise_max():
         RepresentedAlgebra(space, {"a": random_even(rng, space, norm=1.0)}),
         random_odd_selfadjoint(rng, space, norm=1.0),
     )
-    vp = validate_pair(p, GRID).profiles["a"]
-    vq = validate_pair(q, GRID).profiles["a"]
-    vt = validate_pair(block_sum(p, q), GRID).profiles["a"]
+    vp = validate_pair(p, GRID)["a"]
+    vq = validate_pair(q, GRID)["a"]
+    vt = validate_pair(block_sum(p, q), GRID)["a"]
     for fn in vp:
         expected = np.maximum(vp[fn].values, vq[fn].values)
         np.testing.assert_allclose(vt[fn].values, expected, atol=1e-11)
@@ -217,8 +203,8 @@ def test_pair_inverse_preserves_profiles():
     space = balanced_space(6)
     gens = {"a": random_even(rng, space), "b": random_odd(rng, space)}
     pair = AsymptoticPair(RepresentedAlgebra(space, gens), random_odd_selfadjoint(rng, space))
-    direct = validate_pair(pair, GRID).profiles
-    flipped = validate_pair(opposite(pair), GRID).profiles
+    direct = validate_pair(pair, GRID)
+    flipped = validate_pair(opposite(pair), GRID)
     for name in gens:
         for fn in direct[name]:
             np.testing.assert_allclose(
@@ -233,8 +219,8 @@ def test_sum_with_inverse_preserves_profiles():
     gens = {"a": random_odd(rng, space, norm=1.0)}
     pair = AsymptoticPair(RepresentedAlgebra(space, gens), random_odd_selfadjoint(rng, space))
     doubled = block_sum(pair, opposite(pair))
-    vp = validate_pair(pair, GRID).profiles["a"]
-    vd = validate_pair(doubled, GRID).profiles["a"]
+    vp = validate_pair(pair, GRID)["a"]
+    vd = validate_pair(doubled, GRID)["a"]
     for fn in vp:
         np.testing.assert_allclose(vd[fn].values, vp[fn].values, atol=1e-11)
 
@@ -435,39 +421,7 @@ def test_comultiplication_random():
     assert odd_prof.values.max() <= 1e-10
 
 
-# -- corner membership -------------------------------------------------------------
-
-
-def test_corner_membership_full_projection():
-    rng = rng_for(47)
-    space = balanced_space(4)
-    pair = AsymptoticPair(
-        RepresentedAlgebra(space, {"a": random_even(rng, space)}),
-        random_odd_selfadjoint(rng, space),
-        identity(space),
-    )
-    report = validate_pair(pair, GRID)
-    assert within_containment(report)
-    assert all(v <= 1e-12 for per in report.containment.values() for v in per.values())
-
-
-def test_corner_membership_cutoff_identity_is_exact():
-    """chi(t^-1 D) f(D) phi(a) = f(D) phi(a) for every t >= 1 when the
-    plateau radius of the cutoff chi covers ||D||."""
-    pair = two_block_pair()
-    spec = Spectrum.of(pair.d)
-    cut = spec.apply_grid(cutoff_function(max(operator_norm(pair.d), 1.0)), 1.0 / GRID)
-    for f in (GAUSS0, GAUSS1):
-        target = spec.apply(f) @ pair.rep.generators["unit_top"].entries
-        assert operator_norms(cut @ target - target).max() <= 1e-12
-
-
-def test_corner_membership_block_mass_zero():
-    report = validate_pair(two_block_pair(), GRID)
-    assert set(report.containment["unit_top"]) == {f.name for f in PAIR_FUNCTIONS}
-    for per in report.containment.values():
-        for value in per.values():
-            assert value <= 1e-12
+# -- determinism -------------------------------------------------------------------
 
 
 def test_profile_points_parallelize_deterministically():
@@ -477,13 +431,25 @@ def test_profile_points_parallelize_deterministically():
 
     rng = rng_for(53)
     space = balanced_space(8)
-    d = random_odd_selfadjoint(rng, space)
+    spec = Spectrum.of(random_odd_selfadjoint(rng, space))
     a = random_even(rng, space)
 
-    def point(t):
-        return operator_norm(graded_commutator(apply_function(d, GAUSS0, 1.0 / t), a))
+    def commutator(t):
+        return graded_commutator(GradedMatrix(space, spec.apply(GAUSS0, 1.0 / t)), a)
 
-    serial = norm_profile(lambda t: graded_commutator(apply_function(d, GAUSS0, 1.0 / t), a))
+    def point(t):
+        return operator_norm(commutator(t))
+
+    serial = norm_profile(commutator)
     with ThreadPoolExecutor(max_workers=4) as pool:
         threaded = list(pool.map(point, GRID))
     np.testing.assert_array_equal(np.asarray(threaded), serial.values)
+
+
+def test_readme_library_example_runs(capsys):
+    """The README's python block runs as printed and its pair commutes."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    (example,) = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    exec(compile(example, str(readme), "exec"), {})
+    exponent, commutes = capsys.readouterr().out.split()
+    assert float(exponent) <= COMMUTATION_EXPONENT_THRESHOLD and commutes == "True"

@@ -177,7 +177,7 @@ def test_two_coordinate_spectrum_matches_ladder_oracle():
 
 def test_real_pair_reuses_resolvent_plus(measured):
     _, pair = bott_pair()
-    profiles = validate_pair(pair, GRID).profiles
+    profiles = validate_pair(pair, GRID)
     assert "resolvent-" not in measured
     for per_fn in profiles.values():
         assert list(per_fn) == [f.name for f in PAIR_FUNCTIONS]
@@ -190,9 +190,9 @@ def test_complex_copy_measures_the_same_profiles(measured):
     on its own; every profile matches the real pair's to 1e-10 relative, up
     to the 4 eps ||a|| absolute roundoff of the commutators."""
     _, pair = bott_pair()
-    real = validate_pair(pair, GRID).profiles
+    real = validate_pair(pair, GRID)
     assert "resolvent-" not in measured
-    cplx = validate_pair(complex_copy(pair), GRID).profiles
+    cplx = validate_pair(complex_copy(pair), GRID)
     assert "resolvent-" in measured
     for name, gen in pair.rep.generators.items():
         roundoff = 4 * np.finfo(float).eps * operator_norm(gen)
@@ -206,10 +206,10 @@ def test_complex_copy_measures_the_same_profiles(measured):
 def test_scalar_generator_is_exactly_zero(scalar, measured):
     _, pair = bott_pair()
     unit = identity(pair.space) * scalar
-    report = validate_pair(AsymptoticPair(RepresentedAlgebra(pair.space, {"c": unit}), pair.d), GRID)
+    profiles = validate_pair(AsymptoticPair(RepresentedAlgebra(pair.space, {"c": unit}), pair.d), GRID)
     assert measured == []
     for f in PAIR_FUNCTIONS:
-        profile = report.profiles["c"][f.name]
+        profile = profiles["c"][f.name]
         assert np.array_equal(profile.values, np.zeros(GRID.size))
         assert profile.fitted_exponent == -np.inf
 
@@ -221,7 +221,7 @@ def test_nearly_scalar_generator_is_measured(measured):
     entries = np.eye(pair.space.dim)
     entries[0, 1] = entries[1, 0] = 1e-9
     gen = GradedMatrix(pair.space, entries)
-    report = validate_pair(AsymptoticPair(RepresentedAlgebra(pair.space, {"a": gen}), pair.d), GRID)
+    profiles = validate_pair(AsymptoticPair(RepresentedAlgebra(pair.space, {"a": gen}), pair.d), GRID)
     assert set(measured) == {"gauss0", "gauss1", "resolvent+"}
-    values = report.profiles["a"]["gauss1"].values
+    values = profiles["a"]["gauss1"].values
     assert 0.0 < values.max() < 1e-8
