@@ -4,6 +4,12 @@ Each check measures a left-hand norm and an analytic right-hand bound
 and wraps them in a BoundCertificate; pass means the margin rhs - lhs
 is no worse than -1e-10.  Randomized suites derive one certificate per
 trial with a recorded seed so failures are reproducible.
+
+The exponential checks take (k, d, d) stacks, and a one-pair check is a
+one-matrix stack; each stacked result equals its one-matrix evaluation
+bit for bit.  transform_commutator_check works on the parity blocks of
+the two odd transforms and equals the full-matrix evaluation up to
+roundoff, not bit for bit.
 """
 
 from __future__ import annotations
@@ -15,14 +21,17 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .funcalc import RESOLVENT_PLUS, Spectrum, bounded_transform_function, map_grid
+from .funcalc import RESOLVENT_PLUS, Spectrum, _adjoint, bounded_transform_function, map_grid
 from .graded import (
     GradedMatrix,
+    GradedSpace,
     OddSelfAdjoint,
     VALIDATION_TOL,
     graded_commutator,
+    graded_commutators,
     operator_norm,
     operator_norms,
+    parity_parts,
 )
 from .pairs import DecayProfile, checked_t_grid
 
@@ -31,9 +40,12 @@ __all__ = [
     "MONOTONE_SLACK",
     "BoundCertificate",
     "matrix_exp",
+    "matrix_exps",
+    "exp_shift_bounds",
     "exp_shift_bound_check",
     "exp_product_series_terms",
     "exp_product_series_bound",
+    "exp_product_bounds",
     "exp_product_bound_check",
     "exp_product_path_profiles",
     "transform_commutator_check",
@@ -76,34 +88,60 @@ class BoundCertificate:
         }
 
 
+def matrix_exps(stack: np.ndarray) -> np.ndarray:
+    """e^m for each matrix m of a (k, d, d) stack; eigendecomposition for
+    Hermitian m, scaling-and-squaring (Pade order 13) otherwise.  The
+    estimates quantify non-normal products e^x e^y, so the general path
+    is required.  The stacked LAPACK kernels and scipy's expm run each
+    matrix on its own, so every matrix equals its one-matrix stack bit for bit."""
+    each = (-2, -1)
+    scale = np.maximum(1.0, np.abs(stack).max(axis=each, initial=0.0))
+    hermitian = np.abs(stack - _adjoint(stack)).max(axis=each, initial=0.0) <= VALIDATION_TOL * scale
+    out = np.empty_like(stack)
+    if hermitian.any():
+        values, vectors = np.linalg.eigh(stack[hermitian])
+        out[hermitian] = (vectors * np.exp(values)[..., None, :]) @ _adjoint(vectors)
+    if not hermitian.all():
+        out[~hermitian] = scipy.linalg.expm(stack[~hermitian])
+    return out
+
+
 def matrix_exp(m: GradedMatrix) -> GradedMatrix:
-    """e^m; eigendecomposition for Hermitian input, scaling-and-squaring
-    (Pade order 13) otherwise.  The estimates quantify non-normal
-    products e^x e^y, so the general path is required."""
-    entries = m.entries
-    scale = max(1.0, float(np.abs(entries).max(initial=0.0)))
-    if np.abs(entries - entries.conj().T).max(initial=0.0) <= VALIDATION_TOL * scale:
-        values, vectors = np.linalg.eigh(entries)
-        out = (vectors * np.exp(values)[None, :]) @ vectors.conj().T
-    else:
-        out = scipy.linalg.expm(entries)
-    return GradedMatrix(m.space, out)
+    """e^m, as matrix_exps computes it."""
+    return GradedMatrix(m.space, matrix_exps(m.entries[None])[0])
 
 
-def _require_even(m: GradedMatrix, label: str) -> None:
-    if m.parity() != 0:
+def _require_even(space: GradedSpace, stack: np.ndarray, label: str) -> None:
+    """ValueError unless every matrix of the stack is even (GradedMatrix.parity() == 0)."""
+    each = (-2, -1)
+    scale = np.maximum(1.0, np.abs(stack).max(axis=each, initial=0.0))
+    odd = np.abs(parity_parts(space, stack)[1]).max(axis=each, initial=0.0)
+    if np.any(odd > VALIDATION_TOL * scale):
         raise ValueError(f"{label} must be an even matrix")
+
+
+def _pair_stacks(x: GradedMatrix, y: GradedMatrix) -> tuple[GradedSpace, np.ndarray, np.ndarray]:
+    """The space of x and y, and their entries as one-matrix stacks."""
+    if x.space != y.space:
+        raise ValueError("graded matrices live on different spaces")
+    return x.space, x.entries[None], y.entries[None]
+
+
+def exp_shift_bounds(space: GradedSpace, x: np.ndarray, y: np.ndarray) -> tuple[list[float], list[float]]:
+    """Left sides ||e^{x+y} - e^x|| and right sides ||y|| e^{2||x||} for each
+    pair of two (k, d, d) stacks of even matrices on space with ||y|| <= ||x||."""
+    _require_even(space, x, "x")
+    _require_even(space, y, "y")
+    nx, ny = operator_norms(x).tolist(), operator_norms(y).tolist()
+    if any(b > a + VALIDATION_TOL for a, b in zip(nx, ny)):
+        raise ValueError("shift bound requires ||y|| <= ||x||")
+    lhs = operator_norms(matrix_exps(x + y) - matrix_exps(x)).tolist()
+    return lhs, [b * math.exp(2.0 * a) for a, b in zip(nx, ny)]
 
 
 def exp_shift_bound_check(x: GradedMatrix, y: GradedMatrix, seed=None) -> BoundCertificate:
     """||e^{x+y} - e^x|| <= ||y|| e^{2||x||} for even x, y with ||y|| <= ||x||."""
-    _require_even(x, "x")
-    _require_even(y, "y")
-    nx, ny = operator_norm(x), operator_norm(y)
-    if ny > nx + VALIDATION_TOL:
-        raise ValueError("shift bound requires ||y|| <= ||x||")
-    lhs = operator_norm(matrix_exp(x + y) - matrix_exp(x))
-    rhs = ny * math.exp(2.0 * nx)
+    (lhs,), (rhs,) = exp_shift_bounds(*_pair_stacks(x, y))
     return BoundCertificate("exp_shift", lhs, rhs, seed)
 
 
@@ -142,13 +180,20 @@ def exp_product_series_bound(commutator_norm: float, m_bound: float) -> float:
     return total
 
 
+def exp_product_bounds(space: GradedSpace, x: np.ndarray, y: np.ndarray) -> tuple[list[float], list[float]]:
+    """Left sides ||e^{x+y} - e^x e^y|| and their swap-counting series bounds
+    for each pair of two (k, d, d) stacks of even matrices on space."""
+    _require_even(space, x, "x")
+    _require_even(space, y, "y")
+    lhs = operator_norms(matrix_exps(x + y) - matrix_exps(x) @ matrix_exps(y)).tolist()
+    comm = operator_norms(graded_commutators(space, x, y)).tolist()
+    nx, ny = operator_norms(x).tolist(), operator_norms(y).tolist()
+    return lhs, [exp_product_series_bound(c, max(a, b)) for c, a, b in zip(comm, nx, ny)]
+
+
 def exp_product_bound_check(x: GradedMatrix, y: GradedMatrix, seed=None) -> BoundCertificate:
     """||e^{x+y} - e^x e^y|| against the swap-counting series bound."""
-    _require_even(x, "x")
-    _require_even(y, "y")
-    lhs = operator_norm(matrix_exp(x + y) - matrix_exp(x) @ matrix_exp(y))
-    comm = operator_norm(graded_commutator(x, y))
-    rhs = exp_product_series_bound(comm, max(operator_norm(x), operator_norm(y)))
+    (lhs,), (rhs,) = exp_product_bounds(*_pair_stacks(x, y))
     return BoundCertificate("exp_product", lhs, rhs, seed)
 
 
@@ -162,15 +207,14 @@ def exp_product_path_profiles(
     which dominates the first at every t.
     """
     grid = checked_t_grid(t_grid)
-    lhs_values, rhs_values = [], []
-    for t in grid:
-        s = 1.0 / float(t) ** 2
-        x = GradedMatrix(d.space, -s * (d.mat @ d.mat))
-        y = GradedMatrix(d.space, -s * (d_prime.mat @ d_prime.mat))
-        cert = exp_product_bound_check(x, y)
-        lhs_values.append(cert.lhs)
-        rhs_values.append(cert.rhs)
-    return DecayProfile.from_values(grid, lhs_values), DecayProfile.from_values(grid, rhs_values)
+    squares = d.mat @ d.mat, d_prime.mat @ d_prime.mat
+
+    def bounds(ts):
+        s = (-1.0 / ts**2)[:, None, None]
+        return np.transpose(exp_product_bounds(d.space, s * squares[0], s * squares[1]))
+
+    lhs, rhs = map_grid(bounds, grid, d.space.dim).T
+    return DecayProfile.from_values(grid, lhs), DecayProfile.from_values(grid, rhs)
 
 
 def transform_commutator_check(
@@ -185,7 +229,8 @@ def transform_commutator_check(
     The scaled certificates check ||[(t^-1 D)_N, (t^-1 D')_N]|| against
     t^-2 ||[D, D']||, which forces uniform-in-N vanishing as t grows;
     only the worst grid point per N is recorded.  Both operators are
-    eigendecomposed once and every transform is evaluated spectrally.
+    eigendecomposed once, and only the parity block of each transform that
+    the anticommutator needs is synthesized.
     """
     if d.space != d_prime.space:
         raise ValueError("operators live on different spaces")
@@ -200,11 +245,22 @@ def transform_commutator_check(
     w_d = np.concatenate([spec_d.weights(f, scales) for f in transforms])
     w_dp = np.concatenate([spec_dp.weights(f, scales) for f in transforms])
 
+    # both transforms are odd Hermitian, so the graded commutator is the
+    # anticommutator, which is even: with A = a[e, o] and B = b[e, o] on the
+    # parity index sets e and o it is diag(A B* + B A*, A* B + B* A)
+    parity = np.asarray(d.space.parity)
+    e, o = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+    size = max(e.size, o.size)
+
     def odd_commutator_norms(rows):
-        # both transforms are odd Hermitian, so the graded commutator is
-        # the anticommutator, itself Hermitian
-        a, b = spec_d.synthesize(w_d[rows]), spec_dp.synthesize(w_dp[rows])
-        return np.abs(np.linalg.eigvalsh(a @ b + b @ a)).max(axis=-1)
+        a, b = spec_d.synthesize_block(w_d[rows], e, o), spec_dp.synthesize_block(w_dp[rows], e, o)
+        upper, lower = a @ _adjoint(b), _adjoint(a) @ b
+        # one eigvalsh over both Hermitian blocks; zero padding to a common
+        # size only adds zero eigenvalues
+        blocks = np.zeros((2, len(rows), size, size), dtype=upper.dtype)
+        blocks[0, :, : e.size, : e.size] = upper + _adjoint(upper)
+        blocks[1, :, : o.size, : o.size] = lower + _adjoint(lower)
+        return np.abs(np.linalg.eigvalsh(blocks)).max(axis=(0, -1))
 
     lhs = map_grid(odd_commutator_norms, np.arange(len(w_d)), d.space.dim).reshape(len(transforms), -1)
     certificates = [

@@ -30,13 +30,15 @@ from .estimates import (
     MONOTONE_SLACK,
     BoundCertificate,
     exp_product_bound_check,
+    exp_product_bounds,
     exp_product_path_profiles,
     exp_product_series_terms,
-    exp_shift_bound_check,
+    exp_shift_bounds,
     matrix_exp,
     transform_commutator_check,
     transform_sum_sweep,
 )
+from .funcalc import grid_chunks
 from .graded import (
     GradedMatrix,
     GradedSpace,
@@ -45,6 +47,7 @@ from .graded import (
     graded_tensor,
     identity,
     operator_norm,
+    operator_norms,
     zeros,
 )
 from .pairs import (
@@ -61,10 +64,12 @@ from .pairs import (
 )
 from .sampling import (
     balanced_space,
+    even_gaussian,
     random_even,
     random_even_unitary,
     random_odd,
     random_odd_selfadjoint,
+    rescale,
     rng_for,
     trial_seed,
 )
@@ -215,6 +220,13 @@ def _number(value) -> float:
     return float(value)
 
 
+def _path(value) -> str:
+    """value as an output directory; anything but a non-empty string is a ConfigError."""
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"expected a non-empty path string, got {value!r}")
+    return value
+
+
 def _integer(value) -> int:
     """value as an int; a non-number or a non-integral number is a ConfigError."""
     if not _number(value).is_integer():
@@ -232,7 +244,7 @@ _PARSERS = {
     "n_basis": _integer,
     "coordinates": _integer,
     "tolerances": dict,
-    "out": lambda v: v,
+    "out": _path,
 }
 _GRID_PARSERS = {"start": _number, "stop": _number, "points": _integer}
 
@@ -645,16 +657,8 @@ def run_appendix_b(cfg: ExperimentConfig) -> ExperimentResult:
         "series_ratio": "the series bound converges (two-step term ratios fall below 1/2)",
         "exp_selftest": "||e^x e^(-x) - 1|| stays at rounding level for ||x|| <= 5",
     }
-    certs: list[BoundCertificate] = []
+    certs = _exp_trial_certs(cfg)
     profiles: list[tuple[str, DecayProfile]] = []
-    for i, seed, rng, space in _trials(cfg):
-        x = random_even(rng, space, norm=3.0 * float(rng.uniform(0.1, 1.0)))
-        y = random_even(rng, space, norm=operator_norm(x) * float(rng.uniform(0.0, 1.0)))
-        cert = exp_shift_bound_check(x, y, seed=list(seed))
-        certs.append(cert)
-        x1 = random_even(rng, space, norm=float(rng.uniform(0.05, 1.0)))
-        y1 = random_even(rng, space, norm=float(rng.uniform(0.05, 1.0)))
-        certs.append(exp_product_bound_check(x1, y1, seed=list(seed)))
 
     rng = rng_for(trial_seed(cfg.seed, 20_000))
     space = balanced_space(cfg.dims[0])
@@ -685,6 +689,42 @@ def run_appendix_b(cfg: ExperimentConfig) -> ExperimentResult:
         lhs = operator_norm(matrix_exp(x) @ matrix_exp(-1.0 * x) - identity(space))
         certs.append(BoundCertificate(f"exp_selftest[{i}]", lhs, 1e-12, list(seed)))
     return _result(cfg, claims, certs, profiles)
+
+
+def _exp_trial_draws(rng, space: GradedSpace) -> list:
+    """One appendixB trial's draws, in the order its rng makes them: for each
+    of x, y, x1 and y1 a uniform norm factor, then the unscaled even entries."""
+    draws = []
+    for low in (0.1, 0.0, 0.05, 0.05):
+        draws += [float(rng.uniform(low, 1.0)), even_gaussian(rng, space)]
+    return draws
+
+
+def _exp_trial_certs(cfg: ExperimentConfig) -> list[BoundCertificate]:
+    """The exp_shift and exp_product certificates of every appendixB trial, in
+    trial order.  From its norm factors u1 .. u4 a trial takes ||x|| = 3 u1,
+    ||y|| = ||x|| u2, ||x1|| = u3 and ||y1|| = u4.  The trials of one
+    dimension run as stacks, in blocks whose four operand stacks hold at most
+    STACK_ENTRIES entries; each certificate equals its one-trial evaluation
+    bit for bit."""
+    certs: list = [None] * (2 * cfg.trials)
+    for dim in dict.fromkeys(cfg.dims):
+        space = balanced_space(dim)
+        trials = [i for i in range(cfg.trials) if cfg.dims[i % len(cfg.dims)] == dim]
+        # four d x d operands per trial hold as many entries as one 2d x 2d matrix
+        for block in grid_chunks(len(trials), 2 * dim):
+            indices = trials[block]
+            seeds = [trial_seed(cfg.seed, i) for i in indices]
+            draws = zip(*(_exp_trial_draws(rng_for(seed), space) for seed in seeds))
+            u1, g_x, u2, g_y, u3, g_x1, u4, g_y1 = (np.array(column) for column in draws)
+            x = rescale(g_x, 3.0 * u1)
+            y = rescale(g_y, operator_norms(x) * u2)
+            shift = zip(*exp_shift_bounds(space, x, y))
+            product = zip(*exp_product_bounds(space, rescale(g_x1, u3), rescale(g_y1, u4)))
+            for i, seed, (shift_lhs, shift_rhs), (product_lhs, product_rhs) in zip(indices, seeds, shift, product):
+                certs[2 * i] = BoundCertificate("exp_shift", shift_lhs, shift_rhs, list(seed))
+                certs[2 * i + 1] = BoundCertificate("exp_product", product_lhs, product_rhs, list(seed))
+    return certs
 
 
 _RUNNERS = {

@@ -14,6 +14,10 @@ computation on every matrix of a stack, so apply_grid stacks equal a
 point-by-point evaluation bit for bit.  Spectrum.commutators forms graded
 commutators [f(s D), a] in D's eigenbasis as Schur products, equal to the
 original-basis products up to roundoff, with no matrix product per scale.
+Spectrum.synthesize_block forms one block of f(s D) alone, such as the
+parity block that fixes an odd f(s D); it equals that block of the full
+synthesis up to roundoff, as BLAS may sum a product of another shape in
+another order.
 
 The named function table carries exact sup norms so contractivity can
 be certified without sampling.
@@ -157,7 +161,13 @@ class Spectrum:
     def synthesize(self, weights: np.ndarray) -> np.ndarray:
         """U diag(w) U* for each row w of weights (last axis: one weight per
         eigenvalue); leading axes of weights become stack axes."""
-        return (self.eigenvectors * weights[..., None, :]) @ _adjoint(self.eigenvectors)
+        return self.synthesize_block(weights, slice(None), slice(None))
+
+    def synthesize_block(self, weights: np.ndarray, rows, cols) -> np.ndarray:
+        """The (rows, cols) block U[rows] diag(w) U[cols]* of synthesize(weights),
+        for index arrays or slices rows and cols, without forming the rest."""
+        vectors = self.eigenvectors
+        return (vectors[..., rows, :] * weights[..., None, :]) @ _adjoint(vectors[..., cols, :])
 
     def weights(self, f: ScalarFunction, scales: np.ndarray) -> np.ndarray:
         """Rows f(s * eigenvalues), one per s in scales, in f's own dtype."""

@@ -34,7 +34,9 @@ __all__ = [
     "zeros",
     "gamma_matrix",
     "parity_decompose",
+    "parity_parts",
     "graded_commutator",
+    "graded_commutators",
     "graded_tensor",
     "direct_sum",
     "conjugate_by_grading",
@@ -192,7 +194,9 @@ class OddSelfAdjoint:
         return OddSelfAdjoint(-self.underlying)
 
 
-def _parity_parts(signs: np.ndarray, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def parity_parts(space: GradedSpace, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd parts of each matrix of a (..., d, d) stack of entries on space."""
+    signs = space.gamma_signs()
     conj = (signs[:, None] * entries) * signs[None, :]
     return (entries + conj) * 0.5, (entries - conj) * 0.5
 
@@ -202,7 +206,7 @@ def parity_decompose(m: GradedMatrix) -> tuple[GradedMatrix, GradedMatrix]:
 
     The even part commutes with gamma, the odd part anticommutes.
     """
-    even, odd = _parity_parts(m.space.gamma_signs(), m.entries)
+    even, odd = parity_parts(m.space, m.entries)
     return GradedMatrix(m.space, even), GradedMatrix(m.space, odd)
 
 
@@ -210,14 +214,19 @@ def graded_commutator(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     """[a, b] = ab - (-1)^(pa*pb) ba, extended bilinearly over parity parts."""
     if a.space != b.space:
         raise ValueError("graded commutator needs matrices on the same space")
-    signs = a.space.gamma_signs()
-    a0, a1 = _parity_parts(signs, a.entries)
-    b0, b1 = _parity_parts(signs, b.entries)
+    return GradedMatrix(a.space, graded_commutators(a.space, a.entries, b.entries))
+
+
+def graded_commutators(space: GradedSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entries of [a, b] for each pair of matrices of two (..., d, d) stacks
+    of entries on space; each equals graded_commutator bit for bit."""
+    a0, a1 = parity_parts(space, a)
+    b0, b1 = parity_parts(space, b)
     out = a0 @ b0 - b0 @ a0
     out += a0 @ b1 - b1 @ a0
     out += a1 @ b0 - b0 @ a1
     out += a1 @ b1 + b1 @ a1
-    return GradedMatrix(a.space, out)
+    return out
 
 
 def graded_tensor(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:

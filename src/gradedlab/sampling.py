@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graded import GradedMatrix, GradedSpace, OddSelfAdjoint, operator_norm
+from .graded import GradedMatrix, GradedSpace, OddSelfAdjoint, operator_norms
 
 __all__ = [
     "rng_for",
     "trial_seed",
     "balanced_space",
     "random_space",
+    "even_gaussian",
+    "rescale",
     "random_even",
     "random_odd",
     "random_hermitian_even",
@@ -60,23 +62,33 @@ def _parity_mask(space: GradedSpace, flip: bool) -> np.ndarray:
     return ~same if flip else same
 
 
-def _rescale(entries: np.ndarray, norm: float | None) -> np.ndarray:
+def rescale(entries: np.ndarray, norm) -> np.ndarray:
+    """entries scaled to operator norm `norm` (unchanged when norm is None).
+
+    A (k, d, d) stack takes k target norms, one per matrix, and each
+    matrix equals its own rescale bit for bit.
+    """
     if norm is None:
         return entries
-    current = operator_norm(entries)
-    if current == 0.0:
+    current = operator_norms(entries)
+    if np.any(current == 0.0):
         raise ValueError("cannot rescale a zero sample")
-    return entries * (norm / current)
+    return entries * (norm / current)[..., None, None]
+
+
+def even_gaussian(rng: np.random.Generator, space: GradedSpace) -> np.ndarray:
+    """The entries random_even draws before rescaling: complex Gaussian on
+    the parity-preserving positions, zero elsewhere."""
+    return _gaussian(rng, space.dim) * _parity_mask(space, flip=False)
 
 
 def random_even(rng, space: GradedSpace, norm: float | None = None) -> GradedMatrix:
-    entries = _gaussian(rng, space.dim) * _parity_mask(space, flip=False)
-    return GradedMatrix(space, _rescale(entries, norm))
+    return GradedMatrix(space, rescale(even_gaussian(rng, space), norm))
 
 
 def random_odd(rng, space: GradedSpace, norm: float | None = None) -> GradedMatrix:
     entries = _gaussian(rng, space.dim) * _parity_mask(space, flip=True)
-    return GradedMatrix(space, _rescale(entries, norm))
+    return GradedMatrix(space, rescale(entries, norm))
 
 
 def random_homogeneous(rng, space: GradedSpace, parity: int, norm: float | None = None) -> GradedMatrix:
@@ -85,12 +97,12 @@ def random_homogeneous(rng, space: GradedSpace, parity: int, norm: float | None 
 
 def random_hermitian_even(rng, space: GradedSpace, norm: float | None = None) -> GradedMatrix:
     m = random_even(rng, space).entries
-    return GradedMatrix(space, _rescale((m + m.conj().T) * 0.5, norm))
+    return GradedMatrix(space, rescale((m + m.conj().T) * 0.5, norm))
 
 
 def random_odd_selfadjoint(rng, space: GradedSpace, norm: float | None = None) -> OddSelfAdjoint:
     m = random_odd(rng, space).entries
-    return OddSelfAdjoint(GradedMatrix(space, _rescale((m + m.conj().T) * 0.5, norm)))
+    return OddSelfAdjoint(GradedMatrix(space, rescale((m + m.conj().T) * 0.5, norm)))
 
 
 def random_even_unitary(rng, space: GradedSpace) -> GradedMatrix:

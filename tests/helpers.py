@@ -1,6 +1,7 @@
 """Shared fixtures-by-hand for the test suite."""
 
 import numpy as np
+import scipy.linalg
 
 from gradedlab import GradedMatrix, GradedSpace, OddSelfAdjoint
 from gradedlab.pairs import COMMUTATION_EXPONENT_THRESHOLD, COMPOSE_EXPONENT_THRESHOLD
@@ -33,3 +34,12 @@ def commutes_asymptotically(profiles) -> bool:
 def composes(comp) -> bool:
     """Every composition-defect exponent reaches the threshold `lab` certifies."""
     return all(e <= COMPOSE_EXPONENT_THRESHOLD for e in fitted_exponents(comp.defect_profiles))
+
+
+def matrix_exp_oracle(entries):
+    """e^m one matrix at a time: eigh for Hermitian m, scipy's expm otherwise."""
+    scale = max(1.0, float(np.abs(entries).max(initial=0.0)))
+    if np.abs(entries - entries.conj().T).max(initial=0.0) <= 1e-12 * scale:
+        values, vectors = np.linalg.eigh(entries)
+        return (vectors * np.exp(values)[None, :]) @ vectors.conj().T
+    return scipy.linalg.expm(entries)

@@ -126,6 +126,8 @@ def test_invalid_grid_exits_3(tmp_path):
         ("commbound", {"n_grid": "12"}),
         ("commbound", {"dims": ["4", "8"]}),
         ("expfactor", {"t_grid": {"start": "10"}}),
+        ("appendixB", {"trials": 2, "dims": [4], "out": 5}),
+        ("appendixB", {"trials": 2, "dims": [4], "out": ""}),
     ],
     ids=[
         "empty-dims", "empty-n-grid", "non-numeric-tolerance", "nan-tolerance", "non-positive-kernel",
@@ -133,14 +135,17 @@ def test_invalid_grid_exits_3(tmp_path):
         "infinite-n-grid", "misspelt-keys", "unknown-key", "unknown-t-grid-key", "fractional-seed",
         "bool-trials", "fractional-dims", "fractional-n-basis", "bool-coordinates", "fractional-t-points",
         "misspelt-tolerance", "other-experiments-tolerance", "string-dims", "string-n-grid", "string-dims-entries",
-        "string-t-start",
+        "string-t-start", "numeric-out", "empty-out",
     ],
 )
-def test_malformed_config_exits_3_and_writes_nothing(tmp_path, experiment, fields):
+def test_malformed_config_exits_3_and_writes_nothing(tmp_path, monkeypatch, experiment, fields):
+    """A config whose own out is under test gets no --out flag, which would override it;
+    run from tmp_path, the default lab_results/<experiment> would show there."""
     config = write_config(tmp_path, experiment=experiment, **fields)
-    out = tmp_path / "out"
-    assert main(["--config", config, "--out", str(out)]) == 3
-    assert not out.exists()
+    monkeypatch.chdir(tmp_path)
+    flags = [] if "out" in fields else ["--out", str(tmp_path / "out")]
+    assert main(["--config", config, *flags]) == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 def test_oversized_dense_config_exits_3_and_writes_nothing(tmp_path):

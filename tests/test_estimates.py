@@ -17,12 +17,15 @@ from gradedlab import (
     zeros,
 )
 from gradedlab.estimates import (
+    BoundCertificate,
     exp_product_bound_check,
     exp_product_path_profiles,
     exp_product_series_bound,
     exp_product_series_terms,
     exp_shift_bound_check,
+    matrix_exps,
 )
+from gradedlab.experiments import ExperimentConfig, run_experiment
 from gradedlab.funcalc import Spectrum, bounded_transform_function
 from gradedlab.pairs import default_t_grid
 from gradedlab.sampling import (
@@ -31,9 +34,10 @@ from gradedlab.sampling import (
     random_hermitian_even,
     random_odd_selfadjoint,
     rng_for,
+    trial_seed,
 )
 
-from helpers import SIGMA_X, SIGMA_Y, SX, TWO
+from helpers import SIGMA_X, SIGMA_Y, SX, TWO, matrix_exp_oracle
 
 GRID = default_t_grid()
 # techlemma's default t grid
@@ -70,6 +74,19 @@ def test_matrix_exp_inverse_selftest():
         x = random_even(rng, space, norm=5.0 * float(rng.uniform(0.1, 1.0)))
         product = matrix_exp(x) @ matrix_exp(-1.0 * x)
         assert operator_norm(product - identity(space)) <= 1e-12
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_matrix_exps_dispatch_matrix_by_matrix(dtype):
+    """In a stack mixing Hermitian and non-Hermitian matrices each matrix
+    takes its own path, and equals its one-matrix evaluation bit for bit."""
+    rng = rng_for(66)
+    stack = rng.standard_normal((7, 8, 8)) + (1j * rng.standard_normal((7, 8, 8)) if dtype is complex else 0)
+    stack[::3] += stack[::3].conj().swapaxes(-1, -2)
+    got = matrix_exps(stack)
+    assert got.dtype == stack.dtype
+    for m, e in zip(stack, got):
+        assert np.array_equal(e, matrix_exp_oracle(m))
 
 
 # -- exponential shift bound -----------------------------------------------------
@@ -285,3 +302,45 @@ def test_sweep_grid_validation():
         transform_sum_sweep(SX, SX, SWEEP_GRID, n_grid=[])
     with pytest.raises(ValueError):
         transform_sum_sweep(SX, SX, t_grid=np.array([1.0]))
+
+
+# -- appendixB's trials ------------------------------------------------------------
+
+
+def appendix_b_trial_oracle(cfg):
+    """appendixB's exp_shift and exp_product certificates from a loop over
+    trials, each drawn with random_even and measured one matrix at a time."""
+    certs = []
+    for i in range(cfg.trials):
+        seed = trial_seed(cfg.seed, i)
+        rng = rng_for(seed)
+        space = balanced_space(cfg.dims[i % len(cfg.dims)])
+        x = random_even(rng, space, norm=3.0 * float(rng.uniform(0.1, 1.0)))
+        y = random_even(rng, space, norm=operator_norm(x) * float(rng.uniform(0.0, 1.0)))
+        assert x.parity() == y.parity() == 0
+        nx, ny = operator_norm(x), operator_norm(y)
+        lhs = operator_norm(matrix_exp_oracle((x + y).entries) - matrix_exp_oracle(x.entries))
+        certs.append(BoundCertificate("exp_shift", lhs, ny * math.exp(2.0 * nx), list(seed)))
+        x1 = random_even(rng, space, norm=float(rng.uniform(0.05, 1.0)))
+        y1 = random_even(rng, space, norm=float(rng.uniform(0.05, 1.0)))
+        product = matrix_exp_oracle(x1.entries) @ matrix_exp_oracle(y1.entries)
+        lhs = operator_norm(matrix_exp_oracle((x1 + y1).entries) - product)
+        comm = operator_norm(graded_commutator(x1, y1))
+        rhs = exp_product_series_bound(comm, max(operator_norm(x1), operator_norm(y1)))
+        certs.append(BoundCertificate("exp_product", lhs, rhs, list(seed)))
+    return certs
+
+
+@pytest.mark.parametrize("trials,dims", [(55, (4, 16, 8)), (37, (16, 4, 16))])
+def test_appendix_b_trials_equal_the_per_trial_loop(trials, dims):
+    """appendixB checks the trials of one dimension as stacks, in blocks of
+    STACK_ENTRIES // (4 d^2) trials (16 at d = 16); these trial counts leave
+    partial blocks, and a repeated dimension joins one group.  Every
+    certificate equals the per-trial loop bit for bit, in trial order."""
+    cfg = ExperimentConfig("appendixB", seed=5, trials=trials, dims=dims)
+    got = run_experiment(cfg).certificates[: 2 * trials]
+
+    def bits(certs):
+        return [(c.check, c.lhs.hex(), c.rhs.hex(), c.seed) for c in certs]
+
+    assert bits(got) == bits(appendix_b_trial_oracle(cfg))

@@ -3,10 +3,18 @@
 Spectrum.apply_grid evaluates f(s D) for a whole chunk of scales as one
 stack.  Every profile function routed through it must reproduce, bit for
 bit, the plain loops below, which call Spectrum.apply and operator_norm
-once per grid point.  validate_pair is the one profile that is not
-bit-identical: it forms each commutator in D's eigenbasis as a Schur
-product (Spectrum.commutators).  It matches its loop to 1e-10 relative
-up to the loop's own roundoff, and values below FIT_FLOOR stay below it.
+once per grid point.  Two profiles are not bit-identical.  validate_pair
+forms each commutator in D's eigenbasis as a Schur product
+(Spectrum.commutators); it matches its loop to 1e-10 relative up to the
+loop's own roundoff, and values below FIT_FLOOR stay below it.
+transform_commutator_check takes the anticommutator of the two odd
+transforms from their off-diagonal parity blocks (Spectrum.synthesize_block)
+and eigendecomposes its two diagonal blocks, not the full matrix; different
+products and a different eigensolve change the last bits, so it matches
+its full-matrix loop with equal check names and lhs to 1e-12 relative, and
+a 30-digit mpmath oracle to the same tolerance.  The exponentials of
+exp_product_path_profiles also run as stacks over the grid, and equal a
+per-point loop bit for bit.
 """
 
 import mpmath
@@ -16,6 +24,7 @@ import pytest
 from gradedlab.estimates import (
     BoundCertificate,
     exp_product_path_profiles,
+    exp_product_series_bound,
     transform_commutator_check,
     transform_sum_sweep,
 )
@@ -34,7 +43,16 @@ from gradedlab.funcalc import (
     map_grid,
 )
 from gradedlab.bott import bott_dirac, hermite_model, multiplication_generators, perturbation_check
-from gradedlab.graded import GradedMatrix, OddSelfAdjoint, graded_commutator, identity, operator_norm, zeros
+from gradedlab.graded import (
+    GradedMatrix,
+    GradedSpace,
+    OddSelfAdjoint,
+    graded_commutator,
+    graded_tensor,
+    identity,
+    operator_norm,
+    zeros,
+)
 from gradedlab.pairs import (
     FIT_FLOOR,
     AsymptoticPair,
@@ -52,8 +70,11 @@ from gradedlab.sampling import (
     random_even_unitary,
     random_odd,
     random_odd_selfadjoint,
+    random_space,
     rng_for,
 )
+
+from helpers import matrix_exp_oracle
 
 GRID_FUNCTIONS = (*NAMED_FUNCTIONS, bounded_transform_function(3.0))
 # 4 runs every grid in one stack; 34 needs 14-matrix chunks, so grids cross chunk boundaries
@@ -75,8 +96,8 @@ def operands(dim, seed=7):
 
 @pytest.fixture
 def stack_rows(monkeypatch):
-    """Record the length of every stack the engine synthesizes or forms
-    as commutators (1 for a single matrix)."""
+    """Record the length of every stack the engine synthesizes, in full or
+    by blocks, or forms as commutators (1 for a single matrix)."""
     rows = []
 
     def recording(method):
@@ -87,7 +108,7 @@ def stack_rows(monkeypatch):
 
         return wrapper
 
-    for name in ("synthesize", "commutators"):
+    for name in ("synthesize", "synthesize_block", "commutators"):
         monkeypatch.setattr(Spectrum, name, recording(getattr(Spectrum, name)))
     return rows
 
@@ -177,14 +198,75 @@ def factorization_oracle(d, d_prime, grid):
     return evens, odds
 
 
-@pytest.mark.parametrize("dim", TOY_DIMS)
-def test_transform_commutator_check_matches_oracle(dim, stack_rows):
-    _, pair, d_prime = operands(dim)
+def interleaved_operands(case):
+    """Odd D, D' on spaces whose parities interleave: a random_space pair,
+    or lifts to a graded_tensor product, with parities (0, 1, 0, 1, 1, 0, 1, 0)."""
+    rng = rng_for(11)
+    if case == "random-space":
+        space = random_space(rng, 10)
+        return random_odd_selfadjoint(rng, space), random_odd_selfadjoint(rng, space)
+    base, fiber = balanced_space(4), balanced_space(2)
+    d, d_prime, e = (random_odd_selfadjoint(rng, s) for s in (base, base, fiber))
+    lift = OddSelfAdjoint(graded_tensor(d.underlying, identity(fiber)))
+    lift_prime = OddSelfAdjoint(
+        graded_tensor(d_prime.underlying, identity(fiber)) + graded_tensor(identity(base), e.underlying)
+    )
+    return lift, lift_prime
+
+
+def assert_same_certificates(got, want):
+    """Equal check names, seeds and rhs; lhs to 1e-12 relative (the block
+    form's products and eigensolve differ from the full matrix's)."""
+    assert [(c.check, c.seed, c.rhs) for c in got] == [(c.check, c.seed, c.rhs) for c in want]
+    np.testing.assert_allclose([c.lhs for c in got], [c.lhs for c in want], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("case", [*TOY_DIMS, "random-space", "tensor-lift"])
+def test_transform_commutator_check_matches_oracle(case, stack_rows):
+    if case in TOY_DIMS:
+        _, pair, d_prime = operands(case)
+        d = pair.d
+    else:
+        d, d_prime = interleaved_operands(case)
+    if case == "tensor-lift":
+        assert d.space.parity == (0, 1, 0, 1, 1, 0, 1, 0)
     grid = default_t_grid(points=20)
     n_grid = (0.5, 2.0, 8.0)
-    got = transform_commutator_check(pair.d, d_prime, n_grid, grid, seed=[1, 2])
-    assert got == commbound_oracle(pair.d, d_prime, n_grid, grid, [1, 2])
-    assert within_cap(stack_rows, dim)
+    got = transform_commutator_check(d, d_prime, n_grid, grid, seed=[1, 2])
+    assert_same_certificates(got, commbound_oracle(d, d_prime, n_grid, grid, [1, 2]))
+    assert within_cap(stack_rows, d.space.dim)
+
+
+def mp_anticommutator_norm(d, d_prime, n, s):
+    """||{(s D)_N, (s D')_N}|| at 30 digits, from mpmath's eigh of D and D',
+    the full matrix products and the largest singular value."""
+    with mpmath.workdps(30):
+        n2 = mpmath.mpf(n) ** 2
+
+        def transform(m):
+            values, vectors = mpmath.eigh(mpmath.matrix(m.mat.tolist()))
+            weights = [s * v / (1 + (s * v) ** 2 / n2) for v in values]
+            return vectors * mpmath.diag(weights) * vectors.H
+
+        a, b = transform(d), transform(d_prime)
+        return float(max(mpmath.svd_c(a * b + b * a, compute_uv=False)))
+
+
+@pytest.mark.parametrize("case", ["balanced", "random-space"])
+def test_transform_commutator_check_matches_mpmath(case):
+    """A 30-digit oracle at d = 4, for every certificate (the scaled ones at
+    the grid point each names): 1e-12 relative."""
+    rng = rng_for(31)
+    space = balanced_space(4) if case == "balanced" else GradedSpace((0, 1, 1, 0))
+    d, d_prime = random_odd_selfadjoint(rng, space), random_odd_selfadjoint(rng, space)
+    grid = default_t_grid(points=4)
+    n_grid = (0.5, 4.0)
+    certs = transform_commutator_check(d, d_prime, n_grid, grid)
+    for n, cert in zip(n_grid, certs[: len(n_grid)]):
+        assert cert.lhs == pytest.approx(mp_anticommutator_norm(d, d_prime, n, mpmath.mpf(1)), rel=1e-12)
+    for n, cert in zip(n_grid, certs[len(n_grid) :]):
+        t = next(t for t in grid if cert.check == f"transform_commutator_scaled[N={n:g},t={t:.6g}]")
+        assert cert.lhs == pytest.approx(mp_anticommutator_norm(d, d_prime, n, 1 / mpmath.mpf(float(t))), rel=1e-12)
 
 
 def test_transform_commutator_check_keeps_the_first_worst_point():
@@ -357,6 +439,24 @@ def test_transform_sum_sweep_matches_oracle(dim, stack_rows):
     assert within_cap(stack_rows, dim)
     if dim == 34:
         assert max(stack_rows) == STACK_ENTRIES // (dim * dim)
+
+
+@pytest.mark.parametrize("dim", TOY_DIMS)
+def test_exp_product_path_profiles_match_oracle(dim):
+    """The path runs as stacks of t-grid points (at d = 34, chunks of 14)."""
+    _, pair, d_prime = operands(dim)
+    grid = default_t_grid(points=40)
+    lhs, rhs = exp_product_path_profiles(pair.d, d_prime, grid)
+    want_lhs, want_rhs = [], []
+    for t in grid:
+        s = 1.0 / float(t) ** 2
+        x, y = -s * (pair.d.mat @ pair.d.mat), -s * (d_prime.mat @ d_prime.mat)
+        product = matrix_exp_oracle(x) @ matrix_exp_oracle(y)
+        want_lhs.append(operator_norm(matrix_exp_oracle(x + y) - product))
+        comm = operator_norm(graded_commutator(GradedMatrix(pair.space, x), GradedMatrix(pair.space, y)))
+        want_rhs.append(exp_product_series_bound(comm, max(operator_norm(x), operator_norm(y))))
+    assert lhs.values.tolist() == want_lhs
+    assert rhs.values.tolist() == want_rhs
 
 
 # -- the t-grid contract ------------------------------------------------------------

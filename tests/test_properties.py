@@ -1,0 +1,128 @@
+"""Property tests on random parity patterns, the premises of the block kernels.
+
+Each example draws a root seed and a dimension 2..16; random_space then
+gives a random parity pattern, so the parity classes interleave.  The
+fixed derandomized profile makes tier-1 run the same examples every time.
+
+transform_commutator_check rests on three facts checked here: an odd f
+gives an odd f(D) (from gamma f(D) gamma = f(-D)); the anticommutator of
+two odd Hermitian matrices is even; and the norm of that even matrix is
+the largest of its two diagonal parity blocks' norms.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gradedlab.estimates import transform_commutator_check
+from gradedlab.funcalc import NAMED_FUNCTIONS, Spectrum, bounded_transform_function
+from gradedlab.graded import graded_commutator, graded_tensor, operator_norm
+from gradedlab.pairs import default_t_grid
+from gradedlab.sampling import random_homogeneous, random_odd_selfadjoint, random_space, rng_for
+
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None, max_examples=40)
+TIER1 = settings.get_profile("tier1")
+
+SEEDS = st.integers(0, 2**32 - 1)
+DIMS = st.integers(2, 16)
+FUNCTIONS = (*NAMED_FUNCTIONS, bounded_transform_function(2.0))
+
+
+def parity_sets(space):
+    parity = np.asarray(space.parity)
+    return np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+
+
+@TIER1
+@given(SEEDS, DIMS, st.floats(0.1, 20.0))
+def test_grading_covariance_on_random_parities(seed, dim, norm):
+    """gamma f(D) gamma = f(-D); odd f gives diagonal parity blocks, and
+    even f off-diagonal ones, at roundoff level."""
+    rng = rng_for(seed)
+    space = random_space(rng, dim)
+    d = random_odd_selfadjoint(rng, space, norm=norm)
+    signs = space.gamma_signs()
+    e, o = parity_sets(space)
+    for f in FUNCTIONS:
+        value = Spectrum.of(d).apply(f)
+        flipped = Spectrum.of(-d).apply(f)
+        roundoff = 1e-12 * max(1.0, np.abs(value).max())
+        assert np.abs(signs[:, None] * value * signs[None, :] - flipped).max() <= roundoff
+        if f.parity == 1:
+            assert max(np.abs(value[np.ix_(e, e)]).max(), np.abs(value[np.ix_(o, o)]).max()) <= roundoff
+        elif f.parity == 0:
+            assert np.abs(value[np.ix_(e, o)]).max() <= roundoff
+
+
+@TIER1
+@given(SEEDS, DIMS)
+def test_anticommutator_of_odd_hermitians_is_even(seed, dim):
+    """{a, b} has exactly zero off-diagonal parity blocks, and its norm is the
+    larger of its diagonal blocks' norms."""
+    rng = rng_for(seed)
+    space = random_space(rng, dim)
+    a, b = (random_odd_selfadjoint(rng, space).mat for _ in range(2))
+    anti = a @ b + b @ a
+    e, o = parity_sets(space)
+    assert np.all(anti[np.ix_(e, o)] == 0) and np.all(anti[np.ix_(o, e)] == 0)
+    blocks = max(operator_norm(anti[np.ix_(e, e)]), operator_norm(anti[np.ix_(o, o)]))
+    assert abs(blocks - operator_norm(anti)) <= 1e-12 * blocks
+
+
+@TIER1
+@given(SEEDS, DIMS)
+def test_transform_commutator_block_kernel_on_random_parities(seed, dim):
+    """The block kernel's lhs equals the full anticommutator's norm to 1e-12."""
+    rng = rng_for(seed)
+    space = random_space(rng, dim)
+    d, d_prime = random_odd_selfadjoint(rng, space), random_odd_selfadjoint(rng, space)
+    n = float(rng.uniform(0.5, 8.0))
+    (cert, _) = transform_commutator_check(d, d_prime, (n,), default_t_grid(points=2))
+    f = bounded_transform_function(n)
+    a, b = Spectrum.of(d).apply(f), Spectrum.of(d_prime).apply(f)
+    want = np.abs(np.linalg.eigvalsh(a @ b + b @ a)).max()
+    assert abs(cert.lhs - want) <= 1e-12 * want
+
+
+@TIER1
+@given(SEEDS, DIMS, st.floats(0.1, 20.0))
+def test_contractivity_on_random_parities(seed, dim, norm):
+    """||f(D)|| <= sup |f| for every function with a declared sup norm."""
+    rng = rng_for(seed)
+    d = random_odd_selfadjoint(rng, random_space(rng, dim), norm=norm)
+    for f in FUNCTIONS:
+        assert operator_norm(Spectrum.of(d).apply(f)) <= f.sup_norm * (1 + 1e-12)
+
+
+@TIER1
+@given(SEEDS, DIMS, st.tuples(*[st.integers(0, 1)] * 3))
+def test_super_jacobi(seed, dim, parities):
+    """(-1)^(pa pc) [a, [b, c]] + (-1)^(pb pa) [b, [c, a]] + (-1)^(pc pb) [c, [a, b]] = 0."""
+    rng = rng_for(seed)
+    space = random_space(rng, dim)
+    a, b, c = (random_homogeneous(rng, space, p) for p in parities)
+    pa, pb, pc = parities
+    total = (
+        (-1) ** (pa * pc) * graded_commutator(a, graded_commutator(b, c)).entries
+        + (-1) ** (pb * pa) * graded_commutator(b, graded_commutator(c, a)).entries
+        + (-1) ** (pc * pb) * graded_commutator(c, graded_commutator(a, b)).entries
+    )
+    scale = operator_norm(a) * operator_norm(b) * operator_norm(c)
+    assert np.abs(total).max() <= 1e-12 * scale
+
+
+@TIER1
+@given(SEEDS, st.integers(1, 4), st.integers(1, 4), st.tuples(*[st.integers(0, 1)] * 4))
+def test_graded_tensor_koszul_multiplicativity(seed, dim_a, dim_b, parities):
+    """(a (x) b)(c (x) d) = (-1)^(pb pc) (ac (x) bd) for homogeneous b, c, on
+    product spaces of dimension up to 16."""
+    rng = rng_for(seed)
+    left, right = random_space(rng, dim_a), random_space(rng, dim_b)
+    pa, pb, pc, pd = parities
+    a, c = random_homogeneous(rng, left, pa), random_homogeneous(rng, left, pc)
+    b, d = random_homogeneous(rng, right, pb), random_homogeneous(rng, right, pd)
+    product = graded_tensor(a, b) @ graded_tensor(c, d)
+    koszul = (-1) ** (pb * pc) * graded_tensor(a @ c, b @ d)
+    scale = operator_norm(a) * operator_norm(b) * operator_norm(c) * operator_norm(d)
+    assert np.abs(product.entries - koszul.entries).max() <= 1e-12 * max(scale, 1.0)
+    assert product.space == koszul.space
