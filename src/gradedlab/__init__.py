@@ -51,6 +51,7 @@ from .bott import (
     BottOperators,
     HermiteModel,
     bott_dirac,
+    bott_operator,
     dc_commutator_check,
     ground_vector,
     hermite_model,

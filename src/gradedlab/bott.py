@@ -55,6 +55,7 @@ __all__ = [
     "HermiteModel",
     "hermite_model",
     "BottOperators",
+    "bott_operator",
     "bott_dirac",
     "multiplication_generators",
     "spectrum_and_kernel",
@@ -141,8 +142,24 @@ def _lift(factor_spaces: Sequence[GradedSpace], position: int, m: GradedMatrix) 
     return out
 
 
+def bott_operator(model: HermiteModel) -> OddSelfAdjoint:
+    """B = sum_i lift_i(d_1 + c_1), the Bott-Dirac operator alone.
+
+    Every entry is an exact +-off, 2 off or 0 (the lifts have disjoint
+    supports), so B equals D + C of the separately assembled sums bit for bit.
+    """
+    parity, d1, c1, _, _ = _coordinate_pieces(model)
+    spaces = [parity] * model.n
+    b1 = d1.underlying + c1.underlying
+    total = _lift(spaces, 0, b1)
+    for i in range(1, model.n):
+        total = total + _lift(spaces, i, b1)
+    return OddSelfAdjoint(total)
+
+
 def bott_dirac(model: HermiteModel) -> BottOperators:
-    """Assemble D = sum_i d_i (x) e^_i, C = sum_i x_i (x) e_i and B = D + C."""
+    """Assemble D = sum_i d_i (x) e^_i, C = sum_i x_i (x) e_i and B = D + C
+    (B from bott_operator)."""
     parity, d1, c1, interior1, inv1 = _coordinate_pieces(model)
     n = model.n
     spaces = [parity] * n
@@ -156,14 +173,12 @@ def bott_dirac(model: HermiteModel) -> BottOperators:
     interior = interior1.copy()
     for _ in range(1, n):
         interior = np.kron(interior, interior1)
-    dirac = OddSelfAdjoint(d_total)
-    cliff = OddSelfAdjoint(c_total)
     return BottOperators(
         model,
         d_total.space,
-        dirac,
-        cliff,
-        dirac + cliff,
+        OddSelfAdjoint(d_total),
+        OddSelfAdjoint(c_total),
+        bott_operator(model),
         interior,
         inv_total,
     )
@@ -191,17 +206,28 @@ def multiplication_generators(model: HermiteModel) -> dict[str, GradedMatrix]:
 
 
 def spectrum_and_kernel(b: OddSelfAdjoint, tol: float) -> tuple[np.ndarray, int]:
-    """Sorted eigenvalues and the count of |lambda| < tol."""
-    if tol <= 0:
-        raise ValueError("kernel tolerance must be positive")
-    eigenvalues = np.linalg.eigvalsh(b.mat)
+    """Sorted eigenvalues of b's odd part and the count of |lambda| < tol.
+
+    In parity order the odd part is [[0, A], [A*, 0]] with A = b[e, o], so
+    its eigenvalues are +-sigma_i(A) and |#e - #o| exact zeros
+    (Jordan-Wielandt), all from one SVD of the #e x #o block.  For the
+    Bott models the same-parity blocks of b are exactly zero and the odd
+    part is b itself; in general Weyl's inequality puts each eigenvalue of
+    b within ||b_even|| of the one returned.
+    """
+    if not 0 < tol < np.inf:
+        raise ValueError("kernel tolerance must be positive and finite")
+    parity = np.asarray(b.space.parity)
+    e, o = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+    sigma = np.linalg.svd(b.mat[np.ix_(e, o)], compute_uv=False)
+    eigenvalues = np.sort(np.concatenate([-sigma, np.zeros(abs(e.size - o.size)), sigma]))
     kernel_dim = int(np.count_nonzero(np.abs(eigenvalues) < tol))
     return eigenvalues, kernel_dim
 
 
-def ground_vector(ops: BottOperators) -> np.ndarray:
-    """Gaussian ground state h_0 (x) 1 (x) ... of the assembled model."""
-    v = np.zeros(ops.space.dim)
+def ground_vector(b: OddSelfAdjoint) -> np.ndarray:
+    """Gaussian ground state h_0 (x) 1 (x) ... on b's space."""
+    v = np.zeros(b.space.dim)
     v[0] = 1.0
     return v
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .bott import (
     bott_dirac,
+    bott_operator,
     dc_commutator_check,
     ground_vector,
     hermite_model,
@@ -541,7 +542,7 @@ def run_bott(cfg: ExperimentConfig) -> ExperimentResult:
     certs.append(BoundCertificate("bott_kernel_dim", float(abs(kernel_dim - 1)), 0.0))
     certs.append(BoundCertificate("bott_lambda_min", float(magnitudes[0]), kernel_tol))
     certs.append(BoundCertificate("bott_gap", abs(float(magnitudes[1]) - math.sqrt(2.0)), gap_tol))
-    ground = ground_vector(ops)
+    ground = ground_vector(ops.bott)
     certs.append(BoundCertificate("bott_ground_residual", float(np.linalg.norm(ops.bott.mat @ ground)), 1e-10))
     dc = dc_commutator_check(ops)
     certs.append(BoundCertificate("bott_dc_involution", dc["interior_defect_vs_involution"], interior_tol))
@@ -557,14 +558,14 @@ def run_bott(cfg: ExperimentConfig) -> ExperimentResult:
     residuals = []
     for basis in (max(8, cfg.n_basis // 2), cfg.n_basis, 2 * cfg.n_basis):
         if basis == cfg.n_basis:
-            ops_b, mags = ops, magnitudes
+            b, mags = ops.bott, magnitudes
         else:
-            ops_b = bott_dirac(hermite_model(basis, cfg.coordinates))
-            mags = np.sort(np.abs(spectrum_and_kernel(ops_b.bott, kernel_tol)[0]))
+            b = bott_operator(hermite_model(basis, cfg.coordinates))
+            mags = np.sort(np.abs(spectrum_and_kernel(b, kernel_tol)[0]))
         residuals.append(
             (
                 basis,
-                float(np.linalg.norm(ops_b.bott.mat @ ground_vector(ops_b))),
+                float(np.linalg.norm(b.mat @ ground_vector(b))),
                 abs(float(mags[1]) - math.sqrt(2.0)),
             )
         )

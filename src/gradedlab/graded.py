@@ -170,10 +170,11 @@ class OddSelfAdjoint:
         m = self.underlying
         if not m.is_hermitian():
             raise ValueError("odd self-adjoint operator must be Hermitian")
-        signs = m.space.gamma_signs()
-        flipped = (signs[:, None] * m.entries) * signs[None, :]
+        # gamma m gamma + m is exactly 2 m on the same-parity entries and 0 elsewhere
+        parity = np.asarray(m.space.parity)
+        same = parity[:, None] == parity[None, :]
         scale = max(1.0, float(np.abs(m.entries).max(initial=0.0)))
-        if np.abs(flipped + m.entries).max(initial=0.0) > VALIDATION_TOL * scale:
+        if 2.0 * np.abs(m.entries[same]).max(initial=0.0) > VALIDATION_TOL * scale:
             raise ValueError("operator does not anticommute with the grading")
 
     @property

@@ -215,7 +215,7 @@ def _bott_measurements(n_basis: int):
     ops = bott_dirac(hermite_model(n_basis))
     eigenvalues, kernel_dim = spectrum_and_kernel(ops.bott, 1e-8)
     magnitudes = np.sort(np.abs(eigenvalues))
-    ground_residual = float(np.linalg.norm(ops.bott.mat @ ground_vector(ops)))
+    ground_residual = float(np.linalg.norm(ops.bott.mat @ ground_vector(ops.bott)))
     gap_defect = abs(float(magnitudes[1]) - math.sqrt(2.0))
     return ops, kernel_dim, float(magnitudes[0]), gap_defect, ground_residual
 

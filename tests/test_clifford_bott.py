@@ -6,10 +6,12 @@ import pytest
 from gradedlab import (
     AsymptoticPair,
     GradedMatrix,
+    GradedSpace,
     OddSelfAdjoint,
     RepresentedAlgebra,
     Spectrum,
     bott_dirac,
+    bott_operator,
     dc_commutator_check,
     graded_commutator,
     graded_tensor,
@@ -27,7 +29,7 @@ from gradedlab.estimates import BoundCertificate
 from gradedlab.experiments import ExperimentConfig, _worst_exponent, run_experiment
 from gradedlab.funcalc import CAYLEY
 from gradedlab.pairs import COMMUTATION_EXPONENT_THRESHOLD, COMPOSE_EXPONENT_THRESHOLD, DecayProfile, default_t_grid
-from gradedlab.sampling import balanced_space, random_even, rng_for
+from gradedlab.sampling import balanced_space, random_even, random_odd_selfadjoint, random_space, rng_for
 
 from helpers import SIGMA_X, SIGMA_Y, SX, TWO, commutes_asymptotically, composes, fitted_exponents, max_abs
 
@@ -128,7 +130,7 @@ def test_bott_operators_are_odd_selfadjoint():
 
 def test_bott_ground_vector_is_annihilated():
     ops = bott_dirac(hermite_model(64))
-    residual = np.linalg.norm(ops.bott.mat @ ground_vector(ops))
+    residual = np.linalg.norm(ops.bott.mat @ ground_vector(ops.bott))
     assert residual <= 1e-10
 
 
@@ -176,7 +178,7 @@ def test_bott_truncation_convergence():
         magnitudes = np.sort(np.abs(np.linalg.eigvalsh(ops.bott.mat)))
         residuals.append(
             (
-                np.linalg.norm(ops.bott.mat @ ground_vector(ops)),
+                np.linalg.norm(ops.bott.mat @ ground_vector(ops.bott)),
                 abs(magnitudes[1] - math.sqrt(2.0)),
             )
         )
@@ -191,8 +193,60 @@ def test_spectrum_and_kernel_zero_operator():
     eigenvalues, kernel_dim = spectrum_and_kernel(d0, 1e-10)
     assert kernel_dim == 2
     assert np.all(eigenvalues == 0.0)
-    with pytest.raises(ValueError):
-        spectrum_and_kernel(d0, 0.0)
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            spectrum_and_kernel(d0, tol)
+
+
+# -- the spectrum from the odd block ----------------------------------------------
+
+
+def odd_block_cases():
+    """Odd self-adjoint operators on unbalanced, interleaved and all-even
+    spaces, complex and real, and the zero operator."""
+    rng = rng_for(60)
+    spaces = {
+        "unbalanced": GradedSpace.split(7, 3),
+        "unbalanced-odd-heavy": GradedSpace.split(2, 9),
+        "interleaved": random_space(rng, 13),
+        "lift": graded_tensor(identity(GradedSpace((0, 1, 1))), identity(GradedSpace((1, 0)))).space,
+        "all-even": GradedSpace((0,) * 5),
+    }
+    for name, space in spaces.items():
+        b = random_odd_selfadjoint(rng, space)
+        yield pytest.param(b, id=f"{name}-complex")
+        yield pytest.param(OddSelfAdjoint(GradedMatrix(space, b.mat.real)), id=f"{name}-real")
+    yield pytest.param(OddSelfAdjoint(zeros(GradedSpace.split(4, 6))), id="zero")
+
+
+@pytest.mark.parametrize("b", list(odd_block_cases()))
+def test_odd_block_spectrum_matches_eigvalsh(b):
+    """+-sigma(B[e, o]) and |#e - #o| zeros is the spectrum of B, to
+    4 d eps ||B||, with the same kernel count as the full eigensolve."""
+    eigenvalues, kernel_dim = spectrum_and_kernel(b, 1e-8)
+    oracle = np.linalg.eigvalsh(b.mat)
+    d = b.space.dim
+    assert eigenvalues.shape == (d,) and eigenvalues.dtype == np.float64
+    assert np.all(np.diff(eigenvalues) >= 0)
+    np.testing.assert_allclose(eigenvalues, oracle, rtol=0, atol=4 * d * np.finfo(float).eps * operator_norm(b))
+    assert kernel_dim == int(np.count_nonzero(np.abs(oracle) < 1e-8))
+    parity = np.asarray(b.space.parity)
+    assert kernel_dim >= abs(int(np.count_nonzero(parity == 0)) - int(np.count_nonzero(parity == 1)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n_basis", [8, 12])
+def test_bott_operator_is_d_plus_c_bit_for_bit(n, n_basis):
+    """B assembled alone equals D + C of the separate sums, signed zeros
+    included, and is the B that bott_dirac carries."""
+    model = hermite_model(n_basis, n)
+    ops = bott_dirac(model)
+    b = bott_operator(model)
+    assert b.space == ops.space
+    assert b.mat.dtype == np.float64
+    separate = ops.dirac.mat + ops.clifford_mult.mat
+    assert np.array_equal(b.mat.view(np.uint64), separate.view(np.uint64))
+    assert np.array_equal(b.mat.view(np.uint64), ops.bott.mat.view(np.uint64))
 
 
 def test_bott_two_coordinates():
@@ -205,6 +259,36 @@ def test_bott_two_coordinates():
     assert abs(magnitudes[1] - math.sqrt(2.0)) <= 1e-8
     report = dc_commutator_check(ops)
     assert report["interior_defect_vs_involution"] <= 1e-10
+
+
+def test_run_bott_two_coordinates(monkeypatch):
+    """run_bott above one coordinate (d = 225, convergence bases up to
+    d = 961) certifies everything without a d x d eigensolve, builds the
+    full operator set once and B alone for the other basis, and the gap
+    defects are roundoff in sqrt(2)."""
+    import gradedlab.experiments
+
+    def no_eigvalsh(*args, **kwargs):
+        raise AssertionError("the Bott spectrum comes from the odd block")
+
+    built = {"bott_dirac": [], "bott_operator": []}
+    for name in built:
+        original = getattr(gradedlab.experiments, name)
+
+        def recording(model, name=name, original=original):
+            built[name].append((model.n_basis, model.n))
+            return original(model)
+
+        monkeypatch.setattr(gradedlab.experiments, name, recording)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    result = run_experiment(ExperimentConfig("bott", coordinates=2, n_basis=8))
+    assert built == {"bott_dirac": [(8, 2)], "bott_operator": [(16, 2)]}
+    assert result.passed and all(c.passed for c in result.certificates)
+    assert result.summary["kernel_dim"] == 1
+    assert [row["n_basis"] for row in result.summary["convergence"]] == [8, 8, 16]
+    for row in result.summary["convergence"]:
+        assert row["gap_defect"] <= 4 * np.spacing(math.sqrt(2.0))
+        assert row["ground_residual"] == 0.0
 
 
 def test_bott_pairs_validate():

@@ -14,9 +14,12 @@ from gradedlab import (
     operator_norm,
     parity_decompose,
 )
+from gradedlab.graded import VALIDATION_TOL
 from gradedlab.sampling import (
+    random_hermitian_even,
     random_homogeneous,
     random_odd,
+    random_odd_selfadjoint,
     random_space,
     rng_for,
 )
@@ -201,6 +204,44 @@ def test_odd_selfadjoint_validation():
         OddSelfAdjoint(SIGMA_Z)  # even, not odd
     with pytest.raises(ValueError):
         OddSelfAdjoint(GradedMatrix(TWO, np.array([[0, 1], [2, 0]], dtype=complex)))  # not Hermitian
+
+
+def old_oddness_verdict(m):
+    """The full-matrix oddness test: |gamma m gamma + m| <= VALIDATION_TOL * scale."""
+    signs = m.space.gamma_signs()
+    flipped = (signs[:, None] * m.entries) * signs[None, :]
+    scale = max(1.0, float(np.abs(m.entries).max(initial=0.0)))
+    return bool(np.abs(flipped + m.entries).max(initial=0.0) <= VALIDATION_TOL * scale)
+
+
+def accepted_as_odd(m):
+    try:
+        OddSelfAdjoint(m)
+    except ValueError as exc:
+        assert "anticommute" in str(exc)
+        return False
+    return True
+
+
+@pytest.mark.parametrize("real", [False, True])
+def test_oddness_check_on_blocks_matches_full_formula(real):
+    """The same-parity block test gives the full formula's verdict on inputs
+    whose even part sits just under, at and just over VALIDATION_TOL."""
+    rng = rng_for(12)
+    for space in (GradedSpace.split(5, 3), random_space(rng, 9), random_space(rng, 12)):
+        for norm in (0.5, 4.0):
+            odd = random_odd_selfadjoint(rng, space, norm=norm).mat
+            even = random_hermitian_even(rng, space).entries
+            if real:
+                odd, even = odd.real, even.real
+            even = even / np.abs(even).max()
+            scale = max(1.0, float(np.abs(odd).max()))
+            for factor in (0.5, 1 - 1e-3, 1.0, 1 + 1e-3, 2.0):
+                m = GradedMatrix(space, odd + even * (factor * VALIDATION_TOL * scale / 2))
+                verdict = old_oddness_verdict(m)
+                if factor != 1.0:
+                    assert verdict == (factor < 1)
+                assert accepted_as_odd(m) == verdict
 
 
 def test_graded_matrix_immutability():

@@ -7,16 +7,19 @@ fixed derandomized profile makes tier-1 run the same examples every time.
 transform_commutator_check rests on three facts checked here: an odd f
 gives an odd f(D) (from gamma f(D) gamma = f(-D)); the anticommutator of
 two odd Hermitian matrices is even; and the norm of that even matrix is
-the largest of its two diagonal parity blocks' norms.
+the largest of its two diagonal parity blocks' norms.  The Bott spectrum
+rests on a fourth: an odd Hermitian matrix has the spectrum
++-sigma(B[e, o]) and |#e - #o| exact zeros.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradedlab.bott import spectrum_and_kernel
 from gradedlab.estimates import transform_commutator_check
 from gradedlab.funcalc import NAMED_FUNCTIONS, Spectrum, bounded_transform_function
-from gradedlab.graded import graded_commutator, graded_tensor, operator_norm
+from gradedlab.graded import GradedMatrix, OddSelfAdjoint, graded_commutator, graded_tensor, operator_norm
 from gradedlab.pairs import default_t_grid
 from gradedlab.sampling import random_homogeneous, random_odd_selfadjoint, random_space, rng_for
 
@@ -82,6 +85,25 @@ def test_transform_commutator_block_kernel_on_random_parities(seed, dim):
     a, b = Spectrum.of(d).apply(f), Spectrum.of(d_prime).apply(f)
     want = np.abs(np.linalg.eigvalsh(a @ b + b @ a)).max()
     assert abs(cert.lhs - want) <= 1e-12 * want
+
+
+@TIER1
+@given(SEEDS, DIMS, st.floats(0.1, 20.0), st.booleans())
+def test_odd_block_spectrum_on_random_parities(seed, dim, norm, real):
+    """The odd-block spectrum is symmetric under lambda -> -lambda, holds at
+    least |#e - #o| exact zeros, and matches eigvalsh of the full matrix."""
+    rng = rng_for(seed)
+    space = random_space(rng, dim)
+    b = random_odd_selfadjoint(rng, space, norm=norm)
+    if real:
+        b = OddSelfAdjoint(GradedMatrix(space, b.mat.real))
+    eigenvalues, kernel_dim = spectrum_and_kernel(b, 1e-8)
+    e, o = parity_sets(space)
+    assert np.array_equal(eigenvalues, -eigenvalues[::-1])
+    assert np.count_nonzero(eigenvalues == 0.0) >= abs(e.size - o.size)
+    assert kernel_dim >= abs(e.size - o.size)
+    roundoff = 4 * dim * np.finfo(float).eps * operator_norm(b)
+    assert np.abs(eigenvalues - np.linalg.eigvalsh(b.mat)).max() <= roundoff
 
 
 @TIER1

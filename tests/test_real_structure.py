@@ -154,11 +154,11 @@ def test_bott_norms_run_on_real_stacks(norm_dtypes):
 # -- an exact oracle for the real two-coordinate spectrum -------------------------
 
 
-def test_two_coordinate_spectrum_matches_ladder_oracle():
+def assert_two_coordinate_ladder_spectrum(k):
     """Paired truncation keeps B invariant, and B^2 = B_1^2 (x) 1 + 1 (x) B_1^2,
     so B^2/2 has eigenvalues m_1 + m_2 with m_i in {0, ..., K - 1}, each of
-    multiplicity prod(1 if m_i = 0 else 2), split evenly between +-."""
-    k = 8
+    multiplicity prod(1 if m_i = 0 else 2), split evenly between +-.  The
+    spectrum comes from the odd block; its one zero is the dimension gap."""
     ops = bott_dirac(hermite_model(k, 2))
     assert ops.bott.mat.dtype == np.float64
     eigenvalues, kernel_dim = spectrum_and_kernel(ops.bott, 1e-8)
@@ -167,9 +167,19 @@ def test_two_coordinate_spectrum_matches_ladder_oracle():
         multiplicity = math.prod(1 if mi == 0 else 2 for mi in m)
         magnitude = math.sqrt(2.0 * sum(m))
         oracle += [0.0] if multiplicity == 1 else [magnitude, -magnitude] * (multiplicity // 2)
-    assert len(oracle) == ops.space.dim == 225
+    assert len(oracle) == ops.space.dim == (2 * k - 1) ** 2
     np.testing.assert_allclose(eigenvalues, np.sort(oracle), rtol=0, atol=1e-10)
     assert kernel_dim == 1
+    assert np.count_nonzero(eigenvalues == 0.0) == 1
+
+
+def test_two_coordinate_spectrum_matches_ladder_oracle():
+    assert_two_coordinate_ladder_spectrum(8)
+
+
+def test_two_coordinate_spectrum_matches_ladder_oracle_at_benchmark_size():
+    """The n_basis model of the bott-2d benchmark config, d = 529."""
+    assert_two_coordinate_ladder_spectrum(12)
 
 
 # -- the two exact savings in validate_pair ----------------------------------------
