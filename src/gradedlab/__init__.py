@@ -6,8 +6,9 @@ Core layers:
 * funcalc     -- spectral functional calculus, bounded transforms
 * pairs       -- asymptotic pairs, decay profiles, the composition calculus
 * bott        -- Hermite-truncated Bott-Dirac model and perturbation checks
-* estimates   -- exponential and transform bound certificates
+* estimates   -- exponential and transform bound measurements
 * experiments -- seeded verification suites behind the `lab` command
+* reporting   -- bound certificates and byte-deterministic report files
 """
 
 from .graded import (
@@ -60,7 +61,6 @@ from .bott import (
     spectrum_and_kernel,
 )
 from .estimates import (
-    BoundCertificate,
     exp_product_bound_check,
     exp_product_path_profiles,
     exp_product_series_bound,
@@ -70,6 +70,6 @@ from .estimates import (
     transform_sum_sweep,
 )
 from .experiments import ExperimentConfig, load_config, run_experiment
-from .reporting import emit_report
+from .reporting import BoundCertificate, emit_report
 
 __version__ = "0.1.0"

@@ -28,7 +28,6 @@ one-coordinate model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -101,7 +100,6 @@ def hermite_model(n_basis: int, n: int = 1) -> HermiteModel:
 class BottOperators:
     """Dirac D, Clifford multiplication C, and their sum B = D + C."""
 
-    model: HermiteModel
     space: GradedSpace
     dirac: OddSelfAdjoint
     clifford_mult: OddSelfAdjoint
@@ -134,53 +132,44 @@ def _coordinate_pieces(model: HermiteModel):
     return parity, d, c, interior, involution
 
 
-def _lift(factor_spaces: Sequence[GradedSpace], position: int, m: GradedMatrix) -> GradedMatrix:
-    out = m if position == 0 else identity(factor_spaces[0])
-    for j in range(1, len(factor_spaces)):
-        nxt = m if j == position else identity(factor_spaces[j])
-        out = graded_tensor(out, nxt)
-    return out
+def _lift_sum(parity: GradedSpace, n: int, m: GradedMatrix) -> GradedMatrix:
+    """sum_i lift_i(m): m on coordinate i of the n-fold graded tensor power of
+    parity and the identity on the others, summed in coordinate order."""
+    one = identity(parity)
+    total = None
+    for i in range(n):
+        lift = m if i == 0 else one
+        for j in range(1, n):
+            lift = graded_tensor(lift, m if j == i else one)
+        total = lift if total is None else total + lift
+    return total
 
 
 def bott_operator(model: HermiteModel) -> OddSelfAdjoint:
     """B = sum_i lift_i(d_1 + c_1), the Bott-Dirac operator alone.
 
     Every entry is an exact +-off, 2 off or 0 (the lifts have disjoint
-    supports), so B equals D + C of the separately assembled sums bit for bit.
+    supports), so B equals bott_dirac's D + C bit for bit.
     """
     parity, d1, c1, _, _ = _coordinate_pieces(model)
-    spaces = [parity] * model.n
-    b1 = d1.underlying + c1.underlying
-    total = _lift(spaces, 0, b1)
-    for i in range(1, model.n):
-        total = total + _lift(spaces, i, b1)
-    return OddSelfAdjoint(total)
+    return OddSelfAdjoint(_lift_sum(parity, model.n, d1.underlying + c1.underlying))
 
 
 def bott_dirac(model: HermiteModel) -> BottOperators:
-    """Assemble D = sum_i d_i (x) e^_i, C = sum_i x_i (x) e_i and B = D + C
-    (B from bott_operator)."""
+    """Assemble D = sum_i d_i (x) e^_i, C = sum_i x_i (x) e_i and B = D + C."""
     parity, d1, c1, interior1, inv1 = _coordinate_pieces(model)
-    n = model.n
-    spaces = [parity] * n
-    d_total = _lift(spaces, 0, d1.underlying)
-    c_total = _lift(spaces, 0, c1.underlying)
-    inv_total = _lift(spaces, 0, inv1)
-    for i in range(1, n):
-        d_total = d_total + _lift(spaces, i, d1.underlying)
-        c_total = c_total + _lift(spaces, i, c1.underlying)
-        inv_total = inv_total + _lift(spaces, i, inv1)
+    d_total = _lift_sum(parity, model.n, d1.underlying)
+    c_total = _lift_sum(parity, model.n, c1.underlying)
     interior = interior1.copy()
-    for _ in range(1, n):
+    for _ in range(1, model.n):
         interior = np.kron(interior, interior1)
     return BottOperators(
-        model,
         d_total.space,
         OddSelfAdjoint(d_total),
         OddSelfAdjoint(c_total),
-        bott_operator(model),
+        OddSelfAdjoint(d_total + c_total),
         interior,
-        inv_total,
+        _lift_sum(parity, model.n, inv1),
     )
 
 

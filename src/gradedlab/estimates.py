@@ -1,9 +1,8 @@
-"""Operator-norm certificates for the exponential and transform estimates.
+"""Operator-norm measurements for the exponential and transform estimates.
 
-Each check measures a left-hand norm and an analytic right-hand bound
-and wraps them in a BoundCertificate; pass means the margin rhs - lhs
-is no worse than -1e-10.  Randomized suites derive one certificate per
-trial with a recorded seed so failures are reproducible.
+Each function measures left-hand norms and their analytic right-hand
+bounds and returns the numbers; experiments.py names each (lhs, rhs) as a
+BoundCertificate and applies the pass rule.
 
 The exponential checks take (k, d, d) stacks, and a one-pair check is a
 one-matrix stack; each stacked result equals its one-matrix evaluation
@@ -21,14 +20,16 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .funcalc import RESOLVENT_PLUS, Spectrum, _adjoint, bounded_transform_function, map_grid
+from .funcalc import RESOLVENT_PLUS, Spectrum, bounded_transform_function, map_grid
 from .graded import (
     GradedMatrix,
     GradedSpace,
     OddSelfAdjoint,
     VALIDATION_TOL,
+    adjoint,
     graded_commutator,
     graded_commutators,
+    negligible,
     operator_norm,
     operator_norms,
     parity_parts,
@@ -36,9 +37,6 @@ from .graded import (
 from .pairs import DecayProfile, checked_t_grid
 
 __all__ = [
-    "CERTIFICATE_TOL",
-    "MONOTONE_SLACK",
-    "BoundCertificate",
     "matrix_exp",
     "matrix_exps",
     "exp_shift_bounds",
@@ -53,39 +51,8 @@ __all__ = [
     "transform_sum_sweep",
 ]
 
-# A certificate passes when margin = rhs - lhs >= -CERTIFICATE_TOL.
-CERTIFICATE_TOL = 1e-10
-# Largest rise between consecutive sweep suprema still counted as nonincreasing.
-MONOTONE_SLACK = 1e-12
-
 SERIES_RELATIVE_CUTOFF = 1e-16
 SERIES_MAX_TERMS = 400
-
-
-@dataclass(frozen=True)
-class BoundCertificate:
-    check: str
-    lhs: float
-    rhs: float
-    seed: object = None
-
-    @property
-    def margin(self) -> float:
-        return self.rhs - self.lhs
-
-    @property
-    def passed(self) -> bool:
-        return self.margin >= -CERTIFICATE_TOL
-
-    def to_record(self) -> dict:
-        return {
-            "check": self.check,
-            "seed": self.seed,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "pass": self.passed,
-        }
 
 
 def matrix_exps(stack: np.ndarray) -> np.ndarray:
@@ -94,13 +61,11 @@ def matrix_exps(stack: np.ndarray) -> np.ndarray:
     estimates quantify non-normal products e^x e^y, so the general path
     is required.  The stacked LAPACK kernels and scipy's expm run each
     matrix on its own, so every matrix equals its one-matrix stack bit for bit."""
-    each = (-2, -1)
-    scale = np.maximum(1.0, np.abs(stack).max(axis=each, initial=0.0))
-    hermitian = np.abs(stack - _adjoint(stack)).max(axis=each, initial=0.0) <= VALIDATION_TOL * scale
+    hermitian = negligible(stack - adjoint(stack), stack)
     out = np.empty_like(stack)
     if hermitian.any():
         values, vectors = np.linalg.eigh(stack[hermitian])
-        out[hermitian] = (vectors * np.exp(values)[..., None, :]) @ _adjoint(vectors)
+        out[hermitian] = (vectors * np.exp(values)[..., None, :]) @ adjoint(vectors)
     if not hermitian.all():
         out[~hermitian] = scipy.linalg.expm(stack[~hermitian])
     return out
@@ -113,10 +78,7 @@ def matrix_exp(m: GradedMatrix) -> GradedMatrix:
 
 def _require_even(space: GradedSpace, stack: np.ndarray, label: str) -> None:
     """ValueError unless every matrix of the stack is even (GradedMatrix.parity() == 0)."""
-    each = (-2, -1)
-    scale = np.maximum(1.0, np.abs(stack).max(axis=each, initial=0.0))
-    odd = np.abs(parity_parts(space, stack)[1]).max(axis=each, initial=0.0)
-    if np.any(odd > VALIDATION_TOL * scale):
+    if not np.all(negligible(parity_parts(space, stack)[1], stack)):
         raise ValueError(f"{label} must be an even matrix")
 
 
@@ -139,10 +101,10 @@ def exp_shift_bounds(space: GradedSpace, x: np.ndarray, y: np.ndarray) -> tuple[
     return lhs, [b * math.exp(2.0 * a) for a, b in zip(nx, ny)]
 
 
-def exp_shift_bound_check(x: GradedMatrix, y: GradedMatrix, seed=None) -> BoundCertificate:
-    """||e^{x+y} - e^x|| <= ||y|| e^{2||x||} for even x, y with ||y|| <= ||x||."""
+def exp_shift_bound_check(x: GradedMatrix, y: GradedMatrix) -> tuple[float, float]:
+    """(lhs, rhs) of ||e^{x+y} - e^x|| <= ||y|| e^{2||x||} for even x, y with ||y|| <= ||x||."""
     (lhs,), (rhs,) = exp_shift_bounds(*_pair_stacks(x, y))
-    return BoundCertificate("exp_shift", lhs, rhs, seed)
+    return lhs, rhs
 
 
 def _series_term(n: int, commutator_norm: float, m_bound: float) -> float:
@@ -191,10 +153,10 @@ def exp_product_bounds(space: GradedSpace, x: np.ndarray, y: np.ndarray) -> tupl
     return lhs, [exp_product_series_bound(c, max(a, b)) for c, a, b in zip(comm, nx, ny)]
 
 
-def exp_product_bound_check(x: GradedMatrix, y: GradedMatrix, seed=None) -> BoundCertificate:
-    """||e^{x+y} - e^x e^y|| against the swap-counting series bound."""
+def exp_product_bound_check(x: GradedMatrix, y: GradedMatrix) -> tuple[float, float]:
+    """(lhs, rhs) of ||e^{x+y} - e^x e^y|| against the swap-counting series bound."""
     (lhs,), (rhs,) = exp_product_bounds(*_pair_stacks(x, y))
-    return BoundCertificate("exp_product", lhs, rhs, seed)
+    return lhs, rhs
 
 
 def exp_product_path_profiles(
@@ -222,15 +184,16 @@ def transform_commutator_check(
     d_prime: OddSelfAdjoint,
     n_grid: Sequence[float],
     t_grid: np.ndarray,
-    seed=None,
-) -> list[BoundCertificate]:
-    """||[D_N, D'_N]|| <= ||[D, D']|| for every N, plus the t-scaled form.
+) -> tuple[np.ndarray, float]:
+    """Left sides of ||[D_N, D'_N]|| <= ||[D, D']|| for every N, plus the t-scaled form.
 
-    The scaled certificates check ||[(t^-1 D)_N, (t^-1 D')_N]|| against
-    t^-2 ||[D, D']||, which forces uniform-in-N vanishing as t grows;
-    only the worst grid point per N is recorded.  Both operators are
-    eigendecomposed once, and only the parity block of each transform that
-    the anticommutator needs is synthesized.
+    Returns the (len(n_grid), 1 + len(t_grid)) table of
+    ||[(s D)_N, (s D')_N]||, with s = 1 in column 0 and s = 1/t_k in
+    column 1 + k, and the right side ||[D, D']||; the scaled form bounds
+    column 1 + k by t_k^-2 ||[D, D']||, which forces uniform-in-N
+    vanishing as t grows.  Both operators are eigendecomposed once, and
+    only the parity block of each transform that the anticommutator
+    needs is synthesized.
     """
     if d.space != d_prime.space:
         raise ValueError("operators live on different spaces")
@@ -254,29 +217,16 @@ def transform_commutator_check(
 
     def odd_commutator_norms(rows):
         a, b = spec_d.synthesize_block(w_d[rows], e, o), spec_dp.synthesize_block(w_dp[rows], e, o)
-        upper, lower = a @ _adjoint(b), _adjoint(a) @ b
+        upper, lower = a @ adjoint(b), adjoint(a) @ b
         # one eigvalsh over both Hermitian blocks; zero padding to a common
         # size only adds zero eigenvalues
         blocks = np.zeros((2, len(rows), size, size), dtype=upper.dtype)
-        blocks[0, :, : e.size, : e.size] = upper + _adjoint(upper)
-        blocks[1, :, : o.size, : o.size] = lower + _adjoint(lower)
+        blocks[0, :, : e.size, : e.size] = upper + adjoint(upper)
+        blocks[1, :, : o.size, : o.size] = lower + adjoint(lower)
         return np.abs(np.linalg.eigvalsh(blocks)).max(axis=(0, -1))
 
     lhs = map_grid(odd_commutator_norms, np.arange(len(w_d)), d.space.dim).reshape(len(transforms), -1)
-    certificates = [
-        BoundCertificate(f"transform_commutator[N={n:g}]", float(lhs[i, 0]), rhs, seed)
-        for i, n in enumerate(n_grid)
-    ]
-    bounds = rhs * scales[1:] * scales[1:]
-    for i, n in enumerate(n_grid):
-        # argmin takes the first of equal margins, as a strict-less scan would
-        k = int(np.argmin(bounds - lhs[i, 1:]))
-        certificates.append(
-            BoundCertificate(
-                f"transform_commutator_scaled[N={n:g},t={grid[k]:.6g}]", float(lhs[i, 1 + k]), float(bounds[k]), seed
-            )
-        )
-    return certificates
+    return lhs, rhs
 
 
 @dataclass(frozen=True)
@@ -286,19 +236,17 @@ class SweepReport:
     defects[i, j] = ||f(D_{t,N_i} + D'_{t,N_i}) - f(D_t + D'_t)|| at
     t = t_j, for the resolvent f(x) = (x + i)^-1.  suprema[i] is the
     supremum over the top decade of t; the double limit holds when the
-    suprema are nonincreasing in N (monotone, up to MONOTONE_SLACK) and
-    small at the largest N (final_supremum).  The sweep also measures the
-    relative boundedness ||D (D + D' + i)^{-1}||^2 <= 1 + ||[D, D']|| used
-    to control the factorization.
+    suprema are nonincreasing in N and small at the largest N.
+    relative_bounds holds (lhs, rhs) of the relative boundedness
+    ||X (D + D' + i)^{-1}||^2 <= 1 + ||[D, D']|| for X = D and X = D',
+    used to control the factorization.
     """
 
     n_grid: np.ndarray
     t_grid: np.ndarray
     defects: np.ndarray
     suprema: np.ndarray
-    monotone: bool
-    final_supremum: float
-    relative_bound_certificates: tuple[BoundCertificate, BoundCertificate]
+    relative_bounds: tuple[tuple[float, float], tuple[float, float]]
 
 
 def transform_sum_sweep(
@@ -338,12 +286,8 @@ def transform_sum_sweep(
     defects = map_grid(defects_of, np.arange(len(w_d)), d.space.dim).reshape(n_values.size, grid.size)
     top_decade = grid >= grid[-1] / 10.0
     suprema = defects[:, top_decade].max(axis=1)
-    monotone = bool(np.all(np.diff(suprema) <= MONOTONE_SLACK))
     # relative bound from the resolvent factorization of the difference
     comm = operator_norm(graded_commutator(d.underlying, d_prime.underlying))
     resolvent = np.linalg.inv(d.mat + d_prime.mat + 1j * np.eye(d.space.dim))
-    certs = (
-        BoundCertificate("relative_bound[D]", operator_norm(d.mat @ resolvent) ** 2, 1.0 + comm),
-        BoundCertificate("relative_bound[D']", operator_norm(d_prime.mat @ resolvent) ** 2, 1.0 + comm),
-    )
-    return SweepReport(n_values, grid, defects, suprema, monotone, float(suprema[-1]), certs)
+    bounds = tuple((operator_norm(x.mat @ resolvent) ** 2, 1.0 + comm) for x in (d, d_prime))
+    return SweepReport(n_values, grid, defects, suprema, bounds)

@@ -28,8 +28,6 @@ from .bott import (
     spectrum_and_kernel,
 )
 from .estimates import (
-    MONOTONE_SLACK,
-    BoundCertificate,
     exp_product_bound_check,
     exp_product_bounds,
     exp_product_path_profiles,
@@ -63,6 +61,7 @@ from .pairs import (
     identity_pushforward,
     validate_pair,
 )
+from .reporting import BoundCertificate
 from .sampling import (
     balanced_space,
     even_gaussian,
@@ -86,17 +85,6 @@ __all__ = [
     "run_experiment",
 ]
 
-EXPERIMENT_NAMES = (
-    "commbound",
-    "expfactor",
-    "techlemma",
-    "compose",
-    "bott",
-    "perturb",
-    "appendixB",
-)
-
-
 class UnknownExperimentError(ValueError):
     pass
 
@@ -112,12 +100,25 @@ MAX_DENSE_DIM = 4096
 _TOLERANCES: dict[str, dict[str, float]] = {
     "commbound": {},
     "expfactor": {"rate_rel": 0.02, "exponent_window": 0.1},
-    "techlemma": {"final_sup": 1e-6, "monotone_slack": MONOTONE_SLACK},
+    "techlemma": {"final_sup": 1e-6, "monotone_slack": 1e-12},
     "compose": {"compose_exponent": COMPOSE_EXPONENT_THRESHOLD},
     "bott": {"kernel": 1e-8, "gap": 1e-6, "interior": 1e-10, "convergence_slack": 1e-12},
     "perturb": {"homom_exponent": COMMUTATION_EXPONENT_THRESHOLD, "cayley_exponent": COMPOSE_EXPONENT_THRESHOLD,
                 "defect_exponent": COMPOSE_EXPONENT_THRESHOLD},
     "appendixB": {},
+}
+
+
+# The top-level config keys each experiment's runner reads.  A config file may set
+# these, and seed, out and tolerances (whose keys _TOLERANCES governs), and nothing else.
+_READS: dict[str, set[str]] = {
+    "commbound": {"trials", "dims", "t_grid", "n_grid"},
+    "expfactor": {"trials", "dims", "t_grid"},
+    "techlemma": {"trials", "dims", "t_grid"},
+    "compose": {"trials", "dims", "t_grid"},
+    "bott": {"n_basis", "coordinates", "t_grid"},
+    "perturb": {"trials", "dims", "t_grid", "n_basis"},
+    "appendixB": {"trials", "dims", "t_grid"},
 }
 
 
@@ -274,13 +275,14 @@ def load_config(
         raise UnknownExperimentError(f"unknown experiment {name!r}")
     flags = {key: value for key, value in (("seed", seed), ("out", out)) if value is not None}
     merged = {**_DEFAULTS[name], **{k: v for k, v in data.items() if k != "experiment"}, **flags}
+    unknown = sorted(set(merged) - _READS[name] - {"seed", "out", "tolerances"})
     grid = merged.pop("t_grid", {})
     if not isinstance(grid, dict):
         raise ConfigError("t_grid must be an object with start/stop/points")
     grid = {**_DEFAULTS[name].get("t_grid", {}), **grid}
-    unknown = sorted(set(merged) - set(_PARSERS)) + [f"t_grid.{k}" for k in sorted(set(grid) - set(_GRID_PARSERS))]
+    unknown += [f"t_grid.{k}" for k in sorted(set(grid) - set(_GRID_PARSERS))]
     if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        raise ConfigError(f"unknown config keys for {name}: {', '.join(unknown)}")
     try:
         fields = {key: _PARSERS[key](value) for key, value in merged.items()}
         fields.update({f"t_{key}": _GRID_PARSERS[key](value) for key, value in grid.items()})
@@ -323,11 +325,16 @@ def _summarize(certificates, claims: dict[str, str]) -> list[CheckSummary]:
 
 
 def _trials(cfg: ExperimentConfig):
-    """(index, seed, rng, space) for each trial, dims taken round-robin."""
+    """(index, seed, rng, space) for each trial, dims taken round-robin; the
+    seed is the list a certificate records."""
     for i in range(cfg.trials):
         seed = trial_seed(cfg.seed, i)
-        rng = rng_for(seed)
-        yield i, seed, rng, balanced_space(cfg.dims[i % len(cfg.dims)])
+        yield i, list(seed), rng_for(seed), balanced_space(cfg.dims[i % len(cfg.dims)])
+
+
+def _table_rows(table: dict[str, dict[str, DecayProfile]]) -> list[tuple[str, str, DecayProfile]]:
+    """(generator, function, profile) for every profile of a {generator: {function: profile}} table, in order."""
+    return [(gen, fn, profile) for gen, per_fn in table.items() for fn, profile in per_fn.items()]
 
 
 def _result(cfg, claims, certs, profiles=None, summary=None, tables=None) -> ExperimentResult:
@@ -356,8 +363,25 @@ def run_commbound(cfg: ExperimentConfig) -> ExperimentResult:
     for i, seed, rng, space in _trials(cfg):
         d = random_odd_selfadjoint(rng, space)
         d_prime = random_odd_selfadjoint(rng, space)
-        certs.extend(transform_commutator_check(d, d_prime, cfg.n_grid, grid, seed=list(seed)))
+        lhs, rhs = transform_commutator_check(d, d_prime, cfg.n_grid, grid)
+        certs += _transform_commutator_certs(cfg.n_grid, grid, lhs, rhs, seed)
     return _result(cfg, claims, certs, summary={"trials": cfg.trials, "n_grid": list(cfg.n_grid)})
+
+
+def _transform_commutator_certs(n_grid, grid, lhs, rhs, seed) -> list[BoundCertificate]:
+    """The certificates of one transform_commutator_check table: column 0 against
+    ||[D, D']|| for every N, then for every N the worst grid point of the scaled
+    form, which bounds column 1 + j by t_j^-2 ||[D, D']||."""
+    certs = [
+        BoundCertificate(f"transform_commutator[N={n:g}]", float(lhs[k, 0]), rhs, seed) for k, n in enumerate(n_grid)
+    ]
+    bounds = rhs * (1.0 / grid) * (1.0 / grid)
+    for k, n in enumerate(n_grid):
+        # argmin takes the first of equal margins, as a strict-less scan would
+        j = int(np.argmin(bounds - lhs[k, 1:]))
+        name = f"transform_commutator_scaled[N={n:g},t={grid[j]:.6g}]"
+        certs.append(BoundCertificate(name, float(lhs[k, 1 + j]), float(bounds[j]), seed))
+    return certs
 
 
 def run_expfactor(cfg: ExperimentConfig) -> ExperimentResult:
@@ -383,7 +407,7 @@ def run_expfactor(cfg: ExperimentConfig) -> ExperimentResult:
                 f"factorization_rate[trial={i}]",
                 abs(t_last**2 * float(even_prof.values[-1]) - comm),
                 rate_tol * comm,
-                list(seed),
+                seed,
             )
         )
         certs.append(
@@ -391,7 +415,7 @@ def run_expfactor(cfg: ExperimentConfig) -> ExperimentResult:
                 f"factorization_exponent[trial={i}]",
                 abs(even_prof.fitted_exponent + 2.0),
                 exp_tol,
-                list(seed),
+                seed,
             )
         )
         exponents.append(even_prof.fitted_exponent)
@@ -438,12 +462,10 @@ def run_techlemma(cfg: ExperimentConfig) -> ExperimentResult:
         d_prime = random_odd_selfadjoint(rng, space, norm=1.0)
         report = transform_sum_sweep(d, d_prime, grid)
         worst_jump = float(np.diff(report.suprema).max(initial=-math.inf))
-        certs.append(BoundCertificate(f"sweep_monotone[trial={i}]", max(worst_jump, 0.0), slack, list(seed)))
-        certs.append(BoundCertificate(f"sweep_final[trial={i}]", report.final_supremum, final_tol, list(seed)))
-        for cert in report.relative_bound_certificates:
-            certs.append(
-                BoundCertificate(f"relative_bound[trial={i},{cert.check}]", cert.lhs, cert.rhs, list(seed))
-            )
+        certs.append(BoundCertificate(f"sweep_monotone[trial={i}]", max(worst_jump, 0.0), slack, seed))
+        certs.append(BoundCertificate(f"sweep_final[trial={i}]", float(report.suprema[-1]), final_tol, seed))
+        for x, (lhs, rhs) in zip(("D", "D'"), report.relative_bounds):
+            certs.append(BoundCertificate(f"relative_bound[trial={i},relative_bound[{x}]]", lhs, rhs, seed))
         if i == 0:
             for n, row in zip(report.n_grid, report.defects):
                 profiles.append((f"techlemma_N{n:g}", DecayProfile.from_values(report.t_grid, row)))
@@ -476,21 +498,11 @@ def run_compose(cfg: ExperimentConfig) -> ExperimentResult:
             random_odd_selfadjoint(rng, space, norm=1.0),
         )
         comp = compose_pairs(p_ab, p_bc, pushforward, grid)
-        for gen_name, per_fn in comp.defect_profiles.items():
-            for fn_name, profile in per_fn.items():
-                certs.append(
-                    BoundCertificate(
-                        f"compose_defect[trial={i},{gen_name},{fn_name}]",
-                        profile.fitted_exponent,
-                        threshold,
-                        list(seed),
-                    )
-                )
-                exponents.append(profile.fitted_exponent)
-        if i == 0:
-            for gen_name, per_fn in comp.defect_profiles.items():
-                for fn_name, profile in per_fn.items():
-                    profiles.append((f"compose_trial0_{gen_name}_{fn_name}", profile))
+        for gen, fn, profile in _table_rows(comp.defect_profiles):
+            exponents.append(profile.fitted_exponent)
+            certs.append(BoundCertificate(f"compose_defect[trial={i},{gen},{fn}]", exponents[-1], threshold, seed))
+            if i == 0:
+                profiles.append((f"compose_trial0_{gen}_{fn}", profile))
     certs.append(_identity_composition_cert(cfg))
     return _result(cfg, claims, certs, profiles, {"exponents": exponents})
 
@@ -510,11 +522,6 @@ def _identity_composition_cert(cfg: ExperimentConfig) -> BoundCertificate:
     for name in gens:
         defect = max(defect, float(np.abs(comp.pair.rep.generators[name].entries - gens[name].entries).max()))
     return BoundCertificate("compose_identity", defect, 0.0, list(seed))
-
-
-def _worst_exponent(profiles: dict[str, dict[str, DecayProfile]]) -> float:
-    """Largest fitted exponent, NaN if any fit failed (max() would depend on the order)."""
-    return float(np.max([p.fitted_exponent for per_fn in profiles.values() for p in per_fn.values()]))
 
 
 def run_bott(cfg: ExperimentConfig) -> ExperimentResult:
@@ -577,6 +584,10 @@ def run_bott(cfg: ExperimentConfig) -> ExperimentResult:
         worst_growth = max(worst_growth, g1 - g0, s1 - s0)
     certs.append(BoundCertificate("bott_convergence", worst_growth, cfg.tolerance("convergence_slack")))
 
+    def worst_exponent(table):
+        # np.max is NaN if any fit failed; max() would depend on the order
+        return float(np.max([profile.fitted_exponent for _, _, profile in _table_rows(table)]))
+
     # the two model pairs and their composition
     if cfg.coordinates == 1:
         grid = cfg.t_grid()
@@ -585,7 +596,7 @@ def run_bott(cfg: ExperimentConfig) -> ExperimentResult:
         mult_rep = RepresentedAlgebra(ops.space, multiplication_generators(model))
         dirac_pair = AsymptoticPair(mult_rep, ops.dirac)
         for name, pair in (("scalar", scalar_pair), ("multiplication", dirac_pair)):
-            worst = _worst_exponent(validate_pair(pair, grid))
+            worst = worst_exponent(validate_pair(pair, grid))
             certs.append(BoundCertificate(f"bott_pair[{name}]", worst, COMMUTATION_EXPONENT_THRESHOLD))
         comp = compose_pairs(scalar_pair, dirac_pair, identity_pushforward, grid)
         _, comp_kernel = spectrum_and_kernel(comp.pair.d, kernel_tol)
@@ -593,7 +604,7 @@ def run_bott(cfg: ExperimentConfig) -> ExperimentResult:
         certs.append(
             BoundCertificate(
                 "bott_compose_kernel[defect-exponents]",
-                _worst_exponent(comp.defect_profiles),
+                worst_exponent(comp.defect_profiles),
                 COMPOSE_EXPONENT_THRESHOLD,
             )
         )
@@ -609,43 +620,29 @@ def run_perturb(cfg: ExperimentConfig) -> ExperimentResult:
     odd_threshold = cfg.tolerance("homom_exponent")
     even_threshold = cfg.tolerance("cayley_exponent")
     defect_threshold = cfg.tolerance("defect_exponent")
-    certs: list[BoundCertificate] = []
-    profiles: list[tuple[str, DecayProfile]] = []
-
-    def harvest(tag, report, seed=None):
-        for gen_name, per_fn in report.homom_profiles.items():
-            for fn_name, profile in per_fn.items():
-                threshold = even_threshold if fn_name == "cayley" else odd_threshold
-                certs.append(
-                    BoundCertificate(
-                        f"perturb_homom[{tag},{gen_name},{fn_name}]",
-                        profile.fitted_exponent,
-                        threshold,
-                        seed,
-                    )
-                )
-        certs.append(
-            BoundCertificate(f"perturb_defect[{tag},even]", report.defect_even.fitted_exponent, defect_threshold, seed)
-        )
-        certs.append(
-            BoundCertificate(f"perturb_defect[{tag},odd]", report.defect_odd.fitted_exponent, defect_threshold, seed)
-        )
-
+    reports = []  # (tag, report, seed) for every trial, then the Bott model
     for i, seed, rng, space in _trials(cfg):
         gens = {"a_even": random_even(rng, space, norm=1.0), "a_odd": random_odd(rng, space, norm=1.0)}
         pair = AsymptoticPair(RepresentedAlgebra(space, gens), random_odd_selfadjoint(rng, space, norm=1.0))
         potential = random_odd_selfadjoint(rng, space, norm=1.0)
-        harvest(f"trial={i}", perturbation_check(pair, potential, grid), list(seed))
+        reports.append((f"trial={i}", perturbation_check(pair, potential, grid), seed))
 
     model = hermite_model(cfg.n_basis, 1)
     ops = bott_dirac(model)
     mult_rep = RepresentedAlgebra(ops.space, multiplication_generators(model))
-    report = perturbation_check(AsymptoticPair(mult_rep, ops.dirac), ops.clifford_mult, grid)
-    harvest("bott", report)
-    profiles.append(("perturb_bott_defect_even", report.defect_even))
-    for gen_name, per_fn in report.homom_profiles.items():
-        for fn_name, profile in per_fn.items():
-            profiles.append((f"perturb_bott_{gen_name}_{fn_name}", profile))
+    bott_report = perturbation_check(AsymptoticPair(mult_rep, ops.dirac), ops.clifford_mult, grid)
+    reports.append(("bott", bott_report, None))
+
+    certs: list[BoundCertificate] = []
+    for tag, report, seed in reports:
+        for gen, fn, profile in _table_rows(report.homom_profiles):
+            threshold = even_threshold if fn == "cayley" else odd_threshold
+            certs.append(BoundCertificate(f"perturb_homom[{tag},{gen},{fn}]", profile.fitted_exponent, threshold, seed))
+        for part, profile in (("even", report.defect_even), ("odd", report.defect_odd)):
+            exponent = profile.fitted_exponent
+            certs.append(BoundCertificate(f"perturb_defect[{tag},{part}]", exponent, defect_threshold, seed))
+    profiles = [("perturb_bott_defect_even", bott_report.defect_even)]
+    profiles += [(f"perturb_bott_{gen}_{fn}", profile) for gen, fn, profile in _table_rows(bott_report.homom_profiles)]
     return _result(cfg, claims, certs, profiles)
 
 
@@ -665,8 +662,8 @@ def run_appendix_b(cfg: ExperimentConfig) -> ExperimentResult:
     space = balanced_space(cfg.dims[0])
     diag_x = GradedMatrix(space, np.diag(rng.standard_normal(space.dim)).astype(complex))
     diag_y = GradedMatrix(space, np.diag(rng.standard_normal(space.dim)).astype(complex))
-    commuting = exp_product_bound_check(diag_x, diag_y)
-    certs.append(BoundCertificate("exp_product_commuting", commuting.lhs, 1e-12))
+    commuting_lhs, _ = exp_product_bound_check(diag_x, diag_y)
+    certs.append(BoundCertificate("exp_product_commuting", commuting_lhs, 1e-12))
 
     d = random_odd_selfadjoint(rng, space, norm=1.0)
     d_prime = random_odd_selfadjoint(rng, space, norm=1.0)
@@ -737,11 +734,9 @@ _RUNNERS = {
     "perturb": run_perturb,
     "appendixB": run_appendix_b,
 }
+EXPERIMENT_NAMES = tuple(_RUNNERS)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute the configured suite and return its result tree."""
-    runner = _RUNNERS.get(config.experiment)
-    if runner is None:
-        raise UnknownExperimentError(f"unknown experiment {config.experiment!r}")
-    return runner(config)
+    return _RUNNERS[config.experiment](config)

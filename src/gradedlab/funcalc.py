@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graded import GradedMatrix, OddSelfAdjoint, VALIDATION_TOL
+from .graded import GradedMatrix, OddSelfAdjoint, adjoint, negligible
 
 __all__ = [
     "ScalarFunction",
@@ -118,10 +118,6 @@ def map_grid(fn: Callable[[np.ndarray], np.ndarray], rows: np.ndarray, dim: int)
     return np.concatenate([fn(rows[chunk]) for chunk in grid_chunks(rows.shape[0], dim)])
 
 
-def _adjoint(m: np.ndarray) -> np.ndarray:
-    return m.conj().swapaxes(-1, -2)
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
@@ -144,15 +140,14 @@ class Spectrum:
         else:
             matrix = np.asarray(operator)
             matrix = matrix.astype(np.result_type(matrix, np.float64), copy=False)
-        each = (-2, -1)
-        scale = np.maximum(1.0, np.abs(matrix).max(axis=each, initial=0.0))
-        if np.any(np.abs(matrix - _adjoint(matrix)).max(axis=each, initial=0.0) > VALIDATION_TOL * scale):
+        if not np.all(negligible(matrix - adjoint(matrix), matrix)):
             raise ValueError("eigendecomposition requires a Hermitian matrix")
         values, vectors = np.linalg.eigh(matrix)
         spec = cls(values, vectors)
         norm = np.maximum(1.0, np.abs(values).max(axis=-1, initial=0.0))
+        each = (-2, -1)
         residual = np.abs(spec.synthesize(values) - matrix).max(axis=each, initial=0.0)
-        gram = _adjoint(vectors) @ vectors
+        gram = adjoint(vectors) @ vectors
         unitary_defect = np.abs(gram - np.eye(values.shape[-1])).max(axis=each, initial=0.0)
         if np.any(residual > tol * norm) or np.any(unitary_defect > tol):
             raise ValueError("eigendecomposition failed accuracy validation")
@@ -167,7 +162,7 @@ class Spectrum:
         """The (rows, cols) block U[rows] diag(w) U[cols]* of synthesize(weights),
         for index arrays or slices rows and cols, without forming the rest."""
         vectors = self.eigenvectors
-        return (vectors[..., rows, :] * weights[..., None, :]) @ _adjoint(vectors[..., cols, :])
+        return (vectors[..., rows, :] * weights[..., None, :]) @ adjoint(vectors[..., cols, :])
 
     def weights(self, f: ScalarFunction, scales: np.ndarray) -> np.ndarray:
         """Rows f(s * eigenvalues), one per s in scales, in f's own dtype."""
@@ -191,7 +186,7 @@ class Spectrum:
 
     def eigenbasis(self, m: np.ndarray) -> np.ndarray:
         """U* m U; leading axes of m are stack axes."""
-        return _adjoint(self.eigenvectors) @ m @ self.eigenvectors
+        return adjoint(self.eigenvectors) @ m @ self.eigenvectors
 
     def commutators(self, f: ScalarFunction, scales: np.ndarray, parts: np.ndarray) -> np.ndarray:
         """U* [f(s D), a] U for each s in scales, for an odd D, from the eigenbasis

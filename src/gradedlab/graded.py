@@ -27,6 +27,8 @@ import numpy as np
 
 __all__ = [
     "VALIDATION_TOL",
+    "adjoint",
+    "negligible",
     "GradedSpace",
     "GradedMatrix",
     "OddSelfAdjoint",
@@ -46,6 +48,21 @@ __all__ = [
 
 # Constructor-validation tolerance, relative to the largest entry.
 VALIDATION_TOL = 1e-12
+
+
+def adjoint(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a (..., d, d) stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def negligible(defect: np.ndarray, entries: np.ndarray, tol: float = VALIDATION_TOL) -> np.ndarray:
+    """The validation rule, matrix by matrix over a (..., d, d) stack of entries:
+    max |defect| <= tol max(1, max |entries|).  Past the stack axes of entries,
+    defect holds any values measured from that matrix (a d x d defect, or a
+    gather of some of its entries)."""
+    scale = np.maximum(1.0, np.abs(entries).max(axis=(-2, -1), initial=0.0))
+    measured = tuple(range(entries.ndim - 2, defect.ndim))
+    return np.abs(defect).max(axis=measured, initial=0.0) <= tol * scale
 
 
 @dataclass(frozen=True)
@@ -102,19 +119,15 @@ class GradedMatrix:
 
     def parity(self, tol: float = VALIDATION_TOL) -> int | None:
         """0 or 1 for homogeneous matrices, None for mixed ones."""
-        even, odd = parity_decompose(self)
-        scale = max(1.0, float(np.abs(self.entries).max(initial=0.0)))
-        even_small = np.abs(even.entries).max(initial=0.0) <= tol * scale
-        odd_small = np.abs(odd.entries).max(initial=0.0) <= tol * scale
-        if odd_small:
+        even, odd = parity_parts(self.space, self.entries)
+        if negligible(odd, self.entries, tol):
             return 0
-        if even_small:
+        if negligible(even, self.entries, tol):
             return 1
         return None
 
     def is_hermitian(self, tol: float = VALIDATION_TOL) -> bool:
-        scale = max(1.0, float(np.abs(self.entries).max(initial=0.0)))
-        return bool(np.abs(self.entries - self.entries.conj().T).max(initial=0.0) <= tol * scale)
+        return bool(negligible(self.entries - adjoint(self.entries), self.entries, tol))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -173,8 +186,7 @@ class OddSelfAdjoint:
         # gamma m gamma + m is exactly 2 m on the same-parity entries and 0 elsewhere
         parity = np.asarray(m.space.parity)
         same = parity[:, None] == parity[None, :]
-        scale = max(1.0, float(np.abs(m.entries).max(initial=0.0)))
-        if 2.0 * np.abs(m.entries[same]).max(initial=0.0) > VALIDATION_TOL * scale:
+        if not negligible(2.0 * m.entries[same], m.entries):
             raise ValueError("operator does not anticommute with the grading")
 
     @property

@@ -1,4 +1,5 @@
-"""Deterministic report emission: report.json, profile CSVs, certificates.
+"""Certificates and deterministic report emission: report.json, profile
+CSVs, certificates.jsonl.
 
 Every numeric value is serialized through the fixed format %.12e, which
 makes reports byte-identical across runs for identical configuration and
@@ -12,17 +13,24 @@ from __future__ import annotations
 import json
 import numbers
 import os
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 __all__ = [
+    "CERTIFICATE_TOL",
+    "BoundCertificate",
     "OutputError",
     "fmt_float",
     "jsonable",
     "REPORT_SCHEMA",
     "emit_report",
 ]
+
+
+# A certificate passes when margin = rhs - lhs >= -CERTIFICATE_TOL.
+CERTIFICATE_TOL = 1e-10
 
 
 class OutputError(RuntimeError):
@@ -82,15 +90,30 @@ REPORT_SCHEMA = {
     },
 }
 
-CERTIFICATE_FIELDS = ("check", "seed", "lhs", "rhs", "margin", "pass")
 
+@dataclass(frozen=True)
+class BoundCertificate:
+    """One measured bound lhs <= rhs, named by its check, with the trial seed
+    that reproduces it (None for deterministic checks)."""
 
-def _certificate_line(record: dict) -> str:
-    missing = [k for k in CERTIFICATE_FIELDS if k not in record]
-    if missing:
-        raise ValueError(f"certificate record missing fields: {missing}")
-    ordered = {k: jsonable(record[k]) for k in CERTIFICATE_FIELDS}
-    return json.dumps(ordered, sort_keys=True)
+    check: str
+    lhs: float
+    rhs: float
+    seed: object = None
+
+    @property
+    def margin(self) -> float:
+        return self.rhs - self.lhs
+
+    @property
+    def passed(self) -> bool:
+        return self.margin >= -CERTIFICATE_TOL
+
+    def jsonl_line(self) -> str:
+        """The certificates.jsonl line: six keys, sorted, numbers as %.12e strings."""
+        record = {"check": self.check, "seed": self.seed, "lhs": self.lhs, "rhs": self.rhs,
+                  "margin": self.margin, "pass": self.passed}
+        return json.dumps(jsonable(record), sort_keys=True)
 
 
 def emit_report(result, out_dir) -> list[Path]:
@@ -119,9 +142,7 @@ def emit_report(result, out_dir) -> list[Path]:
     }
     files: dict[str, str] = {
         "report.json": json.dumps(report, sort_keys=True, indent=2) + "\n",
-        "certificates.jsonl": "".join(
-            _certificate_line(cert.to_record()) + "\n" for cert in result.certificates
-        ),
+        "certificates.jsonl": "".join(cert.jsonl_line() + "\n" for cert in result.certificates),
     }
     for name, profile in result.profiles:
         files[f"profile_{name}.csv"] = profile.csv_text()

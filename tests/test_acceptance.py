@@ -75,8 +75,10 @@ def test_criterion_01_transform_commutator_bound():
         space = balanced_space([4, 8, 16][i % 3])
         d = random_odd_selfadjoint(rng, space)
         dp = random_odd_selfadjoint(rng, space)
-        for cert in transform_commutator_check(d, dp, n_grid, t_grid):
-            worst = min(worst, cert.margin)
+        lhs, rhs = transform_commutator_check(d, dp, n_grid, t_grid)
+        # column 0 against ||[D, D']||, column 1 + k against t_k^-2 ||[D, D']||
+        bounds = rhs * np.concatenate([[1.0], 1.0 / t_grid**2])
+        worst = min(worst, float((bounds - lhs).min()))
     elapsed = time.monotonic() - start
     verdict(1, worst >= -1e-10 and elapsed < 10.0,
             f"transform commutator bound (worst margin {worst:.2e}, {elapsed:.1f}s)")
@@ -91,7 +93,8 @@ def test_criterion_02_exponential_shift_bound():
         space = balanced_space([4, 8, 16][i % 3])
         x = random_even(rng, space, norm=3.0 * float(rng.uniform(0.05, 1.0)))
         y = random_even(rng, space, norm=operator_norm(x) * float(rng.uniform(0.0, 1.0)))
-        worst = min(worst, exp_shift_bound_check(x, y).margin)
+        lhs, rhs = exp_shift_bound_check(x, y)
+        worst = min(worst, rhs - lhs)
     elapsed = time.monotonic() - start
     verdict(2, worst >= -1e-10 and elapsed < 10.0,
             f"exponential shift bound (worst margin {worst:.2e}, {elapsed:.1f}s)")
@@ -105,7 +108,8 @@ def test_criterion_03_exponential_product_bound():
         space = balanced_space([4, 8, 16][i % 3])
         x = random_even(rng, space, norm=float(rng.uniform(0.02, 1.0)))
         y = random_even(rng, space, norm=float(rng.uniform(0.02, 1.0)))
-        worst = min(worst, exp_product_bound_check(x, y).margin)
+        lhs, rhs = exp_product_bound_check(x, y)
+        worst = min(worst, rhs - lhs)
     verdict(3, worst >= -1e-10, f"exponential product series bound (worst margin {worst:.2e})")
 
 
@@ -205,9 +209,10 @@ def test_criterion_07_double_limit_sweep():
         report = transform_sum_sweep(
             d, dp, n_grid=[1, 2, 4, 8, 16, 32, 64], t_grid=default_t_grid(10.0, 1e3, 30)
         )
-        ok = ok and report.monotone and report.final_supremum <= 1e-6
-        ok = ok and all(cert.passed for cert in report.relative_bound_certificates)
-        worst_final = max(worst_final, report.final_supremum)
+        # techlemma's default monotone_slack
+        ok = ok and bool(np.all(np.diff(report.suprema) <= 1e-12)) and report.suprema[-1] <= 1e-6
+        ok = ok and all(rhs - lhs >= -1e-10 for lhs, rhs in report.relative_bounds)
+        worst_final = max(worst_final, report.suprema[-1])
     verdict(7, ok, f"double-limit sweep (worst final supremum {worst_final:.2e})")
 
 

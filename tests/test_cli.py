@@ -128,6 +128,9 @@ def test_invalid_grid_exits_3(tmp_path):
         ("expfactor", {"t_grid": {"start": "10"}}),
         ("appendixB", {"trials": 2, "dims": [4], "out": 5}),
         ("appendixB", {"trials": 2, "dims": [4], "out": ""}),
+        ("perturb", {"coordinates": 3}),
+        ("techlemma", {"n_grid": [1.0, 2.0]}),
+        ("bott", {"trials": 2, "dims": [4], "n_grid": [1.0]}),
     ],
     ids=[
         "empty-dims", "empty-n-grid", "non-numeric-tolerance", "nan-tolerance", "non-positive-kernel",
@@ -135,7 +138,8 @@ def test_invalid_grid_exits_3(tmp_path):
         "infinite-n-grid", "misspelt-keys", "unknown-key", "unknown-t-grid-key", "fractional-seed",
         "bool-trials", "fractional-dims", "fractional-n-basis", "bool-coordinates", "fractional-t-points",
         "misspelt-tolerance", "other-experiments-tolerance", "string-dims", "string-n-grid", "string-dims-entries",
-        "string-t-start", "numeric-out", "empty-out",
+        "string-t-start", "numeric-out", "empty-out", "unread-perturb-coordinates", "unread-techlemma-n-grid",
+        "unread-bott-trials-dims-n-grid",
     ],
 )
 def test_malformed_config_exits_3_and_writes_nothing(tmp_path, monkeypatch, experiment, fields):

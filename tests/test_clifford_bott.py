@@ -25,8 +25,7 @@ from gradedlab import (
     validate_pair,
     zeros,
 )
-from gradedlab.estimates import BoundCertificate
-from gradedlab.experiments import ExperimentConfig, _worst_exponent, run_experiment
+from gradedlab.experiments import ExperimentConfig, run_experiment
 from gradedlab.funcalc import CAYLEY
 from gradedlab.pairs import COMMUTATION_EXPONENT_THRESHOLD, COMPOSE_EXPONENT_THRESHOLD, DecayProfile, default_t_grid
 from gradedlab.sampling import balanced_space, random_even, random_odd_selfadjoint, random_space, rng_for
@@ -323,17 +322,25 @@ def test_bott_pair_certificate_records_the_worst_exponent():
 
 
 @pytest.mark.parametrize("position", [0, 1, 2])
-def test_worst_exponent_certificate_fails_on_a_failed_fit(position):
-    """One NaN exponent (a failed fit) makes the worst exponent NaN in any
-    position, and the certificate built from it fails."""
+def test_worst_exponent_certificate_fails_on_a_failed_fit(position, monkeypatch):
+    """One NaN exponent (a failed fit) in any position of a validate_pair
+    table makes run_bott's worst exponent NaN, and the bott_pair
+    certificates built from it fail."""
+    import gradedlab.experiments
+
     grid = default_t_grid(points=8)
     fits = [DecayProfile.from_values(grid, v) for v in (np.zeros(8), 1.0 / grid**2)]
     failed = DecayProfile.from_values(grid, np.full(8, np.inf))
     assert math.isnan(failed.fitted_exponent)
     fits.insert(position, failed)
-    worst = _worst_exponent({"a": {f"f{i}": p for i, p in enumerate(fits)}})
-    assert math.isnan(worst)
-    assert not BoundCertificate("bott_pair[test]", worst, COMMUTATION_EXPONENT_THRESHOLD).passed
+    table = {"a": {f"f{i}": p for i, p in enumerate(fits)}}
+    monkeypatch.setattr(gradedlab.experiments, "validate_pair", lambda pair, t_grid: table)
+    result = run_experiment(ExperimentConfig("bott", n_basis=8, t_points=8))
+    certs = {c.check: c for c in result.certificates}
+    for name in ("bott_pair[scalar]", "bott_pair[multiplication]"):
+        assert math.isnan(certs[name].lhs) and certs[name].rhs == COMMUTATION_EXPONENT_THRESHOLD
+        assert not certs[name].passed
+    assert not result.passed
 
 
 def test_bott_composition_yields_bott_dirac():

@@ -14,7 +14,9 @@ from gradedlab import (
     operator_norm,
     parity_decompose,
 )
-from gradedlab.graded import VALIDATION_TOL
+from gradedlab.estimates import exp_shift_bounds
+from gradedlab.funcalc import Spectrum
+from gradedlab.graded import VALIDATION_TOL, adjoint, negligible, parity_parts
 from gradedlab.sampling import (
     random_hermitian_even,
     random_homogeneous,
@@ -242,6 +244,74 @@ def test_oddness_check_on_blocks_matches_full_formula(real):
                 if factor != 1.0:
                     assert verdict == (factor < 1)
                 assert accepted_as_odd(m) == verdict
+
+
+def site_rule(defect, entries):
+    """The rule as each validation site once wrote it for one matrix:
+    max |defect| <= VALIDATION_TOL max(1, max |entries|)."""
+    scale = max(1.0, float(np.abs(entries).max(initial=0.0)))
+    return bool(np.abs(defect).max(initial=0.0) <= VALIDATION_TOL * scale)
+
+
+@pytest.mark.parametrize("real", [False, True])
+def test_validation_rule_matrix_by_matrix(real):
+    """negligible over a stack gives each matrix its own verdict, and
+    is_hermitian, parity, Spectrum.of and the exponential estimates' even
+    check follow it.  The Hermitian-part and odd-part defects sit at 0.5,
+    0.9, 1.1 and 2 times the tolerance of entries of size 4; a last matrix,
+    Hermitian and even with entries of size 1000, shows that each matrix is
+    held to its own scale."""
+    rng = rng_for(13)
+    space = GradedSpace((0, 1, 1, 0, 1, 0, 0, 1))
+    d = space.dim
+    h = random_hermitian_even(rng, space).entries
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    o = random_odd_selfadjoint(rng, space).mat
+    if real:
+        h, g, o = h.real, g.real, o.real
+    h = 4.0 * h / np.abs(h).max()
+    k = (g - adjoint(g)) / np.abs(g - adjoint(g)).max()  # anti-Hermitian, largest entry 1
+    o = o / np.abs(o).max()
+    factors = (0.5, 0.9, 1.1, 2.0)
+    expected = [f < 1 for f in factors] + [True]
+
+    # m - m* = 2 c k
+    stack = np.stack([h + (f * VALIDATION_TOL * 4.0 / 2) * k for f in factors] + [250.0 * h])
+    verdicts = negligible(stack - adjoint(stack), stack)
+    assert verdicts.tolist() == expected
+    assert [site_rule(m - m.conj().T, m) for m in stack] == expected
+    assert [GradedMatrix(space, m).is_hermitian() for m in stack] == expected
+    Spectrum.of(stack[:2])
+    for bad in (stack, stack[2:3]):
+        with pytest.raises(ValueError, match="Hermitian"):
+            Spectrum.of(bad)
+
+    # the odd part of m is c o
+    stack = np.stack([h + (f * VALIDATION_TOL * 4.0) * o for f in factors] + [250.0 * h])
+    verdicts = negligible(parity_parts(space, stack)[1], stack)
+    assert verdicts.tolist() == expected
+    assert [site_rule(parity_parts(space, m)[1], m) for m in stack] == expected
+    assert [GradedMatrix(space, m).parity() == 0 for m in stack] == expected
+    exp_shift_bounds(space, stack[:2], 0.5 * stack[:2])
+    with pytest.raises(ValueError, match="even"):
+        exp_shift_bounds(space, stack, 0.5 * stack)
+
+
+def test_nan_entries_fail_validation():
+    """A NaN is never negligible.  Spectrum.of and the even check once raised
+    only on `defect > tol`, which a NaN never satisfies, and eigh then read
+    one triangle and ignored the NaN."""
+    space = GradedSpace((0, 1, 0, 1))
+    m = np.eye(4)
+    m[0, 2] = np.nan  # an even position, above the diagonal
+    assert not negligible(m - adjoint(m), m)
+    assert not GradedMatrix(space, m).is_hermitian()
+    with pytest.raises(ValueError, match="Hermitian"):
+        Spectrum.of(m)
+    x = np.eye(4)
+    x[0, 1] = np.nan  # an odd position
+    with pytest.raises(ValueError, match="even"):
+        exp_shift_bounds(space, x[None], 0.5 * np.eye(4)[None])
 
 
 def test_graded_matrix_immutability():

@@ -10,9 +10,10 @@ loop's own roundoff, and values below FIT_FLOOR stay below it.
 transform_commutator_check takes the anticommutator of the two odd
 transforms from their off-diagonal parity blocks (Spectrum.synthesize_block)
 and eigendecomposes its two diagonal blocks, not the full matrix; different
-products and a different eigensolve change the last bits, so it matches
-its full-matrix loop with equal check names and lhs to 1e-12 relative, and
-a 30-digit mpmath oracle to the same tolerance.  The exponentials of
+products and a different eigensolve change the last bits, so the
+certificates commbound names from its table match the full-matrix loop's
+with equal check names and lhs to 1e-12 relative, and the table matches a
+30-digit mpmath oracle to the same tolerance.  The exponentials of
 exp_product_path_profiles also run as stacks over the grid, and equal a
 per-point loop bit for bit.
 """
@@ -22,7 +23,6 @@ import numpy as np
 import pytest
 
 from gradedlab.estimates import (
-    BoundCertificate,
     exp_product_path_profiles,
     exp_product_series_bound,
     transform_commutator_check,
@@ -43,6 +43,7 @@ from gradedlab.funcalc import (
     map_grid,
 )
 from gradedlab.bott import bott_dirac, hermite_model, multiplication_generators, perturbation_check
+from gradedlab.experiments import _transform_commutator_certs
 from gradedlab.graded import (
     GradedMatrix,
     GradedSpace,
@@ -64,6 +65,7 @@ from gradedlab.pairs import (
     identity_pushforward,
     validate_pair,
 )
+from gradedlab.reporting import BoundCertificate
 from gradedlab.sampling import (
     balanced_space,
     random_even,
@@ -232,7 +234,7 @@ def test_transform_commutator_check_matches_oracle(case, stack_rows):
         assert d.space.parity == (0, 1, 0, 1, 1, 0, 1, 0)
     grid = default_t_grid(points=20)
     n_grid = (0.5, 2.0, 8.0)
-    got = transform_commutator_check(d, d_prime, n_grid, grid, seed=[1, 2])
+    got = _transform_commutator_certs(n_grid, grid, *transform_commutator_check(d, d_prime, n_grid, grid), [1, 2])
     assert_same_certificates(got, commbound_oracle(d, d_prime, n_grid, grid, [1, 2]))
     assert within_cap(stack_rows, d.space.dim)
 
@@ -254,26 +256,26 @@ def mp_anticommutator_norm(d, d_prime, n, s):
 
 @pytest.mark.parametrize("case", ["balanced", "random-space"])
 def test_transform_commutator_check_matches_mpmath(case):
-    """A 30-digit oracle at d = 4, for every certificate (the scaled ones at
-    the grid point each names): 1e-12 relative."""
+    """A 30-digit oracle at d = 4, for every entry of the table: 1e-12 relative."""
     rng = rng_for(31)
     space = balanced_space(4) if case == "balanced" else GradedSpace((0, 1, 1, 0))
     d, d_prime = random_odd_selfadjoint(rng, space), random_odd_selfadjoint(rng, space)
     grid = default_t_grid(points=4)
     n_grid = (0.5, 4.0)
-    certs = transform_commutator_check(d, d_prime, n_grid, grid)
-    for n, cert in zip(n_grid, certs[: len(n_grid)]):
-        assert cert.lhs == pytest.approx(mp_anticommutator_norm(d, d_prime, n, mpmath.mpf(1)), rel=1e-12)
-    for n, cert in zip(n_grid, certs[len(n_grid) :]):
-        t = next(t for t in grid if cert.check == f"transform_commutator_scaled[N={n:g},t={t:.6g}]")
-        assert cert.lhs == pytest.approx(mp_anticommutator_norm(d, d_prime, n, 1 / mpmath.mpf(float(t))), rel=1e-12)
+    lhs, _ = transform_commutator_check(d, d_prime, n_grid, grid)
+    assert lhs.shape == (len(n_grid), 1 + grid.size)
+    for k, n in enumerate(n_grid):
+        assert lhs[k, 0] == pytest.approx(mp_anticommutator_norm(d, d_prime, n, mpmath.mpf(1)), rel=1e-12)
+        for j, t in enumerate(grid):
+            want = mp_anticommutator_norm(d, d_prime, n, 1 / mpmath.mpf(float(t)))
+            assert lhs[k, 1 + j] == pytest.approx(want, rel=1e-12)
 
 
 def test_transform_commutator_check_keeps_the_first_worst_point():
     # zero operators tie every scaled margin at zero
     zero = OddSelfAdjoint(zeros(balanced_space(4)))
     grid = default_t_grid(points=10)
-    certs = transform_commutator_check(zero, zero, (1.0,), grid)
+    certs = _transform_commutator_certs((1.0,), grid, *transform_commutator_check(zero, zero, (1.0,), grid), None)
     assert certs == commbound_oracle(zero, zero, (1.0,), grid, None)
     assert certs[1].check == f"transform_commutator_scaled[N=1,t={grid[0]:.6g}]"
 
