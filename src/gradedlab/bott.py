@@ -31,17 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcalc import CAYLEY, MULTIPLIER_G, Spectrum
-from .graded import (
-    GradedMatrix,
-    GradedSpace,
-    OddSelfAdjoint,
-    gamma_matrix,
-    graded_tensor,
-    identity,
-    operator_norm,
-    operator_norms,
-)
+from .funcalc import CAYLEY, MULTIPLIER_G, ChiralSpectrum, ParityBlocks, Spectrum
+from .graded import GradedMatrix, GradedSpace, OddSelfAdjoint, gamma_matrix, graded_tensor, identity
 from .pairs import (
     AsymptoticPair,
     DecayProfile,
@@ -188,9 +179,9 @@ def multiplication_generators(model: HermiteModel) -> dict[str, GradedMatrix]:
     x_even = np.kron(model.x_mat, np.eye(2))[np.ix_(keep, keep)]
     spec = Spectrum.of(GradedMatrix(parity, x_even))
     even = GradedMatrix(parity, spec.apply(CAYLEY))
-    x_odd = np.kron(model.x_mat, _LEFT_E)[np.ix_(keep, keep)]
-    spec_odd = Spectrum.of(GradedMatrix(parity, x_odd))
-    odd = GradedMatrix(parity, spec_odd.apply(MULTIPLIER_G))
+    # through the chiral spectrum the odd g(x (x) e) is exactly odd
+    x_odd = OddSelfAdjoint(GradedMatrix(parity, np.kron(model.x_mat, _LEFT_E)[np.ix_(keep, keep)]))
+    odd = GradedMatrix(parity, ChiralSpectrum.of(x_odd).apply(MULTIPLIER_G))
     return {"mult_even": even, "mult_odd": odd}
 
 
@@ -199,19 +190,18 @@ def spectrum_and_kernel(b: OddSelfAdjoint, tol: float) -> tuple[np.ndarray, int]
 
     In parity order the odd part is [[0, A], [A*, 0]] with A = b[e, o], so
     its eigenvalues are +-sigma_i(A) and |#e - #o| exact zeros
-    (Jordan-Wielandt), all from one SVD of the #e x #o block.  For the
-    Bott models the same-parity blocks of b are exactly zero and the odd
-    part is b itself; in general Weyl's inequality puts each eigenvalue of
-    b within ||b_even|| of the one returned.
+    (Jordan-Wielandt), all from one values-only SVD of the #e x #o block
+    (ChiralSpectrum without U and V).  For the Bott models the same-parity
+    blocks of b are exactly zero and the odd part is b itself; in general
+    Weyl's inequality puts each eigenvalue of b within ||b_even|| of the
+    one returned.
     """
     if not 0 < tol < np.inf:
         raise ValueError("kernel tolerance must be positive and finite")
-    parity = np.asarray(b.space.parity)
-    e, o = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
-    sigma = np.linalg.svd(b.mat[np.ix_(e, o)], compute_uv=False)
-    eigenvalues = np.sort(np.concatenate([-sigma, np.zeros(abs(e.size - o.size)), sigma]))
-    kernel_dim = int(np.count_nonzero(np.abs(eigenvalues) < tol))
-    return eigenvalues, kernel_dim
+    spec = ChiralSpectrum.of(b, compute_uv=False)
+    sigma, gap = spec.singular_values, np.zeros(abs(spec.even.size - spec.odd.size))
+    eigenvalues = np.sort(np.concatenate([-sigma, gap, sigma]))
+    return eigenvalues, int(np.count_nonzero(np.abs(eigenvalues) < tol))
 
 
 def ground_vector(b: OddSelfAdjoint) -> np.ndarray:
@@ -229,17 +219,20 @@ def dc_commutator_check(ops: BottOperators) -> dict:
     the identity is reported alongside because the involution has both
     eigenvalues, an identity defect of exactly 2 in operator norm.
     """
-    anticomm = (
-        ops.dirac.underlying @ ops.clifford_mult.underlying
-        + ops.clifford_mult.underlying @ ops.dirac.underlying
-    )
-    p = ops.interior[None, :]
-    vs_involution = operator_norm((anticomm.entries - ops.degree_involution.entries) * p)
-    vs_identity = operator_norm((anticomm.entries - np.eye(ops.space.dim)) * p)
+    space, mask = ops.space, ops.interior
+
+    def blocks(m, columns=1.0):
+        return ParityBlocks.gather(space, m * columns)
+
+    # every matrix here is even, so each norm comes from its two half-size
+    # parity blocks; the interior mask scales columns, so it moves onto the
+    # right-hand factors
+    d, c = blocks(ops.dirac.mat), blocks(ops.clifford_mult.mat)
+    interior = d @ blocks(ops.clifford_mult.mat, mask) + c @ blocks(ops.dirac.mat, mask)
     return {
-        "commutator_norm": operator_norm(anticomm),
-        "interior_defect_vs_involution": float(vs_involution),
-        "interior_defect_vs_identity": float(vs_identity),
+        "commutator_norm": float((d @ c + c @ d).norms()),
+        "interior_defect_vs_involution": float((interior - blocks(ops.degree_involution.entries, mask)).norms()),
+        "interior_defect_vs_identity": float((interior - blocks(np.eye(space.dim), mask)).norms()),
     }
 
 
@@ -264,16 +257,14 @@ def perturbation_check(pair: AsymptoticPair, potential: OddSelfAdjoint, t_grid: 
     if pair.space != potential.space:
         raise ValueError("potential lives on the wrong space")
     grid = checked_t_grid(t_grid)
-    spec_v = Spectrum.of(potential)
-
-    def homom_defect(f, moved, a):
-        at_zero = f(np.zeros(1))[0]
-        return operator_norms(moved @ a - at_zero * a)
-
-    generators = {name: gen.entries for name, gen in pair.rep.generators.items()}
+    spec_v = ChiralSpectrum.of(potential)
+    # f(s V) - f(0) from the chiral weights f(s sigma) - f(0), by f.increment
+    # where f(0) != 0, so no two O(1) matrices are subtracted
+    generators = {name: ParityBlocks.gather(pair.space, gen.entries) for name, gen in pair.rep.generators.items()}
     functions = (CAYLEY, MULTIPLIER_G)
     profiles = generator_profiles(
-        functions, generators, grid, lambda scales: [spec_v.apply_grid(f, scales) for f in functions], homom_defect
+        functions, generators, grid, lambda scales: [spec_v.blocks(f, scales, increment=True) for f in functions],
+        lambda f, moved, a: (moved @ a).norms(), pair.space.dim,
     )
     defect_even, defect_odd = factorization_defect_profiles(pair.d, potential, grid)
     return PerturbationReport(profiles, defect_even, defect_odd)

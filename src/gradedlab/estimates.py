@@ -7,8 +7,8 @@ BoundCertificate and applies the pass rule.
 The exponential checks take (k, d, d) stacks, and a one-pair check is a
 one-matrix stack; each stacked result equals its one-matrix evaluation
 bit for bit.  transform_commutator_check works on the parity blocks of
-the two odd transforms and equals the full-matrix evaluation up to
-roundoff, not bit for bit.
+the two odd transforms, from the chiral spectra of D and D', and equals
+the full-matrix evaluation up to roundoff, not bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .funcalc import RESOLVENT_PLUS, Spectrum, bounded_transform_function, map_grid
+from .funcalc import RESOLVENT_PLUS, ChiralSpectrum, ParityBlocks, Spectrum, bounded_transform_function, map_grid
 from .graded import (
     GradedMatrix,
     GradedSpace,
@@ -191,39 +191,30 @@ def transform_commutator_check(
     ||[(s D)_N, (s D')_N]||, with s = 1 in column 0 and s = 1/t_k in
     column 1 + k, and the right side ||[D, D']||; the scaled form bounds
     column 1 + k by t_k^-2 ||[D, D']||, which forces uniform-in-N
-    vanishing as t grows.  Both operators are eigendecomposed once, and
-    only the parity block of each transform that the anticommutator
-    needs is synthesized.
+    vanishing as t grows.  Both operators are decomposed once
+    (ChiralSpectrum), and only the off-diagonal parity blocks of each
+    transform are synthesized.
     """
     if d.space != d_prime.space:
         raise ValueError("operators live on different spaces")
     if len(n_grid) == 0 or any(n <= 0 for n in n_grid):
         raise ValueError("transform scales must be non-empty and positive")
     grid = checked_t_grid(t_grid)
-    spec_d, spec_dp = Spectrum.of(d), Spectrum.of(d_prime)
+    spec_d, spec_dp = ChiralSpectrum.of(d), ChiralSpectrum.of(d_prime)
     rhs = operator_norm(graded_commutator(d.underlying, d_prime.underlying))
-    # one row per (N, s) pair, N-major, with s = 1 first and then 1/t
+    # one row of odd chiral weights per (N, s) pair, N-major, with s = 1 first and then 1/t
     scales = np.concatenate([[1.0], 1.0 / grid])
     transforms = [bounded_transform_function(n) for n in n_grid]
-    w_d = np.concatenate([spec_d.weights(f, scales) for f in transforms])
-    w_dp = np.concatenate([spec_dp.weights(f, scales) for f in transforms])
-
-    # both transforms are odd Hermitian, so the graded commutator is the
-    # anticommutator, which is even: with A = a[e, o] and B = b[e, o] on the
-    # parity index sets e and o it is diag(A B* + B A*, A* B + B* A)
-    parity = np.asarray(d.space.parity)
-    e, o = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
-    size = max(e.size, o.size)
+    w_d = np.concatenate([spec_d.weights(f, scales)[1] for f in transforms])
+    w_dp = np.concatenate([spec_dp.weights(f, scales)[1] for f in transforms])
 
     def odd_commutator_norms(rows):
-        a, b = spec_d.synthesize_block(w_d[rows], e, o), spec_dp.synthesize_block(w_dp[rows], e, o)
+        # both transforms are odd Hermitian, so the graded commutator is the
+        # anticommutator, which is even and Hermitian: with A = a[e, o] and
+        # B = b[e, o] it is diag(A B* + B A*, A* B + B* A)
+        a, b = spec_d.odd_block(w_d[rows]), spec_dp.odd_block(w_dp[rows])
         upper, lower = a @ adjoint(b), adjoint(a) @ b
-        # one eigvalsh over both Hermitian blocks; zero padding to a common
-        # size only adds zero eigenvalues
-        blocks = np.zeros((2, len(rows), size, size), dtype=upper.dtype)
-        blocks[0, :, : e.size, : e.size] = upper + adjoint(upper)
-        blocks[1, :, : o.size, : o.size] = lower + adjoint(lower)
-        return np.abs(np.linalg.eigvalsh(blocks)).max(axis=(0, -1))
+        return ParityBlocks(upper + adjoint(upper), None, None, lower + adjoint(lower)).norms(hermitian=True)
 
     lhs = map_grid(odd_commutator_norms, np.arange(len(w_d)), d.space.dim).reshape(len(transforms), -1)
     return lhs, rhs

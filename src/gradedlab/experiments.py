@@ -283,6 +283,9 @@ def load_config(
     unknown += [f"t_grid.{k}" for k in sorted(set(grid) - set(_GRID_PARSERS))]
     if unknown:
         raise ConfigError(f"unknown config keys for {name}: {', '.join(unknown)}")
+    # run_bott's pair and composition checks, the only readers of t_grid, run at one coordinate
+    if name == "bott" and "t_grid" in data and merged.get("coordinates", 1) != 1:
+        raise ConfigError("bott reads t_grid only at coordinates = 1")
     try:
         fields = {key: _PARSERS[key](value) for key, value in merged.items()}
         fields.update({f"t_{key}": _GRID_PARSERS[key](value) for key, value in grid.items()})

@@ -11,13 +11,21 @@ f(s D) for a whole chunk of scales as one (S, d, d) stack from a single
 eigendecomposition, and map_grid cuts the grid into chunks that hold at
 most STACK_ENTRIES entries.  Batched LAPACK and BLAS kernels run the same
 computation on every matrix of a stack, so apply_grid stacks equal a
-point-by-point evaluation bit for bit.  Spectrum.commutators forms graded
-commutators [f(s D), a] in D's eigenbasis as Schur products, equal to the
-original-basis products up to roundoff, with no matrix product per scale.
-Spectrum.synthesize_block forms one block of f(s D) alone, such as the
-parity block that fixes an odd f(s D); it equals that block of the full
-synthesis up to roundoff, as BLAS may sum a product of another shape in
-another order.
+point-by-point evaluation bit for bit.
+
+An odd D has a cheaper spectral form, which the pair, composition,
+perturbation and Bott layers use.  In parity order D = [[0, A], [A*, 0]];
+ChiralSpectrum holds the SVD A = U Sigma V*, and with W = diag(U, V),
+W* D W is a sum of 2 x 2 blocks [[0, sigma], [sigma, 0]] plus |#e - #o|
+exact zeros.  So f(s D) is U f_even(s Sigma) U* and V f_even(s Sigma) V*
+on the diagonal parity blocks and U f_odd(s Sigma) V* on the off-diagonal
+ones, with f_even(x) = (f(x) + f(-x))/2 and f_odd(x) = (f(x) - f(-x))/2.
+An even or odd f gives an exactly even or odd f(s D), and
+gamma f(D) gamma equals f(-D) (the scale -1) bit for bit.  Results come
+as ParityBlocks, stacks held as their four parity blocks: products skip
+the zero blocks, and ParityBlocks.norms takes the norm of a homogeneous
+matrix from its two half-size blocks.  These values agree with the
+eigendecomposition of D up to roundoff, not bit for bit.
 
 The named function table carries exact sup norms so contractivity can
 be certified without sampling.
@@ -31,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graded import GradedMatrix, OddSelfAdjoint, adjoint, negligible
+from .graded import GradedMatrix, GradedSpace, OddSelfAdjoint, adjoint, negligible, operator_norms
 
 __all__ = [
     "ScalarFunction",
@@ -48,6 +56,8 @@ __all__ = [
     "grid_chunks",
     "map_grid",
     "Spectrum",
+    "ParityBlocks",
+    "ChiralSpectrum",
 ]
 
 
@@ -56,22 +66,25 @@ class ScalarFunction:
     """Named real-to-complex function with optional sup norm and parity.
 
     parity is 0 for even functions, 1 for odd ones, None when mixed or
-    unknown; sup_norm is None when no bound was declared.
+    unknown; sup_norm is None when no bound was declared.  increment, when
+    declared, computes f(x) - f(0) without the cancellation that
+    subtracting f(0) suffers near x = 0.
     """
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     sup_norm: float | None = None
     parity: int | None = None
+    increment: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
 
 
-GAUSS0 = ScalarFunction("gauss0", lambda x: np.exp(-(x**2)), 1.0, 0)
+GAUSS0 = ScalarFunction("gauss0", lambda x: np.exp(-(x**2)), 1.0, 0, lambda x: np.expm1(-(x**2)))
 # sup of |x e^{-x^2}| is attained at x = 1/sqrt(2)
 GAUSS1 = ScalarFunction("gauss1", lambda x: x * np.exp(-(x**2)), 1.0 / math.sqrt(2.0 * math.e), 1)
-CAYLEY = ScalarFunction("cayley", lambda x: 1.0 / (1.0 + x**2), 1.0, 0)
+CAYLEY = ScalarFunction("cayley", lambda x: 1.0 / (1.0 + x**2), 1.0, 0, lambda x: -(x**2) / (1.0 + x**2))
 MULTIPLIER_G = ScalarFunction("g", lambda x: x / (1.0 + x**2), 0.5, 1)
 RESOLVENT_PLUS = ScalarFunction("resolvent+", lambda x: 1.0 / (x + 1j), 1.0, None)
 RESOLVENT_MINUS = ScalarFunction("resolvent-", lambda x: 1.0 / (x - 1j), 1.0, None)
@@ -156,13 +169,7 @@ class Spectrum:
     def synthesize(self, weights: np.ndarray) -> np.ndarray:
         """U diag(w) U* for each row w of weights (last axis: one weight per
         eigenvalue); leading axes of weights become stack axes."""
-        return self.synthesize_block(weights, slice(None), slice(None))
-
-    def synthesize_block(self, weights: np.ndarray, rows, cols) -> np.ndarray:
-        """The (rows, cols) block U[rows] diag(w) U[cols]* of synthesize(weights),
-        for index arrays or slices rows and cols, without forming the rest."""
-        vectors = self.eigenvectors
-        return (vectors[..., rows, :] * weights[..., None, :]) @ adjoint(vectors[..., cols, :])
+        return (self.eigenvectors * weights[..., None, :]) @ adjoint(self.eigenvectors)
 
     def weights(self, f: ScalarFunction, scales: np.ndarray) -> np.ndarray:
         """Rows f(s * eigenvalues), one per s in scales, in f's own dtype."""
@@ -184,15 +191,229 @@ class Spectrum:
         """
         return self.synthesize(self.weights(f, scales))
 
-    def eigenbasis(self, m: np.ndarray) -> np.ndarray:
-        """U* m U; leading axes of m are stack axes."""
-        return adjoint(self.eigenvectors) @ m @ self.eigenvectors
 
-    def commutators(self, f: ScalarFunction, scales: np.ndarray, parts: np.ndarray) -> np.ndarray:
-        """U* [f(s D), a] U for each s in scales, for an odd D, from the eigenbasis
-        parity parts (a_0, a_1) of a.  As gamma f(D) gamma = f(-D), the graded
-        commutator is f(D) a - a_0 f(D) - a_1 f(-D): entry (i, j) is the Schur product
-        (w_i - w_j) a_0[i, j] + (w_i - v_j) a_1[i, j] with w = f(s lambda), v = f(-s lambda).
+def _add(x, y):
+    """x + y, where None stands for an exact zero."""
+    return y if x is None else x if y is None else x + y
+
+
+def _product(x, y):
+    return None if x is None or y is None else x @ y
+
+
+def _block_norms(x: np.ndarray, hermitian: bool) -> np.ndarray:
+    return np.abs(np.linalg.eigvalsh(x)).max(axis=-1, initial=0.0) if hermitian else operator_norms(x)
+
+
+@dataclass(frozen=True)
+class ParityBlocks:
+    """A (..., d, d) stack in parity order, held as its blocks [[ee, eo], [oe, oo]].
+
+    ee is #e x #e, eo is #e x #o, and so on; leading axes are stack axes.
+    An exactly zero parity part is None: a stack is even (ee, None, None,
+    oo), odd (None, eo, oe, None) or mixed.  Sums and products skip the
+    None blocks, so products of homogeneous stacks run on half-size blocks.
+    """
+
+    ee: np.ndarray | None
+    eo: np.ndarray | None
+    oe: np.ndarray | None
+    oo: np.ndarray | None
+
+    @classmethod
+    def of(cls, ee, eo, oe, oo) -> "ParityBlocks":
+        """These blocks with an exactly zero odd part, or else even part, as None."""
+        if not (np.any(eo) or np.any(oe)):
+            return cls(ee, None, None, oo)
+        return cls(None, eo, oe, None) if not (np.any(ee) or np.any(oo)) else cls(ee, eo, oe, oo)
+
+    @classmethod
+    def gather(cls, space: GradedSpace, m: np.ndarray) -> "ParityBlocks":
+        """The parity blocks of a (..., d, d) stack of entries on space."""
+        e, o = ChiralSpectrum.parity_order(space)
+        return cls.of(*(m[..., rows[:, None], cols] for rows in (e, o) for cols in (e, o)))
+
+    @property
+    def blocks(self) -> tuple:
+        return self.ee, self.eo, self.oe, self.oo
+
+    def __add__(self, other: "ParityBlocks") -> "ParityBlocks":
+        return ParityBlocks(*map(_add, self.blocks, other.blocks))
+
+    def __sub__(self, other: "ParityBlocks") -> "ParityBlocks":
+        return self + ParityBlocks(*(None if x is None else -x for x in other.blocks))
+
+    def __matmul__(self, other: "ParityBlocks") -> "ParityBlocks":
+        a, b = self, other
+        return ParityBlocks(
+            _add(_product(a.ee, b.ee), _product(a.eo, b.oe)),
+            _add(_product(a.ee, b.eo), _product(a.eo, b.oo)),
+            _add(_product(a.oe, b.ee), _product(a.oo, b.oe)),
+            _add(_product(a.oe, b.eo), _product(a.oo, b.oo)),
+        )
+
+    def dense(self) -> np.ndarray:
+        """The stack as (..., d, d) matrices in parity order."""
+        ee, eo, oe, oo = self.blocks
+        if eo is None:
+            eo = np.zeros(ee.shape[:-1] + oo.shape[-1:], ee.dtype)
+            oe = np.zeros(oo.shape[:-1] + ee.shape[-1:], oo.dtype)
+        elif ee is None:
+            ee = np.zeros(eo.shape[:-1] + oe.shape[-1:], eo.dtype)
+            oo = np.zeros(oe.shape[:-1] + eo.shape[-1:], oe.dtype)
+        return np.block([[ee, eo], [oe, oo]])
+
+    def norms(self, hermitian: bool = False) -> np.ndarray:
+        """Operator norm of each matrix of the stack.
+
+        A homogeneous matrix takes the larger of its two half-size block
+        norms; hermitian marks an even Hermitian stack, whose block norms are
+        the largest |eigenvalue|.  A mixed matrix whose even part is
+        imaginary and odd part real, or the reverse, is conjugated by the
+        parity phase diag(1, i) into a real matrix with the same norm; any
+        other mixed matrix takes the full-size norm.
         """
-        w, v = self.weights(f, scales)[:, :, None], self.weights(f, -np.asarray(scales))[:, None, :]
-        return (w - w.swapaxes(1, 2)) * parts[0] + (w - v) * parts[1]
+        ee, eo, oe, oo = self.blocks
+        if eo is not None and ee is not None:
+            if np.iscomplexobj(ee) or np.iscomplexobj(eo):
+                if not any(np.any(x) for x in (ee.real, oo.real, eo.imag, oe.imag)):
+                    return operator_norms(ParityBlocks(ee.imag, eo.real, -oe.real, oo.imag).dense())
+                if not any(np.any(x) for x in (ee.imag, oo.imag, eo.real, oe.real)):
+                    return operator_norms(ParityBlocks(ee.real, -eo.imag, oe.imag, oo.real).dense())
+            return operator_norms(self.dense())
+        pair = (ee, oo) if eo is None else (eo, oe.swapaxes(-1, -2))
+        hermitian = hermitian and eo is None
+        if pair[0].shape == pair[1].shape:
+            return _block_norms(np.stack(pair), hermitian).max(axis=0)
+        return np.maximum(*(_block_norms(x, hermitian) for x in pair))
+
+
+@dataclass(frozen=True)
+class ChiralSpectrum:
+    """Chiral form of an odd self-adjoint D: the SVD A = D[e, o] = U Sigma V*.
+
+    even and odd are the index sets e and o of the two parities, and
+    singular_values the k = min(#e, #o) values sigma, descending; U (#e x #e)
+    and V (#o x #o) are kept when asked for.  In the chiral basis
+    W = diag(U, V), in parity order, D pairs index i < k with #e + i through
+    sigma_i, and its other |#e - #o| indices are exact zero modes.  This is
+    the spectrum of the odd Hermitian matrix built from A alone, which
+    OddSelfAdjoint puts within VALIDATION_TOL of D.
+    """
+
+    even: np.ndarray
+    odd: np.ndarray
+    singular_values: np.ndarray
+    u: np.ndarray | None = None
+    v: np.ndarray | None = None
+
+    @staticmethod
+    def parity_order(space: GradedSpace) -> tuple[np.ndarray, np.ndarray]:
+        """The index sets e and o of the even and odd basis vectors."""
+        parity = np.asarray(space.parity)
+        return np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+
+    @classmethod
+    def of(cls, operator: OddSelfAdjoint, compute_uv: bool = True) -> "ChiralSpectrum":
+        """The chiral spectrum of operator.  With U and V, the SVD is validated
+        as Spectrum.of validates eigh at its default tol = 1e-10:
+        max |U Sigma V* - A| within tol max(1, sigma_1), and U and V unitary
+        to tol entrywise."""
+        tol = 1e-10
+        e, o = cls.parity_order(operator.space)
+        a = operator.mat[np.ix_(e, o)]
+        if not compute_uv:
+            return cls(e, o, np.linalg.svd(a, compute_uv=False))
+        u, sigma, vh = np.linalg.svd(a)
+        residual = np.abs((u[:, : sigma.size] * sigma) @ vh[: sigma.size] - a).max(initial=0.0)
+        unitary_defect = max(np.abs(adjoint(m) @ m - np.eye(m.shape[-1])).max(initial=0.0) for m in (u, vh))
+        if not (residual <= tol * max(1.0, sigma.max(initial=0.0)) and unitary_defect <= tol):
+            raise ValueError("chiral decomposition failed accuracy validation")
+        return cls(e, o, sigma, u, adjoint(vh))
+
+    def weights(self, f: ScalarFunction, scales, increment: bool = False) -> tuple:
+        """Even and odd chiral weights of f(s D) for each s in scales, or with
+        increment of f(s D) - f(0), from f.increment when declared.
+
+        An even row runs over the chiral basis, e side then o side:
+        f_even(s sigma) on the k paired indices of each side and f(0) on
+        the others.  An odd row is f_odd(s sigma).  A part that f's declared
+        parity makes exactly zero is None.
+        """
+        g = f
+        if increment:
+            g = f.increment or (lambda x: f(x) - f(np.zeros(1))[0])
+        x = np.asarray(scales, dtype=float)[:, None] * self.singular_values
+        paired = odd = np.asarray(g(x))
+        if f.parity == 1:
+            return None, odd
+        if f.parity is None:
+            minus = np.asarray(g(-x))
+            paired, odd = (paired + minus) * 0.5, (paired - minus) * 0.5
+        k, ne = x.shape[1], self.even.size
+        even = np.full((x.shape[0], ne + self.odd.size), np.asarray(g(np.zeros(1)))[0], dtype=paired.dtype)
+        even[:, :k] = even[:, ne : ne + k] = paired
+        return even, (odd if f.parity is None else None)
+
+    def odd_block(self, odd: np.ndarray) -> np.ndarray:
+        """U diag(odd) V* for each row of odd chiral weights."""
+        k = odd.shape[-1]
+        return (self.u[:, :k] * odd[:, None, :]) @ adjoint(self.v[:, :k])
+
+    def blocks(self, f: ScalarFunction, scales, increment: bool = False) -> ParityBlocks:
+        """f(s D), or f(s D) - f(0) with increment, for each s in scales:
+        U diag(even_e) U* and V diag(even_o) V* from the even weights, and
+        U diag(odd) V* with its partner V diag(odd) U* from the odd ones.  A
+        weight part that is exactly zero leaves its parity part None (an
+        all-zero f gives an even zero stack)."""
+        (u, v), (even, odd), ne = (self.u, self.v), self.weights(f, scales, increment), self.even.size
+        ee = eo = oe = oo = None
+        if np.any(odd):
+            eo, k = self.odd_block(odd), odd.shape[-1]
+            real = not (np.iscomplexobj(odd) and np.any(odd.imag))
+            oe = adjoint(eo) if real else (v[:, :k] * odd[:, None, :]) @ adjoint(u[:, :k])
+        if eo is None or np.any(even):
+            even = np.zeros((len(scales), ne + v.shape[0])) if even is None else even
+            ee, oo = (u * even[:, None, :ne]) @ adjoint(u), (v * even[:, None, ne:]) @ adjoint(v)
+        return ParityBlocks(ee, eo, oe, oo)
+
+    def apply(self, f: ScalarFunction, scale: float = 1.0) -> np.ndarray:
+        """Matrix of f(scale * D) in the original basis."""
+        order, value = np.concatenate([self.even, self.odd]), self.blocks(f, [scale]).dense()[0]
+        out = np.empty_like(value)
+        out[np.ix_(order, order)] = value
+        return out
+
+    def chiral_parts(self, a: GradedMatrix) -> np.ndarray:
+        """The operands of commutator_norms for a: W* a W in parity order, the
+        same with each row i replaced by row p(i), and gamma W* a W gamma with
+        each column j replaced by column p(j), for p the pairing of indices."""
+        u, v = self.u, self.v
+        m = (ParityBlocks(adjoint(u), None, None, adjoint(v)) @ ParityBlocks.gather(a.space, a.entries)
+             @ ParityBlocks(u, None, None, v)).dense()
+        ne, k = self.even.size, self.singular_values.size
+        signed = m.copy()
+        signed[:ne, ne:] *= -1
+        signed[ne:, :ne] *= -1
+        partner = np.arange(m.shape[-1])
+        partner[:k] += ne
+        partner[ne : ne + k] -= ne
+        return np.stack([m, m[partner], signed[:, partner]])
+
+    def commutator_norms(self, f: ScalarFunction, scales, parts: np.ndarray) -> np.ndarray:
+        """||[f(s D), a]|| for each s in scales, from parts = chiral_parts(a).
+
+        In the chiral basis f(s D) = diag(w) + P, where P carries
+        f_odd(s sigma_i) between the two indices of pair i, and
+        gamma f(s D) gamma = diag(w) - P.  So the graded commutator
+        f(s D) a - a_0 f(s D) - a_1 f(-s D) has the entries
+        (w_i - w_j) a_ij + o_i a_p(i)j - (gamma a gamma)_ip(j) o_j, with o the
+        odd weight of each index's pair (zero on unpaired indices).
+        """
+        (m, rows, cols), (even, paired), ne = parts, self.weights(f, scales), self.even.size
+        out = 0.0 if even is None else (even[:, :, None] - even[:, None, :]) * m
+        if paired is not None:
+            odd = np.zeros(paired.shape[:1] + m.shape[-1:], dtype=paired.dtype)
+            odd[:, : paired.shape[-1]] = odd[:, ne : ne + paired.shape[-1]] = paired
+            out = out + odd[:, :, None] * rows - cols * odd[:, None, :]
+        return ParityBlocks.of(out[:, :ne, :ne], out[:, :ne, ne:], out[:, ne:, :ne], out[:, ne:, ne:]).norms()

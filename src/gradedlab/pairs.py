@@ -12,10 +12,14 @@ operator and the naive two-step image e^{-t^-2 D'^2} e^{-t^-2 D^2} a,
 which decays like t^-2 when [psi(D), D'] is bounded.
 
 Everything is pure and deterministic; profiles are evaluated on whole
-t-grid stacks by the grid engine of funcalc.  The commutation profiles
-are measured in D's eigenbasis (Spectrum.commutators), so they match a
-point-by-point evaluation to roundoff rather than bit for bit; every
-other profile is bit-identical to one (Spectrum.apply_grid).
+t-grid stacks, chunked by funcalc's map_grid, from the chiral spectra of
+the odd operators (funcalc.ChiralSpectrum).  The commutation profiles are
+Schur products in D's chiral basis; the defects are formed from the
+parity blocks of f(s D), with e^{-x^2} written as 1 + expm1(-x^2) so the
+leading identities cancel exactly, and every norm of a homogeneous
+matrix comes from its two half-size parity blocks.  So the profiles match
+a point-by-point evaluation of the same formulas through Spectrum.apply
+to roundoff, not bit for bit.
 """
 
 from __future__ import annotations
@@ -26,8 +30,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .funcalc import GAUSS0, GAUSS1, PAIR_FUNCTIONS, RESOLVENT_MINUS, RESOLVENT_PLUS, ScalarFunction, Spectrum, map_grid
-from .graded import GradedMatrix, GradedSpace, OddSelfAdjoint, operator_norms, parity_decompose
+from .funcalc import GAUSS0, GAUSS1, PAIR_FUNCTIONS, RESOLVENT_MINUS, RESOLVENT_PLUS, ScalarFunction, map_grid
+from .funcalc import ChiralSpectrum, ParityBlocks
+from .graded import GradedMatrix, GradedSpace, OddSelfAdjoint
 
 __all__ = [
     "DEFAULT_GRID_POINTS",
@@ -115,18 +120,18 @@ class DecayProfile:
 
 def generator_profiles(
     functions: Sequence[ScalarFunction],
-    generators: Mapping[str, np.ndarray],
+    generators: Mapping[str, object],
     t_grid: np.ndarray,
     stacks: Callable[[np.ndarray], Sequence[object]],
-    measure: Callable[[ScalarFunction, object, np.ndarray], np.ndarray],
+    measure: Callable[[ScalarFunction, object, object], np.ndarray],
+    dim: int,
 ) -> dict[str, dict[str, DecayProfile]]:
     """Profiles of t -> measure(f, F, a) per generator a and function f.
 
-    Each generator is an array whose last two axes are d x d.  stacks(scales)
-    returns one F per function, each evaluated on a whole chunk of grid
-    scales 1/t at once.  measure maps F and a generator to one norm per scale.
+    stacks(scales) returns one F per function, each evaluated on a whole
+    chunk of grid scales 1/t at once, chunked for operators of dimension
+    dim.  measure maps F and a generator to one norm per scale.
     """
-    dim = next(iter(generators.values())).shape[-1]
 
     def norms(scales):
         per_function = zip(functions, stacks(scales))
@@ -188,45 +193,40 @@ def validate_pair(pair: AsymptoticPair, t_grid: np.ndarray) -> dict[str, dict[st
     resolvent+ profile.
     """
     grid = checked_t_grid(t_grid)
-    spec = Spectrum.of(pair.d)
+    spec = ChiralSpectrum.of(pair.d)
     profiles = {}
     for name, gen in pair.rep.generators.items():
         if np.array_equal(gen.entries, gen.entries[0, 0] * np.eye(pair.space.dim)):
             # c 1 graded-commutes with every f(D): its profiles are exact zeros
             profiles[name] = {f.name: DecayProfile.from_values(grid, np.zeros(grid.size)) for f in PAIR_FUNCTIONS}
             continue
-        # the parity parts move to D's eigenbasis once (Spectrum.commutators).  When
-        # they are real, resolvent-(x) = conj(resolvent+(x)) makes the resolvent-
-        # commutators the conjugates of the resolvent+ ones, with the same norms
-        parts = spec.eigenbasis(np.stack([p.entries for p in parity_decompose(gen)]))
+        # the generator moves to D's chiral basis once.  When it is real there,
+        # resolvent-(x) = conj(resolvent+(x)) makes the resolvent- commutators
+        # the conjugates of the resolvent+ ones, with the same norms
+        parts = spec.chiral_parts(gen)
         functions = [f for f in PAIR_FUNCTIONS if f is not RESOLVENT_MINUS or np.iscomplexobj(parts)]
         measured = generator_profiles(
             functions, {name: parts}, grid, lambda scales: [scales] * len(functions),
-            lambda f, scales, a: operator_norms(spec.commutators(f, scales, a)),
+            lambda f, scales, a: spec.commutator_norms(f, scales, a), pair.space.dim,
         )[name]
         profiles[name] = {f.name: measured.get(f.name, measured[RESOLVENT_PLUS.name]) for f in PAIR_FUNCTIONS}
     return profiles
 
 
-def _factorization_defects(d: OddSelfAdjoint, d_prime: OddSelfAdjoint, t_grid: np.ndarray) -> np.ndarray:
-    """Both factorization defects, one (even, odd) row per t."""
-    if d.space != d_prime.space:
-        raise ValueError("operators live on different spaces")
-    spec_sum, spec_d, spec_dp = Spectrum.of(d + d_prime), Spectrum.of(d), Spectrum.of(d_prime)
-
-    def defects(scales):
-        heat_sum = spec_sum.apply_grid(GAUSS0, scales)
-        heat_d = spec_d.apply_grid(GAUSS0, scales)
-        heat_dp = spec_dp.apply_grid(GAUSS0, scales)
-        even = heat_sum - heat_d @ heat_dp
-        odd = (
-            spec_sum.apply_grid(GAUSS1, scales)
-            - spec_d.apply_grid(GAUSS1, scales) @ heat_dp
-            - heat_d @ spec_dp.apply_grid(GAUSS1, scales)
-        )
-        return np.stack([operator_norms(even), operator_norms(odd)], axis=-1)
-
-    return map_grid(defects, 1.0 / t_grid, d.space.dim)
+def _heat_defects(
+    total: ChiralSpectrum, left: ChiralSpectrum, right: ChiralSpectrum, scales: np.ndarray
+) -> tuple[ParityBlocks, ParityBlocks]:
+    """For each s, gauss0 and gauss1 of s(L + R) less their two-step forms:
+    H_L H_R for gauss0 and, by the product rule, G_L H_R + H_L G_R for gauss1,
+    with H and G the gauss0 and gauss1 of s L and s R.  With H = 1 + Delta,
+    Delta from expm1, the identities cancel before any rounding:
+    even = Delta_T - Delta_L - Delta_R - Delta_L Delta_R and
+    odd = G_T - G_L - G_R - G_L Delta_R - Delta_L G_R."""
+    delta_l, delta_r = left.blocks(GAUSS0, scales, increment=True), right.blocks(GAUSS0, scales, increment=True)
+    odd_l, odd_r = left.blocks(GAUSS1, scales), right.blocks(GAUSS1, scales)
+    even = total.blocks(GAUSS0, scales, increment=True) - delta_l - delta_r - delta_l @ delta_r
+    odd = total.blocks(GAUSS1, scales) - odd_l - odd_r - odd_l @ delta_r - delta_l @ odd_r
+    return even, odd
 
 
 def factorization_defect_profiles(
@@ -242,7 +242,14 @@ def factorization_defect_profiles(
     t^-2 ||[D, D']|| + O(t^-4) in general.
     """
     grid = checked_t_grid(t_grid)
-    values = _factorization_defects(d, d_prime, grid)
+    if d.space != d_prime.space:
+        raise ValueError("operators live on different spaces")
+    spectra = ChiralSpectrum.of(d + d_prime), ChiralSpectrum.of(d), ChiralSpectrum.of(d_prime)
+
+    def norms(scales):
+        return np.stack([defect.norms() for defect in _heat_defects(*spectra, scales)], axis=-1)
+
+    values = map_grid(norms, 1.0 / grid, d.space.dim)
     return DecayProfile.from_values(grid, values[:, 0]), DecayProfile.from_values(grid, values[:, 1])
 
 
@@ -289,19 +296,10 @@ def compose_pairs(
     d_total = pushed_d + p_bc.d
     composed = AsymptoticPair(RepresentedAlgebra(p_bc.space, composed_gens), d_total)
 
-    spec_total = Spectrum.of(d_total)
-    spec_inner = Spectrum.of(pushed_d)
-    spec_outer = Spectrum.of(p_bc.d)
-
-    def exact_and_naive(scales):
-        # f(t^-1 D_total) and the naive two-step image, for gauss0 and (by the product rule) gauss1
-        heat_inner, heat_outer = spec_inner.apply_grid(GAUSS0, scales), spec_outer.apply_grid(GAUSS0, scales)
-        odd_inner, odd_outer = spec_inner.apply_grid(GAUSS1, scales), spec_outer.apply_grid(GAUSS1, scales)
-        naive = (heat_outer @ heat_inner, odd_outer @ heat_inner + heat_outer @ odd_inner)
-        return [(spec_total.apply_grid(f, scales), n) for f, n in zip((GAUSS0, GAUSS1), naive)]
-
+    spectra = ChiralSpectrum.of(d_total), ChiralSpectrum.of(p_bc.d), ChiralSpectrum.of(pushed_d)
+    gens = {name: ParityBlocks.gather(p_bc.space, gen.entries) for name, gen in composed_gens.items()}
     profiles = generator_profiles(
-        (GAUSS0, GAUSS1), {name: gen.entries for name, gen in composed_gens.items()}, grid, exact_and_naive,
-        lambda f, pair, rho: operator_norms(pair[0] @ rho - pair[1] @ rho),
+        (GAUSS0, GAUSS1), gens, grid, lambda scales: _heat_defects(*spectra, scales),
+        lambda f, defect, rho: (defect @ rho).norms(), p_bc.space.dim,
     )
     return Composition(composed, profiles)

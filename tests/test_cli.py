@@ -131,6 +131,7 @@ def test_invalid_grid_exits_3(tmp_path):
         ("perturb", {"coordinates": 3}),
         ("techlemma", {"n_grid": [1.0, 2.0]}),
         ("bott", {"trials": 2, "dims": [4], "n_grid": [1.0]}),
+        ("bott", {"coordinates": 2, "n_basis": 8, "t_grid": {"points": 7}}),
     ],
     ids=[
         "empty-dims", "empty-n-grid", "non-numeric-tolerance", "nan-tolerance", "non-positive-kernel",
@@ -139,7 +140,7 @@ def test_invalid_grid_exits_3(tmp_path):
         "bool-trials", "fractional-dims", "fractional-n-basis", "bool-coordinates", "fractional-t-points",
         "misspelt-tolerance", "other-experiments-tolerance", "string-dims", "string-n-grid", "string-dims-entries",
         "string-t-start", "numeric-out", "empty-out", "unread-perturb-coordinates", "unread-techlemma-n-grid",
-        "unread-bott-trials-dims-n-grid",
+        "unread-bott-trials-dims-n-grid", "unread-bott-t-grid-at-two-coordinates",
     ],
 )
 def test_malformed_config_exits_3_and_writes_nothing(tmp_path, monkeypatch, experiment, fields):
@@ -257,6 +258,16 @@ def test_load_config_validation(tmp_path):
     malformed_grid.write_text(json.dumps({"experiment": "bott", "t_grid": 5}))
     with pytest.raises(ConfigError):
         load_config(malformed_grid)
+
+
+def test_bott_refuses_t_grid_beyond_one_coordinate(tmp_path):
+    """run_bott reads t_grid only for the one-coordinate pair checks, so a file
+    that sets it at two coordinates is refused by name; at one coordinate, and
+    at two without it, the same file loads."""
+    with pytest.raises(ConfigError, match="t_grid"):
+        load_config(write_config(tmp_path, experiment="bott", coordinates=2, n_basis=8, t_grid={"points": 7}))
+    assert load_config(write_config(tmp_path, experiment="bott", coordinates=1, t_grid={"points": 7})).t_points == 7
+    assert load_config(write_config(tmp_path, experiment="bott", coordinates=2, n_basis=8)).coordinates == 2
 
 
 @pytest.mark.parametrize(

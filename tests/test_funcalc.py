@@ -15,7 +15,7 @@ from gradedlab import (
     operator_norm,
     zeros,
 )
-from gradedlab.funcalc import CAYLEY, GAUSS0, GAUSS1, MULTIPLIER_G, RESOLVENT_PLUS, ScalarFunction
+from gradedlab.funcalc import CAYLEY, GAUSS0, GAUSS1, MULTIPLIER_G, RESOLVENT_PLUS, ChiralSpectrum, ScalarFunction
 from gradedlab.sampling import (
     balanced_space,
     random_homogeneous,
@@ -197,3 +197,28 @@ def test_spectrum_rejects_non_hermitian():
     bad = GradedMatrix(TWO, np.array([[0, 2], [1, 0]], dtype=complex))
     with pytest.raises(ValueError):
         Spectrum.of(bad)
+
+
+@pytest.mark.parametrize("corrupt", ["u", "sigma", "vh"])
+def test_chiral_spectrum_validates_its_svd(corrupt, monkeypatch):
+    """ChiralSpectrum.of checks its SVD as Spectrum.of checks eigh: a factor
+    off by 1e-8 raises, as a residual defect (sigma, vh) or, in a column of U
+    that no singular value reaches, as a unitarity defect (u); the
+    values-only form, which has no factors, does not validate."""
+    d = random_odd_selfadjoint(rng_for(71), GradedSpace((0, 1, 0, 0, 1, 0, 0)))
+    ChiralSpectrum.of(d)
+    svd = np.linalg.svd
+
+    def corrupted(a, *args, **kwargs):
+        out = svd(a, *args, **kwargs)
+        if not kwargs.get("compute_uv", True):
+            return out
+        u, sigma, vh = (m.copy() for m in out)
+        {"u": u, "sigma": sigma, "vh": vh}[corrupt][..., -1] += 1e-8
+        return u, sigma, vh
+
+    monkeypatch.setattr(np.linalg, "svd", corrupted)
+    with pytest.raises(ValueError, match="accuracy validation"):
+        ChiralSpectrum.of(d)
+    sigma = ChiralSpectrum.of(d, compute_uv=False).singular_values
+    assert sigma.size == min(d.space.parity.count(0), d.space.parity.count(1))

@@ -1,21 +1,21 @@
 """The grid engine against point-by-point evaluation.
 
 Spectrum.apply_grid evaluates f(s D) for a whole chunk of scales as one
-stack.  Every profile function routed through it must reproduce, bit for
-bit, the plain loops below, which call Spectrum.apply and operator_norm
-once per grid point.  Two profiles are not bit-identical.  validate_pair
-forms each commutator in D's eigenbasis as a Schur product
-(Spectrum.commutators); it matches its loop to 1e-10 relative up to the
-loop's own roundoff, and values below FIT_FLOOR stay below it.
-transform_commutator_check takes the anticommutator of the two odd
-transforms from their off-diagonal parity blocks (Spectrum.synthesize_block)
-and eigendecomposes its two diagonal blocks, not the full matrix; different
-products and a different eigensolve change the last bits, so the
+stack, and its rows equal Spectrum.apply bit for bit.  The profiles of
+odd operators come from the chiral spectrum (ChiralSpectrum): f(s D) as
+parity blocks from the SVD of D's odd block, commutators as Schur
+products in D's chiral basis, and norms from half-size blocks.  Another
+factorization and other products change the last bits, so every such
+profile is held to the plain loops below, which call Spectrum.apply and
+operator_norm once per grid point, to 1e-10 relative up to the loop's
+own cancellation floor; values below FIT_FLOOR stay below it.  The
 certificates commbound names from its table match the full-matrix loop's
-with equal check names and lhs to 1e-12 relative, and the table matches a
-30-digit mpmath oracle to the same tolerance.  The exponentials of
-exp_product_path_profiles also run as stacks over the grid, and equal a
-per-point loop bit for bit.
+with equal check names and lhs to 1e-12 relative.  30-digit mpmath
+oracles hold transform_commutator_check, validate_pair and compose_pairs
+to 1e-12 relative, and the Bott profiles of perturbation_check at
+t = 1e3, which no longer subtract O(1) matrices, to 1e-13.  The
+exponentials of exp_product_path_profiles also run as stacks over the
+grid, and equal a per-point loop bit for bit.
 """
 
 import mpmath
@@ -37,6 +37,7 @@ from gradedlab.funcalc import (
     PAIR_FUNCTIONS,
     RESOLVENT_PLUS,
     STACK_ENTRIES,
+    ChiralSpectrum,
     Spectrum,
     bounded_transform_function,
     grid_chunks,
@@ -99,19 +100,27 @@ def operands(dim, seed=7):
 @pytest.fixture
 def stack_rows(monkeypatch):
     """Record the length of every stack the engine synthesizes, in full or
-    by blocks, or forms as commutators (1 for a single matrix)."""
+    by parity blocks, or whose commutator norms it takes (1 for a single
+    matrix)."""
     rows = []
 
-    def recording(method):
-        def wrapper(self, *args):
-            out = method(self, *args)
-            rows.append(out.shape[0] if out.ndim == 3 else 1)
+    def recording(method, length):
+        def wrapper(self, *args, **kwargs):
+            out = method(self, *args, **kwargs)
+            rows.append(length(out))
             return out
 
         return wrapper
 
-    for name in ("synthesize", "synthesize_block", "commutators"):
-        monkeypatch.setattr(Spectrum, name, recording(getattr(Spectrum, name)))
+    def blocks_length(out):
+        return next(block for block in out.blocks if block is not None).shape[0]
+
+    monkeypatch.setattr(
+        Spectrum, "synthesize", recording(Spectrum.synthesize, lambda out: out.shape[0] if out.ndim == 3 else 1)
+    )
+    monkeypatch.setattr(ChiralSpectrum, "blocks", recording(ChiralSpectrum.blocks, blocks_length))
+    monkeypatch.setattr(ChiralSpectrum, "odd_block", recording(ChiralSpectrum.odd_block, len))
+    monkeypatch.setattr(ChiralSpectrum, "commutator_norms", recording(ChiralSpectrum.commutator_norms, len))
     return rows
 
 
@@ -200,6 +209,14 @@ def factorization_oracle(d, d_prime, grid):
     return evens, odds
 
 
+def assert_matches_loop(got, want, operand_norm=1.0):
+    """Profile values against a per-point loop: 1e-10 relative, up to the
+    loop's own cancellation floor of 64 eps times its operands' norm.  The
+    loop subtracts O(1) matrices whose difference is ~1e-6 at t = 1e3, while
+    the profile forms that difference from chiral weights and parity blocks."""
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=64 * np.finfo(float).eps * operand_norm)
+
+
 def interleaved_operands(case):
     """Odd D, D' on spaces whose parities interleave: a random_space pair,
     or lifts to a graded_tensor product, with parities (0, 1, 0, 1, 1, 0, 1, 0)."""
@@ -286,8 +303,8 @@ def test_factorization_profiles_match_oracle(dim, stack_rows):
     grid = default_t_grid(10.0, 1e3, 30)
     even, odd = factorization_defect_profiles(pair.d, d_prime, grid)
     want_even, want_odd = factorization_oracle(pair.d, d_prime, grid)
-    assert even.values.tolist() == want_even
-    assert odd.values.tolist() == want_odd
+    assert_matches_loop(even.values, want_even)
+    assert_matches_loop(odd.values, want_odd)
     assert within_cap(stack_rows, dim)
 
 
@@ -313,8 +330,8 @@ def test_compose_pairs_matches_oracle(dim, stack_rows):
             evens.append(operator_norm(total.apply(GAUSS0, s) @ rho - heat_outer @ heat_inner @ rho))
             naive_odd = (outer.apply(GAUSS1, s) @ heat_inner + heat_outer @ inner.apply(GAUSS1, s)) @ rho
             odds.append(operator_norm(total.apply(GAUSS1, s) @ rho - naive_odd))
-        assert comp.defect_profiles[name]["gauss0"].values.tolist() == evens
-        assert comp.defect_profiles[name]["gauss1"].values.tolist() == odds
+        assert_matches_loop(comp.defect_profiles[name]["gauss0"].values, evens, operator_norm(rho))
+        assert_matches_loop(comp.defect_profiles[name]["gauss1"].values, odds, operator_norm(rho))
     assert within_cap(stack_rows, dim)
 
 
@@ -394,6 +411,60 @@ def test_validate_pair_matches_mpmath():
         np.testing.assert_allclose(profiles[f.name].values, want, rtol=1e-12, atol=4 * np.finfo(float).eps)
 
 
+def chiral_operands():
+    """Real odd D and D' at d = 6 with four even and two odd basis vectors, so
+    D has at least two zero modes, and a real even and a real odd generator:
+    every norm runs on the half-size blocks or, for the resolvents, on the
+    real matrix of the parity phase."""
+    rng = rng_for(61)
+    space = GradedSpace((0, 1, 0, 0, 1, 0))
+    d, d_prime = (OddSelfAdjoint(GradedMatrix(space, random_odd_selfadjoint(rng, space).mat.real)) for _ in range(2))
+    gens = {name: GradedMatrix(space, draw(rng, space, norm=1.0).entries.real) for name, draw in
+            (("a_even", random_even), ("a_odd", random_odd))}
+    return AsymptoticPair(RepresentedAlgebra(space, gens), d), d_prime
+
+
+def test_validate_pair_on_chiral_blocks_matches_mpmath():
+    """The 30-digit oracle at t = 1 and 1e3: 1e-12 relative, up to the
+    4 eps ||a|| absolute cancellation of the gauss0 weights at t = 1e3."""
+    pair, _ = chiral_operands()
+    grid = np.array([1.0, 1e3])
+    profiles = validate_pair(pair, grid)
+    for name, gen in pair.rep.generators.items():
+        for f in PAIR_FUNCTIONS:
+            want = [mp_commutator_norm(f, pair.d, gen, t) for t in grid]
+            np.testing.assert_allclose(profiles[name][f.name].values, want, rtol=1e-12, atol=4 * np.finfo(float).eps)
+
+
+def mp_heat(d, s):
+    """gauss0 and gauss1 of s D at 30 digits, from mpmath's eigh."""
+    values, vectors = mpmath.eigh(mpmath.matrix(d.mat.tolist()))
+    return [vectors * mpmath.diag([MP_FUNCTIONS[f](s * v) for v in values]) * vectors.H for f in ("gauss0", "gauss1")]
+
+
+def test_compose_pairs_on_chiral_blocks_matches_mpmath():
+    """Both defects of composing two real pairs at t = 1 and 1e3 against a
+    30-digit oracle: 1e-12 relative, up to 16 eps s ||D + D'|| ||rho||
+    absolute.  That is the cancellation of the gauss1 defect's leading terms,
+    each ~s ||D||, down to ~1e-9 at t = 1e3."""
+    p_ab, d_prime = chiral_operands()
+    p_bc = AsymptoticPair(RepresentedAlgebra(p_ab.space, {"b": p_ab.rep.generators["a_even"]}), d_prime)
+    grid = np.array([1.0, 1e3])
+    comp = compose_pairs(p_ab, p_bc, identity_pushforward, grid)
+    for k, t in enumerate(grid):
+        with mpmath.workdps(30):
+            s = 1 / mpmath.mpf(float(t))
+            (h_in, g_in), (h_out, g_out), (h_total, g_total) = (mp_heat(d, s) for d in (p_ab.d, d_prime, comp.pair.d))
+            defects = {"gauss0": h_total - h_out * h_in, "gauss1": g_total - g_out * h_in - h_out * g_in}
+            for name, gen in comp.pair.rep.generators.items():
+                rho = mpmath.matrix(gen.entries.tolist())
+                for fn, defect in defects.items():
+                    want = float(max(mpmath.svd_r(defect * rho, compute_uv=False)))
+                    got = comp.defect_profiles[name][fn].values[k]
+                    floor = 16 * np.finfo(float).eps * operator_norm(comp.pair.d) * operator_norm(gen) / t
+                    assert got == pytest.approx(want, rel=1e-12, abs=floor), (name, fn, t)
+
+
 def test_bott_scalar_pair_stays_below_the_fit_floor():
     """The unit generator commutes exactly, so validate_pair records exact
     zeros for it without measuring; the bott_pair[scalar] certificate needs
@@ -415,11 +486,39 @@ def test_perturbation_check_matches_oracle(dim, stack_rows):
             want = [
                 operator_norm(spec_v.apply(f, 1.0 / float(t)) @ gen.entries - at_zero * gen.entries) for t in grid
             ]
-            assert report.homom_profiles[name][f.name].values.tolist() == want
+            assert_matches_loop(report.homom_profiles[name][f.name].values, want, operator_norm(gen))
     want_even, want_odd = factorization_oracle(pair.d, potential, grid)
-    assert report.defect_even.values.tolist() == want_even
-    assert report.defect_odd.values.tolist() == want_odd
+    assert_matches_loop(report.defect_even.values, want_even)
+    assert_matches_loop(report.defect_odd.values, want_odd)
     assert within_cap(stack_rows, dim)
+
+
+def test_perturbation_check_bott_matches_mpmath():
+    """The perturb experiment's Bott profiles at t = 1e3, where ||f(s V) a - f(0) a||
+    and the even heat defect are ~1e-6 to ~1e-3, against a 30-digit oracle to
+    1e-13 relative: f(s V) - f(0) comes from the chiral weights, and the heat
+    kernels from expm1, so no O(1) matrices cancel."""
+    model = hermite_model(16, 1)
+    ops = bott_dirac(model)
+    pair = AsymptoticPair(RepresentedAlgebra(ops.space, multiplication_generators(model)), ops.dirac)
+    grid = default_t_grid()
+    report = perturbation_check(pair, ops.clifford_mult, grid)
+    with mpmath.workdps(30):
+        s = 1 / mpmath.mpf(float(grid[-1]))
+        c, d = (mpmath.matrix(m.mat.tolist()) for m in (ops.clifford_mult, ops.dirac))
+        squared = (s * c) ** 2
+        resolvent = mpmath.inverse(mpmath.eye(c.rows) + squared)
+        moved = {"cayley": -squared * resolvent, "g": s * c * resolvent}
+
+        def top(m):
+            return float(max(mpmath.svd_r(m, compute_uv=False)))
+
+        for name, gen in pair.rep.generators.items():
+            for fn, m in moved.items():
+                want = top(m * mpmath.matrix(gen.entries.tolist()))
+                assert report.homom_profiles[name][fn].values[-1] == pytest.approx(want, rel=1e-13, abs=0), (name, fn)
+        heat = mpmath.expm(-((s * (d + c)) ** 2)) - mpmath.expm(-((s * d) ** 2)) * mpmath.expm(-((s * c) ** 2))
+        assert report.defect_even.values[-1] == pytest.approx(top(heat), rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("dim", TOY_DIMS)

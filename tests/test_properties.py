@@ -3,6 +3,9 @@
 Each example draws a root seed and a dimension 2..16; random_space then
 gives a random parity pattern, so the parity classes interleave.  The
 fixed derandomized profile makes tier-1 run the same examples every time.
+The chiral spectrum's examples draw the two class sizes and the rank of
+D's odd block instead, for unbalanced spaces and kernels beyond the
+dimension gap.
 
 transform_commutator_check rests on three facts checked here: an odd f
 gives an odd f(D) (from gamma f(D) gamma = f(-D)); the anticommutator of
@@ -12,16 +15,41 @@ rests on a fourth: an odd Hermitian matrix has the spectrum
 +-sigma(B[e, o]) and |#e - #o| exact zeros.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gradedlab.funcalc
 from gradedlab.bott import spectrum_and_kernel
 from gradedlab.estimates import transform_commutator_check
-from gradedlab.funcalc import NAMED_FUNCTIONS, Spectrum, bounded_transform_function
-from gradedlab.graded import GradedMatrix, OddSelfAdjoint, graded_commutator, graded_tensor, operator_norm
+from gradedlab.funcalc import (
+    NAMED_FUNCTIONS,
+    RESOLVENT_PLUS,
+    ChiralSpectrum,
+    ParityBlocks,
+    Spectrum,
+    bounded_transform_function,
+)
+from gradedlab.graded import (
+    GradedMatrix,
+    GradedSpace,
+    OddSelfAdjoint,
+    graded_commutator,
+    graded_tensor,
+    operator_norm,
+    operator_norms,
+)
 from gradedlab.pairs import default_t_grid
-from gradedlab.sampling import random_homogeneous, random_odd_selfadjoint, random_space, rng_for
+from gradedlab.sampling import (
+    random_even,
+    random_homogeneous,
+    random_odd,
+    random_odd_selfadjoint,
+    random_space,
+    rng_for,
+)
 
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None, max_examples=40)
 TIER1 = settings.get_profile("tier1")
@@ -32,8 +60,7 @@ FUNCTIONS = (*NAMED_FUNCTIONS, bounded_transform_function(2.0))
 
 
 def parity_sets(space):
-    parity = np.asarray(space.parity)
-    return np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+    return ChiralSpectrum.parity_order(space)
 
 
 @TIER1
@@ -148,3 +175,72 @@ def test_graded_tensor_koszul_multiplicativity(seed, dim_a, dim_b, parities):
     scale = operator_norm(a) * operator_norm(b) * operator_norm(c) * operator_norm(d)
     assert np.abs(product.entries - koszul.entries).max() <= 1e-12 * max(scale, 1.0)
     assert product.space == koszul.space
+
+
+def chiral_operator(rng, n_even, n_odd, rank, real):
+    """Odd Hermitian D on a shuffled space of n_even even and n_odd odd vectors
+    whose odd block A = D[e, o] has the given rank: |#e - #o| + 2 (min - rank)
+    zero modes."""
+    space = GradedSpace(tuple(int(p) for p in rng.permutation([0] * n_even + [1] * n_odd)))
+    e, o = parity_sets(space)
+    a = rng.standard_normal((n_even, rank)) @ rng.standard_normal((rank, n_odd))
+    if not real:
+        a = a + 1j * rng.standard_normal((n_even, rank)) @ rng.standard_normal((rank, n_odd))
+    entries = np.zeros((space.dim, space.dim), dtype=a.dtype)
+    entries[np.ix_(e, o)], entries[np.ix_(o, e)] = a, a.conj().T
+    return OddSelfAdjoint(GradedMatrix(space, entries))
+
+
+@TIER1
+@given(SEEDS, st.integers(1, 8), st.integers(1, 8), st.integers(0, 8), st.booleans(), st.floats(0.1, 5.0))
+def test_chiral_spectrum_on_random_parities(seed, n_even, n_odd, rank, real, scale):
+    """f(s D) from the chiral spectrum is exactly even for even f and exactly
+    odd for odd f, and gamma f(s D) gamma is f(-s D) bit for bit.  The
+    parity-block norms of f(s D) a and [f(s D), a] match the full-matrix
+    norms of the eigh calculus to 1e-12 relative, for even, odd and mixed
+    f and for even, odd and mixed a (the last two take the full-size
+    fallback, or the parity phase on real data), up to the eigh calculus's
+    own roundoff: f(s (D + E)) with ||E|| ~ eps ||D||, or 32 eps (1 + s ||D||)
+    ||a|| absolute for these functions of Lipschitz constant at most 1."""
+    rng = rng_for(seed)
+    d = chiral_operator(rng, n_even, n_odd, min(rank, n_even, n_odd), real)
+    space, signs = d.space, d.space.gamma_signs()
+    e, o = parity_sets(space)
+    chiral, spec = ChiralSpectrum.of(d), Spectrum.of(d)
+    cast = (lambda m: m.real) if real else (lambda m: m)
+    gens = [GradedMatrix(space, cast(draw(rng, space, norm=1.0).entries)) for draw in (random_even, random_odd)]
+    gens.append(gens[0] + gens[1])
+    for f in FUNCTIONS:
+        value = chiral.apply(f, scale)
+        assert np.array_equal(signs[:, None] * value * signs[None, :], chiral.apply(f, -scale)), f.name
+        if f.parity is not None:
+            zero_blocks = [(e, o), (o, e)] if f.parity == 0 else [(e, e), (o, o)]
+            assert all(not np.any(value[np.ix_(*block)]) for block in zero_blocks), f.name
+        full = spec.apply(f, scale)
+        for a in gens:
+            floor = 32 * np.finfo(float).eps * (1 + scale * operator_norm(d)) * operator_norm(a)
+            product = (chiral.blocks(f, [scale]) @ ParityBlocks.gather(space, a.entries)).norms()[0]
+            assert abs(product - operator_norm(full @ a.entries)) <= 1e-12 * product + floor, f.name
+            got = chiral.commutator_norms(f, [scale], chiral.chiral_parts(a))[0]
+            want = operator_norm(graded_commutator(GradedMatrix(space, full), a))
+            assert abs(got - want) <= 1e-12 * want + floor, f.name
+
+
+@TIER1
+@given(SEEDS, st.integers(1, 8), st.integers(1, 8), st.integers(1, 8), st.floats(0.1, 5.0))
+def test_parity_phase_norm_equals_complex_norm(seed, n_even, n_odd, rank, scale):
+    """On real D != 0 and a real homogeneous a, the resolvent's product f(s D) a
+    has an imaginary even part and a real odd part (or the reverse); its norm
+    is taken from a real matrix and equals the complex SVD norm to 1e-12."""
+    rng = rng_for(seed)
+    d = chiral_operator(rng, n_even, n_odd, min(rank, n_even, n_odd), True)
+    chiral = ChiralSpectrum.of(d)
+    for draw in (random_even, random_odd):
+        a = ParityBlocks.gather(d.space, draw(rng, d.space, norm=1.0).entries.real)
+        product = chiral.blocks(RESOLVENT_PLUS, [scale]) @ a
+        assert np.iscomplexobj(product.dense())
+        with mock.patch.object(gradedlab.funcalc, "operator_norms", wraps=operator_norms) as norms:
+            got = product.norms()[0]
+        assert all(not np.iscomplexobj(call.args[0]) for call in norms.call_args_list)
+        want = operator_norms(product.dense())[0]
+        assert abs(got - want) <= 1e-12 * want

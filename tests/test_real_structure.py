@@ -15,8 +15,7 @@ import math
 import numpy as np
 import pytest
 
-import gradedlab.bott
-import gradedlab.pairs
+import gradedlab.funcalc
 from gradedlab.bott import (
     bott_dirac,
     hermite_model,
@@ -24,7 +23,7 @@ from gradedlab.bott import (
     perturbation_check,
     spectrum_and_kernel,
 )
-from gradedlab.funcalc import NAMED_FUNCTIONS, PAIR_FUNCTIONS, Spectrum
+from gradedlab.funcalc import NAMED_FUNCTIONS, PAIR_FUNCTIONS, ChiralSpectrum, Spectrum
 from gradedlab.graded import (
     GradedMatrix,
     GradedSpace,
@@ -63,31 +62,30 @@ def complex_copy(pair):
 
 @pytest.fixture
 def measured(monkeypatch):
-    """Record the function name of every Spectrum.commutators call."""
+    """Record the function name of every ChiralSpectrum.commutator_norms call."""
     names = []
-    original = Spectrum.commutators
+    original = ChiralSpectrum.commutator_norms
 
     def recording(self, f, scales, parts):
         names.append(f.name)
         return original(self, f, scales, parts)
 
-    monkeypatch.setattr(Spectrum, "commutators", recording)
+    monkeypatch.setattr(ChiralSpectrum, "commutator_norms", recording)
     return names
 
 
 @pytest.fixture
-def norm_dtypes(monkeypatch):
-    """Record the dtype of every stack whose norms the pair and Bott layers take."""
-    dtypes = []
-    original = gradedlab.pairs.operator_norms
+def norm_stacks(monkeypatch):
+    """Record (dtype, matrix shape) of every stack whose SVD norms the parity blocks take."""
+    stacks = []
+    original = gradedlab.funcalc.operator_norms
 
     def recording(stack):
-        dtypes.append(stack.dtype)
+        stacks.append((stack.dtype, stack.shape[-2:]))
         return original(stack)
 
-    monkeypatch.setattr(gradedlab.pairs, "operator_norms", recording)
-    monkeypatch.setattr(gradedlab.bott, "operator_norms", recording)
-    return dtypes
+    monkeypatch.setattr(gradedlab.funcalc, "operator_norms", recording)
+    return stacks
 
 
 # -- the dtype contract ------------------------------------------------------
@@ -137,18 +135,24 @@ def test_random_suites_stay_complex_and_unchanged(dim):
         assert np.array_equal(stacked, spec.synthesize(spec.weights(f, 1.0 / GRID).astype(np.complex128))), f.name
 
 
-def test_bott_norms_run_on_real_stacks(norm_dtypes):
+def test_bott_norms_run_on_real_stacks(norm_stacks):
     """validate_pair, compose_pairs and perturbation_check on the real model
-    take norms of real stacks, except for the resolvent commutators."""
+    take norms of real stacks only, and of half-size parity blocks except
+    for the resolvent commutators.  Those have an imaginary even part and a
+    real odd part, so the parity phase diag(1, i) makes them real with the
+    same norm.  Per generator and chunk, validate_pair takes the gauss0
+    norms of the two diagonal blocks, the stacked gauss1 norms of the two
+    off-diagonal blocks and one full-size resolvent+ norm."""
     ops, pair = bott_pair()
+    dim = ops.space.dim
     validate_pair(pair, GRID)
-    # validate_pair measures gauss0, gauss1 and resolvent+ per generator
-    assert norm_dtypes.count(np.complex128) == norm_dtypes.count(np.float64) // 2 > 0
-    del norm_dtypes[:]
+    assert norm_stacks and all(dtype == np.float64 for dtype, _ in norm_stacks)
+    assert sum(shape == (dim, dim) for _, shape in norm_stacks) * 4 == len(norm_stacks)
+    del norm_stacks[:]
     scalar = AsymptoticPair(RepresentedAlgebra(ops.space, {"unit": identity(ops.space)}), ops.clifford_mult)
     compose_pairs(scalar, pair, identity_pushforward, GRID)
     perturbation_check(pair, ops.clifford_mult, GRID)
-    assert norm_dtypes and all(dtype == np.float64 for dtype in norm_dtypes)
+    assert norm_stacks and all(dtype == np.float64 and max(shape) < dim for dtype, shape in norm_stacks)
 
 
 # -- an exact oracle for the real two-coordinate spectrum -------------------------
