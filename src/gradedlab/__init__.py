@@ -51,8 +51,9 @@ from .pairs import (
 from .bott import (
     BottOperators,
     HermiteModel,
+    OddNonzeros,
     bott_dirac,
-    bott_operator,
+    bott_nonzeros,
     dc_commutator_check,
     ground_vector,
     hermite_model,

@@ -22,7 +22,10 @@ structure is exactly what gives B^2 = oscillator - involution a
 one-dimensional kernel spanned by the Gaussian h_0 (x) 1.
 
 Models with n > 1 coordinates are graded tensor powers of the
-one-coordinate model.
+one-coordinate model.  B_1 is a direct sum of 2 x 2 blocks on
+(h_j (x) e, h_{j+1} (x) 1) and a 1 x 1 zero on h_0 (x) 1, so B splits into
+connected components of at most 2^n indices, the truncation ladder's exact
+and dense-free spectrum (`bott_nonzeros`, `OddNonzeros.eigenvalues`).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .funcalc import CAYLEY, MULTIPLIER_G, ChiralSpectrum, ParityBlocks, Spectrum
-from .graded import GradedMatrix, GradedSpace, OddSelfAdjoint, gamma_matrix, graded_tensor, identity
+from .graded import GradedMatrix, GradedSpace, OddSelfAdjoint, gamma_matrix, graded_tensor, identity, negligible
 from .pairs import (
     AsymptoticPair,
     DecayProfile,
@@ -45,7 +48,8 @@ __all__ = [
     "HermiteModel",
     "hermite_model",
     "BottOperators",
-    "bott_operator",
+    "OddNonzeros",
+    "bott_nonzeros",
     "bott_dirac",
     "multiplication_generators",
     "spectrum_and_kernel",
@@ -136,14 +140,61 @@ def _lift_sum(parity: GradedSpace, n: int, m: GradedMatrix) -> GradedMatrix:
     return total
 
 
-def bott_operator(model: HermiteModel) -> OddSelfAdjoint:
-    """B = sum_i lift_i(d_1 + c_1), the Bott-Dirac operator alone.
+@dataclass(frozen=True)
+class OddNonzeros:
+    """Real odd symmetric operator as its nonzeros, values[k] at (rows[k],
+    cols[k]), validated as OddSelfAdjoint validates a dense one: each entry
+    joins opposite parities and equals its mirror to VALIDATION_TOL."""
 
-    Every entry is an exact +-off, 2 off or 0 (the lifts have disjoint
-    supports), so B equals bott_dirac's D + C bit for bit.
-    """
-    parity, d1, c1, _, _ = _coordinate_pieces(model)
-    return OddSelfAdjoint(_lift_sum(parity, model.n, d1.underlying + c1.underlying))
+    parity: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        key, mirror = self.rows * self.parity.size + self.cols, self.cols * self.parity.size + self.rows
+        forward, back = np.argsort(key), np.argsort(mirror)
+        if np.any(self.parity[self.rows] == self.parity[self.cols]) or not (
+                np.array_equal(key[forward], mirror[back]) and np.all(np.diff(key[forward]) > 0)
+                and negligible(self.values[forward] - self.values[back], self.values[None])):
+            raise ValueError("nonzeros must join opposite parities and be symmetric, each position once")
+
+    def eigenvalues(self) -> np.ndarray:
+        """Sorted spectrum: the connected components', one stacked eigvalsh per size."""
+        label, moved = None, np.arange(self.parity.size)
+        while not np.array_equal(moved, label):  # min-label propagation, then pointer jumping
+            label, moved = moved, moved.copy()
+            np.minimum.at(moved, self.rows, label[self.cols])
+            moved = moved[moved]
+        width = np.bincount(label)[label]  # the size of each index's component
+        # ordered by (size, label), the components of size s are runs of s indices
+        position = np.argsort(np.lexsort((label, width)))
+        spectra = []
+        for s in np.unique(width):
+            start, edge = np.count_nonzero(width < s), width[self.rows] == s
+            row, col = position[self.rows[edge]] - start, position[self.cols[edge]] - start
+            stack = np.zeros(np.count_nonzero(width == s) * s)
+            stack[row * s + col % s] = self.values[edge]
+            spectra.append(np.linalg.eigvalsh(stack.reshape(-1, s, s)).ravel())
+        return np.sort(np.concatenate(spectra))
+
+
+def bott_nonzeros(model: HermiteModel) -> OddNonzeros:
+    """bott_dirac's B bit for bit: b_1 = d_1 + c_1 joins h_j (x) e, h_{j+1} (x) 1 with
+    2 off, then B_{i+1} = B_i (x) 1 + gamma^(x)i (x) b_1 in Kronecker order, the
+    Koszul sign gamma^(x)i a Jordan-Wigner string of the first i parities."""
+    k, two_off = model.n_basis, 2.0 * np.diag(model.x_mat, 1)
+    parity = space = np.array([0] * k + [1] * (k - 1))
+    even, odd, m = np.arange(1, k), np.arange(k, 2 * k - 1), 2 * k - 1
+    rows, cols, values = np.r_[even, odd], np.r_[odd, even], np.r_[two_off, two_off]
+    r, c, v = rows, cols, values
+    for _ in range(1, model.n):
+        own, lifted = np.arange(m), np.arange(space.size)[:, None] * m
+        r = np.r_[(r[:, None] * m + own).ravel(), (lifted + rows).ravel()]
+        c = np.r_[(c[:, None] * m + own).ravel(), (lifted + cols).ravel()]
+        v = np.r_[np.repeat(v, m), ((1 - 2 * space)[:, None] * values).ravel()]
+        space = ((space[:, None] + parity) % 2).ravel()
+    return OddNonzeros(space, r, c, v)
 
 
 def bott_dirac(model: HermiteModel) -> BottOperators:

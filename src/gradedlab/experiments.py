@@ -19,7 +19,7 @@ import numpy as np
 
 from .bott import (
     bott_dirac,
-    bott_operator,
+    bott_nonzeros,
     dc_commutator_check,
     ground_vector,
     hermite_model,
@@ -93,8 +93,8 @@ class ConfigError(ValueError):
     pass
 
 
-# Largest dense operator dimension a config may ask for.  One 4096 x 4096
-# matrix takes 134 MB real or 268 MB complex, and a run holds several at once.
+# Largest operator dimension a config may ask for, dense or as nonzeros.  One 4096 x 4096
+# dense matrix takes 134 MB real or 268 MB complex, and a run holds several at once.
 MAX_DENSE_DIM = 4096
 # The tolerance keys each experiment reads, with their defaults; no other key may be set.
 _TOLERANCES: dict[str, dict[str, float]] = {
@@ -183,13 +183,13 @@ class ExperimentConfig:
             raise ConfigError("kernel tolerance must be positive")
         largest = self._largest_dense_dim()
         if largest > MAX_DENSE_DIM:
-            raise ConfigError(f"largest dense operator would be {largest}-dimensional, above {MAX_DENSE_DIM}")
+            raise ConfigError(f"largest operator would be {largest}-dimensional, above {MAX_DENSE_DIM}")
 
     def _largest_dense_dim(self) -> int:
-        """Dimension of the largest dense matrix the experiment builds."""
+        """Dimension of the largest operator the experiment builds."""
         largest = max(self.dims)
         if self.experiment == "bott":
-            # the convergence step doubles the basis: 2 (2 n_basis) - 1 per coordinate
+            # the convergence ladder's top basis, held as nonzeros: 2 (2 n_basis) - 1 per coordinate
             largest = max(largest, (4 * self.n_basis - 1) ** self.coordinates)
         elif self.experiment == "perturb":
             largest = max(largest, 2 * self.n_basis - 1)
@@ -564,28 +564,16 @@ def run_bott(cfg: ExperimentConfig) -> ExperimentResult:
     lines += [f"{i},{v:.12e}" for i, v in enumerate(eigenvalues)]
     tables[f"spectrum_n{cfg.n_basis}"] = "\n".join(lines) + "\n"
 
-    # truncation convergence across doubled bases
+    # truncation convergence across doubled bases, every basis from B's
+    # nonzeros and connected components: ||B e_0|| is column 0's norm
     residuals = []
     for basis in (max(8, cfg.n_basis // 2), cfg.n_basis, 2 * cfg.n_basis):
-        if basis == cfg.n_basis:
-            b, mags = ops.bott, magnitudes
-        else:
-            b = bott_operator(hermite_model(basis, cfg.coordinates))
-            mags = np.sort(np.abs(spectrum_and_kernel(b, kernel_tol)[0]))
-        residuals.append(
-            (
-                basis,
-                float(np.linalg.norm(b.mat @ ground_vector(b))),
-                abs(float(mags[1]) - math.sqrt(2.0)),
-            )
-        )
-    summary["convergence"] = [
-        {"n_basis": b, "ground_residual": g, "gap_defect": s} for b, g, s in residuals
-    ]
-    worst_growth = 0.0
-    for (_, g0, s0), (_, g1, s1) in zip(residuals, residuals[1:]):
-        worst_growth = max(worst_growth, g1 - g0, s1 - s0)
-    certs.append(BoundCertificate("bott_convergence", worst_growth, cfg.tolerance("convergence_slack")))
+        b = bott_nonzeros(hermite_model(basis, cfg.coordinates))
+        mags = np.sort(np.abs(b.eigenvalues()))
+        residuals.append((basis, float(np.linalg.norm(b.values[b.cols == 0])), abs(float(mags[1]) - math.sqrt(2.0))))
+    summary["convergence"] = [{"n_basis": b, "ground_residual": g, "gap_defect": s} for b, g, s in residuals]
+    growth = [max(g1 - g0, s1 - s0) for (_, g0, s0), (_, g1, s1) in zip(residuals, residuals[1:])]
+    certs.append(BoundCertificate("bott_convergence", max([0.0, *growth]), cfg.tolerance("convergence_slack")))
 
     def worst_exponent(table):
         # np.max is NaN if any fit failed; max() would depend on the order

@@ -21,6 +21,13 @@ def max_abs(matrix) -> float:
     return float(np.abs(entries).max(initial=0.0))
 
 
+def densified(b) -> np.ndarray:
+    """The dense matrix of an OddNonzeros."""
+    dense = np.zeros((b.parity.size, b.parity.size))
+    dense[b.rows, b.cols] = b.values
+    return dense
+
+
 def fitted_exponents(profiles) -> list[float]:
     """Every fitted exponent of a {generator: {function: DecayProfile}} map."""
     return [p.fitted_exponent for per_fn in profiles.values() for p in per_fn.values()]

@@ -7,11 +7,12 @@ from gradedlab import (
     AsymptoticPair,
     GradedMatrix,
     GradedSpace,
+    OddNonzeros,
     OddSelfAdjoint,
     RepresentedAlgebra,
     Spectrum,
     bott_dirac,
-    bott_operator,
+    bott_nonzeros,
     dc_commutator_check,
     graded_commutator,
     graded_tensor,
@@ -30,7 +31,7 @@ from gradedlab.funcalc import CAYLEY
 from gradedlab.pairs import COMMUTATION_EXPONENT_THRESHOLD, COMPOSE_EXPONENT_THRESHOLD, DecayProfile, default_t_grid
 from gradedlab.sampling import balanced_space, random_even, random_odd_selfadjoint, random_space, rng_for
 
-from helpers import SIGMA_X, SIGMA_Y, SX, TWO, commutes_asymptotically, composes, fitted_exponents, max_abs
+from helpers import SIGMA_X, SIGMA_Y, SX, TWO, commutes_asymptotically, composes, densified, fitted_exponents, max_abs
 
 GRID = default_t_grid(points=24)
 
@@ -236,16 +237,51 @@ def test_odd_block_spectrum_matches_eigvalsh(b):
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("n_basis", [8, 12])
 def test_bott_operator_is_d_plus_c_bit_for_bit(n, n_basis):
-    """B assembled alone equals D + C of the separate sums, signed zeros
-    included, and is the B that bott_dirac carries."""
+    """B assembled as nonzeros, densified, equals D + C of the separate
+    sums, signed zeros included, and is the B that bott_dirac carries."""
     model = hermite_model(n_basis, n)
     ops = bott_dirac(model)
-    b = bott_operator(model)
-    assert b.space == ops.space
-    assert b.mat.dtype == np.float64
+    b = bott_nonzeros(model)
+    assert tuple(b.parity) == ops.space.parity
+    assert b.values.dtype == np.float64
     separate = ops.dirac.mat + ops.clifford_mult.mat
-    assert np.array_equal(b.mat.view(np.uint64), separate.view(np.uint64))
-    assert np.array_equal(b.mat.view(np.uint64), ops.bott.mat.view(np.uint64))
+    assert np.array_equal(densified(b).view(np.uint64), separate.view(np.uint64))
+    assert np.array_equal(densified(b).view(np.uint64), ops.bott.mat.view(np.uint64))
+
+
+def paired_closed_form(n_basis, n):
+    """Spectrum of the paired truncation: |lambda|^2 = 2 (m_1 + ... + m_n)
+    over m_i < n_basis, with multiplicity prod(1 if m_i = 0 else 2), each
+    nonzero value split evenly between + and -."""
+    levels, weight = np.zeros(1, dtype=int), np.ones(1, dtype=int)
+    one = np.arange(n_basis)
+    for _ in range(n):
+        levels = (levels[:, None] + one).ravel()
+        weight = (weight[:, None] * np.where(one == 0, 1, 2)).ravel()
+    magnitude = np.sqrt(2.0 * levels)
+    zeros = np.zeros(int(weight[levels == 0].sum()))
+    half = np.repeat(magnitude[levels > 0], weight[levels > 0] // 2)
+    return np.sort(np.concatenate([-half, zeros, half]))
+
+
+@pytest.mark.parametrize("n_basis, n", [(8, 1), (64, 1), (12, 2), (24, 2), (8, 3), (24, 3)])
+def test_component_spectrum_is_the_closed_form(n_basis, n):
+    """The connected-component spectrum of B is the paired truncation's
+    closed form, multiplicities included, to 1e-13."""
+    eigenvalues = bott_nonzeros(hermite_model(n_basis, n)).eigenvalues()
+    assert eigenvalues.shape == ((2 * n_basis - 1) ** n,)
+    np.testing.assert_allclose(eigenvalues, paired_closed_form(n_basis, n), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n_basis, n", [(8, 1), (12, 1), (8, 2), (12, 2)])
+def test_component_spectrum_matches_dense_eigvalsh(n_basis, n):
+    """Within 4 d eps ||B|| of the dense eigensolve, with the same kernel count."""
+    b = bott_dirac(hermite_model(n_basis, n)).bott
+    eigenvalues = bott_nonzeros(hermite_model(n_basis, n)).eigenvalues()
+    oracle = np.linalg.eigvalsh(b.mat)
+    d = b.space.dim
+    np.testing.assert_allclose(eigenvalues, oracle, rtol=0, atol=4 * d * np.finfo(float).eps * operator_norm(b))
+    assert np.count_nonzero(np.abs(eigenvalues) < 1e-8) == np.count_nonzero(np.abs(oracle) < 1e-8) == 1
 
 
 def test_bott_two_coordinates():
@@ -262,26 +298,47 @@ def test_bott_two_coordinates():
 
 def test_run_bott_two_coordinates(monkeypatch):
     """run_bott above one coordinate (d = 225, convergence bases up to
-    d = 961) certifies everything without a d x d eigensolve, builds the
-    full operator set once and B alone for the other basis, and the gap
-    defects are roundoff in sqrt(2)."""
+    d = 961) builds the dense operator set once, at the model's basis; no
+    svd or eigvalsh sees a matrix larger than the model's, the ladder's
+    eigvalsh stacks are blocks of at most 2^2 indices, and the gap defects
+    are roundoff in sqrt(2)."""
     import gradedlab.experiments
 
-    def no_eigvalsh(*args, **kwargs):
-        raise AssertionError("the Bott spectrum comes from the odd block")
+    built = []
+    original_bott_dirac = gradedlab.experiments.bott_dirac
 
-    built = {"bott_dirac": [], "bott_operator": []}
-    for name in built:
-        original = getattr(gradedlab.experiments, name)
+    def recording(model):
+        built.append((model.n_basis, model.n))
+        return original_bott_dirac(model)
 
-        def recording(model, name=name, original=original):
-            built[name].append((model.n_basis, model.n))
-            return original(model)
+    monkeypatch.setattr(gradedlab.experiments, "bott_dirac", recording)
+    # (kernel, inside the ladder's component spectrum, shape) of every call
+    calls, ladder = [], []
+    for name in ("svd", "eigvalsh"):
+        original = getattr(np.linalg, name)
 
-        monkeypatch.setattr(gradedlab.experiments, name, recording)
-    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        def shape_recording(a, *args, name=name, original=original, **kwargs):
+            calls.append((name, bool(ladder), np.shape(a)))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, shape_recording)
+    component_spectrum = OddNonzeros.eigenvalues
+
+    def in_ladder(self):
+        ladder.append(self.parity.size)
+        try:
+            return component_spectrum(self)
+        finally:
+            ladder.pop()
+
+    monkeypatch.setattr(OddNonzeros, "eigenvalues", in_ladder)
     result = run_experiment(ExperimentConfig("bott", coordinates=2, n_basis=8))
-    assert built == {"bott_dirac": [(8, 2)], "bott_operator": [(16, 2)]}
+    assert built == [(8, 2)]
+    assert {name for name, _, _ in calls} == {"svd", "eigvalsh"}
+    assert max(max(shape[-2:]) for _, _, shape in calls) <= 15**2
+    stacks = [shape for name, inside, shape in calls if inside]
+    assert all(name == "eigvalsh" for name, inside, _ in calls if inside)
+    assert {shape[-1] for shape in stacks} == {1, 2, 4}
     assert result.passed and all(c.passed for c in result.certificates)
     assert result.summary["kernel_dim"] == 1
     assert [row["n_basis"] for row in result.summary["convergence"]] == [8, 8, 16]
