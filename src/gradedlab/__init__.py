@@ -55,7 +55,6 @@ from .bott import (
     bott_dirac,
     bott_nonzeros,
     dc_commutator_check,
-    ground_vector,
     hermite_model,
     multiplication_generators,
     perturbation_check,

@@ -22,20 +22,26 @@ structure is exactly what gives B^2 = oscillator - involution a
 one-dimensional kernel spanned by the Gaussian h_0 (x) 1.
 
 Models with n > 1 coordinates are graded tensor powers of the
-one-coordinate model.  B_1 is a direct sum of 2 x 2 blocks on
+one-coordinate model, and every operator on them is one lift, held as its
+nonzeros: the sum over coordinates of a one-coordinate odd matrix, with
+the Koszul sign a Jordan-Wigner string.  B is only ever held so
+(`bott_nonzeros`); D and C are the dense scatters of their lifts
+(`bott_dirac`).  B_1 is a direct sum of 2 x 2 blocks on
 (h_j (x) e, h_{j+1} (x) 1) and a 1 x 1 zero on h_0 (x) 1, so B splits into
-connected components of at most 2^n indices, the truncation ladder's exact
-and dense-free spectrum (`bott_nonzeros`, `OddNonzeros.eigenvalues`).
+connected components of at most 2^n indices, its exact and dense-free
+spectrum (`OddNonzeros.eigenvalues`).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .funcalc import CAYLEY, MULTIPLIER_G, ChiralSpectrum, ParityBlocks, Spectrum
-from .graded import GradedMatrix, GradedSpace, OddSelfAdjoint, gamma_matrix, graded_tensor, identity, negligible
+from .graded import GradedMatrix, GradedSpace, OddSelfAdjoint, negligible
 from .pairs import (
     AsymptoticPair,
     DecayProfile,
@@ -53,7 +59,6 @@ __all__ = [
     "bott_dirac",
     "multiplication_generators",
     "spectrum_and_kernel",
-    "ground_vector",
     "dc_commutator_check",
     "PerturbationReport",
     "perturbation_check",
@@ -93,26 +98,19 @@ def hermite_model(n_basis: int, n: int = 1) -> HermiteModel:
 
 @dataclass(frozen=True)
 class BottOperators:
-    """Dirac D, Clifford multiplication C, and their sum B = D + C."""
+    """Dirac D and Clifford multiplication C; their sum B is bott_nonzeros."""
 
     space: GradedSpace
     dirac: OddSelfAdjoint
     clifford_mult: OddSelfAdjoint
-    bott: OddSelfAdjoint
     interior: np.ndarray
     degree_involution: GradedMatrix
 
 
-def _paired_indices(n_basis: int) -> np.ndarray:
-    even_sector = 2 * np.arange(n_basis)
-    odd_sector = 2 * np.arange(n_basis - 1) + 1
-    return np.concatenate([even_sector, odd_sector])
-
-
 def _coordinate_pieces(model: HermiteModel):
-    """One-coordinate D, C, interior and involution on the paired subspace."""
+    """One-coordinate space, D, C and interior on the paired subspace."""
     k = model.n_basis
-    keep = _paired_indices(k)
+    keep = np.concatenate([2 * np.arange(k), 2 * np.arange(k - 1) + 1])  # even sector, then odd
     parity = GradedSpace(tuple([0] * k + [1] * (k - 1)))
     d_full = np.kron(model.d_mat, _RIGHT_E_SIGNED)
     c_full = np.kron(model.x_mat, _LEFT_E)
@@ -123,21 +121,7 @@ def _coordinate_pieces(model: HermiteModel):
         (np.arange(k) < k - 2).astype(float),
         (np.arange(k - 1) < k - 3).astype(float),
     ])
-    involution = -gamma_matrix(parity)
-    return parity, d, c, interior, involution
-
-
-def _lift_sum(parity: GradedSpace, n: int, m: GradedMatrix) -> GradedMatrix:
-    """sum_i lift_i(m): m on coordinate i of the n-fold graded tensor power of
-    parity and the identity on the others, summed in coordinate order."""
-    one = identity(parity)
-    total = None
-    for i in range(n):
-        lift = m if i == 0 else one
-        for j in range(1, n):
-            lift = graded_tensor(lift, m if j == i else one)
-        total = lift if total is None else total + lift
-    return total
+    return parity, d, c, interior
 
 
 @dataclass(frozen=True)
@@ -159,6 +143,12 @@ class OddNonzeros:
                 and negligible(self.values[forward] - self.values[back], self.values[None])):
             raise ValueError("nonzeros must join opposite parities and be symmetric, each position once")
 
+    def dense(self) -> np.ndarray:
+        """The d x d matrix, +0.0 off the nonzeros."""
+        dense = np.zeros((self.parity.size, self.parity.size))
+        dense[self.rows, self.cols] = self.values
+        return dense
+
     def eigenvalues(self) -> np.ndarray:
         """Sorted spectrum: the connected components', one stacked eigvalsh per size."""
         label, moved = None, np.arange(self.parity.size)
@@ -179,39 +169,44 @@ class OddNonzeros:
         return np.sort(np.concatenate(spectra))
 
 
-def bott_nonzeros(model: HermiteModel) -> OddNonzeros:
-    """bott_dirac's B bit for bit: b_1 = d_1 + c_1 joins h_j (x) e, h_{j+1} (x) 1 with
-    2 off, then B_{i+1} = B_i (x) 1 + gamma^(x)i (x) b_1 in Kronecker order, the
-    Koszul sign gamma^(x)i a Jordan-Wigner string of the first i parities."""
-    k, two_off = model.n_basis, 2.0 * np.diag(model.x_mat, 1)
-    parity = space = np.array([0] * k + [1] * (k - 1))
-    even, odd, m = np.arange(1, k), np.arange(k, 2 * k - 1), 2 * k - 1
-    rows, cols, values = np.r_[even, odd], np.r_[odd, even], np.r_[two_off, two_off]
+def _lift(m: OddSelfAdjoint, n: int) -> OddNonzeros:
+    """sum_i 1^(x)i (x) m (x) 1^(x)(n-i-1) of a real odd one-coordinate m on the
+    n-fold graded tensor power, as nonzeros: M_1 = m, then
+    M_{i+1} = M_i (x) 1 + gamma^(x)i (x) m in Kronecker order, the Koszul sign
+    gamma^(x)i a Jordan-Wigner string of the first i parities."""
+    parity = space = np.array(m.space.parity)
+    rows, cols = np.nonzero(m.mat)
+    values, size = m.mat[rows, cols], parity.size
     r, c, v = rows, cols, values
-    for _ in range(1, model.n):
-        own, lifted = np.arange(m), np.arange(space.size)[:, None] * m
-        r = np.r_[(r[:, None] * m + own).ravel(), (lifted + rows).ravel()]
-        c = np.r_[(c[:, None] * m + own).ravel(), (lifted + cols).ravel()]
-        v = np.r_[np.repeat(v, m), ((1 - 2 * space)[:, None] * values).ravel()]
+    for _ in range(1, n):
+        own, lifted = np.arange(size), np.arange(space.size)[:, None] * size
+        r = np.r_[(r[:, None] * size + own).ravel(), (lifted + rows).ravel()]
+        c = np.r_[(c[:, None] * size + own).ravel(), (lifted + cols).ravel()]
+        v = np.r_[np.repeat(v, size), ((1 - 2 * space)[:, None] * values).ravel()]
         space = ((space[:, None] + parity) % 2).ravel()
     return OddNonzeros(space, r, c, v)
 
 
+def bott_nonzeros(model: HermiteModel) -> OddNonzeros:
+    """B = D + C, the lift of b_1 = d_1 + c_1, which joins h_j (x) e and
+    h_{j+1} (x) 1 with weight sqrt(2 (j + 1)) (their other entries cancel)."""
+    _, d1, c1, _ = _coordinate_pieces(model)
+    return _lift(d1 + c1, model.n)
+
+
 def bott_dirac(model: HermiteModel) -> BottOperators:
-    """Assemble D = sum_i d_i (x) e^_i, C = sum_i x_i (x) e_i and B = D + C."""
-    parity, d1, c1, interior1, inv1 = _coordinate_pieces(model)
-    d_total = _lift_sum(parity, model.n, d1.underlying)
-    c_total = _lift_sum(parity, model.n, c1.underlying)
-    interior = interior1.copy()
-    for _ in range(1, model.n):
-        interior = np.kron(interior, interior1)
+    """D = sum_i d_i (x) e^_i and C = sum_i x_i (x) e_i, dense, with the interior
+    mask and the Clifford-degree involution diag(2 deg - n)."""
+    parity, d1, c1, interior1 = _coordinate_pieces(model)
+    d, c = _lift(d1, model.n), _lift(c1, model.n)
+    space = GradedSpace(tuple(d.parity.tolist()))
+    degree = sum(np.ix_(*[np.array(parity.parity)] * model.n)).ravel()  # odd factors per index
     return BottOperators(
-        d_total.space,
-        OddSelfAdjoint(d_total),
-        OddSelfAdjoint(c_total),
-        OddSelfAdjoint(d_total + c_total),
-        interior,
-        _lift_sum(parity, model.n, inv1),
+        space,
+        OddSelfAdjoint(GradedMatrix(space, d.dense())),
+        OddSelfAdjoint(GradedMatrix(space, c.dense())),
+        functools.reduce(np.kron, [interior1] * model.n),
+        GradedMatrix(space, np.diag(2.0 * degree - model.n)),
     )
 
 
@@ -224,15 +219,11 @@ def multiplication_generators(model: HermiteModel) -> dict[str, GradedMatrix]:
     """
     if model.n != 1:
         raise ValueError("multiplication generators are built for one coordinate")
-    k = model.n_basis
-    keep = _paired_indices(k)
-    parity = GradedSpace(tuple([0] * k + [1] * (k - 1)))
-    x_even = np.kron(model.x_mat, np.eye(2))[np.ix_(keep, keep)]
-    spec = Spectrum.of(GradedMatrix(parity, x_even))
-    even = GradedMatrix(parity, spec.apply(CAYLEY))
-    # through the chiral spectrum the odd g(x (x) e) is exactly odd
-    x_odd = OddSelfAdjoint(GradedMatrix(parity, np.kron(model.x_mat, _LEFT_E)[np.ix_(keep, keep)]))
-    odd = GradedMatrix(parity, ChiralSpectrum.of(x_odd).apply(MULTIPLIER_G))
+    parity, _, c1, _ = _coordinate_pieces(model)
+    x_even = scipy.linalg.block_diag(model.x_mat, model.x_mat[:-1, :-1])  # x (x) 1, sector by sector
+    even = GradedMatrix(parity, Spectrum.of(GradedMatrix(parity, x_even)).apply(CAYLEY))
+    # through the chiral spectrum the odd g(C_1) = g(x (x) e) is exactly odd
+    odd = GradedMatrix(parity, ChiralSpectrum.of(c1).apply(MULTIPLIER_G))
     return {"mult_even": even, "mult_odd": odd}
 
 
@@ -242,10 +233,10 @@ def spectrum_and_kernel(b: OddSelfAdjoint, tol: float) -> tuple[np.ndarray, int]
     In parity order the odd part is [[0, A], [A*, 0]] with A = b[e, o], so
     its eigenvalues are +-sigma_i(A) and |#e - #o| exact zeros
     (Jordan-Wielandt), all from one values-only SVD of the #e x #o block
-    (ChiralSpectrum without U and V).  For the Bott models the same-parity
-    blocks of b are exactly zero and the odd part is b itself; in general
-    Weyl's inequality puts each eigenvalue of b within ||b_even|| of the
-    one returned.
+    (ChiralSpectrum without U and V).  Weyl's inequality puts each
+    eigenvalue of b within ||b_even|| of the one returned.  `lab bott`
+    reads it for the composed operator only: the model's own B has the
+    exact component spectrum of bott_nonzeros.
     """
     if not 0 < tol < np.inf:
         raise ValueError("kernel tolerance must be positive and finite")
@@ -253,13 +244,6 @@ def spectrum_and_kernel(b: OddSelfAdjoint, tol: float) -> tuple[np.ndarray, int]
     sigma, gap = spec.singular_values, np.zeros(abs(spec.even.size - spec.odd.size))
     eigenvalues = np.sort(np.concatenate([-sigma, gap, sigma]))
     return eigenvalues, int(np.count_nonzero(np.abs(eigenvalues) < tol))
-
-
-def ground_vector(b: OddSelfAdjoint) -> np.ndarray:
-    """Gaussian ground state h_0 (x) 1 (x) ... on b's space."""
-    v = np.zeros(b.space.dim)
-    v[0] = 1.0
-    return v
 
 
 def dc_commutator_check(ops: BottOperators) -> dict:

@@ -6,12 +6,13 @@ functions, contractive (||f(D)|| <= sup|f|), and satisfies
 gamma f(D) gamma = f(-D), so even functions of D are even and odd
 functions are odd.
 
-Profiles over a t-grid use the grid engine: Spectrum.apply_grid returns
-f(s D) for a whole chunk of scales as one (S, d, d) stack from a single
-eigendecomposition, and map_grid cuts the grid into chunks that hold at
-most STACK_ENTRIES entries.  Batched LAPACK and BLAS kernels run the same
-computation on every matrix of a stack, so apply_grid stacks equal a
-point-by-point evaluation bit for bit.
+Profiles over a t-grid run a chunk of scales at a time: Spectrum.weights
+gives one row f(s lambda) per scale s, Spectrum.synthesize turns the rows
+into an (S, d, d) stack of f(s D) from a single eigendecomposition, and
+map_grid cuts the grid into chunks that hold at most STACK_ENTRIES
+entries.  Batched LAPACK and BLAS kernels run the same computation on
+every matrix of a stack, so a stack equals a point-by-point evaluation
+bit for bit.
 
 An odd D has a cheaper spectral form, which the pair, composition,
 perturbation and Bott layers use.  In parity order D = [[0, A], [A*, 0]];
@@ -181,15 +182,6 @@ class Spectrum:
     def apply(self, f: ScalarFunction, scale: float = 1.0) -> np.ndarray:
         """Matrix of f(scale * D) in the original basis (real for real D and f)."""
         return self.synthesize(np.asarray(f(scale * self.eigenvalues)))
-
-    def apply_grid(self, f: ScalarFunction, scales: np.ndarray) -> np.ndarray:
-        """Stack of f(s * D) for every s in scales, shape (len(scales), d, d).
-
-        Row k equals apply(f, scales[k]) bit for bit: the batched LAPACK
-        and BLAS kernels run the same computation on each matrix.  The
-        stack is as long as scales; chunk long grids with map_grid.
-        """
-        return self.synthesize(self.weights(f, scales))
 
 
 def _add(x, y):

@@ -3,7 +3,7 @@
 import numpy as np
 import scipy.linalg
 
-from gradedlab import GradedMatrix, GradedSpace, OddSelfAdjoint
+from gradedlab import GradedMatrix, GradedSpace, OddSelfAdjoint, bott_nonzeros
 from gradedlab.pairs import COMMUTATION_EXPONENT_THRESHOLD, COMPOSE_EXPONENT_THRESHOLD
 
 TWO = GradedSpace((0, 1))
@@ -21,11 +21,10 @@ def max_abs(matrix) -> float:
     return float(np.abs(entries).max(initial=0.0))
 
 
-def densified(b) -> np.ndarray:
-    """The dense matrix of an OddNonzeros."""
-    dense = np.zeros((b.parity.size, b.parity.size))
-    dense[b.rows, b.cols] = b.values
-    return dense
+def bott_operator(model) -> OddSelfAdjoint:
+    """B = D + C of the Bott-Dirac model as a dense OddSelfAdjoint, scattered from its nonzeros."""
+    b = bott_nonzeros(model)
+    return OddSelfAdjoint(GradedMatrix(GradedSpace(tuple(b.parity.tolist())), b.dense()))
 
 
 def fitted_exponents(profiles) -> list[float]:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import jsonschema
 import pytest
@@ -167,6 +168,19 @@ def test_oversized_dense_config_exits_3_and_writes_nothing(tmp_path):
     config = write_config(tmp_path, experiment="bott", coordinates=2, n_basis=64)
     out = tmp_path / "out"
     assert main(["--config", config, "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_huge_coordinate_count_exits_3_at_once(tmp_path, capsys):
+    """255**10,000,000 has 24 million digits; the budget compares logarithms,
+    so the refusal names base and exponent, takes well under a second, and
+    writes nothing."""
+    config = write_config(tmp_path, experiment="bott", coordinates=10_000_000)
+    out = tmp_path / "out"
+    start = time.monotonic()
+    assert main(["--config", config, "--out", str(out)]) == 3
+    assert time.monotonic() - start < 1.0
+    assert capsys.readouterr().err == "error: largest operator would be 255**10000000-dimensional, above 4096\n"
     assert not out.exists()
 
 

@@ -14,9 +14,9 @@ from gradedlab import (
     bott_dirac,
     bott_nonzeros,
     dc_commutator_check,
+    gamma_matrix,
     graded_commutator,
     graded_tensor,
-    ground_vector,
     hermite_model,
     identity,
     multiplication_generators,
@@ -26,12 +26,23 @@ from gradedlab import (
     validate_pair,
     zeros,
 )
+from gradedlab.bott import _coordinate_pieces
 from gradedlab.experiments import ExperimentConfig, run_experiment
 from gradedlab.funcalc import CAYLEY
 from gradedlab.pairs import COMMUTATION_EXPONENT_THRESHOLD, COMPOSE_EXPONENT_THRESHOLD, DecayProfile, default_t_grid
 from gradedlab.sampling import balanced_space, random_even, random_odd_selfadjoint, random_space, rng_for
 
-from helpers import SIGMA_X, SIGMA_Y, SX, TWO, commutes_asymptotically, composes, densified, fitted_exponents, max_abs
+from helpers import (
+    SIGMA_X,
+    SIGMA_Y,
+    SX,
+    TWO,
+    bott_operator,
+    commutes_asymptotically,
+    composes,
+    fitted_exponents,
+    max_abs,
+)
 
 GRID = default_t_grid(points=24)
 
@@ -129,25 +140,22 @@ def test_bott_operators_are_odd_selfadjoint():
 
 
 def test_bott_ground_vector_is_annihilated():
-    ops = bott_dirac(hermite_model(64))
-    residual = np.linalg.norm(ops.bott.mat @ ground_vector(ops.bott))
+    """B e_0, the Gaussian h_0 (x) 1 ground state, is column 0 of B."""
+    residual = np.linalg.norm(bott_nonzeros(hermite_model(64)).dense()[:, 0])
     assert residual <= 1e-10
 
 
 def test_bott_kernel_is_one_dimensional():
     for n_basis in (32, 64):
-        ops = bott_dirac(hermite_model(n_basis))
-        eigenvalues, kernel_dim = spectrum_and_kernel(ops.bott, 1e-8)
-        assert kernel_dim == 1
-        magnitudes = np.sort(np.abs(eigenvalues))
+        magnitudes = np.sort(np.abs(bott_nonzeros(hermite_model(n_basis)).eigenvalues()))
+        assert np.count_nonzero(magnitudes < 1e-8) == 1
         assert abs(magnitudes[1] - math.sqrt(2.0)) <= 1e-6
 
 
 def test_bott_spectrum_matches_ladder_oracle():
     """Nonzero eigenvalue magnitudes are sqrt(2k), k = 1, 2, ..., each
     seen twice (once per fiber sector)."""
-    ops = bott_dirac(hermite_model(32))
-    magnitudes = np.sort(np.abs(np.linalg.eigvalsh(ops.bott.mat)))
+    magnitudes = np.sort(np.abs(np.linalg.eigvalsh(bott_nonzeros(hermite_model(32)).dense())))
     expected = np.sort(
         np.concatenate([[0.0], *[[math.sqrt(2 * k)] * 2 for k in range(1, 32)]])
     )
@@ -155,8 +163,7 @@ def test_bott_spectrum_matches_ladder_oracle():
 
 
 def test_bott_spectrum_is_symmetric():
-    ops = bott_dirac(hermite_model(24))
-    eigenvalues = np.sort(np.linalg.eigvalsh(ops.bott.mat))
+    eigenvalues = np.sort(np.linalg.eigvalsh(bott_nonzeros(hermite_model(24)).dense()))
     np.testing.assert_allclose(eigenvalues, -eigenvalues[::-1], atol=1e-10)
 
 
@@ -174,14 +181,9 @@ def test_bott_truncation_convergence():
     in the Hermite frame both sit at rounding level."""
     residuals = []
     for n_basis in (32, 64, 128):
-        ops = bott_dirac(hermite_model(n_basis))
-        magnitudes = np.sort(np.abs(np.linalg.eigvalsh(ops.bott.mat)))
-        residuals.append(
-            (
-                np.linalg.norm(ops.bott.mat @ ground_vector(ops.bott)),
-                abs(magnitudes[1] - math.sqrt(2.0)),
-            )
-        )
+        b = bott_nonzeros(hermite_model(n_basis)).dense()
+        magnitudes = np.sort(np.abs(np.linalg.eigvalsh(b)))
+        residuals.append((np.linalg.norm(b[:, 0]), abs(magnitudes[1] - math.sqrt(2.0))))
     for (g0, s0), (g1, s1) in zip(residuals, residuals[1:]):
         assert g1 <= g0 + 1e-12
         assert s1 <= s0 + 1e-12
@@ -237,16 +239,42 @@ def test_odd_block_spectrum_matches_eigvalsh(b):
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("n_basis", [8, 12])
 def test_bott_operator_is_d_plus_c_bit_for_bit(n, n_basis):
-    """B assembled as nonzeros, densified, equals D + C of the separate
-    sums, signed zeros included, and is the B that bott_dirac carries."""
+    """B assembled as nonzeros, scattered dense, equals bott_dirac's D + C,
+    signed zeros included."""
     model = hermite_model(n_basis, n)
     ops = bott_dirac(model)
     b = bott_nonzeros(model)
     assert tuple(b.parity) == ops.space.parity
     assert b.values.dtype == np.float64
     separate = ops.dirac.mat + ops.clifford_mult.mat
-    assert np.array_equal(densified(b).view(np.uint64), separate.view(np.uint64))
-    assert np.array_equal(densified(b).view(np.uint64), ops.bott.mat.view(np.uint64))
+    assert np.array_equal(b.dense().view(np.uint64), separate.view(np.uint64))
+
+
+def lift_sum(space, n, m):
+    """sum_i lift_i(m): m on coordinate i of the n-fold graded tensor power of
+    space and the identity on the others, by dense graded tensor products."""
+    one = identity(space)
+    total = None
+    for i in range(n):
+        lift = m if i == 0 else one
+        for j in range(1, n):
+            lift = graded_tensor(lift, m if j == i else one)
+        total = lift if total is None else total + lift
+    return total
+
+
+@pytest.mark.parametrize("n_basis, n", [(8, 1), (12, 2), (8, 3)])
+def test_bott_dirac_equals_the_graded_tensor_lift(n_basis, n):
+    """D, C and the degree involution diag(2 deg - n) equal the sums of dense
+    graded-tensor lifts of the one-coordinate d_1, c_1 and -gamma entry for
+    entry (the lifts may carry -0.0 where the scatter writes +0.0)."""
+    model = hermite_model(n_basis, n)
+    parity, d1, c1, _ = _coordinate_pieces(model)
+    ops = bott_dirac(model)
+    assert ops.space == lift_sum(parity, n, d1.underlying).space
+    for mine, one_coordinate in ((ops.dirac.mat, d1.underlying), (ops.clifford_mult.mat, c1.underlying),
+                                 (ops.degree_involution.entries, -gamma_matrix(parity))):
+        assert np.array_equal(mine, lift_sum(parity, n, one_coordinate).entries)
 
 
 def paired_closed_form(n_basis, n):
@@ -276,7 +304,7 @@ def test_component_spectrum_is_the_closed_form(n_basis, n):
 @pytest.mark.parametrize("n_basis, n", [(8, 1), (12, 1), (8, 2), (12, 2)])
 def test_component_spectrum_matches_dense_eigvalsh(n_basis, n):
     """Within 4 d eps ||B|| of the dense eigensolve, with the same kernel count."""
-    b = bott_dirac(hermite_model(n_basis, n)).bott
+    b = bott_operator(hermite_model(n_basis, n))
     eigenvalues = bott_nonzeros(hermite_model(n_basis, n)).eigenvalues()
     oracle = np.linalg.eigvalsh(b.mat)
     d = b.space.dim
@@ -288,20 +316,19 @@ def test_bott_two_coordinates():
     """The two-coordinate model keeps the one-dimensional kernel."""
     ops = bott_dirac(hermite_model(8, 2))
     assert ops.space.dim == 15**2
-    eigenvalues, kernel_dim = spectrum_and_kernel(ops.bott, 1e-8)
-    assert kernel_dim == 1
-    magnitudes = np.sort(np.abs(eigenvalues))
+    magnitudes = np.sort(np.abs(bott_nonzeros(hermite_model(8, 2)).eigenvalues()))
+    assert np.count_nonzero(magnitudes < 1e-8) == 1
     assert abs(magnitudes[1] - math.sqrt(2.0)) <= 1e-8
     report = dc_commutator_check(ops)
     assert report["interior_defect_vs_involution"] <= 1e-10
 
 
 def test_run_bott_two_coordinates(monkeypatch):
-    """run_bott above one coordinate (d = 225, convergence bases up to
-    d = 961) builds the dense operator set once, at the model's basis; no
-    svd or eigvalsh sees a matrix larger than the model's, the ladder's
-    eigvalsh stacks are blocks of at most 2^2 indices, and the gap defects
-    are roundoff in sqrt(2)."""
+    """run_bott above one coordinate (d = 225, ladder bases up to d = 961)
+    builds the dense D and C once, at the model's basis, for the dc check;
+    every spectrum is the ladder's, so no svd runs and every eigvalsh stack
+    is a block of at most 2^2 indices, and the gap defects are roundoff in
+    sqrt(2)."""
     import gradedlab.experiments
 
     built = []
@@ -334,17 +361,27 @@ def test_run_bott_two_coordinates(monkeypatch):
     monkeypatch.setattr(OddNonzeros, "eigenvalues", in_ladder)
     result = run_experiment(ExperimentConfig("bott", coordinates=2, n_basis=8))
     assert built == [(8, 2)]
-    assert {name for name, _, _ in calls} == {"svd", "eigvalsh"}
-    assert max(max(shape[-2:]) for _, _, shape in calls) <= 15**2
-    stacks = [shape for name, inside, shape in calls if inside]
-    assert all(name == "eigvalsh" for name, inside, _ in calls if inside)
-    assert {shape[-1] for shape in stacks} == {1, 2, 4}
+    assert calls and all(name == "eigvalsh" and inside for name, inside, _ in calls)
+    assert {shape[-1] for _, _, shape in calls} == {1, 2, 4}
     assert result.passed and all(c.passed for c in result.certificates)
     assert result.summary["kernel_dim"] == 1
     assert [row["n_basis"] for row in result.summary["convergence"]] == [8, 8, 16]
     for row in result.summary["convergence"]:
         assert row["gap_defect"] <= 4 * np.spacing(math.sqrt(2.0))
         assert row["ground_residual"] == 0.0
+
+
+@pytest.mark.parametrize("n_basis, n", [(8, 1), (8, 2)])
+def test_spectrum_csv_is_the_component_spectrum(n_basis, n):
+    """The spectrum CSV prints the model rung's component spectrum, and the
+    summary's kernel count and smallest magnitudes are read from it."""
+    result = run_experiment(ExperimentConfig("bott", coordinates=n, n_basis=n_basis, t_points=8))
+    eigenvalues = bott_nonzeros(hermite_model(n_basis, n)).eigenvalues()
+    printed = "index,eigenvalue\n" + "".join(f"{i},{v:.12e}\n" for i, v in enumerate(eigenvalues))
+    assert result.tables[f"spectrum_n{n_basis}"] == printed
+    magnitudes = np.sort(np.abs(eigenvalues))
+    assert result.summary["kernel_dim"] == np.count_nonzero(magnitudes < 1e-8) == 1
+    assert result.summary["smallest_magnitudes"] == [float(v) for v in magnitudes[:8]]
 
 
 def test_bott_pairs_validate():
@@ -415,7 +452,7 @@ def test_bott_composition_yields_bott_dirac():
     )
     comp = compose_pairs(scalar_pair, mult_pair, identity_pushforward, GRID)
     assert composes(comp)
-    assert np.abs(comp.pair.d.mat - ops.bott.mat).max() <= 1e-14
+    assert np.abs(comp.pair.d.mat - bott_nonzeros(model).dense()).max() <= 1e-14
     _, kernel_dim = spectrum_and_kernel(comp.pair.d, 1e-8)
     assert kernel_dim == 1
 

@@ -6,10 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from gradedlab import GradedMatrix, GradedSpace, OddNonzeros, bott_dirac, graded_tensor, hermite_model, identity
+from gradedlab import GradedMatrix, GradedSpace, OddNonzeros, bott_nonzeros, graded_tensor, hermite_model, identity
 from gradedlab.experiments import ExperimentConfig, run_experiment
-
-from helpers import densified
 
 KERNEL_TOL = 1e-8
 
@@ -41,7 +39,7 @@ def test_product_truncation_has_a_spurious_zero_mode(n):
     magnitudes = np.sort(np.abs(eigenvalues))
     assert np.count_nonzero(magnitudes < KERNEL_TOL) == 2**n
     assert magnitudes[1] == 0.0
-    oracle = np.linalg.eigvalsh(densified(b))
+    oracle = np.linalg.eigvalsh(b.dense())
     assert np.count_nonzero(np.abs(oracle) < KERNEL_TOL) == 2**n
     np.testing.assert_allclose(eigenvalues, oracle, rtol=0, atol=1e-12)
 
@@ -71,7 +69,7 @@ def test_product_truncation_is_the_bott_dirac_spectrum_plus_one_zero():
     """Sanity check on the control itself: in one coordinate it differs
     from the paired model only by the orphaned zero mode."""
     model = hermite_model(8)
-    paired = np.linalg.eigvalsh(bott_dirac(model).bott.mat)
+    paired = np.linalg.eigvalsh(bott_nonzeros(model).dense())
     product = product_truncation(model).eigenvalues()
     np.testing.assert_allclose(product, np.sort(np.r_[paired, 0.0]), rtol=0, atol=1e-12)
 

@@ -1,7 +1,8 @@
 """The grid engine against point-by-point evaluation.
 
-Spectrum.apply_grid evaluates f(s D) for a whole chunk of scales as one
-stack, and its rows equal Spectrum.apply bit for bit.  The profiles of
+Spectrum.synthesize(Spectrum.weights(f, scales)) evaluates f(s D) for a
+whole chunk of scales as one stack, and its rows equal Spectrum.apply bit
+for bit.  The profiles of
 odd operators come from the chiral spectrum (ChiralSpectrum): f(s D) as
 parity blocks from the SVD of D's odd block, commutators as Schur
 products in D's chiral basis, and norms from half-size blocks.  Another
@@ -138,7 +139,7 @@ def test_apply_grid_rows_equal_apply(dim):
     scales = 1.0 / np.geomspace(1.0, 1e3, per_chunk + 3)
     assert len(grid_chunks(scales.size, dim)) >= 2
     for f in GRID_FUNCTIONS:
-        stacked = map_grid(lambda chunk, f=f: spec.apply_grid(f, chunk), scales, dim)
+        stacked = map_grid(lambda chunk, f=f: spec.synthesize(spec.weights(f, chunk)), scales, dim)
         assert stacked.shape == (scales.size, dim, dim)
         for row, s in zip(stacked, scales):
             assert np.array_equal(row, spec.apply(f, float(s))), f.name
@@ -158,7 +159,7 @@ def test_apply_grid_needs_a_single_spectrum():
     stacked = Spectrum.of(np.stack([random_hermitian(rng_for(i), 4) for i in range(3)]))
     assert stacked.eigenvalues.shape == (3, 4)
     with pytest.raises(ValueError):
-        stacked.apply_grid(GAUSS0, np.ones(2))
+        stacked.weights(GAUSS0, np.ones(2))
 
 
 def test_stacked_spectrum_validates_every_matrix():

@@ -44,6 +44,8 @@ from gradedlab.pairs import (
 )
 from gradedlab.sampling import balanced_space, random_even, random_odd, random_odd_selfadjoint, rng_for
 
+from helpers import bott_operator
+
 GRID = default_t_grid(points=24)
 
 
@@ -106,14 +108,15 @@ def test_dtype_follows_the_data():
 
 def test_bott_model_is_real():
     ops, pair = bott_pair()
-    for m in (ops.dirac.mat, ops.clifford_mult.mat, ops.bott.mat, *(g.entries for g in pair.rep.generators.values())):
+    b = bott_operator(hermite_model(24))
+    for m in (ops.dirac.mat, ops.clifford_mult.mat, b.mat, *(g.entries for g in pair.rep.generators.values())):
         assert m.dtype == np.float64
-    spec = Spectrum.of(ops.bott)
+    spec = Spectrum.of(b)
     assert spec.eigenvectors.dtype == np.float64
     scales = 1.0 / GRID[:3]
     for f in NAMED_FUNCTIONS:
         want = np.complex128 if f.name.startswith("resolvent") else np.float64
-        assert spec.apply_grid(f, scales).dtype == want, f.name
+        assert spec.synthesize(spec.weights(f, scales)).dtype == want, f.name
 
 
 @pytest.mark.parametrize("dim", [4, 16])
@@ -130,7 +133,7 @@ def test_random_suites_stay_complex_and_unchanged(dim):
     spec = Spectrum.of(d)
     assert spec.eigenvectors.dtype == np.complex128
     for f in NAMED_FUNCTIONS:
-        stacked = spec.apply_grid(f, 1.0 / GRID)
+        stacked = spec.synthesize(spec.weights(f, 1.0 / GRID))
         assert stacked.dtype == np.complex128
         assert np.array_equal(stacked, spec.synthesize(spec.weights(f, 1.0 / GRID).astype(np.complex128))), f.name
 
@@ -163,15 +166,15 @@ def assert_two_coordinate_ladder_spectrum(k):
     so B^2/2 has eigenvalues m_1 + m_2 with m_i in {0, ..., K - 1}, each of
     multiplicity prod(1 if m_i = 0 else 2), split evenly between +-.  The
     spectrum comes from the odd block; its one zero is the dimension gap."""
-    ops = bott_dirac(hermite_model(k, 2))
-    assert ops.bott.mat.dtype == np.float64
-    eigenvalues, kernel_dim = spectrum_and_kernel(ops.bott, 1e-8)
+    b = bott_operator(hermite_model(k, 2))
+    assert b.mat.dtype == np.float64
+    eigenvalues, kernel_dim = spectrum_and_kernel(b, 1e-8)
     oracle = []
     for m in itertools.product(range(k), repeat=2):
         multiplicity = math.prod(1 if mi == 0 else 2 for mi in m)
         magnitude = math.sqrt(2.0 * sum(m))
         oracle += [0.0] if multiplicity == 1 else [magnitude, -magnitude] * (multiplicity // 2)
-    assert len(oracle) == ops.space.dim == (2 * k - 1) ** 2
+    assert len(oracle) == b.space.dim == (2 * k - 1) ** 2
     np.testing.assert_allclose(eigenvalues, np.sort(oracle), rtol=0, atol=1e-10)
     assert kernel_dim == 1
     assert np.count_nonzero(eigenvalues == 0.0) == 1
