@@ -6,9 +6,9 @@ BoundCertificate and applies the pass rule.
 
 The exponential checks take (k, d, d) stacks, and a one-pair check is a
 one-matrix stack; each stacked result equals its one-matrix evaluation
-bit for bit.  transform_commutator_check works on the parity blocks of
-the two odd transforms, from the chiral spectra of D and D', and equals
-the full-matrix evaluation up to roundoff, not bit for bit.
+bit for bit.  The transform checks work on the parity blocks of the odd
+transforms, from the chiral spectra of D and D' (funcalc.ChiralSpectrum),
+and equal the full-matrix evaluation up to roundoff, not bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .funcalc import RESOLVENT_PLUS, ChiralSpectrum, ParityBlocks, Spectrum, bounded_transform_function, map_grid
+from .funcalc import RESOLVENT_PLUS, ChiralSpectrum, ParityBlocks, bounded_transform_function, map_grid
 from .graded import (
     GradedMatrix,
     GradedSpace,
@@ -248,7 +248,9 @@ def transform_sum_sweep(
 ) -> SweepReport:
     """Sweep the smoothed-sum calculus defect over transform scales N and t.
 
-    n_grid defaults to 2^k max(||D||, ||D'||) for k = 0 .. 6.
+    n_grid defaults to 2^k max(||D||, ||D'||) for k = 0 .. 6.  The odd
+    transforms of s D and s D' come from their chiral spectra, the plain
+    resolvent from that of D + D', all in parity order.
     """
     grid = checked_t_grid(t_grid)
     if d.space != d_prime.space:
@@ -259,20 +261,21 @@ def transform_sum_sweep(
     )
     if n_values.size == 0 or np.any(n_values <= 0):
         raise ValueError("invalid transform-scale grid")
-    spec_d, spec_dp = Spectrum.of(d), Spectrum.of(d_prime)
-    spec_sum = Spectrum.of(d.mat + d_prime.mat)
-    # one row per (N, t) pair, N-major; every smoothed sum is
-    # eigendecomposed (and validated) on its own, batched over the stack
+    spec_d, spec_dp, spec_sum = ChiralSpectrum.of(d), ChiralSpectrum.of(d_prime), ChiralSpectrum.of(d + d_prime)
+    # one row of odd chiral weights per (N, t) pair, N-major
     scales = 1.0 / grid
     transforms = [bounded_transform_function(n) for n in n_values]
-    w_d = np.concatenate([spec_d.weights(g, scales) for g in transforms])
-    w_dp = np.concatenate([spec_dp.weights(g, scales) for g in transforms])
-    w_sum = spec_sum.weights(RESOLVENT_PLUS, scales)
+    w_d = np.concatenate([spec_d.weights(f, scales)[1] for f in transforms])
+    w_dp = np.concatenate([spec_dp.weights(f, scales)[1] for f in transforms])
+    shift = 1j * np.eye(d.space.dim)
 
     def defects_of(rows):
-        smoothed = spec_d.synthesize(w_d[rows]) + spec_dp.synthesize(w_dp[rows])
-        plain = spec_sum.synthesize(w_sum[rows % grid.size])
-        return operator_norms(Spectrum.of(smoothed).apply(RESOLVENT_PLUS) - plain)
+        # the smoothed sum S is odd with off-diagonal block A_N + A'_N; S is
+        # Hermitian, so ||(S + i)^-1|| <= 1 and the inverse is well conditioned
+        upper = spec_d.odd_block(w_d[rows]) + spec_dp.odd_block(w_dp[rows])
+        smoothed = np.linalg.inv(ParityBlocks(None, upper, adjoint(upper), None).dense() + shift)
+        plain = spec_sum.blocks(RESOLVENT_PLUS, scales[rows % grid.size]).dense()
+        return operator_norms(smoothed - plain)
 
     defects = map_grid(defects_of, np.arange(len(w_d)), d.space.dim).reshape(n_values.size, grid.size)
     top_decade = grid >= grid[-1] / 10.0

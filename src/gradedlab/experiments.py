@@ -95,21 +95,12 @@ class ConfigError(ValueError):
 # Largest operator dimension a config may ask for, dense or as nonzeros.  One 4096 x 4096
 # dense matrix takes 134 MB real or 268 MB complex, and a run holds several at once.
 MAX_DENSE_DIM = 4096
-# The tolerance keys each experiment reads, with their defaults; no other key may be set.
-_TOLERANCES: dict[str, dict[str, float]] = {
-    "commbound": {},
-    "expfactor": {"rate_rel": 0.02, "exponent_window": 0.1},
-    "techlemma": {"final_sup": 1e-6, "monotone_slack": 1e-12},
-    "compose": {"compose_exponent": COMPOSE_EXPONENT_THRESHOLD},
-    "bott": {"kernel": 1e-8, "gap": 1e-6, "interior": 1e-10, "convergence_slack": 1e-12},
-    "perturb": {"homom_exponent": COMMUTATION_EXPONENT_THRESHOLD, "cayley_exponent": COMPOSE_EXPONENT_THRESHOLD,
-                "defect_exponent": COMPOSE_EXPONENT_THRESHOLD},
-    "appendixB": {},
-}
+# |lambda| below this counts as a kernel eigenvalue of a Bott operator.
+KERNEL_TOL = 1e-8
 
 
 # The top-level config keys each experiment's runner reads.  A config file may set
-# these, and seed, out and tolerances (whose keys _TOLERANCES governs), and nothing else.
+# these, and seed and out, and nothing else.
 _READS: dict[str, set[str]] = {
     "commbound": {"trials", "dims", "t_grid", "n_grid"},
     "expfactor": {"trials", "dims", "t_grid"},
@@ -145,7 +136,6 @@ class ExperimentConfig:
     n_grid: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
     n_basis: int = 64
     coordinates: int = 1
-    tolerances: dict = field(default_factory=dict)
     out: str | None = None
 
     def __post_init__(self):
@@ -159,8 +149,9 @@ class ExperimentConfig:
             raise ConfigError("invalid transform-scale grid")
         if not self.dims or any(d < 2 or d % 2 for d in self.dims):
             raise ConfigError("dims must be a non-empty list of even integers >= 2")
-        # the largest grid-shaped arrays: the weight stacks of commbound and
-        # techlemma, one row of max(dims) weights per (N, t) pair
+        # the largest grid-shaped arrays: the odd chiral weight stacks of commbound
+        # and techlemma, one row of min(#e, #o) weights per (N, t) pair, bounded
+        # here by max(dims) weights a row
         grid_entries = (self.t_points + 1) * max(len(self.n_grid), 7) * max(self.dims)
         if grid_entries > MAX_DENSE_DIM**2:
             raise ConfigError(f"t grid of {self.t_points} points would need {grid_entries} weights")
@@ -172,14 +163,6 @@ class ExperimentConfig:
             raise ConfigError("n_basis must be >= 8")
         if self.coordinates < 1:
             raise ConfigError("coordinates must be >= 1")
-        unknown = sorted(set(self.tolerances) - set(_TOLERANCES[self.experiment]))
-        if unknown:
-            raise ConfigError(f"unknown tolerance keys for {self.experiment}: {', '.join(unknown)}")
-        for key, value in self.tolerances.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ConfigError(f"tolerance {key!r} must be a finite number")
-        if self.tolerances.get("kernel", 1.0) <= 0:
-            raise ConfigError("kernel tolerance must be positive")
         largest = self._largest_dense_dim()
         if largest > MAX_DENSE_DIM:
             raise ConfigError(f"largest operator would be {largest}-dimensional, above {MAX_DENSE_DIM}")
@@ -199,9 +182,6 @@ class ExperimentConfig:
             largest = max(largest, 2 * self.n_basis - 1)
         return largest
 
-    def tolerance(self, key: str) -> float:
-        return float(self.tolerances.get(key, _TOLERANCES[self.experiment][key]))
-
     def t_grid(self) -> np.ndarray:
         return default_t_grid(self.t_start, self.t_stop, self.t_points)
 
@@ -215,7 +195,6 @@ class ExperimentConfig:
             "n_grid": list(self.n_grid),
             "n_basis": self.n_basis,
             "coordinates": self.coordinates,
-            "tolerances": dict(self.tolerances),
         }
 
 
@@ -249,7 +228,6 @@ _PARSERS = {
     "n_grid": lambda v: tuple(_number(n) for n in v),
     "n_basis": _integer,
     "coordinates": _integer,
-    "tolerances": dict,
     "out": _path,
 }
 _GRID_PARSERS = {"start": _number, "stop": _number, "points": _integer}
@@ -279,7 +257,7 @@ def load_config(
         raise UnknownExperimentError(f"unknown experiment {name!r}")
     flags = {key: value for key, value in (("seed", seed), ("out", out)) if value is not None}
     merged = {**_DEFAULTS[name], **{k: v for k, v in data.items() if k != "experiment"}, **flags}
-    unknown = sorted(set(merged) - _READS[name] - {"seed", "out", "tolerances"})
+    unknown = sorted(set(merged) - _READS[name] - {"seed", "out"})
     grid = merged.pop("t_grid", {})
     if not isinstance(grid, dict):
         raise ConfigError("t_grid must be an object with start/stop/points")
@@ -398,8 +376,6 @@ def run_expfactor(cfg: ExperimentConfig) -> ExperimentResult:
         "factorization_exact": "graded-commuting operators factor exactly (defects at rounding level)",
     }
     grid = cfg.t_grid()
-    rate_tol = cfg.tolerance("rate_rel")
-    exp_tol = cfg.tolerance("exponent_window")
     certs: list[BoundCertificate] = []
     profiles: list[tuple[str, DecayProfile]] = []
     exponents = []
@@ -413,7 +389,7 @@ def run_expfactor(cfg: ExperimentConfig) -> ExperimentResult:
             BoundCertificate(
                 f"factorization_rate[trial={i}]",
                 abs(t_last**2 * float(even_prof.values[-1]) - comm),
-                rate_tol * comm,
+                0.02 * comm,
                 seed,
             )
         )
@@ -421,7 +397,7 @@ def run_expfactor(cfg: ExperimentConfig) -> ExperimentResult:
             BoundCertificate(
                 f"factorization_exponent[trial={i}]",
                 abs(even_prof.fitted_exponent + 2.0),
-                exp_tol,
+                0.1,
                 seed,
             )
         )
@@ -460,8 +436,6 @@ def run_techlemma(cfg: ExperimentConfig) -> ExperimentResult:
         "relative_bound": "||D (D + D' + i)^-1||^2 <= 1 + ||[D, D']||",
     }
     grid = cfg.t_grid()
-    final_tol = cfg.tolerance("final_sup")
-    slack = cfg.tolerance("monotone_slack")
     certs: list[BoundCertificate] = []
     profiles: list[tuple[str, DecayProfile]] = []
     for i, seed, rng, space in _trials(cfg):
@@ -469,8 +443,8 @@ def run_techlemma(cfg: ExperimentConfig) -> ExperimentResult:
         d_prime = random_odd_selfadjoint(rng, space, norm=1.0)
         report = transform_sum_sweep(d, d_prime, grid)
         worst_jump = float(np.diff(report.suprema).max(initial=-math.inf))
-        certs.append(BoundCertificate(f"sweep_monotone[trial={i}]", max(worst_jump, 0.0), slack, seed))
-        certs.append(BoundCertificate(f"sweep_final[trial={i}]", float(report.suprema[-1]), final_tol, seed))
+        certs.append(BoundCertificate(f"sweep_monotone[trial={i}]", max(worst_jump, 0.0), 1e-12, seed))
+        certs.append(BoundCertificate(f"sweep_final[trial={i}]", float(report.suprema[-1]), 1e-6, seed))
         for x, (lhs, rhs) in zip(("D", "D'"), report.relative_bounds):
             certs.append(BoundCertificate(f"relative_bound[trial={i},relative_bound[{x}]]", lhs, rhs, seed))
         if i == 0:
@@ -485,7 +459,6 @@ def run_compose(cfg: ExperimentConfig) -> ExperimentResult:
         "compose_identity": "composition with the trivial pair (identity, 0) is exact",
     }
     grid = cfg.t_grid()
-    threshold = cfg.tolerance("compose_exponent")
     certs: list[BoundCertificate] = []
     profiles: list[tuple[str, DecayProfile]] = []
     exponents = []
@@ -507,7 +480,8 @@ def run_compose(cfg: ExperimentConfig) -> ExperimentResult:
         comp = compose_pairs(p_ab, p_bc, pushforward, grid)
         for gen, fn, profile in _table_rows(comp.defect_profiles):
             exponents.append(profile.fitted_exponent)
-            certs.append(BoundCertificate(f"compose_defect[trial={i},{gen},{fn}]", exponents[-1], threshold, seed))
+            name = f"compose_defect[trial={i},{gen},{fn}]"
+            certs.append(BoundCertificate(name, exponents[-1], COMPOSE_EXPONENT_THRESHOLD, seed))
             if i == 0:
                 profiles.append((f"compose_trial0_{gen}_{fn}", profile))
     certs.append(_identity_composition_cert(cfg))
@@ -542,9 +516,6 @@ def run_bott(cfg: ExperimentConfig) -> ExperimentResult:
         "bott_pair": "the model pairs satisfy the decay conditions",
         "bott_compose_kernel": "composing the two model pairs yields the Bott-Dirac operator with kernel dimension 1",
     }
-    kernel_tol = cfg.tolerance("kernel")
-    gap_tol = cfg.tolerance("gap")
-    interior_tol = cfg.tolerance("interior")
     certs: list[BoundCertificate] = []
     tables: dict[str, str] = {}
     summary: dict = {}
@@ -558,15 +529,15 @@ def run_bott(cfg: ExperimentConfig) -> ExperimentResult:
         rungs.append((basis, b.eigenvalues(), float(np.linalg.norm(b.values[b.cols == 0]))))
     _, eigenvalues, ground_residual = rungs[1]
     magnitudes = np.sort(np.abs(eigenvalues))
-    kernel_dim = int(np.count_nonzero(magnitudes < kernel_tol))
+    kernel_dim = int(np.count_nonzero(magnitudes < KERNEL_TOL))
     certs.append(BoundCertificate("bott_kernel_dim", float(abs(kernel_dim - 1)), 0.0))
-    certs.append(BoundCertificate("bott_lambda_min", float(magnitudes[0]), kernel_tol))
-    certs.append(BoundCertificate("bott_gap", abs(float(magnitudes[1]) - math.sqrt(2.0)), gap_tol))
+    certs.append(BoundCertificate("bott_lambda_min", float(magnitudes[0]), KERNEL_TOL))
+    certs.append(BoundCertificate("bott_gap", abs(float(magnitudes[1]) - math.sqrt(2.0)), 1e-6))
     certs.append(BoundCertificate("bott_ground_residual", ground_residual, 1e-10))
     model = hermite_model(cfg.n_basis, cfg.coordinates)
     ops = bott_dirac(model)
     dc = dc_commutator_check(ops)
-    certs.append(BoundCertificate("bott_dc_involution", dc["interior_defect_vs_involution"], interior_tol))
+    certs.append(BoundCertificate("bott_dc_involution", dc["interior_defect_vs_involution"], 1e-10))
     summary["kernel_dim"] = kernel_dim
     summary["smallest_magnitudes"] = [float(v) for v in magnitudes[:8]]
     summary["dc_commutator_norm"] = dc["commutator_norm"]
@@ -579,7 +550,7 @@ def run_bott(cfg: ExperimentConfig) -> ExperimentResult:
                  for basis, spectrum, ground in rungs]
     summary["convergence"] = [{"n_basis": b, "ground_residual": g, "gap_defect": s} for b, g, s in residuals]
     growth = [max(g1 - g0, s1 - s0) for (_, g0, s0), (_, g1, s1) in zip(residuals, residuals[1:])]
-    certs.append(BoundCertificate("bott_convergence", max([0.0, *growth]), cfg.tolerance("convergence_slack")))
+    certs.append(BoundCertificate("bott_convergence", max([0.0, *growth]), 1e-12))
 
     def worst_exponent(table):
         # np.max is NaN if any fit failed; max() would depend on the order
@@ -596,7 +567,7 @@ def run_bott(cfg: ExperimentConfig) -> ExperimentResult:
             worst = worst_exponent(validate_pair(pair, grid))
             certs.append(BoundCertificate(f"bott_pair[{name}]", worst, COMMUTATION_EXPONENT_THRESHOLD))
         comp = compose_pairs(scalar_pair, dirac_pair, identity_pushforward, grid)
-        _, comp_kernel = spectrum_and_kernel(comp.pair.d, kernel_tol)
+        _, comp_kernel = spectrum_and_kernel(comp.pair.d, KERNEL_TOL)
         certs.append(BoundCertificate("bott_compose_kernel", float(abs(comp_kernel - 1)), 0.0))
         certs.append(
             BoundCertificate(
@@ -614,9 +585,6 @@ def run_perturb(cfg: ExperimentConfig) -> ExperimentResult:
         "perturb_defect": "heat factorization defect of (D, V) decays with exponent <= -1.75",
     }
     grid = cfg.t_grid()
-    odd_threshold = cfg.tolerance("homom_exponent")
-    even_threshold = cfg.tolerance("cayley_exponent")
-    defect_threshold = cfg.tolerance("defect_exponent")
     reports = []  # (tag, report, seed) for every trial, then the Bott model
     for i, seed, rng, space in _trials(cfg):
         gens = {"a_even": random_even(rng, space, norm=1.0), "a_odd": random_odd(rng, space, norm=1.0)}
@@ -633,11 +601,12 @@ def run_perturb(cfg: ExperimentConfig) -> ExperimentResult:
     certs: list[BoundCertificate] = []
     for tag, report, seed in reports:
         for gen, fn, profile in _table_rows(report.homom_profiles):
-            threshold = even_threshold if fn == "cayley" else odd_threshold
+            # f(s V) - f(0) is O(s^2) for the even cayley, O(s) for the odd g
+            threshold = COMPOSE_EXPONENT_THRESHOLD if fn == "cayley" else COMMUTATION_EXPONENT_THRESHOLD
             certs.append(BoundCertificate(f"perturb_homom[{tag},{gen},{fn}]", profile.fitted_exponent, threshold, seed))
         for part, profile in (("even", report.defect_even), ("odd", report.defect_odd)):
             exponent = profile.fitted_exponent
-            certs.append(BoundCertificate(f"perturb_defect[{tag},{part}]", exponent, defect_threshold, seed))
+            certs.append(BoundCertificate(f"perturb_defect[{tag},{part}]", exponent, COMPOSE_EXPONENT_THRESHOLD, seed))
     profiles = [("perturb_bott_defect_even", bott_report.defect_even)]
     profiles += [(f"perturb_bott_{gen}_{fn}", profile) for gen, fn, profile in _table_rows(bott_report.homom_profiles)]
     return _result(cfg, claims, certs, profiles)

@@ -1,32 +1,27 @@
 """Functional calculus for odd self-adjoint matrices.
 
-f(D) is computed through the eigendecomposition U diag(f(lambda)) U*.
 The calculus is a graded *-homomorphism: it is multiplicative on
 functions, contractive (||f(D)|| <= sup|f|), and satisfies
 gamma f(D) gamma = f(-D), so even functions of D are even and odd
 functions are odd.
 
-Profiles over a t-grid run a chunk of scales at a time: Spectrum.weights
-gives one row f(s lambda) per scale s, Spectrum.synthesize turns the rows
-into an (S, d, d) stack of f(s D) from a single eigendecomposition, and
-map_grid cuts the grid into chunks that hold at most STACK_ENTRIES
-entries.  Batched LAPACK and BLAS kernels run the same computation on
-every matrix of a stack, so a stack equals a point-by-point evaluation
-bit for bit.
+An odd D is computed in its chiral form.  In parity order
+D = [[0, A], [A*, 0]]; ChiralSpectrum holds the SVD A = U Sigma V*, and
+with W = diag(U, V), W* D W is a sum of 2 x 2 blocks [[0, sigma], [sigma, 0]]
+plus |#e - #o| exact zeros.  So f(s D) is U f_even(s Sigma) U* and
+V f_even(s Sigma) V* on the diagonal parity blocks and U f_odd(s Sigma) V*
+on the off-diagonal ones, with f_even(x) = (f(x) + f(-x))/2 and
+f_odd(x) = (f(x) - f(-x))/2.  An even or odd f gives an exactly even or
+odd f(s D), and gamma f(D) gamma equals f(-D) (the scale -1) bit for bit.
+Results come as ParityBlocks, stacks held as their four parity blocks:
+products skip the zero blocks, and ParityBlocks.norms takes the norm of a
+homogeneous matrix from its two half-size blocks.  Profiles over a t-grid
+evaluate a chunk of scales at a time, and map_grid cuts the grid into
+chunks that hold at most STACK_ENTRIES entries.
 
-An odd D has a cheaper spectral form, which the pair, composition,
-perturbation and Bott layers use.  In parity order D = [[0, A], [A*, 0]];
-ChiralSpectrum holds the SVD A = U Sigma V*, and with W = diag(U, V),
-W* D W is a sum of 2 x 2 blocks [[0, sigma], [sigma, 0]] plus |#e - #o|
-exact zeros.  So f(s D) is U f_even(s Sigma) U* and V f_even(s Sigma) V*
-on the diagonal parity blocks and U f_odd(s Sigma) V* on the off-diagonal
-ones, with f_even(x) = (f(x) + f(-x))/2 and f_odd(x) = (f(x) - f(-x))/2.
-An even or odd f gives an exactly even or odd f(s D), and
-gamma f(D) gamma equals f(-D) (the scale -1) bit for bit.  Results come
-as ParityBlocks, stacks held as their four parity blocks: products skip
-the zero blocks, and ParityBlocks.norms takes the norm of a homogeneous
-matrix from its two half-size blocks.  These values agree with the
-eigendecomposition of D up to roundoff, not bit for bit.
+Spectrum is the plain validated eigendecomposition of one Hermitian
+matrix, U diag(f(lambda)) U*, for the even operators the chiral form does
+not cover; it agrees with the chiral form up to roundoff, not bit for bit.
 
 The named function table carries exact sup norms so contractivity can
 be certified without sampling.
@@ -134,11 +129,9 @@ def map_grid(fn: Callable[[np.ndarray], np.ndarray], rows: np.ndarray, dim: int)
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+    """Validated eigendecomposition of one Hermitian matrix, eigenvalues ascending.
 
-    A (k, d, d) stack of matrices gives a stack of spectra: eigenvalues
-    (k, d), eigenvectors (k, d, d), and every method acts matrix by matrix.
-    Real symmetric input runs the real LAPACK kernels and has real
+    Real symmetric input runs the real LAPACK kernel and has real
     eigenvectors; complex input stays complex.
     """
 
@@ -154,34 +147,20 @@ class Spectrum:
         else:
             matrix = np.asarray(operator)
             matrix = matrix.astype(np.result_type(matrix, np.float64), copy=False)
-        if not np.all(negligible(matrix - adjoint(matrix), matrix)):
+        if matrix.ndim != 2:
+            raise ValueError("eigendecomposition takes one matrix")
+        if not negligible(matrix - adjoint(matrix), matrix):
             raise ValueError("eigendecomposition requires a Hermitian matrix")
         values, vectors = np.linalg.eigh(matrix)
-        spec = cls(values, vectors)
-        norm = np.maximum(1.0, np.abs(values).max(axis=-1, initial=0.0))
-        each = (-2, -1)
-        residual = np.abs(spec.synthesize(values) - matrix).max(axis=each, initial=0.0)
-        gram = adjoint(vectors) @ vectors
-        unitary_defect = np.abs(gram - np.eye(values.shape[-1])).max(axis=each, initial=0.0)
-        if np.any(residual > tol * norm) or np.any(unitary_defect > tol):
+        residual = np.abs((vectors * values) @ adjoint(vectors) - matrix).max(initial=0.0)
+        unitary_defect = np.abs(adjoint(vectors) @ vectors - np.eye(values.size)).max(initial=0.0)
+        if not (residual <= tol * max(1.0, np.abs(values).max(initial=0.0)) and unitary_defect <= tol):
             raise ValueError("eigendecomposition failed accuracy validation")
-        return spec
-
-    def synthesize(self, weights: np.ndarray) -> np.ndarray:
-        """U diag(w) U* for each row w of weights (last axis: one weight per
-        eigenvalue); leading axes of weights become stack axes."""
-        return (self.eigenvectors * weights[..., None, :]) @ adjoint(self.eigenvectors)
-
-    def weights(self, f: ScalarFunction, scales: np.ndarray) -> np.ndarray:
-        """Rows f(s * eigenvalues), one per s in scales, in f's own dtype."""
-        if self.eigenvalues.ndim != 1:
-            raise ValueError("grid evaluation needs the spectrum of a single matrix")
-        scales = np.asarray(scales, dtype=float)
-        return np.asarray(f(scales[:, None] * self.eigenvalues[None, :]))
+        return cls(values, vectors)
 
     def apply(self, f: ScalarFunction, scale: float = 1.0) -> np.ndarray:
-        """Matrix of f(scale * D) in the original basis (real for real D and f)."""
-        return self.synthesize(np.asarray(f(scale * self.eigenvalues)))
+        """U diag(f(scale * lambda)) U*, the matrix of f(scale * D) (real for real D and f)."""
+        return (self.eigenvectors * np.asarray(f(scale * self.eigenvalues))) @ adjoint(self.eigenvectors)
 
 
 def _add(x, y):

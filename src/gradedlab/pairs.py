@@ -87,8 +87,9 @@ class DecayProfile:
     the upper half of the grid; early-t transients would otherwise
     pollute the asymptotic slope.  Sub-floor values are excluded, and a
     profile that is zero on the whole fit window reports exponent -inf.
-    A non-finite value in the fit window makes the fit fail: the exponent
-    is NaN, so no threshold comparison passes.
+    A non-finite value in the fit window, or a window with a single value
+    at or above FIT_FLOOR, makes the fit fail: the exponent is NaN, so no
+    threshold comparison passes.
     """
 
     t_grid: np.ndarray
@@ -107,7 +108,7 @@ class DecayProfile:
             return cls(t_grid, values, np.nan)
         usable = vs >= FIT_FLOOR
         if usable.sum() < 2:
-            return cls(t_grid, values, float("-inf"))
+            return cls(t_grid, values, float("-inf") if not usable.any() else np.nan)
         slope, _ = np.polyfit(np.log(ts[usable]), np.log(vs[usable]), 1)
         return cls(t_grid, values, float(slope))
 

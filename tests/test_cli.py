@@ -4,6 +4,7 @@ import time
 import jsonschema
 import pytest
 
+import gradedlab.estimates
 from gradedlab.cli import main
 from gradedlab.experiments import (
     MAX_DENSE_DIM,
@@ -68,21 +69,31 @@ def test_seed_changes_report(tmp_path):
     assert (out1 / "certificates.jsonl").read_bytes() != (out2 / "certificates.jsonl").read_bytes()
 
 
-def test_failing_certificates_exit_1(tmp_path):
-    """Exit status 0 holds exactly when every certificate passes; an
-    impossible tolerance forces a recorded failure and exit 1."""
-    config = write_config(
-        tmp_path,
-        experiment="techlemma",
-        tolerances={"final_sup": 1e-30},
-        **SMALL["techlemma"],
-    )
+def test_failing_certificates_exit_1(tmp_path, monkeypatch):
+    """Exit status 0 holds exactly when every certificate passes; transforms
+    built at N/256 (the sweep_final control of test_controls) force a
+    recorded failure and exit 1."""
+    transform = gradedlab.estimates.bounded_transform_function
+    monkeypatch.setattr(gradedlab.estimates, "bounded_transform_function", lambda n: transform(n / 256))
+    config = write_config(tmp_path, experiment="techlemma", **SMALL["techlemma"])
     out = tmp_path / "out"
     assert main(["--config", config, "--out", str(out)]) == 1
     report = json.loads((out / "report.json").read_text())
     assert report["pass"] is False
     failed = [c for c in report["checks"] if c["failed"]]
     assert failed and failed[0]["name"] == "sweep_final"
+
+
+def test_one_resolvable_fit_point_exits_1(tmp_path):
+    """A two-point grid leaves one point in each fit window; its profiles fall
+    from about 0.35 to 1e-6, so no fit can be made and every compose_defect
+    certificate fails, where the exact-zero sentinel -inf used to pass them."""
+    config = write_config(tmp_path, experiment="compose", trials=1, dims=[4], t_grid={"points": 2})
+    out = tmp_path / "out"
+    assert main(["--config", config, "--out", str(out)]) == 1
+    checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
+    assert (checks["compose_defect"]["passed"], checks["compose_defect"]["failed"]) == (0, 4)
+    assert checks["compose_identity"]["failed"] == 0
 
 
 def test_unknown_experiment_exits_2_and_writes_nothing(tmp_path):
@@ -152,6 +163,13 @@ def test_malformed_config_exits_3_and_writes_nothing(tmp_path, monkeypatch, expe
     flags = [] if "out" in fields else ["--out", str(tmp_path / "out")]
     assert main(["--config", config, *flags]) == 3
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_tolerances_key_is_unknown(tmp_path):
+    """Thresholds are constants at their certificates: a config cannot set
+    one, and its tolerances key is refused as unknown."""
+    with pytest.raises(ConfigError, match="unknown config keys for bott: tolerances"):
+        load_config(write_config(tmp_path, experiment="bott", tolerances={"kernel": 1e-3}))
 
 
 def test_oversized_dense_config_exits_3_and_writes_nothing(tmp_path):
@@ -301,7 +319,7 @@ def test_partial_t_grid_keeps_the_experiment_grid_defaults(tmp_path, experiment,
 def test_default_configs_resolve_per_experiment():
     """Each experiment's departures from the ExperimentConfig field defaults."""
     common = {"seed": 42, "trials": 1, "dims": [8], "t_grid": {"start": 1.0, "stop": 1e3, "points": 60},
-              "n_grid": [0.5, 1.0, 2.0, 4.0, 8.0, 16.0], "n_basis": 64, "coordinates": 1, "tolerances": {}}
+              "n_grid": [0.5, 1.0, 2.0, 4.0, 8.0, 16.0], "n_basis": 64, "coordinates": 1}
     departures = {
         "commbound": {"trials": 200, "dims": [4, 8, 16]},
         "expfactor": {"trials": 50, "t_grid": {"start": 10.0, "stop": 1e3, "points": 40}},

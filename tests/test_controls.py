@@ -6,10 +6,9 @@ import math
 import numpy as np
 import pytest
 
+import gradedlab.estimates
 from gradedlab import GradedMatrix, GradedSpace, OddNonzeros, bott_nonzeros, graded_tensor, hermite_model, identity
-from gradedlab.experiments import ExperimentConfig, run_experiment
-
-KERNEL_TOL = 1e-8
+from gradedlab.experiments import KERNEL_TOL, ExperimentConfig, load_config, run_experiment
 
 
 def product_truncation(model):
@@ -96,3 +95,17 @@ def test_nonzeros_that_are_not_odd_symmetric_are_refused(rows, cols, values):
 def test_odd_symmetric_nonzeros_within_tolerance_are_accepted():
     b = OddNonzeros(PARITY, np.array([0, 2, 1, 3]), np.array([2, 0, 3, 1]), np.array([1.0, 1.0 + 1e-14, 2.0, 2.0]))
     np.testing.assert_allclose(b.eigenvalues(), [-2.0, -1.0, 1.0, 2.0], rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_sweep_final_fails_on_transforms_built_at_the_wrong_scale(seed, monkeypatch):
+    """techlemma with every transform i_N built at N/256: the smoothed sum no
+    longer approaches D + D' at the largest N, so sweep_final fails on every
+    trial.  (Building every transform at N = 1 instead fails only some.)"""
+    transform = gradedlab.estimates.bounded_transform_function
+    monkeypatch.setattr(gradedlab.estimates, "bounded_transform_function", lambda n: transform(n / 256))
+    result = run_experiment(load_config(experiment="techlemma", seed=seed))
+    final = [c for c in result.certificates if c.check.startswith("sweep_final")]
+    assert len(final) == 20
+    assert not any(c.passed for c in final)
+    assert min(c.lhs for c in final) > 10 * final[0].rhs

@@ -1,22 +1,22 @@
 """The grid engine against point-by-point evaluation.
 
-Spectrum.synthesize(Spectrum.weights(f, scales)) evaluates f(s D) for a
-whole chunk of scales as one stack, and its rows equal Spectrum.apply bit
-for bit.  The profiles of
-odd operators come from the chiral spectrum (ChiralSpectrum): f(s D) as
-parity blocks from the SVD of D's odd block, commutators as Schur
-products in D's chiral basis, and norms from half-size blocks.  Another
-factorization and other products change the last bits, so every such
-profile is held to the plain loops below, which call Spectrum.apply and
+ChiralSpectrum.blocks(f, scales) evaluates f(s D) of an odd D for a whole
+chunk of scales as one stack of parity blocks, and its rows equal the
+one-scale evaluation bit for bit.  Every profile comes from the chiral
+spectrum: f(s D) as parity blocks from the SVD of D's odd block,
+commutators as Schur products in D's chiral basis, and norms from
+half-size blocks.  Another factorization and other products change the
+last bits, so every such profile is held to the plain loops below, which
+call Spectrum.apply (the eigendecomposition of the full matrix) and
 operator_norm once per grid point, to 1e-10 relative up to the loop's
 own cancellation floor; values below FIT_FLOOR stay below it.  The
 certificates commbound names from its table match the full-matrix loop's
 with equal check names and lhs to 1e-12 relative.  30-digit mpmath
-oracles hold transform_commutator_check, validate_pair and compose_pairs
-to 1e-12 relative, and the Bott profiles of perturbation_check at
-t = 1e3, which no longer subtract O(1) matrices, to 1e-13.  The
-exponentials of exp_product_path_profiles also run as stacks over the
-grid, and equal a per-point loop bit for bit.
+oracles hold transform_commutator_check, validate_pair, compose_pairs and
+transform_sum_sweep to 1e-12 relative, and the Bott profiles of
+perturbation_check at t = 1e3, which no longer subtract O(1) matrices, to
+1e-13.  The exponentials of exp_product_path_profiles also run as stacks
+over the grid, and equal a per-point loop bit for bit.
 """
 
 import mpmath
@@ -100,9 +100,8 @@ def operands(dim, seed=7):
 
 @pytest.fixture
 def stack_rows(monkeypatch):
-    """Record the length of every stack the engine synthesizes, in full or
-    by parity blocks, or whose commutator norms it takes (1 for a single
-    matrix)."""
+    """Record the length of every stack the engine synthesizes by parity
+    blocks, or whose commutator norms it takes."""
     rows = []
 
     def recording(method, length):
@@ -116,9 +115,6 @@ def stack_rows(monkeypatch):
     def blocks_length(out):
         return next(block for block in out.blocks if block is not None).shape[0]
 
-    monkeypatch.setattr(
-        Spectrum, "synthesize", recording(Spectrum.synthesize, lambda out: out.shape[0] if out.ndim == 3 else 1)
-    )
     monkeypatch.setattr(ChiralSpectrum, "blocks", recording(ChiralSpectrum.blocks, blocks_length))
     monkeypatch.setattr(ChiralSpectrum, "odd_block", recording(ChiralSpectrum.odd_block, len))
     monkeypatch.setattr(ChiralSpectrum, "commutator_norms", recording(ChiralSpectrum.commutator_norms, len))
@@ -134,15 +130,22 @@ def within_cap(stack_rows, dim):
 
 @pytest.mark.parametrize("dim", [2, 8, 16, 31, 127])
 def test_apply_grid_rows_equal_apply(dim):
-    spec = Spectrum.of(random_hermitian(rng_for(dim), dim))
+    """Rows of a chunked grid of ChiralSpectrum.blocks equal the one-scale
+    evaluation bit for bit, and Spectrum.apply to roundoff.  At odd dim the
+    space has one more even than odd vector, so D has a zero mode."""
+    space = GradedSpace.split((dim + 1) // 2, dim // 2)
+    d = random_odd_selfadjoint(rng_for(dim), space, norm=1.0)
+    spec, full = ChiralSpectrum.of(d), Spectrum.of(d)
+    order = np.concatenate([spec.even, spec.odd])
     per_chunk = max(1, STACK_ENTRIES // (dim * dim))
     scales = 1.0 / np.geomspace(1.0, 1e3, per_chunk + 3)
     assert len(grid_chunks(scales.size, dim)) >= 2
     for f in GRID_FUNCTIONS:
-        stacked = map_grid(lambda chunk, f=f: spec.synthesize(spec.weights(f, chunk)), scales, dim)
+        stacked = map_grid(lambda chunk, f=f: spec.blocks(f, chunk).dense(), scales, dim)
         assert stacked.shape == (scales.size, dim, dim)
         for row, s in zip(stacked, scales):
-            assert np.array_equal(row, spec.apply(f, float(s))), f.name
+            assert np.array_equal(row, spec.blocks(f, [s]).dense()[0]), f.name
+            np.testing.assert_allclose(row, full.apply(f, float(s))[np.ix_(order, order)], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 8, 16, 31, 127, 200])
@@ -156,18 +159,10 @@ def test_grid_chunks_cover_the_grid_within_the_cap(dim, count):
 
 
 def test_apply_grid_needs_a_single_spectrum():
-    stacked = Spectrum.of(np.stack([random_hermitian(rng_for(i), 4) for i in range(3)]))
-    assert stacked.eigenvalues.shape == (3, 4)
-    with pytest.raises(ValueError):
-        stacked.weights(GAUSS0, np.ones(2))
-
-
-def test_stacked_spectrum_validates_every_matrix():
-    good = random_hermitian(rng_for(1), 4)
-    bad = good.copy()
-    bad[0, 1] += 1.0
-    with pytest.raises(ValueError):
-        Spectrum.of(np.stack([good, bad]))
+    """Spectrum is the eigendecomposition of one matrix: a stack of
+    Hermitian matrices is refused, and grids run through ChiralSpectrum."""
+    with pytest.raises(ValueError, match="one matrix"):
+        Spectrum.of(np.stack([random_hermitian(rng_for(i), 4) for i in range(3)]))
 
 
 # -- routed profile functions against per-point oracles ----------------------
@@ -537,10 +532,44 @@ def test_transform_sum_sweep_matches_oracle(dim, stack_rows):
             transform = bounded_transform_function(n)
             smoothed = spec_d.apply(transform, s) + spec_dp.apply(transform, s)
             want[i, j] = operator_norm(Spectrum.of(smoothed).apply(RESOLVENT_PLUS) - spec_sum.apply(RESOLVENT_PLUS, s))
-    assert np.array_equal(report.defects, want)
+    assert_matches_loop(report.defects, want)
     assert within_cap(stack_rows, dim)
     if dim == 34:
         assert max(stack_rows) == STACK_ENTRIES // (dim * dim)
+
+
+def mp_sweep_defect(d, d_prime, n, t):
+    """||(i_N(D/t) + i_N(D'/t) + i)^-1 - ((D + D')/t + i)^-1|| at 30 digits,
+    from mpmath's eigh of D and D', full-matrix inverses and svd_c."""
+    with mpmath.workdps(30):
+        s, n2 = 1 / mpmath.mpf(float(t)), mpmath.mpf(float(n)) ** 2
+        m, m_prime = (mpmath.matrix(x.mat.tolist()) for x in (d, d_prime))
+
+        def transform(x):
+            values, vectors = mpmath.eigh(x)
+            return vectors * mpmath.diag([s * v / (1 + (s * v) ** 2 / n2) for v in values]) * vectors.H
+
+        shift = 1j * mpmath.eye(m.rows)
+        smoothed = mpmath.inverse(transform(m) + transform(m_prime) + shift)
+        plain = mpmath.inverse(s * (m + m_prime) + shift)
+        return float(max(mpmath.svd_c(smoothed - plain, compute_uv=False)))
+
+
+def test_transform_sum_sweep_matches_mpmath():
+    """A 30-digit oracle at d = 4 for every (N, t) of a small sweep: 1e-12
+    relative, up to 4 eps absolute.  The defects are differences of two
+    resolvents of norm <= 1, so below about 1e-4 the eps-level roundoff of
+    the float64 sweep is the bound that matters."""
+    rng = rng_for(32)
+    space = balanced_space(4)
+    d, d_prime = random_odd_selfadjoint(rng, space, norm=1.0), random_odd_selfadjoint(rng, space, norm=1.0)
+    grid = np.array([1.0, 10.0, 1e3])
+    n_grid = (0.5, 4.0, 64.0)
+    report = transform_sum_sweep(d, d_prime, n_grid=n_grid, t_grid=grid)
+    for i, n in enumerate(n_grid):
+        for j, t in enumerate(grid):
+            want = mp_sweep_defect(d, d_prime, n, t)
+            assert report.defects[i, j] == pytest.approx(want, rel=1e-12, abs=4 * np.finfo(float).eps), (n, t)
 
 
 @pytest.mark.parametrize("dim", TOY_DIMS)

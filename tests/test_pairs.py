@@ -91,6 +91,23 @@ def test_decay_profile_non_finite_fit_window_fails(bad):
     assert abs(early.fitted_exponent + 2.0) <= 1e-6
 
 
+def test_decay_profile_needs_two_resolvable_points():
+    """-inf means the fit window is zero below FIT_FLOOR; a window with one
+    value at or above it is a failed fit (NaN), which no threshold passes."""
+    grid = default_t_grid()
+    window = np.arange(grid.size) >= grid.size // 2
+    values = 0.35 * grid**-2.0
+    none = DecayProfile.from_values(grid, np.where(window, 0.0, values))
+    one = DecayProfile.from_values(grid, np.where(window & (np.arange(grid.size) != grid.size - 1), 0.0, values))
+    two = DecayProfile.from_values(grid, np.where(window & (np.arange(grid.size) < grid.size - 2), 0.0, values))
+    assert none.fitted_exponent == float("-inf")
+    assert np.isnan(one.fitted_exponent)
+    assert not one.fitted_exponent <= COMPOSE_EXPONENT_THRESHOLD
+    assert two.fitted_exponent == pytest.approx(-2.0, abs=1e-9)
+    # a two-point grid's fit window is its last point alone
+    assert np.isnan(DecayProfile.from_values(np.array([1.0, 1e3]), np.array([0.35, 9.1e-7])).fitted_exponent)
+
+
 def test_decay_profile_grid_errors():
     with pytest.raises(ValueError):
         DecayProfile.from_values(np.array([]), np.array([]))

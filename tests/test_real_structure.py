@@ -113,15 +113,14 @@ def test_bott_model_is_real():
         assert m.dtype == np.float64
     spec = Spectrum.of(b)
     assert spec.eigenvectors.dtype == np.float64
-    scales = 1.0 / GRID[:3]
     for f in NAMED_FUNCTIONS:
         want = np.complex128 if f.name.startswith("resolvent") else np.float64
-        assert spec.synthesize(spec.weights(f, scales)).dtype == want, f.name
+        assert spec.apply(f, 1.0 / GRID[0]).dtype == want, f.name
 
 
 @pytest.mark.parametrize("dim", [4, 16])
 def test_random_suites_stay_complex_and_unchanged(dim):
-    """Random samples are complex128, and so are their f(D) stacks.  Real
+    """Random samples are complex128, and so are their f(D).  Real
     weights on a complex spectrum give the same bits as the same weights
     cast to complex first."""
     rng = rng_for((5, dim))
@@ -132,10 +131,13 @@ def test_random_suites_stay_complex_and_unchanged(dim):
     assert random_odd(rng, space).entries.dtype == np.complex128
     spec = Spectrum.of(d)
     assert spec.eigenvectors.dtype == np.complex128
+    u = spec.eigenvectors
     for f in NAMED_FUNCTIONS:
-        stacked = spec.synthesize(spec.weights(f, 1.0 / GRID))
-        assert stacked.dtype == np.complex128
-        assert np.array_equal(stacked, spec.synthesize(spec.weights(f, 1.0 / GRID).astype(np.complex128))), f.name
+        for s in 1.0 / GRID:
+            value = spec.apply(f, s)
+            assert value.dtype == np.complex128
+            weights = np.asarray(f(s * spec.eigenvalues)).astype(np.complex128)
+            assert np.array_equal(value, (u * weights) @ u.conj().T), f.name
 
 
 def test_bott_norms_run_on_real_stacks(norm_stacks):
