@@ -39,9 +39,7 @@ from .funcalc import (
 )
 from .pairs import (
     AsymptoticPair,
-    Composition,
     DecayProfile,
-    RepresentedAlgebra,
     compose_pairs,
     default_t_grid,
     factorization_defect_profiles,

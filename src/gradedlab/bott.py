@@ -60,7 +60,6 @@ __all__ = [
     "multiplication_generators",
     "spectrum_and_kernel",
     "dc_commutator_check",
-    "PerturbationReport",
     "perturbation_check",
 ]
 
@@ -271,35 +270,27 @@ def dc_commutator_check(ops: BottOperators) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class PerturbationReport:
-    """Measurements that a bounded odd potential does not change the class.
+def perturbation_check(
+    pair: AsymptoticPair, potential: OddSelfAdjoint, t_grid: np.ndarray
+) -> tuple[dict[str, dict[str, DecayProfile]], DecayProfile, DecayProfile]:
+    """(homom_profiles, defect_even, defect_odd): measurements that a bounded
+    odd potential V does not change the class.
 
-    homom_profiles: t -> ||f(t^-1 V) b - f(0) b|| per generator and
-    f in (cayley, g); the resolvent-type functions decay like t^-2 for
-    even f and t^-1 for odd f.
-    defect profiles: heat factorization defects of (D, V), whose t^-2
-    decay certifies that composing with the potential pair lands on
-    (phi, D + V).
+    homom_profiles holds t -> ||f(t^-1 V) b - f(0) b|| per generator and f in
+    (cayley, g), decaying like t^-2 for even f and t^-1 for odd f.  The heat
+    factorization defects of (D, V) decay like t^-2, which certifies that
+    composing with the potential pair lands on (phi, D + V).
     """
-
-    homom_profiles: dict[str, dict[str, DecayProfile]]
-    defect_even: DecayProfile
-    defect_odd: DecayProfile
-
-
-def perturbation_check(pair: AsymptoticPair, potential: OddSelfAdjoint, t_grid: np.ndarray) -> PerturbationReport:
     if pair.space != potential.space:
         raise ValueError("potential lives on the wrong space")
     grid = checked_t_grid(t_grid)
     spec_v = ChiralSpectrum.of(potential)
     # f(s V) - f(0) from the chiral weights f(s sigma) - f(0), by f.increment
     # where f(0) != 0, so no two O(1) matrices are subtracted
-    generators = {name: ParityBlocks.gather(pair.space, gen.entries) for name, gen in pair.rep.generators.items()}
+    generators = {name: ParityBlocks.gather(pair.space, gen.entries) for name, gen in pair.generators.items()}
     functions = (CAYLEY, MULTIPLIER_G)
     profiles = generator_profiles(
         functions, generators, grid, lambda scales: [spec_v.blocks(f, scales, increment=True) for f in functions],
         lambda f, moved, a: (moved @ a).norms(), pair.space.dim,
     )
-    defect_even, defect_odd = factorization_defect_profiles(pair.d, potential, grid)
-    return PerturbationReport(profiles, defect_even, defect_odd)
+    return (profiles, *factorization_defect_profiles(pair.d, potential, grid))

@@ -108,8 +108,17 @@ def exp_shift_bound_check(x: GradedMatrix, y: GradedMatrix) -> tuple[float, floa
 
 
 def _series_term(n: int, commutator_norm: float, m_bound: float) -> float:
-    """Degree-n term (n+1) (floor(n/2)!)^-2 (n^2/4) ||[x,y]|| M^(n-2)."""
-    return (n + 1) * math.factorial(n // 2) ** -2 * (n * n / 4.0) * commutator_norm * m_bound ** (n - 2)
+    """Degree-n term (n+1) (floor(n/2)!)^-2 (n^2/4) ||[x,y]|| M^(n-2); where that form
+    over- or underflows, (n+1) (n^2/4) ||[x,y]|| M^(n mod 2) q^2 with q = M^(h-1)/h!,
+    h = floor(n/2), multiplied out factor by factor: in range wherever the term is."""
+    try:
+        term = (n + 1) * math.factorial(n // 2) ** -2 * (n * n / 4.0) * commutator_norm * m_bound ** (n - 2)
+    except OverflowError:
+        term = 0.0
+    if term >= np.finfo(float).tiny or commutator_norm == 0.0:
+        return term
+    q = math.prod(m_bound / k for k in range(1, n // 2)) / (n // 2)
+    return (n + 1) * (n * n / 4.0) * commutator_norm * m_bound ** (n % 2) * q * q
 
 
 def exp_product_series_terms(commutator_norm: float, m_bound: float, count: int) -> np.ndarray:
@@ -127,19 +136,18 @@ def exp_product_series_bound(commutator_norm: float, m_bound: float) -> float:
         sum_{n>=2} (n+1) (floor(n/2)!)^-2 (n^2/4) ||[x,y]|| M^(n-2)
 
     with M at least max(||x||, ||y||).  Degrees 0 and 1 need no swaps
-    and contribute nothing.  The series is truncated once a term drops
-    below 1e-16 of the partial sum; factorial decay guarantees rapid
-    convergence at moderate M.
+    and contribute nothing.  The series is truncated once a term is at
+    most 1e-16 of the partial sum; factorial decay guarantees rapid
+    convergence at moderate M.  Past SERIES_MAX_TERMS terms the bound is
+    inf, as a partial sum is no upper bound.
     """
-    if commutator_norm == 0.0:
-        return 0.0
     total = 0.0
     for n in range(2, SERIES_MAX_TERMS):
         term = _series_term(n, commutator_norm, m_bound)
         total += term
-        if term < SERIES_RELATIVE_CUTOFF * total:
-            break
-    return total
+        if term <= SERIES_RELATIVE_CUTOFF * total:
+            return total
+    return math.inf
 
 
 def exp_product_bounds(space: GradedSpace, x: np.ndarray, y: np.ndarray) -> tuple[list[float], list[float]]:

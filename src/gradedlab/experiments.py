@@ -36,7 +36,7 @@ from .estimates import (
     transform_commutator_check,
     transform_sum_sweep,
 )
-from .funcalc import grid_chunks
+from .funcalc import MAX_TRANSFORM_SCALE, grid_chunks
 from .graded import (
     GradedMatrix,
     GradedSpace,
@@ -53,7 +53,6 @@ from .pairs import (
     COMPOSE_EXPONENT_THRESHOLD,
     AsymptoticPair,
     DecayProfile,
-    RepresentedAlgebra,
     compose_pairs,
     default_t_grid,
     factorization_defect_profiles,
@@ -145,7 +144,7 @@ class ExperimentConfig:
             raise ConfigError("seed must be a nonnegative integer")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if not self.n_grid or not all(0 < n < math.inf for n in self.n_grid):
+        if not self.n_grid or not all(0 < n <= MAX_TRANSFORM_SCALE for n in self.n_grid):
             raise ConfigError("invalid transform-scale grid")
         if not self.dims or any(d < 2 or d % 2 for d in self.dims):
             raise ConfigError("dims must be a non-empty list of even integers >= 2")
@@ -463,22 +462,16 @@ def run_compose(cfg: ExperimentConfig) -> ExperimentResult:
     profiles: list[tuple[str, DecayProfile]] = []
     exponents = []
     for i, seed, rng, space in _trials(cfg):
-        gens = {
-            "a_even": random_even(rng, space, norm=1.0),
-            "a_odd": random_odd(rng, space, norm=1.0),
-        }
-        p_ab = AsymptoticPair(RepresentedAlgebra(space, gens), random_odd_selfadjoint(rng, space, norm=1.0))
+        gens = {"a_even": random_even(rng, space, norm=1.0), "a_odd": random_odd(rng, space, norm=1.0)}
+        p_ab = AsymptoticPair(gens, random_odd_selfadjoint(rng, space, norm=1.0))
         unitary = random_even_unitary(rng, space)
 
         def pushforward(m, _u=unitary):
             return GradedMatrix(m.space, _u.entries @ m.entries @ _u.entries.conj().T)
 
-        p_bc = AsymptoticPair(
-            RepresentedAlgebra(space, {"b": random_even(rng, space, norm=1.0)}),
-            random_odd_selfadjoint(rng, space, norm=1.0),
-        )
-        comp = compose_pairs(p_ab, p_bc, pushforward, grid)
-        for gen, fn, profile in _table_rows(comp.defect_profiles):
+        p_bc = AsymptoticPair({"b": random_even(rng, space, norm=1.0)}, random_odd_selfadjoint(rng, space, norm=1.0))
+        _, defect_profiles = compose_pairs(p_ab, p_bc, pushforward, grid)
+        for gen, fn, profile in _table_rows(defect_profiles):
             exponents.append(profile.fitted_exponent)
             name = f"compose_defect[trial={i},{gen},{fn}]"
             certs.append(BoundCertificate(name, exponents[-1], COMPOSE_EXPONENT_THRESHOLD, seed))
@@ -493,15 +486,12 @@ def _identity_composition_cert(cfg: ExperimentConfig) -> BoundCertificate:
     rng = rng_for(seed)
     space = balanced_space(cfg.dims[0])
     gens = {"a": random_even(rng, space, norm=1.0), "b": random_odd(rng, space, norm=1.0)}
-    pair = AsymptoticPair(RepresentedAlgebra(space, gens), random_odd_selfadjoint(rng, space, norm=1.0))
-    trivial = AsymptoticPair(
-        RepresentedAlgebra(space, {"unit": identity(space)}),
-        OddSelfAdjoint(zeros(space)),
-    )
-    comp = compose_pairs(pair, trivial, identity_pushforward, cfg.t_grid())
-    defect = float(np.abs(comp.pair.d.mat - pair.d.mat).max())
+    pair = AsymptoticPair(gens, random_odd_selfadjoint(rng, space, norm=1.0))
+    trivial = AsymptoticPair({"unit": identity(space)}, OddSelfAdjoint(zeros(space)))
+    composed, _ = compose_pairs(pair, trivial, identity_pushforward, cfg.t_grid())
+    defect = float(np.abs(composed.d.mat - pair.d.mat).max())
     for name in gens:
-        defect = max(defect, float(np.abs(comp.pair.rep.generators[name].entries - gens[name].entries).max()))
+        defect = max(defect, float(np.abs(composed.generators[name].entries - gens[name].entries).max()))
     return BoundCertificate("compose_identity", defect, 0.0, list(seed))
 
 
@@ -559,20 +549,18 @@ def run_bott(cfg: ExperimentConfig) -> ExperimentResult:
     # the two model pairs and their composition
     if cfg.coordinates == 1:
         grid = cfg.t_grid()
-        unit_rep = RepresentedAlgebra(ops.space, {"unit": identity(ops.space)})
-        scalar_pair = AsymptoticPair(unit_rep, ops.clifford_mult)
-        mult_rep = RepresentedAlgebra(ops.space, multiplication_generators(model))
-        dirac_pair = AsymptoticPair(mult_rep, ops.dirac)
+        scalar_pair = AsymptoticPair({"unit": identity(ops.space)}, ops.clifford_mult)
+        dirac_pair = AsymptoticPair(multiplication_generators(model), ops.dirac)
         for name, pair in (("scalar", scalar_pair), ("multiplication", dirac_pair)):
             worst = worst_exponent(validate_pair(pair, grid))
             certs.append(BoundCertificate(f"bott_pair[{name}]", worst, COMMUTATION_EXPONENT_THRESHOLD))
-        comp = compose_pairs(scalar_pair, dirac_pair, identity_pushforward, grid)
-        _, comp_kernel = spectrum_and_kernel(comp.pair.d, KERNEL_TOL)
+        composed, defect_profiles = compose_pairs(scalar_pair, dirac_pair, identity_pushforward, grid)
+        _, comp_kernel = spectrum_and_kernel(composed.d, KERNEL_TOL)
         certs.append(BoundCertificate("bott_compose_kernel", float(abs(comp_kernel - 1)), 0.0))
         certs.append(
             BoundCertificate(
                 "bott_compose_kernel[defect-exponents]",
-                worst_exponent(comp.defect_profiles),
+                worst_exponent(defect_profiles),
                 COMPOSE_EXPONENT_THRESHOLD,
             )
         )
@@ -588,27 +576,28 @@ def run_perturb(cfg: ExperimentConfig) -> ExperimentResult:
     reports = []  # (tag, report, seed) for every trial, then the Bott model
     for i, seed, rng, space in _trials(cfg):
         gens = {"a_even": random_even(rng, space, norm=1.0), "a_odd": random_odd(rng, space, norm=1.0)}
-        pair = AsymptoticPair(RepresentedAlgebra(space, gens), random_odd_selfadjoint(rng, space, norm=1.0))
+        pair = AsymptoticPair(gens, random_odd_selfadjoint(rng, space, norm=1.0))
         potential = random_odd_selfadjoint(rng, space, norm=1.0)
         reports.append((f"trial={i}", perturbation_check(pair, potential, grid), seed))
 
     model = hermite_model(cfg.n_basis, 1)
     ops = bott_dirac(model)
-    mult_rep = RepresentedAlgebra(ops.space, multiplication_generators(model))
-    bott_report = perturbation_check(AsymptoticPair(mult_rep, ops.dirac), ops.clifford_mult, grid)
+    bott_pair = AsymptoticPair(multiplication_generators(model), ops.dirac)
+    bott_report = perturbation_check(bott_pair, ops.clifford_mult, grid)
     reports.append(("bott", bott_report, None))
 
     certs: list[BoundCertificate] = []
-    for tag, report, seed in reports:
-        for gen, fn, profile in _table_rows(report.homom_profiles):
+    for tag, (homom_profiles, defect_even, defect_odd), seed in reports:
+        for gen, fn, profile in _table_rows(homom_profiles):
             # f(s V) - f(0) is O(s^2) for the even cayley, O(s) for the odd g
             threshold = COMPOSE_EXPONENT_THRESHOLD if fn == "cayley" else COMMUTATION_EXPONENT_THRESHOLD
             certs.append(BoundCertificate(f"perturb_homom[{tag},{gen},{fn}]", profile.fitted_exponent, threshold, seed))
-        for part, profile in (("even", report.defect_even), ("odd", report.defect_odd)):
+        for part, profile in (("even", defect_even), ("odd", defect_odd)):
             exponent = profile.fitted_exponent
             certs.append(BoundCertificate(f"perturb_defect[{tag},{part}]", exponent, COMPOSE_EXPONENT_THRESHOLD, seed))
-    profiles = [("perturb_bott_defect_even", bott_report.defect_even)]
-    profiles += [(f"perturb_bott_{gen}_{fn}", profile) for gen, fn, profile in _table_rows(bott_report.homom_profiles)]
+    bott_homom, bott_defect_even, _ = bott_report
+    profiles = [("perturb_bott_defect_even", bott_defect_even)]
+    profiles += [(f"perturb_bott_{gen}_{fn}", profile) for gen, fn, profile in _table_rows(bott_homom)]
     return _result(cfg, claims, certs, profiles)
 
 

@@ -47,6 +47,7 @@ __all__ = [
     "RESOLVENT_MINUS",
     "NAMED_FUNCTIONS",
     "PAIR_FUNCTIONS",
+    "MAX_TRANSFORM_SCALE",
     "bounded_transform_function",
     "STACK_ENTRIES",
     "grid_chunks",
@@ -89,12 +90,14 @@ NAMED_FUNCTIONS = (GAUSS0, GAUSS1, CAYLEY, MULTIPLIER_G, RESOLVENT_PLUS, RESOLVE
 
 # Function set used when validating asymptotic pairs.
 PAIR_FUNCTIONS = (GAUSS0, GAUSS1, RESOLVENT_PLUS, RESOLVENT_MINUS)
+# Largest transform scale N whose square N^2 is a finite float.
+MAX_TRANSFORM_SCALE = math.sqrt(np.finfo(float).max)
 
 
 def bounded_transform_function(n_scale: float) -> ScalarFunction:
     """i_N(x) = x (1 + x^2/N^2)^(-1); odd, with sup norm N/2 at x = +-N."""
-    if n_scale <= 0:
-        raise ValueError("transform scale must be positive")
+    if not 0 < n_scale <= MAX_TRANSFORM_SCALE:
+        raise ValueError("transform scale must be positive, with a finite square")
     n2 = float(n_scale) ** 2
     return ScalarFunction(
         f"transform[{n_scale:g}]",

@@ -1,10 +1,10 @@
 """Finite-scale asymptotic pairs and their composition calculus.
 
-An asymptotic pair is a represented algebra (a named family of generator
-matrices) together with an odd self-adjoint operator D on the same graded
-space.  Its defining condition, asymptotic commutation, is measured, not
-assumed: t -> ||[f(t^-1 D), phi(a)]|| decays, certified by fitting a
-log-log slope over a geometric t-grid.
+An asymptotic pair (phi, D) is a named family of generator matrices
+phi(a) together with an odd self-adjoint operator D; the pair lives on
+D's graded space.  Its defining condition, asymptotic commutation, is
+measured, not assumed: t -> ||[f(t^-1 D), phi(a)]|| decays, certified by
+fitting a log-log slope over a geometric t-grid.
 
 The composition of two pairs is (psi o phi, psi(D) + D'), certified by
 measuring the defect between the functional calculus of the summed
@@ -43,11 +43,9 @@ __all__ = [
     "checked_t_grid",
     "DecayProfile",
     "generator_profiles",
-    "RepresentedAlgebra",
     "AsymptoticPair",
     "validate_pair",
     "factorization_defect_profiles",
-    "Composition",
     "identity_pushforward",
     "compose_pairs",
 ]
@@ -147,46 +145,34 @@ def generator_profiles(
 
 
 @dataclass(frozen=True)
-class RepresentedAlgebra:
-    """Named generator images phi(a) of a represented algebra."""
+class AsymptoticPair:
+    """Named generator images phi(a) with an odd self-adjoint D on their space.
 
-    space: GradedSpace
+    Construction checks structure only: at least one generator, each on
+    D's space.  The defining decay condition is measured by validate_pair.
+    """
+
     generators: Mapping[str, GradedMatrix]
+    d: OddSelfAdjoint
 
     def __post_init__(self):
         object.__setattr__(self, "generators", dict(self.generators))
         if not self.generators:
-            raise ValueError("represented algebra needs at least one generator")
+            raise ValueError("asymptotic pair needs at least one generator")
         for name, g in self.generators.items():
-            if g.space != self.space:
+            if g.space != self.d.space:
                 raise ValueError(f"generator {name!r} lives on the wrong space")
-
-
-@dataclass(frozen=True)
-class AsymptoticPair:
-    """Represented algebra together with an odd self-adjoint operator.
-
-    Construction checks structure only (matching spaces); the defining
-    decay condition is measured by validate_pair.
-    """
-
-    rep: RepresentedAlgebra
-    d: OddSelfAdjoint
-
-    def __post_init__(self):
-        if self.rep.space != self.d.space:
-            raise ValueError("representation and operator on different spaces")
 
     @property
     def space(self) -> GradedSpace:
-        return self.rep.space
+        return self.d.space
 
 
 def validate_pair(pair: AsymptoticPair, t_grid: np.ndarray) -> dict[str, dict[str, DecayProfile]]:
     """Commutation profiles of an asymptotic pair, {generator: {function: profile}}.
 
     Profiles are fitted per generator and PAIR_FUNCTIONS entry, the shape
-    of Composition.defect_profiles.  A pair commutes asymptotically when
+    of compose_pairs's defect profiles.  A pair commutes asymptotically when
     every fitted exponent reaches COMMUTATION_EXPONENT_THRESHOLD, and a
     profile that vanishes up to roundoff (below FIT_FLOOR) fits the -inf
     sentinel.  A generator equal to c 1 is not measured: its profiles are
@@ -196,7 +182,7 @@ def validate_pair(pair: AsymptoticPair, t_grid: np.ndarray) -> dict[str, dict[st
     grid = checked_t_grid(t_grid)
     spec = ChiralSpectrum.of(pair.d)
     profiles = {}
-    for name, gen in pair.rep.generators.items():
+    for name, gen in pair.generators.items():
         if np.array_equal(gen.entries, gen.entries[0, 0] * np.eye(pair.space.dim)):
             # c 1 graded-commutes with every f(D): its profiles are exact zeros
             profiles[name] = {f.name: DecayProfile.from_values(grid, np.zeros(grid.size)) for f in PAIR_FUNCTIONS}
@@ -207,8 +193,7 @@ def validate_pair(pair: AsymptoticPair, t_grid: np.ndarray) -> dict[str, dict[st
         parts = spec.chiral_parts(gen)
         functions = [f for f in PAIR_FUNCTIONS if f is not RESOLVENT_MINUS or np.iscomplexobj(parts)]
         measured = generator_profiles(
-            functions, {name: parts}, grid, lambda scales: [scales] * len(functions),
-            lambda f, scales, a: spec.commutator_norms(f, scales, a), pair.space.dim,
+            functions, {name: parts}, grid, lambda scales: [scales] * len(functions), spec.commutator_norms, pair.space.dim
         )[name]
         profiles[name] = {f.name: measured.get(f.name, measured[RESOLVENT_PLUS.name]) for f in PAIR_FUNCTIONS}
     return profiles
@@ -258,21 +243,14 @@ def identity_pushforward(m: GradedMatrix) -> GradedMatrix:
     return m
 
 
-@dataclass(frozen=True)
-class Composition:
-    """compose_pairs output: the composed pair and its defect profiles."""
-
-    pair: AsymptoticPair
-    defect_profiles: dict[str, dict[str, DecayProfile]]
-
-
 def compose_pairs(
     p_ab: AsymptoticPair,
     p_bc: AsymptoticPair,
     pushforward: Callable[[GradedMatrix], GradedMatrix],
     t_grid: np.ndarray,
-) -> Composition:
-    """Compose (phi, D) with (psi, D') into (psi o phi, psi(D) + D').
+) -> tuple[AsymptoticPair, dict[str, dict[str, DecayProfile]]]:
+    """Compose (phi, D) with (psi, D') into (psi o phi, psi(D) + D'); returns
+    that pair and its defect profiles, {generator: {function: profile}}.
 
     The pushforward realizes psi on the matrices of the first pair; by
     functoriality it yields both psi(D) and the composed generators
@@ -288,19 +266,13 @@ def compose_pairs(
     pushed_d = OddSelfAdjoint(pushforward(p_ab.d.underlying))
     if pushed_d.space != p_bc.space:
         raise ValueError("pushforward does not land on the target space")
-    composed_gens = {}
-    for name, gen in p_ab.rep.generators.items():
-        pushed = pushforward(gen)
-        if pushed.space != p_bc.space:
-            raise ValueError("pushforward does not land on the target space")
-        composed_gens[name] = pushed
     d_total = pushed_d + p_bc.d
-    composed = AsymptoticPair(RepresentedAlgebra(p_bc.space, composed_gens), d_total)
+    composed = AsymptoticPair({name: pushforward(gen) for name, gen in p_ab.generators.items()}, d_total)
 
     spectra = ChiralSpectrum.of(d_total), ChiralSpectrum.of(p_bc.d), ChiralSpectrum.of(pushed_d)
-    gens = {name: ParityBlocks.gather(p_bc.space, gen.entries) for name, gen in composed_gens.items()}
+    gens = {name: ParityBlocks.gather(p_bc.space, gen.entries) for name, gen in composed.generators.items()}
     profiles = generator_profiles(
         (GAUSS0, GAUSS1), gens, grid, lambda scales: _heat_defects(*spectra, scales),
         lambda f, defect, rho: (defect @ rho).norms(), p_bc.space.dim,
     )
-    return Composition(composed, profiles)
+    return composed, profiles

@@ -37,9 +37,9 @@ def commutes_asymptotically(profiles) -> bool:
     return all(e <= COMMUTATION_EXPONENT_THRESHOLD for e in fitted_exponents(profiles))
 
 
-def composes(comp) -> bool:
-    """Every composition-defect exponent reaches the threshold `lab` certifies."""
-    return all(e <= COMPOSE_EXPONENT_THRESHOLD for e in fitted_exponents(comp.defect_profiles))
+def composes(defect_profiles) -> bool:
+    """Every composition-defect exponent of compose_pairs reaches the threshold `lab` certifies."""
+    return all(e <= COMPOSE_EXPONENT_THRESHOLD for e in fitted_exponents(defect_profiles))
 
 
 def matrix_exp_oracle(entries):

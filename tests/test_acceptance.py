@@ -22,7 +22,6 @@ from gradedlab import (
     AsymptoticPair,
     GradedMatrix,
     OddSelfAdjoint,
-    RepresentedAlgebra,
     bott_dirac,
     bott_nonzeros,
     compose_pairs,
@@ -163,33 +162,26 @@ def test_criterion_06_composition_formula():
             "a_even": random_even(rng, space, norm=1.0),
             "a_odd": random_odd(rng, space, norm=1.0),
         }
-        p_ab = AsymptoticPair(
-            RepresentedAlgebra(space, gens), random_odd_selfadjoint(rng, space, norm=1.0)
-        )
+        p_ab = AsymptoticPair(gens, random_odd_selfadjoint(rng, space, norm=1.0))
         u = random_even_unitary(rng, space)
 
         def push(m, _u=u):
             return GradedMatrix(m.space, _u.entries @ m.entries @ _u.entries.conj().T)
 
-        p_bc = AsymptoticPair(
-            RepresentedAlgebra(space, {"b": random_even(rng, space)}),
-            random_odd_selfadjoint(rng, space, norm=1.0),
-        )
-        comp = compose_pairs(p_ab, p_bc, push, grid)
-        for per_fn in comp.defect_profiles.values():
+        p_bc = AsymptoticPair({"b": random_even(rng, space)}, random_odd_selfadjoint(rng, space, norm=1.0))
+        _, defect_profiles = compose_pairs(p_ab, p_bc, push, grid)
+        for per_fn in defect_profiles.values():
             for profile in per_fn.values():
                 worst_exponent = max(worst_exponent, profile.fitted_exponent)
 
     rng = rng_for(trial_seed(ROOT_SEED, 5999))
     space = balanced_space(8)
     gens = {"a": random_even(rng, space)}
-    pair = AsymptoticPair(RepresentedAlgebra(space, gens), random_odd_selfadjoint(rng, space))
-    trivial = AsymptoticPair(
-        RepresentedAlgebra(space, {"unit": identity(space)}), OddSelfAdjoint(zeros(space))
-    )
-    comp = compose_pairs(pair, trivial, identity_pushforward, grid)
-    exact = float(np.abs(comp.pair.d.mat - pair.d.mat).max())
-    exact = max(exact, float(np.abs(comp.pair.rep.generators["a"].entries - gens["a"].entries).max()))
+    pair = AsymptoticPair(gens, random_odd_selfadjoint(rng, space))
+    trivial = AsymptoticPair({"unit": identity(space)}, OddSelfAdjoint(zeros(space)))
+    composed, _ = compose_pairs(pair, trivial, identity_pushforward, grid)
+    exact = float(np.abs(composed.d.mat - pair.d.mat).max())
+    exact = max(exact, float(np.abs(composed.generators["a"].entries - gens["a"].entries).max()))
     verdict(6, worst_exponent <= -1.75 and exact == 0.0,
             f"composition formula (worst exponent {worst_exponent:.3f}, identity defect {exact:.1e})")
 
@@ -287,33 +279,23 @@ def test_criterion_09_perturbation_invariance():
         rng = rng_for(trial_seed(ROOT_SEED, 7000 + i))
         space = balanced_space(8)
         gens = {"a": random_even(rng, space, norm=1.0), "b": random_odd(rng, space, norm=1.0)}
-        pair = AsymptoticPair(
-            RepresentedAlgebra(space, gens), random_odd_selfadjoint(rng, space, norm=1.0)
-        )
+        pair = AsymptoticPair(gens, random_odd_selfadjoint(rng, space, norm=1.0))
         potential = random_odd_selfadjoint(rng, space, norm=1.0)
-        report = perturbation_check(pair, potential, grid)
-        for per_fn in report.homom_profiles.values():
+        homom_profiles, defect_even, defect_odd = perturbation_check(pair, potential, grid)
+        for per_fn in homom_profiles.values():
             worst["cayley"] = max(worst["cayley"], per_fn["cayley"].fitted_exponent)
             worst["g"] = max(worst["g"], per_fn["g"].fitted_exponent)
-        worst["defect"] = max(
-            worst["defect"],
-            report.defect_even.fitted_exponent,
-            report.defect_odd.fitted_exponent,
-        )
+        worst["defect"] = max(worst["defect"], defect_even.fitted_exponent, defect_odd.fitted_exponent)
     from gradedlab import multiplication_generators
 
     model = hermite_model(16)
     ops = bott_dirac(model)
-    pair = AsymptoticPair(
-        RepresentedAlgebra(ops.space, multiplication_generators(model)), ops.dirac
-    )
-    report = perturbation_check(pair, ops.clifford_mult, grid)
-    for per_fn in report.homom_profiles.values():
+    pair = AsymptoticPair(multiplication_generators(model), ops.dirac)
+    homom_profiles, defect_even, defect_odd = perturbation_check(pair, ops.clifford_mult, grid)
+    for per_fn in homom_profiles.values():
         worst["cayley"] = max(worst["cayley"], per_fn["cayley"].fitted_exponent)
         worst["g"] = max(worst["g"], per_fn["g"].fitted_exponent)
-    worst["defect"] = max(
-        worst["defect"], report.defect_even.fitted_exponent, report.defect_odd.fitted_exponent
-    )
+    worst["defect"] = max(worst["defect"], defect_even.fitted_exponent, defect_odd.fitted_exponent)
     ok = worst["cayley"] <= -1.75 and worst["g"] <= -0.75 and worst["defect"] <= -1.75
     verdict(9, ok,
             f"perturbation invariance (worst cayley {worst['cayley']:.2f}, "

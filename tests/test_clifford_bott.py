@@ -9,7 +9,6 @@ from gradedlab import (
     GradedSpace,
     OddNonzeros,
     OddSelfAdjoint,
-    RepresentedAlgebra,
     Spectrum,
     bott_dirac,
     bott_nonzeros,
@@ -387,13 +386,9 @@ def test_spectrum_csv_is_the_component_spectrum(n_basis, n):
 def test_bott_pairs_validate():
     model = hermite_model(24)
     ops = bott_dirac(model)
-    scalar_pair = AsymptoticPair(
-        RepresentedAlgebra(ops.space, {"unit": identity(ops.space)}), ops.clifford_mult
-    )
+    scalar_pair = AsymptoticPair({"unit": identity(ops.space)}, ops.clifford_mult)
     assert set(fitted_exponents(validate_pair(scalar_pair, GRID))) == {-math.inf}
-    mult_pair = AsymptoticPair(
-        RepresentedAlgebra(ops.space, multiplication_generators(model)), ops.dirac
-    )
+    mult_pair = AsymptoticPair(multiplication_generators(model), ops.dirac)
     assert commutes_asymptotically(validate_pair(mult_pair, GRID))
 
 
@@ -404,9 +399,7 @@ def test_bott_pair_certificate_records_the_worst_exponent():
     certs = {c.check: c for c in run_experiment(cfg).certificates}
     model = hermite_model(8)
     ops = bott_dirac(model)
-    mult_pair = AsymptoticPair(
-        RepresentedAlgebra(ops.space, multiplication_generators(model)), ops.dirac
-    )
+    mult_pair = AsymptoticPair(multiplication_generators(model), ops.dirac)
     exponents = fitted_exponents(validate_pair(mult_pair, cfg.t_grid()))
     cert = certs["bott_pair[multiplication]"]
     assert cert.lhs == max(exponents) and cert.rhs == COMMUTATION_EXPONENT_THRESHOLD
@@ -444,42 +437,35 @@ def test_bott_composition_yields_bott_dirac():
 
     model = hermite_model(24)
     ops = bott_dirac(model)
-    scalar_pair = AsymptoticPair(
-        RepresentedAlgebra(ops.space, {"unit": identity(ops.space)}), ops.clifford_mult
-    )
-    mult_pair = AsymptoticPair(
-        RepresentedAlgebra(ops.space, multiplication_generators(model)), ops.dirac
-    )
-    comp = compose_pairs(scalar_pair, mult_pair, identity_pushforward, GRID)
-    assert composes(comp)
-    assert np.abs(comp.pair.d.mat - bott_nonzeros(model).dense()).max() <= 1e-14
-    _, kernel_dim = spectrum_and_kernel(comp.pair.d, 1e-8)
+    scalar_pair = AsymptoticPair({"unit": identity(ops.space)}, ops.clifford_mult)
+    mult_pair = AsymptoticPair(multiplication_generators(model), ops.dirac)
+    composed, defect_profiles = compose_pairs(scalar_pair, mult_pair, identity_pushforward, GRID)
+    assert composes(defect_profiles)
+    assert np.abs(composed.d.mat - bott_nonzeros(model).dense()).max() <= 1e-14
+    _, kernel_dim = spectrum_and_kernel(composed.d, 1e-8)
     assert kernel_dim == 1
 
 
 # -- perturbation ----------------------------------------------------------------
 
 
-def assert_perturbation_rates(report):
+def assert_perturbation_rates(homom_profiles, defect_even, defect_odd):
     """The thresholds `lab perturb` certifies: cayley and both factorization
     defects at the t^-2 rate, the odd generator g at t^-1 (with slack)."""
-    for per_fn in report.homom_profiles.values():
+    for per_fn in homom_profiles.values():
         assert per_fn["cayley"].fitted_exponent <= COMPOSE_EXPONENT_THRESHOLD
         assert per_fn["g"].fitted_exponent <= COMMUTATION_EXPONENT_THRESHOLD
-    assert report.defect_even.fitted_exponent <= COMPOSE_EXPONENT_THRESHOLD
-    assert report.defect_odd.fitted_exponent <= COMPOSE_EXPONENT_THRESHOLD
+    assert defect_even.fitted_exponent <= COMPOSE_EXPONENT_THRESHOLD
+    assert defect_odd.fitted_exponent <= COMPOSE_EXPONENT_THRESHOLD
 
 
 def test_perturbation_zero_potential():
     rng = rng_for(50)
     space = balanced_space(6)
-    pair = AsymptoticPair(
-        RepresentedAlgebra(space, {"a": random_even(rng, space)}),
-        OddSelfAdjoint(zeros(space)),
-    )
-    report = perturbation_check(pair, OddSelfAdjoint(zeros(space)), GRID)
-    assert_perturbation_rates(report)
-    for per_fn in report.homom_profiles.values():
+    pair = AsymptoticPair({"a": random_even(rng, space)}, OddSelfAdjoint(zeros(space)))
+    homom_profiles, *defects = perturbation_check(pair, OddSelfAdjoint(zeros(space)), GRID)
+    assert_perturbation_rates(homom_profiles, *defects)
+    for per_fn in homom_profiles.values():
         for profile in per_fn.values():
             assert profile.values.max() == 0.0
 
@@ -505,21 +491,15 @@ def test_perturbation_rates():
         "a": random_even(rng, space, norm=1.0),
         "b": random_odd(rng, space, norm=1.0),
     }
-    pair = AsymptoticPair(
-        RepresentedAlgebra(space, gens), random_odd_selfadjoint(rng, space, norm=1.0)
-    )
+    pair = AsymptoticPair(gens, random_odd_selfadjoint(rng, space, norm=1.0))
     potential = random_odd_selfadjoint(rng, space, norm=1.0)
-    report = perturbation_check(pair, potential, default_t_grid(points=40))
-    assert_perturbation_rates(report)
+    assert_perturbation_rates(*perturbation_check(pair, potential, default_t_grid(points=40)))
 
 
 def test_perturbation_rejects_space_mismatch():
     rng = rng_for(52)
     space = balanced_space(4)
-    pair = AsymptoticPair(
-        RepresentedAlgebra(space, {"a": identity(space)}),
-        OddSelfAdjoint(zeros(space)),
-    )
+    pair = AsymptoticPair({"a": identity(space)}, OddSelfAdjoint(zeros(space)))
     from gradedlab.sampling import random_odd_selfadjoint
 
     other = random_odd_selfadjoint(rng, balanced_space(6))
@@ -532,8 +512,5 @@ def test_perturbation_bott_model():
     certificate decays at the t^-2 rate."""
     model = hermite_model(16)
     ops = bott_dirac(model)
-    pair = AsymptoticPair(
-        RepresentedAlgebra(ops.space, multiplication_generators(model)), ops.dirac
-    )
-    report = perturbation_check(pair, ops.clifford_mult, GRID)
-    assert_perturbation_rates(report)
+    pair = AsymptoticPair(multiplication_generators(model), ops.dirac)
+    assert_perturbation_rates(*perturbation_check(pair, ops.clifford_mult, GRID))

@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
+import gradedlab.bott
 import gradedlab.estimates
+import gradedlab.experiments
 from gradedlab import GradedMatrix, GradedSpace, OddNonzeros, bott_nonzeros, graded_tensor, hermite_model, identity
 from gradedlab.experiments import KERNEL_TOL, ExperimentConfig, load_config, run_experiment
 
@@ -47,8 +50,6 @@ def test_product_truncation_has_a_spurious_zero_mode(n):
 def test_convergence_fails_on_the_product_truncation(n, monkeypatch):
     """With the ladder's top basis built on the product truncation, the gap
     defect jumps to sqrt(2) and bott_convergence fails."""
-    import gradedlab.experiments
-
     cfg = ExperimentConfig("bott", coordinates=n, n_basis=8, t_points=8)
     paired = gradedlab.experiments.bott_nonzeros
 
@@ -109,3 +110,66 @@ def test_sweep_final_fails_on_transforms_built_at_the_wrong_scale(seed, monkeypa
     assert len(final) == 20
     assert not any(c.passed for c in final)
     assert min(c.lhs for c in final) > 10 * final[0].rhs
+
+
+def unsigned_lift(m, n):
+    """bott._lift with sign 1 in place of the Jordan-Wigner string: the plain
+    Kronecker sum of m over n coordinates, M_{i+1} = M_i (x) 1 + 1 (x) m, as
+    nonzeros.  It is still odd and symmetric, so OddNonzeros accepts it."""
+    parity = space = np.array(m.space.parity)
+    one = scipy.sparse.csr_matrix(m.mat)
+    total = one
+    for _ in range(1, n):
+        total = scipy.sparse.kron(total, scipy.sparse.identity(parity.size))
+        total = total + scipy.sparse.kron(scipy.sparse.identity(space.size), one)
+        space = ((space[:, None] + parity) % 2).ravel()
+    total = total.tocoo()
+    return OddNonzeros(space, total.row, total.col, total.data)
+
+
+def test_unsigned_lift_differs_from_the_koszul_lift_only_in_sign():
+    """Sanity check on the control: at two coordinates it has the Koszul lift's
+    nonzeros up to sign, and some signs differ."""
+    _, d1, c1, _ = gradedlab.bott._coordinate_pieces(hermite_model(8))
+    signed, unsigned = gradedlab.bott._lift(d1 + c1, 2).dense(), unsigned_lift(d1 + c1, 2).dense()
+    assert np.array_equal(np.abs(signed), np.abs(unsigned))
+    assert not np.array_equal(signed, unsigned)
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_bott_checks_fail_on_a_lift_without_the_koszul_sign(seed, monkeypatch):
+    """Two-coordinate bott with every operator lifted without the Jordan-Wigner
+    string: D and C then commute across coordinates instead of anticommuting,
+    so B^2 is no longer the oscillator less the involution.  Its kernel grows
+    past one, the gap closes and the interior anticommutator leaves the
+    degree involution."""
+    monkeypatch.setattr(gradedlab.bott, "_lift", unsigned_lift)
+    result = run_experiment(ExperimentConfig("bott", seed=seed, coordinates=2, n_basis=12))
+    certs = {c.check: c for c in result.certificates}
+    for check in ("bott_kernel_dim", "bott_gap", "bott_dc_involution"):
+        assert not certs[check].passed, check
+    assert certs["bott_kernel_dim"].lhs > 1
+    assert certs["bott_dc_involution"].lhs > 1
+    assert not result.passed
+
+
+def plain_tensor(a, b):
+    """graded_tensor without the Koszul sign: a (x) b on the same product
+    parities, (pa_i + pb_j) mod 2 in row-major Kronecker order."""
+    pa, pb = np.asarray(a.space.parity), np.asarray(b.space.parity)
+    parity = tuple(int(p) for p in ((pa[:, None] + pb[None, :]) % 2).ravel())
+    return GradedMatrix(GradedSpace(parity), np.kron(a.entries, b.entries))
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_factorization_exact_fails_on_an_unsigned_tensor_lift(seed, monkeypatch):
+    """expfactor with sigma_x (x) 1 and 1 (x) sigma_y built as plain Kronecker
+    products: they commute, so they do not graded-commute, and the
+    tensor-lift defects are O(1) where the Pauli pair stays exact."""
+    monkeypatch.setattr(gradedlab.experiments, "graded_tensor", plain_tensor)
+    result = run_experiment(load_config(experiment="expfactor", seed=seed))
+    certs = {c.check: c for c in result.certificates}
+    assert not certs["factorization_exact[tensor-lift]"].passed
+    assert certs["factorization_exact[tensor-lift]"].lhs > 1e-3
+    assert certs["factorization_exact[pauli]"].passed
+    assert not result.passed

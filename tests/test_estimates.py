@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -17,6 +18,7 @@ from gradedlab import (
     zeros,
 )
 from gradedlab.estimates import (
+    SERIES_MAX_TERMS,
     exp_product_bound_check,
     exp_product_path_profiles,
     exp_product_series_bound,
@@ -175,6 +177,39 @@ def test_series_bound_is_finite_and_scales_linearly():
     assert 0.0 < b1 < 100.0
     assert abs(b2 - 2.0 * b1) <= 1e-12 * b1
     assert exp_product_series_bound(0.0, 5.0) == 0.0
+
+
+def series_oracle(commutator_norm, m_bound, stop=1000):
+    """The swap-counting series over degrees 2 .. stop - 1 at 40 digits; the
+    default stop runs far past the peak of every series tested here."""
+    with mpmath.workdps(40):
+        c, m = mpmath.mpf(commutator_norm), mpmath.mpf(m_bound)
+        return mpmath.fsum((n + 1) * mpmath.mpf(n * n) / 4 * c * m ** (n - 2) / mpmath.factorial(n // 2) ** 2
+                           for n in range(2, stop))
+
+
+@pytest.mark.parametrize(
+    "commutator_norm, m_bound",
+    [(2.0, 3.0), (1.0, 50.0), (1.0, 100.0), (1e-310, 1e-3), (1e-300, 60.0)],
+    ids=["moderate", "power-overflows", "factorial-and-power-overflow", "subnormal-commutator", "terms-underflow"],
+)
+def test_series_bound_matches_mpmath(commutator_norm, m_bound):
+    """Bounds whose float terms overflow (M^(n-2) at M = 50; (n/2)! and M^(n-2)
+    at M = 100), start subnormal, or underflow to 0 long before the series
+    peaks (||[x,y]|| = 1e-300, M = 60), against the whole series.  The cutoff
+    at a term <= 1e-16 of the partial sum drops a tail of up to 1.5e-14 of
+    the sum at M = 100, where the terms fall slowly."""
+    want = float(series_oracle(commutator_norm, m_bound))
+    assert exp_product_series_bound(commutator_norm, m_bound) == pytest.approx(want, rel=3e-14, abs=0)
+
+
+def test_series_bound_is_inf_past_its_term_cap():
+    """At M = 150 the terms are still above the cutoff at SERIES_MAX_TERMS,
+    where the partial sum falls short of the (finite) series, so it is no
+    bound: the bound is inf.  At M = 130 the cutoff comes first."""
+    assert exp_product_series_bound(1.0, 150.0) == math.inf
+    assert series_oracle(1.0, 150.0, SERIES_MAX_TERMS) < series_oracle(1.0, 150.0) < mpmath.inf
+    assert exp_product_series_bound(1.0, 130.0) == pytest.approx(float(series_oracle(1.0, 130.0)), rel=3e-14)
 
 
 def test_series_two_step_ratio_test():

@@ -15,7 +15,9 @@ from gradedlab import (
     operator_norm,
     zeros,
 )
-from gradedlab.funcalc import CAYLEY, GAUSS0, GAUSS1, MULTIPLIER_G, RESOLVENT_PLUS, ChiralSpectrum, ScalarFunction
+from gradedlab.funcalc import (
+    CAYLEY, GAUSS0, GAUSS1, MAX_TRANSFORM_SCALE, MULTIPLIER_G, RESOLVENT_PLUS, ChiralSpectrum, ScalarFunction,
+)
 from gradedlab.sampling import (
     balanced_space,
     random_homogeneous,
@@ -131,6 +133,10 @@ def test_bounded_transform_values():
         bounded_transform_function(0.0)
     with pytest.raises(ValueError):
         bounded_transform_function(-2.0)
+    # N^2 must be a finite float: 1e300 squared overflows
+    with pytest.raises(ValueError):
+        bounded_transform_function(1e300)
+    assert bounded_transform_function(MAX_TRANSFORM_SCALE).sup_norm == MAX_TRANSFORM_SCALE / 2.0
 
 
 def test_bounded_transform_norm_bound():

@@ -60,7 +60,6 @@ from gradedlab.pairs import (
     FIT_FLOOR,
     AsymptoticPair,
     DecayProfile,
-    RepresentedAlgebra,
     compose_pairs,
     default_t_grid,
     factorization_defect_profiles,
@@ -94,7 +93,7 @@ def operands(dim, seed=7):
     rng = rng_for((seed, dim))
     space = balanced_space(dim)
     gens = {"a_even": random_even(rng, space, norm=1.0), "a_odd": random_odd(rng, space, norm=1.0)}
-    pair = AsymptoticPair(RepresentedAlgebra(space, gens), random_odd_selfadjoint(rng, space, norm=1.0))
+    pair = AsymptoticPair(gens, random_odd_selfadjoint(rng, space, norm=1.0))
     return rng, pair, random_odd_selfadjoint(rng, space, norm=1.0)
 
 
@@ -308,16 +307,16 @@ def test_factorization_profiles_match_oracle(dim, stack_rows):
 def test_compose_pairs_matches_oracle(dim, stack_rows):
     rng, p_ab, d_prime = operands(dim)
     unitary = random_even_unitary(rng, p_ab.space).entries
-    p_bc = AsymptoticPair(RepresentedAlgebra(p_ab.space, {"b": random_even(rng, p_ab.space)}), d_prime)
+    p_bc = AsymptoticPair({"b": random_even(rng, p_ab.space)}, d_prime)
 
     def push(m):
         return GradedMatrix(m.space, unitary @ m.entries @ unitary.conj().T)
 
     grid = default_t_grid(points=24)
-    comp = compose_pairs(p_ab, p_bc, push, grid)
+    composed, defect_profiles = compose_pairs(p_ab, p_bc, push, grid)
     inner, outer = Spectrum.of(push(p_ab.d.underlying)), Spectrum.of(d_prime)
-    total = Spectrum.of(comp.pair.d)
-    for name, gen in p_ab.rep.generators.items():
+    total = Spectrum.of(composed.d)
+    for name, gen in p_ab.generators.items():
         rho = push(gen).entries
         evens, odds = [], []
         for t in grid:
@@ -326,8 +325,8 @@ def test_compose_pairs_matches_oracle(dim, stack_rows):
             evens.append(operator_norm(total.apply(GAUSS0, s) @ rho - heat_outer @ heat_inner @ rho))
             naive_odd = (outer.apply(GAUSS1, s) @ heat_inner + heat_outer @ inner.apply(GAUSS1, s)) @ rho
             odds.append(operator_norm(total.apply(GAUSS1, s) @ rho - naive_odd))
-        assert_matches_loop(comp.defect_profiles[name]["gauss0"].values, evens, operator_norm(rho))
-        assert_matches_loop(comp.defect_profiles[name]["gauss1"].values, odds, operator_norm(rho))
+        assert_matches_loop(defect_profiles[name]["gauss0"].values, evens, operator_norm(rho))
+        assert_matches_loop(defect_profiles[name]["gauss1"].values, odds, operator_norm(rho))
     assert within_cap(stack_rows, dim)
 
 
@@ -335,8 +334,8 @@ def bott_pairs(n_basis=64):
     """The scalar and multiplication pairs of `lab bott`, at d = 2 n_basis - 1."""
     model = hermite_model(n_basis, 1)
     ops = bott_dirac(model)
-    scalar = AsymptoticPair(RepresentedAlgebra(ops.space, {"unit": identity(ops.space)}), ops.clifford_mult)
-    return scalar, AsymptoticPair(RepresentedAlgebra(ops.space, multiplication_generators(model)), ops.dirac)
+    scalar = AsymptoticPair({"unit": identity(ops.space)}, ops.clifford_mult)
+    return scalar, AsymptoticPair(multiplication_generators(model), ops.dirac)
 
 
 @pytest.mark.parametrize("case", [*TOY_DIMS, "bott"])
@@ -345,7 +344,7 @@ def test_validate_pair_matches_oracle(case, stack_rows):
     grid = default_t_grid(points=24)
     profiles = validate_pair(pair, grid)
     spec = Spectrum.of(pair.d)
-    for name, gen in pair.rep.generators.items():
+    for name, gen in pair.generators.items():
         for f in PAIR_FUNCTIONS:
             want = np.array([
                 operator_norm(graded_commutator(GradedMatrix(pair.space, spec.apply(f, 1.0 / float(t))), gen))
@@ -401,7 +400,7 @@ def test_validate_pair_matches_mpmath():
     assert gen.parity() is None and not gen.is_hermitian()
     d = random_odd_selfadjoint(rng, space, norm=1.0)
     grid = default_t_grid(points=3)
-    profiles = validate_pair(AsymptoticPair(RepresentedAlgebra(space, {"a": gen}), d), grid)["a"]
+    profiles = validate_pair(AsymptoticPair({"a": gen}, d), grid)["a"]
     for f in PAIR_FUNCTIONS:
         want = [mp_commutator_norm(f, d, gen, t) for t in grid]
         np.testing.assert_allclose(profiles[f.name].values, want, rtol=1e-12, atol=4 * np.finfo(float).eps)
@@ -417,7 +416,7 @@ def chiral_operands():
     d, d_prime = (OddSelfAdjoint(GradedMatrix(space, random_odd_selfadjoint(rng, space).mat.real)) for _ in range(2))
     gens = {name: GradedMatrix(space, draw(rng, space, norm=1.0).entries.real) for name, draw in
             (("a_even", random_even), ("a_odd", random_odd))}
-    return AsymptoticPair(RepresentedAlgebra(space, gens), d), d_prime
+    return AsymptoticPair(gens, d), d_prime
 
 
 def test_validate_pair_on_chiral_blocks_matches_mpmath():
@@ -426,7 +425,7 @@ def test_validate_pair_on_chiral_blocks_matches_mpmath():
     pair, _ = chiral_operands()
     grid = np.array([1.0, 1e3])
     profiles = validate_pair(pair, grid)
-    for name, gen in pair.rep.generators.items():
+    for name, gen in pair.generators.items():
         for f in PAIR_FUNCTIONS:
             want = [mp_commutator_norm(f, pair.d, gen, t) for t in grid]
             np.testing.assert_allclose(profiles[name][f.name].values, want, rtol=1e-12, atol=4 * np.finfo(float).eps)
@@ -444,20 +443,20 @@ def test_compose_pairs_on_chiral_blocks_matches_mpmath():
     absolute.  That is the cancellation of the gauss1 defect's leading terms,
     each ~s ||D||, down to ~1e-9 at t = 1e3."""
     p_ab, d_prime = chiral_operands()
-    p_bc = AsymptoticPair(RepresentedAlgebra(p_ab.space, {"b": p_ab.rep.generators["a_even"]}), d_prime)
+    p_bc = AsymptoticPair({"b": p_ab.generators["a_even"]}, d_prime)
     grid = np.array([1.0, 1e3])
-    comp = compose_pairs(p_ab, p_bc, identity_pushforward, grid)
+    composed, defect_profiles = compose_pairs(p_ab, p_bc, identity_pushforward, grid)
     for k, t in enumerate(grid):
         with mpmath.workdps(30):
             s = 1 / mpmath.mpf(float(t))
-            (h_in, g_in), (h_out, g_out), (h_total, g_total) = (mp_heat(d, s) for d in (p_ab.d, d_prime, comp.pair.d))
+            (h_in, g_in), (h_out, g_out), (h_total, g_total) = (mp_heat(d, s) for d in (p_ab.d, d_prime, composed.d))
             defects = {"gauss0": h_total - h_out * h_in, "gauss1": g_total - g_out * h_in - h_out * g_in}
-            for name, gen in comp.pair.rep.generators.items():
+            for name, gen in composed.generators.items():
                 rho = mpmath.matrix(gen.entries.tolist())
                 for fn, defect in defects.items():
                     want = float(max(mpmath.svd_r(defect * rho, compute_uv=False)))
-                    got = comp.defect_profiles[name][fn].values[k]
-                    floor = 16 * np.finfo(float).eps * operator_norm(comp.pair.d) * operator_norm(gen) / t
+                    got = defect_profiles[name][fn].values[k]
+                    floor = 16 * np.finfo(float).eps * operator_norm(composed.d) * operator_norm(gen) / t
                     assert got == pytest.approx(want, rel=1e-12, abs=floor), (name, fn, t)
 
 
@@ -474,18 +473,18 @@ def test_bott_scalar_pair_stays_below_the_fit_floor():
 def test_perturbation_check_matches_oracle(dim, stack_rows):
     _, pair, potential = operands(dim)
     grid = default_t_grid(points=24)
-    report = perturbation_check(pair, potential, grid)
+    homom_profiles, defect_even, defect_odd = perturbation_check(pair, potential, grid)
     spec_v = Spectrum.of(potential)
-    for name, gen in pair.rep.generators.items():
+    for name, gen in pair.generators.items():
         for f in (CAYLEY, MULTIPLIER_G):
             at_zero = complex(np.asarray(f(np.zeros(1)))[0])
             want = [
                 operator_norm(spec_v.apply(f, 1.0 / float(t)) @ gen.entries - at_zero * gen.entries) for t in grid
             ]
-            assert_matches_loop(report.homom_profiles[name][f.name].values, want, operator_norm(gen))
+            assert_matches_loop(homom_profiles[name][f.name].values, want, operator_norm(gen))
     want_even, want_odd = factorization_oracle(pair.d, potential, grid)
-    assert_matches_loop(report.defect_even.values, want_even)
-    assert_matches_loop(report.defect_odd.values, want_odd)
+    assert_matches_loop(defect_even.values, want_even)
+    assert_matches_loop(defect_odd.values, want_odd)
     assert within_cap(stack_rows, dim)
 
 
@@ -496,9 +495,9 @@ def test_perturbation_check_bott_matches_mpmath():
     kernels from expm1, so no O(1) matrices cancel."""
     model = hermite_model(16, 1)
     ops = bott_dirac(model)
-    pair = AsymptoticPair(RepresentedAlgebra(ops.space, multiplication_generators(model)), ops.dirac)
+    pair = AsymptoticPair(multiplication_generators(model), ops.dirac)
     grid = default_t_grid()
-    report = perturbation_check(pair, ops.clifford_mult, grid)
+    homom_profiles, defect_even, _ = perturbation_check(pair, ops.clifford_mult, grid)
     with mpmath.workdps(30):
         s = 1 / mpmath.mpf(float(grid[-1]))
         c, d = (mpmath.matrix(m.mat.tolist()) for m in (ops.clifford_mult, ops.dirac))
@@ -509,12 +508,12 @@ def test_perturbation_check_bott_matches_mpmath():
         def top(m):
             return float(max(mpmath.svd_r(m, compute_uv=False)))
 
-        for name, gen in pair.rep.generators.items():
+        for name, gen in pair.generators.items():
             for fn, m in moved.items():
                 want = top(m * mpmath.matrix(gen.entries.tolist()))
-                assert report.homom_profiles[name][fn].values[-1] == pytest.approx(want, rel=1e-13, abs=0), (name, fn)
+                assert homom_profiles[name][fn].values[-1] == pytest.approx(want, rel=1e-13, abs=0), (name, fn)
         heat = mpmath.expm(-((s * (d + c)) ** 2)) - mpmath.expm(-((s * d) ** 2)) * mpmath.expm(-((s * c) ** 2))
-        assert report.defect_even.values[-1] == pytest.approx(top(heat), rel=1e-13, abs=0)
+        assert defect_even.values[-1] == pytest.approx(top(heat), rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("dim", TOY_DIMS)

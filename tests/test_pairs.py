@@ -7,9 +7,7 @@ import pytest
 from gradedlab import (
     AsymptoticPair,
     GradedMatrix,
-    GradedSpace,
     OddSelfAdjoint,
-    RepresentedAlgebra,
     Spectrum,
     compose_pairs,
     conjugate_by_grading,
@@ -42,10 +40,9 @@ GRID = default_t_grid(points=24)
 
 def two_block_pair():
     """Four-dimensional pair whose algebra and operator live in the top block."""
-    space = GradedSpace((0, 1, 0, 1))
     gen = direct_sum(identity(TWO), zeros(TWO))
     d = OddSelfAdjoint(direct_sum(SIGMA_X, zeros(TWO)))
-    return AsymptoticPair(RepresentedAlgebra(space, {"unit_top": gen}), d)
+    return AsymptoticPair({"unit_top": gen}, d)
 
 
 def norm_profile(family):
@@ -134,16 +131,14 @@ def test_decay_profile_serialization():
 def test_validate_pair_identity_generator():
     rng = rng_for(31)
     space = balanced_space(6)
-    rep = RepresentedAlgebra(space, {"unit": identity(space)})
-    pair = AsymptoticPair(rep, random_odd_selfadjoint(rng, space))
+    pair = AsymptoticPair({"unit": identity(space)}, random_odd_selfadjoint(rng, space))
     assert commutes_asymptotically(validate_pair(pair, GRID))
 
 
 def test_validate_pair_pauli_closed_form():
-    """For rep {sigma_z}, D = sigma_x the odd heat commutator has norm
+    """For generators {sigma_z}, D = sigma_x the odd heat commutator has norm
     exactly 2 t^-1 e^(-1/t^2)."""
-    rep = RepresentedAlgebra(TWO, {"z": SIGMA_Z})
-    pair = AsymptoticPair(rep, SX)
+    pair = AsymptoticPair({"z": SIGMA_Z}, SX)
     profiles = validate_pair(pair, GRID)
     profile = profiles["z"][GAUSS1.name]
     expected = 2.0 / GRID * np.exp(-1.0 / GRID**2)
@@ -153,10 +148,18 @@ def test_validate_pair_pauli_closed_form():
 
 
 def test_validate_pair_space_mismatch():
-    rep = RepresentedAlgebra(TWO, {"z": SIGMA_Z})
     other = OddSelfAdjoint(direct_sum(SIGMA_X, zeros(TWO)))
-    with pytest.raises(ValueError):
-        AsymptoticPair(rep, other)
+    with pytest.raises(ValueError, match="generator 'z' lives on the wrong space"):
+        AsymptoticPair({"z": SIGMA_Z}, other)
+
+
+def test_pair_needs_a_generator_and_copies_its_mapping():
+    with pytest.raises(ValueError, match="at least one generator"):
+        AsymptoticPair({}, SX)
+    gens = {"z": SIGMA_Z}
+    pair = AsymptoticPair(gens, SX)
+    gens["x"] = SIGMA_X
+    assert list(pair.generators) == ["z"] and pair.space == SX.space
 
 
 def test_validate_pair_block_corner():
@@ -168,25 +171,23 @@ def test_validate_pair_block_corner():
 
 def block_sum(p, q):
     """(diag(phi, psi), diag(D, D')) for pairs with the same generator names."""
-    gens = {name: direct_sum(g, q.rep.generators[name]) for name, g in p.rep.generators.items()}
+    gens = {name: direct_sum(g, q.generators[name]) for name, g in p.generators.items()}
     d = OddSelfAdjoint(direct_sum(p.d.underlying, q.d.underlying))
-    return AsymptoticPair(RepresentedAlgebra(d.space, gens), d)
+    return AsymptoticPair(gens, d)
 
 
 def opposite(p):
     """The additive inverse (gamma phi gamma, -D) of a pair."""
-    gens = {name: conjugate_by_grading(g) for name, g in p.rep.generators.items()}
-    return AsymptoticPair(RepresentedAlgebra(p.space, gens), -p.d)
+    gens = {name: conjugate_by_grading(g) for name, g in p.generators.items()}
+    return AsymptoticPair(gens, -p.d)
 
 
 def test_pair_sum_with_zero_pair_keeps_profiles():
     rng = rng_for(32)
     space = balanced_space(4)
     gens = {"a": random_even(rng, space, norm=1.0)}
-    pair = AsymptoticPair(RepresentedAlgebra(space, gens), random_odd_selfadjoint(rng, space))
-    zero_pair = AsymptoticPair(
-        RepresentedAlgebra(space, {"a": zeros(space)}), OddSelfAdjoint(zeros(space))
-    )
+    pair = AsymptoticPair(gens, random_odd_selfadjoint(rng, space))
+    zero_pair = AsymptoticPair({"a": zeros(space)}, OddSelfAdjoint(zeros(space)))
     total = block_sum(pair, zero_pair)
     rep_a = validate_pair(pair, GRID)["a"]
     rep_total = validate_pair(total, GRID)["a"]
@@ -198,14 +199,8 @@ def test_pair_sum_profile_is_pointwise_max():
     """Block norms make the summed profile the pointwise max of the parts."""
     rng = rng_for(34)
     space = balanced_space(4)
-    p = AsymptoticPair(
-        RepresentedAlgebra(space, {"a": random_even(rng, space, norm=1.0)}),
-        random_odd_selfadjoint(rng, space, norm=1.0),
-    )
-    q = AsymptoticPair(
-        RepresentedAlgebra(space, {"a": random_even(rng, space, norm=1.0)}),
-        random_odd_selfadjoint(rng, space, norm=1.0),
-    )
+    p = AsymptoticPair({"a": random_even(rng, space, norm=1.0)}, random_odd_selfadjoint(rng, space, norm=1.0))
+    q = AsymptoticPair({"a": random_even(rng, space, norm=1.0)}, random_odd_selfadjoint(rng, space, norm=1.0))
     vp = validate_pair(p, GRID)["a"]
     vq = validate_pair(q, GRID)["a"]
     vt = validate_pair(block_sum(p, q), GRID)["a"]
@@ -219,7 +214,7 @@ def test_pair_inverse_preserves_profiles():
     rng = rng_for(36)
     space = balanced_space(6)
     gens = {"a": random_even(rng, space), "b": random_odd(rng, space)}
-    pair = AsymptoticPair(RepresentedAlgebra(space, gens), random_odd_selfadjoint(rng, space))
+    pair = AsymptoticPair(gens, random_odd_selfadjoint(rng, space))
     direct = validate_pair(pair, GRID)
     flipped = validate_pair(opposite(pair), GRID)
     for name in gens:
@@ -234,7 +229,7 @@ def test_sum_with_inverse_preserves_profiles():
     rng = rng_for(38)
     space = balanced_space(4)
     gens = {"a": random_odd(rng, space, norm=1.0)}
-    pair = AsymptoticPair(RepresentedAlgebra(space, gens), random_odd_selfadjoint(rng, space))
+    pair = AsymptoticPair(gens, random_odd_selfadjoint(rng, space))
     doubled = block_sum(pair, opposite(pair))
     vp = validate_pair(pair, GRID)["a"]
     vd = validate_pair(doubled, GRID)["a"]
@@ -309,16 +304,14 @@ def test_compose_with_trivial_pair_is_exact():
     rng = rng_for(41)
     space = balanced_space(6)
     gens = {"a": random_even(rng, space), "b": random_odd(rng, space)}
-    pair = AsymptoticPair(RepresentedAlgebra(space, gens), random_odd_selfadjoint(rng, space))
-    trivial = AsymptoticPair(
-        RepresentedAlgebra(space, {"unit": identity(space)}), OddSelfAdjoint(zeros(space))
-    )
-    comp = compose_pairs(pair, trivial, identity_pushforward, GRID)
-    assert np.array_equal(comp.pair.d.mat, pair.d.mat)
+    pair = AsymptoticPair(gens, random_odd_selfadjoint(rng, space))
+    trivial = AsymptoticPair({"unit": identity(space)}, OddSelfAdjoint(zeros(space)))
+    composed, defect_profiles = compose_pairs(pair, trivial, identity_pushforward, GRID)
+    assert np.array_equal(composed.d.mat, pair.d.mat)
     for name in gens:
-        assert np.array_equal(comp.pair.rep.generators[name].entries, gens[name].entries)
-    assert composes(comp)
-    for per_fn in comp.defect_profiles.values():
+        assert np.array_equal(composed.generators[name].entries, gens[name].entries)
+    assert composes(defect_profiles)
+    for per_fn in defect_profiles.values():
         for profile in per_fn.values():
             assert profile.values.max() <= 1e-12
 
@@ -329,13 +322,11 @@ def test_compose_with_bounded_potential_gives_shifted_operator():
     gens = {"a": random_even(rng, space)}
     d = random_odd_selfadjoint(rng, space, norm=1.0)
     v = random_odd_selfadjoint(rng, space, norm=1.0)
-    pair = AsymptoticPair(RepresentedAlgebra(space, gens), d)
-    potential_pair = AsymptoticPair(
-        RepresentedAlgebra(space, {"unit": identity(space)}), v
-    )
-    comp = compose_pairs(pair, potential_pair, identity_pushforward, GRID)
-    assert np.abs(comp.pair.d.mat - (d.mat + v.mat)).max() <= 1e-14
-    assert composes(comp)
+    pair = AsymptoticPair(gens, d)
+    potential_pair = AsymptoticPair({"unit": identity(space)}, v)
+    composed, defect_profiles = compose_pairs(pair, potential_pair, identity_pushforward, GRID)
+    assert np.abs(composed.d.mat - (d.mat + v.mat)).max() <= 1e-14
+    assert composes(defect_profiles)
 
 
 def test_compose_random_configurations():
@@ -348,34 +339,25 @@ def test_compose_random_configurations():
             "a_even": random_even(rng, space, norm=1.0),
             "a_odd": random_odd(rng, space, norm=1.0),
         }
-        p_ab = AsymptoticPair(
-            RepresentedAlgebra(space, gens), random_odd_selfadjoint(rng, space, norm=1.0)
-        )
+        p_ab = AsymptoticPair(gens, random_odd_selfadjoint(rng, space, norm=1.0))
         u = random_even_unitary(rng, space)
 
         def push(m, _u=u):
             return GradedMatrix(m.space, _u.entries @ m.entries @ _u.entries.conj().T)
 
-        p_bc = AsymptoticPair(
-            RepresentedAlgebra(space, {"b": random_even(rng, space)}),
-            random_odd_selfadjoint(rng, space, norm=1.0),
-        )
-        comp = compose_pairs(p_ab, p_bc, push, GRID)
-        assert composes(comp), f"trial {trial}"
+        p_bc = AsymptoticPair({"b": random_even(rng, space)}, random_odd_selfadjoint(rng, space, norm=1.0))
+        _, defect_profiles = compose_pairs(p_ab, p_bc, push, GRID)
+        assert composes(defect_profiles), f"trial {trial}"
 
 
 def test_compose_requires_pushforward_and_matching_space():
     rng = rng_for(44)
     space = balanced_space(4)
-    pair = AsymptoticPair(
-        RepresentedAlgebra(space, {"a": identity(space)}), random_odd_selfadjoint(rng, space)
-    )
+    pair = AsymptoticPair({"a": identity(space)}, random_odd_selfadjoint(rng, space))
     with pytest.raises(ValueError):
         compose_pairs(pair, pair, None, GRID)
     bigger = balanced_space(8)
-    target = AsymptoticPair(
-        RepresentedAlgebra(bigger, {"b": identity(bigger)}), random_odd_selfadjoint(rng, bigger)
-    )
+    target = AsymptoticPair({"b": identity(bigger)}, random_odd_selfadjoint(rng, bigger))
     with pytest.raises(ValueError):
         compose_pairs(pair, target, identity_pushforward, GRID)
 

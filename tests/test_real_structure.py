@@ -36,7 +36,6 @@ from gradedlab.graded import (
 )
 from gradedlab.pairs import (
     AsymptoticPair,
-    RepresentedAlgebra,
     compose_pairs,
     default_t_grid,
     identity_pushforward,
@@ -52,14 +51,14 @@ GRID = default_t_grid(points=24)
 def bott_pair(n_basis=24):
     model = hermite_model(n_basis, 1)
     ops = bott_dirac(model)
-    return ops, AsymptoticPair(RepresentedAlgebra(ops.space, multiplication_generators(model)), ops.dirac)
+    return ops, AsymptoticPair(multiplication_generators(model), ops.dirac)
 
 
 def complex_copy(pair):
     """The same pair with every matrix cast to complex128."""
-    gens = {name: GradedMatrix(pair.space, g.entries.astype(complex)) for name, g in pair.rep.generators.items()}
+    gens = {name: GradedMatrix(pair.space, g.entries.astype(complex)) for name, g in pair.generators.items()}
     d = OddSelfAdjoint(GradedMatrix(pair.space, pair.d.mat.astype(complex)))
-    return AsymptoticPair(RepresentedAlgebra(pair.space, gens), d)
+    return AsymptoticPair(gens, d)
 
 
 @pytest.fixture
@@ -109,7 +108,7 @@ def test_dtype_follows_the_data():
 def test_bott_model_is_real():
     ops, pair = bott_pair()
     b = bott_operator(hermite_model(24))
-    for m in (ops.dirac.mat, ops.clifford_mult.mat, b.mat, *(g.entries for g in pair.rep.generators.values())):
+    for m in (ops.dirac.mat, ops.clifford_mult.mat, b.mat, *(g.entries for g in pair.generators.values())):
         assert m.dtype == np.float64
     spec = Spectrum.of(b)
     assert spec.eigenvectors.dtype == np.float64
@@ -154,7 +153,7 @@ def test_bott_norms_run_on_real_stacks(norm_stacks):
     assert norm_stacks and all(dtype == np.float64 for dtype, _ in norm_stacks)
     assert sum(shape == (dim, dim) for _, shape in norm_stacks) * 4 == len(norm_stacks)
     del norm_stacks[:]
-    scalar = AsymptoticPair(RepresentedAlgebra(ops.space, {"unit": identity(ops.space)}), ops.clifford_mult)
+    scalar = AsymptoticPair({"unit": identity(ops.space)}, ops.clifford_mult)
     compose_pairs(scalar, pair, identity_pushforward, GRID)
     perturbation_check(pair, ops.clifford_mult, GRID)
     assert norm_stacks and all(dtype == np.float64 and max(shape) < dim for dtype, shape in norm_stacks)
@@ -213,7 +212,7 @@ def test_complex_copy_measures_the_same_profiles(measured):
     assert "resolvent-" not in measured
     cplx = validate_pair(complex_copy(pair), GRID)
     assert "resolvent-" in measured
-    for name, gen in pair.rep.generators.items():
+    for name, gen in pair.generators.items():
         roundoff = 4 * np.finfo(float).eps * operator_norm(gen)
         for f in PAIR_FUNCTIONS:
             np.testing.assert_allclose(
@@ -225,7 +224,7 @@ def test_complex_copy_measures_the_same_profiles(measured):
 def test_scalar_generator_is_exactly_zero(scalar, measured):
     _, pair = bott_pair()
     unit = identity(pair.space) * scalar
-    profiles = validate_pair(AsymptoticPair(RepresentedAlgebra(pair.space, {"c": unit}), pair.d), GRID)
+    profiles = validate_pair(AsymptoticPair({"c": unit}, pair.d), GRID)
     assert measured == []
     for f in PAIR_FUNCTIONS:
         profile = profiles["c"][f.name]
@@ -240,7 +239,7 @@ def test_nearly_scalar_generator_is_measured(measured):
     entries = np.eye(pair.space.dim)
     entries[0, 1] = entries[1, 0] = 1e-9
     gen = GradedMatrix(pair.space, entries)
-    profiles = validate_pair(AsymptoticPair(RepresentedAlgebra(pair.space, {"a": gen}), pair.d), GRID)
+    profiles = validate_pair(AsymptoticPair({"a": gen}, pair.d), GRID)
     assert set(measured) == {"gauss0", "gauss1", "resolvent+"}
     values = profiles["a"]["gauss1"].values
     assert 0.0 < values.max() < 1e-8
