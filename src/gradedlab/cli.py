@@ -6,6 +6,7 @@ Exit codes:
     2  unknown experiment name (nothing is written)
     3  invalid configuration or grid
     4  output directory cannot be written
+    5  the run crashed: an exception while running the suite or assembling its report
 """
 
 from __future__ import annotations
@@ -20,13 +21,14 @@ from .experiments import (
     load_config,
     run_experiment,
 )
-from .reporting import OutputError, emit_report
+from .reporting import OutputError, emit_report, fmt_float
 
 EXIT_OK = 0
 EXIT_FAILED_CHECKS = 1
 EXIT_UNKNOWN_EXPERIMENT = 2
 EXIT_BAD_CONFIG = 3
 EXIT_BAD_OUTPUT = 4
+EXIT_CRASHED = 5
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,17 +56,21 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 
-    result = run_experiment(config)
     out_dir = config.out or f"lab_results/{config.experiment}"
     try:
+        result = run_experiment(config)
         written = emit_report(result, out_dir)
     except OutputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_OUTPUT
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_CRASHED
 
     for check in result.checks:
         status = "PASS" if check.failed_count == 0 else "FAIL"
         print(f"[{status}] {check.name}: {check.passed_count} passed, {check.failed_count} failed -- {check.claim}")
+        print(f"    worst {check.worst.check}: margin {fmt_float(check.worst.margin)}, seed {check.worst.seed}")
     print(f"report: {written[0]}")
     return EXIT_OK if result.passed else EXIT_FAILED_CHECKS
 

@@ -2,10 +2,10 @@
 
 Every experiment consumes an ExperimentConfig (JSON file plus command
 line overrides), derives one deterministic seed per trial from the root
-seed, and produces an ExperimentResult: named checks with pass counts,
-one certificate per measured bound, decay-profile CSV payloads, and a
-summary.  Trials run serially in a fixed order so reports are
-byte-identical for identical configuration and seed.
+seed, and produces an ExperimentResult: one certificate per measured
+bound, decay-profile CSV payloads, and a summary; its checks count the
+certificates under the claims of CHECKS.  Trials run serially in a fixed
+order so reports are byte-identical for identical configuration and seed.
 """
 
 from __future__ import annotations
@@ -77,6 +77,7 @@ __all__ = [
     "UnknownExperimentError",
     "ConfigError",
     "ExperimentConfig",
+    "CHECKS",
     "CheckSummary",
     "ExperimentResult",
     "load_config",
@@ -277,35 +278,77 @@ def load_config(
         raise ConfigError(f"malformed config: {exc}") from exc
 
 
+# The claim of every check, keyed by the name before "[" that its certificates carry, in
+# the order of the experiments that emit them.  A report counts each check's certificates
+# under its claim; a certificate whose check is not listed here cannot be reported.
+CHECKS: dict[str, str] = {
+    "transform_commutator": "commutator norm of smoothed transforms never exceeds the plain commutator norm",
+    "transform_commutator_scaled": "the same contraction holds after t-rescaling, uniformly on the grid",
+    "factorization_rate": "t^2 times the even heat-factorization defect reaches the commutator norm within 2%",
+    "factorization_exponent": "even heat-factorization defect decays with exponent -2 +- 0.1",
+    "factorization_exact": "graded-commuting operators factor exactly (defects at rounding level)",
+    "sweep_monotone": "per-scale suprema of the smoothed-sum calculus defect are nonincreasing",
+    "sweep_final": "the supremum at the largest transform scale is below 1e-6",
+    "relative_bound": "||D (D + D' + i)^-1||^2 <= 1 + ||[D, D']||",
+    "compose_defect": "naive two-step composition defect decays with fitted exponent <= -1.75",
+    "compose_identity": "composition with the trivial pair (identity, 0) is exact",
+    "bott_kernel_dim": "the Bott-Dirac operator has a one-dimensional kernel",
+    "bott_lambda_min": "the kernel eigenvalue is numerically zero",
+    "bott_gap": "the second-smallest eigenvalue magnitude is sqrt(2)",
+    "bott_ground_residual": "the Gaussian ground vector is annihilated",
+    "bott_dc_involution": "interior anticommutator of D and C equals the degree involution",
+    "bott_convergence": "kernel and gap residuals do not grow as the basis doubles",
+    "bott_pair": "the model pairs satisfy the decay conditions",
+    "bott_compose_kernel": "composing the two model pairs yields the Bott-Dirac operator with kernel dimension 1, "
+                           "and the composition defects decay with fitted exponent <= -1.75",
+    "perturb_homom": "f(t^-1 V) phi(a) converges to f(0) phi(a) at the resolvent rate",
+    "perturb_defect": "heat factorization defect of (D, V) decays with exponent <= -1.75",
+    "exp_shift": "||e^(x+y) - e^x|| <= ||y|| e^(2||x||)",
+    "exp_product": "||e^(x+y) - e^x e^y|| is below the swap-counting series bound",
+    "exp_product_commuting": "commuting pairs have defect at rounding level",
+    "exp_product_path": "the defect vanishes along paths with vanishing commutator",
+    "series_ratio": "the series bound converges (two-step term ratios fall below 1/2)",
+    "exp_selftest": "||e^x e^(-x) - 1|| stays at rounding level for ||x|| <= 5",
+}
+
+
 @dataclass(frozen=True)
 class CheckSummary:
+    """The certificates of one check: its claim, pass and fail counts, and the
+    certificate with the smallest margin (a NaN margin, a failed fit, first)."""
+
     name: str
     claim: str
     passed_count: int
     failed_count: int
+    worst: BoundCertificate
 
 
 @dataclass(frozen=True)
 class ExperimentResult:
     experiment: str
     config: dict
-    checks: list[CheckSummary]
     certificates: list[BoundCertificate]
-    profiles: list[tuple[str, DecayProfile]]
-    summary: dict
-    passed: bool
+    profiles: list[tuple[str, DecayProfile]] = field(default_factory=list)
+    summary: dict = field(default_factory=dict)
     tables: dict[str, str] = field(default_factory=dict)
 
+    @property
+    def checks(self) -> list[CheckSummary]:
+        """One summary per check name, sorted; a name missing from CHECKS raises KeyError."""
+        groups: dict[str, list[BoundCertificate]] = {}
+        for cert in self.certificates:
+            groups.setdefault(cert.check.split("[")[0], []).append(cert)
+        summaries = []
+        for name, certs in sorted(groups.items()):
+            passed = sum(c.passed for c in certs)
+            worst = min(certs, key=lambda c: -math.inf if math.isnan(c.margin) else c.margin)
+            summaries.append(CheckSummary(name, CHECKS[name], passed, len(certs) - passed, worst))
+        return summaries
 
-def _summarize(certificates, claims: dict[str, str]) -> list[CheckSummary]:
-    counts: dict[str, list[int]] = {}
-    for cert in certificates:
-        base = cert.check.split("[")[0]
-        counts.setdefault(base, [0, 0])[0 if cert.passed else 1] += 1
-    return [
-        CheckSummary(name, claims.get(name, name), passed, failed)
-        for name, (passed, failed) in sorted(counts.items())
-    ]
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.certificates)
 
 
 def _trials(cfg: ExperimentConfig):
@@ -321,27 +364,10 @@ def _table_rows(table: dict[str, dict[str, DecayProfile]]) -> list[tuple[str, st
     return [(gen, fn, profile) for gen, per_fn in table.items() for fn, profile in per_fn.items()]
 
 
-def _result(cfg, claims, certs, profiles=None, summary=None, tables=None) -> ExperimentResult:
-    return ExperimentResult(
-        cfg.experiment,
-        cfg.as_dict(),
-        _summarize(certs, claims),
-        certs,
-        profiles or [],
-        summary or {},
-        all(c.passed for c in certs),
-        tables or {},
-    )
-
-
 # -- individual experiments -------------------------------------------------
 
 
 def run_commbound(cfg: ExperimentConfig) -> ExperimentResult:
-    claims = {
-        "transform_commutator": "commutator norm of smoothed transforms never exceeds the plain commutator norm",
-        "transform_commutator_scaled": "the same contraction holds after t-rescaling, uniformly on the grid",
-    }
     grid = cfg.t_grid()
     certs: list[BoundCertificate] = []
     for i, seed, rng, space in _trials(cfg):
@@ -349,7 +375,8 @@ def run_commbound(cfg: ExperimentConfig) -> ExperimentResult:
         d_prime = random_odd_selfadjoint(rng, space)
         lhs, rhs = transform_commutator_check(d, d_prime, cfg.n_grid, grid)
         certs += _transform_commutator_certs(cfg.n_grid, grid, lhs, rhs, seed)
-    return _result(cfg, claims, certs, summary={"trials": cfg.trials, "n_grid": list(cfg.n_grid)})
+    summary = {"trials": cfg.trials, "n_grid": list(cfg.n_grid)}
+    return ExperimentResult(cfg.experiment, cfg.as_dict(), certs, summary=summary)
 
 
 def _transform_commutator_certs(n_grid, grid, lhs, rhs, seed) -> list[BoundCertificate]:
@@ -369,11 +396,6 @@ def _transform_commutator_certs(n_grid, grid, lhs, rhs, seed) -> list[BoundCerti
 
 
 def run_expfactor(cfg: ExperimentConfig) -> ExperimentResult:
-    claims = {
-        "factorization_rate": "t^2 times the even heat-factorization defect reaches the commutator norm within 2%",
-        "factorization_exponent": "even heat-factorization defect decays with exponent -2 +- 0.1",
-        "factorization_exact": "graded-commuting operators factor exactly (defects at rounding level)",
-    }
     grid = cfg.t_grid()
     certs: list[BoundCertificate] = []
     profiles: list[tuple[str, DecayProfile]] = []
@@ -406,7 +428,7 @@ def run_expfactor(cfg: ExperimentConfig) -> ExperimentResult:
             profiles.append((f"expfactor_trial{i}_odd", odd_prof))
     certs.extend(_exact_factorization_certs(grid))
     summary = {"even_exponents": exponents}
-    return _result(cfg, claims, certs, profiles, summary)
+    return ExperimentResult(cfg.experiment, cfg.as_dict(), certs, profiles, summary)
 
 
 def _exact_factorization_certs(grid) -> list[BoundCertificate]:
@@ -429,11 +451,6 @@ def _exact_factorization_certs(grid) -> list[BoundCertificate]:
 
 
 def run_techlemma(cfg: ExperimentConfig) -> ExperimentResult:
-    claims = {
-        "sweep_monotone": "per-scale suprema of the smoothed-sum calculus defect are nonincreasing",
-        "sweep_final": "the supremum at the largest transform scale is below 1e-6",
-        "relative_bound": "||D (D + D' + i)^-1||^2 <= 1 + ||[D, D']||",
-    }
     grid = cfg.t_grid()
     certs: list[BoundCertificate] = []
     profiles: list[tuple[str, DecayProfile]] = []
@@ -449,14 +466,10 @@ def run_techlemma(cfg: ExperimentConfig) -> ExperimentResult:
         if i == 0:
             for n, row in zip(report.n_grid, report.defects):
                 profiles.append((f"techlemma_N{n:g}", DecayProfile.from_values(report.t_grid, row)))
-    return _result(cfg, claims, certs, profiles)
+    return ExperimentResult(cfg.experiment, cfg.as_dict(), certs, profiles)
 
 
 def run_compose(cfg: ExperimentConfig) -> ExperimentResult:
-    claims = {
-        "compose_defect": "naive two-step composition defect decays with fitted exponent <= -1.75",
-        "compose_identity": "composition with the trivial pair (identity, 0) is exact",
-    }
     grid = cfg.t_grid()
     certs: list[BoundCertificate] = []
     profiles: list[tuple[str, DecayProfile]] = []
@@ -478,7 +491,7 @@ def run_compose(cfg: ExperimentConfig) -> ExperimentResult:
             if i == 0:
                 profiles.append((f"compose_trial0_{gen}_{fn}", profile))
     certs.append(_identity_composition_cert(cfg))
-    return _result(cfg, claims, certs, profiles, {"exponents": exponents})
+    return ExperimentResult(cfg.experiment, cfg.as_dict(), certs, profiles, {"exponents": exponents})
 
 
 def _identity_composition_cert(cfg: ExperimentConfig) -> BoundCertificate:
@@ -496,16 +509,6 @@ def _identity_composition_cert(cfg: ExperimentConfig) -> BoundCertificate:
 
 
 def run_bott(cfg: ExperimentConfig) -> ExperimentResult:
-    claims = {
-        "bott_kernel_dim": "the Bott-Dirac operator has a one-dimensional kernel",
-        "bott_lambda_min": "the kernel eigenvalue is numerically zero",
-        "bott_gap": "the second-smallest eigenvalue magnitude is sqrt(2)",
-        "bott_ground_residual": "the Gaussian ground vector is annihilated",
-        "bott_dc_involution": "interior anticommutator of D and C equals the degree involution",
-        "bott_convergence": "kernel and gap residuals do not grow as the basis doubles",
-        "bott_pair": "the model pairs satisfy the decay conditions",
-        "bott_compose_kernel": "composing the two model pairs yields the Bott-Dirac operator with kernel dimension 1",
-    }
     certs: list[BoundCertificate] = []
     tables: dict[str, str] = {}
     summary: dict = {}
@@ -564,14 +567,10 @@ def run_bott(cfg: ExperimentConfig) -> ExperimentResult:
                 COMPOSE_EXPONENT_THRESHOLD,
             )
         )
-    return _result(cfg, claims, certs, summary=summary, tables=tables)
+    return ExperimentResult(cfg.experiment, cfg.as_dict(), certs, summary=summary, tables=tables)
 
 
 def run_perturb(cfg: ExperimentConfig) -> ExperimentResult:
-    claims = {
-        "perturb_homom": "f(t^-1 V) phi(a) converges to f(0) phi(a) at the resolvent rate",
-        "perturb_defect": "heat factorization defect of (D, V) decays with exponent <= -1.75",
-    }
     grid = cfg.t_grid()
     reports = []  # (tag, report, seed) for every trial, then the Bott model
     for i, seed, rng, space in _trials(cfg):
@@ -598,18 +597,10 @@ def run_perturb(cfg: ExperimentConfig) -> ExperimentResult:
     bott_homom, bott_defect_even, _ = bott_report
     profiles = [("perturb_bott_defect_even", bott_defect_even)]
     profiles += [(f"perturb_bott_{gen}_{fn}", profile) for gen, fn, profile in _table_rows(bott_homom)]
-    return _result(cfg, claims, certs, profiles)
+    return ExperimentResult(cfg.experiment, cfg.as_dict(), certs, profiles)
 
 
 def run_appendix_b(cfg: ExperimentConfig) -> ExperimentResult:
-    claims = {
-        "exp_shift": "||e^(x+y) - e^x|| <= ||y|| e^(2||x||)",
-        "exp_product": "||e^(x+y) - e^x e^y|| is below the swap-counting series bound",
-        "exp_product_commuting": "commuting pairs have defect at rounding level",
-        "exp_product_path": "the defect vanishes along paths with vanishing commutator",
-        "series_ratio": "the series bound converges (two-step term ratios fall below 1/2)",
-        "exp_selftest": "||e^x e^(-x) - 1|| stays at rounding level for ||x|| <= 5",
-    }
     certs = _exp_trial_certs(cfg)
     profiles: list[tuple[str, DecayProfile]] = []
 
@@ -641,7 +632,7 @@ def run_appendix_b(cfg: ExperimentConfig) -> ExperimentResult:
         x = random_even(rng, space, norm=5.0 * float(rng.uniform(0.2, 1.0)))
         lhs = operator_norm(matrix_exp(x) @ matrix_exp(-1.0 * x) - identity(space))
         certs.append(BoundCertificate(f"exp_selftest[{i}]", lhs, 1e-12, list(seed)))
-    return _result(cfg, claims, certs, profiles)
+    return ExperimentResult(cfg.experiment, cfg.as_dict(), certs, profiles)
 
 
 def _exp_trial_draws(rng, space: GradedSpace) -> list:

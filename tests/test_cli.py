@@ -1,20 +1,24 @@
 import json
+import re
 import time
 
 import jsonschema
 import pytest
 
 import gradedlab.estimates
+import gradedlab.experiments
 from gradedlab.cli import main
 from gradedlab.experiments import (
+    CHECKS,
     MAX_DENSE_DIM,
     ConfigError,
     ExperimentConfig,
+    ExperimentResult,
     UnknownExperimentError,
     load_config,
     run_experiment,
 )
-from gradedlab.reporting import REPORT_SCHEMA, emit_report
+from gradedlab.reporting import REPORT_SCHEMA, BoundCertificate, emit_report
 
 
 def write_config(tmp_path, **fields):
@@ -69,10 +73,12 @@ def test_seed_changes_report(tmp_path):
     assert (out1 / "certificates.jsonl").read_bytes() != (out2 / "certificates.jsonl").read_bytes()
 
 
-def test_failing_certificates_exit_1(tmp_path, monkeypatch):
+def test_failing_certificates_exit_1(tmp_path, monkeypatch, capsys):
     """Exit status 0 holds exactly when every certificate passes; transforms
     built at N/256 (the sweep_final control of test_controls) force a
-    recorded failure and exit 1."""
+    recorded failure and exit 1.  The line after each check's counts names
+    its worst certificate: here a failed sweep_final trial, with a negative
+    margin and the seed that reproduces it."""
     transform = gradedlab.estimates.bounded_transform_function
     monkeypatch.setattr(gradedlab.estimates, "bounded_transform_function", lambda n: transform(n / 256))
     config = write_config(tmp_path, experiment="techlemma", **SMALL["techlemma"])
@@ -82,6 +88,52 @@ def test_failing_certificates_exit_1(tmp_path, monkeypatch):
     assert report["pass"] is False
     failed = [c for c in report["checks"] if c["failed"]]
     assert failed and failed[0]["name"] == "sweep_final"
+    lines = capsys.readouterr().out.splitlines()
+    worst = lines[lines.index(next(line for line in lines if line.startswith("[FAIL] sweep_final"))) + 1]
+    match = re.fullmatch(r"    worst sweep_final\[trial=\d+\]: margin (\S+), seed \[42, \d+\]", worst)
+    assert match and float(match.group(1)) < 0
+
+
+def test_crash_exits_5_and_writes_nothing(tmp_path, capsys):
+    """t_grid.stop 1e300 is a valid grid, but expfactor's rate certificate
+    squares it and overflows: a crash, not a failed certificate."""
+    config = write_config(tmp_path, experiment="expfactor", trials=1, dims=[4], t_grid={"stop": 1e300})
+    out = tmp_path / "out"
+    assert main(["--config", config, "--out", str(out)]) == 5
+    assert capsys.readouterr().err.startswith("error: OverflowError: ")
+    assert not out.exists()
+
+
+def test_unregistered_check_exits_5_and_writes_nothing(tmp_path, monkeypatch):
+    """A certificate whose check has no claim in CHECKS cannot be reported."""
+    def runner(cfg):
+        return ExperimentResult(cfg.experiment, cfg.as_dict(), [BoundCertificate("unregistered_check", 0.0, 1.0)])
+
+    monkeypatch.setitem(gradedlab.experiments._RUNNERS, "bott", runner)
+    out = tmp_path / "out"
+    assert main(["bott", "--out", str(out)]) == 5
+    assert not out.exists()
+
+
+def test_worst_certificate_is_the_smallest_margin_and_a_failed_fit_first():
+    certs = [BoundCertificate("bott_pair[a]", 0.0, 1.0), BoundCertificate("bott_pair[b]", 0.0, -5.0)]
+    result = ExperimentResult("bott", {}, certs)
+    assert result.checks[0].worst.check == "bott_pair[b]"
+    failed_fit = BoundCertificate("bott_pair[c]", float("nan"), -0.75)
+    (check,) = ExperimentResult("bott", {}, [*certs, failed_fit]).checks
+    assert (check.worst.check, check.passed_count, check.failed_count) == ("bott_pair[c]", 1, 2)
+
+
+def test_check_registry_matches_the_emitted_names(tmp_path):
+    """Every check name the seven experiments emit has a claim in CHECKS, and
+    every claim in CHECKS is emitted by some experiment."""
+    emitted = set()
+    for experiment, fields in SMALL.items():
+        result = run_experiment(load_config(write_config(tmp_path, experiment=experiment, **fields)))
+        names = {c.check.split("[")[0] for c in result.certificates}
+        assert names <= set(CHECKS), experiment
+        emitted |= names
+    assert emitted == set(CHECKS)
 
 
 def test_one_resolvable_fit_point_exits_1(tmp_path):
@@ -265,15 +317,7 @@ def test_emit_report_refuses_empty_results(tmp_path):
     result = run_experiment(
         ExperimentConfig(experiment="bott", n_basis=10, t_points=12)
     )
-    empty = type(result)(
-        experiment=result.experiment,
-        config=result.config,
-        checks=[],
-        certificates=[],
-        profiles=[],
-        summary={},
-        passed=True,
-    )
+    empty = type(result)(experiment=result.experiment, config=result.config, certificates=[])
     with pytest.raises(ValueError):
         emit_report(empty, tmp_path / "out")
     assert not (tmp_path / "out" / "report.json").exists()

@@ -11,7 +11,7 @@ import gradedlab.bott
 import gradedlab.estimates
 import gradedlab.experiments
 from gradedlab import GradedMatrix, GradedSpace, OddNonzeros, bott_nonzeros, graded_tensor, hermite_model, identity
-from gradedlab.experiments import KERNEL_TOL, ExperimentConfig, load_config, run_experiment
+from gradedlab.experiments import CHECKS, KERNEL_TOL, ExperimentConfig, load_config, run_experiment
 
 
 def product_truncation(model):
@@ -173,3 +173,29 @@ def test_factorization_exact_fails_on_an_unsigned_tensor_lift(seed, monkeypatch)
     assert certs["factorization_exact[tensor-lift]"].lhs > 1e-3
     assert certs["factorization_exact[pauli]"].passed
     assert not result.passed
+
+
+# Each check name with the control above that makes it fail.
+CONTROLS = {
+    "bott_convergence": test_convergence_fails_on_the_product_truncation,
+    "sweep_final": test_sweep_final_fails_on_transforms_built_at_the_wrong_scale,
+    "bott_kernel_dim": test_bott_checks_fail_on_a_lift_without_the_koszul_sign,
+    "bott_gap": test_bott_checks_fail_on_a_lift_without_the_koszul_sign,
+    "bott_dc_involution": test_bott_checks_fail_on_a_lift_without_the_koszul_sign,
+    "factorization_exact": test_factorization_exact_fails_on_an_unsigned_tensor_lift,
+}
+
+# The check names that no control makes fail yet.
+OPEN = {
+    "transform_commutator", "transform_commutator_scaled", "factorization_exponent", "factorization_rate",
+    "relative_bound", "sweep_monotone", "compose_defect", "compose_identity", "bott_compose_kernel",
+    "bott_ground_residual", "bott_lambda_min", "bott_pair", "perturb_defect", "perturb_homom", "exp_product",
+    "exp_product_commuting", "exp_product_path", "exp_selftest", "exp_shift", "series_ratio",
+}
+
+
+def test_every_check_has_a_control_or_is_open():
+    """Every registered check is either made to fail by a control here or is
+    listed as open, never both."""
+    assert CONTROLS.keys().isdisjoint(OPEN)
+    assert set(CONTROLS) | OPEN == set(CHECKS)
