@@ -38,7 +38,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .funcalc import CAYLEY, MULTIPLIER_G, ChiralSpectrum, ParityBlocks, Spectrum
 from .graded import GradedMatrix, GradedSpace, OddSelfAdjoint, negligible
@@ -159,7 +158,7 @@ class OddNonzeros:
         # ordered by (size, label), the components of size s are runs of s indices
         position = np.argsort(np.lexsort((label, width)))
         spectra = []
-        for s in np.unique(width):
+        for s in np.flatnonzero(np.bincount(width)):
             start, edge = np.count_nonzero(width < s), width[self.rows] == s
             row, col = position[self.rows[edge]] - start, position[self.cols[edge]] - start
             stack = np.zeros(np.count_nonzero(width == s) * s)
@@ -219,7 +218,9 @@ def multiplication_generators(model: HermiteModel) -> dict[str, GradedMatrix]:
     if model.n != 1:
         raise ValueError("multiplication generators are built for one coordinate")
     parity, _, c1, _ = _coordinate_pieces(model)
-    x_even = scipy.linalg.block_diag(model.x_mat, model.x_mat[:-1, :-1])  # x (x) 1, sector by sector
+    k = model.n_basis
+    x_even = np.zeros((2 * k - 1, 2 * k - 1))  # x (x) 1, sector by sector
+    x_even[:k, :k], x_even[k:, k:] = model.x_mat, model.x_mat[:-1, :-1]
     even = GradedMatrix(parity, Spectrum.of(GradedMatrix(parity, x_even)).apply(CAYLEY))
     # through the chiral spectrum the odd g(C_1) = g(x (x) e) is exactly odd
     odd = GradedMatrix(parity, ChiralSpectrum.of(c1).apply(MULTIPLIER_G))

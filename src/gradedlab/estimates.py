@@ -6,7 +6,9 @@ BoundCertificate and applies the pass rule.
 
 The exponential checks take (k, d, d) stacks, and a one-pair check is a
 one-matrix stack; each stacked result equals its one-matrix evaluation
-bit for bit.  The transform checks work on the parity blocks of the odd
+bit for bit.  The matrix exponential needs numpy alone: eigh for
+Hermitian matrices, degree-13 Pade scaling and squaring (Higham 2005)
+for the rest.  The transform checks work on the parity blocks of the odd
 transforms, from the chiral spectra of D and D' (funcalc.ChiralSpectrum),
 and equal the full-matrix evaluation up to roundoff, not bit for bit.
 """
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .funcalc import RESOLVENT_PLUS, ChiralSpectrum, ParityBlocks, bounded_transform_function, map_grid
 from .graded import (
@@ -55,19 +56,56 @@ SERIES_RELATIVE_CUTOFF = 1e-16
 SERIES_MAX_TERMS = 400
 
 
+# Numerator coefficients b_0 .. b_13 of the degree-13 Pade approximant to e^x, divided by
+# b_0 so that V = 1 + O(x^2) and e^0 = 1 exactly, and the 1-norm theta_13 up to which it
+# meets double precision unscaled (Higham, "The scaling and squaring method for the matrix
+# exponential revisited", SIAM J. Matrix Anal. Appl. 26(4), 2005).
+PADE_13 = tuple(b / 64764752532480000.0 for b in (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+    40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+))
+THETA_13 = 5.371920351148152
+
+
+def pade_exps(stack: np.ndarray) -> np.ndarray:
+    """e^m for each matrix m of a (k, d, d) stack by scaling and squaring:
+    r = (V - U)^-1 (V + U), the degree-13 Pade approximant at m / 2^s with
+    s = max(0, ceil(log2(||m||_1 / theta_13))), squared s times.  U and V
+    come from the powers 2, 4 and 6; every step is a stacked kernel that
+    runs each matrix on its own, so each matrix equals its one-matrix stack
+    bit for bit.  ValueError on non-finite entries."""
+    if not np.all(np.isfinite(stack)):
+        raise ValueError("matrix exponential of a non-finite matrix")
+    norms = np.abs(stack).sum(axis=-2).max(axis=-1, initial=0.0)
+    squarings = np.ceil(np.log2(np.maximum(norms / THETA_13, 1.0))).astype(int)
+    a = stack * np.ldexp(1.0, -squarings)[:, None, None]
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    b, eye = PADE_13, np.eye(stack.shape[-1])
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(squarings.max(initial=0)):
+        again = np.flatnonzero(squarings > k)
+        r[again] = r[again] @ r[again]
+    return r
+
+
 def matrix_exps(stack: np.ndarray) -> np.ndarray:
     """e^m for each matrix m of a (k, d, d) stack; eigendecomposition for
-    Hermitian m, scaling-and-squaring (Pade order 13) otherwise.  The
-    estimates quantify non-normal products e^x e^y, so the general path
-    is required.  The stacked LAPACK kernels and scipy's expm run each
-    matrix on its own, so every matrix equals its one-matrix stack bit for bit."""
+    Hermitian m, pade_exps otherwise.  The estimates quantify non-normal
+    products e^x e^y, so the general path is required.  Both paths run
+    each matrix on its own, so every matrix equals its one-matrix stack
+    bit for bit."""
     hermitian = negligible(stack - adjoint(stack), stack)
     out = np.empty_like(stack)
     if hermitian.any():
         values, vectors = np.linalg.eigh(stack[hermitian])
         out[hermitian] = (vectors * np.exp(values)[..., None, :]) @ adjoint(vectors)
     if not hermitian.all():
-        out[~hermitian] = scipy.linalg.expm(stack[~hermitian])
+        out[~hermitian] = pade_exps(stack[~hermitian])
     return out
 
 
@@ -126,6 +164,17 @@ def exp_product_series_terms(commutator_norm: float, m_bound: float, count: int)
     return np.array([_series_term(n, commutator_norm, m_bound) for n in range(2, count + 2)])
 
 
+def _chain_tail(first: float, third: float) -> float:
+    """Bound on t_m + t_(m+2) + t_(m+4) + ... from t_m and t_(m+2).  Within a parity
+    chain the two-step ratio t_(n+2)/t_n falls as n grows (each of its factors
+    does), so once it is below 1 the chain is at most the geometric series
+    t_m / (1 - t_(m+2)/t_m); inf while it is not below 1."""
+    if first == 0.0:
+        return 0.0
+    ratio = third / first
+    return first / (1.0 - ratio) if ratio < 1.0 else math.inf
+
+
 def exp_product_series_bound(commutator_norm: float, m_bound: float) -> float:
     """Swap-counting series bound on ||e^{x+y} - e^x e^y||.
 
@@ -136,17 +185,22 @@ def exp_product_series_bound(commutator_norm: float, m_bound: float) -> float:
         sum_{n>=2} (n+1) (floor(n/2)!)^-2 (n^2/4) ||[x,y]|| M^(n-2)
 
     with M at least max(||x||, ||y||).  Degrees 0 and 1 need no swaps
-    and contribute nothing.  The series is truncated once a term is at
-    most 1e-16 of the partial sum; factorial decay guarantees rapid
-    convergence at moderate M.  Past SERIES_MAX_TERMS terms the bound is
-    inf, as a partial sum is no upper bound.
+    and contribute nothing.  The partial sum stops once a term is at
+    most 1e-16 of it and the two-step term ratios of both parity chains
+    past it are below 1; the rest of the series is then bounded by one
+    geometric series per chain (_chain_tail) and added.  Past
+    SERIES_MAX_TERMS terms the bound is inf, as a partial sum is no
+    upper bound.
     """
     total = 0.0
     for n in range(2, SERIES_MAX_TERMS):
         term = _series_term(n, commutator_norm, m_bound)
         total += term
         if term <= SERIES_RELATIVE_CUTOFF * total:
-            return total
+            t1, t2, t3, t4 = (_series_term(k, commutator_norm, m_bound) for k in range(n + 1, n + 5))
+            tail = _chain_tail(t1, t3) + _chain_tail(t2, t4)
+            if tail < math.inf:
+                return total + tail
     return math.inf
 
 

@@ -10,6 +10,7 @@ order so reports are byte-identical for identical configuration and seed.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -159,6 +160,9 @@ class ExperimentConfig:
             self.t_grid()
         except ValueError as exc:
             raise ConfigError(f"invalid t grid: {exc}") from exc
+        # expfactor's rate certificate squares the last grid point
+        if self.experiment == "expfactor" and self.t_stop > MAX_TRANSFORM_SCALE:
+            raise ConfigError("expfactor needs a t_grid stop with a finite square")
         if self.n_basis < 8:
             raise ConfigError("n_basis must be >= 8")
         if self.coordinates < 1:
@@ -333,9 +337,10 @@ class ExperimentResult:
     summary: dict = field(default_factory=dict)
     tables: dict[str, str] = field(default_factory=dict)
 
-    @property
+    @functools.cached_property
     def checks(self) -> list[CheckSummary]:
-        """One summary per check name, sorted; a name missing from CHECKS raises KeyError."""
+        """One summary per check name, sorted, derived once; a name missing
+        from CHECKS raises KeyError."""
         groups: dict[str, list[BoundCertificate]] = {}
         for cert in self.certificates:
             groups.setdefault(cert.check.split("[")[0], []).append(cert)

@@ -160,6 +160,6 @@ def emit_report(result, out_dir) -> list[Path]:
     written = []
     for name, text in files.items():
         path = out / name
-        path.write_text(text, encoding="ascii")
+        path.write_bytes(text.encode("ascii"))
         written.append(path)
     return written

@@ -10,6 +10,7 @@ randomized certificate can be reproduced from its recorded seed.
 from __future__ import annotations
 
 import numpy as np
+import numpy.random  # numpy 2 loads it on first use; load it with the package instead
 
 from .graded import GradedMatrix, GradedSpace, OddSelfAdjoint, operator_norms
 

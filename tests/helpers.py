@@ -1,12 +1,25 @@
 """Shared fixtures-by-hand for the test suite."""
 
 import numpy as np
-import scipy.linalg
 
 from gradedlab import GradedMatrix, GradedSpace, OddSelfAdjoint, bott_nonzeros
+from gradedlab.estimates import pade_exps
 from gradedlab.pairs import COMMUTATION_EXPONENT_THRESHOLD, COMPOSE_EXPONENT_THRESHOLD
 
 TWO = GradedSpace((0, 1))
+
+# every experiment at toy size, as config-file fields
+SMALL = {
+    "commbound": {"trials": 4, "dims": [4], "n_grid": [1.0, 4.0],
+                  "t_grid": {"start": 1.0, "stop": 100.0, "points": 8}},
+    "expfactor": {"trials": 3, "dims": [4], "t_grid": {"start": 10.0, "stop": 1000.0, "points": 16}},
+    "techlemma": {"trials": 2, "dims": [4], "t_grid": {"start": 10.0, "stop": 1000.0, "points": 10}},
+    "compose": {"trials": 2, "dims": [4], "t_grid": {"start": 1.0, "stop": 1000.0, "points": 16}},
+    "bott": {"n_basis": 12, "t_grid": {"start": 1.0, "stop": 1000.0, "points": 12}},
+    "perturb": {"trials": 1, "dims": [4], "n_basis": 10,
+                "t_grid": {"start": 1.0, "stop": 1000.0, "points": 16}},
+    "appendixB": {"trials": 10, "dims": [4]},
+}
 
 SIGMA_X = GradedMatrix(TWO, np.array([[0, 1], [1, 0]], dtype=complex))
 SIGMA_Y = GradedMatrix(TWO, np.array([[0, -1j], [1j, 0]], dtype=complex))
@@ -43,9 +56,10 @@ def composes(defect_profiles) -> bool:
 
 
 def matrix_exp_oracle(entries):
-    """e^m one matrix at a time: eigh for Hermitian m, scipy's expm otherwise."""
+    """e^m one matrix at a time: eigh for Hermitian m, otherwise the Pade kernel
+    on a one-matrix stack (its accuracy is tested against scipy and mpmath)."""
     scale = max(1.0, float(np.abs(entries).max(initial=0.0)))
     if np.abs(entries - entries.conj().T).max(initial=0.0) <= 1e-12 * scale:
         values, vectors = np.linalg.eigh(entries)
         return (vectors * np.exp(values)[None, :]) @ vectors.conj().T
-    return scipy.linalg.expm(entries)
+    return pade_exps(entries[None])[0]

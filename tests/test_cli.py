@@ -20,24 +20,13 @@ from gradedlab.experiments import (
 )
 from gradedlab.reporting import REPORT_SCHEMA, BoundCertificate, emit_report
 
+from helpers import SMALL
+
 
 def write_config(tmp_path, **fields):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(fields))
     return str(path)
-
-
-SMALL = {
-    "commbound": {"trials": 4, "dims": [4], "n_grid": [1.0, 4.0],
-                  "t_grid": {"start": 1.0, "stop": 100.0, "points": 8}},
-    "expfactor": {"trials": 3, "dims": [4], "t_grid": {"start": 10.0, "stop": 1000.0, "points": 16}},
-    "techlemma": {"trials": 2, "dims": [4], "t_grid": {"start": 10.0, "stop": 1000.0, "points": 10}},
-    "compose": {"trials": 2, "dims": [4], "t_grid": {"start": 1.0, "stop": 1000.0, "points": 16}},
-    "bott": {"n_basis": 12, "t_grid": {"start": 1.0, "stop": 1000.0, "points": 12}},
-    "perturb": {"trials": 1, "dims": [4], "n_basis": 10,
-                "t_grid": {"start": 1.0, "stop": 1000.0, "points": 16}},
-    "appendixB": {"trials": 10, "dims": [4]},
-}
 
 
 @pytest.mark.parametrize("experiment", sorted(SMALL))
@@ -94,12 +83,14 @@ def test_failing_certificates_exit_1(tmp_path, monkeypatch, capsys):
     assert match and float(match.group(1)) < 0
 
 
-def test_crash_exits_5_and_writes_nothing(tmp_path, capsys):
-    """t_grid.stop 1e300 is a valid grid, but expfactor's rate certificate
-    squares it and overflows: a crash, not a failed certificate."""
-    config = write_config(tmp_path, experiment="expfactor", trials=1, dims=[4], t_grid={"stop": 1e300})
+def test_crash_exits_5_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    """An exception inside a runner is a crash, not a failed certificate."""
+    def runner(cfg):
+        raise OverflowError("math range error")
+
+    monkeypatch.setitem(gradedlab.experiments._RUNNERS, "expfactor", runner)
     out = tmp_path / "out"
-    assert main(["--config", config, "--out", str(out)]) == 5
+    assert main(["expfactor", "--out", str(out)]) == 5
     assert capsys.readouterr().err.startswith("error: OverflowError: ")
     assert not out.exists()
 
@@ -201,6 +192,7 @@ def test_invalid_grid_exits_3(tmp_path):
         ("techlemma", {"n_grid": [1.0, 2.0]}),
         ("bott", {"trials": 2, "dims": [4], "n_grid": [1.0]}),
         ("bott", {"coordinates": 2, "n_basis": 8, "t_grid": {"points": 7}}),
+        ("expfactor", {"trials": 1, "dims": [4], "t_grid": {"stop": 1e300}}),
     ],
     ids=[
         "empty-dims", "empty-n-grid", "infinite-t-stop", "collapsed-t-grid", "nan-t-start",
@@ -209,6 +201,7 @@ def test_invalid_grid_exits_3(tmp_path):
         "fractional-n-basis", "bool-coordinates", "fractional-t-points", "string-dims", "string-n-grid",
         "string-dims-entries", "string-t-start", "numeric-out", "empty-out", "unread-perturb-coordinates",
         "unread-techlemma-n-grid", "unread-bott-trials-dims-n-grid", "unread-bott-t-grid-at-two-coordinates",
+        "expfactor-t-stop-square-overflows",
     ],
 )
 def test_malformed_config_exits_3_and_writes_nothing(tmp_path, monkeypatch, experiment, fields):

@@ -24,7 +24,9 @@ from gradedlab.estimates import (
     exp_product_series_bound,
     exp_product_series_terms,
     exp_shift_bound_check,
+    THETA_13,
     matrix_exps,
+    pade_exps,
 )
 from gradedlab.experiments import ExperimentConfig, run_experiment
 from gradedlab.funcalc import Spectrum, bounded_transform_function
@@ -92,6 +94,82 @@ def test_matrix_exps_dispatch_matrix_by_matrix(dtype):
     assert got.dtype == stack.dtype
     for m, e in zip(stack, got):
         assert np.array_equal(e, matrix_exp_oracle(m))
+
+
+# Gaussian stacks scaled to 1-norms from 1e-8 to 60: up to four squarings after the
+# Pade step, and several squaring counts in one stack.
+EXP_NORMS = np.geomspace(1e-8, 60.0, 12)
+EXP_DIMS = [1, 2, 4, 8, 16, 34]
+
+
+def gaussian_exp_stack(seed, d, dtype):
+    rng = rng_for(seed)
+    stack = rng.standard_normal((EXP_NORMS.size, d, d))
+    if dtype is complex:
+        stack = stack + 1j * rng.standard_normal(stack.shape)
+    return stack * (EXP_NORMS / np.abs(stack).sum(axis=-2).max(axis=-1))[:, None, None]
+
+
+def relative_error(got, want) -> float:
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+def exp_tolerance(m) -> float:
+    """1e-13 relative, doubled for each squaring the kernel runs on m: squaring
+    doubles the relative error of the scaled approximant.  This matters for
+    e^z of a scalar with Re z << 0, where the Pade step cancels: 300 random
+    complex z with |z| = 40 (three squarings) gave up to 2.1e-13."""
+    return 1e-13 * 2.0 ** max(0, math.ceil(math.log2(np.abs(m).sum(axis=0).max() / THETA_13)))
+
+
+def mpmath_expm(m, dps):
+    with mpmath.workdps(dps):
+        return np.array(mpmath.expm(mpmath.matrix(m.tolist())).tolist(), dtype=complex)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("d", EXP_DIMS)
+def test_pade_exps_equal_their_one_matrix_stacks(d, dtype):
+    stack = gaussian_exp_stack(90 + d, d, dtype)
+    got = pade_exps(stack)
+    assert got.dtype == stack.dtype
+    for m, e in zip(stack, got):
+        assert np.array_equal(e, pade_exps(m[None])[0])
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("d", EXP_DIMS)
+def test_pade_exps_match_scipy(d, dtype):
+    """Within exp_tolerance of scipy's expm, relative to its largest entry.
+    scipy is itself off by up to 7e-13 on a few real non-normal matrices here
+    (d = 2 at ||m||_1 = 7.7, d = 4 at 60); there a 40-digit mpmath value
+    decides, and the Pade kernel must be within the tolerance of it and scipy not."""
+    stack = gaussian_exp_stack(70 + d, d, dtype)
+    for m, e in zip(stack, pade_exps(stack)):
+        reference, tol = scipy.linalg.expm(m), exp_tolerance(m)
+        if relative_error(e, reference) > tol:
+            exact = mpmath_expm(m, 40)
+            assert relative_error(e, exact) <= tol < relative_error(reference, exact)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_pade_exps_match_mpmath(d, dtype):
+    """Within exp_tolerance of a 30-digit mpmath expm, relative to its largest entry."""
+    stack = gaussian_exp_stack(80 + d, d, dtype)
+    for m, e in zip(stack, pade_exps(stack)):
+        assert relative_error(e, mpmath_expm(m, 30)) <= exp_tolerance(m)
+
+
+def test_pade_exps_of_zero_is_the_identity_and_non_finite_input_is_refused():
+    for d in (1, 4):
+        assert np.array_equal(pade_exps(np.zeros((2, d, d))), np.broadcast_to(np.eye(d), (2, d, d)))
+        assert np.array_equal(matrix_exps(np.zeros((1, d, d), dtype=complex))[0], np.eye(d))
+    for bad in (np.nan, np.inf, -np.inf):
+        stack = np.ones((3, 4, 4))
+        stack[1, 2, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            pade_exps(stack)
 
 
 # -- exponential shift bound -----------------------------------------------------
@@ -196,11 +274,20 @@ def series_oracle(commutator_norm, m_bound, stop=1000):
 def test_series_bound_matches_mpmath(commutator_norm, m_bound):
     """Bounds whose float terms overflow (M^(n-2) at M = 50; (n/2)! and M^(n-2)
     at M = 100), start subnormal, or underflow to 0 long before the series
-    peaks (||[x,y]|| = 1e-300, M = 60), against the whole series.  The cutoff
-    at a term <= 1e-16 of the partial sum drops a tail of up to 1.5e-14 of
-    the sum at M = 100, where the terms fall slowly."""
+    peaks (||[x,y]|| = 1e-300, M = 60), against the whole series."""
     want = float(series_oracle(commutator_norm, m_bound))
     assert exp_product_series_bound(commutator_norm, m_bound) == pytest.approx(want, rel=3e-14, abs=0)
+
+
+@pytest.mark.parametrize("m_bound", [50.0, 100.0, 130.0])
+def test_series_bound_with_its_tail_is_above_the_series(m_bound):
+    """Where the terms fall slowly, the partial sum at the 1e-16 cutoff is
+    5.0e-15 (M = 50) to 2.1e-14 (M = 130) below the series; with the
+    geometric bound on its tail the bound is above the 40-digit sum, and
+    above it by less than 1e-14 of it."""
+    want = series_oracle(1.0, m_bound)
+    got = mpmath.mpf(exp_product_series_bound(1.0, m_bound))
+    assert want <= got <= want * (1 + mpmath.mpf(1e-14))
 
 
 def test_series_bound_is_inf_past_its_term_cap():
