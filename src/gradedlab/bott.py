@@ -25,8 +25,9 @@ Models with n > 1 coordinates are graded tensor powers of the
 one-coordinate model, and every operator on them is one lift, held as its
 nonzeros: the sum over coordinates of a one-coordinate odd matrix, with
 the Koszul sign a Jordan-Wigner string.  B is only ever held so
-(`bott_nonzeros`); D and C are the dense scatters of their lifts
-(`bott_dirac`).  B_1 is a direct sum of 2 x 2 blocks on
+(`bott_nonzeros`), and the dc check multiplies the lifts of D and C as
+nonzeros (`dc_commutator_check`); D and C are dense (`bott_dirac`) only
+at one coordinate, for the pairs.  B_1 is a direct sum of 2 x 2 blocks on
 (h_j (x) e, h_{j+1} (x) 1) and a 1 x 1 zero on h_0 (x) 1, so B splits into
 connected components of at most 2^n indices, its exact and dense-free
 spectrum (`OddNonzeros.eigenvalues`).
@@ -101,8 +102,6 @@ class BottOperators:
     space: GradedSpace
     dirac: OddSelfAdjoint
     clifford_mult: OddSelfAdjoint
-    interior: np.ndarray
-    degree_involution: GradedMatrix
 
 
 def _coordinate_pieces(model: HermiteModel):
@@ -149,22 +148,67 @@ class OddNonzeros:
 
     def eigenvalues(self) -> np.ndarray:
         """Sorted spectrum: the connected components', one stacked eigvalsh per size."""
-        label, moved = None, np.arange(self.parity.size)
-        while not np.array_equal(moved, label):  # min-label propagation, then pointer jumping
-            label, moved = moved, moved.copy()
-            np.minimum.at(moved, self.rows, label[self.cols])
-            moved = moved[moved]
-        width = np.bincount(label)[label]  # the size of each index's component
-        # ordered by (size, label), the components of size s are runs of s indices
-        position = np.argsort(np.lexsort((label, width)))
-        spectra = []
-        for s in np.flatnonzero(np.bincount(width)):
-            start, edge = np.count_nonzero(width < s), width[self.rows] == s
-            row, col = position[self.rows[edge]] - start, position[self.cols[edge]] - start
-            stack = np.zeros(np.count_nonzero(width == s) * s)
-            stack[row * s + col % s] = self.values[edge]
-            spectra.append(np.linalg.eigvalsh(stack.reshape(-1, s, s)).ravel())
-        return np.sort(np.concatenate(spectra))
+        blocks = _component_blocks(self.rows, self.cols, self.values, self.parity.size, shared=True)
+        return np.sort(np.concatenate([np.linalg.eigvalsh(stack).ravel() for stack in blocks]))
+
+
+def _component_blocks(rows, cols, values, size: int, shared: bool) -> list[np.ndarray]:
+    """Dense blocks of the connected components of a size x size matrix with
+    no entry repeated, one (count, p, q) stack per block shape.  shared makes
+    row i and column i one node: a symmetric matrix's spectrum is then its
+    square blocks'; else any matrix's norm is its blocks' largest."""
+    offset = 0 if shared else size  # the node of column j is offset + j
+    heads, label, moved = cols + offset, None, np.arange(size + offset)
+    while not np.array_equal(moved, label):  # min-label propagation, then pointer jumping
+        label, moved = moved, moved.copy()
+        np.minimum.at(moved, rows, label[heads])
+        np.minimum.at(moved, heads, label[rows])
+        moved = moved[moved]
+    row_label, col_label = label[:size], label[offset:]
+    p, q = (np.bincount(x, minlength=label.size) for x in (row_label, col_label))
+    # ordered by (shape, label), the components of one shape are runs of p rows and of q columns
+    row_key, col_key = (p * (size + 1) + q)[[row_label, col_label]]
+    row_at = np.argsort(np.lexsort((row_label, row_key)))
+    col_at = np.argsort(np.lexsort((col_label, col_key)))
+    keys = np.sort(row_key[q[row_label] > 0])
+    blocks = []
+    for key in keys[np.diff(keys, prepend=-1) > 0]:
+        s, t = divmod(int(key), size + 1)
+        edge = row_key[rows] == key
+        row = row_at[rows[edge]] - np.count_nonzero(row_key < key)
+        col = col_at[cols[edge]] - np.count_nonzero(col_key < key)
+        stack = np.zeros(np.count_nonzero(row_key == key) * t)
+        stack[row * t + col % t] = values[edge]
+        blocks.append(stack.reshape(-1, s, t))
+    return blocks
+
+
+def _summed(rows, cols, values, size: int):
+    """The entries with repeated positions summed in order, exact zeros dropped."""
+    key = rows * size + cols
+    order = np.argsort(key, kind="stable")
+    key, values = key[order], values[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    total = np.add.reduceat(values, first) if first.size else values
+    key, total = key[first][total != 0], total[total != 0]
+    return key // size, key % size, total
+
+
+def nonzeros_norm(rows, cols, values, size: int) -> float:
+    """Operator norm of the size x size matrix with these entries, repeated
+    positions summed: the largest of its component blocks' norms."""
+    blocks = _component_blocks(*_summed(rows, cols, values, size), size, shared=False)
+    return max((float(np.linalg.svd(stack, compute_uv=False).max()) for stack in blocks), default=0.0)
+
+
+def _product(x: OddNonzeros, y: OddNonzeros):
+    """The entries of x @ y: nonzeros joined on the inner index, positions summed."""
+    order = np.argsort(y.rows, kind="stable")
+    start = np.searchsorted(y.rows[order], x.cols)
+    count = np.searchsorted(y.rows[order], x.cols, side="right") - start
+    left = np.repeat(np.arange(x.cols.size), count)
+    right = order[np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())]
+    return _summed(x.rows[left], y.cols[right], x.values[left] * y.values[right], x.parity.size)
 
 
 def _lift(m: OddSelfAdjoint, n: int) -> OddNonzeros:
@@ -193,19 +237,12 @@ def bott_nonzeros(model: HermiteModel) -> OddNonzeros:
 
 
 def bott_dirac(model: HermiteModel) -> BottOperators:
-    """D = sum_i d_i (x) e^_i and C = sum_i x_i (x) e_i, dense, with the interior
-    mask and the Clifford-degree involution diag(2 deg - n)."""
-    parity, d1, c1, interior1 = _coordinate_pieces(model)
+    """D = sum_i d_i (x) e^_i and C = sum_i x_i (x) e_i, dense."""
+    _, d1, c1, _ = _coordinate_pieces(model)
     d, c = _lift(d1, model.n), _lift(c1, model.n)
     space = GradedSpace(tuple(d.parity.tolist()))
-    degree = sum(np.ix_(*[np.array(parity.parity)] * model.n)).ravel()  # odd factors per index
-    return BottOperators(
-        space,
-        OddSelfAdjoint(GradedMatrix(space, d.dense())),
-        OddSelfAdjoint(GradedMatrix(space, c.dense())),
-        functools.reduce(np.kron, [interior1] * model.n),
-        GradedMatrix(space, np.diag(2.0 * degree - model.n)),
-    )
+    return BottOperators(space, OddSelfAdjoint(GradedMatrix(space, d.dense())),
+                         OddSelfAdjoint(GradedMatrix(space, c.dense())))
 
 
 def multiplication_generators(model: HermiteModel) -> dict[str, GradedMatrix]:
@@ -246,28 +283,31 @@ def spectrum_and_kernel(b: OddSelfAdjoint, tol: float) -> tuple[np.ndarray, int]
     return eigenvalues, int(np.count_nonzero(np.abs(eigenvalues) < tol))
 
 
-def dc_commutator_check(ops: BottOperators) -> dict:
+def dc_commutator_check(model: HermiteModel) -> dict:
     """Measure the graded anticommutator of D and C on the interior.
 
     Away from the truncation edge the anticommutator equals the
     Clifford-degree involution (2 deg - n per fiber); its distance to
     the identity is reported alongside because the involution has both
-    eigenvalues, an identity defect of exactly 2 in operator norm.
+    eigenvalues, an identity defect of n + 1 in operator norm.  All three
+    norms run on the nonzeros of the lifts of D and C, never dense.
     """
-    space, mask = ops.space, ops.interior
+    parity, d1, c1, interior1 = _coordinate_pieces(model)
+    d, c = _lift(d1, model.n), _lift(c1, model.n)
+    size = d.parity.size
+    # D C and C D are summed apart, so a Koszul cross term cancels to exactly 0
+    rows, cols, values = _summed(*(np.r_[a, b] for a, b in zip(_product(d, c), _product(c, d))), size)
+    inside = functools.reduce(np.kron, [interior1] * model.n) > 0  # the interior mask scales columns
+    degree = sum(np.ix_(*[np.array(parity.parity)] * model.n)).ravel()  # odd factors per index
 
-    def blocks(m, columns=1.0):
-        return ParityBlocks.gather(space, m * columns)
+    def interior_defect(diagonal):
+        on, kept = np.flatnonzero(inside), inside[cols]
+        return nonzeros_norm(np.r_[rows[kept], on], np.r_[cols[kept], on], np.r_[values[kept], -diagonal[on]], size)
 
-    # every matrix here is even, so each norm comes from its two half-size
-    # parity blocks; the interior mask scales columns, so it moves onto the
-    # right-hand factors
-    d, c = blocks(ops.dirac.mat), blocks(ops.clifford_mult.mat)
-    interior = d @ blocks(ops.clifford_mult.mat, mask) + c @ blocks(ops.dirac.mat, mask)
     return {
-        "commutator_norm": float((d @ c + c @ d).norms()),
-        "interior_defect_vs_involution": float((interior - blocks(ops.degree_involution.entries, mask)).norms()),
-        "interior_defect_vs_identity": float((interior - blocks(np.eye(space.dim), mask)).norms()),
+        "commutator_norm": nonzeros_norm(rows, cols, values, size),
+        "interior_defect_vs_involution": interior_defect(2.0 * degree - model.n),
+        "interior_defect_vs_identity": interior_defect(np.ones(size)),
     }
 
 

@@ -533,8 +533,7 @@ def run_bott(cfg: ExperimentConfig) -> ExperimentResult:
     certs.append(BoundCertificate("bott_gap", abs(float(magnitudes[1]) - math.sqrt(2.0)), 1e-6))
     certs.append(BoundCertificate("bott_ground_residual", ground_residual, 1e-10))
     model = hermite_model(cfg.n_basis, cfg.coordinates)
-    ops = bott_dirac(model)
-    dc = dc_commutator_check(ops)
+    dc = dc_commutator_check(model)
     certs.append(BoundCertificate("bott_dc_involution", dc["interior_defect_vs_involution"], 1e-10))
     summary["kernel_dim"] = kernel_dim
     summary["smallest_magnitudes"] = [float(v) for v in magnitudes[:8]]
@@ -554,9 +553,10 @@ def run_bott(cfg: ExperimentConfig) -> ExperimentResult:
         # np.max is NaN if any fit failed; max() would depend on the order
         return float(np.max([profile.fitted_exponent for _, _, profile in _table_rows(table)]))
 
-    # the two model pairs and their composition
+    # the two model pairs and their composition, on a dense D and C
     if cfg.coordinates == 1:
         grid = cfg.t_grid()
+        ops = bott_dirac(model)
         scalar_pair = AsymptoticPair({"unit": identity(ops.space)}, ops.clifford_mult)
         dirac_pair = AsymptoticPair(multiplication_generators(model), ops.dirac)
         for name, pair in (("scalar", scalar_pair), ("multiplication", dirac_pair)):

@@ -223,7 +223,7 @@ def test_criterion_08_bott_dirac_kernel_and_gap():
     as the basis doubles, under 5 s."""
     start = time.monotonic()
     kernel_dim, lam_min, gap_defect, ground_residual = _bott_measurements(64)
-    dc = dc_commutator_check(bott_dirac(hermite_model(64)))
+    dc = dc_commutator_check(hermite_model(64))
     history = []
     for n_basis in (32, 64, 128):
         _, _, gap, ground = _bott_measurements(n_basis)
@@ -258,8 +258,7 @@ def test_criterion_08_bott_dirac_kernel_and_gap():
     ),
 )
 def test_criterion_08_dc_anticommutator_identity_as_stated():
-    ops = bott_dirac(hermite_model(64))
-    dc = dc_commutator_check(ops)
+    dc = dc_commutator_check(hermite_model(64))
     print(
         f"[FAIL] criterion 8 (identity clause): interior ||[D,C] - 1|| = "
         f"{dc['interior_defect_vs_identity']:.3f} (involution defect "

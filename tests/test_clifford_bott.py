@@ -1,4 +1,6 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from gradedlab import (
     validate_pair,
     zeros,
 )
-from gradedlab.bott import _coordinate_pieces
+from gradedlab.bott import _coordinate_pieces, nonzeros_norm
 from gradedlab.experiments import ExperimentConfig, run_experiment
 from gradedlab.funcalc import CAYLEY
 from gradedlab.pairs import COMMUTATION_EXPONENT_THRESHOLD, COMPOSE_EXPONENT_THRESHOLD, DecayProfile, default_t_grid
@@ -167,8 +169,7 @@ def test_bott_spectrum_is_symmetric():
 
 
 def test_dc_anticommutator_is_degree_involution_on_interior():
-    ops = bott_dirac(hermite_model(32))
-    report = dc_commutator_check(ops)
+    report = dc_commutator_check(hermite_model(32))
     assert report["interior_defect_vs_involution"] <= 1e-10
     # the anticommutator has both involution eigenvalues, so its distance
     # to the identity is exactly 2 and cannot vanish
@@ -264,16 +265,86 @@ def lift_sum(space, n, m):
 
 @pytest.mark.parametrize("n_basis, n", [(8, 1), (12, 2), (8, 3)])
 def test_bott_dirac_equals_the_graded_tensor_lift(n_basis, n):
-    """D, C and the degree involution diag(2 deg - n) equal the sums of dense
-    graded-tensor lifts of the one-coordinate d_1, c_1 and -gamma entry for
-    entry (the lifts may carry -0.0 where the scatter writes +0.0)."""
+    """D and C equal the sums of dense graded-tensor lifts of the
+    one-coordinate d_1 and c_1 entry for entry (the lifts may carry -0.0
+    where the scatter writes +0.0)."""
     model = hermite_model(n_basis, n)
     parity, d1, c1, _ = _coordinate_pieces(model)
     ops = bott_dirac(model)
     assert ops.space == lift_sum(parity, n, d1.underlying).space
-    for mine, one_coordinate in ((ops.dirac.mat, d1.underlying), (ops.clifford_mult.mat, c1.underlying),
-                                 (ops.degree_involution.entries, -gamma_matrix(parity))):
+    for mine, one_coordinate in ((ops.dirac.mat, d1.underlying), (ops.clifford_mult.mat, c1.underlying)):
         assert np.array_equal(mine, lift_sum(parity, n, one_coordinate).entries)
+
+
+@pytest.mark.parametrize("n_basis, n", [(8, 1), (64, 1), (8, 2), (12, 2)])
+def test_dc_check_matches_the_dense_oracle(n_basis, n):
+    """The dc check's three norms, taken on the lifts' nonzeros, equal the
+    dense computation to 4 d eps ||D|| ||C||: D, C and the degree involution
+    diag(2 deg - n) as sums of dense graded-tensor lifts of d_1, c_1 and
+    -gamma, dense products, the interior mask on columns, and
+    np.linalg.norm(., 2)."""
+    model = hermite_model(n_basis, n)
+    parity, d1, c1, interior1 = _coordinate_pieces(model)
+    d, c, involution = (lift_sum(parity, n, m).entries for m in (d1.underlying, c1.underlying, -gamma_matrix(parity)))
+    degree = sum(np.ix_(*[np.array(parity.parity)] * n)).ravel()
+    assert np.array_equal(involution, np.diag(2.0 * degree - n))
+    mask = functools.reduce(np.kron, [interior1] * n)
+    anticommutator = d @ c + c @ d
+    oracle = {
+        "commutator_norm": np.linalg.norm(anticommutator, 2),
+        "interior_defect_vs_involution": np.linalg.norm((anticommutator - involution) * mask, 2),
+        "interior_defect_vs_identity": np.linalg.norm((anticommutator - np.eye(d.shape[0])) * mask, 2),
+    }
+    report = dc_commutator_check(model)
+    tol = 4 * d.shape[0] * np.finfo(float).eps * np.linalg.norm(d, 2) * np.linalg.norm(c, 2)
+    assert report.keys() == oracle.keys()
+    for name, value in oracle.items():
+        assert abs(report[name] - value) <= tol, name
+
+
+@pytest.mark.parametrize("n_basis, n", [(12, 2), (16, 3)])
+def test_dc_check_closed_form(n_basis, n):
+    """At (16, 3), d = 29,791, where a dense D alone would take 7.1 GB: the
+    anticommutator's norm is n (n_basis - 1), reached at the truncation
+    edge; on the interior it is the degree involution diag(2 deg - n),
+    n + 1 from the identity.  The identity defect is the exact one only up
+    to the rounding of the ladder entries sqrt(k/2), k < n_basis, whose
+    squares make up each diagonal entry: hence 4 n n_basis eps."""
+    report = dc_commutator_check(hermite_model(n_basis, n))
+    assert report["commutator_norm"] == n * (n_basis - 1)
+    assert abs(report["interior_defect_vs_identity"] - (n + 1)) <= 4 * n * n_basis * np.finfo(float).eps
+    assert report["interior_defect_vs_involution"] <= 1e-10
+
+
+def sparse_norm_cases():
+    """Seeded random sparse 40 x 40 matrices, each position at most once, and
+    matrices made from them: symmetric, column-masked, with positions repeated
+    by entries that cancel exactly, diagonal (1 x 1 components), empty."""
+    rng = rng_for(62)
+    size = 40
+    rows, cols = np.divmod(rng.choice(size * size, 60, replace=False), size)
+    values = rng.standard_normal(60)
+    symmetric = np.r_[rows, cols], np.r_[cols, rows], np.r_[values, values]
+    kept = (rng.random(size) < 0.5)[symmetric[1]]
+    yield pytest.param(rows, cols, values, id="random")
+    yield pytest.param(*symmetric, id="symmetric")
+    yield pytest.param(*(x[kept] for x in symmetric), id="column-masked")
+    yield pytest.param(np.r_[rows, rows[:20]], np.r_[cols, cols[:20]], np.r_[values, -values[:20]], id="cancelling")
+    yield pytest.param(np.r_[rows, rows], np.r_[cols, cols], np.r_[values, -values], id="all-cancelling")
+    yield pytest.param(np.arange(size), np.arange(size), rng.standard_normal(size), id="diagonal")
+    yield pytest.param(np.zeros(0, int), np.zeros(0, int), np.zeros(0), id="empty")
+
+
+@pytest.mark.parametrize("rows, cols, values", list(sparse_norm_cases()))
+def test_nonzeros_norm_matches_the_dense_svd_norm(rows, cols, values):
+    """The largest component block norm is the dense matrix's norm, to
+    4 d eps of it; a matrix whose entries all cancel has norm exactly 0."""
+    dense = np.zeros((40, 40))
+    np.add.at(dense, (rows, cols), values)
+    oracle = np.linalg.norm(dense, 2)
+    norm = nonzeros_norm(rows, cols, values, 40)
+    assert abs(norm - oracle) <= 4 * 40 * np.finfo(float).eps * oracle
+    assert (norm == 0.0) == (not np.any(dense))
 
 
 def paired_closed_form(n_basis, n):
@@ -318,16 +389,16 @@ def test_bott_two_coordinates():
     magnitudes = np.sort(np.abs(bott_nonzeros(hermite_model(8, 2)).eigenvalues()))
     assert np.count_nonzero(magnitudes < 1e-8) == 1
     assert abs(magnitudes[1] - math.sqrt(2.0)) <= 1e-8
-    report = dc_commutator_check(ops)
+    report = dc_commutator_check(hermite_model(8, 2))
     assert report["interior_defect_vs_involution"] <= 1e-10
 
 
 def test_run_bott_two_coordinates(monkeypatch):
     """run_bott above one coordinate (d = 225, ladder bases up to d = 961)
-    builds the dense D and C once, at the model's basis, for the dc check;
-    every spectrum is the ladder's, so no svd runs and every eigvalsh stack
-    is a block of at most 2^2 indices, and the gap defects are roundoff in
-    sqrt(2)."""
+    builds no dense D and C: every spectrum is the ladder's, so every
+    eigvalsh stack is a block of at most 2^2 indices, and the dc check's
+    three norms are each one svd of a stack of 1 x 1 blocks, since the
+    anticommutator is diagonal; the gap defects are roundoff in sqrt(2)."""
     import gradedlab.experiments
 
     built = []
@@ -359,15 +430,41 @@ def test_run_bott_two_coordinates(monkeypatch):
 
     monkeypatch.setattr(OddNonzeros, "eigenvalues", in_ladder)
     result = run_experiment(ExperimentConfig("bott", coordinates=2, n_basis=8))
-    assert built == [(8, 2)]
-    assert calls and all(name == "eigvalsh" and inside for name, inside, _ in calls)
-    assert {shape[-1] for _, _, shape in calls} == {1, 2, 4}
+    assert built == []
+    assert all(inside == (name == "eigvalsh") for name, inside, _ in calls)
+    assert {shape[-1] for name, _, shape in calls if name == "eigvalsh"} == {1, 2, 4}
+    assert [shape[1:] for name, _, shape in calls if name == "svd"] == [(1, 1)] * 3
     assert result.passed and all(c.passed for c in result.certificates)
     assert result.summary["kernel_dim"] == 1
     assert [row["n_basis"] for row in result.summary["convergence"]] == [8, 8, 16]
     for row in result.summary["convergence"]:
         assert row["gap_defect"] <= 4 * np.spacing(math.sqrt(2.0))
         assert row["ground_residual"] == 0.0
+
+
+def test_run_bott_builds_no_dense_operator_above_one_coordinate(monkeypatch):
+    """At the bott-2d config (coordinates 2, d = 529, ladder bases 8, 12
+    and 24 to d = 2209) the only GradedMatrix objects run_bott builds are
+    one-coordinate pieces, no nonzeros are scattered into a dense matrix,
+    and its traced peak memory stays below one dense d x d operator."""
+    built = []
+    for cls, method, dim in ((GradedMatrix, "__post_init__", lambda m: m.space.dim),
+                             (OddNonzeros, "dense", lambda m: m.parity.size)):
+        def recording(self, original=getattr(cls, method), dim=dim, method=method):
+            built.append((method, dim(self)))
+            return original(self)
+
+        monkeypatch.setattr(cls, method, recording)
+    tracemalloc.start()
+    try:
+        result = run_experiment(ExperimentConfig("bott", coordinates=2, n_basis=12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert {method for method, _ in built} == {"__post_init__"}
+    assert {dim for _, dim in built} == {2 * basis - 1 for basis in (8, 12, 24)}
+    assert peak < 529**2 * np.dtype(float).itemsize
 
 
 @pytest.mark.parametrize("n_basis, n", [(8, 1), (8, 2)])
