@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .funcalc import CAYLEY, MULTIPLIER_G, ChiralSpectrum, ParityBlocks, Spectrum
-from .graded import GradedMatrix, GradedSpace, OddSelfAdjoint, negligible
+from .graded import GradedMatrix, GradedSpace, OddSelfAdjoint, negligible, operator_norms
 from .pairs import (
     AsymptoticPair,
     DecayProfile,
@@ -198,7 +198,7 @@ def nonzeros_norm(rows, cols, values, size: int) -> float:
     """Operator norm of the size x size matrix with these entries, repeated
     positions summed: the largest of its component blocks' norms."""
     blocks = _component_blocks(*_summed(rows, cols, values, size), size, shared=False)
-    return max((float(np.linalg.svd(stack, compute_uv=False).max()) for stack in blocks), default=0.0)
+    return max((float(operator_norms(stack).max()) for stack in blocks), default=0.0)
 
 
 def _product(x: OddNonzeros, y: OddNonzeros):

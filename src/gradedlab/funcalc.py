@@ -241,11 +241,13 @@ class ParityBlocks:
         """Operator norm of each matrix of the stack.
 
         A homogeneous matrix takes the larger of its two half-size block
-        norms; hermitian marks an even Hermitian stack, whose block norms are
-        the largest |eigenvalue|.  A mixed matrix whose even part is
-        imaginary and odd part real, or the reverse, is conjugated by the
-        parity phase diag(1, i) into a real matrix with the same norm; any
-        other mixed matrix takes the full-size norm.
+        norms, from one operator_norms call (the Gram kernel) per block
+        shape; hermitian marks an even Hermitian stack, whose block norms
+        are the largest |eigenvalue| of the blocks themselves.  A mixed
+        matrix whose even part is imaginary and odd part real, or the
+        reverse, is conjugated by the parity phase diag(1, i) into a real
+        matrix with the same norm; any other mixed matrix takes the
+        full-size norm.
         """
         ee, eo, oe, oo = self.blocks
         if eo is not None and ee is not None:

@@ -275,16 +275,60 @@ def conjugate_by_grading(a: GradedMatrix) -> GradedMatrix:
 
 
 def operator_norm(a) -> float:
-    """Largest singular value."""
+    """Largest singular value; operator_norms of the one-matrix stack."""
     if isinstance(a, OddSelfAdjoint):
         a = a.underlying
     entries = a.entries if isinstance(a, GradedMatrix) else np.asarray(a)
-    if entries.size == 0:
-        return 0.0
-    return float(np.linalg.norm(entries, 2))
+    return float(operator_norms(entries[None])[0])
+
+
+# A Gram matrix X* X whose trace is in this range needs no rescaling: none
+# of its entries overflows, and below d = 4096 the roundoff of the products
+# that underflow is below 2^-150 of its largest eigenvalue.
+_GRAM_TRACE_RANGE = (2.0**-900, 2.0**900)
+
+
+def _ldexp(x: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    """x * 2^exponent, exact but for underflow, for real or complex x."""
+    if not np.iscomplexobj(x):
+        return np.ldexp(x, exponent)
+    out = np.empty_like(x)
+    out.real, out.imag = np.ldexp(x.real, exponent), np.ldexp(x.imag, exponent)
+    return out
+
+
+def _gram(x: np.ndarray) -> np.ndarray:
+    """X* X of each matrix of a stack; overflow is left to the caller."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return adjoint(x) @ x
 
 
 def operator_norms(stack: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix in a (..., d, d) stack; each
-    equals operator_norm of that matrix bit for bit."""
-    return np.linalg.norm(stack, 2, axis=(-2, -1))
+    """Largest singular value of each matrix in a (..., m, n) stack, square
+    or rectangular; a zero-size matrix has norm 0.
+
+    The norm is the square root of the largest eigenvalue of the smaller
+    Gram matrix X* X, within O(max(m, n) eps) relative of the SVD's
+    (Higham 2002).  A matrix whose X* X has a trace outside
+    _GRAM_TRACE_RANGE (0 or not finite among them) is scaled first by the
+    power of two that brings its largest entry into [1/2, 1).  Each norm
+    equals operator_norms of that matrix alone bit for bit; non-finite
+    entries raise np.linalg.LinAlgError.
+    """
+    x = np.asarray(stack)
+    if x.shape[-2] < x.shape[-1]:
+        x = x.swapaxes(-1, -2)
+    if x.size == 0:
+        return np.zeros(x.shape[:-2])
+    gram = _gram(x)
+    trace = np.trace(gram, axis1=-2, axis2=-1).real
+    lo, hi = _GRAM_TRACE_RANGE
+    if lo <= trace.min() and trace.max() <= hi:
+        return np.sqrt(np.linalg.eigvalsh(gram)[..., -1])
+    largest = np.abs(x).max(axis=(-2, -1))
+    if not np.isfinite(largest).all():
+        raise np.linalg.LinAlgError("operator norm of a matrix with non-finite entries")
+    exponent = np.where((trace >= lo) & (trace <= hi), 0, np.frexp(largest)[1])
+    top = np.linalg.eigvalsh(_gram(_ldexp(x, -exponent[..., None, None])))[..., -1]
+    # abs: the all-zero matrix has norm +0
+    return np.ldexp(np.abs(np.sqrt(top)), exponent)

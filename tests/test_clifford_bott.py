@@ -397,8 +397,9 @@ def test_run_bott_two_coordinates(monkeypatch):
     """run_bott above one coordinate (d = 225, ladder bases up to d = 961)
     builds no dense D and C: every spectrum is the ladder's, so every
     eigvalsh stack is a block of at most 2^2 indices, and the dc check's
-    three norms are each one svd of a stack of 1 x 1 blocks, since the
-    anticommutator is diagonal; the gap defects are roundoff in sqrt(2)."""
+    three norms, the only kernel calls outside the ladder, are each one
+    Gram eigvalsh of a stack of 1 x 1 blocks, since the anticommutator is
+    diagonal; no svd runs, and the gap defects are roundoff in sqrt(2)."""
     import gradedlab.experiments
 
     built = []
@@ -431,9 +432,9 @@ def test_run_bott_two_coordinates(monkeypatch):
     monkeypatch.setattr(OddNonzeros, "eigenvalues", in_ladder)
     result = run_experiment(ExperimentConfig("bott", coordinates=2, n_basis=8))
     assert built == []
-    assert all(inside == (name == "eigvalsh") for name, inside, _ in calls)
-    assert {shape[-1] for name, _, shape in calls if name == "eigvalsh"} == {1, 2, 4}
-    assert [shape[1:] for name, _, shape in calls if name == "svd"] == [(1, 1)] * 3
+    assert all(name == "eigvalsh" for name, _, _ in calls)
+    assert {shape[-1] for _, inside, shape in calls if inside} == {1, 2, 4}
+    assert [shape[1:] for _, inside, shape in calls if not inside] == [(1, 1)] * 3
     assert result.passed and all(c.passed for c in result.certificates)
     assert result.summary["kernel_dim"] == 1
     assert [row["n_basis"] for row in result.summary["convergence"]] == [8, 8, 16]

@@ -16,13 +16,14 @@ from gradedlab import (
 )
 from gradedlab.estimates import exp_shift_bounds
 from gradedlab.funcalc import Spectrum
-from gradedlab.graded import VALIDATION_TOL, adjoint, negligible, parity_parts
+from gradedlab.graded import VALIDATION_TOL, adjoint, negligible, operator_norms, parity_parts
 from gradedlab.sampling import (
     random_hermitian_even,
     random_homogeneous,
     random_odd,
     random_odd_selfadjoint,
     random_space,
+    rescale,
     rng_for,
 )
 
@@ -198,6 +199,81 @@ def test_operator_norm_matches_svd_oracle():
         m = GradedMatrix(space, rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
         oracle = np.linalg.svd(m.entries, compute_uv=False).max()
         assert abs(operator_norm(m) - oracle) <= 1e-10 * oracle
+
+
+def _gaussian_stack(rng, shape, complex_):
+    stack = rng.standard_normal(shape)
+    return stack + 1j * rng.standard_normal(shape) if complex_ else stack
+
+
+def _assert_svd_accurate(stack):
+    """operator_norms is within 4 max(m, n) eps relative of the SVD's largest
+    singular value, and equals its per-matrix calls and operator_norm bit for
+    bit."""
+    norms = operator_norms(stack)
+    flat = stack.reshape(-1, *stack.shape[-2:])
+    oracle = np.linalg.svd(flat, compute_uv=False)[:, 0].reshape(stack.shape[:-2])
+    tol = 4 * max(stack.shape[-2:]) * np.finfo(float).eps
+    assert np.all(np.abs(norms - oracle) <= tol * oracle)
+    assert np.array_equal(norms.ravel(), [operator_norms(m[None])[0] for m in flat])
+    assert np.array_equal(norms.ravel(), [operator_norm(m) for m in flat])
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("shape", [(6, 8, 8), (3, 64, 63), (3, 63, 64), (2, 2, 1, 5), (9, 1, 1), (1, 127, 127)],
+                         ids=["square", "tall", "wide", "row", "one-by-one", "bott-size"])
+def test_operator_norms_match_svd_oracle(shape, complex_):
+    rng = rng_for((10, len(shape), shape[-1], complex_))
+    stack = _gaussian_stack(rng, shape, complex_)
+    _assert_svd_accurate(stack)
+    stack.reshape(-1, *shape[-2:])[0] = 0.0
+    _assert_svd_accurate(stack)
+    assert operator_norms(stack).ravel()[0] == 0.0
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_operator_norms_outside_the_gram_range(complex_):
+    """Entries whose Gram matrix would overflow (2^600) or underflow (2^-600,
+    subnormal 1e-310) are rescaled by a power of two, in one stack with
+    matrices that are not."""
+    rng = rng_for((11, complex_))
+    scales = np.array([1.0, 2.0**600, 2.0**-600, 1e-310, 2.0**600, 3.0])
+    stack = _gaussian_stack(rng, (6, 7, 5), complex_) * scales[:, None, None]
+    stack[4, 0, 0] = 1e-310
+    _assert_svd_accurate(stack)
+
+
+def test_operator_norm_of_a_one_by_one_matrix_is_its_absolute_value():
+    rng = rng_for(12)
+    x = rng.standard_normal(2000) * 10.0 ** rng.uniform(-300, 300, 2000)
+    x = np.r_[x, 2.0**600, -(2.0**-600), 1e-310, -5e-324, 0.0, 22.0]
+    assert np.array_equal(operator_norms(x[:, None, None]), np.abs(x))
+
+
+def test_operator_norms_of_zero_size_matrices_are_zero():
+    for shape in [(2, 0, 3), (2, 3, 0), (0, 0)]:
+        assert np.array_equal(operator_norms(np.zeros(shape)), np.zeros(shape[:-2]))
+    assert operator_norms(np.zeros((0, 4, 4))).shape == (0,)
+    assert operator_norm(np.zeros((0, 0))) == 0.0
+
+
+def test_operator_norms_of_one_matrix_without_stack_axes():
+    """A (m, n) input is one matrix, as sampling.rescale passes it."""
+    assert operator_norms(np.zeros((3, 3))) == 0.0
+    assert operator_norms(2.0**600 * np.eye(3)) == 2.0**600
+    assert operator_norms(np.diag([3.0, -4.0])) == 4.0
+    with pytest.raises(ValueError, match="zero sample"):
+        rescale(np.zeros((3, 3)), 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)], ids=["nan", "inf", "-inf", "complex-nan"])
+def test_operator_norms_refuse_non_finite_entries(bad):
+    stack = np.ones((3, 4, 4), dtype=type(bad) if isinstance(bad, complex) else float)
+    stack[1, 2, 3] = bad
+    with pytest.raises(np.linalg.LinAlgError):
+        operator_norms(stack)
+    with pytest.raises(np.linalg.LinAlgError):
+        operator_norm(stack[1])
 
 
 def test_odd_selfadjoint_validation():
