@@ -47,7 +47,7 @@ from .pairs import (
     DecayProfile,
     checked_t_grid,
     factorization_defect_profiles,
-    generator_profiles,
+    grid_profiles,
 )
 
 __all__ = [
@@ -330,8 +330,11 @@ def perturbation_check(
     # where f(0) != 0, so no two O(1) matrices are subtracted
     generators = {name: ParityBlocks.gather(pair.space, gen.entries) for name, gen in pair.generators.items()}
     functions = (CAYLEY, MULTIPLIER_G)
-    profiles = generator_profiles(
-        functions, generators, grid, lambda scales: [spec_v.blocks(f, scales, increment=True) for f in functions],
-        lambda f, moved, a: (moved @ a).norms(), pair.space.dim,
-    )
+
+    def norms(ts):
+        moved = [spec_v.blocks(f, 1.0 / ts, increment=True) for f in functions]
+        return np.stack([(m @ a).norms() for a in generators.values() for m in moved], -1)
+
+    columns = iter(grid_profiles(grid, pair.space.dim, norms))
+    profiles = {name: {f.name: next(columns) for f in functions} for name in generators}
     return (profiles, *factorization_defect_profiles(pair.d, potential, grid))

@@ -35,7 +35,7 @@ from .graded import (
     operator_norms,
     parity_parts,
 )
-from .pairs import DecayProfile, checked_t_grid
+from .pairs import DecayProfile, checked_t_grid, grid_profiles
 
 __all__ = [
     "matrix_exp",
@@ -230,15 +230,13 @@ def exp_product_path_profiles(
     vanishes along the path; the second profile tracks the series bound,
     which dominates the first at every t.
     """
-    grid = checked_t_grid(t_grid)
     squares = d.mat @ d.mat, d_prime.mat @ d_prime.mat
 
     def bounds(ts):
         s = (-1.0 / ts**2)[:, None, None]
         return np.transpose(exp_product_bounds(d.space, s * squares[0], s * squares[1]))
 
-    lhs, rhs = map_grid(bounds, grid, d.space.dim).T
-    return DecayProfile.from_values(grid, lhs), DecayProfile.from_values(grid, rhs)
+    return tuple(grid_profiles(t_grid, d.space.dim, bounds))
 
 
 def transform_commutator_check(

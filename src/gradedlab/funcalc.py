@@ -176,7 +176,10 @@ def _product(x, y):
 
 
 def _block_norms(x: np.ndarray, hermitian: bool) -> np.ndarray:
-    return np.abs(np.linalg.eigvalsh(x)).max(axis=-1, initial=0.0) if hermitian else operator_norms(x)
+    """Largest |eigenvalue| of finite Hermitian blocks; else operator_norms, which raises on non-finite entries."""
+    if hermitian and np.isfinite(x).all():
+        return np.abs(np.linalg.eigvalsh(x)).max(axis=-1, initial=0.0)
+    return operator_norms(x)
 
 
 @dataclass(frozen=True)

@@ -231,15 +231,13 @@ def graded_commutator(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
 
 
 def graded_commutators(space: GradedSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entries of [a, b] for each pair of matrices of two (..., d, d) stacks
-    of entries on space; each equals graded_commutator bit for bit."""
-    a0, a1 = parity_parts(space, a)
+    """Entries of [a, b] = a b - b0 a - b1 (gamma a gamma), the bilinear
+    expansion over the parity parts in three products, for each pair of
+    matrices of two (..., d, d) stacks on space.  On homogeneous a and b it
+    equals the 4-part expansion bit for bit: the terms it drops are exact zeros."""
+    signs = space.gamma_signs()
     b0, b1 = parity_parts(space, b)
-    out = a0 @ b0 - b0 @ a0
-    out += a0 @ b1 - b1 @ a0
-    out += a1 @ b0 - b0 @ a1
-    out += a1 @ b1 + b1 @ a1
-    return out
+    return a @ b - b0 @ a - b1 @ ((signs[:, None] * a) * signs[None, :])
 
 
 def graded_tensor(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:

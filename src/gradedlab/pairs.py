@@ -11,9 +11,10 @@ measuring the defect between the functional calculus of the summed
 operator and the naive two-step image e^{-t^-2 D'^2} e^{-t^-2 D^2} a,
 which decays like t^-2 when [psi(D), D'] is bounded.
 
-Everything is pure and deterministic; profiles are evaluated on whole
-t-grid stacks, chunked by funcalc's map_grid, from the chiral spectra of
-the odd operators (funcalc.ChiralSpectrum).  The commutation profiles are
+Everything is pure and deterministic.  Every profile comes from
+grid_profiles, the one t-grid stage: its callback maps a chunk of t values
+to a column of norms per profile, from the chiral spectra of the odd
+operators (funcalc.ChiralSpectrum).  The commutation profiles are
 Schur products in D's chiral basis; the defects are formed from the
 parity blocks of f(s D), with e^{-x^2} written as 1 + expm1(-x^2) so the
 leading identities cancel exactly, and every norm of a homogeneous
@@ -30,7 +31,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .funcalc import GAUSS0, GAUSS1, PAIR_FUNCTIONS, RESOLVENT_MINUS, RESOLVENT_PLUS, ScalarFunction, map_grid
+from .funcalc import GAUSS0, GAUSS1, PAIR_FUNCTIONS, RESOLVENT_MINUS, RESOLVENT_PLUS, map_grid
 from .funcalc import ChiralSpectrum, ParityBlocks
 from .graded import GradedMatrix, GradedSpace, OddSelfAdjoint
 
@@ -42,7 +43,7 @@ __all__ = [
     "default_t_grid",
     "checked_t_grid",
     "DecayProfile",
-    "generator_profiles",
+    "grid_profiles",
     "AsymptoticPair",
     "validate_pair",
     "factorization_defect_profiles",
@@ -117,31 +118,12 @@ class DecayProfile:
         return "\n".join(lines) + "\n"
 
 
-def generator_profiles(
-    functions: Sequence[ScalarFunction],
-    generators: Mapping[str, object],
-    t_grid: np.ndarray,
-    stacks: Callable[[np.ndarray], Sequence[object]],
-    measure: Callable[[ScalarFunction, object, object], np.ndarray],
-    dim: int,
-) -> dict[str, dict[str, DecayProfile]]:
-    """Profiles of t -> measure(f, F, a) per generator a and function f.
-
-    stacks(scales) returns one F per function, each evaluated on a whole
-    chunk of grid scales 1/t at once, chunked for operators of dimension
-    dim.  measure maps F and a generator to one norm per scale.
-    """
-
-    def norms(scales):
-        per_function = zip(functions, stacks(scales))
-        columns = [[measure(f, stacked, a) for a in generators.values()] for f, stacked in per_function]
-        return np.moveaxis(np.asarray(columns), -1, 0)
-
-    values = map_grid(norms, 1.0 / t_grid, dim)
-    return {
-        name: {f.name: DecayProfile.from_values(t_grid, values[:, i, j]) for i, f in enumerate(functions)}
-        for j, name in enumerate(generators)
-    }
+def grid_profiles(t_grid: np.ndarray, dim: int, norms: Callable[[np.ndarray], np.ndarray]) -> list[DecayProfile]:
+    """One DecayProfile per column of norms(ts), a (len(ts), k) array, for
+    each chunk ts of the t values, chunked for operators of dimension dim
+    (funcalc.map_grid)."""
+    grid = checked_t_grid(t_grid)
+    return [DecayProfile.from_values(grid, column) for column in map_grid(norms, grid, dim).T]
 
 
 @dataclass(frozen=True)
@@ -192,9 +174,10 @@ def validate_pair(pair: AsymptoticPair, t_grid: np.ndarray) -> dict[str, dict[st
         # the conjugates of the resolvent+ ones, with the same norms
         parts = spec.chiral_parts(gen)
         functions = [f for f in PAIR_FUNCTIONS if f is not RESOLVENT_MINUS or np.iscomplexobj(parts)]
-        measured = generator_profiles(
-            functions, {name: parts}, grid, lambda scales: [scales] * len(functions), spec.commutator_norms, pair.space.dim
-        )[name]
+        columns = grid_profiles(grid, pair.space.dim, lambda ts: np.stack(
+            [spec.commutator_norms(f, 1.0 / ts, parts) for f in functions], -1
+        ))
+        measured = {f.name: profile for f, profile in zip(functions, columns)}
         profiles[name] = {f.name: measured.get(f.name, measured[RESOLVENT_PLUS.name]) for f in PAIR_FUNCTIONS}
     return profiles
 
@@ -232,11 +215,9 @@ def factorization_defect_profiles(
         raise ValueError("operators live on different spaces")
     spectra = ChiralSpectrum.of(d + d_prime), ChiralSpectrum.of(d), ChiralSpectrum.of(d_prime)
 
-    def norms(scales):
-        return np.stack([defect.norms() for defect in _heat_defects(*spectra, scales)], axis=-1)
-
-    values = map_grid(norms, 1.0 / grid, d.space.dim)
-    return DecayProfile.from_values(grid, values[:, 0]), DecayProfile.from_values(grid, values[:, 1])
+    return tuple(grid_profiles(
+        grid, d.space.dim, lambda ts: np.stack([defect.norms() for defect in _heat_defects(*spectra, 1.0 / ts)], -1)
+    ))
 
 
 def identity_pushforward(m: GradedMatrix) -> GradedMatrix:
@@ -271,8 +252,10 @@ def compose_pairs(
 
     spectra = ChiralSpectrum.of(d_total), ChiralSpectrum.of(p_bc.d), ChiralSpectrum.of(pushed_d)
     gens = {name: ParityBlocks.gather(p_bc.space, gen.entries) for name, gen in composed.generators.items()}
-    profiles = generator_profiles(
-        (GAUSS0, GAUSS1), gens, grid, lambda scales: _heat_defects(*spectra, scales),
-        lambda f, defect, rho: (defect @ rho).norms(), p_bc.space.dim,
-    )
-    return composed, profiles
+
+    def norms(ts):
+        defects = _heat_defects(*spectra, 1.0 / ts)
+        return np.stack([(defect @ rho).norms() for rho in gens.values() for defect in defects], -1)
+
+    columns = iter(grid_profiles(grid, p_bc.space.dim, norms))
+    return composed, {name: {f.name: next(columns) for f in (GAUSS0, GAUSS1)} for name in gens}

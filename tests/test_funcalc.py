@@ -16,7 +16,8 @@ from gradedlab import (
     zeros,
 )
 from gradedlab.funcalc import (
-    CAYLEY, GAUSS0, GAUSS1, MAX_TRANSFORM_SCALE, MULTIPLIER_G, RESOLVENT_PLUS, ChiralSpectrum, ScalarFunction,
+    CAYLEY, GAUSS0, GAUSS1, MAX_TRANSFORM_SCALE, MULTIPLIER_G, RESOLVENT_PLUS, ChiralSpectrum, ParityBlocks,
+    ScalarFunction,
 )
 from gradedlab.sampling import (
     balanced_space,
@@ -203,6 +204,16 @@ def test_spectrum_rejects_non_hermitian():
     bad = GradedMatrix(TWO, np.array([[0, 2], [1, 0]], dtype=complex))
     with pytest.raises(ValueError):
         Spectrum.of(bad)
+
+
+@pytest.mark.parametrize("block", [[[1.0, 0.0], [0.0, np.nan]], [[2.0, np.nan], [np.nan, 3.0]]])
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_parity_block_norms_refuse_non_finite_entries(block, hermitian):
+    """Both block-norm kernels raise on NaN, the Hermitian eigvalsh one as
+    the Gram kernel does, rather than read a norm off the finite entries."""
+    x = np.array([block])
+    with pytest.raises(np.linalg.LinAlgError):
+        ParityBlocks(x, None, None, x).norms(hermitian=hermitian)
 
 
 @pytest.mark.parametrize("corrupt", ["u", "sigma", "vh"])

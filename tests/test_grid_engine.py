@@ -63,6 +63,7 @@ from gradedlab.pairs import (
     compose_pairs,
     default_t_grid,
     factorization_defect_profiles,
+    grid_profiles,
     identity_pushforward,
     validate_pair,
 )
@@ -162,6 +163,38 @@ def test_apply_grid_needs_a_single_spectrum():
     Hermitian matrices is refused, and grids run through ChiralSpectrum."""
     with pytest.raises(ValueError, match="one matrix"):
         Spectrum.of(np.stack([random_hermitian(rng_for(i), 4) for i in range(3)]))
+
+
+def test_grid_profiles_take_columns_in_order_from_t_values():
+    """grid_profiles passes each chunk of t values itself (callers take 1/t)
+    and returns one profile per column of norms, in column order."""
+    grid, seen = default_t_grid(points=40), []
+
+    def norms(ts):
+        seen.append(ts)
+        return np.stack([1.0 / ts, ts**-2, np.zeros(ts.size)], -1)
+
+    inverse, square, zero = grid_profiles(grid, 34, norms)
+    assert len(seen) > 1 and np.array_equal(np.concatenate(seen), grid)
+    assert np.array_equal(inverse.values, 1.0 / grid) and np.array_equal(square.values, grid**-2)
+    assert inverse.fitted_exponent == pytest.approx(-1.0) and square.fitted_exponent == pytest.approx(-2.0)
+    assert zero.fitted_exponent == float("-inf")
+
+
+def test_grid_profiles_over_several_chunks_equal_one_chunk():
+    """At dim 34 a 60-point grid runs in chunks of 14 t values, at dim 1 in
+    one; the profiles agree bit for bit, 1/t of a chunk being (1/t)[chunk]."""
+    _, pair, _ = operands(34)
+    spec, grid = ChiralSpectrum.of(pair.d), default_t_grid()
+    parts = spec.chiral_parts(pair.generators["a_odd"])
+
+    def norms(ts):
+        return np.stack([spec.commutator_norms(f, 1.0 / ts, parts) for f in PAIR_FUNCTIONS], -1)
+
+    assert len(grid_chunks(grid.size, 34)) > 1 and len(grid_chunks(grid.size, 1)) == 1
+    for chunked, whole in zip(grid_profiles(grid, 34, norms), grid_profiles(grid, 1, norms), strict=True):
+        assert np.array_equal(chunked.values, whole.values)
+        assert chunked.fitted_exponent == whole.fitted_exponent
 
 
 # -- routed profile functions against per-point oracles ----------------------
