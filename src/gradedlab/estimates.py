@@ -6,9 +6,9 @@ BoundCertificate and applies the pass rule.
 
 The exponential checks take (k, d, d) stacks, and a one-pair check is a
 one-matrix stack; each stacked result equals its one-matrix evaluation
-bit for bit.  The matrix exponential needs numpy alone: eigh for
-Hermitian matrices, degree-13 Pade scaling and squaring (Higham 2005)
-for the rest.  The transform checks work on the parity blocks of the odd
+bit for bit.  The matrix exponential needs numpy alone: one kernel,
+degree-13 Pade scaling and squaring (Higham 2005), for every matrix,
+Hermitian or not.  The transform checks work on the parity blocks of the odd
 transforms, from the chiral spectra of D and D' (funcalc.ChiralSpectrum),
 and equal the full-matrix evaluation up to roundoff, not bit for bit.
 """
@@ -39,7 +39,6 @@ from .pairs import DecayProfile, checked_t_grid, grid_profiles
 
 __all__ = [
     "matrix_exp",
-    "matrix_exps",
     "exp_shift_bounds",
     "exp_shift_bound_check",
     "exp_product_series_terms",
@@ -93,25 +92,9 @@ def pade_exps(stack: np.ndarray) -> np.ndarray:
     return r
 
 
-def matrix_exps(stack: np.ndarray) -> np.ndarray:
-    """e^m for each matrix m of a (k, d, d) stack; eigendecomposition for
-    Hermitian m, pade_exps otherwise.  The estimates quantify non-normal
-    products e^x e^y, so the general path is required.  Both paths run
-    each matrix on its own, so every matrix equals its one-matrix stack
-    bit for bit."""
-    hermitian = negligible(stack - adjoint(stack), stack)
-    out = np.empty_like(stack)
-    if hermitian.any():
-        values, vectors = np.linalg.eigh(stack[hermitian])
-        out[hermitian] = (vectors * np.exp(values)[..., None, :]) @ adjoint(vectors)
-    if not hermitian.all():
-        out[~hermitian] = pade_exps(stack[~hermitian])
-    return out
-
-
 def matrix_exp(m: GradedMatrix) -> GradedMatrix:
-    """e^m, as matrix_exps computes it."""
-    return GradedMatrix(m.space, matrix_exps(m.entries[None])[0])
+    """e^m, the one-matrix stack of pade_exps."""
+    return GradedMatrix(m.space, pade_exps(m.entries[None])[0])
 
 
 def _require_even(space: GradedSpace, stack: np.ndarray, label: str) -> None:
@@ -135,7 +118,7 @@ def exp_shift_bounds(space: GradedSpace, x: np.ndarray, y: np.ndarray) -> tuple[
     nx, ny = operator_norms(x).tolist(), operator_norms(y).tolist()
     if any(b > a + VALIDATION_TOL for a, b in zip(nx, ny)):
         raise ValueError("shift bound requires ||y|| <= ||x||")
-    lhs = operator_norms(matrix_exps(x + y) - matrix_exps(x)).tolist()
+    lhs = operator_norms(pade_exps(x + y) - pade_exps(x)).tolist()
     return lhs, [b * math.exp(2.0 * a) for a, b in zip(nx, ny)]
 
 
@@ -209,7 +192,7 @@ def exp_product_bounds(space: GradedSpace, x: np.ndarray, y: np.ndarray) -> tupl
     for each pair of two (k, d, d) stacks of even matrices on space."""
     _require_even(space, x, "x")
     _require_even(space, y, "y")
-    lhs = operator_norms(matrix_exps(x + y) - matrix_exps(x) @ matrix_exps(y)).tolist()
+    lhs = operator_norms(pade_exps(x + y) - pade_exps(x) @ pade_exps(y)).tolist()
     comm = operator_norms(graded_commutators(space, x, y)).tolist()
     nx, ny = operator_norms(x).tolist(), operator_norms(y).tolist()
     return lhs, [exp_product_series_bound(c, max(a, b)) for c, a, b in zip(comm, nx, ny)]

@@ -25,11 +25,11 @@ from gradedlab.estimates import (
     exp_product_series_terms,
     exp_shift_bound_check,
     THETA_13,
-    matrix_exps,
     pade_exps,
 )
 from gradedlab.experiments import ExperimentConfig, run_experiment
 from gradedlab.funcalc import Spectrum, bounded_transform_function
+from gradedlab.graded import operator_norms
 from gradedlab.pairs import default_t_grid
 from gradedlab.reporting import CERTIFICATE_TOL, BoundCertificate
 from gradedlab.sampling import (
@@ -83,19 +83,6 @@ def test_matrix_exp_inverse_selftest():
         assert operator_norm(product - identity(space)) <= 1e-12
 
 
-@pytest.mark.parametrize("dtype", [complex, float])
-def test_matrix_exps_dispatch_matrix_by_matrix(dtype):
-    """In a stack mixing Hermitian and non-Hermitian matrices each matrix
-    takes its own path, and equals its one-matrix evaluation bit for bit."""
-    rng = rng_for(66)
-    stack = rng.standard_normal((7, 8, 8)) + (1j * rng.standard_normal((7, 8, 8)) if dtype is complex else 0)
-    stack[::3] += stack[::3].conj().swapaxes(-1, -2)
-    got = matrix_exps(stack)
-    assert got.dtype == stack.dtype
-    for m, e in zip(stack, got):
-        assert np.array_equal(e, matrix_exp_oracle(m))
-
-
 # Gaussian stacks scaled to 1-norms from 1e-8 to 60: up to four squarings after the
 # Pade step, and several squaring counts in one stack.
 EXP_NORMS = np.geomspace(1e-8, 60.0, 12)
@@ -130,6 +117,8 @@ def mpmath_expm(m, dps):
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("d", EXP_DIMS)
 def test_pade_exps_equal_their_one_matrix_stacks(d, dtype):
+    """Each matrix of a stack, with several squaring counts in it, equals its
+    one-matrix stack bit for bit, in the stack's dtype."""
     stack = gaussian_exp_stack(90 + d, d, dtype)
     got = pade_exps(stack)
     assert got.dtype == stack.dtype
@@ -161,10 +150,29 @@ def test_pade_exps_match_mpmath(d, dtype):
         assert relative_error(e, mpmath_expm(m, 30)) <= exp_tolerance(m)
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("d", EXP_DIMS)
+def test_pade_exps_match_eigh_on_hermitian_negative_semidefinite_stacks(d, dtype):
+    """-t^-2 D^2, the operand of appendixB's path, is Hermitian and negative
+    semidefinite, with ||x|| up to 100 at a t_grid start of 0.1.  On such
+    stacks, with norms from 1e-3 to 100, the Pade kernel is within 128 eps
+    absolute of U e^Lambda U* from eigh; the largest error seen is 37 eps
+    (up to 10 squarings, and eigh's own d eps)."""
+    rng = rng_for(100 + d)
+    g = rng.standard_normal((12, d, d))
+    if dtype is complex:
+        g = g + 1j * rng.standard_normal(g.shape)
+    stack = -(g @ g.conj().swapaxes(-1, -2))
+    stack *= (np.geomspace(1e-3, 100.0, 12) / operator_norms(stack))[:, None, None]
+    values, vectors = np.linalg.eigh(stack)
+    reference = (vectors * np.exp(values)[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
+    assert np.abs(pade_exps(stack) - reference).max() <= 128 * np.finfo(float).eps
+
+
 def test_pade_exps_of_zero_is_the_identity_and_non_finite_input_is_refused():
     for d in (1, 4):
         assert np.array_equal(pade_exps(np.zeros((2, d, d))), np.broadcast_to(np.eye(d), (2, d, d)))
-        assert np.array_equal(matrix_exps(np.zeros((1, d, d), dtype=complex))[0], np.eye(d))
+        assert np.array_equal(pade_exps(np.zeros((1, d, d), dtype=complex))[0], np.eye(d))
     for bad in (np.nan, np.inf, -np.inf):
         stack = np.ones((3, 4, 4))
         stack[1, 2, 0] = bad
