@@ -11,7 +11,7 @@ measuring the defect between the functional calculus of the summed
 operator and the naive two-step image e^{-t^-2 D'^2} e^{-t^-2 D^2} a,
 which decays like t^-2 when [psi(D), D'] is bounded.
 
-Everything is pure and deterministic.  Every profile comes from
+Everything is pure and deterministic.  Every measured profile comes from
 grid_profiles, the one t-grid stage: its callback maps a chunk of t values
 to a column of norms per profile, from the chiral spectra of the odd
 operators (funcalc.ChiralSpectrum).  The commutation profiles are
