@@ -49,11 +49,11 @@ from .pairs import (
 from .bott import (
     BottOperators,
     HermiteModel,
-    OddNonzeros,
+    LadderSpectrum,
     bott_dirac,
-    bott_nonzeros,
     dc_commutator_check,
     hermite_model,
+    ladder_spectrum,
     multiplication_generators,
     perturbation_check,
     spectrum_and_kernel,

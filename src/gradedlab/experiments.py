@@ -20,9 +20,9 @@ import numpy as np
 
 from .bott import (
     bott_dirac,
-    bott_nonzeros,
     dc_commutator_check,
     hermite_model,
+    ladder_spectrum,
     multiplication_generators,
     perturbation_check,
     spectrum_and_kernel,
@@ -93,9 +93,11 @@ class ConfigError(ValueError):
     pass
 
 
-# Largest operator dimension a config may ask for, dense or as nonzeros.  One 4096 x 4096
-# dense matrix takes 134 MB real or 268 MB complex, and a run holds several at once.
+# Largest dense operator dimension a config may ask for.  One 4096 x 4096 dense matrix
+# takes 134 MB real or 268 MB complex, and a run holds several at once.
 MAX_DENSE_DIM = 4096
+# Largest total dimension of an n-coordinate Bott model: its spectrum's multiplicities are int64.
+MAX_MULTIPLICITY = np.iinfo(np.int64).max
 # |lambda| below this counts as a kernel eigenvalue of a Bott operator.
 KERNEL_TOL = 1e-8
 
@@ -172,16 +174,17 @@ class ExperimentConfig:
             raise ConfigError(f"largest operator would be {largest}-dimensional, above {MAX_DENSE_DIM}")
 
     def _largest_dense_dim(self) -> int:
-        """Dimension of the largest operator the experiment builds."""
+        """Dimension of the largest dense operator the experiment builds."""
         largest = max(self.dims)
         if self.experiment == "bott":
-            # the convergence ladder's top basis, held as nonzeros: 2 (2 n_basis) - 1 per coordinate,
-            # refused by its logarithm before a huge power is ever evaluated
+            # the convergence ladder's top basis on one coordinate, 2 (2 n_basis) - 1; its
+            # spectrum on all of them has multiplicities summing to base**coordinates, refused
+            # by its logarithm before a huge power is ever evaluated
             base = 4 * self.n_basis - 1
-            if self.coordinates * math.log(base) > math.log(MAX_DENSE_DIM):
-                raise ConfigError(f"largest operator would be {base}**{self.coordinates}-dimensional, "
-                                  f"above {MAX_DENSE_DIM}")
-            largest = max(largest, base**self.coordinates)
+            if self.coordinates * math.log(base) > math.log(MAX_MULTIPLICITY):
+                raise ConfigError(f"the model would be {base}**{self.coordinates}-dimensional, "
+                                  f"above the int64 multiplicities' {MAX_MULTIPLICITY}")
+            largest = max(largest, base)
         elif self.experiment == "perturb":
             largest = max(largest, 2 * self.n_basis - 1)
         return largest
@@ -518,33 +521,35 @@ def run_bott(cfg: ExperimentConfig) -> ExperimentResult:
     tables: dict[str, str] = {}
     summary: dict = {}
 
-    # the truncation ladder n_basis / 2, n_basis, 2 n_basis, each rung B's nonzeros and
-    # their connected-component spectrum, with ||B e_0|| as column 0's norm; a list, for
-    # at n_basis 8 the first two rungs coincide.  The middle rung is the model.
-    rungs = []
-    for basis in (max(8, cfg.n_basis // 2), cfg.n_basis, 2 * cfg.n_basis):
-        b = bott_nonzeros(hermite_model(basis, cfg.coordinates))
-        rungs.append((basis, b.eigenvalues(), float(np.linalg.norm(b.values[b.cols == 0]))))
-    _, eigenvalues, ground_residual = rungs[1]
-    magnitudes = np.sort(np.abs(eigenvalues))
-    kernel_dim = int(np.count_nonzero(magnitudes < KERNEL_TOL))
+    # the truncation ladder n_basis / 2, n_basis, 2 n_basis, each rung's spectrum the sum set
+    # of its one-coordinate b's, computed once per basis, for at n_basis 8 the first two rungs
+    # coincide.  Each certificate takes the Weyl slack of the cross terms against it.  The middle
+    # rung is the model.
+    bases = (max(8, cfg.n_basis // 2), cfg.n_basis, 2 * cfg.n_basis)
+    ladder = {basis: ladder_spectrum(hermite_model(basis, cfg.coordinates), KERNEL_TOL)
+              for basis in dict.fromkeys(bases)}
+
+    def gap_defect(rung):
+        return max(abs(float(bound[1]) - math.sqrt(2.0)) for bound in rung.magnitude_bounds(2))
+
+    rung = ladder[cfg.n_basis]
+    kernel_dim = rung.kernel_dim(KERNEL_TOL)
     certs.append(BoundCertificate("bott_kernel_dim", float(abs(kernel_dim - 1)), 0.0))
-    certs.append(BoundCertificate("bott_lambda_min", float(magnitudes[0]), KERNEL_TOL))
-    certs.append(BoundCertificate("bott_gap", abs(float(magnitudes[1]) - math.sqrt(2.0)), 1e-6))
-    certs.append(BoundCertificate("bott_ground_residual", ground_residual, 1e-10))
+    certs.append(BoundCertificate("bott_lambda_min", float(rung.magnitude_bounds(1)[1][0]), KERNEL_TOL))
+    certs.append(BoundCertificate("bott_gap", gap_defect(rung), 1e-6))
+    certs.append(BoundCertificate("bott_ground_residual", rung.ground_residual, 1e-10))
     model = hermite_model(cfg.n_basis, cfg.coordinates)
     dc = dc_commutator_check(model)
     certs.append(BoundCertificate("bott_dc_involution", dc["interior_defect_vs_involution"], 1e-10))
     summary["kernel_dim"] = kernel_dim
-    summary["smallest_magnitudes"] = [float(v) for v in magnitudes[:8]]
+    summary["smallest_magnitudes"] = [float(v) for v in np.sqrt(rung.smallest(8))]
     summary["dc_commutator_norm"] = dc["commutator_norm"]
     summary["dc_interior_defect_vs_identity"] = dc["interior_defect_vs_identity"]
-    lines = ["index,eigenvalue"]
-    lines += [f"{i},{v:.12e}" for i, v in enumerate(eigenvalues)]
+    lines = ["eigenvalue,multiplicity"]
+    lines += [f"{v:.12e},{m}" for v, m in zip(*rung.eigenvalues())]
     tables[f"spectrum_n{cfg.n_basis}"] = "\n".join(lines) + "\n"
 
-    residuals = [(basis, ground, abs(float(np.sort(np.abs(spectrum))[1]) - math.sqrt(2.0)))
-                 for basis, spectrum, ground in rungs]
+    residuals = [(basis, ladder[basis].ground_residual, gap_defect(ladder[basis])) for basis in bases]
     summary["convergence"] = [{"n_basis": b, "ground_residual": g, "gap_defect": s} for b, g, s in residuals]
     growth = [max(g1 - g0, s1 - s0) for (_, g0, s0), (_, g1, s1) in zip(residuals, residuals[1:])]
     certs.append(BoundCertificate("bott_convergence", max([0.0, *growth]), 1e-12))

@@ -23,7 +23,6 @@ from gradedlab import (
     GradedMatrix,
     OddSelfAdjoint,
     bott_dirac,
-    bott_nonzeros,
     compose_pairs,
     dc_commutator_check,
     factorization_defect_profiles,
@@ -32,6 +31,7 @@ from gradedlab import (
     hermite_model,
     identity,
     identity_pushforward,
+    ladder_spectrum,
     operator_norm,
     perturbation_check,
     transform_commutator_check,
@@ -208,12 +208,10 @@ def test_criterion_07_double_limit_sweep():
 
 
 def _bott_measurements(n_basis: int):
-    b = bott_nonzeros(hermite_model(n_basis))
-    magnitudes = np.sort(np.abs(b.eigenvalues()))
-    kernel_dim = int(np.count_nonzero(magnitudes < 1e-8))
-    ground_residual = float(np.linalg.norm(b.dense()[:, 0]))
+    rung = ladder_spectrum(hermite_model(n_basis), 1e-8)
+    magnitudes = np.sqrt(rung.smallest(2))
     gap_defect = abs(float(magnitudes[1]) - math.sqrt(2.0))
-    return kernel_dim, float(magnitudes[0]), gap_defect, ground_residual
+    return rung.kernel_dim(1e-8), float(magnitudes[0]), gap_defect, rung.ground_residual
 
 
 def test_criterion_08_bott_dirac_kernel_and_gap():

@@ -3,6 +3,7 @@ import re
 import time
 
 import jsonschema
+import numpy as np
 import pytest
 
 import gradedlab.estimates
@@ -222,20 +223,37 @@ def test_tolerances_key_is_unknown(tmp_path):
 
 
 def test_oversized_dense_config_exits_3_and_writes_nothing(tmp_path):
-    """Two coordinates at n_basis = 64 would build 16,129-dimensional dense
-    operators, and 65,025-dimensional ones in the convergence step."""
+    """bott builds dense operators on one coordinate only, the convergence
+    ladder's top basis 4 n_basis - 1: n_basis = 1024 gives 4,095 dimensions
+    and 1025 gives 4,099, above MAX_DENSE_DIM, at any coordinate count."""
     # config-level checks first, so a broken guard fails here and not by allocating
-    with pytest.raises(ConfigError):
-        ExperimentConfig(experiment="bott", n_basis=64, coordinates=2)
+    ExperimentConfig(experiment="bott", n_basis=1024)
+    for coordinates in (1, 2):
+        with pytest.raises(ConfigError, match="4099-dimensional, above 4096"):
+            ExperimentConfig(experiment="bott", n_basis=1025, coordinates=coordinates)
+    ExperimentConfig(experiment="perturb", n_basis=2048)
     with pytest.raises(ConfigError):
         ExperimentConfig(experiment="perturb", n_basis=2049)
     with pytest.raises(ConfigError):
         ExperimentConfig(experiment="commbound", dims=(MAX_DENSE_DIM + 2,))
-    ExperimentConfig(experiment="bott", n_basis=12, coordinates=2)  # bott-2d: 2,209 dimensions, accepted
-    config = write_config(tmp_path, experiment="bott", coordinates=2, n_basis=64)
+    ExperimentConfig(experiment="bott", n_basis=12, coordinates=2)  # bott-2d: 23-dimensional pieces, accepted
+    ExperimentConfig(experiment="bott", n_basis=64, coordinates=2)  # 255**2 = 65,025 dimensions, never built
+    config = write_config(tmp_path, experiment="bott", coordinates=2, n_basis=1025)
     out = tmp_path / "out"
     assert main(["--config", config, "--out", str(out)]) == 3
     assert not out.exists()
+
+
+def test_multiplicity_overflow_is_refused_on_both_sides():
+    """The n-coordinate spectrum's multiplicities are int64 and sum to
+    (4 n_basis - 1)**coordinates at the top rung: 31**12 < 2**63 - 1 <
+    31**13, and 4095**5 < 2**63 - 1 < 4095**6."""
+    for n_basis, accepted in ((8, 12), (1024, 5)):
+        base = 4 * n_basis - 1
+        assert base**accepted <= np.iinfo(np.int64).max < base ** (accepted + 1)
+        ExperimentConfig(experiment="bott", n_basis=n_basis, coordinates=accepted)
+        with pytest.raises(ConfigError, match=f"{base}\\*\\*{accepted + 1}-dimensional, above the int64"):
+            ExperimentConfig(experiment="bott", n_basis=n_basis, coordinates=accepted + 1)
 
 
 def test_huge_coordinate_count_exits_3_at_once(tmp_path, capsys):
@@ -247,7 +265,8 @@ def test_huge_coordinate_count_exits_3_at_once(tmp_path, capsys):
     start = time.monotonic()
     assert main(["--config", config, "--out", str(out)]) == 3
     assert time.monotonic() - start < 1.0
-    assert capsys.readouterr().err == "error: largest operator would be 255**10000000-dimensional, above 4096\n"
+    assert capsys.readouterr().err == ("error: the model would be 255**10000000-dimensional, "
+                                       "above the int64 multiplicities' 9223372036854775807\n")
     assert not out.exists()
 
 
@@ -292,7 +311,7 @@ def test_bott_report_contains_kernel_dim(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["summary"]["kernel_dim"] == 1
     spectrum = (out / f"spectrum_n{SMALL['bott']['n_basis']}.csv").read_text().splitlines()
-    assert spectrum[0] == "index,eigenvalue"
+    assert spectrum[0] == "eigenvalue,multiplicity"
 
 
 def test_profile_csv_headers(tmp_path):

@@ -9,17 +9,16 @@ from gradedlab import (
     AsymptoticPair,
     GradedMatrix,
     GradedSpace,
-    OddNonzeros,
     OddSelfAdjoint,
     Spectrum,
     bott_dirac,
-    bott_nonzeros,
     dc_commutator_check,
     gamma_matrix,
     graded_commutator,
     graded_tensor,
     hermite_model,
     identity,
+    ladder_spectrum,
     multiplication_generators,
     operator_norm,
     perturbation_check,
@@ -27,7 +26,7 @@ from gradedlab import (
     validate_pair,
     zeros,
 )
-from gradedlab.bott import _coordinate_pieces, nonzeros_norm
+from gradedlab.bott import _coordinate_pieces
 from gradedlab.experiments import ExperimentConfig, run_experiment
 from gradedlab.funcalc import CAYLEY
 from gradedlab.pairs import COMMUTATION_EXPONENT_THRESHOLD, COMPOSE_EXPONENT_THRESHOLD, DecayProfile, default_t_grid
@@ -38,11 +37,16 @@ from helpers import (
     SIGMA_Y,
     SX,
     TWO,
+    bott_nonzeros,
     bott_operator,
     commutes_asymptotically,
     composes,
+    dc_nonzeros,
     fitted_exponents,
+    lifted_dirac,
     max_abs,
+    nonzeros_norm,
+    unsigned_sign,
 )
 
 GRID = default_t_grid(points=24)
@@ -239,15 +243,23 @@ def test_odd_block_spectrum_matches_eigvalsh(b):
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("n_basis", [8, 12])
 def test_bott_operator_is_d_plus_c_bit_for_bit(n, n_basis):
-    """B assembled as nonzeros, scattered dense, equals bott_dirac's D + C,
-    signed zeros included."""
+    """B assembled as nonzeros, scattered dense, equals D + C, signed zeros
+    included: bott_dirac's dense D and C at one coordinate (which carry no
+    -0.0), the lifts of d_1 and c_1 above."""
     model = hermite_model(n_basis, n)
-    ops = bott_dirac(model)
     b = bott_nonzeros(model)
-    assert tuple(b.parity) == ops.space.parity
+    if n == 1:
+        ops = bott_dirac(model)
+        parity, d, c = ops.space.parity, ops.dirac.mat, ops.clifford_mult.mat
+        assert not np.any(np.signbit(d[d == 0])) and not np.any(np.signbit(c[c == 0]))
+    else:
+        with pytest.raises(ValueError):
+            bott_dirac(model)
+        lifts = lifted_dirac(model)
+        parity, (d, c) = tuple(lifts[0].parity), (m.dense() for m in lifts)
+    assert tuple(b.parity) == parity
     assert b.values.dtype == np.float64
-    separate = ops.dirac.mat + ops.clifford_mult.mat
-    assert np.array_equal(b.dense().view(np.uint64), separate.view(np.uint64))
+    assert np.array_equal(b.dense().view(np.uint64), (d + c).view(np.uint64))
 
 
 def lift_sum(space, n, m):
@@ -265,14 +277,20 @@ def lift_sum(space, n, m):
 
 @pytest.mark.parametrize("n_basis, n", [(8, 1), (12, 2), (8, 3)])
 def test_bott_dirac_equals_the_graded_tensor_lift(n_basis, n):
-    """D and C equal the sums of dense graded-tensor lifts of the
+    """D and C, bott_dirac's at one coordinate and the oracle's nonzeros
+    lifts above, equal the sums of dense graded-tensor lifts of the
     one-coordinate d_1 and c_1 entry for entry (the lifts may carry -0.0
-    where the scatter writes +0.0)."""
+    where a scatter writes +0.0)."""
     model = hermite_model(n_basis, n)
     parity, d1, c1, _ = _coordinate_pieces(model)
-    ops = bott_dirac(model)
-    assert ops.space == lift_sum(parity, n, d1.underlying).space
-    for mine, one_coordinate in ((ops.dirac.mat, d1.underlying), (ops.clifford_mult.mat, c1.underlying)):
+    if n == 1:
+        ops = bott_dirac(model)
+        space, d, c = ops.space, ops.dirac.mat, ops.clifford_mult.mat
+    else:
+        lifts = lifted_dirac(model)
+        space, (d, c) = GradedSpace(tuple(lifts[0].parity.tolist())), (m.dense() for m in lifts)
+    assert space == lift_sum(parity, n, d1.underlying).space
+    for mine, one_coordinate in ((d, d1.underlying), (c, c1.underlying)):
         assert np.array_equal(mine, lift_sum(parity, n, one_coordinate).entries)
 
 
@@ -384,8 +402,9 @@ def test_component_spectrum_matches_dense_eigvalsh(n_basis, n):
 
 def test_bott_two_coordinates():
     """The two-coordinate model keeps the one-dimensional kernel."""
-    ops = bott_dirac(hermite_model(8, 2))
-    assert ops.space.dim == 15**2
+    rung = ladder_spectrum(hermite_model(8, 2), 1e-8)
+    assert rung.multiplicity.sum() == 15**2 and rung.slack == 0.0
+    assert rung.kernel_dim(1e-8) == 1
     magnitudes = np.sort(np.abs(bott_nonzeros(hermite_model(8, 2)).eigenvalues()))
     assert np.count_nonzero(magnitudes < 1e-8) == 1
     assert abs(magnitudes[1] - math.sqrt(2.0)) <= 1e-8
@@ -393,13 +412,73 @@ def test_bott_two_coordinates():
     assert report["interior_defect_vs_involution"] <= 1e-10
 
 
+def expanded(rung):
+    """B's eigenvalues from the sum set, ascending, multiplicities expanded."""
+    values, multiplicity = rung.eigenvalues()
+    return np.repeat(values, multiplicity)
+
+
+@pytest.mark.parametrize("n_basis, n", [(8, 2), (12, 2), (10, 3)])
+def test_sum_set_spectrum_matches_the_component_spectrum(n_basis, n):
+    """The n-fold sum set of b_1's squared spectrum, expanded by
+    multiplicity, is the lifted B's exact component spectrum to 1e-12; the
+    multiplicities sum to (2 n_basis - 1)^n, and the Koszul sign leaves no
+    slack."""
+    model = hermite_model(n_basis, n)
+    rung = ladder_spectrum(model, 1e-8)
+    assert rung.slack == 0.0
+    assert rung.multiplicity.dtype == np.int64 and rung.multiplicity.sum() == (2 * n_basis - 1) ** n
+    assert rung.squares.size == n * (n_basis - 1) + 1
+    np.testing.assert_allclose(expanded(rung), bott_nonzeros(model).eigenvalues(), rtol=0, atol=1e-12)
+    assert rung.kernel_dim(1e-8) == 1
+    assert rung.ground_residual == np.linalg.norm(bott_nonzeros(model).dense()[:, 0]) == 0.0
+
+
+@pytest.mark.parametrize("n_basis, n", [(12, 2), (8, 3)])
+def test_one_slot_dc_matches_the_full_lift(n_basis, n):
+    """The dc check's slot-wise bounds equal the norms taken on the full
+    lifts' nonzeros: on this model the bounds are attained."""
+    model = hermite_model(n_basis, n)
+    mine, oracle = dc_commutator_check(model), dc_nonzeros(model)
+    assert mine.keys() == oracle.keys()
+    for name, value in oracle.items():
+        assert abs(mine[name] - value) <= 1e-12, name
+
+
+def test_sum_set_merges_within_its_tolerance():
+    """Sums that differ by roundoff are one value with the summed
+    multiplicity; values further apart than SUM_SET_RTOL stay apart."""
+    from gradedlab.bott import SUM_SET_RTOL, _merged
+
+    values = np.array([2.0, 0.0, 2.0 * (1 + 1e-15), 2.0 * (1 + 10 * SUM_SET_RTOL), 0.0])
+    merged, count = _merged(values, np.array([1, 1, 2, 4, 3]))
+    assert merged.tolist() == [0.0, 2.0, 2.0 * (1 + 10 * SUM_SET_RTOL)]
+    assert count.tolist() == [4, 3, 4]
+
+
+def test_slack_covers_the_unsigned_sum(monkeypatch):
+    """With the Koszul sign replaced by 1 the cross terms do not vanish:
+    each eigenvalue of the unsigned B^2 lies within the slack of the sum
+    set, which is what the sum set alone would miss."""
+    import gradedlab.bott
+
+    model = hermite_model(8, 2)
+    monkeypatch.setattr(gradedlab.bott, "_koszul_sign", unsigned_sign)
+    rung = ladder_spectrum(model, 1e-8)
+    unsigned = np.sort(bott_nonzeros(model).eigenvalues() ** 2)
+    sum_set = np.sort(expanded(rung) ** 2)
+    assert rung.slack > 1.0
+    assert np.abs(unsigned - sum_set).max() > 1e-6
+    assert np.abs(unsigned - sum_set).max() <= rung.slack
+
+
 def test_run_bott_two_coordinates(monkeypatch):
     """run_bott above one coordinate (d = 225, ladder bases up to d = 961)
-    builds no dense D and C: every spectrum is the ladder's, so every
-    eigvalsh stack is a block of at most 2^2 indices, and the dc check's
-    three norms, the only kernel calls outside the ladder, are each one
-    Gram eigvalsh of a stack of 1 x 1 blocks, since the anticommutator is
-    diagonal; no svd runs, and the gap defects are roundoff in sqrt(2)."""
+    builds no n-coordinate operator: bott_dirac is not called, and the only
+    kernel calls are the ladder's values-only SVDs of the one-coordinate
+    b_1[e, o] blocks, one per distinct basis, and the dc check's one
+    stacked Gram eigvalsh of three one-coordinate matrices; the gap defects
+    are roundoff in sqrt(2)."""
     import gradedlab.experiments
 
     built = []
@@ -410,31 +489,18 @@ def test_run_bott_two_coordinates(monkeypatch):
         return original_bott_dirac(model)
 
     monkeypatch.setattr(gradedlab.experiments, "bott_dirac", recording)
-    # (kernel, inside the ladder's component spectrum, shape) of every call
-    calls, ladder = [], []
-    for name in ("svd", "eigvalsh"):
+    calls = []
+    for name in ("svd", "eigvalsh", "eigh"):
         original = getattr(np.linalg, name)
 
         def shape_recording(a, *args, name=name, original=original, **kwargs):
-            calls.append((name, bool(ladder), np.shape(a)))
+            calls.append((name, np.shape(a)))
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, shape_recording)
-    component_spectrum = OddNonzeros.eigenvalues
-
-    def in_ladder(self):
-        ladder.append(self.parity.size)
-        try:
-            return component_spectrum(self)
-        finally:
-            ladder.pop()
-
-    monkeypatch.setattr(OddNonzeros, "eigenvalues", in_ladder)
     result = run_experiment(ExperimentConfig("bott", coordinates=2, n_basis=8))
     assert built == []
-    assert all(name == "eigvalsh" for name, _, _ in calls)
-    assert {shape[-1] for _, inside, shape in calls if inside} == {1, 2, 4}
-    assert [shape[1:] for _, inside, shape in calls if not inside] == [(1, 1)] * 3
+    assert calls == [("svd", (8, 7)), ("svd", (16, 15)), ("eigvalsh", (3, 15, 15))]
     assert result.passed and all(c.passed for c in result.certificates)
     assert result.summary["kernel_dim"] == 1
     assert [row["n_basis"] for row in result.summary["convergence"]] == [8, 8, 16]
@@ -446,16 +512,16 @@ def test_run_bott_two_coordinates(monkeypatch):
 def test_run_bott_builds_no_dense_operator_above_one_coordinate(monkeypatch):
     """At the bott-2d config (coordinates 2, d = 529, ladder bases 8, 12
     and 24 to d = 2209) the only GradedMatrix objects run_bott builds are
-    one-coordinate pieces, no nonzeros are scattered into a dense matrix,
-    and its traced peak memory stays below one dense d x d operator."""
+    one-coordinate pieces, and its traced peak memory stays below one dense
+    d x d operator."""
     built = []
-    for cls, method, dim in ((GradedMatrix, "__post_init__", lambda m: m.space.dim),
-                             (OddNonzeros, "dense", lambda m: m.parity.size)):
-        def recording(self, original=getattr(cls, method), dim=dim, method=method):
-            built.append((method, dim(self)))
-            return original(self)
+    original = GradedMatrix.__post_init__
 
-        monkeypatch.setattr(cls, method, recording)
+    def recording(self):
+        built.append(self.space.dim)
+        return original(self)
+
+    monkeypatch.setattr(GradedMatrix, "__post_init__", recording)
     tracemalloc.start()
     try:
         result = run_experiment(ExperimentConfig("bott", coordinates=2, n_basis=12))
@@ -463,22 +529,27 @@ def test_run_bott_builds_no_dense_operator_above_one_coordinate(monkeypatch):
     finally:
         tracemalloc.stop()
     assert result.passed
-    assert {method for method, _ in built} == {"__post_init__"}
-    assert {dim for _, dim in built} == {2 * basis - 1 for basis in (8, 12, 24)}
+    assert set(built) == {2 * basis - 1 for basis in (8, 12, 24)}
     assert peak < 529**2 * np.dtype(float).itemsize
 
 
 @pytest.mark.parametrize("n_basis, n", [(8, 1), (8, 2)])
 def test_spectrum_csv_is_the_component_spectrum(n_basis, n):
-    """The spectrum CSV prints the model rung's component spectrum, and the
-    summary's kernel count and smallest magnitudes are read from it."""
+    """The spectrum CSV prints the model rung's distinct eigenvalues with
+    multiplicities; expanded, they are the component spectrum to 1e-12 and
+    number (2 n_basis - 1)^n, and the summary's kernel count and smallest
+    magnitudes agree with them."""
     result = run_experiment(ExperimentConfig("bott", coordinates=n, n_basis=n_basis, t_points=8))
+    header, *rows = result.tables[f"spectrum_n{n_basis}"].splitlines()
+    assert header == "eigenvalue,multiplicity"
+    values = np.array([float(row.split(",")[0]) for row in rows])
+    multiplicity = np.array([int(row.split(",")[1]) for row in rows])
+    assert np.all(np.diff(values) > 0) and multiplicity.sum() == (2 * n_basis - 1) ** n
     eigenvalues = bott_nonzeros(hermite_model(n_basis, n)).eigenvalues()
-    printed = "index,eigenvalue\n" + "".join(f"{i},{v:.12e}\n" for i, v in enumerate(eigenvalues))
-    assert result.tables[f"spectrum_n{n_basis}"] == printed
+    np.testing.assert_allclose(np.repeat(values, multiplicity), eigenvalues, rtol=0, atol=1e-12)
     magnitudes = np.sort(np.abs(eigenvalues))
     assert result.summary["kernel_dim"] == np.count_nonzero(magnitudes < 1e-8) == 1
-    assert result.summary["smallest_magnitudes"] == [float(v) for v in magnitudes[:8]]
+    np.testing.assert_allclose(result.summary["smallest_magnitudes"], magnitudes[:8], rtol=0, atol=1e-12)
 
 
 def test_bott_pairs_validate():

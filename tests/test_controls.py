@@ -10,19 +10,29 @@ import scipy.sparse
 import gradedlab.bott
 import gradedlab.estimates
 import gradedlab.experiments
-from gradedlab import GradedMatrix, GradedSpace, OddNonzeros, bott_nonzeros, graded_tensor, hermite_model, identity
+from gradedlab import GradedMatrix, GradedSpace, OddSelfAdjoint, graded_tensor, hermite_model, identity
 from gradedlab.experiments import CHECKS, KERNEL_TOL, ExperimentConfig, load_config, run_experiment
+
+from helpers import OddNonzeros, _lift, bott_nonzeros, unsigned_sign
+
+
+def product_pieces(model):
+    """_coordinate_pieces on the plain product truncation: both fiber sectors
+    to level K - 1, in interleaved (h_k (x) 1, h_k (x) e) order.  The top odd
+    state h_{K-1} (x) e loses its partner h_K (x) 1 and is orphaned."""
+    right_e_signed = np.array([[0.0, -1.0], [1.0, 0.0]])
+    left_e = np.array([[0.0, 1.0], [1.0, 0.0]])
+    parity = GradedSpace((0, 1) * model.n_basis)
+    d, c = (OddSelfAdjoint(GradedMatrix(parity, np.kron(m, e)))
+            for m, e in ((model.d_mat, right_e_signed), (model.x_mat, left_e)))
+    return parity, d, c, np.ones(parity.dim)
 
 
 def product_truncation(model):
-    """B on the plain product truncation, as nonzeros: both fiber sectors to
-    level K - 1, in interleaved (h_k (x) 1, h_k (x) e) order, lifted to
-    model.n coordinates by dense graded tensor products.  The top odd state
-    h_{K-1} (x) e loses its partner h_K (x) 1 and is orphaned."""
-    right_e_signed = np.array([[0.0, -1.0], [1.0, 0.0]])
-    left_e = np.array([[0.0, 1.0], [1.0, 0.0]])
-    b1 = GradedMatrix(GradedSpace((0, 1) * model.n_basis),
-                      np.kron(model.d_mat, right_e_signed) + np.kron(model.x_mat, left_e))
+    """B on the plain product truncation, as nonzeros, lifted to model.n
+    coordinates by dense graded tensor products."""
+    _, d, c, _ = product_pieces(model)
+    b1 = d.underlying + c.underlying
     one = identity(b1.space)
     b = b1
     for _ in range(1, model.n):
@@ -48,15 +58,16 @@ def test_product_truncation_has_a_spurious_zero_mode(n):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_convergence_fails_on_the_product_truncation(n, monkeypatch):
-    """With the ladder's top basis built on the product truncation, the gap
-    defect jumps to sqrt(2) and bott_convergence fails."""
+    """With the ladder's top rung built on the product truncation's
+    one-coordinate pieces, the gap defect jumps to sqrt(2) and
+    bott_convergence fails."""
     cfg = ExperimentConfig("bott", coordinates=n, n_basis=8, t_points=8)
-    paired = gradedlab.experiments.bott_nonzeros
+    paired = gradedlab.bott._coordinate_pieces
 
     def patched(model):
-        return product_truncation(model) if model.n_basis == 2 * cfg.n_basis else paired(model)
+        return product_pieces(model) if model.n_basis == 2 * cfg.n_basis else paired(model)
 
-    monkeypatch.setattr(gradedlab.experiments, "bott_nonzeros", patched)
+    monkeypatch.setattr(gradedlab.bott, "_coordinate_pieces", patched)
     result = run_experiment(cfg)
     certs = {c.check: c for c in result.certificates}
     assert certs["bott_convergence"].lhs == pytest.approx(math.sqrt(2.0))
@@ -112,10 +123,9 @@ def test_sweep_final_fails_on_transforms_built_at_the_wrong_scale(seed, monkeypa
     assert min(c.lhs for c in final) > 10 * final[0].rhs
 
 
-def unsigned_lift(m, n):
-    """bott._lift with sign 1 in place of the Jordan-Wigner string: the plain
-    Kronecker sum of m over n coordinates, M_{i+1} = M_i (x) 1 + 1 (x) m, as
-    nonzeros.  It is still odd and symmetric, so OddNonzeros accepts it."""
+def plain_kronecker_sum(m, n):
+    """sum_i 1^(x)i (x) m (x) 1^(x)(n-i-1) with no sign, as nonzeros:
+    M_{i+1} = M_i (x) 1 + 1 (x) m by scipy.sparse."""
     parity = space = np.array(m.space.parity)
     one = scipy.sparse.csr_matrix(m.mat)
     total = one
@@ -127,23 +137,29 @@ def unsigned_lift(m, n):
     return OddNonzeros(space, total.row, total.col, total.data)
 
 
-def test_unsigned_lift_differs_from_the_koszul_lift_only_in_sign():
-    """Sanity check on the control: at two coordinates it has the Koszul lift's
+def test_unsigned_lift_differs_from_the_koszul_lift_only_in_sign(monkeypatch):
+    """Sanity check on the control: with the sign replaced by 1 the lift is
+    the plain Kronecker sum, and at two coordinates it has the Koszul lift's
     nonzeros up to sign, and some signs differ."""
     _, d1, c1, _ = gradedlab.bott._coordinate_pieces(hermite_model(8))
-    signed, unsigned = gradedlab.bott._lift(d1 + c1, 2).dense(), unsigned_lift(d1 + c1, 2).dense()
+    signed = _lift(d1 + c1, 2).dense()
+    monkeypatch.setattr(gradedlab.bott, "_koszul_sign", unsigned_sign)
+    unsigned = _lift(d1 + c1, 2).dense()
+    assert np.array_equal(unsigned, plain_kronecker_sum(d1 + c1, 2).dense())
     assert np.array_equal(np.abs(signed), np.abs(unsigned))
     assert not np.array_equal(signed, unsigned)
 
 
 @pytest.mark.parametrize("seed", [42, 7])
 def test_bott_checks_fail_on_a_lift_without_the_koszul_sign(seed, monkeypatch):
-    """Two-coordinate bott with every operator lifted without the Jordan-Wigner
-    string: D and C then commute across coordinates instead of anticommuting,
-    so B^2 is no longer the oscillator less the involution.  Its kernel grows
-    past one, the gap closes and the interior anticommutator leaves the
-    degree involution."""
-    monkeypatch.setattr(gradedlab.bott, "_lift", unsigned_lift)
+    """Two-coordinate bott with the Koszul sign replaced by 1, in the one
+    definition the slot-wise certificates and the lifts share: D and C then
+    commute across coordinates instead of anticommuting, so B^2 is no longer
+    the oscillator less the involution.  The cross terms' Weyl slack then
+    covers every eigenvalue, so the kernel may be all of the space and the
+    gap is not certified, and the interior anticommutator's cross terms
+    keep it far from the degree involution."""
+    monkeypatch.setattr(gradedlab.bott, "_koszul_sign", unsigned_sign)
     result = run_experiment(ExperimentConfig("bott", seed=seed, coordinates=2, n_basis=12))
     certs = {c.check: c for c in result.certificates}
     for check in ("bott_kernel_dim", "bott_gap", "bott_dc_involution"):
