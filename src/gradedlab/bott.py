@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .funcalc import CAYLEY, MULTIPLIER_G, ChiralSpectrum, ParityBlocks, Spectrum
-from .graded import GradedMatrix, GradedSpace, OddSelfAdjoint, operator_norms
+from .graded import GradedMatrix, GradedSpace, OddSelfAdjoint
 from .pairs import (
     AsymptoticPair,
     DecayProfile,
@@ -105,7 +105,7 @@ def _coordinate_pieces(model: HermiteModel):
     """One-coordinate space, D, C and interior on the paired subspace: the
     even sector h_j (x) 1, j < n_basis, then the odd one h_j (x) e,
     j < n_basis - 1.  x (x) e and d (x) e^ join the two sectors, the latter
-    with -d from odd to even (+0.0 where d is 0, as a scatter writes)."""
+    with -d from odd to even (+0.0, not -0.0, where d is 0)."""
     k = model.n_basis
     parity = GradedSpace(tuple([0] * k + [1] * (k - 1)))
     d, c = np.zeros((2, 2 * k - 1, 2 * k - 1))
@@ -278,7 +278,8 @@ def dc_commutator_check(model: HermiteModel) -> dict:
     most n times its one-coordinate norm (the interior mask is a tensor
     power of a 0/1 mask) plus C(n, 2) times the cross terms, which the
     Koszul sign S = gamma makes exactly 0; on this model the bound is the
-    norm itself, for {d, c} is diagonal.
+    norm itself, for {d, c} is diagonal.  The three matrices are even, so
+    their norms run on the half-size parity blocks (ParityBlocks.norms).
     """
     parity, d1, c1, interior = _coordinate_pieces(model)
     n, degree = model.n, np.array(parity.parity)
@@ -291,7 +292,7 @@ def dc_commutator_check(model: HermiteModel) -> dict:
     return {
         name: n * float(norm) + cross
         for name, norm in zip(("commutator_norm", "interior_defect_vs_involution", "interior_defect_vs_identity"),
-                              operator_norms((anti - targets) * masks))
+                              ParityBlocks.gather(parity, (anti - targets) * masks).norms())
     }
 
 

@@ -476,9 +476,9 @@ def test_run_bott_two_coordinates(monkeypatch):
     """run_bott above one coordinate (d = 225, ladder bases up to d = 961)
     builds no n-coordinate operator: bott_dirac is not called, and the only
     kernel calls are the ladder's values-only SVDs of the one-coordinate
-    b_1[e, o] blocks, one per distinct basis, and the dc check's one
-    stacked Gram eigvalsh of three one-coordinate matrices; the gap defects
-    are roundoff in sqrt(2)."""
+    b_1[e, o] blocks, one per distinct basis, and the dc check's stacked
+    Gram eigvalsh of its three one-coordinate matrices, one per parity
+    block (they are even); the gap defects are roundoff in sqrt(2)."""
     import gradedlab.experiments
 
     built = []
@@ -500,7 +500,7 @@ def test_run_bott_two_coordinates(monkeypatch):
         monkeypatch.setattr(np.linalg, name, shape_recording)
     result = run_experiment(ExperimentConfig("bott", coordinates=2, n_basis=8))
     assert built == []
-    assert calls == [("svd", (8, 7)), ("svd", (16, 15)), ("eigvalsh", (3, 15, 15))]
+    assert calls == [("svd", (8, 7)), ("svd", (16, 15)), ("eigvalsh", (3, 8, 8)), ("eigvalsh", (3, 7, 7))]
     assert result.passed and all(c.passed for c in result.certificates)
     assert result.summary["kernel_dim"] == 1
     assert [row["n_basis"] for row in result.summary["convergence"]] == [8, 8, 16]
