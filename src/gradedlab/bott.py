@@ -31,8 +31,10 @@ spectrum is the n-fold sum set of b's squared one, held as distinct values
 with multiplicities (`ladder_spectrum`); any cross term left, as with
 S = 1, enters as a Weyl slack.  Likewise {D, C} is n lifts of the
 one-coordinate {d, c} plus cross terms of norm ||{d, S}|| ||c|| and
-||{c, S}|| ||d|| (`dc_commutator_check`).  D and C are dense (`bott_dirac`)
-at one coordinate only, for the pairs.
+||{c, S}|| ||d|| (`dc_commutator_check`).  `bott_dirac` is the one
+builder of those pieces, the dense one-coordinate d, c and interior, at
+any n; the ladder, the dc check and the generators take its result, and
+at one coordinate its d and c are the pairs' D and C.
 """
 
 from __future__ import annotations
@@ -94,29 +96,32 @@ def hermite_model(n_basis: int, n: int = 1) -> HermiteModel:
 
 @dataclass(frozen=True)
 class BottOperators:
-    """Dirac D and Clifford multiplication C on one coordinate; B = D + C."""
+    """model's one-coordinate pieces on the paired subspace: the Dirac d,
+    the Clifford multiplication c (D and C at n = 1, B = D + C) and the
+    interior mask.  At any n every certificate comes from them."""
 
+    model: HermiteModel
     space: GradedSpace
     dirac: OddSelfAdjoint
     clifford_mult: OddSelfAdjoint
+    interior: np.ndarray
 
 
-def _coordinate_pieces(model: HermiteModel):
-    """One-coordinate space, D, C and interior on the paired subspace: the
-    even sector h_j (x) 1, j < n_basis, then the odd one h_j (x) e,
-    j < n_basis - 1.  x (x) e and d (x) e^ join the two sectors, the latter
-    with -d from odd to even (+0.0, not -0.0, where d is 0)."""
+def bott_dirac(model: HermiteModel) -> BottOperators:
+    """model's one-coordinate d = d/dx (x) e^, c = x (x) e and interior,
+    dense, at any model.n.  The space is the even sector h_j (x) 1, j < n_basis,
+    then the odd one h_j (x) e, j < n_basis - 1.  x (x) e and d (x) e^ join
+    the two sectors, the latter with -d from odd to even (+0.0, not -0.0,
+    where d is 0)."""
     k = model.n_basis
-    parity = GradedSpace(tuple([0] * k + [1] * (k - 1)))
+    space = GradedSpace(tuple([0] * k + [1] * (k - 1)))
     d, c = np.zeros((2, 2 * k - 1, 2 * k - 1))
     d[:k, k:], d[k:, :k] = 0.0 - model.d_mat[:, :-1], model.d_mat[:-1]
     c[:k, k:], c[k:, :k] = model.x_mat[:, :-1], model.x_mat[:-1]
     # interior: drop the top two Hermite levels in each fiber sector
-    interior = np.concatenate([
-        (np.arange(k) < k - 2).astype(float),
-        (np.arange(k - 1) < k - 3).astype(float),
-    ])
-    return parity, OddSelfAdjoint(GradedMatrix(parity, d)), OddSelfAdjoint(GradedMatrix(parity, c)), interior
+    interior = np.r_[np.arange(k) < k - 2, np.arange(k - 1) < k - 3].astype(float)
+    return BottOperators(model, space, OddSelfAdjoint(GradedMatrix(space, d)),
+                         OddSelfAdjoint(GradedMatrix(space, c)), interior)
 
 
 def _koszul_sign(parity: np.ndarray) -> np.ndarray:
@@ -199,48 +204,39 @@ class LadderSpectrum:
                 np.r_[half[::-1], self.multiplicity[~nonzero], half])
 
 
-def ladder_spectrum(model: HermiteModel, tol: float) -> LadderSpectrum:
-    """B's spectrum on model.n coordinates from the one-coordinate
+def ladder_spectrum(ops: BottOperators, tol: float) -> LadderSpectrum:
+    """B's spectrum on ops.model.n coordinates from the one-coordinate
     b = d_1 + c_1: its eigenvalues from spectrum_and_kernel, their squares'
     n-fold sum set, the Weyl slack of the cross terms, and the ground
     residual ||B e_0|| = sqrt(n) ||b e_0|| (the n terms of B e_0 are
     orthogonal, for b e_0 is odd and e_0 even)."""
-    parity, d1, c1, _ = _coordinate_pieces(model)
-    b = d1 + c1
+    n, b = ops.model.n, ops.dirac + ops.clifford_mult
     eigenvalues, _ = spectrum_and_kernel(b, tol)
     one, count = _merged(eigenvalues**2, np.ones(eigenvalues.size, dtype=np.int64))
     squares, multiplicity = np.zeros(1), np.ones(1, dtype=np.int64)
-    for _ in range(model.n):
+    for _ in range(n):
         squares, multiplicity = _merged((squares[:, None] + one).ravel(), (multiplicity[:, None] * count).ravel())
-    cross = _cross_norm(b.mat, _koszul_sign(np.array(parity.parity)))
-    slack = math.comb(model.n, 2) * cross * float(np.abs(eigenvalues).max())
-    return LadderSpectrum(squares, multiplicity, slack, math.sqrt(model.n) * _frobenius(b.mat[:, 0]))
+    cross = _cross_norm(b.mat, _koszul_sign(np.array(ops.space.parity)))
+    slack = math.comb(n, 2) * cross * float(np.abs(eigenvalues).max())
+    return LadderSpectrum(squares, multiplicity, slack, math.sqrt(n) * _frobenius(b.mat[:, 0]))
 
 
-def bott_dirac(model: HermiteModel) -> BottOperators:
-    """D = d (x) e^ and C = x (x) e on one coordinate, dense."""
-    if model.n != 1:
-        raise ValueError("D and C are built dense for one coordinate")
-    parity, d1, c1, _ = _coordinate_pieces(model)
-    return BottOperators(parity, d1, c1)
-
-
-def multiplication_generators(model: HermiteModel) -> dict[str, GradedMatrix]:
+def multiplication_generators(ops: BottOperators) -> dict[str, GradedMatrix]:
     """Pointwise-multiplication generators for the function algebra.
 
     Returns an even generator (1 + x^2)^{-1} (x) 1 and an odd one
     x (1 + x^2)^{-1} (x) e, realized through the compressed position
-    operator on the paired one-coordinate space.
+    operator on the paired one-coordinate space.  They belong to the
+    one-coordinate pair, so a model of n != 1 coordinates is refused.
     """
-    if model.n != 1:
+    if ops.model.n != 1:
         raise ValueError("multiplication generators are built for one coordinate")
-    parity, _, c1, _ = _coordinate_pieces(model)
-    k = model.n_basis
+    space, x, k = ops.space, ops.model.x_mat, ops.model.n_basis
     x_even = np.zeros((2 * k - 1, 2 * k - 1))  # x (x) 1, sector by sector
-    x_even[:k, :k], x_even[k:, k:] = model.x_mat, model.x_mat[:-1, :-1]
-    even = GradedMatrix(parity, Spectrum.of(GradedMatrix(parity, x_even)).apply(CAYLEY))
+    x_even[:k, :k], x_even[k:, k:] = x, x[:-1, :-1]
+    even = GradedMatrix(space, Spectrum.of(GradedMatrix(space, x_even)).apply(CAYLEY))
     # through the chiral spectrum the odd g(C_1) = g(x (x) e) is exactly odd
-    odd = GradedMatrix(parity, ChiralSpectrum.of(c1).apply(MULTIPLIER_G))
+    odd = GradedMatrix(space, ChiralSpectrum.of(ops.clifford_mult).apply(MULTIPLIER_G))
     return {"mult_even": even, "mult_odd": odd}
 
 
@@ -263,7 +259,7 @@ def spectrum_and_kernel(b: OddSelfAdjoint, tol: float) -> tuple[np.ndarray, int]
     return eigenvalues, int(np.count_nonzero(np.abs(eigenvalues) < tol))
 
 
-def dc_commutator_check(model: HermiteModel) -> dict:
+def dc_commutator_check(ops: BottOperators) -> dict:
     """Measure the graded anticommutator of D and C on the interior.
 
     Away from the truncation edge the anticommutator equals the
@@ -281,18 +277,17 @@ def dc_commutator_check(model: HermiteModel) -> dict:
     norm itself, for {d, c} is diagonal.  The three matrices are even, so
     their norms run on the half-size parity blocks (ParityBlocks.norms).
     """
-    parity, d1, c1, interior = _coordinate_pieces(model)
-    n, degree = model.n, np.array(parity.parity)
-    d, c = d1.mat, c1.mat
+    n, degree = ops.model.n, np.array(ops.space.parity)
+    d, c = ops.dirac.mat, ops.clifford_mult.mat
     sign = _koszul_sign(degree)
     cross = math.comb(n, 2) * (_cross_norm(d, sign) * _frobenius(c) + _cross_norm(c, sign) * _frobenius(d))
     anti = d @ c + c @ d
     targets = np.stack([np.zeros_like(anti), np.diag(2.0 * degree - 1.0), np.eye(degree.size) / n])
-    masks = np.stack([np.ones(degree.size), interior, interior])[:, None]  # on columns
+    masks = np.stack([np.ones(degree.size), ops.interior, ops.interior])[:, None]  # on columns
     return {
         name: n * float(norm) + cross
         for name, norm in zip(("commutator_norm", "interior_defect_vs_involution", "interior_defect_vs_identity"),
-                              ParityBlocks.gather(parity, (anti - targets) * masks).norms())
+                              ParityBlocks.gather(ops.space, (anti - targets) * masks).norms())
     }
 
 

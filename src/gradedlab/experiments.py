@@ -98,6 +98,10 @@ class ConfigError(ValueError):
 MAX_DENSE_DIM = 4096
 # Largest total dimension of an n-coordinate Bott model: its spectrum's multiplicities are int64.
 MAX_MULTIPLICITY = np.iinfo(np.int64).max
+# Most trials a config may ask for.  A run keeps every trial's certificates, profiles and
+# jsonl text to the end: 7.7 kB a trial for commbound at the default grids, the most of any
+# experiment (tracemalloc peaks of run_experiment and emit_report), so 0.77 GB at the bound.
+MAX_TRIALS = 100_000
 # |lambda| below this counts as a kernel eigenvalue of a Bott operator.
 KERNEL_TOL = 1e-8
 
@@ -146,8 +150,8 @@ class ExperimentConfig:
             raise UnknownExperimentError(f"unknown experiment {self.experiment!r}")
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ConfigError(f"trials must be between 1 and {MAX_TRIALS}")
         if not self.n_grid or not all(0 < n <= MAX_TRANSFORM_SCALE for n in self.n_grid):
             raise ConfigError("invalid transform-scale grid")
         if not self.dims or any(d < 2 or d % 2 for d in self.dims):
@@ -521,13 +525,13 @@ def run_bott(cfg: ExperimentConfig) -> ExperimentResult:
     tables: dict[str, str] = {}
     summary: dict = {}
 
-    # the truncation ladder n_basis / 2, n_basis, 2 n_basis, each rung's spectrum the sum set
-    # of its one-coordinate b's, computed once per basis, for at n_basis 8 the first two rungs
-    # coincide.  Each certificate takes the Weyl slack of the cross terms against it.  The middle
-    # rung is the model.
+    # the truncation ladder n_basis / 2, n_basis, 2 n_basis, each rung's one-coordinate pieces
+    # built once per basis, for at n_basis 8 the first two rungs coincide.  Each rung's spectrum
+    # is the sum set of its b's, and each certificate takes the Weyl slack of the cross terms
+    # against it.  The middle rung is the model.
     bases = (max(8, cfg.n_basis // 2), cfg.n_basis, 2 * cfg.n_basis)
-    ladder = {basis: ladder_spectrum(hermite_model(basis, cfg.coordinates), KERNEL_TOL)
-              for basis in dict.fromkeys(bases)}
+    rungs = {basis: bott_dirac(hermite_model(basis, cfg.coordinates)) for basis in dict.fromkeys(bases)}
+    ladder = {basis: ladder_spectrum(ops, KERNEL_TOL) for basis, ops in rungs.items()}
 
     def gap_defect(rung):
         return max(abs(float(bound[1]) - math.sqrt(2.0)) for bound in rung.magnitude_bounds(2))
@@ -538,8 +542,9 @@ def run_bott(cfg: ExperimentConfig) -> ExperimentResult:
     certs.append(BoundCertificate("bott_lambda_min", float(rung.magnitude_bounds(1)[1][0]), KERNEL_TOL))
     certs.append(BoundCertificate("bott_gap", gap_defect(rung), 1e-6))
     certs.append(BoundCertificate("bott_ground_residual", rung.ground_residual, 1e-10))
-    model = hermite_model(cfg.n_basis, cfg.coordinates)
-    dc = dc_commutator_check(model)
+    ops = rungs.pop(cfg.n_basis)
+    del rungs  # frees the other rungs' pieces (1 MB at the default top rung) before the pairs
+    dc = dc_commutator_check(ops)
     certs.append(BoundCertificate("bott_dc_involution", dc["interior_defect_vs_involution"], 1e-10))
     summary["kernel_dim"] = kernel_dim
     summary["smallest_magnitudes"] = [float(v) for v in np.sqrt(rung.smallest(8))]
@@ -558,12 +563,11 @@ def run_bott(cfg: ExperimentConfig) -> ExperimentResult:
         # np.max is NaN if any fit failed; max() would depend on the order
         return float(np.max([profile.fitted_exponent for _, _, profile in _table_rows(table)]))
 
-    # the two model pairs and their composition, on a dense D and C
+    # the two model pairs and their composition, on the model's one-coordinate D and C
     if cfg.coordinates == 1:
         grid = cfg.t_grid()
-        ops = bott_dirac(model)
         scalar_pair = AsymptoticPair({"unit": identity(ops.space)}, ops.clifford_mult)
-        dirac_pair = AsymptoticPair(multiplication_generators(model), ops.dirac)
+        dirac_pair = AsymptoticPair(multiplication_generators(ops), ops.dirac)
         for name, pair in (("scalar", scalar_pair), ("multiplication", dirac_pair)):
             worst = worst_exponent(validate_pair(pair, grid))
             certs.append(BoundCertificate(f"bott_pair[{name}]", worst, COMMUTATION_EXPONENT_THRESHOLD))
@@ -589,9 +593,8 @@ def run_perturb(cfg: ExperimentConfig) -> ExperimentResult:
         potential = random_odd_selfadjoint(rng, space, norm=1.0)
         reports.append((f"trial={i}", perturbation_check(pair, potential, grid), seed))
 
-    model = hermite_model(cfg.n_basis, 1)
-    ops = bott_dirac(model)
-    bott_pair = AsymptoticPair(multiplication_generators(model), ops.dirac)
+    ops = bott_dirac(hermite_model(cfg.n_basis, 1))
+    bott_pair = AsymptoticPair(multiplication_generators(ops), ops.dirac)
     bott_report = perturbation_check(bott_pair, ops.clifford_mult, grid)
     reports.append(("bott", bott_report, None))
 

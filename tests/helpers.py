@@ -10,7 +10,7 @@ import numpy as np
 
 import gradedlab.bott
 from gradedlab import GradedMatrix, GradedSpace, OddSelfAdjoint
-from gradedlab.bott import _coordinate_pieces
+from gradedlab.bott import bott_dirac
 from gradedlab.estimates import pade_exps
 from gradedlab.graded import negligible, operator_norms
 from gradedlab.pairs import COMMUTATION_EXPONENT_THRESHOLD, COMPOSE_EXPONENT_THRESHOLD
@@ -182,8 +182,8 @@ def _lift(m, n: int) -> OddNonzeros:
 def bott_nonzeros(model) -> OddNonzeros:
     """B = D + C, the lift of b_1 = d_1 + c_1, which joins h_j (x) e and
     h_{j+1} (x) 1 with weight sqrt(2 (j + 1)) (their other entries cancel)."""
-    _, d1, c1, _ = _coordinate_pieces(model)
-    return _lift(d1 + c1, model.n)
+    ops = bott_dirac(model)
+    return _lift(ops.dirac + ops.clifford_mult, model.n)
 
 
 def unsigned_sign(parity):
@@ -195,8 +195,8 @@ def unsigned_sign(parity):
 
 def lifted_dirac(model) -> tuple[OddNonzeros, OddNonzeros]:
     """D = sum_i d_i (x) e^_i and C = sum_i x_i (x) e_i on model.n coordinates, as nonzeros."""
-    _, d1, c1, _ = _coordinate_pieces(model)
-    return _lift(d1, model.n), _lift(c1, model.n)
+    ops = bott_dirac(model)
+    return _lift(ops.dirac, model.n), _lift(ops.clifford_mult, model.n)
 
 
 def dc_nonzeros(model) -> dict:
@@ -204,7 +204,8 @@ def dc_nonzeros(model) -> dict:
     C D as nonzeros, summed apart so a Koszul cross term cancels to exactly 0,
     the interior mask a tensor power on columns and the degree involution
     diag(2 deg - n), each norm the largest of its component blocks'."""
-    parity, _, _, interior1 = _coordinate_pieces(model)
+    ops = bott_dirac(model)
+    parity, interior1 = ops.space, ops.interior
     d, c = lifted_dirac(model)
     size = d.parity.size
     rows, cols, values = _summed(*(np.r_[a, b] for a, b in zip(_product(d, c), _product(c, d))), size)

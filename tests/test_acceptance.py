@@ -208,7 +208,7 @@ def test_criterion_07_double_limit_sweep():
 
 
 def _bott_measurements(n_basis: int):
-    rung = ladder_spectrum(hermite_model(n_basis), 1e-8)
+    rung = ladder_spectrum(bott_dirac(hermite_model(n_basis)), 1e-8)
     magnitudes = np.sqrt(rung.smallest(2))
     gap_defect = abs(float(magnitudes[1]) - math.sqrt(2.0))
     return rung.kernel_dim(1e-8), float(magnitudes[0]), gap_defect, rung.ground_residual
@@ -221,7 +221,7 @@ def test_criterion_08_bott_dirac_kernel_and_gap():
     as the basis doubles, under 5 s."""
     start = time.monotonic()
     kernel_dim, lam_min, gap_defect, ground_residual = _bott_measurements(64)
-    dc = dc_commutator_check(hermite_model(64))
+    dc = dc_commutator_check(bott_dirac(hermite_model(64)))
     history = []
     for n_basis in (32, 64, 128):
         _, _, gap, ground = _bott_measurements(n_basis)
@@ -256,7 +256,7 @@ def test_criterion_08_bott_dirac_kernel_and_gap():
     ),
 )
 def test_criterion_08_dc_anticommutator_identity_as_stated():
-    dc = dc_commutator_check(hermite_model(64))
+    dc = dc_commutator_check(bott_dirac(hermite_model(64)))
     print(
         f"[FAIL] criterion 8 (identity clause): interior ||[D,C] - 1|| = "
         f"{dc['interior_defect_vs_identity']:.3f} (involution defect "
@@ -285,9 +285,8 @@ def test_criterion_09_perturbation_invariance():
         worst["defect"] = max(worst["defect"], defect_even.fitted_exponent, defect_odd.fitted_exponent)
     from gradedlab import multiplication_generators
 
-    model = hermite_model(16)
-    ops = bott_dirac(model)
-    pair = AsymptoticPair(multiplication_generators(model), ops.dirac)
+    ops = bott_dirac(hermite_model(16))
+    pair = AsymptoticPair(multiplication_generators(ops), ops.dirac)
     homom_profiles, defect_even, defect_odd = perturbation_check(pair, ops.clifford_mult, grid)
     for per_fn in homom_profiles.values():
         worst["cayley"] = max(worst["cayley"], per_fn["cayley"].fitted_exponent)

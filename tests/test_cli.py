@@ -12,6 +12,7 @@ from gradedlab.cli import main
 from gradedlab.experiments import (
     CHECKS,
     MAX_DENSE_DIM,
+    MAX_TRIALS,
     ConfigError,
     ExperimentConfig,
     ExperimentResult,
@@ -242,6 +243,24 @@ def test_oversized_dense_config_exits_3_and_writes_nothing(tmp_path):
     out = tmp_path / "out"
     assert main(["--config", config, "--out", str(out)]) == 3
     assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment", ["commbound", "expfactor", "techlemma", "compose", "perturb", "appendixB"])
+def test_trials_above_the_bound_exit_3_and_write_nothing(tmp_path, experiment):
+    """Every experiment that reads trials accepts MAX_TRIALS of them and
+    refuses one more, and 10**12, before allocating anything: load_config
+    raises ConfigError and lab exits 3 with nothing written.  No suite runs
+    at the bound."""
+    assert load_config(write_config(tmp_path, experiment=experiment, trials=MAX_TRIALS)).trials == MAX_TRIALS
+    for trials in (MAX_TRIALS + 1, 10**12):
+        config = write_config(tmp_path, experiment=experiment, trials=trials)
+        with pytest.raises(ConfigError, match=f"trials must be between 1 and {MAX_TRIALS}"):
+            load_config(config)
+        out = tmp_path / "out"
+        assert main(["--config", config, "--out", str(out)]) == 3
+        assert not out.exists()
+    with pytest.raises(ConfigError):
+        ExperimentConfig(experiment, trials=10**12)
 
 
 def test_multiplicity_overflow_is_refused_on_both_sides():

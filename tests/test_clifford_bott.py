@@ -26,7 +26,6 @@ from gradedlab import (
     validate_pair,
     zeros,
 )
-from gradedlab.bott import _coordinate_pieces
 from gradedlab.experiments import ExperimentConfig, run_experiment
 from gradedlab.funcalc import CAYLEY
 from gradedlab.pairs import COMMUTATION_EXPONENT_THRESHOLD, COMPOSE_EXPONENT_THRESHOLD, DecayProfile, default_t_grid
@@ -173,7 +172,7 @@ def test_bott_spectrum_is_symmetric():
 
 
 def test_dc_anticommutator_is_degree_involution_on_interior():
-    report = dc_commutator_check(hermite_model(32))
+    report = dc_commutator_check(bott_dirac(hermite_model(32)))
     assert report["interior_defect_vs_involution"] <= 1e-10
     # the anticommutator has both involution eigenvalues, so its distance
     # to the identity is exactly 2 and cannot vanish
@@ -245,16 +244,20 @@ def test_odd_block_spectrum_matches_eigvalsh(b):
 def test_bott_operator_is_d_plus_c_bit_for_bit(n, n_basis):
     """B assembled as nonzeros, scattered dense, equals D + C, signed zeros
     included: bott_dirac's dense D and C at one coordinate (which carry no
-    -0.0), the lifts of d_1 and c_1 above."""
+    -0.0), the lifts of d_1 and c_1 above.  bott_dirac's pieces are the
+    one-coordinate ones at every n, bit for bit those of the n = 1 model."""
     model = hermite_model(n_basis, n)
     b = bott_nonzeros(model)
+    ops, one = bott_dirac(model), bott_dirac(hermite_model(n_basis))
+    assert ops.model is model and ops.space == one.space
+    for mine, ones in ((ops.dirac.mat, one.dirac.mat), (ops.clifford_mult.mat, one.clifford_mult.mat),
+                       (ops.interior, one.interior)):
+        assert mine.dtype == np.float64 and np.array_equal(mine.view(np.uint64), ones.view(np.uint64))
+    d, c = ops.dirac.mat, ops.clifford_mult.mat
+    assert not np.any(np.signbit(d[d == 0])) and not np.any(np.signbit(c[c == 0]))
     if n == 1:
-        ops = bott_dirac(model)
-        parity, d, c = ops.space.parity, ops.dirac.mat, ops.clifford_mult.mat
-        assert not np.any(np.signbit(d[d == 0])) and not np.any(np.signbit(c[c == 0]))
+        parity = ops.space.parity
     else:
-        with pytest.raises(ValueError):
-            bott_dirac(model)
         lifts = lifted_dirac(model)
         parity, (d, c) = tuple(lifts[0].parity), (m.dense() for m in lifts)
     assert tuple(b.parity) == parity
@@ -282,10 +285,10 @@ def test_bott_dirac_equals_the_graded_tensor_lift(n_basis, n):
     one-coordinate d_1 and c_1 entry for entry (the lifts may carry -0.0
     where a scatter writes +0.0)."""
     model = hermite_model(n_basis, n)
-    parity, d1, c1, _ = _coordinate_pieces(model)
+    ops = bott_dirac(model)
+    parity, d1, c1 = ops.space, ops.dirac, ops.clifford_mult
     if n == 1:
-        ops = bott_dirac(model)
-        space, d, c = ops.space, ops.dirac.mat, ops.clifford_mult.mat
+        space, d, c = parity, d1.mat, c1.mat
     else:
         lifts = lifted_dirac(model)
         space, (d, c) = GradedSpace(tuple(lifts[0].parity.tolist())), (m.dense() for m in lifts)
@@ -302,7 +305,8 @@ def test_dc_check_matches_the_dense_oracle(n_basis, n):
     -gamma, dense products, the interior mask on columns, and
     np.linalg.norm(., 2)."""
     model = hermite_model(n_basis, n)
-    parity, d1, c1, interior1 = _coordinate_pieces(model)
+    ops = bott_dirac(model)
+    parity, d1, c1, interior1 = ops.space, ops.dirac, ops.clifford_mult, ops.interior
     d, c, involution = (lift_sum(parity, n, m).entries for m in (d1.underlying, c1.underlying, -gamma_matrix(parity)))
     degree = sum(np.ix_(*[np.array(parity.parity)] * n)).ravel()
     assert np.array_equal(involution, np.diag(2.0 * degree - n))
@@ -313,7 +317,7 @@ def test_dc_check_matches_the_dense_oracle(n_basis, n):
         "interior_defect_vs_involution": np.linalg.norm((anticommutator - involution) * mask, 2),
         "interior_defect_vs_identity": np.linalg.norm((anticommutator - np.eye(d.shape[0])) * mask, 2),
     }
-    report = dc_commutator_check(model)
+    report = dc_commutator_check(ops)
     tol = 4 * d.shape[0] * np.finfo(float).eps * np.linalg.norm(d, 2) * np.linalg.norm(c, 2)
     assert report.keys() == oracle.keys()
     for name, value in oracle.items():
@@ -328,7 +332,7 @@ def test_dc_check_closed_form(n_basis, n):
     n + 1 from the identity.  The identity defect is the exact one only up
     to the rounding of the ladder entries sqrt(k/2), k < n_basis, whose
     squares make up each diagonal entry: hence 4 n n_basis eps."""
-    report = dc_commutator_check(hermite_model(n_basis, n))
+    report = dc_commutator_check(bott_dirac(hermite_model(n_basis, n)))
     assert report["commutator_norm"] == n * (n_basis - 1)
     assert abs(report["interior_defect_vs_identity"] - (n + 1)) <= 4 * n * n_basis * np.finfo(float).eps
     assert report["interior_defect_vs_involution"] <= 1e-10
@@ -402,13 +406,13 @@ def test_component_spectrum_matches_dense_eigvalsh(n_basis, n):
 
 def test_bott_two_coordinates():
     """The two-coordinate model keeps the one-dimensional kernel."""
-    rung = ladder_spectrum(hermite_model(8, 2), 1e-8)
+    rung = ladder_spectrum(bott_dirac(hermite_model(8, 2)), 1e-8)
     assert rung.multiplicity.sum() == 15**2 and rung.slack == 0.0
     assert rung.kernel_dim(1e-8) == 1
     magnitudes = np.sort(np.abs(bott_nonzeros(hermite_model(8, 2)).eigenvalues()))
     assert np.count_nonzero(magnitudes < 1e-8) == 1
     assert abs(magnitudes[1] - math.sqrt(2.0)) <= 1e-8
-    report = dc_commutator_check(hermite_model(8, 2))
+    report = dc_commutator_check(bott_dirac(hermite_model(8, 2)))
     assert report["interior_defect_vs_involution"] <= 1e-10
 
 
@@ -425,7 +429,7 @@ def test_sum_set_spectrum_matches_the_component_spectrum(n_basis, n):
     multiplicities sum to (2 n_basis - 1)^n, and the Koszul sign leaves no
     slack."""
     model = hermite_model(n_basis, n)
-    rung = ladder_spectrum(model, 1e-8)
+    rung = ladder_spectrum(bott_dirac(model), 1e-8)
     assert rung.slack == 0.0
     assert rung.multiplicity.dtype == np.int64 and rung.multiplicity.sum() == (2 * n_basis - 1) ** n
     assert rung.squares.size == n * (n_basis - 1) + 1
@@ -439,7 +443,7 @@ def test_one_slot_dc_matches_the_full_lift(n_basis, n):
     """The dc check's slot-wise bounds equal the norms taken on the full
     lifts' nonzeros: on this model the bounds are attained."""
     model = hermite_model(n_basis, n)
-    mine, oracle = dc_commutator_check(model), dc_nonzeros(model)
+    mine, oracle = dc_commutator_check(bott_dirac(model)), dc_nonzeros(model)
     assert mine.keys() == oracle.keys()
     for name, value in oracle.items():
         assert abs(mine[name] - value) <= 1e-12, name
@@ -464,7 +468,7 @@ def test_slack_covers_the_unsigned_sum(monkeypatch):
 
     model = hermite_model(8, 2)
     monkeypatch.setattr(gradedlab.bott, "_koszul_sign", unsigned_sign)
-    rung = ladder_spectrum(model, 1e-8)
+    rung = ladder_spectrum(bott_dirac(model), 1e-8)
     unsigned = np.sort(bott_nonzeros(model).eigenvalues() ** 2)
     sum_set = np.sort(expanded(rung) ** 2)
     assert rung.slack > 1.0
@@ -474,11 +478,12 @@ def test_slack_covers_the_unsigned_sum(monkeypatch):
 
 def test_run_bott_two_coordinates(monkeypatch):
     """run_bott above one coordinate (d = 225, ladder bases up to d = 961)
-    builds no n-coordinate operator: bott_dirac is not called, and the only
-    kernel calls are the ladder's values-only SVDs of the one-coordinate
-    b_1[e, o] blocks, one per distinct basis, and the dc check's stacked
-    Gram eigvalsh of its three one-coordinate matrices, one per parity
-    block (they are even); the gap defects are roundoff in sqrt(2)."""
+    builds no n-coordinate operator: bott_dirac, called once per distinct
+    basis, builds one-coordinate pieces, and the only kernel calls are the
+    ladder's values-only SVDs of the one-coordinate b_1[e, o] blocks, one
+    per distinct basis, and the dc check's stacked Gram eigvalsh of its
+    three one-coordinate matrices, one per parity block (they are even);
+    the gap defects are roundoff in sqrt(2)."""
     import gradedlab.experiments
 
     built = []
@@ -499,7 +504,7 @@ def test_run_bott_two_coordinates(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, shape_recording)
     result = run_experiment(ExperimentConfig("bott", coordinates=2, n_basis=8))
-    assert built == []
+    assert built == [(8, 2), (16, 2)]
     assert calls == [("svd", (8, 7)), ("svd", (16, 15)), ("eigvalsh", (3, 8, 8)), ("eigvalsh", (3, 7, 7))]
     assert result.passed and all(c.passed for c in result.certificates)
     assert result.summary["kernel_dim"] == 1
@@ -507,6 +512,38 @@ def test_run_bott_two_coordinates(monkeypatch):
     for row in result.summary["convergence"]:
         assert row["gap_defect"] <= 4 * np.spacing(math.sqrt(2.0))
         assert row["ground_residual"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "cfg, bases",
+    [
+        (ExperimentConfig("bott", n_basis=8, t_points=8), [8, 16]),
+        (ExperimentConfig("bott", n_basis=16, t_points=8), [8, 16, 32]),
+        (ExperimentConfig("bott", n_basis=8, coordinates=2), [8, 16]),
+        (ExperimentConfig("bott", n_basis=16, coordinates=2), [8, 16, 32]),
+        (ExperimentConfig("perturb", n_basis=8, dims=(4,), t_points=8), [8]),
+    ],
+    ids=["bott-8-1", "bott-16-1", "bott-8-2", "bott-16-2", "perturb-8"],
+)
+def test_each_rung_is_built_once(cfg, bases, monkeypatch):
+    """run_bott builds each distinct basis of its ladder once, and
+    run_perturb its one Bott model: one hermite_model and then one
+    bott_dirac call per basis, whose pieces every consumer reads."""
+    import gradedlab.experiments
+
+    calls = []
+    for name in ("hermite_model", "bott_dirac"):
+        original = getattr(gradedlab.experiments, name)
+
+        def recording(*args, name=name, original=original):
+            result = original(*args)
+            model = result if name == "hermite_model" else result.model
+            calls.append((name, model.n_basis, model.n))
+            return result
+
+        monkeypatch.setattr(gradedlab.experiments, name, recording)
+    assert run_experiment(cfg).passed
+    assert calls == [(name, basis, cfg.coordinates) for basis in bases for name in ("hermite_model", "bott_dirac")]
 
 
 def test_run_bott_builds_no_dense_operator_above_one_coordinate(monkeypatch):
@@ -553,11 +590,10 @@ def test_spectrum_csv_is_the_component_spectrum(n_basis, n):
 
 
 def test_bott_pairs_validate():
-    model = hermite_model(24)
-    ops = bott_dirac(model)
+    ops = bott_dirac(hermite_model(24))
     scalar_pair = AsymptoticPair({"unit": identity(ops.space)}, ops.clifford_mult)
     assert set(fitted_exponents(validate_pair(scalar_pair, GRID))) == {-math.inf}
-    mult_pair = AsymptoticPair(multiplication_generators(model), ops.dirac)
+    mult_pair = AsymptoticPair(multiplication_generators(ops), ops.dirac)
     assert commutes_asymptotically(validate_pair(mult_pair, GRID))
 
 
@@ -566,9 +602,8 @@ def test_bott_pair_certificate_records_the_worst_exponent():
     validate_pair on the same pair, against the commutation threshold."""
     cfg = ExperimentConfig("bott", n_basis=8, t_points=12)
     certs = {c.check: c for c in run_experiment(cfg).certificates}
-    model = hermite_model(8)
-    ops = bott_dirac(model)
-    mult_pair = AsymptoticPair(multiplication_generators(model), ops.dirac)
+    ops = bott_dirac(hermite_model(8))
+    mult_pair = AsymptoticPair(multiplication_generators(ops), ops.dirac)
     exponents = fitted_exponents(validate_pair(mult_pair, cfg.t_grid()))
     cert = certs["bott_pair[multiplication]"]
     assert cert.lhs == max(exponents) and cert.rhs == COMMUTATION_EXPONENT_THRESHOLD
@@ -607,7 +642,7 @@ def test_bott_composition_yields_bott_dirac():
     model = hermite_model(24)
     ops = bott_dirac(model)
     scalar_pair = AsymptoticPair({"unit": identity(ops.space)}, ops.clifford_mult)
-    mult_pair = AsymptoticPair(multiplication_generators(model), ops.dirac)
+    mult_pair = AsymptoticPair(multiplication_generators(ops), ops.dirac)
     composed, defect_profiles = compose_pairs(scalar_pair, mult_pair, identity_pushforward, GRID)
     assert composes(defect_profiles)
     assert np.abs(composed.d.mat - bott_nonzeros(model).dense()).max() <= 1e-14
@@ -679,7 +714,6 @@ def test_perturbation_rejects_space_mismatch():
 def test_perturbation_bott_model():
     """Dirac perturbed by Clifford multiplication: the composition
     certificate decays at the t^-2 rate."""
-    model = hermite_model(16)
-    ops = bott_dirac(model)
-    pair = AsymptoticPair(multiplication_generators(model), ops.dirac)
+    ops = bott_dirac(hermite_model(16))
+    pair = AsymptoticPair(multiplication_generators(ops), ops.dirac)
     assert_perturbation_rates(*perturbation_check(pair, ops.clifford_mult, GRID))

@@ -10,29 +10,38 @@ import scipy.sparse
 import gradedlab.bott
 import gradedlab.estimates
 import gradedlab.experiments
-from gradedlab import GradedMatrix, GradedSpace, OddSelfAdjoint, graded_tensor, hermite_model, identity
+from gradedlab import (
+    BottOperators,
+    GradedMatrix,
+    GradedSpace,
+    OddSelfAdjoint,
+    bott_dirac,
+    graded_tensor,
+    hermite_model,
+    identity,
+)
 from gradedlab.experiments import CHECKS, KERNEL_TOL, ExperimentConfig, load_config, run_experiment
 
 from helpers import OddNonzeros, _lift, bott_nonzeros, unsigned_sign
 
 
 def product_pieces(model):
-    """_coordinate_pieces on the plain product truncation: both fiber sectors
-    to level K - 1, in interleaved (h_k (x) 1, h_k (x) e) order.  The top odd
+    """bott_dirac on the plain product truncation: both fiber sectors to
+    level K - 1, in interleaved (h_k (x) 1, h_k (x) e) order.  The top odd
     state h_{K-1} (x) e loses its partner h_K (x) 1 and is orphaned."""
     right_e_signed = np.array([[0.0, -1.0], [1.0, 0.0]])
     left_e = np.array([[0.0, 1.0], [1.0, 0.0]])
     parity = GradedSpace((0, 1) * model.n_basis)
     d, c = (OddSelfAdjoint(GradedMatrix(parity, np.kron(m, e)))
             for m, e in ((model.d_mat, right_e_signed), (model.x_mat, left_e)))
-    return parity, d, c, np.ones(parity.dim)
+    return BottOperators(model, parity, d, c, np.ones(parity.dim))
 
 
 def product_truncation(model):
     """B on the plain product truncation, as nonzeros, lifted to model.n
     coordinates by dense graded tensor products."""
-    _, d, c, _ = product_pieces(model)
-    b1 = d.underlying + c.underlying
+    ops = product_pieces(model)
+    b1 = ops.dirac.underlying + ops.clifford_mult.underlying
     one = identity(b1.space)
     b = b1
     for _ in range(1, model.n):
@@ -58,16 +67,16 @@ def test_product_truncation_has_a_spurious_zero_mode(n):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_convergence_fails_on_the_product_truncation(n, monkeypatch):
-    """With the ladder's top rung built on the product truncation's
-    one-coordinate pieces, the gap defect jumps to sqrt(2) and
+    """With the ladder's top rung built by the one builder on the product
+    truncation's one-coordinate pieces, the gap defect jumps to sqrt(2) and
     bott_convergence fails."""
     cfg = ExperimentConfig("bott", coordinates=n, n_basis=8, t_points=8)
-    paired = gradedlab.bott._coordinate_pieces
+    paired = gradedlab.experiments.bott_dirac
 
     def patched(model):
         return product_pieces(model) if model.n_basis == 2 * cfg.n_basis else paired(model)
 
-    monkeypatch.setattr(gradedlab.bott, "_coordinate_pieces", patched)
+    monkeypatch.setattr(gradedlab.experiments, "bott_dirac", patched)
     result = run_experiment(cfg)
     certs = {c.check: c for c in result.certificates}
     assert certs["bott_convergence"].lhs == pytest.approx(math.sqrt(2.0))
@@ -141,11 +150,12 @@ def test_unsigned_lift_differs_from_the_koszul_lift_only_in_sign(monkeypatch):
     """Sanity check on the control: with the sign replaced by 1 the lift is
     the plain Kronecker sum, and at two coordinates it has the Koszul lift's
     nonzeros up to sign, and some signs differ."""
-    _, d1, c1, _ = gradedlab.bott._coordinate_pieces(hermite_model(8))
-    signed = _lift(d1 + c1, 2).dense()
+    ops = bott_dirac(hermite_model(8))
+    b1 = ops.dirac + ops.clifford_mult
+    signed = _lift(b1, 2).dense()
     monkeypatch.setattr(gradedlab.bott, "_koszul_sign", unsigned_sign)
-    unsigned = _lift(d1 + c1, 2).dense()
-    assert np.array_equal(unsigned, plain_kronecker_sum(d1 + c1, 2).dense())
+    unsigned = _lift(b1, 2).dense()
+    assert np.array_equal(unsigned, plain_kronecker_sum(b1, 2).dense())
     assert np.array_equal(np.abs(signed), np.abs(unsigned))
     assert not np.array_equal(signed, unsigned)
 

@@ -365,10 +365,9 @@ def test_compose_pairs_matches_oracle(dim, stack_rows):
 
 def bott_pairs(n_basis=64):
     """The scalar and multiplication pairs of `lab bott`, at d = 2 n_basis - 1."""
-    model = hermite_model(n_basis, 1)
-    ops = bott_dirac(model)
+    ops = bott_dirac(hermite_model(n_basis, 1))
     scalar = AsymptoticPair({"unit": identity(ops.space)}, ops.clifford_mult)
-    return scalar, AsymptoticPair(multiplication_generators(model), ops.dirac)
+    return scalar, AsymptoticPair(multiplication_generators(ops), ops.dirac)
 
 
 @pytest.mark.parametrize("case", [*TOY_DIMS, "bott"])
@@ -526,9 +525,8 @@ def test_perturbation_check_bott_matches_mpmath():
     and the even heat defect are ~1e-6 to ~1e-3, against a 30-digit oracle to
     1e-13 relative: f(s V) - f(0) comes from the chiral weights, and the heat
     kernels from expm1, so no O(1) matrices cancel."""
-    model = hermite_model(16, 1)
-    ops = bott_dirac(model)
-    pair = AsymptoticPair(multiplication_generators(model), ops.dirac)
+    ops = bott_dirac(hermite_model(16, 1))
+    pair = AsymptoticPair(multiplication_generators(ops), ops.dirac)
     grid = default_t_grid()
     homom_profiles, defect_even, _ = perturbation_check(pair, ops.clifford_mult, grid)
     with mpmath.workdps(30):

@@ -49,9 +49,8 @@ GRID = default_t_grid(points=24)
 
 
 def bott_pair(n_basis=24):
-    model = hermite_model(n_basis, 1)
-    ops = bott_dirac(model)
-    return ops, AsymptoticPair(multiplication_generators(model), ops.dirac)
+    ops = bott_dirac(hermite_model(n_basis, 1))
+    return ops, AsymptoticPair(multiplication_generators(ops), ops.dirac)
 
 
 def complex_copy(pair):
