@@ -312,15 +312,19 @@ def transform_sum_sweep(
     w_dp = np.concatenate([spec_dp.weights(f, scales)[1] for f in transforms])
     shift = 1j * np.eye(d.space.dim)
 
-    def defects_of(rows):
-        # the smoothed sum S is odd with off-diagonal block A_N + A'_N; S is
+    def defects_of(columns):
+        # the plain resolvent of a chunk of t values, built once for every N.
+        # The smoothed sum S is odd with off-diagonal block A_N + A'_N; S is
         # Hermitian, so ||(S + i)^-1|| <= 1 and the inverse is well conditioned
-        upper = spec_d.odd_block(w_d[rows]) + spec_dp.odd_block(w_dp[rows])
-        smoothed = np.linalg.inv(ParityBlocks(None, upper, adjoint(upper), None).dense() + shift)
-        plain = spec_sum.blocks(RESOLVENT_PLUS, scales[rows % grid.size]).dense()
-        return operator_norms(smoothed - plain)
+        plain = spec_sum.blocks(RESOLVENT_PLUS, scales[columns]).dense()
+        by_n = []
+        for rows in columns + grid.size * np.arange(n_values.size)[:, None]:
+            upper = spec_d.odd_block(w_d[rows]) + spec_dp.odd_block(w_dp[rows])
+            smoothed = np.linalg.inv(ParityBlocks(None, upper, adjoint(upper), None).dense() + shift)
+            by_n.append(operator_norms(smoothed - plain))
+        return np.stack(by_n, -1)
 
-    defects = map_grid(defects_of, np.arange(len(w_d)), d.space.dim).reshape(n_values.size, grid.size)
+    defects = map_grid(defects_of, np.arange(grid.size), d.space.dim).T
     top_decade = grid >= grid[-1] / 10.0
     suprema = defects[:, top_decade].max(axis=1)
     # relative bound from the resolvent factorization of the difference

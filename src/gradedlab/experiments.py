@@ -3,7 +3,8 @@
 Every experiment consumes an ExperimentConfig (JSON file plus command
 line overrides), derives one deterministic seed per trial from the root
 seed, and produces an ExperimentResult: one certificate per measured
-bound, decay-profile CSV payloads, and a summary; its checks count the
+bound, decay profiles, tables of named columns, and a summary, all of them
+numbers that reporting alone turns into text; its checks count the
 certificates under the claims of CHECKS.  Trials run serially in a fixed
 order so reports are byte-identical for identical configuration and seed.
 """
@@ -98,37 +99,14 @@ class ConfigError(ValueError):
 MAX_DENSE_DIM = 4096
 # Largest total dimension of an n-coordinate Bott model: its spectrum's multiplicities are int64.
 MAX_MULTIPLICITY = np.iinfo(np.int64).max
-# Most trials a config may ask for.  A run keeps every trial's certificates, profiles and
-# jsonl text to the end: 7.7 kB a trial for commbound at the default grids, the most of any
-# experiment (tracemalloc peaks of run_experiment and emit_report), so 0.77 GB at the bound.
+# Most trials a config may ask for.  A run keeps every trial's certificates and their jsonl
+# text to the end, and no trial's profiles: 7.7 kB a trial for commbound at its 6 default
+# transform scales, the most of any experiment (tracemalloc peaks of run_experiment and
+# emit_report), so 0.77 GB at the bound.  commbound certifies each scale twice a trial, so
+# trials x len(n_grid) is bounded by the same budget, 6 MAX_TRIALS.
 MAX_TRIALS = 100_000
 # |lambda| below this counts as a kernel eigenvalue of a Bott operator.
 KERNEL_TOL = 1e-8
-
-
-# The top-level config keys each experiment's runner reads.  A config file may set
-# these, and seed and out, and nothing else.
-_READS: dict[str, set[str]] = {
-    "commbound": {"trials", "dims", "t_grid", "n_grid"},
-    "expfactor": {"trials", "dims", "t_grid"},
-    "techlemma": {"trials", "dims", "t_grid"},
-    "compose": {"trials", "dims", "t_grid"},
-    "bott": {"n_basis", "coordinates", "t_grid"},
-    "perturb": {"trials", "dims", "t_grid", "n_basis"},
-    "appendixB": {"trials", "dims", "t_grid"},
-}
-
-
-# Each experiment's departures from the ExperimentConfig field defaults, in config-file form.
-_DEFAULTS: dict[str, dict] = {
-    "commbound": {"trials": 200, "dims": [4, 8, 16]},
-    "expfactor": {"trials": 50, "t_grid": {"start": 10.0, "points": 40}},
-    "techlemma": {"trials": 20, "t_grid": {"start": 10.0, "points": 30}},
-    "compose": {"trials": 50},
-    "bott": {},
-    "perturb": {"trials": 10, "n_basis": 16},
-    "appendixB": {"trials": 500, "dims": [4, 8, 16], "t_grid": {"points": 40}},
-}
 
 
 @dataclass(frozen=True)
@@ -154,6 +132,8 @@ class ExperimentConfig:
             raise ConfigError(f"trials must be between 1 and {MAX_TRIALS}")
         if not self.n_grid or not all(0 < n <= MAX_TRANSFORM_SCALE for n in self.n_grid):
             raise ConfigError("invalid transform-scale grid")
+        if self.trials * len(self.n_grid) > 6 * MAX_TRIALS:
+            raise ConfigError(f"trials x len(n_grid) may not exceed {6 * MAX_TRIALS}")
         if not self.dims or any(d < 2 or d % 2 for d in self.dims):
             raise ConfigError("dims must be a non-empty list of even integers >= 2")
         # the largest grid-shaped arrays: the odd chiral weight stacks of commbound
@@ -266,13 +246,14 @@ def load_config(
         raise ConfigError("no experiment selected")
     if name not in EXPERIMENT_NAMES:
         raise UnknownExperimentError(f"unknown experiment {name!r}")
+    _, reads, defaults = _EXPERIMENTS[name]
     flags = {key: value for key, value in (("seed", seed), ("out", out)) if value is not None}
-    merged = {**_DEFAULTS[name], **{k: v for k, v in data.items() if k != "experiment"}, **flags}
-    unknown = sorted(set(merged) - _READS[name] - {"seed", "out"})
+    merged = {**defaults, **{k: v for k, v in data.items() if k != "experiment"}, **flags}
+    unknown = sorted(set(merged) - reads - {"seed", "out"})
     grid = merged.pop("t_grid", {})
     if not isinstance(grid, dict):
         raise ConfigError("t_grid must be an object with start/stop/points")
-    grid = {**_DEFAULTS[name].get("t_grid", {}), **grid}
+    grid = {**defaults.get("t_grid", {}), **grid}
     unknown += [f"t_grid.{k}" for k in sorted(set(grid) - set(_GRID_PARSERS))]
     if unknown:
         raise ConfigError(f"unknown config keys for {name}: {', '.join(unknown)}")
@@ -342,7 +323,8 @@ class ExperimentResult:
     certificates: list[BoundCertificate]
     profiles: list[tuple[str, DecayProfile]] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
-    tables: dict[str, str] = field(default_factory=dict)
+    # {file stem: {column name: values}}, one CSV file each
+    tables: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
 
     @functools.cached_property
     def checks(self) -> list[CheckSummary]:
@@ -522,7 +504,6 @@ def _identity_composition_cert(cfg: ExperimentConfig) -> BoundCertificate:
 
 def run_bott(cfg: ExperimentConfig) -> ExperimentResult:
     certs: list[BoundCertificate] = []
-    tables: dict[str, str] = {}
     summary: dict = {}
 
     # the truncation ladder n_basis / 2, n_basis, 2 n_basis, each rung's one-coordinate pieces
@@ -550,9 +531,7 @@ def run_bott(cfg: ExperimentConfig) -> ExperimentResult:
     summary["smallest_magnitudes"] = [float(v) for v in np.sqrt(rung.smallest(8))]
     summary["dc_commutator_norm"] = dc["commutator_norm"]
     summary["dc_interior_defect_vs_identity"] = dc["interior_defect_vs_identity"]
-    lines = ["eigenvalue,multiplicity"]
-    lines += [f"{v:.12e},{m}" for v, m in zip(*rung.eigenvalues())]
-    tables[f"spectrum_n{cfg.n_basis}"] = "\n".join(lines) + "\n"
+    tables = {f"spectrum_n{cfg.n_basis}": dict(zip(("eigenvalue", "multiplicity"), rung.eigenvalues()))}
 
     residuals = [(basis, ladder[basis].ground_residual, gap_defect(ladder[basis])) for basis in bases]
     summary["convergence"] = [{"n_basis": b, "ground_residual": g, "gap_defect": s} for b, g, s in residuals]
@@ -586,20 +565,11 @@ def run_bott(cfg: ExperimentConfig) -> ExperimentResult:
 
 def run_perturb(cfg: ExperimentConfig) -> ExperimentResult:
     grid = cfg.t_grid()
-    reports = []  # (tag, report, seed) for every trial, then the Bott model
-    for i, seed, rng, space in _trials(cfg):
-        gens = {"a_even": random_even(rng, space, norm=1.0), "a_odd": random_odd(rng, space, norm=1.0)}
-        pair = AsymptoticPair(gens, random_odd_selfadjoint(rng, space, norm=1.0))
-        potential = random_odd_selfadjoint(rng, space, norm=1.0)
-        reports.append((f"trial={i}", perturbation_check(pair, potential, grid), seed))
-
-    ops = bott_dirac(hermite_model(cfg.n_basis, 1))
-    bott_pair = AsymptoticPair(multiplication_generators(ops), ops.dirac)
-    bott_report = perturbation_check(bott_pair, ops.clifford_mult, grid)
-    reports.append(("bott", bott_report, None))
-
     certs: list[BoundCertificate] = []
-    for tag, (homom_profiles, defect_even, defect_odd), seed in reports:
+
+    def certify(tag, report, seed):
+        # certifies one perturbation_check report as it is made, so no trial's profiles outlive the trial
+        homom_profiles, defect_even, defect_odd = report
         for gen, fn, profile in _table_rows(homom_profiles):
             # f(s V) - f(0) is O(s^2) for the even cayley, O(s) for the odd g
             threshold = COMPOSE_EXPONENT_THRESHOLD if fn == "cayley" else COMMUTATION_EXPONENT_THRESHOLD
@@ -607,6 +577,17 @@ def run_perturb(cfg: ExperimentConfig) -> ExperimentResult:
         for part, profile in (("even", defect_even), ("odd", defect_odd)):
             exponent = profile.fitted_exponent
             certs.append(BoundCertificate(f"perturb_defect[{tag},{part}]", exponent, COMPOSE_EXPONENT_THRESHOLD, seed))
+
+    for i, seed, rng, space in _trials(cfg):
+        gens = {"a_even": random_even(rng, space, norm=1.0), "a_odd": random_odd(rng, space, norm=1.0)}
+        pair = AsymptoticPair(gens, random_odd_selfadjoint(rng, space, norm=1.0))
+        potential = random_odd_selfadjoint(rng, space, norm=1.0)
+        certify(f"trial={i}", perturbation_check(pair, potential, grid), seed)
+
+    ops = bott_dirac(hermite_model(cfg.n_basis, 1))
+    bott_pair = AsymptoticPair(multiplication_generators(ops), ops.dirac)
+    bott_report = perturbation_check(bott_pair, ops.clifford_mult, grid)
+    certify("bott", bott_report, None)
     bott_homom, bott_defect_even, _ = bott_report
     profiles = [("perturb_bott_defect_even", bott_defect_even)]
     profiles += [(f"perturb_bott_{gen}_{fn}", profile) for gen, fn, profile in _table_rows(bott_homom)]
@@ -684,18 +665,24 @@ def _exp_trial_certs(cfg: ExperimentConfig) -> list[BoundCertificate]:
     return certs
 
 
-_RUNNERS = {
-    "commbound": run_commbound,
-    "expfactor": run_expfactor,
-    "techlemma": run_techlemma,
-    "compose": run_compose,
-    "bott": run_bott,
-    "perturb": run_perturb,
-    "appendixB": run_appendix_b,
+# Each experiment's runner, the top-level config keys it reads, and its departures from the
+# ExperimentConfig field defaults in config-file form.  A config file may set the keys an
+# experiment reads, and seed and out, and nothing else.
+_EXPERIMENTS = {
+    "commbound": (run_commbound, {"trials", "dims", "t_grid", "n_grid"}, {"trials": 200, "dims": [4, 8, 16]}),
+    "expfactor": (run_expfactor, {"trials", "dims", "t_grid"}, {"trials": 50, "t_grid": {"start": 10.0, "points": 40}}),
+    "techlemma": (run_techlemma, {"trials", "dims", "t_grid"}, {"trials": 20, "t_grid": {"start": 10.0, "points": 30}}),
+    "compose": (run_compose, {"trials", "dims", "t_grid"}, {"trials": 50}),
+    "bott": (run_bott, {"n_basis", "coordinates", "t_grid"}, {}),
+    "perturb": (run_perturb, {"trials", "dims", "t_grid", "n_basis"}, {"trials": 10, "n_basis": 16}),
+    "appendixB": (
+        run_appendix_b, {"trials", "dims", "t_grid"}, {"trials": 500, "dims": [4, 8, 16], "t_grid": {"points": 40}}
+    ),
 }
-EXPERIMENT_NAMES = tuple(_RUNNERS)
+EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute the configured suite and return its result tree."""
-    return _RUNNERS[config.experiment](config)
+    runner, _, _ = _EXPERIMENTS[config.experiment]
+    return runner(config)

@@ -20,7 +20,8 @@ parity blocks of f(s D), with e^{-x^2} written as 1 + expm1(-x^2) so the
 leading identities cancel exactly, and every norm of a homogeneous
 matrix comes from its two half-size parity blocks.  So the profiles match
 a point-by-point evaluation of the same formulas through Spectrum.apply
-to roundoff, not bit for bit.
+to roundoff, not bit for bit.  Profiles hold numbers only; reporting
+writes them out.
 """
 
 from __future__ import annotations
@@ -110,12 +111,6 @@ class DecayProfile:
             return cls(t_grid, values, float("-inf") if not usable.any() else np.nan)
         slope, _ = np.polyfit(np.log(ts[usable]), np.log(vs[usable]), 1)
         return cls(t_grid, values, float(slope))
-
-    def csv_text(self) -> str:
-        lines = ["t,value"]
-        for t, v in zip(self.t_grid, self.values):
-            lines.append(f"{t:.12e},{v:.12e}")
-        return "\n".join(lines) + "\n"
 
 
 def grid_profiles(t_grid: np.ndarray, dim: int, norms: Callable[[np.ndarray], np.ndarray]) -> list[DecayProfile]:

@@ -1,11 +1,12 @@
-"""Certificates and deterministic report emission: report.json, profile
-CSVs, certificates.jsonl.
+"""Certificates and deterministic report emission: report.json,
+certificates.jsonl and CSV files, every byte of a run's output.
 
-Every numeric value is serialized through the fixed format %.12e, which
-makes reports byte-identical across runs for identical configuration and
-seed (and keeps non-finite sentinels like -inf representable in strict
-JSON).  Files are assembled fully in memory and written in one pass, so
-a failing run never leaves partial output.
+Experiments hand over numbers; each float is serialized through the fixed
+format %.12e (fmt_float) and each integer in decimal, which makes reports
+byte-identical across runs for identical configuration and seed (and keeps
+non-finite sentinels like -inf representable in strict JSON).  Files are
+assembled fully in memory and written in one pass, so a failing run never
+leaves partial output.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "OutputError",
     "fmt_float",
     "jsonable",
+    "csv_text",
     "REPORT_SCHEMA",
     "emit_report",
 ]
@@ -62,6 +64,17 @@ def jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def csv_text(columns: dict[str, np.ndarray]) -> str:
+    """CSV of equal-length named columns, {name: values}, under a header of
+    their names: integer columns in decimal, every other value through
+    fmt_float.  Each column's formatter is chosen once, from its dtype."""
+    cells = []
+    for values in columns.values():
+        values = np.asarray(values)
+        cells.append(map(str if values.dtype.kind in "iu" else fmt_float, values.tolist()))
+    return "".join(",".join(row) + "\n" for row in [tuple(columns), *zip(*cells)])
 
 
 REPORT_SCHEMA = {
@@ -145,9 +158,9 @@ def emit_report(result, out_dir) -> list[Path]:
         "certificates.jsonl": "".join(cert.jsonl_line() + "\n" for cert in result.certificates),
     }
     for name, profile in result.profiles:
-        files[f"profile_{name}.csv"] = profile.csv_text()
-    for name, text in result.tables.items():
-        files[f"{name}.csv"] = text
+        files[f"profile_{name}.csv"] = csv_text({"t": profile.t_grid, "value": profile.values})
+    for name, columns in result.tables.items():
+        files[f"{name}.csv"] = csv_text(columns)
 
     out = Path(out_dir)
     try:

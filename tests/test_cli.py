@@ -90,7 +90,8 @@ def test_crash_exits_5_and_writes_nothing(tmp_path, capsys, monkeypatch):
     def runner(cfg):
         raise OverflowError("math range error")
 
-    monkeypatch.setitem(gradedlab.experiments._RUNNERS, "expfactor", runner)
+    _, reads, defaults = gradedlab.experiments._EXPERIMENTS["expfactor"]
+    monkeypatch.setitem(gradedlab.experiments._EXPERIMENTS, "expfactor", (runner, reads, defaults))
     out = tmp_path / "out"
     assert main(["expfactor", "--out", str(out)]) == 5
     assert capsys.readouterr().err.startswith("error: OverflowError: ")
@@ -102,7 +103,8 @@ def test_unregistered_check_exits_5_and_writes_nothing(tmp_path, monkeypatch):
     def runner(cfg):
         return ExperimentResult(cfg.experiment, cfg.as_dict(), [BoundCertificate("unregistered_check", 0.0, 1.0)])
 
-    monkeypatch.setitem(gradedlab.experiments._RUNNERS, "bott", runner)
+    _, reads, defaults = gradedlab.experiments._EXPERIMENTS["bott"]
+    monkeypatch.setitem(gradedlab.experiments._EXPERIMENTS, "bott", (runner, reads, defaults))
     out = tmp_path / "out"
     assert main(["bott", "--out", str(out)]) == 5
     assert not out.exists()
@@ -261,6 +263,25 @@ def test_trials_above_the_bound_exit_3_and_write_nothing(tmp_path, experiment):
         assert not out.exists()
     with pytest.raises(ConfigError):
         ExperimentConfig(experiment, trials=10**12)
+
+
+def test_trials_times_transform_scales_above_the_bound_exit_3_and_write_nothing(tmp_path):
+    """commbound keeps two certificates per transform scale a trial, so
+    trials x len(n_grid) is bounded by MAX_TRIALS at the 6 default scales:
+    100,000 trials at 6 scales and 600 at 1,000 are accepted; 100,000 at
+    1,000, 601 at 1,000 and 100,000 at 7 are refused before anything is
+    allocated, and lab exits 3 with nothing written.  No suite runs at the
+    bound."""
+    assert 6 * MAX_TRIALS == 600_000
+    for trials, scales in ((MAX_TRIALS, 6), (600, 1_000)):
+        assert load_config(write_config(tmp_path, experiment="commbound", trials=trials, n_grid=[1.0] * scales))
+    for trials, scales in ((MAX_TRIALS, 1_000), (601, 1_000), (MAX_TRIALS, 7)):
+        config = write_config(tmp_path, experiment="commbound", trials=trials, n_grid=[1.0] * scales)
+        with pytest.raises(ConfigError, match="trials x len\\(n_grid\\) may not exceed 600000"):
+            load_config(config)
+        out = tmp_path / "out"
+        assert main(["--config", config, "--out", str(out)]) == 3
+        assert not out.exists()
 
 
 def test_multiplicity_overflow_is_refused_on_both_sides():

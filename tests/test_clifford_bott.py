@@ -13,6 +13,7 @@ from gradedlab import (
     Spectrum,
     bott_dirac,
     dc_commutator_check,
+    emit_report,
     gamma_matrix,
     graded_commutator,
     graded_tensor,
@@ -571,13 +572,14 @@ def test_run_bott_builds_no_dense_operator_above_one_coordinate(monkeypatch):
 
 
 @pytest.mark.parametrize("n_basis, n", [(8, 1), (8, 2)])
-def test_spectrum_csv_is_the_component_spectrum(n_basis, n):
-    """The spectrum CSV prints the model rung's distinct eigenvalues with
-    multiplicities; expanded, they are the component spectrum to 1e-12 and
-    number (2 n_basis - 1)^n, and the summary's kernel count and smallest
-    magnitudes agree with them."""
+def test_spectrum_csv_is_the_component_spectrum(tmp_path, n_basis, n):
+    """The spectrum CSV emit_report writes prints the model rung's distinct
+    eigenvalues with multiplicities; expanded, they are the component
+    spectrum to 1e-12 and number (2 n_basis - 1)^n, and the summary's kernel
+    count and smallest magnitudes agree with them."""
     result = run_experiment(ExperimentConfig("bott", coordinates=n, n_basis=n_basis, t_points=8))
-    header, *rows = result.tables[f"spectrum_n{n_basis}"].splitlines()
+    emit_report(result, tmp_path)
+    header, *rows = (tmp_path / f"spectrum_n{n_basis}.csv").read_text().splitlines()
     assert header == "eigenvalue,multiplicity"
     values = np.array([float(row.split(",")[0]) for row in rows])
     multiplicity = np.array([int(row.split(",")[1]) for row in rows])
@@ -717,3 +719,25 @@ def test_perturbation_bott_model():
     ops = bott_dirac(hermite_model(16))
     pair = AsymptoticPair(multiplication_generators(ops), ops.dirac)
     assert_perturbation_rates(*perturbation_check(pair, ops.clifford_mult, GRID))
+
+
+def test_run_perturb_keeps_no_trial_profiles():
+    """run_perturb certifies each trial as it runs, so what a trial leaves
+    behind is its six certificates, whatever the t grid: the traced peak of
+    a run grows per trial by no more at 600 t points than at 60, give or
+    take the 540 extra values of one profile, where keeping a trial's six
+    profiles would add 6 x 540 x 8 bytes."""
+
+    def peak_per_trial(points):
+        peaks = []
+        for trials in (2, 8):
+            cfg = ExperimentConfig("perturb", trials=trials, dims=(4,), t_points=points, n_basis=8)
+            tracemalloc.start()
+            try:
+                run_experiment(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return (peaks[1] - peaks[0]) / 6
+
+    assert peak_per_trial(600) < peak_per_trial(60) + 540 * np.dtype(float).itemsize

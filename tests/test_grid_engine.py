@@ -549,8 +549,10 @@ def test_perturbation_check_bott_matches_mpmath():
 
 @pytest.mark.parametrize("dim", TOY_DIMS)
 def test_transform_sum_sweep_matches_oracle(dim, stack_rows):
+    """The sweep chunks its t values, 14 at dim 34, and each chunk runs
+    every N: 20 t values cross a chunk boundary."""
     _, pair, d_prime = operands(dim)
-    grid = default_t_grid(10.0, 1e3, 12)
+    grid = default_t_grid(10.0, 1e3, 20)
     n_grid = (1.0, 4.0, 16.0)
     report = transform_sum_sweep(pair.d, d_prime, n_grid=n_grid, t_grid=grid)
     spec_d, spec_dp = Spectrum.of(pair.d), Spectrum.of(d_prime)
@@ -566,6 +568,25 @@ def test_transform_sum_sweep_matches_oracle(dim, stack_rows):
     assert within_cap(stack_rows, dim)
     if dim == 34:
         assert max(stack_rows) == STACK_ENTRIES // (dim * dim)
+
+
+def test_transform_sum_sweep_builds_each_plain_resolvent_once(monkeypatch):
+    """The plain resolvent of s (D + D') depends on t alone: the sweep builds
+    it once per t value for all seven default N, chunk by chunk."""
+    built = []
+    blocks = ChiralSpectrum.blocks
+
+    def recording(self, f, scales, **kwargs):
+        if f is RESOLVENT_PLUS:
+            built.append(np.array(scales))
+        return blocks(self, f, scales, **kwargs)
+
+    monkeypatch.setattr(ChiralSpectrum, "blocks", recording)
+    _, pair, d_prime = operands(34)
+    grid = default_t_grid(10.0, 1e3, 30)
+    transform_sum_sweep(pair.d, d_prime, grid)
+    assert [len(scales) for scales in built] == [14, 14, 2]
+    assert np.array_equal(np.concatenate(built), 1.0 / grid)
 
 
 def mp_sweep_defect(d, d_prime, n, t):

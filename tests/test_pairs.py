@@ -24,6 +24,7 @@ from gradedlab import (
 )
 from gradedlab.funcalc import GAUSS0, GAUSS1
 from gradedlab.pairs import COMMUTATION_EXPONENT_THRESHOLD, COMPOSE_EXPONENT_THRESHOLD, DecayProfile
+from gradedlab.reporting import csv_text
 from gradedlab.sampling import (
     balanced_space,
     random_even,
@@ -118,7 +119,7 @@ def test_decay_profile_grid_errors():
 
 def test_decay_profile_serialization():
     profile = norm_profile(lambda t: (t**-1.0) * identity(TWO))
-    lines = profile.csv_text().splitlines()
+    lines = csv_text({"t": profile.t_grid, "value": profile.values}).splitlines()
     assert lines[0] == "t,value"
     assert len(lines) == GRID.size + 1
     t0, v0 = lines[1].split(",")

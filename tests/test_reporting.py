@@ -1,4 +1,5 @@
-"""The certificates.jsonl line, written by BoundCertificate.jsonl_line alone."""
+"""The certificates.jsonl line, written by BoundCertificate.jsonl_line alone,
+and the CSV files, written by csv_text alone."""
 
 import json
 import math
@@ -6,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from gradedlab.reporting import CERTIFICATE_TOL, BoundCertificate
+from gradedlab.reporting import CERTIFICATE_TOL, BoundCertificate, csv_text
 
 
 def test_certificate_line_has_six_sorted_keys_and_formatted_numbers():
@@ -40,3 +41,16 @@ def test_pass_flips_at_minus_certificate_tol(lhs, passed):
     assert cert.margin == -lhs
     assert cert.passed is passed
     assert json.loads(cert.jsonl_line())["pass"] is passed
+
+
+def test_csv_text_writes_floats_as_12e_and_integers_in_decimal():
+    """The header is the column names; every float, -inf and nan among
+    them, is written as the f"{t:.12e},{v:.12e}" rows profiles had, and an
+    int64 column in decimal, past 2**53 too."""
+    t = np.geomspace(1.0, 1e3, 7)
+    values = np.array([0.5, -math.inf, math.nan, 1e-300, -0.0, 3.0, math.inf])
+    expected = "t,value\n" + "".join(f"{a:.12e},{b:.12e}\n" for a, b in zip(t, values))
+    assert csv_text({"t": t, "value": values}) == expected
+    multiplicity = np.array([1, 2**62 + 1], dtype=np.int64)
+    text = csv_text({"eigenvalue": np.array([-1.5, 0.0]), "multiplicity": multiplicity})
+    assert text == "eigenvalue,multiplicity\n-1.500000000000e+00,1\n0.000000000000e+00,4611686018427387905\n"
