@@ -53,6 +53,8 @@ __all__ = [
 
 SERIES_RELATIVE_CUTOFF = 1e-16
 SERIES_MAX_TERMS = 400
+# the smallest normal float; below it _series_term multiplies its factors out
+_TINY = float(np.finfo(float).tiny)
 
 
 # Numerator coefficients b_0 .. b_13 of the degree-13 Pade approximant to e^x, divided by
@@ -136,7 +138,7 @@ def _series_term(n: int, commutator_norm: float, m_bound: float) -> float:
         term = (n + 1) * math.factorial(n // 2) ** -2 * (n * n / 4.0) * commutator_norm * m_bound ** (n - 2)
     except OverflowError:
         term = 0.0
-    if term >= np.finfo(float).tiny or commutator_norm == 0.0:
+    if term >= _TINY or commutator_norm == 0.0:
         return term
     q = math.prod(m_bound / k for k in range(1, n // 2)) / (n // 2)
     return (n + 1) * (n * n / 4.0) * commutator_norm * m_bound ** (n % 2) * q * q

@@ -403,7 +403,7 @@ def run_expfactor(cfg: ExperimentConfig) -> ExperimentResult:
         certs.append(
             BoundCertificate(
                 f"factorization_rate[trial={i}]",
-                abs(t_last**2 * float(even_prof.values[-1]) - comm),
+                abs(t_last**2 * float(even_prof.window[-1]) - comm),
                 0.02 * comm,
                 seed,
             )

@@ -14,7 +14,11 @@ which decays like t^-2 when [psi(D), D'] is bounded.
 Everything is pure and deterministic.  Every measured profile comes from
 grid_profiles, the one t-grid stage: its callback maps a chunk of t values
 to a column of norms per profile, from the chiral spectra of the odd
-operators (funcalc.ChiralSpectrum).  The commutation profiles are
+operators (funcalc.ChiralSpectrum).  Only the upper half of the grid
+enters a fit: grid_profiles evaluates that window when called, and the t
+values below it once for all its profiles when one profile's values are
+read (a written profile, appendixB's path check, the exact factorization
+cases), which most profiles never are.  The commutation profiles are
 Schur products in D's chiral basis; the defects are formed from the
 parity blocks of f(s D), with e^{-x^2} written as 1 + expm1(-x^2) so the
 leading identities cancel exactly, and every norm of a homogeneous
@@ -26,6 +30,7 @@ writes them out.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -84,17 +89,25 @@ class DecayProfile:
     """Sampled norms over a t-grid with a fitted log-log decay exponent.
 
     The fit is ordinary least squares of log(value) against log(t) over
-    the upper half of the grid; early-t transients would otherwise
-    pollute the asymptotic slope.  Sub-floor values are excluded, and a
-    profile that is zero on the whole fit window reports exponent -inf.
-    A non-finite value in the fit window, or a window with a single value
-    at or above FIT_FLOOR, makes the fit fail: the exponent is NaN, so no
-    threshold comparison passes.
+    the upper half of the grid, the fit window t_grid[t_grid.size // 2:];
+    early-t transients would otherwise pollute the asymptotic slope.
+    Sub-floor values are excluded, and a profile that is zero on the whole
+    fit window reports exponent -inf.  A non-finite value in the fit
+    window, or a window with a single value at or above FIT_FLOOR, makes
+    the fit fail: the exponent is NaN, so no threshold comparison passes.
+
+    window holds the values on the fit window; values, read once, adds those
+    below it from below().
     """
 
     t_grid: np.ndarray
-    values: np.ndarray
+    window: np.ndarray
     fitted_exponent: float
+    below: Callable[[], np.ndarray]
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        return np.concatenate([self.below(), self.window])
 
     @classmethod
     def from_values(cls, t_grid: np.ndarray, values: Sequence[float]) -> "DecayProfile":
@@ -102,23 +115,30 @@ class DecayProfile:
         values = np.asarray(values, dtype=float)
         if t_grid.size != values.size:
             raise ValueError("grid and value lengths differ")
-        upper = slice(t_grid.size // 2, None)
-        ts, vs = t_grid[upper], values[upper]
-        if not np.all(np.isfinite(vs)):
-            return cls(t_grid, values, np.nan)
-        usable = vs >= FIT_FLOOR
-        if usable.sum() < 2:
-            return cls(t_grid, values, float("-inf") if not usable.any() else np.nan)
-        slope, _ = np.polyfit(np.log(ts[usable]), np.log(vs[usable]), 1)
-        return cls(t_grid, values, float(slope))
+        half = t_grid.size // 2
+        return cls._fitted(t_grid, values[half:], lambda: values[:half])
+
+    @classmethod
+    def _fitted(cls, t_grid: np.ndarray, window: np.ndarray, below: Callable[[], np.ndarray]) -> "DecayProfile":
+        ts, usable = t_grid[t_grid.size // 2:], window >= FIT_FLOOR
+        if not np.all(np.isfinite(window)) or usable.sum() == 1:
+            return cls(t_grid, window, np.nan, below)
+        if not usable.any():
+            return cls(t_grid, window, float("-inf"), below)
+        slope, _ = np.polyfit(np.log(ts[usable]), np.log(window[usable]), 1)
+        return cls(t_grid, window, float(slope), below)
 
 
 def grid_profiles(t_grid: np.ndarray, dim: int, norms: Callable[[np.ndarray], np.ndarray]) -> list[DecayProfile]:
     """One DecayProfile per column of norms(ts), a (len(ts), k) array, for
     each chunk ts of the t values, chunked for operators of dimension dim
-    (funcalc.map_grid)."""
+    (funcalc.map_grid).  norms runs on the fit window's t values now, and on
+    those below it, for all k columns at once, when values are first read."""
     grid = checked_t_grid(t_grid)
-    return [DecayProfile.from_values(grid, column) for column in map_grid(norms, grid, dim).T]
+    half = grid.size // 2
+    below = functools.cache(lambda: map_grid(norms, grid[:half], dim))
+    upper = map_grid(norms, grid[half:], dim).T
+    return [DecayProfile._fitted(grid, column, lambda k=k: below()[:, k]) for k, column in enumerate(upper)]
 
 
 @dataclass(frozen=True)
@@ -158,22 +178,27 @@ def validate_pair(pair: AsymptoticPair, t_grid: np.ndarray) -> dict[str, dict[st
     """
     grid = checked_t_grid(t_grid)
     spec = ChiralSpectrum.of(pair.d)
-    profiles = {}
+    # each measured generator moves to D's chiral basis once.  When it is real
+    # there, resolvent-(x) = conj(resolvent+(x)) makes the resolvent- commutators
+    # the conjugates of the resolvent+ ones, with the same norms
+    measured = {}
     for name, gen in pair.generators.items():
-        if np.array_equal(gen.entries, gen.entries[0, 0] * np.eye(pair.space.dim)):
-            # c 1 graded-commutes with every f(D): its profiles are exact zeros
+        # c 1 graded-commutes with every f(D): its profiles are exact zeros
+        if not np.array_equal(gen.entries, gen.entries[0, 0] * np.eye(pair.space.dim)):
+            parts = spec.chiral_parts(gen)
+            measured[name] = parts, [f for f in PAIR_FUNCTIONS if f is not RESOLVENT_MINUS or np.iscomplexobj(parts)]
+
+    def norms(ts):
+        return np.stack([spec.commutator_norms(f, 1.0 / ts, parts) for parts, fs in measured.values() for f in fs], -1)
+
+    columns = iter(grid_profiles(grid, pair.space.dim, norms) if measured else ())
+    profiles = {}
+    for name in pair.generators:
+        if name not in measured:
             profiles[name] = {f.name: DecayProfile.from_values(grid, np.zeros(grid.size)) for f in PAIR_FUNCTIONS}
             continue
-        # the generator moves to D's chiral basis once.  When it is real there,
-        # resolvent-(x) = conj(resolvent+(x)) makes the resolvent- commutators
-        # the conjugates of the resolvent+ ones, with the same norms
-        parts = spec.chiral_parts(gen)
-        functions = [f for f in PAIR_FUNCTIONS if f is not RESOLVENT_MINUS or np.iscomplexobj(parts)]
-        columns = grid_profiles(grid, pair.space.dim, lambda ts: np.stack(
-            [spec.commutator_norms(f, 1.0 / ts, parts) for f in functions], -1
-        ))
-        measured = {f.name: profile for f, profile in zip(functions, columns)}
-        profiles[name] = {f.name: measured.get(f.name, measured[RESOLVENT_PLUS.name]) for f in PAIR_FUNCTIONS}
+        by_name = {f.name: next(columns) for f in measured[name][1]}
+        profiles[name] = {f.name: by_name.get(f.name, by_name[RESOLVENT_PLUS.name]) for f in PAIR_FUNCTIONS}
     return profiles
 
 

@@ -124,9 +124,10 @@ class BoundCertificate:
 
     def jsonl_line(self) -> str:
         """The certificates.jsonl line: six keys, sorted, numbers as %.12e strings."""
-        record = {"check": self.check, "seed": self.seed, "lhs": self.lhs, "rhs": self.rhs,
-                  "margin": self.margin, "pass": self.passed}
-        return json.dumps(jsonable(record), sort_keys=True)
+        return '{"check": %s, "lhs": "%.12e", "margin": "%.12e", "pass": %s, "rhs": "%.12e", "seed": %s}' % (
+            json.dumps(self.check), self.lhs, self.margin, "true" if self.passed else "false", self.rhs,
+            json.dumps(self.seed),
+        )
 
 
 def emit_report(result, out_dir) -> list[Path]:

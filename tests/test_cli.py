@@ -20,6 +20,7 @@ from gradedlab.experiments import (
     load_config,
     run_experiment,
 )
+from gradedlab.pairs import grid_profiles
 from gradedlab.reporting import REPORT_SCHEMA, BoundCertificate, emit_report
 
 from helpers import SMALL
@@ -95,6 +96,30 @@ def test_crash_exits_5_and_writes_nothing(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
     assert main(["expfactor", "--out", str(out)]) == 5
     assert capsys.readouterr().err.startswith("error: OverflowError: ")
+    assert not out.exists()
+
+
+def test_failure_below_a_fit_window_exits_5_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    """A profile evaluates the values below its fit window when emit_report
+    reads them; an exception there is a crash, raised before any file is
+    written."""
+    def runner(cfg):
+        grid = cfg.t_grid()
+
+        def norms(ts):
+            if ts[0] < grid[grid.size // 2]:
+                raise FloatingPointError("below the fit window")
+            return (1.0 / ts)[:, None]
+
+        (profile,) = grid_profiles(grid, 4, norms)
+        return ExperimentResult(cfg.experiment, cfg.as_dict(), [BoundCertificate("compose_identity", 0.0, 0.0)],
+                                [("deferred", profile)])
+
+    _, reads, defaults = gradedlab.experiments._EXPERIMENTS["compose"]
+    monkeypatch.setitem(gradedlab.experiments._EXPERIMENTS, "compose", (runner, reads, defaults))
+    out = tmp_path / "out"
+    assert main(["compose", "--out", str(out)]) == 5
+    assert capsys.readouterr().err.startswith("error: FloatingPointError: below the fit window")
     assert not out.exists()
 
 

@@ -547,6 +547,39 @@ def test_each_rung_is_built_once(cfg, bases, monkeypatch):
     assert calls == [(name, basis, cfg.coordinates) for basis in bases for name in ("hermite_model", "bott_dirac")]
 
 
+def test_run_bott_sweeps_evaluate_the_fit_window_alone(tmp_path, monkeypatch):
+    """bott writes no profile, so on the default 60-point grid each of its two
+    t sweeps (the multiplication pair's commutators and the composition's
+    defects; the scalar pair is not measured) evaluates the 30 t values of its
+    fit window and none below it.  Reading every profile's values, which
+    evaluates the rest, writes the same bytes."""
+    import gradedlab.pairs
+
+    swept = []
+    original_map_grid, original_grid_profiles = gradedlab.pairs.map_grid, gradedlab.pairs.grid_profiles
+
+    def recording(fn, rows, dim):
+        swept.append(len(rows))
+        return original_map_grid(fn, rows, dim)
+
+    def read_every_value(*args):
+        profiles = original_grid_profiles(*args)
+        for profile in profiles:
+            profile.values
+        return profiles
+
+    monkeypatch.setattr(gradedlab.pairs, "map_grid", recording)
+    cfg = ExperimentConfig("bott", n_basis=8)
+    emit_report(run_experiment(cfg), tmp_path / "fitted")
+    assert swept == [30, 30]
+    monkeypatch.setattr(gradedlab.pairs, "grid_profiles", read_every_value)
+    emit_report(run_experiment(cfg), tmp_path / "read")
+    assert swept == [30, 30] * 3
+    fitted, read = sorted((tmp_path / "fitted").iterdir()), sorted((tmp_path / "read").iterdir())
+    assert [path.name for path in fitted] == [path.name for path in read]
+    assert all(a.read_bytes() == b.read_bytes() for a, b in zip(fitted, read))
+
+
 def test_run_bott_builds_no_dense_operator_above_one_coordinate(monkeypatch):
     """At the bott-2d config (coordinates 2, d = 529, ladder bases 8, 12
     and 24 to d = 2209) the only GradedMatrix objects run_bott builds are

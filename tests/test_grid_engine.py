@@ -19,6 +19,8 @@ perturbation_check at t = 1e3, which no longer subtract O(1) matrices, to
 over the grid, and equal a per-point loop bit for bit.
 """
 
+import weakref
+
 import mpmath
 import numpy as np
 import pytest
@@ -167,7 +169,9 @@ def test_apply_grid_needs_a_single_spectrum():
 
 def test_grid_profiles_take_columns_in_order_from_t_values():
     """grid_profiles passes each chunk of t values itself (callers take 1/t)
-    and returns one profile per column of norms, in column order."""
+    and returns one profile per column of norms, in column order.  The call
+    evaluates the fit window, the upper half of the grid, in order; the
+    first read of values evaluates the lower half, once for all columns."""
     grid, seen = default_t_grid(points=40), []
 
     def norms(ts):
@@ -175,10 +179,35 @@ def test_grid_profiles_take_columns_in_order_from_t_values():
         return np.stack([1.0 / ts, ts**-2, np.zeros(ts.size)], -1)
 
     inverse, square, zero = grid_profiles(grid, 34, norms)
-    assert len(seen) > 1 and np.array_equal(np.concatenate(seen), grid)
-    assert np.array_equal(inverse.values, 1.0 / grid) and np.array_equal(square.values, grid**-2)
+    assert len(seen) > 1 and np.array_equal(np.concatenate(seen), grid[20:])
+    upper_chunks = len(seen)
+    assert np.array_equal(inverse.values, 1.0 / grid)
+    assert len(seen) > upper_chunks + 1 and np.array_equal(np.concatenate(seen[upper_chunks:]), grid[:20])
+    lower_chunks = len(seen)
+    assert np.array_equal(square.values, grid**-2) and np.array_equal(zero.values, np.zeros(grid.size))
+    assert len(seen) == lower_chunks
     assert inverse.fitted_exponent == pytest.approx(-1.0) and square.fitted_exponent == pytest.approx(-2.0)
     assert zero.fitted_exponent == float("-inf")
+
+
+@pytest.mark.parametrize("read", [False, True])
+def test_dropped_profiles_free_what_their_norms_hold(read):
+    """A profile holds its norms callback until it is dropped, values read or
+    not, and nothing else holds it: dropping the profiles frees the
+    callback's operands at once, with no garbage collection."""
+
+    class Operand:
+        pass
+
+    operand = Operand()
+    held = weakref.ref(operand)
+    profiles = grid_profiles(default_t_grid(), 4, lambda ts, operand=operand: (1.0 / ts)[:, None])
+    del operand
+    if read:
+        profiles[0].values
+    assert held() is not None
+    del profiles
+    assert held() is None
 
 
 def test_grid_profiles_over_several_chunks_equal_one_chunk():
