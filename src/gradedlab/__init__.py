@@ -17,12 +17,10 @@ from .graded import (
     OddSelfAdjoint,
     conjugate_by_grading,
     direct_sum,
-    gamma_matrix,
     graded_commutator,
     graded_tensor,
     identity,
     operator_norm,
-    parity_decompose,
     zeros,
 )
 from .funcalc import (

@@ -67,6 +67,10 @@ __all__ = [
     "perturbation_check",
 ]
 
+# |lambda| below this counts as a kernel eigenvalue of a Bott operator.
+KERNEL_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class HermiteModel:
     """Truncated Hermite realization of one or more coordinates."""
@@ -204,14 +208,14 @@ class LadderSpectrum:
                 np.r_[half[::-1], self.multiplicity[~nonzero], half])
 
 
-def ladder_spectrum(ops: BottOperators, tol: float) -> LadderSpectrum:
+def ladder_spectrum(ops: BottOperators) -> LadderSpectrum:
     """B's spectrum on ops.model.n coordinates from the one-coordinate
     b = d_1 + c_1: its eigenvalues from spectrum_and_kernel, their squares'
     n-fold sum set, the Weyl slack of the cross terms, and the ground
     residual ||B e_0|| = sqrt(n) ||b e_0|| (the n terms of B e_0 are
     orthogonal, for b e_0 is odd and e_0 even)."""
     n, b = ops.model.n, ops.dirac + ops.clifford_mult
-    eigenvalues, _ = spectrum_and_kernel(b, tol)
+    eigenvalues, _ = spectrum_and_kernel(b, KERNEL_TOL)
     one, count = _merged(eigenvalues**2, np.ones(eigenvalues.size, dtype=np.int64))
     squares, multiplicity = np.zeros(1), np.ones(1, dtype=np.int64)
     for _ in range(n):

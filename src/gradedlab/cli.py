@@ -38,7 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("experiment", nargs="?", help=f"one of {', '.join(EXPERIMENT_NAMES)}")
     parser.add_argument("--config", help="JSON config file; flags override its fields")
-    parser.add_argument("--experiment", dest="experiment_flag", help="experiment name override")
     parser.add_argument("--seed", type=int, help="root seed (default 42)")
     parser.add_argument("--out", help="output directory (default lab_results/<experiment>)")
     return parser
@@ -46,9 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    name = args.experiment_flag or args.experiment
     try:
-        config = load_config(args.config, experiment=name, seed=args.seed, out=args.out)
+        config = load_config(args.config, experiment=args.experiment, seed=args.seed, out=args.out)
     except UnknownExperimentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN_EXPERIMENT

@@ -100,7 +100,7 @@ def matrix_exp(m: GradedMatrix) -> GradedMatrix:
 
 
 def _require_even(space: GradedSpace, stack: np.ndarray, label: str) -> None:
-    """ValueError unless every matrix of the stack is even (GradedMatrix.parity() == 0)."""
+    """ValueError unless every matrix of the stack is even: its odd part is negligible."""
     if not np.all(negligible(parity_parts(space, stack)[1], stack)):
         raise ValueError(f"{label} must be an even matrix")
 

@@ -2,9 +2,10 @@
 
 Every experiment consumes an ExperimentConfig (JSON file plus command
 line overrides), derives one deterministic seed per trial from the root
-seed, and produces an ExperimentResult: one certificate per measured
-bound, decay profiles, tables of named columns, and a summary, all of them
-numbers that reporting alone turns into text; its checks count the
+seed, and returns one certificate per measured bound, tables of named
+columns (one CSV file each, written decay profiles among them) and a
+summary, all of them numbers that reporting alone turns into text;
+run_experiment wraps them in an ExperimentResult, whose checks count the
 certificates under the claims of CHECKS.  Trials run serially in a fixed
 order so reports are byte-identical for identical configuration and seed.
 """
@@ -20,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .bott import (
+    KERNEL_TOL,
     bott_dirac,
     dc_commutator_check,
     hermite_model,
@@ -105,8 +107,6 @@ MAX_MULTIPLICITY = np.iinfo(np.int64).max
 # emit_report), so 0.77 GB at the bound.  commbound certifies each scale twice a trial, so
 # trials x len(n_grid) is bounded by the same budget, 6 MAX_TRIALS.
 MAX_TRIALS = 100_000
-# |lambda| below this counts as a kernel eigenvalue of a Bott operator.
-KERNEL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -321,7 +321,6 @@ class ExperimentResult:
     experiment: str
     config: dict
     certificates: list[BoundCertificate]
-    profiles: list[tuple[str, DecayProfile]] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
     # {file stem: {column name: values}}, one CSV file each
     tables: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
@@ -358,10 +357,15 @@ def _table_rows(table: dict[str, dict[str, DecayProfile]]) -> list[tuple[str, st
     return [(gen, fn, profile) for gen, per_fn in table.items() for fn, profile in per_fn.items()]
 
 
+def _written(profile: DecayProfile) -> dict[str, np.ndarray]:
+    """The columns of a written profile's CSV file, t and value, its whole t-grid evaluated."""
+    return {"t": profile.t_grid, "value": profile.values}
+
+
 # -- individual experiments -------------------------------------------------
 
 
-def run_commbound(cfg: ExperimentConfig) -> ExperimentResult:
+def run_commbound(cfg: ExperimentConfig):
     grid = cfg.t_grid()
     certs: list[BoundCertificate] = []
     for i, seed, rng, space in _trials(cfg):
@@ -369,8 +373,7 @@ def run_commbound(cfg: ExperimentConfig) -> ExperimentResult:
         d_prime = random_odd_selfadjoint(rng, space)
         lhs, rhs = transform_commutator_check(d, d_prime, cfg.n_grid, grid)
         certs += _transform_commutator_certs(cfg.n_grid, grid, lhs, rhs, seed)
-    summary = {"trials": cfg.trials, "n_grid": list(cfg.n_grid)}
-    return ExperimentResult(cfg.experiment, cfg.as_dict(), certs, summary=summary)
+    return certs, {}, {"trials": cfg.trials, "n_grid": list(cfg.n_grid)}
 
 
 def _transform_commutator_certs(n_grid, grid, lhs, rhs, seed) -> list[BoundCertificate]:
@@ -389,10 +392,10 @@ def _transform_commutator_certs(n_grid, grid, lhs, rhs, seed) -> list[BoundCerti
     return certs
 
 
-def run_expfactor(cfg: ExperimentConfig) -> ExperimentResult:
+def run_expfactor(cfg: ExperimentConfig):
     grid = cfg.t_grid()
     certs: list[BoundCertificate] = []
-    profiles: list[tuple[str, DecayProfile]] = []
+    tables = {}
     exponents = []
     for i, seed, rng, space in _trials(cfg):
         d = random_odd_selfadjoint(rng, space, norm=1.0)
@@ -418,11 +421,10 @@ def run_expfactor(cfg: ExperimentConfig) -> ExperimentResult:
         )
         exponents.append(even_prof.fitted_exponent)
         if i < 3:
-            profiles.append((f"expfactor_trial{i}_even", even_prof))
-            profiles.append((f"expfactor_trial{i}_odd", odd_prof))
+            tables[f"profile_expfactor_trial{i}_even"] = _written(even_prof)
+            tables[f"profile_expfactor_trial{i}_odd"] = _written(odd_prof)
     certs.extend(_exact_factorization_certs(grid))
-    summary = {"even_exponents": exponents}
-    return ExperimentResult(cfg.experiment, cfg.as_dict(), certs, profiles, summary)
+    return certs, tables, {"even_exponents": exponents}
 
 
 def _exact_factorization_certs(grid) -> list[BoundCertificate]:
@@ -444,10 +446,10 @@ def _exact_factorization_certs(grid) -> list[BoundCertificate]:
     return certs
 
 
-def run_techlemma(cfg: ExperimentConfig) -> ExperimentResult:
+def run_techlemma(cfg: ExperimentConfig):
     grid = cfg.t_grid()
     certs: list[BoundCertificate] = []
-    profiles: list[tuple[str, DecayProfile]] = []
+    tables = {}
     for i, seed, rng, space in _trials(cfg):
         d = random_odd_selfadjoint(rng, space, norm=1.0)
         d_prime = random_odd_selfadjoint(rng, space, norm=1.0)
@@ -459,14 +461,14 @@ def run_techlemma(cfg: ExperimentConfig) -> ExperimentResult:
             certs.append(BoundCertificate(f"relative_bound[trial={i},relative_bound[{x}]]", lhs, rhs, seed))
         if i == 0:
             for n, row in zip(report.n_grid, report.defects):
-                profiles.append((f"techlemma_N{n:g}", DecayProfile.from_values(report.t_grid, row)))
-    return ExperimentResult(cfg.experiment, cfg.as_dict(), certs, profiles)
+                tables[f"profile_techlemma_N{n:g}"] = {"t": report.t_grid, "value": row}
+    return certs, tables, {}
 
 
-def run_compose(cfg: ExperimentConfig) -> ExperimentResult:
+def run_compose(cfg: ExperimentConfig):
     grid = cfg.t_grid()
     certs: list[BoundCertificate] = []
-    profiles: list[tuple[str, DecayProfile]] = []
+    tables = {}
     exponents = []
     for i, seed, rng, space in _trials(cfg):
         gens = {"a_even": random_even(rng, space, norm=1.0), "a_odd": random_odd(rng, space, norm=1.0)}
@@ -483,9 +485,9 @@ def run_compose(cfg: ExperimentConfig) -> ExperimentResult:
             name = f"compose_defect[trial={i},{gen},{fn}]"
             certs.append(BoundCertificate(name, exponents[-1], COMPOSE_EXPONENT_THRESHOLD, seed))
             if i == 0:
-                profiles.append((f"compose_trial0_{gen}_{fn}", profile))
+                tables[f"profile_compose_trial0_{gen}_{fn}"] = _written(profile)
     certs.append(_identity_composition_cert(cfg))
-    return ExperimentResult(cfg.experiment, cfg.as_dict(), certs, profiles, {"exponents": exponents})
+    return certs, tables, {"exponents": exponents}
 
 
 def _identity_composition_cert(cfg: ExperimentConfig) -> BoundCertificate:
@@ -502,7 +504,7 @@ def _identity_composition_cert(cfg: ExperimentConfig) -> BoundCertificate:
     return BoundCertificate("compose_identity", defect, 0.0, list(seed))
 
 
-def run_bott(cfg: ExperimentConfig) -> ExperimentResult:
+def run_bott(cfg: ExperimentConfig):
     certs: list[BoundCertificate] = []
     summary: dict = {}
 
@@ -512,7 +514,7 @@ def run_bott(cfg: ExperimentConfig) -> ExperimentResult:
     # against it.  The middle rung is the model.
     bases = (max(8, cfg.n_basis // 2), cfg.n_basis, 2 * cfg.n_basis)
     rungs = {basis: bott_dirac(hermite_model(basis, cfg.coordinates)) for basis in dict.fromkeys(bases)}
-    ladder = {basis: ladder_spectrum(ops, KERNEL_TOL) for basis, ops in rungs.items()}
+    ladder = {basis: ladder_spectrum(ops) for basis, ops in rungs.items()}
 
     def gap_defect(rung):
         return max(abs(float(bound[1]) - math.sqrt(2.0)) for bound in rung.magnitude_bounds(2))
@@ -560,10 +562,10 @@ def run_bott(cfg: ExperimentConfig) -> ExperimentResult:
                 COMPOSE_EXPONENT_THRESHOLD,
             )
         )
-    return ExperimentResult(cfg.experiment, cfg.as_dict(), certs, summary=summary, tables=tables)
+    return certs, tables, summary
 
 
-def run_perturb(cfg: ExperimentConfig) -> ExperimentResult:
+def run_perturb(cfg: ExperimentConfig):
     grid = cfg.t_grid()
     certs: list[BoundCertificate] = []
 
@@ -589,14 +591,13 @@ def run_perturb(cfg: ExperimentConfig) -> ExperimentResult:
     bott_report = perturbation_check(bott_pair, ops.clifford_mult, grid)
     certify("bott", bott_report, None)
     bott_homom, bott_defect_even, _ = bott_report
-    profiles = [("perturb_bott_defect_even", bott_defect_even)]
-    profiles += [(f"perturb_bott_{gen}_{fn}", profile) for gen, fn, profile in _table_rows(bott_homom)]
-    return ExperimentResult(cfg.experiment, cfg.as_dict(), certs, profiles)
+    tables = {"profile_perturb_bott_defect_even": _written(bott_defect_even)}
+    tables |= {f"profile_perturb_bott_{gen}_{fn}": _written(profile) for gen, fn, profile in _table_rows(bott_homom)}
+    return certs, tables, {}
 
 
-def run_appendix_b(cfg: ExperimentConfig) -> ExperimentResult:
+def run_appendix_b(cfg: ExperimentConfig):
     certs = _exp_trial_certs(cfg)
-    profiles: list[tuple[str, DecayProfile]] = []
 
     rng = rng_for(trial_seed(cfg.seed, 20_000))
     space = balanced_space(cfg.dims[0])
@@ -613,8 +614,7 @@ def run_appendix_b(cfg: ExperimentConfig) -> ExperimentResult:
             "exp_product_path", float((path_lhs.values - path_rhs.values).max()), 0.0
         )
     )
-    profiles.append(("appendixB_path_defect", path_lhs))
-    profiles.append(("appendixB_path_bound", path_rhs))
+    tables = {"profile_appendixB_path_defect": _written(path_lhs), "profile_appendixB_path_bound": _written(path_rhs)}
 
     terms = exp_product_series_terms(1.0, 1.0, 100)
     two_step = terms[2:] / terms[:-2]
@@ -626,7 +626,7 @@ def run_appendix_b(cfg: ExperimentConfig) -> ExperimentResult:
         x = random_even(rng, space, norm=5.0 * float(rng.uniform(0.2, 1.0)))
         lhs = operator_norm(matrix_exp(x) @ matrix_exp(-1.0 * x) - identity(space))
         certs.append(BoundCertificate(f"exp_selftest[{i}]", lhs, 1e-12, list(seed)))
-    return ExperimentResult(cfg.experiment, cfg.as_dict(), certs, profiles)
+    return certs, tables, {}
 
 
 def _exp_trial_draws(rng, space: GradedSpace) -> list:
@@ -665,9 +665,9 @@ def _exp_trial_certs(cfg: ExperimentConfig) -> list[BoundCertificate]:
     return certs
 
 
-# Each experiment's runner, the top-level config keys it reads, and its departures from the
-# ExperimentConfig field defaults in config-file form.  A config file may set the keys an
-# experiment reads, and seed and out, and nothing else.
+# Each experiment's runner, which returns (certificates, tables, summary), the top-level config
+# keys it reads, and its departures from the ExperimentConfig field defaults in config-file form.
+# A config file may set the keys an experiment reads, and seed and out, and nothing else.
 _EXPERIMENTS = {
     "commbound": (run_commbound, {"trials", "dims", "t_grid", "n_grid"}, {"trials": 200, "dims": [4, 8, 16]}),
     "expfactor": (run_expfactor, {"trials", "dims", "t_grid"}, {"trials": 50, "t_grid": {"start": 10.0, "points": 40}}),
@@ -683,6 +683,8 @@ EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Execute the configured suite and return its result tree."""
+    """Execute the configured suite and return its result tree: the runner's
+    (certificates, tables, summary) under the experiment's name and config."""
     runner, _, _ = _EXPERIMENTS[config.experiment]
-    return runner(config)
+    certificates, tables, summary = runner(config)
+    return ExperimentResult(config.experiment, config.as_dict(), certificates, summary, tables)

@@ -92,6 +92,9 @@ NAMED_FUNCTIONS = (GAUSS0, GAUSS1, CAYLEY, MULTIPLIER_G, RESOLVENT_PLUS, RESOLVE
 PAIR_FUNCTIONS = (GAUSS0, GAUSS1, RESOLVENT_PLUS, RESOLVENT_MINUS)
 # Largest transform scale N whose square N^2 is a finite float.
 MAX_TRANSFORM_SCALE = math.sqrt(np.finfo(float).max)
+# A decomposition is valid when its residual is within this times max(1, its largest
+# eigen- or singular value) and its basis unitary to this, entrywise.
+DECOMPOSITION_TOL = 1e-10
 
 
 def bounded_transform_function(n_scale: float) -> ScalarFunction:
@@ -142,7 +145,7 @@ class Spectrum:
     eigenvectors: np.ndarray
 
     @classmethod
-    def of(cls, operator, tol: float = 1e-10) -> "Spectrum":
+    def of(cls, operator) -> "Spectrum":
         if isinstance(operator, OddSelfAdjoint):
             matrix = operator.mat
         elif isinstance(operator, GradedMatrix):
@@ -157,7 +160,8 @@ class Spectrum:
         values, vectors = np.linalg.eigh(matrix)
         residual = np.abs((vectors * values) @ adjoint(vectors) - matrix).max(initial=0.0)
         unitary_defect = np.abs(adjoint(vectors) @ vectors - np.eye(values.size)).max(initial=0.0)
-        if not (residual <= tol * max(1.0, np.abs(values).max(initial=0.0)) and unitary_defect <= tol):
+        scale = max(1.0, np.abs(values).max(initial=0.0))
+        if not (residual <= DECOMPOSITION_TOL * scale and unitary_defect <= DECOMPOSITION_TOL):
             raise ValueError("eigendecomposition failed accuracy validation")
         return cls(values, vectors)
 
@@ -295,10 +299,7 @@ class ChiralSpectrum:
     @classmethod
     def of(cls, operator: OddSelfAdjoint, compute_uv: bool = True) -> "ChiralSpectrum":
         """The chiral spectrum of operator.  With U and V, the SVD is validated
-        as Spectrum.of validates eigh at its default tol = 1e-10:
-        max |U Sigma V* - A| within tol max(1, sigma_1), and U and V unitary
-        to tol entrywise."""
-        tol = 1e-10
+        as Spectrum.of validates eigh, to DECOMPOSITION_TOL."""
         e, o = cls.parity_order(operator.space)
         a = operator.mat[np.ix_(e, o)]
         if not compute_uv:
@@ -306,7 +307,8 @@ class ChiralSpectrum:
         u, sigma, vh = np.linalg.svd(a)
         residual = np.abs((u[:, : sigma.size] * sigma) @ vh[: sigma.size] - a).max(initial=0.0)
         unitary_defect = max(np.abs(adjoint(m) @ m - np.eye(m.shape[-1])).max(initial=0.0) for m in (u, vh))
-        if not (residual <= tol * max(1.0, sigma.max(initial=0.0)) and unitary_defect <= tol):
+        scale = max(1.0, sigma.max(initial=0.0))
+        if not (residual <= DECOMPOSITION_TOL * scale and unitary_defect <= DECOMPOSITION_TOL):
             raise ValueError("chiral decomposition failed accuracy validation")
         return cls(e, o, sigma, u, adjoint(vh))
 

@@ -34,8 +34,6 @@ __all__ = [
     "OddSelfAdjoint",
     "identity",
     "zeros",
-    "gamma_matrix",
-    "parity_decompose",
     "parity_parts",
     "graded_commutator",
     "graded_commutators",
@@ -55,14 +53,14 @@ def adjoint(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def negligible(defect: np.ndarray, entries: np.ndarray, tol: float = VALIDATION_TOL) -> np.ndarray:
+def negligible(defect: np.ndarray, entries: np.ndarray) -> np.ndarray:
     """The validation rule, matrix by matrix over a (..., d, d) stack of entries:
-    max |defect| <= tol max(1, max |entries|).  Past the stack axes of entries,
-    defect holds any values measured from that matrix (a d x d defect, or a
-    gather of some of its entries)."""
+    max |defect| <= VALIDATION_TOL max(1, max |entries|).  Past the stack axes
+    of entries, defect holds any values measured from that matrix (a d x d
+    defect, or a gather of some of its entries)."""
     scale = np.maximum(1.0, np.abs(entries).max(axis=(-2, -1), initial=0.0))
     measured = tuple(range(entries.ndim - 2, defect.ndim))
-    return np.abs(defect).max(axis=measured, initial=0.0) <= tol * scale
+    return np.abs(defect).max(axis=measured, initial=0.0) <= VALIDATION_TOL * scale
 
 
 @dataclass(frozen=True)
@@ -90,9 +88,6 @@ class GradedSpace:
         """Diagonal of the grading operator, exactly +-1."""
         return np.where(np.asarray(self.parity) == 0, 1.0, -1.0)
 
-    def gamma(self) -> np.ndarray:
-        return np.diag(self.gamma_signs())
-
 
 def _frozen(array: np.ndarray) -> np.ndarray:
     """Read-only copy: complex input as complex128, any other as float64."""
@@ -117,17 +112,8 @@ class GradedMatrix:
 
     # -- structure ---------------------------------------------------------
 
-    def parity(self, tol: float = VALIDATION_TOL) -> int | None:
-        """0 or 1 for homogeneous matrices, None for mixed ones."""
-        even, odd = parity_parts(self.space, self.entries)
-        if negligible(odd, self.entries, tol):
-            return 0
-        if negligible(even, self.entries, tol):
-            return 1
-        return None
-
-    def is_hermitian(self, tol: float = VALIDATION_TOL) -> bool:
-        return bool(negligible(self.entries - adjoint(self.entries), self.entries, tol))
+    def is_hermitian(self) -> bool:
+        return bool(negligible(self.entries - adjoint(self.entries), self.entries))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -162,10 +148,6 @@ def identity(space: GradedSpace) -> GradedMatrix:
 
 def zeros(space: GradedSpace) -> GradedMatrix:
     return GradedMatrix(space, np.zeros((space.dim, space.dim)))
-
-
-def gamma_matrix(space: GradedSpace) -> GradedMatrix:
-    return GradedMatrix(space, space.gamma())
 
 
 @dataclass(frozen=True)
@@ -214,15 +196,6 @@ def parity_parts(space: GradedSpace, entries: np.ndarray) -> tuple[np.ndarray, n
     return (entries + conj) * 0.5, (entries - conj) * 0.5
 
 
-def parity_decompose(m: GradedMatrix) -> tuple[GradedMatrix, GradedMatrix]:
-    """Split m = even + odd; exact (the two halves sum back bit for bit).
-
-    The even part commutes with gamma, the odd part anticommutes.
-    """
-    even, odd = parity_parts(m.space, m.entries)
-    return GradedMatrix(m.space, even), GradedMatrix(m.space, odd)
-
-
 def graded_commutator(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     """[a, b] = ab - (-1)^(pa*pb) ba, extended bilinearly over parity parts."""
     if a.space != b.space:
@@ -247,10 +220,10 @@ def graded_tensor(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     The product space carries parity p(i, j) = (pa_i + pb_j) mod 2 in
     row-major Kronecker order.
     """
-    b0, b1 = parity_decompose(b)
+    b0, b1 = parity_parts(b.space, b.entries)
     gamma = a.space.gamma_signs()
-    out = np.kron(a.entries, b0.entries)
-    out += np.kron(a.entries * gamma[None, :], b1.entries)
+    out = np.kron(a.entries, b0)
+    out += np.kron(a.entries * gamma[None, :], b1)
     pa = np.asarray(a.space.parity)
     pb = np.asarray(b.space.parity)
     parity = tuple(int(p) for p in ((pa[:, None] + pb[None, :]) % 2).ravel())

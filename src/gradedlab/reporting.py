@@ -5,8 +5,9 @@ Experiments hand over numbers; each float is serialized through the fixed
 format %.12e (fmt_float) and each integer in decimal, which makes reports
 byte-identical across runs for identical configuration and seed (and keeps
 non-finite sentinels like -inf representable in strict JSON).  Files are
-assembled fully in memory and written in one pass, so a failing run never
-leaves partial output.
+assembled fully in memory before the first is written, and a failed write
+removes every file the run wrote, so a failing run never leaves partial
+output.
 """
 
 from __future__ import annotations
@@ -131,11 +132,11 @@ class BoundCertificate:
 
 
 def emit_report(result, out_dir) -> list[Path]:
-    """Write report.json, certificates.jsonl, and per-profile CSV files.
+    """Write report.json, certificates.jsonl, and one CSV file per table.
 
     `result` is an ExperimentResult; raises ValueError on empty results
-    and OutputError when the directory cannot be written.  Output is
-    byte-deterministic for identical results.
+    and OutputError, leaving no file of this run, when a file cannot be
+    written.  Output is byte-deterministic for identical results.
     """
     if not result.checks:
         raise ValueError("refusing to emit an empty report")
@@ -158,22 +159,20 @@ def emit_report(result, out_dir) -> list[Path]:
         "report.json": json.dumps(report, sort_keys=True, indent=2) + "\n",
         "certificates.jsonl": "".join(cert.jsonl_line() + "\n" for cert in result.certificates),
     }
-    for name, profile in result.profiles:
-        files[f"profile_{name}.csv"] = csv_text({"t": profile.t_grid, "value": profile.values})
     for name, columns in result.tables.items():
         files[f"{name}.csv"] = csv_text(columns)
 
     out = Path(out_dir)
+    written: list[Path] = []
     try:
         os.makedirs(out, exist_ok=True)
-        probe = out / ".write-probe"
-        probe.write_text("")
-        probe.unlink()
+        for name, text in files.items():
+            with open(out / name, "wb") as f:
+                # opened, so truncated: from here on the file is this run's
+                written.append(out / name)
+                f.write(text.encode("ascii"))
     except OSError as exc:
+        for path in written:
+            path.unlink(missing_ok=True)
         raise OutputError(f"cannot write to {out}: {exc}") from exc
-    written = []
-    for name, text in files.items():
-        path = out / name
-        path.write_bytes(text.encode("ascii"))
-        written.append(path)
     return written

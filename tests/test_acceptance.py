@@ -208,7 +208,7 @@ def test_criterion_07_double_limit_sweep():
 
 
 def _bott_measurements(n_basis: int):
-    rung = ladder_spectrum(bott_dirac(hermite_model(n_basis)), 1e-8)
+    rung = ladder_spectrum(bott_dirac(hermite_model(n_basis)))
     magnitudes = np.sqrt(rung.smallest(2))
     gap_defect = abs(float(magnitudes[1]) - math.sqrt(2.0))
     return rung.kernel_dim(1e-8), float(magnitudes[0]), gap_defect, rung.ground_residual

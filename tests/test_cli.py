@@ -20,7 +20,7 @@ from gradedlab.experiments import (
     load_config,
     run_experiment,
 )
-from gradedlab.pairs import grid_profiles
+from gradedlab.pairs import DecayProfile, grid_profiles
 from gradedlab.reporting import REPORT_SCHEMA, BoundCertificate, emit_report
 
 from helpers import SMALL
@@ -100,9 +100,9 @@ def test_crash_exits_5_and_writes_nothing(tmp_path, capsys, monkeypatch):
 
 
 def test_failure_below_a_fit_window_exits_5_and_writes_nothing(tmp_path, capsys, monkeypatch):
-    """A profile evaluates the values below its fit window when emit_report
-    reads them; an exception there is a crash, raised before any file is
-    written."""
+    """A profile evaluates the values below its fit window when its runner
+    reads them into a written table; an exception there is a crash, raised
+    before any file is written."""
     def runner(cfg):
         grid = cfg.t_grid()
 
@@ -112,8 +112,8 @@ def test_failure_below_a_fit_window_exits_5_and_writes_nothing(tmp_path, capsys,
             return (1.0 / ts)[:, None]
 
         (profile,) = grid_profiles(grid, 4, norms)
-        return ExperimentResult(cfg.experiment, cfg.as_dict(), [BoundCertificate("compose_identity", 0.0, 0.0)],
-                                [("deferred", profile)])
+        table = {"t": profile.t_grid, "value": profile.values}
+        return [BoundCertificate("compose_identity", 0.0, 0.0)], {"profile_deferred": table}, {}
 
     _, reads, defaults = gradedlab.experiments._EXPERIMENTS["compose"]
     monkeypatch.setitem(gradedlab.experiments._EXPERIMENTS, "compose", (runner, reads, defaults))
@@ -126,13 +126,26 @@ def test_failure_below_a_fit_window_exits_5_and_writes_nothing(tmp_path, capsys,
 def test_unregistered_check_exits_5_and_writes_nothing(tmp_path, monkeypatch):
     """A certificate whose check has no claim in CHECKS cannot be reported."""
     def runner(cfg):
-        return ExperimentResult(cfg.experiment, cfg.as_dict(), [BoundCertificate("unregistered_check", 0.0, 1.0)])
+        return [BoundCertificate("unregistered_check", 0.0, 1.0)], {}, {}
 
     _, reads, defaults = gradedlab.experiments._EXPERIMENTS["bott"]
     monkeypatch.setitem(gradedlab.experiments._EXPERIMENTS, "bott", (runner, reads, defaults))
     out = tmp_path / "out"
     assert main(["bott", "--out", str(out)]) == 5
     assert not out.exists()
+
+
+def test_write_failure_after_the_first_file_exits_4_and_leaves_nothing(tmp_path, capsys):
+    """A file that cannot be written once others are is an output error, and
+    the files the run wrote before it are removed: here certificates.jsonl,
+    the second file, is a directory."""
+    config = write_config(tmp_path, experiment="techlemma", **SMALL["techlemma"])
+    out = tmp_path / "out"
+    (out / "certificates.jsonl").mkdir(parents=True)
+    assert main(["--config", config, "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith(f"error: cannot write to {out}: ")
+    assert [p.name for p in out.iterdir()] == ["certificates.jsonl"]
+    assert not any((out / "certificates.jsonl").iterdir())
 
 
 def test_worst_certificate_is_the_smallest_margin_and_a_failed_fit_first():
@@ -142,6 +155,19 @@ def test_worst_certificate_is_the_smallest_margin_and_a_failed_fit_first():
     failed_fit = BoundCertificate("bott_pair[c]", float("nan"), -0.75)
     (check,) = ExperimentResult("bott", {}, [*certs, failed_fit]).checks
     assert (check.worst.check, check.passed_count, check.failed_count) == ("bott_pair[c]", 1, 2)
+
+
+def test_techlemma_fits_no_decay_profile(tmp_path, monkeypatch):
+    """techlemma certifies its sweeps by their suprema and writes the first
+    trial's seven sweep rows as tables, so a run fits no DecayProfile."""
+    fits, fitted = [], DecayProfile._fitted.__func__
+    monkeypatch.setattr(DecayProfile, "_fitted", classmethod(lambda cls, *a: fits.append(a) or fitted(cls, *a)))
+    result = run_experiment(load_config(write_config(tmp_path, experiment="techlemma", **SMALL["techlemma"])))
+    assert fits == []
+    assert len(result.tables) == 7 and all(name.startswith("profile_techlemma_N") for name in result.tables)
+    grid = result.tables["profile_techlemma_N1"]["t"]
+    DecayProfile.from_values(grid, 1.0 / grid)
+    assert len(fits) == 1
 
 
 def test_check_registry_matches_the_emitted_names(tmp_path):
@@ -468,6 +494,6 @@ def test_integral_numbers_are_accepted_for_integer_fields(tmp_path):
 def test_flag_overrides_config_experiment(tmp_path):
     config = write_config(tmp_path, experiment="commbound", n_basis=12)
     out = tmp_path / "out"
-    assert main(["--config", config, "--experiment", "bott", "--out", str(out)]) == 0
+    assert main(["bott", "--config", config, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["experiment"] == "bott"

@@ -14,7 +14,6 @@ from gradedlab import (
     bott_dirac,
     dc_commutator_check,
     emit_report,
-    gamma_matrix,
     graded_commutator,
     graded_tensor,
     hermite_model,
@@ -29,6 +28,7 @@ from gradedlab import (
 )
 from gradedlab.experiments import ExperimentConfig, run_experiment
 from gradedlab.funcalc import CAYLEY
+from gradedlab.graded import negligible, parity_parts
 from gradedlab.pairs import COMMUTATION_EXPONENT_THRESHOLD, COMPOSE_EXPONENT_THRESHOLD, DecayProfile, default_t_grid
 from gradedlab.sampling import balanced_space, random_even, random_odd_selfadjoint, random_space, rng_for
 
@@ -89,7 +89,7 @@ def test_clifford_relations_all_supported_sizes():
         space = gens[0].space
         assert space.dim == 2 ** ((n + 1) // 2)
         for i, ei in enumerate(gens):
-            assert ei.parity() == 1 and ei.is_hermitian()
+            assert negligible(parity_parts(space, ei.entries)[0], ei.entries) and ei.is_hermitian()
             for j, ej in enumerate(gens):
                 expected = 2.0 * identity(space) if i == j else zeros(space)
                 assert operator_norm(graded_commutator(ei, ej) - expected) <= 1e-12
@@ -308,7 +308,8 @@ def test_dc_check_matches_the_dense_oracle(n_basis, n):
     model = hermite_model(n_basis, n)
     ops = bott_dirac(model)
     parity, d1, c1, interior1 = ops.space, ops.dirac, ops.clifford_mult, ops.interior
-    d, c, involution = (lift_sum(parity, n, m).entries for m in (d1.underlying, c1.underlying, -gamma_matrix(parity)))
+    gamma = GradedMatrix(parity, np.diag(parity.gamma_signs()))
+    d, c, involution = (lift_sum(parity, n, m).entries for m in (d1.underlying, c1.underlying, -gamma))
     degree = sum(np.ix_(*[np.array(parity.parity)] * n)).ravel()
     assert np.array_equal(involution, np.diag(2.0 * degree - n))
     mask = functools.reduce(np.kron, [interior1] * n)
@@ -407,7 +408,7 @@ def test_component_spectrum_matches_dense_eigvalsh(n_basis, n):
 
 def test_bott_two_coordinates():
     """The two-coordinate model keeps the one-dimensional kernel."""
-    rung = ladder_spectrum(bott_dirac(hermite_model(8, 2)), 1e-8)
+    rung = ladder_spectrum(bott_dirac(hermite_model(8, 2)))
     assert rung.multiplicity.sum() == 15**2 and rung.slack == 0.0
     assert rung.kernel_dim(1e-8) == 1
     magnitudes = np.sort(np.abs(bott_nonzeros(hermite_model(8, 2)).eigenvalues()))
@@ -430,7 +431,7 @@ def test_sum_set_spectrum_matches_the_component_spectrum(n_basis, n):
     multiplicities sum to (2 n_basis - 1)^n, and the Koszul sign leaves no
     slack."""
     model = hermite_model(n_basis, n)
-    rung = ladder_spectrum(bott_dirac(model), 1e-8)
+    rung = ladder_spectrum(bott_dirac(model))
     assert rung.slack == 0.0
     assert rung.multiplicity.dtype == np.int64 and rung.multiplicity.sum() == (2 * n_basis - 1) ** n
     assert rung.squares.size == n * (n_basis - 1) + 1
@@ -469,7 +470,7 @@ def test_slack_covers_the_unsigned_sum(monkeypatch):
 
     model = hermite_model(8, 2)
     monkeypatch.setattr(gradedlab.bott, "_koszul_sign", unsigned_sign)
-    rung = ladder_spectrum(bott_dirac(model), 1e-8)
+    rung = ladder_spectrum(bott_dirac(model))
     unsigned = np.sort(bott_nonzeros(model).eigenvalues() ** 2)
     sum_set = np.sort(expanded(rung) ** 2)
     assert rung.slack > 1.0

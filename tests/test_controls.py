@@ -20,7 +20,8 @@ from gradedlab import (
     hermite_model,
     identity,
 )
-from gradedlab.experiments import CHECKS, KERNEL_TOL, ExperimentConfig, load_config, run_experiment
+from gradedlab.bott import KERNEL_TOL
+from gradedlab.experiments import CHECKS, ExperimentConfig, load_config, run_experiment
 
 from helpers import OddNonzeros, _lift, bott_nonzeros, unsigned_sign
 

@@ -7,12 +7,10 @@ from gradedlab import (
     OddSelfAdjoint,
     conjugate_by_grading,
     direct_sum,
-    gamma_matrix,
     graded_commutator,
     graded_tensor,
     identity,
     operator_norm,
-    parity_decompose,
 )
 from gradedlab.estimates import exp_shift_bounds
 from gradedlab.funcalc import Spectrum
@@ -43,27 +41,27 @@ def test_gamma_squares_to_identity_exactly():
     rng = rng_for(1)
     for dim in (2, 5, 9, 16):
         space = random_space(rng, dim)
-        gamma = space.gamma()
+        gamma = np.diag(space.gamma_signs())
         assert np.array_equal(gamma @ gamma, np.eye(dim, dtype=complex))
 
 
-def test_parity_decompose_exact_and_idempotent():
+def test_parity_parts_exact_and_idempotent():
     rng = rng_for(2)
     for _ in range(20):
         space = random_space(rng, 6)
-        m = GradedMatrix(space, rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
-        even, odd = parity_decompose(m)
-        assert np.array_equal(even.entries + odd.entries, m.entries)
-        even2, odd_of_even = parity_decompose(even)
-        assert np.array_equal(even2.entries, even.entries)
+        m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        even, odd = parity_parts(space, m)
+        assert np.array_equal(even + odd, m)
+        even2, odd_of_even = parity_parts(space, even)
+        assert np.array_equal(even2, even)
         assert max_abs(odd_of_even) == 0.0
-        gamma = space.gamma()
-        assert max_abs(gamma @ even.entries - even.entries @ gamma) <= 1e-12
-        assert max_abs(gamma @ odd.entries + odd.entries @ gamma) <= 1e-12
+        gamma = np.diag(space.gamma_signs())
+        assert max_abs(gamma @ even - even @ gamma) <= 1e-12
+        assert max_abs(gamma @ odd + odd @ gamma) <= 1e-12
 
 
 def test_graded_commutator_identity_cases():
-    gamma = gamma_matrix(TWO)
+    gamma = GradedMatrix(TWO, np.diag(TWO.gamma_signs()))
     assert max_abs(graded_commutator(gamma, gamma)) == 0.0
     # two anticommuting odd elements have vanishing graded commutator
     assert max_abs(graded_commutator(SIGMA_X, SIGMA_Y)) <= 1e-15
@@ -215,7 +213,7 @@ def test_direct_sum_pauli_eigenvalues():
 
 
 def test_conjugate_by_grading():
-    gamma = gamma_matrix(TWO)
+    gamma = GradedMatrix(TWO, np.diag(TWO.gamma_signs()))
     assert np.array_equal(conjugate_by_grading(gamma).entries, gamma.entries)
     assert np.abs(conjugate_by_grading(SIGMA_X).entries + SIGMA_X.entries).max() == 0.0
     rng = rng_for(8)
@@ -410,7 +408,7 @@ def test_validation_rule_matrix_by_matrix(real):
     verdicts = negligible(parity_parts(space, stack)[1], stack)
     assert verdicts.tolist() == expected
     assert [site_rule(parity_parts(space, m)[1], m) for m in stack] == expected
-    assert [GradedMatrix(space, m).parity() == 0 for m in stack] == expected
+    assert [bool(negligible(parity_parts(space, m)[1], m)) for m in stack] == expected
     exp_shift_bounds(space, stack[:2], 0.5 * stack[:2])
     with pytest.raises(ValueError, match="even"):
         exp_shift_bounds(space, stack, 0.5 * stack)

@@ -1,6 +1,8 @@
 """numpy is gradedlab's one runtime dependency, and a `lab` run loads every
 module it needs when gradedlab is imported, not while it runs."""
 
+import ast
+import importlib
 import json
 import subprocess
 import sys
@@ -74,3 +76,19 @@ def test_toy_runs_of_every_experiment_import_nothing_new(tmp_path, mode):
     assert seen["new"] == []
     assert scipy_modules(seen["loaded"]) == []
     assert sorted(p.name for p in tmp_path.iterdir() if p.is_dir()) == sorted(SMALL)
+
+
+def test_every_public_name_resolves():
+    """Every entry of each gradedlab module's __all__, and every name that
+    gradedlab/__init__ imports, is defined."""
+    package = SRC / "gradedlab"
+    # __main__ runs the command line when imported
+    for path in sorted(set(package.glob("*.py")) - {package / "__main__.py"}):
+        module = importlib.import_module(f"gradedlab.{path.stem}" if path.stem != "__init__" else "gradedlab")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.__all__ names {name}"
+    for node in ast.parse((package / "__init__.py").read_text()).body:
+        if isinstance(node, ast.ImportFrom):
+            source = importlib.import_module(f"gradedlab.{node.module}")
+            for alias in node.names:
+                assert hasattr(source, alias.name), f"gradedlab imports {alias.name} from {source.__name__}"

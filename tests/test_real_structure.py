@@ -29,7 +29,6 @@ from gradedlab.graded import (
     GradedSpace,
     OddSelfAdjoint,
     direct_sum,
-    gamma_matrix,
     identity,
     operator_norm,
     zeros,
@@ -96,7 +95,7 @@ def test_dtype_follows_the_data():
     assert GradedMatrix(space, np.eye(3, dtype=int)).entries.dtype == np.float64
     assert GradedMatrix(space, np.eye(3, dtype=np.float32)).entries.dtype == np.float64
     assert GradedMatrix(space, np.eye(3, dtype=complex)).entries.dtype == np.complex128
-    for m in (identity(space), zeros(space), gamma_matrix(space), direct_sum(identity(space), zeros(space))):
+    for m in (identity(space), zeros(space), GradedMatrix(space, np.diag(space.gamma_signs())), direct_sum(identity(space), zeros(space))):
         assert m.entries.dtype == np.float64
     cplx = GradedMatrix(space, 1j * np.eye(3))
     assert (identity(space) + cplx).entries.dtype == np.complex128
