@@ -194,9 +194,9 @@ class LadderSpectrum:
         """Lower and upper bounds on B's count smallest eigenvalue magnitudes."""
         return self._bounds(self.smallest(count))
 
-    def kernel_dim(self, tol: float) -> int:
-        """How many eigenvalues of B may have magnitude below tol."""
-        return int(self.multiplicity[self._bounds(self.squares)[0] < tol].sum())
+    def kernel_dim(self) -> int:
+        """How many eigenvalues of B may have magnitude below KERNEL_TOL."""
+        return int(self.multiplicity[self._bounds(self.squares)[0] < KERNEL_TOL].sum())
 
     def eigenvalues(self) -> tuple[np.ndarray, np.ndarray]:
         """B's distinct eigenvalues, ascending, with multiplicity: 0, and
@@ -215,7 +215,7 @@ def ladder_spectrum(ops: BottOperators) -> LadderSpectrum:
     residual ||B e_0|| = sqrt(n) ||b e_0|| (the n terms of B e_0 are
     orthogonal, for b e_0 is odd and e_0 even)."""
     n, b = ops.model.n, ops.dirac + ops.clifford_mult
-    eigenvalues, _ = spectrum_and_kernel(b, KERNEL_TOL)
+    eigenvalues, _ = spectrum_and_kernel(b)
     one, count = _merged(eigenvalues**2, np.ones(eigenvalues.size, dtype=np.int64))
     squares, multiplicity = np.zeros(1), np.ones(1, dtype=np.int64)
     for _ in range(n):
@@ -244,23 +244,20 @@ def multiplication_generators(ops: BottOperators) -> dict[str, GradedMatrix]:
     return {"mult_even": even, "mult_odd": odd}
 
 
-def spectrum_and_kernel(b: OddSelfAdjoint, tol: float) -> tuple[np.ndarray, int]:
-    """Sorted eigenvalues of b's odd part and the count of |lambda| < tol.
+def spectrum_and_kernel(b: OddSelfAdjoint) -> tuple[np.ndarray, int]:
+    """Sorted eigenvalues of b's odd part and the count of |lambda| < KERNEL_TOL.
 
     In parity order the odd part is [[0, A], [A*, 0]] with A = b[e, o], so
     its eigenvalues are +-sigma_i(A) and |#e - #o| exact zeros
-    (Jordan-Wielandt), all from one values-only SVD of the #e x #o block
-    (ChiralSpectrum without U and V).  Weyl's inequality puts each
-    eigenvalue of b within ||b_even|| of the one returned.  `lab bott`
-    reads it for each rung's one-coordinate b (`ladder_spectrum`) and for
-    the composed operator.
+    (Jordan-Wielandt), all from one values-only SVD of the #e x #o block.
+    Weyl's inequality puts each eigenvalue of b within ||b_even|| of the
+    one returned.  `lab bott` reads it for each rung's one-coordinate b
+    (`ladder_spectrum`) and for the composed operator.
     """
-    if not 0 < tol < np.inf:
-        raise ValueError("kernel tolerance must be positive and finite")
-    spec = ChiralSpectrum.of(b, compute_uv=False)
-    sigma, gap = spec.singular_values, np.zeros(abs(spec.even.size - spec.odd.size))
+    e, o = ChiralSpectrum.parity_order(b.space)
+    sigma, gap = np.linalg.svd(b.mat[np.ix_(e, o)], compute_uv=False), np.zeros(abs(e.size - o.size))
     eigenvalues = np.sort(np.concatenate([-sigma, gap, sigma]))
-    return eigenvalues, int(np.count_nonzero(np.abs(eigenvalues) < tol))
+    return eigenvalues, int(np.count_nonzero(np.abs(eigenvalues) < KERNEL_TOL))
 
 
 def dc_commutator_check(ops: BottOperators) -> dict:
@@ -271,27 +268,32 @@ def dc_commutator_check(ops: BottOperators) -> dict:
     the identity is reported alongside because the involution has both
     eigenvalues, an identity defect of n + 1 in operator norm.
 
-    All three norms are bounds from one coordinate, dense at 2 n_basis - 1:
+    All three norms are bounds from one coordinate, of size 2 n_basis - 1:
     {D, C} = sum_i lift_i({d, c}) plus the cross terms {d_i, c_j}, i != j,
     of norm ||{d, S}|| ||c|| or ||{c, S}|| ||d||, and the involution and the
     identity are the lifts' sums of 2 deg - 1 and 1/n.  So each norm is at
     most n times its one-coordinate norm (the interior mask is a tensor
     power of a 0/1 mask) plus C(n, 2) times the cross terms, which the
     Koszul sign S = gamma makes exactly 0; on this model the bound is the
-    norm itself, for {d, c} is diagonal.  The three matrices are even, so
-    their norms run on the half-size parity blocks (ParityBlocks.norms).
+    norm itself, for {d, c} is diagonal.  {d, c} is formed from the odd
+    blocks of d and c, and the three matrices are even, so everything runs
+    on the half-size parity blocks (ParityBlocks.norms).
     """
-    n, degree = ops.model.n, np.array(ops.space.parity)
+    n, k, degree = ops.model.n, ops.model.n_basis, np.array(ops.space.parity)
     d, c = ops.dirac.mat, ops.clifford_mult.mat
     sign = _koszul_sign(degree)
     cross = math.comb(n, 2) * (_cross_norm(d, sign) * _frobenius(c) + _cross_norm(c, sign) * _frobenius(d))
+    d, c = (ParityBlocks(None, m[:k, k:], m[k:, :k], None) for m in (d, c))
     anti = d @ c + c @ d
-    targets = np.stack([np.zeros_like(anti), np.diag(2.0 * degree - 1.0), np.eye(degree.size) / n])
-    masks = np.stack([np.ones(degree.size), ops.interior, ops.interior])[:, None]  # on columns
+    # the targets 0, 2 deg - 1 and 1/n are diagonal; the masks act on columns
+    targets = np.stack([np.zeros(degree.size), 2.0 * degree - 1.0, np.full(degree.size, 1.0 / n)])[..., None]
+    masks = np.stack([np.ones(degree.size), ops.interior, ops.interior])[:, None]
+    ee, oo = ((block - targets[:, side] * np.eye(block.shape[-1])) * masks[..., side]
+              for block, side in ((anti.ee, slice(None, k)), (anti.oo, slice(k, None))))
     return {
         name: n * float(norm) + cross
         for name, norm in zip(("commutator_norm", "interior_defect_vs_involution", "interior_defect_vs_identity"),
-                              ParityBlocks.gather(ops.space, (anti - targets) * masks).norms())
+                              ParityBlocks(ee, None, None, oo).norms())
     }
 
 

@@ -224,6 +224,19 @@ def exp_product_path_profiles(
     return tuple(grid_profiles(t_grid, d.space.dim, bounds))
 
 
+def _transform_weights(d: OddSelfAdjoint, d_prime: OddSelfAdjoint, n_values, scales: np.ndarray) -> tuple:
+    """((ChiralSpectrum of D, of D'), (weights of D, of D')): the odd chiral
+    weights of (s D)_N and (s D')_N, one row per (N, s) pair, N-major."""
+    if d.space != d_prime.space:
+        raise ValueError("operators live on different spaces")
+    n_values = np.asarray(n_values, dtype=float)
+    if n_values.size == 0 or np.any(n_values <= 0):
+        raise ValueError("transform scales must be non-empty and positive")
+    spectra = ChiralSpectrum.of(d), ChiralSpectrum.of(d_prime)
+    transforms = [bounded_transform_function(n) for n in n_values]
+    return spectra, tuple(np.concatenate([spec.weights(f, scales)[1] for f in transforms]) for spec in spectra)
+
+
 def transform_commutator_check(
     d: OddSelfAdjoint,
     d_prime: OddSelfAdjoint,
@@ -240,18 +253,10 @@ def transform_commutator_check(
     (ChiralSpectrum), and only the off-diagonal parity blocks of each
     transform are synthesized.
     """
-    if d.space != d_prime.space:
-        raise ValueError("operators live on different spaces")
-    if len(n_grid) == 0 or any(n <= 0 for n in n_grid):
-        raise ValueError("transform scales must be non-empty and positive")
     grid = checked_t_grid(t_grid)
-    spec_d, spec_dp = ChiralSpectrum.of(d), ChiralSpectrum.of(d_prime)
+    # s = 1 first and then 1/t
+    (spec_d, spec_dp), (w_d, w_dp) = _transform_weights(d, d_prime, n_grid, np.concatenate([[1.0], 1.0 / grid]))
     rhs = operator_norm(graded_commutator(d.underlying, d_prime.underlying))
-    # one row of odd chiral weights per (N, s) pair, N-major, with s = 1 first and then 1/t
-    scales = np.concatenate([[1.0], 1.0 / grid])
-    transforms = [bounded_transform_function(n) for n in n_grid]
-    w_d = np.concatenate([spec_d.weights(f, scales)[1] for f in transforms])
-    w_dp = np.concatenate([spec_dp.weights(f, scales)[1] for f in transforms])
 
     def odd_commutator_norms(rows):
         # both transforms are odd Hermitian, so the graded commutator is the
@@ -261,7 +266,7 @@ def transform_commutator_check(
         upper, lower = a @ adjoint(b), adjoint(a) @ b
         return ParityBlocks(upper + adjoint(upper), None, None, lower + adjoint(lower)).norms(hermitian=True)
 
-    lhs = map_grid(odd_commutator_norms, np.arange(len(w_d)), d.space.dim).reshape(len(transforms), -1)
+    lhs = map_grid(odd_commutator_norms, np.arange(len(w_d)), d.space.dim).reshape(len(n_grid), -1)
     return lhs, rhs
 
 
@@ -298,20 +303,13 @@ def transform_sum_sweep(
     resolvent from that of D + D', all in parity order.
     """
     grid = checked_t_grid(t_grid)
-    if d.space != d_prime.space:
-        raise ValueError("operators live on different spaces")
-    norms = max(operator_norm(d), operator_norm(d_prime), 1e-12)
-    n_values = np.asarray(
-        [2.0**k * norms for k in range(7)] if n_grid is None else list(n_grid), dtype=float
-    )
-    if n_values.size == 0 or np.any(n_values <= 0):
-        raise ValueError("invalid transform-scale grid")
-    spec_d, spec_dp, spec_sum = ChiralSpectrum.of(d), ChiralSpectrum.of(d_prime), ChiralSpectrum.of(d + d_prime)
-    # one row of odd chiral weights per (N, t) pair, N-major
     scales = 1.0 / grid
-    transforms = [bounded_transform_function(n) for n in n_values]
-    w_d = np.concatenate([spec_d.weights(f, scales)[1] for f in transforms])
-    w_dp = np.concatenate([spec_dp.weights(f, scales)[1] for f in transforms])
+    if n_grid is None:
+        norms = max(operator_norm(d), operator_norm(d_prime), 1e-12)
+        n_grid = [2.0**k * norms for k in range(7)]
+    n_values = np.asarray(n_grid, dtype=float)
+    (spec_d, spec_dp), (w_d, w_dp) = _transform_weights(d, d_prime, n_values, scales)
+    spec_sum = ChiralSpectrum.of(d + d_prime)
     shift = 1j * np.eye(d.space.dim)
 
     def defects_of(columns):

@@ -520,7 +520,7 @@ def run_bott(cfg: ExperimentConfig):
         return max(abs(float(bound[1]) - math.sqrt(2.0)) for bound in rung.magnitude_bounds(2))
 
     rung = ladder[cfg.n_basis]
-    kernel_dim = rung.kernel_dim(KERNEL_TOL)
+    kernel_dim = rung.kernel_dim()
     certs.append(BoundCertificate("bott_kernel_dim", float(abs(kernel_dim - 1)), 0.0))
     certs.append(BoundCertificate("bott_lambda_min", float(rung.magnitude_bounds(1)[1][0]), KERNEL_TOL))
     certs.append(BoundCertificate("bott_gap", gap_defect(rung), 1e-6))
@@ -553,7 +553,7 @@ def run_bott(cfg: ExperimentConfig):
             worst = worst_exponent(validate_pair(pair, grid))
             certs.append(BoundCertificate(f"bott_pair[{name}]", worst, COMMUTATION_EXPONENT_THRESHOLD))
         composed, defect_profiles = compose_pairs(scalar_pair, dirac_pair, identity_pushforward, grid)
-        _, comp_kernel = spectrum_and_kernel(composed.d, KERNEL_TOL)
+        _, comp_kernel = spectrum_and_kernel(composed.d)
         certs.append(BoundCertificate("bott_compose_kernel", float(abs(comp_kernel - 1)), 0.0))
         certs.append(
             BoundCertificate(

@@ -133,6 +133,15 @@ def map_grid(fn: Callable[[np.ndarray], np.ndarray], rows: np.ndarray, dim: int)
     return np.concatenate([fn(rows[chunk]) for chunk in grid_chunks(rows.shape[0], dim)])
 
 
+def _check_decomposition(name: str, residual: np.ndarray, values: np.ndarray, *bases: np.ndarray) -> None:
+    """Raise unless the residual is within DECOMPOSITION_TOL times max(1, |values|)
+    and each basis is unitary to DECOMPOSITION_TOL, entrywise."""
+    scale = max(1.0, np.abs(values).max(initial=0.0))
+    unitary_defect = max(np.abs(adjoint(m) @ m - np.eye(m.shape[-1])).max(initial=0.0) for m in bases)
+    if not (np.abs(residual).max(initial=0.0) <= DECOMPOSITION_TOL * scale and unitary_defect <= DECOMPOSITION_TOL):
+        raise ValueError(f"{name} failed accuracy validation")
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Validated eigendecomposition of one Hermitian matrix, eigenvalues ascending.
@@ -158,11 +167,7 @@ class Spectrum:
         if not negligible(matrix - adjoint(matrix), matrix):
             raise ValueError("eigendecomposition requires a Hermitian matrix")
         values, vectors = np.linalg.eigh(matrix)
-        residual = np.abs((vectors * values) @ adjoint(vectors) - matrix).max(initial=0.0)
-        unitary_defect = np.abs(adjoint(vectors) @ vectors - np.eye(values.size)).max(initial=0.0)
-        scale = max(1.0, np.abs(values).max(initial=0.0))
-        if not (residual <= DECOMPOSITION_TOL * scale and unitary_defect <= DECOMPOSITION_TOL):
-            raise ValueError("eigendecomposition failed accuracy validation")
+        _check_decomposition("eigendecomposition", (vectors * values) @ adjoint(vectors) - matrix, values, vectors)
         return cls(values, vectors)
 
     def apply(self, f: ScalarFunction, scale: float = 1.0) -> np.ndarray:
@@ -276,8 +281,8 @@ class ChiralSpectrum:
     """Chiral form of an odd self-adjoint D: the SVD A = D[e, o] = U Sigma V*.
 
     even and odd are the index sets e and o of the two parities, and
-    singular_values the k = min(#e, #o) values sigma, descending; U (#e x #e)
-    and V (#o x #o) are kept when asked for.  In the chiral basis
+    singular_values the k = min(#e, #o) values sigma, descending, with
+    U (#e x #e) and V (#o x #o).  In the chiral basis
     W = diag(U, V), in parity order, D pairs index i < k with #e + i through
     sigma_i, and its other |#e - #o| indices are exact zero modes.  This is
     the spectrum of the odd Hermitian matrix built from A alone, which
@@ -287,8 +292,8 @@ class ChiralSpectrum:
     even: np.ndarray
     odd: np.ndarray
     singular_values: np.ndarray
-    u: np.ndarray | None = None
-    v: np.ndarray | None = None
+    u: np.ndarray
+    v: np.ndarray
 
     @staticmethod
     def parity_order(space: GradedSpace) -> tuple[np.ndarray, np.ndarray]:
@@ -297,19 +302,13 @@ class ChiralSpectrum:
         return np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
 
     @classmethod
-    def of(cls, operator: OddSelfAdjoint, compute_uv: bool = True) -> "ChiralSpectrum":
-        """The chiral spectrum of operator.  With U and V, the SVD is validated
-        as Spectrum.of validates eigh, to DECOMPOSITION_TOL."""
+    def of(cls, operator: OddSelfAdjoint) -> "ChiralSpectrum":
+        """The chiral spectrum of operator, its SVD validated as Spectrum.of
+        validates eigh, to DECOMPOSITION_TOL."""
         e, o = cls.parity_order(operator.space)
         a = operator.mat[np.ix_(e, o)]
-        if not compute_uv:
-            return cls(e, o, np.linalg.svd(a, compute_uv=False))
         u, sigma, vh = np.linalg.svd(a)
-        residual = np.abs((u[:, : sigma.size] * sigma) @ vh[: sigma.size] - a).max(initial=0.0)
-        unitary_defect = max(np.abs(adjoint(m) @ m - np.eye(m.shape[-1])).max(initial=0.0) for m in (u, vh))
-        scale = max(1.0, sigma.max(initial=0.0))
-        if not (residual <= DECOMPOSITION_TOL * scale and unitary_defect <= DECOMPOSITION_TOL):
-            raise ValueError("chiral decomposition failed accuracy validation")
+        _check_decomposition("chiral decomposition", (u[:, : sigma.size] * sigma) @ vh[: sigma.size] - a, sigma, u, vh)
         return cls(e, o, sigma, u, adjoint(vh))
 
     def weights(self, f: ScalarFunction, scales, increment: bool = False) -> tuple:

@@ -4,6 +4,7 @@ exact spectrum from connected components and norms from component blocks,
 which `lab bott`'s slot-wise certificates are tested against."""
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +13,7 @@ import gradedlab.bott
 from gradedlab import GradedMatrix, GradedSpace, OddSelfAdjoint
 from gradedlab.bott import bott_dirac
 from gradedlab.estimates import pade_exps
+from gradedlab.funcalc import ParityBlocks
 from gradedlab.graded import negligible, operator_norms
 from gradedlab.pairs import COMMUTATION_EXPONENT_THRESHOLD, COMPOSE_EXPONENT_THRESHOLD
 
@@ -220,4 +222,24 @@ def dc_nonzeros(model) -> dict:
         "commutator_norm": nonzeros_norm(rows, cols, values, size),
         "interior_defect_vs_involution": interior_defect(2.0 * degree - model.n),
         "interior_defect_vs_identity": interior_defect(np.ones(size)),
+    }
+
+
+def dense_dc_check(ops) -> dict:
+    """dc_commutator_check as formed densely at 2 n_basis - 1: {d, c} as
+    d c + c d, its three targets and masks as a (3, d, d) stack, and the norms
+    of that stack's parity blocks, gathered back out of it."""
+    bott = gradedlab.bott
+    n, degree = ops.model.n, np.array(ops.space.parity)
+    d, c = ops.dirac.mat, ops.clifford_mult.mat
+    sign = bott._koszul_sign(degree)
+    cross = math.comb(n, 2) * (bott._cross_norm(d, sign) * bott._frobenius(c)
+                               + bott._cross_norm(c, sign) * bott._frobenius(d))
+    anti = d @ c + c @ d
+    targets = np.stack([np.zeros_like(anti), np.diag(2.0 * degree - 1.0), np.eye(degree.size) / n])
+    masks = np.stack([np.ones(degree.size), ops.interior, ops.interior])[:, None]  # on columns
+    return {
+        name: n * float(norm) + cross
+        for name, norm in zip(("commutator_norm", "interior_defect_vs_involution", "interior_defect_vs_identity"),
+                              ParityBlocks.gather(ops.space, (anti - targets) * masks).norms())
     }

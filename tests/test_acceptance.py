@@ -211,7 +211,7 @@ def _bott_measurements(n_basis: int):
     rung = ladder_spectrum(bott_dirac(hermite_model(n_basis)))
     magnitudes = np.sqrt(rung.smallest(2))
     gap_defect = abs(float(magnitudes[1]) - math.sqrt(2.0))
-    return rung.kernel_dim(1e-8), float(magnitudes[0]), gap_defect, rung.ground_residual
+    return rung.kernel_dim(), float(magnitudes[0]), gap_defect, rung.ground_residual
 
 
 def test_criterion_08_bott_dirac_kernel_and_gap():

@@ -13,6 +13,7 @@ from gradedlab import (
     graded_commutator,
     identity,
     operator_norm,
+    spectrum_and_kernel,
     zeros,
 )
 from gradedlab.funcalc import (
@@ -224,7 +225,8 @@ def test_chiral_spectrum_validates_its_svd(corrupt, monkeypatch):
     """ChiralSpectrum.of checks its SVD as Spectrum.of checks eigh: a factor
     off by 1e-8 raises, as a residual defect (sigma, vh) or, in a column of U
     that no singular value reaches, as a unitarity defect (u); the
-    values-only form, which has no factors, does not validate."""
+    values-only SVD of spectrum_and_kernel, which has no factors, does not
+    validate."""
     d = random_odd_selfadjoint(rng_for(71), GradedSpace((0, 1, 0, 0, 1, 0, 0)))
     ChiralSpectrum.of(d)
     svd = np.linalg.svd
@@ -240,5 +242,5 @@ def test_chiral_spectrum_validates_its_svd(corrupt, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", corrupted)
     with pytest.raises(ValueError, match="accuracy validation"):
         ChiralSpectrum.of(d)
-    sigma = ChiralSpectrum.of(d, compute_uv=False).singular_values
-    assert sigma.size == min(d.space.parity.count(0), d.space.parity.count(1))
+    eigenvalues, _ = spectrum_and_kernel(d)
+    assert np.count_nonzero(eigenvalues > 0) == min(d.space.parity.count(0), d.space.parity.count(1))

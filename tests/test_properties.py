@@ -124,7 +124,7 @@ def test_odd_block_spectrum_on_random_parities(seed, dim, norm, real):
     b = random_odd_selfadjoint(rng, space, norm=norm)
     if real:
         b = OddSelfAdjoint(GradedMatrix(space, b.mat.real))
-    eigenvalues, kernel_dim = spectrum_and_kernel(b, 1e-8)
+    eigenvalues, kernel_dim = spectrum_and_kernel(b)
     e, o = parity_sets(space)
     assert np.array_equal(eigenvalues, -eigenvalues[::-1])
     assert np.count_nonzero(eigenvalues == 0.0) >= abs(e.size - o.size)

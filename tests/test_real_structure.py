@@ -167,7 +167,7 @@ def assert_two_coordinate_ladder_spectrum(k):
     spectrum comes from the odd block; its one zero is the dimension gap."""
     b = bott_operator(hermite_model(k, 2))
     assert b.mat.dtype == np.float64
-    eigenvalues, kernel_dim = spectrum_and_kernel(b, 1e-8)
+    eigenvalues, kernel_dim = spectrum_and_kernel(b)
     oracle = []
     for m in itertools.product(range(k), repeat=2):
         multiplicity = math.prod(1 if mi == 0 else 2 for mi in m)
