@@ -124,8 +124,7 @@ def bott_dirac(model: HermiteModel) -> BottOperators:
     c[:k, k:], c[k:, :k] = model.x_mat[:, :-1], model.x_mat[:-1]
     # interior: drop the top two Hermite levels in each fiber sector
     interior = np.r_[np.arange(k) < k - 2, np.arange(k - 1) < k - 3].astype(float)
-    return BottOperators(model, space, OddSelfAdjoint(GradedMatrix(space, d)),
-                         OddSelfAdjoint(GradedMatrix(space, c)), interior)
+    return BottOperators(model, space, OddSelfAdjoint(space, d), OddSelfAdjoint(space, c), interior)
 
 
 def _koszul_sign(parity: np.ndarray) -> np.ndarray:
@@ -220,9 +219,9 @@ def ladder_spectrum(ops: BottOperators) -> LadderSpectrum:
     squares, multiplicity = np.zeros(1), np.ones(1, dtype=np.int64)
     for _ in range(n):
         squares, multiplicity = _merged((squares[:, None] + one).ravel(), (multiplicity[:, None] * count).ravel())
-    cross = _cross_norm(b.mat, _koszul_sign(np.array(ops.space.parity)))
+    cross = _cross_norm(b.entries, _koszul_sign(np.array(ops.space.parity)))
     slack = math.comb(n, 2) * cross * float(np.abs(eigenvalues).max())
-    return LadderSpectrum(squares, multiplicity, slack, math.sqrt(n) * _frobenius(b.mat[:, 0]))
+    return LadderSpectrum(squares, multiplicity, slack, math.sqrt(n) * _frobenius(b.entries[:, 0]))
 
 
 def multiplication_generators(ops: BottOperators) -> dict[str, GradedMatrix]:
@@ -254,8 +253,10 @@ def spectrum_and_kernel(b: OddSelfAdjoint) -> tuple[np.ndarray, int]:
     one returned.  `lab bott` reads it for each rung's one-coordinate b
     (`ladder_spectrum`) and for the composed operator.
     """
-    e, o = ChiralSpectrum.parity_order(b.space)
-    sigma, gap = np.linalg.svd(b.mat[np.ix_(e, o)], compute_uv=False), np.zeros(abs(e.size - o.size))
+    if not isinstance(b, OddSelfAdjoint):
+        raise TypeError("spectrum_and_kernel reads the odd block of an OddSelfAdjoint operator")
+    e, o = b.space.parity_order()
+    sigma, gap = np.linalg.svd(b.entries[np.ix_(e, o)], compute_uv=False), np.zeros(abs(e.size - o.size))
     eigenvalues = np.sort(np.concatenate([-sigma, gap, sigma]))
     return eigenvalues, int(np.count_nonzero(np.abs(eigenvalues) < KERNEL_TOL))
 
@@ -280,7 +281,7 @@ def dc_commutator_check(ops: BottOperators) -> dict:
     on the half-size parity blocks (ParityBlocks.norms).
     """
     n, k, degree = ops.model.n, ops.model.n_basis, np.array(ops.space.parity)
-    d, c = ops.dirac.mat, ops.clifford_mult.mat
+    d, c = ops.dirac.entries, ops.clifford_mult.entries
     sign = _koszul_sign(degree)
     cross = math.comb(n, 2) * (_cross_norm(d, sign) * _frobenius(c) + _cross_norm(c, sign) * _frobenius(d))
     d, c = (ParityBlocks(None, m[:k, k:], m[k:, :k], None) for m in (d, c))

@@ -33,7 +33,6 @@ from .graded import (
     negligible,
     operator_norm,
     operator_norms,
-    parity_parts,
 )
 from .pairs import DecayProfile, checked_t_grid, grid_profiles
 
@@ -100,8 +99,9 @@ def matrix_exp(m: GradedMatrix) -> GradedMatrix:
 
 
 def _require_even(space: GradedSpace, stack: np.ndarray, label: str) -> None:
-    """ValueError unless every matrix of the stack is even: its odd part is negligible."""
-    if not np.all(negligible(parity_parts(space, stack)[1], stack)):
+    """ValueError unless every matrix of the stack is even: its odd part, the
+    entries at the cross-parity positions, is negligible."""
+    if not np.all(negligible(stack[..., ~space.same_parity()], stack)):
         raise ValueError(f"{label} must be an even matrix")
 
 
@@ -215,7 +215,7 @@ def exp_product_path_profiles(
     vanishes along the path; the second profile tracks the series bound,
     which dominates the first at every t.
     """
-    squares = d.mat @ d.mat, d_prime.mat @ d_prime.mat
+    squares = d.entries @ d.entries, d_prime.entries @ d_prime.entries
 
     def bounds(ts):
         s = (-1.0 / ts**2)[:, None, None]
@@ -256,7 +256,7 @@ def transform_commutator_check(
     grid = checked_t_grid(t_grid)
     # s = 1 first and then 1/t
     (spec_d, spec_dp), (w_d, w_dp) = _transform_weights(d, d_prime, n_grid, np.concatenate([[1.0], 1.0 / grid]))
-    rhs = operator_norm(graded_commutator(d.underlying, d_prime.underlying))
+    rhs = operator_norm(graded_commutator(d, d_prime))
 
     def odd_commutator_norms(rows):
         # both transforms are odd Hermitian, so the graded commutator is the
@@ -328,7 +328,7 @@ def transform_sum_sweep(
     top_decade = grid >= grid[-1] / 10.0
     suprema = defects[:, top_decade].max(axis=1)
     # relative bound from the resolvent factorization of the difference
-    comm = operator_norm(graded_commutator(d.underlying, d_prime.underlying))
-    resolvent = np.linalg.inv(d.mat + d_prime.mat + 1j * np.eye(d.space.dim))
-    bounds = tuple((operator_norm(x.mat @ resolvent) ** 2, 1.0 + comm) for x in (d, d_prime))
+    comm = operator_norm(graded_commutator(d, d_prime))
+    resolvent = np.linalg.inv(d.entries + d_prime.entries + 1j * np.eye(d.space.dim))
+    bounds = tuple((operator_norm(x.entries @ resolvent) ** 2, 1.0 + comm) for x in (d, d_prime))
     return SweepReport(n_values, grid, defects, suprema, bounds)

@@ -50,7 +50,6 @@ from .graded import (
     identity,
     operator_norm,
     operator_norms,
-    zeros,
 )
 from .pairs import (
     COMMUTATION_EXPONENT_THRESHOLD,
@@ -401,7 +400,7 @@ def run_expfactor(cfg: ExperimentConfig):
         d = random_odd_selfadjoint(rng, space, norm=1.0)
         d_prime = random_odd_selfadjoint(rng, space, norm=1.0)
         even_prof, odd_prof = factorization_defect_profiles(d, d_prime, grid)
-        comm = operator_norm(graded_commutator(d.underlying, d_prime.underlying))
+        comm = operator_norm(graded_commutator(d, d_prime))
         t_last = float(grid[-1])
         certs.append(
             BoundCertificate(
@@ -429,14 +428,12 @@ def run_expfactor(cfg: ExperimentConfig):
 
 def _exact_factorization_certs(grid) -> list[BoundCertificate]:
     two = GradedSpace((0, 1))
-    sigma_x = OddSelfAdjoint(GradedMatrix(two, np.array([[0, 1], [1, 0]], dtype=complex)))
-    sigma_y = OddSelfAdjoint(GradedMatrix(two, np.array([[0, -1j], [1j, 0]], dtype=complex)))
+    sigma_x = OddSelfAdjoint(two, np.array([[0, 1], [1, 0]], dtype=complex))
+    sigma_y = OddSelfAdjoint(two, np.array([[0, -1j], [1j, 0]], dtype=complex))
+    lifts = graded_tensor(sigma_x, identity(two)), graded_tensor(identity(two), sigma_y)
     cases = {
         "pauli": (sigma_x, sigma_y),
-        "tensor-lift": (
-            OddSelfAdjoint(graded_tensor(sigma_x.underlying, identity(two))),
-            OddSelfAdjoint(graded_tensor(identity(two), sigma_y.underlying)),
-        ),
+        "tensor-lift": tuple(OddSelfAdjoint(m.space, m.entries) for m in lifts),
     }
     certs = []
     for name, (d, d_prime) in cases.items():
@@ -496,9 +493,9 @@ def _identity_composition_cert(cfg: ExperimentConfig) -> BoundCertificate:
     space = balanced_space(cfg.dims[0])
     gens = {"a": random_even(rng, space, norm=1.0), "b": random_odd(rng, space, norm=1.0)}
     pair = AsymptoticPair(gens, random_odd_selfadjoint(rng, space, norm=1.0))
-    trivial = AsymptoticPair({"unit": identity(space)}, OddSelfAdjoint(zeros(space)))
+    trivial = AsymptoticPair({"unit": identity(space)}, OddSelfAdjoint(space, np.zeros((space.dim, space.dim))))
     composed, _ = compose_pairs(pair, trivial, identity_pushforward, cfg.t_grid())
-    defect = float(np.abs(composed.d.mat - pair.d.mat).max())
+    defect = float(np.abs(composed.d.entries - pair.d.entries).max())
     for name in gens:
         defect = max(defect, float(np.abs(composed.generators[name].entries - gens[name].entries).max()))
     return BoundCertificate("compose_identity", defect, 0.0, list(seed))

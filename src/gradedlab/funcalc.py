@@ -155,9 +155,7 @@ class Spectrum:
 
     @classmethod
     def of(cls, operator) -> "Spectrum":
-        if isinstance(operator, OddSelfAdjoint):
-            matrix = operator.mat
-        elif isinstance(operator, GradedMatrix):
+        if isinstance(operator, GradedMatrix):
             matrix = operator.entries
         else:
             matrix = np.asarray(operator)
@@ -216,7 +214,7 @@ class ParityBlocks:
     @classmethod
     def gather(cls, space: GradedSpace, m: np.ndarray) -> "ParityBlocks":
         """The parity blocks of a (..., d, d) stack of entries on space."""
-        e, o = ChiralSpectrum.parity_order(space)
+        e, o = space.parity_order()
         return cls.of(*(m[..., rows[:, None], cols] for rows in (e, o) for cols in (e, o)))
 
     @property
@@ -295,18 +293,15 @@ class ChiralSpectrum:
     u: np.ndarray
     v: np.ndarray
 
-    @staticmethod
-    def parity_order(space: GradedSpace) -> tuple[np.ndarray, np.ndarray]:
-        """The index sets e and o of the even and odd basis vectors."""
-        parity = np.asarray(space.parity)
-        return np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
-
     @classmethod
     def of(cls, operator: OddSelfAdjoint) -> "ChiralSpectrum":
         """The chiral spectrum of operator, its SVD validated as Spectrum.of
-        validates eigh, to DECOMPOSITION_TOL."""
-        e, o = cls.parity_order(operator.space)
-        a = operator.mat[np.ix_(e, o)]
+        validates eigh, to DECOMPOSITION_TOL.  It reads only D[e, o], so
+        anything but an OddSelfAdjoint raises TypeError."""
+        if not isinstance(operator, OddSelfAdjoint):
+            raise TypeError("the chiral spectrum is defined for an OddSelfAdjoint operator")
+        e, o = operator.space.parity_order()
+        a = operator.entries[np.ix_(e, o)]
         u, sigma, vh = np.linalg.svd(a)
         _check_decomposition("chiral decomposition", (u[:, : sigma.size] * sigma) @ vh[: sigma.size] - a, sigma, u, vh)
         return cls(e, o, sigma, u, adjoint(vh))

@@ -88,6 +88,17 @@ class GradedSpace:
         """Diagonal of the grading operator, exactly +-1."""
         return np.where(np.asarray(self.parity) == 0, 1.0, -1.0)
 
+    def parity_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """The index sets e and o of the even and odd basis vectors."""
+        parity = np.asarray(self.parity)
+        return np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+
+    def same_parity(self) -> np.ndarray:
+        """d x d mask of the positions (i, j) whose basis vectors share a
+        parity: the entries of the even part; the rest hold the odd part."""
+        parity = np.asarray(self.parity)
+        return parity[:, None] == parity[None, :]
+
 
 def _frozen(array: np.ndarray) -> np.ndarray:
     """Read-only copy: complex input as complex128, any other as float64."""
@@ -115,7 +126,7 @@ class GradedMatrix:
     def is_hermitian(self) -> bool:
         return bool(negligible(self.entries - adjoint(self.entries), self.entries))
 
-    # -- arithmetic ---------------------------------------------------------
+    # -- arithmetic: a sum, difference or negation keeps a subtype's validation
 
     def _check_space(self, other: "GradedMatrix"):
         if self.space != other.space:
@@ -123,14 +134,14 @@ class GradedMatrix:
 
     def __add__(self, other: "GradedMatrix") -> "GradedMatrix":
         self._check_space(other)
-        return GradedMatrix(self.space, self.entries + other.entries)
+        return type(self)(self.space, self.entries + other.entries)
 
     def __sub__(self, other: "GradedMatrix") -> "GradedMatrix":
         self._check_space(other)
-        return GradedMatrix(self.space, self.entries - other.entries)
+        return type(self)(self.space, self.entries - other.entries)
 
     def __neg__(self) -> "GradedMatrix":
-        return GradedMatrix(self.space, -self.entries)
+        return type(self)(self.space, -self.entries)
 
     def __mul__(self, scalar: complex) -> "GradedMatrix":
         return GradedMatrix(self.space, self.entries * scalar)
@@ -151,42 +162,23 @@ def zeros(space: GradedSpace) -> GradedMatrix:
 
 
 @dataclass(frozen=True)
-class OddSelfAdjoint:
-    """Hermitian matrix that anticommutes with the grading operator.
+class OddSelfAdjoint(GradedMatrix):
+    """Hermitian graded matrix that anticommutes with the grading operator.
 
     Plays the role of the unbounded odd self-adjoint multipliers (Dirac
     operators, Clifford multiplications, potentials) at finite scale.
-    Construction validates Hermiticity and oddness to VALIDATION_TOL.
+    Construction validates Hermiticity and oddness to VALIDATION_TOL, and
+    so do the sum, difference and negation of odd operators; a product or
+    a scalar multiple is a plain GradedMatrix.
     """
 
-    underlying: GradedMatrix
-
     def __post_init__(self):
-        m = self.underlying
-        if not m.is_hermitian():
+        super().__post_init__()
+        if not self.is_hermitian():
             raise ValueError("odd self-adjoint operator must be Hermitian")
         # gamma m gamma + m is exactly 2 m on the same-parity entries and 0 elsewhere
-        parity = np.asarray(m.space.parity)
-        same = parity[:, None] == parity[None, :]
-        if not negligible(2.0 * m.entries[same], m.entries):
+        if not negligible(2.0 * self.entries[self.space.same_parity()], self.entries):
             raise ValueError("operator does not anticommute with the grading")
-
-    @property
-    def space(self) -> GradedSpace:
-        return self.underlying.space
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self.underlying.entries
-
-    def __add__(self, other: "OddSelfAdjoint") -> "OddSelfAdjoint":
-        return OddSelfAdjoint(self.underlying + other.underlying)
-
-    def __sub__(self, other: "OddSelfAdjoint") -> "OddSelfAdjoint":
-        return OddSelfAdjoint(self.underlying - other.underlying)
-
-    def __neg__(self) -> "OddSelfAdjoint":
-        return OddSelfAdjoint(-self.underlying)
 
 
 def parity_parts(space: GradedSpace, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -247,8 +239,6 @@ def conjugate_by_grading(a: GradedMatrix) -> GradedMatrix:
 
 def operator_norm(a) -> float:
     """Largest singular value; operator_norms of the one-matrix stack."""
-    if isinstance(a, OddSelfAdjoint):
-        a = a.underlying
     entries = a.entries if isinstance(a, GradedMatrix) else np.asarray(a)
     return float(operator_norms(entries[None])[0])
 

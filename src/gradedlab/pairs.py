@@ -264,7 +264,8 @@ def compose_pairs(
     if pushforward is None:
         raise ValueError("composition needs an explicit pushforward")
     grid = checked_t_grid(t_grid)
-    pushed_d = OddSelfAdjoint(pushforward(p_ab.d.underlying))
+    pushed = pushforward(p_ab.d)
+    pushed_d = OddSelfAdjoint(pushed.space, pushed.entries)
     if pushed_d.space != p_bc.space:
         raise ValueError("pushforward does not land on the target space")
     d_total = pushed_d + p_bc.d

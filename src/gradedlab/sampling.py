@@ -57,12 +57,6 @@ def _gaussian(rng: np.random.Generator, dim: int) -> np.ndarray:
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
 
 
-def _parity_mask(space: GradedSpace, flip: bool) -> np.ndarray:
-    p = np.asarray(space.parity)
-    same = p[:, None] == p[None, :]
-    return ~same if flip else same
-
-
 def rescale(entries: np.ndarray, norm) -> np.ndarray:
     """entries scaled to operator norm `norm` (unchanged when norm is None).
 
@@ -80,7 +74,7 @@ def rescale(entries: np.ndarray, norm) -> np.ndarray:
 def even_gaussian(rng: np.random.Generator, space: GradedSpace) -> np.ndarray:
     """The entries random_even draws before rescaling: complex Gaussian on
     the parity-preserving positions, zero elsewhere."""
-    return _gaussian(rng, space.dim) * _parity_mask(space, flip=False)
+    return _gaussian(rng, space.dim) * space.same_parity()
 
 
 def random_even(rng, space: GradedSpace, norm: float | None = None) -> GradedMatrix:
@@ -88,7 +82,7 @@ def random_even(rng, space: GradedSpace, norm: float | None = None) -> GradedMat
 
 
 def random_odd(rng, space: GradedSpace, norm: float | None = None) -> GradedMatrix:
-    entries = _gaussian(rng, space.dim) * _parity_mask(space, flip=True)
+    entries = _gaussian(rng, space.dim) * ~space.same_parity()
     return GradedMatrix(space, rescale(entries, norm))
 
 
@@ -103,16 +97,14 @@ def random_hermitian_even(rng, space: GradedSpace, norm: float | None = None) ->
 
 def random_odd_selfadjoint(rng, space: GradedSpace, norm: float | None = None) -> OddSelfAdjoint:
     m = random_odd(rng, space).entries
-    return OddSelfAdjoint(GradedMatrix(space, rescale((m + m.conj().T) * 0.5, norm)))
+    return OddSelfAdjoint(space, rescale((m + m.conj().T) * 0.5, norm))
 
 
 def random_even_unitary(rng, space: GradedSpace) -> GradedMatrix:
     """Grading-preserving unitary, drawn per parity class."""
     dim = space.dim
     out = np.zeros((dim, dim), dtype=np.complex128)
-    parity = np.asarray(space.parity)
-    for value in (0, 1):
-        idx = np.flatnonzero(parity == value)
+    for idx in space.parity_order():
         if idx.size == 0:
             continue
         block = rng.standard_normal((idx.size, idx.size)) + 1j * rng.standard_normal((idx.size, idx.size))

@@ -36,8 +36,14 @@ SIGMA_X = GradedMatrix(TWO, np.array([[0, 1], [1, 0]], dtype=complex))
 SIGMA_Y = GradedMatrix(TWO, np.array([[0, -1j], [1j, 0]], dtype=complex))
 SIGMA_Z = GradedMatrix(TWO, np.array([[1, 0], [0, -1]], dtype=complex))
 
-SX = OddSelfAdjoint(SIGMA_X)
-SY = OddSelfAdjoint(SIGMA_Y)
+
+def as_odd(m: GradedMatrix) -> OddSelfAdjoint:
+    """m, validated as an OddSelfAdjoint."""
+    return OddSelfAdjoint(m.space, m.entries)
+
+
+SX = as_odd(SIGMA_X)
+SY = as_odd(SIGMA_Y)
 
 
 def max_abs(matrix) -> float:
@@ -48,7 +54,7 @@ def max_abs(matrix) -> float:
 def bott_operator(model) -> OddSelfAdjoint:
     """B = D + C of the Bott-Dirac model as a dense OddSelfAdjoint, scattered from its nonzeros."""
     b = bott_nonzeros(model)
-    return OddSelfAdjoint(GradedMatrix(GradedSpace(tuple(b.parity.tolist())), b.dense()))
+    return OddSelfAdjoint(GradedSpace(tuple(b.parity.tolist())), b.dense())
 
 
 def fitted_exponents(profiles) -> list[float]:
@@ -169,8 +175,8 @@ def _lift(m, n: int) -> OddNonzeros:
     S^(x)i = gamma^(x)i a Jordan-Wigner string of the first i parities, read
     from the sign definition gradedlab.bott's slot-wise formulas use."""
     parity = space = np.array(m.space.parity)
-    rows, cols = np.nonzero(m.mat)
-    values, size = m.mat[rows, cols], parity.size
+    rows, cols = np.nonzero(m.entries)
+    values, size = m.entries[rows, cols], parity.size
     r, c, v = rows, cols, values
     for _ in range(1, n):
         own, lifted = np.arange(size), np.arange(space.size)[:, None] * size
@@ -231,7 +237,7 @@ def dense_dc_check(ops) -> dict:
     of that stack's parity blocks, gathered back out of it."""
     bott = gradedlab.bott
     n, degree = ops.model.n, np.array(ops.space.parity)
-    d, c = ops.dirac.mat, ops.clifford_mult.mat
+    d, c = ops.dirac.entries, ops.clifford_mult.entries
     sign = bott._koszul_sign(degree)
     cross = math.comb(n, 2) * (bott._cross_norm(d, sign) * bott._frobenius(c)
                                + bott._cross_norm(c, sign) * bott._frobenius(d))

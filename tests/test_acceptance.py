@@ -21,7 +21,6 @@ import pytest
 from gradedlab import (
     AsymptoticPair,
     GradedMatrix,
-    OddSelfAdjoint,
     bott_dirac,
     compose_pairs,
     dc_commutator_check,
@@ -51,7 +50,7 @@ from gradedlab.sampling import (
     trial_seed,
 )
 
-from helpers import SX, SY
+from helpers import SX, SY, as_odd
 
 ROOT_SEED = 42
 
@@ -124,7 +123,7 @@ def test_criterion_04_factorization_rate():
         d = random_odd_selfadjoint(rng, space, norm=1.0)
         dp = random_odd_selfadjoint(rng, space, norm=1.0)
         even_prof, _ = factorization_defect_profiles(d, dp, grid)
-        comm = operator_norm(graded_commutator(d.underlying, dp.underlying))
+        comm = operator_norm(graded_commutator(d, dp))
         rel = abs(grid[-1] ** 2 * even_prof.values[-1] - comm) / comm
         exp_err = abs(even_prof.fitted_exponent + 2.0)
         worst_rel, worst_exp = max(worst_rel, rel), max(worst_exp, exp_err)
@@ -143,8 +142,8 @@ def test_criterion_05_exact_factorization():
     rng = rng_for(trial_seed(ROOT_SEED, 4000))
     left_base = random_odd_selfadjoint(rng, balanced_space(4))
     right_base = random_odd_selfadjoint(rng, balanced_space(4))
-    lift_left = OddSelfAdjoint(graded_tensor(left_base.underlying, identity(right_base.space)))
-    lift_right = OddSelfAdjoint(graded_tensor(identity(left_base.space), right_base.underlying))
+    lift_left = as_odd(graded_tensor(left_base, identity(right_base.space)))
+    lift_right = as_odd(graded_tensor(identity(left_base.space), right_base))
     even_prof, odd_prof = factorization_defect_profiles(lift_left, lift_right, grid)
     worst = max(worst, float(even_prof.values.max()), float(odd_prof.values.max()))
     verdict(5, worst <= 1e-12, f"exact factorization for graded-commuting pairs (worst defect {worst:.2e})")
@@ -178,9 +177,9 @@ def test_criterion_06_composition_formula():
     space = balanced_space(8)
     gens = {"a": random_even(rng, space)}
     pair = AsymptoticPair(gens, random_odd_selfadjoint(rng, space))
-    trivial = AsymptoticPair({"unit": identity(space)}, OddSelfAdjoint(zeros(space)))
+    trivial = AsymptoticPair({"unit": identity(space)}, as_odd(zeros(space)))
     composed, _ = compose_pairs(pair, trivial, identity_pushforward, grid)
-    exact = float(np.abs(composed.d.mat - pair.d.mat).max())
+    exact = float(np.abs(composed.d.entries - pair.d.entries).max())
     exact = max(exact, float(np.abs(composed.generators["a"].entries - gens["a"].entries).max()))
     verdict(6, worst_exponent <= -1.75 and exact == 0.0,
             f"composition formula (worst exponent {worst_exponent:.3f}, identity defect {exact:.1e})")

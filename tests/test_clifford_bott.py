@@ -37,6 +37,7 @@ from helpers import (
     SIGMA_Y,
     SX,
     TWO,
+    as_odd,
     bott_nonzeros,
     bott_operator,
     commutes_asymptotically,
@@ -196,10 +197,19 @@ def test_bott_truncation_convergence():
 
 
 def test_spectrum_and_kernel_zero_operator():
-    d0 = OddSelfAdjoint(zeros(TWO))
+    d0 = as_odd(zeros(TWO))
     eigenvalues, kernel_dim = spectrum_and_kernel(d0)
     assert kernel_dim == 2
     assert np.all(eigenvalues == 0.0)
+
+
+def test_spectrum_and_kernel_refuses_a_plain_graded_matrix():
+    """spectrum_and_kernel reads b[e, o] alone: a plain GradedMatrix, even
+    one whose entries are B's, raises TypeError."""
+    b = bott_operator(hermite_model(8))
+    for entries in (b.entries, b.entries + np.eye(b.space.dim)):
+        with pytest.raises(TypeError, match="OddSelfAdjoint"):
+            spectrum_and_kernel(GradedMatrix(b.space, entries))
 
 
 # -- the spectrum from the odd block ----------------------------------------------
@@ -219,8 +229,8 @@ def odd_block_cases():
     for name, space in spaces.items():
         b = random_odd_selfadjoint(rng, space)
         yield pytest.param(b, id=f"{name}-complex")
-        yield pytest.param(OddSelfAdjoint(GradedMatrix(space, b.mat.real)), id=f"{name}-real")
-    yield pytest.param(OddSelfAdjoint(zeros(GradedSpace.split(4, 6))), id="zero")
+        yield pytest.param(OddSelfAdjoint(space, b.entries.real), id=f"{name}-real")
+    yield pytest.param(as_odd(zeros(GradedSpace.split(4, 6))), id="zero")
 
 
 @pytest.mark.parametrize("b", list(odd_block_cases()))
@@ -228,7 +238,7 @@ def test_odd_block_spectrum_matches_eigvalsh(b):
     """+-sigma(B[e, o]) and |#e - #o| zeros is the spectrum of B, to
     4 d eps ||B||, with the same kernel count as the full eigensolve."""
     eigenvalues, kernel_dim = spectrum_and_kernel(b)
-    oracle = np.linalg.eigvalsh(b.mat)
+    oracle = np.linalg.eigvalsh(b.entries)
     d = b.space.dim
     assert eigenvalues.shape == (d,) and eigenvalues.dtype == np.float64
     assert np.all(np.diff(eigenvalues) >= 0)
@@ -249,10 +259,10 @@ def test_bott_operator_is_d_plus_c_bit_for_bit(n, n_basis):
     b = bott_nonzeros(model)
     ops, one = bott_dirac(model), bott_dirac(hermite_model(n_basis))
     assert ops.model is model and ops.space == one.space
-    for mine, ones in ((ops.dirac.mat, one.dirac.mat), (ops.clifford_mult.mat, one.clifford_mult.mat),
-                       (ops.interior, one.interior)):
+    for mine, ones in ((ops.dirac.entries, one.dirac.entries),
+                       (ops.clifford_mult.entries, one.clifford_mult.entries), (ops.interior, one.interior)):
         assert mine.dtype == np.float64 and np.array_equal(mine.view(np.uint64), ones.view(np.uint64))
-    d, c = ops.dirac.mat, ops.clifford_mult.mat
+    d, c = ops.dirac.entries, ops.clifford_mult.entries
     assert not np.any(np.signbit(d[d == 0])) and not np.any(np.signbit(c[c == 0]))
     if n == 1:
         parity = ops.space.parity
@@ -287,12 +297,12 @@ def test_bott_dirac_equals_the_graded_tensor_lift(n_basis, n):
     ops = bott_dirac(model)
     parity, d1, c1 = ops.space, ops.dirac, ops.clifford_mult
     if n == 1:
-        space, d, c = parity, d1.mat, c1.mat
+        space, d, c = parity, d1.entries, c1.entries
     else:
         lifts = lifted_dirac(model)
         space, (d, c) = GradedSpace(tuple(lifts[0].parity.tolist())), (m.dense() for m in lifts)
-    assert space == lift_sum(parity, n, d1.underlying).space
-    for mine, one_coordinate in ((d, d1.underlying), (c, c1.underlying)):
+    assert space == lift_sum(parity, n, d1).space
+    for mine, one_coordinate in ((d, d1), (c, c1)):
         assert np.array_equal(mine, lift_sum(parity, n, one_coordinate).entries)
 
 
@@ -307,7 +317,7 @@ def test_dc_check_matches_the_dense_oracle(n_basis, n):
     ops = bott_dirac(model)
     parity, d1, c1, interior1 = ops.space, ops.dirac, ops.clifford_mult, ops.interior
     gamma = GradedMatrix(parity, np.diag(parity.gamma_signs()))
-    d, c, involution = (lift_sum(parity, n, m).entries for m in (d1.underlying, c1.underlying, -gamma))
+    d, c, involution = (lift_sum(parity, n, m).entries for m in (d1, c1, -gamma))
     degree = sum(np.ix_(*[np.array(parity.parity)] * n)).ravel()
     assert np.array_equal(involution, np.diag(2.0 * degree - n))
     mask = functools.reduce(np.kron, [interior1] * n)
@@ -420,7 +430,7 @@ def test_component_spectrum_matches_dense_eigvalsh(n_basis, n):
     """Within 4 d eps ||B|| of the dense eigensolve, with the same kernel count."""
     b = bott_operator(hermite_model(n_basis, n))
     eigenvalues = bott_nonzeros(hermite_model(n_basis, n)).eigenvalues()
-    oracle = np.linalg.eigvalsh(b.mat)
+    oracle = np.linalg.eigvalsh(b.entries)
     d = b.space.dim
     np.testing.assert_allclose(eigenvalues, oracle, rtol=0, atol=4 * d * np.finfo(float).eps * operator_norm(b))
     assert np.count_nonzero(np.abs(eigenvalues) < 1e-8) == np.count_nonzero(np.abs(oracle) < 1e-8) == 1
@@ -701,7 +711,7 @@ def test_bott_composition_yields_bott_dirac():
     mult_pair = AsymptoticPair(multiplication_generators(ops), ops.dirac)
     composed, defect_profiles = compose_pairs(scalar_pair, mult_pair, identity_pushforward, GRID)
     assert composes(defect_profiles)
-    assert np.abs(composed.d.mat - bott_nonzeros(model).dense()).max() <= 1e-14
+    assert np.abs(composed.d.entries - bott_nonzeros(model).dense()).max() <= 1e-14
     _, kernel_dim = spectrum_and_kernel(composed.d)
     assert kernel_dim == 1
 
@@ -722,8 +732,8 @@ def assert_perturbation_rates(homom_profiles, defect_even, defect_odd):
 def test_perturbation_zero_potential():
     rng = rng_for(50)
     space = balanced_space(6)
-    pair = AsymptoticPair({"a": random_even(rng, space)}, OddSelfAdjoint(zeros(space)))
-    homom_profiles, *defects = perturbation_check(pair, OddSelfAdjoint(zeros(space)), GRID)
+    pair = AsymptoticPair({"a": random_even(rng, space)}, as_odd(zeros(space)))
+    homom_profiles, *defects = perturbation_check(pair, as_odd(zeros(space)), GRID)
     assert_perturbation_rates(homom_profiles, *defects)
     for per_fn in homom_profiles.values():
         for profile in per_fn.values():
@@ -759,7 +769,7 @@ def test_perturbation_rates():
 def test_perturbation_rejects_space_mismatch():
     rng = rng_for(52)
     space = balanced_space(4)
-    pair = AsymptoticPair({"a": identity(space)}, OddSelfAdjoint(zeros(space)))
+    pair = AsymptoticPair({"a": identity(space)}, as_odd(zeros(space)))
     from gradedlab.sampling import random_odd_selfadjoint
 
     other = random_odd_selfadjoint(rng, balanced_space(6))

@@ -33,7 +33,7 @@ def product_pieces(model):
     right_e_signed = np.array([[0.0, -1.0], [1.0, 0.0]])
     left_e = np.array([[0.0, 1.0], [1.0, 0.0]])
     parity = GradedSpace((0, 1) * model.n_basis)
-    d, c = (OddSelfAdjoint(GradedMatrix(parity, np.kron(m, e)))
+    d, c = (OddSelfAdjoint(parity, np.kron(m, e))
             for m, e in ((model.d_mat, right_e_signed), (model.x_mat, left_e)))
     return BottOperators(model, parity, d, c, np.ones(parity.dim))
 
@@ -42,7 +42,7 @@ def product_truncation(model):
     """B on the plain product truncation, as nonzeros, lifted to model.n
     coordinates by dense graded tensor products."""
     ops = product_pieces(model)
-    b1 = ops.dirac.underlying + ops.clifford_mult.underlying
+    b1 = ops.dirac + ops.clifford_mult
     one = identity(b1.space)
     b = b1
     for _ in range(1, model.n):
@@ -137,7 +137,7 @@ def plain_kronecker_sum(m, n):
     """sum_i 1^(x)i (x) m (x) 1^(x)(n-i-1) with no sign, as nonzeros:
     M_{i+1} = M_i (x) 1 + 1 (x) m by scipy.sparse."""
     parity = space = np.array(m.space.parity)
-    one = scipy.sparse.csr_matrix(m.mat)
+    one = scipy.sparse.csr_matrix(m.entries)
     total = one
     for _ in range(1, n):
         total = scipy.sparse.kron(total, scipy.sparse.identity(parity.size))

@@ -7,7 +7,6 @@ import scipy.linalg
 
 from gradedlab import (
     GradedMatrix,
-    OddSelfAdjoint,
     graded_commutator,
     graded_tensor,
     identity,
@@ -41,7 +40,7 @@ from gradedlab.sampling import (
     trial_seed,
 )
 
-from helpers import SIGMA_X, SIGMA_Y, SX, TWO, matrix_exp_oracle
+from helpers import SIGMA_X, SIGMA_Y, SX, TWO, as_odd, matrix_exp_oracle
 
 GRID = default_t_grid()
 # techlemma's default t grid
@@ -322,8 +321,8 @@ def test_series_two_step_ratio_test():
 
 
 def test_transform_commutator_tensor_lifts():
-    lift_d = OddSelfAdjoint(graded_tensor(SIGMA_X, identity(TWO)))
-    lift_dp = OddSelfAdjoint(graded_tensor(identity(TWO), SIGMA_Y))
+    lift_d = as_odd(graded_tensor(SIGMA_X, identity(TWO)))
+    lift_dp = as_odd(graded_tensor(identity(TWO), SIGMA_Y))
     lhs, rhs = transform_commutator_check(lift_d, lift_dp, [0.5, 1.0, 2.0], GRID)
     assert lhs.shape == (3, 1 + GRID.size) and rhs == 0.0
     assert np.all(lhs <= 1e-12)
@@ -363,7 +362,7 @@ def test_transform_commutator_rejects_empty_scale_grid():
 
 
 def test_sweep_zero_operators():
-    d0 = OddSelfAdjoint(zeros(TWO))
+    d0 = as_odd(zeros(TWO))
     report = transform_sum_sweep(d0, d0, SWEEP_GRID)
     assert np.all(report.suprema == 0.0)
     assert report.relative_bounds == ((0.0, 1.0), (0.0, 1.0))
@@ -375,7 +374,7 @@ def test_sweep_commuting_scalar_oracle():
     rng = rng_for(68)
     space = balanced_space(6)
     d = random_odd_selfadjoint(rng, space, norm=1.0)
-    d_prime = OddSelfAdjoint(2.0 * d.underlying)
+    d_prime = as_odd(2.0 * d)
     n_grid = [1.0, 4.0, 16.0]
     t_grid = np.geomspace(10.0, 100.0, 5)
     report = transform_sum_sweep(d, d_prime, n_grid=n_grid, t_grid=t_grid)
@@ -409,11 +408,11 @@ def test_sweep_relative_bound_certificate_values():
     d = random_odd_selfadjoint(rng, space)
     dp = random_odd_selfadjoint(rng, space)
     report = transform_sum_sweep(d, dp, SWEEP_GRID)
-    resolvent = np.linalg.inv(d.mat + dp.mat + 1j * np.eye(8))
-    direct = operator_norm(d.mat @ resolvent) ** 2
+    resolvent = np.linalg.inv(d.entries + dp.entries + 1j * np.eye(8))
+    direct = operator_norm(d.entries @ resolvent) ** 2
     (lhs, rhs), _ = report.relative_bounds
     assert abs(lhs - direct) <= 1e-12
-    comm = operator_norm(graded_commutator(d.underlying, dp.underlying))
+    comm = operator_norm(graded_commutator(d, dp))
     assert abs(rhs - (1.0 + comm)) <= 1e-12
 
 
@@ -424,9 +423,9 @@ def test_relative_bound_holds_for_100_random_pairs():
         space = balanced_space(int(rng.choice([4, 8])))
         d = random_odd_selfadjoint(rng, space)
         dp = random_odd_selfadjoint(rng, space)
-        resolvent = np.linalg.inv(d.mat + dp.mat + 1j * np.eye(space.dim))
-        lhs = operator_norm(d.mat @ resolvent) ** 2
-        rhs = 1.0 + operator_norm(graded_commutator(d.underlying, dp.underlying))
+        resolvent = np.linalg.inv(d.entries + dp.entries + 1j * np.eye(space.dim))
+        lhs = operator_norm(d.entries @ resolvent) ** 2
+        rhs = 1.0 + operator_norm(graded_commutator(d, dp))
         assert lhs <= rhs + 1e-10, f"trial {trial}"
 
 

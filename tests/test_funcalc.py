@@ -29,7 +29,7 @@ from gradedlab.sampling import (
     rng_for,
 )
 
-from helpers import SIGMA_X, SX, SY, TWO, max_abs
+from helpers import SIGMA_X, SX, SY, TWO, as_odd, max_abs
 
 
 def test_named_sup_norms_match_dense_scan():
@@ -50,7 +50,7 @@ def bounded_transform(d, n_scale) -> np.ndarray:
 
 
 def test_apply_function_identity_cases():
-    d0 = OddSelfAdjoint(zeros(TWO))
+    d0 = as_odd(zeros(TWO))
     assert max_abs(Spectrum.of(d0).apply(GAUSS0) - np.eye(2)) <= 1e-15
     # sigma_x squares to 1, so the heat value is e^{-1} on both eigenvalues
     heat = Spectrum.of(SX).apply(GAUSS0)
@@ -63,7 +63,7 @@ def test_resolvent_identity():
         space = balanced_space(8)
         d = random_odd_selfadjoint(rng, space)
         resolvent = Spectrum.of(d).apply(RESOLVENT_PLUS)
-        product = resolvent @ (d.mat + 1j * np.eye(8))
+        product = resolvent @ (d.entries + 1j * np.eye(8))
         assert np.abs(product - np.eye(8)).max() <= 1e-10 * max(1.0, operator_norm(d))
 
 
@@ -114,7 +114,7 @@ def test_degenerate_eigenvalues_are_basis_invariant():
     entries = np.zeros((4, 4), dtype=complex)
     entries[:2, 2:] = block  # doubly degenerate singular values
     entries[2:, :2] = block.conj().T
-    d = OddSelfAdjoint(GradedMatrix(space, entries))
+    d = OddSelfAdjoint(space, entries)
     spec = Spectrum.of(d)
     assert np.abs(np.abs(spec.eigenvalues) - 1.0).max() <= 1e-12
     rng = rng_for(14)
@@ -131,7 +131,7 @@ def test_degenerate_eigenvalues_are_basis_invariant():
 
 
 def test_bounded_transform_values():
-    assert max_abs(bounded_transform(OddSelfAdjoint(zeros(TWO)), 5.0)) == 0.0
+    assert max_abs(bounded_transform(as_odd(zeros(TWO)), 5.0)) == 0.0
     half = bounded_transform(SX, 1.0)
     assert max_abs(half - 0.5 * SIGMA_X.entries) <= 1e-14
     with pytest.raises(ValueError):
@@ -181,14 +181,14 @@ def commutator_norms(d, t):
     """||[f(D), T]|| for the resolvent-type f = cayley and g, and ||[D, T]||."""
     spec = Spectrum.of(d)
     lhs = [operator_norm(graded_commutator(GradedMatrix(d.space, spec.apply(f)), t)) for f in (CAYLEY, MULTIPLIER_G)]
-    return lhs, operator_norm(graded_commutator(d.underlying, t))
+    return lhs, operator_norm(graded_commutator(d, t))
 
 
 def test_resolvent_commutator_trivial_cases():
     lhs, rhs = commutator_norms(SX, identity(TWO))
     assert max(lhs) <= 1e-14 and rhs <= 1e-14
     # anticommuting odd pair: all commutators vanish
-    lhs, rhs = commutator_norms(SX, SY.underlying)
+    lhs, rhs = commutator_norms(SX, SY)
     assert max(lhs) <= 1e-14 and rhs <= 1e-14
 
 
@@ -218,6 +218,16 @@ def test_parity_block_norms_refuse_non_finite_entries(block, hermitian):
     x = np.array([block])
     with pytest.raises(np.linalg.LinAlgError):
         ParityBlocks(x, None, None, x).norms(hermitian=hermitian)
+
+
+def test_chiral_spectrum_refuses_a_plain_graded_matrix():
+    """ChiralSpectrum.of reads D[e, o] alone, so only a validated odd
+    operator may reach it: a plain GradedMatrix raises TypeError, whether
+    its entries are odd and Hermitian or not."""
+    d = random_odd_selfadjoint(rng_for(72), GradedSpace((0, 1, 0, 0, 1)))
+    for entries in (d.entries, d.entries + np.eye(d.space.dim)):
+        with pytest.raises(TypeError, match="OddSelfAdjoint"):
+            ChiralSpectrum.of(GradedMatrix(d.space, entries))
 
 
 @pytest.mark.parametrize("corrupt", ["u", "sigma", "vh"])

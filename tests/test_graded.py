@@ -316,11 +316,56 @@ def test_operator_norms_refuse_non_finite_entries(bad):
 
 
 def test_odd_selfadjoint_validation():
-    OddSelfAdjoint(SIGMA_X)
+    OddSelfAdjoint(TWO, SIGMA_X.entries)
     with pytest.raises(ValueError):
-        OddSelfAdjoint(SIGMA_Z)  # even, not odd
+        OddSelfAdjoint(TWO, SIGMA_Z.entries)  # even, not odd
     with pytest.raises(ValueError):
-        OddSelfAdjoint(GradedMatrix(TWO, np.array([[0, 1], [2, 0]], dtype=complex)))  # not Hermitian
+        OddSelfAdjoint(TWO, np.array([[0, 1], [2, 0]], dtype=complex))  # not Hermitian
+
+
+def test_space_parity_forms():
+    """parity_order lists the even and odd basis vectors, and same_parity
+    marks the positions of the even part; the odd part is exactly the
+    entries at the other positions."""
+    space = GradedSpace((0, 1, 1, 0, 1))
+    e, o = space.parity_order()
+    assert e.tolist() == [0, 3] and o.tolist() == [1, 2, 4]
+    same = space.same_parity()
+    assert same.dtype == bool and same.tolist() == [[p == q for q in space.parity] for p in space.parity]
+    m = random_homogeneous(rng_for(16), space, 0).entries + random_odd(rng_for(17), space).entries
+    even, odd = parity_parts(space, m)
+    assert not np.any(even[~same]) and not np.any(odd[same]) and np.array_equal(odd[~same], m[~same])
+
+
+def test_odd_selfadjoint_is_a_graded_matrix():
+    """The graded core and Spectrum.of take an OddSelfAdjoint as it is and
+    give the values of the plain graded matrix of its entries, bit for bit."""
+    rng = rng_for(14)
+    space = random_space(rng, 7)
+    d, d_prime = (random_odd_selfadjoint(rng, space) for _ in range(2))
+    plain, plain_prime = (GradedMatrix(m.space, m.entries) for m in (d, d_prime))
+    assert isinstance(d, GradedMatrix)
+    assert np.array_equal(graded_commutator(d, d_prime).entries, graded_commutator(plain, plain_prime).entries)
+    assert operator_norm(d) == operator_norm(plain)
+    spec, plain_spec = Spectrum.of(d), Spectrum.of(plain)
+    assert np.array_equal(spec.eigenvalues, plain_spec.eigenvalues)
+    assert np.array_equal(spec.eigenvectors, plain_spec.eigenvectors)
+
+
+def test_odd_selfadjoint_arithmetic_keeps_or_drops_the_type():
+    """A sum, difference or negation of odd operators is an OddSelfAdjoint,
+    validated again, so adding a nonzero even matrix raises; a product or a
+    scalar multiple is a plain GradedMatrix."""
+    rng = rng_for(15)
+    space = random_space(rng, 6)
+    d, d_prime = (random_odd_selfadjoint(rng, space) for _ in range(2))
+    for value, entries in ((d + d_prime, d.entries + d_prime.entries), (d - d_prime, d.entries - d_prime.entries),
+                           (-d, -d.entries)):
+        assert type(value) is OddSelfAdjoint and np.array_equal(value.entries, entries)
+    with pytest.raises(ValueError, match="anticommute"):
+        d + random_hermitian_even(rng, space, norm=1.0)
+    for value in (d @ d, d @ d_prime, 1j * d, d * 2.0):
+        assert type(value) is GradedMatrix
 
 
 def old_oddness_verdict(m):
@@ -333,7 +378,7 @@ def old_oddness_verdict(m):
 
 def accepted_as_odd(m):
     try:
-        OddSelfAdjoint(m)
+        OddSelfAdjoint(m.space, m.entries)
     except ValueError as exc:
         assert "anticommute" in str(exc)
         return False
@@ -347,7 +392,7 @@ def test_oddness_check_on_blocks_matches_full_formula(real):
     rng = rng_for(12)
     for space in (GradedSpace.split(5, 3), random_space(rng, 9), random_space(rng, 12)):
         for norm in (0.5, 4.0):
-            odd = random_odd_selfadjoint(rng, space, norm=norm).mat
+            odd = random_odd_selfadjoint(rng, space, norm=norm).entries
             even = random_hermitian_even(rng, space).entries
             if real:
                 odd, even = odd.real, even.real
@@ -381,7 +426,7 @@ def test_validation_rule_matrix_by_matrix(real):
     d = space.dim
     h = random_hermitian_even(rng, space).entries
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    o = random_odd_selfadjoint(rng, space).mat
+    o = random_odd_selfadjoint(rng, space).entries
     if real:
         h, g, o = h.real, g.real, o.real
     h = 4.0 * h / np.abs(h).max()

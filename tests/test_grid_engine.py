@@ -82,7 +82,7 @@ from gradedlab.sampling import (
     rng_for,
 )
 
-from helpers import matrix_exp_oracle
+from helpers import as_odd, matrix_exp_oracle
 
 GRID_FUNCTIONS = (*NAMED_FUNCTIONS, bounded_transform_function(3.0))
 # 4 runs every grid in one stack; 34 needs 14-matrix chunks, so grids cross chunk boundaries
@@ -233,7 +233,7 @@ def test_grid_profiles_over_several_chunks_equal_one_chunk():
 
 def commbound_oracle(d, d_prime, n_grid, grid, seed):
     spec_d, spec_dp = Spectrum.of(d), Spectrum.of(d_prime)
-    rhs = operator_norm(graded_commutator(d.underlying, d_prime.underlying))
+    rhs = operator_norm(graded_commutator(d, d_prime))
 
     def norm(a, b):
         return float(np.abs(np.linalg.eigvalsh(a @ b + b @ a)).max())
@@ -285,9 +285,9 @@ def interleaved_operands(case):
         return random_odd_selfadjoint(rng, space), random_odd_selfadjoint(rng, space)
     base, fiber = balanced_space(4), balanced_space(2)
     d, d_prime, e = (random_odd_selfadjoint(rng, s) for s in (base, base, fiber))
-    lift = OddSelfAdjoint(graded_tensor(d.underlying, identity(fiber)))
-    lift_prime = OddSelfAdjoint(
-        graded_tensor(d_prime.underlying, identity(fiber)) + graded_tensor(identity(base), e.underlying)
+    lift = as_odd(graded_tensor(d, identity(fiber)))
+    lift_prime = as_odd(
+        graded_tensor(d_prime, identity(fiber)) + graded_tensor(identity(base), e)
     )
     return lift, lift_prime
 
@@ -322,7 +322,7 @@ def mp_anticommutator_norm(d, d_prime, n, s):
         n2 = mpmath.mpf(n) ** 2
 
         def transform(m):
-            values, vectors = mpmath.eigh(mpmath.matrix(m.mat.tolist()))
+            values, vectors = mpmath.eigh(mpmath.matrix(m.entries.tolist()))
             weights = [s * v / (1 + (s * v) ** 2 / n2) for v in values]
             return vectors * mpmath.diag(weights) * vectors.H
 
@@ -349,7 +349,7 @@ def test_transform_commutator_check_matches_mpmath(case):
 
 def test_transform_commutator_check_keeps_the_first_worst_point():
     # zero operators tie every scaled margin at zero
-    zero = OddSelfAdjoint(zeros(balanced_space(4)))
+    zero = as_odd(zeros(balanced_space(4)))
     grid = default_t_grid(points=10)
     certs = _transform_commutator_certs((1.0,), grid, *transform_commutator_check(zero, zero, (1.0,), grid), None)
     assert certs == commbound_oracle(zero, zero, (1.0,), grid, None)
@@ -378,7 +378,7 @@ def test_compose_pairs_matches_oracle(dim, stack_rows):
 
     grid = default_t_grid(points=24)
     composed, defect_profiles = compose_pairs(p_ab, p_bc, push, grid)
-    inner, outer = Spectrum.of(push(p_ab.d.underlying)), Spectrum.of(d_prime)
+    inner, outer = Spectrum.of(push(p_ab.d)), Spectrum.of(d_prime)
     total = Spectrum.of(composed.d)
     for name, gen in p_ab.generators.items():
         rho = push(gen).entries
@@ -435,7 +435,7 @@ def mp_commutator_norm(f, d, a, t):
     """||[f(D/t), a]|| at 30 digits: f(D/t) from mpmath's eigh, the graded
     commutator summed over parity parts, the norm from svd_c."""
     with mpmath.workdps(30):
-        values, vectors = mpmath.eigh(mpmath.matrix(d.mat.tolist()))
+        values, vectors = mpmath.eigh(mpmath.matrix(d.entries.tolist()))
         weights = [MP_FUNCTIONS[f.name](v / mpmath.mpf(float(t))) for v in values]
         fd = vectors * mpmath.diag(weights) * vectors.H
         gamma = mpmath.diag(d.space.gamma_signs().tolist())
@@ -477,7 +477,7 @@ def chiral_operands():
     real matrix of the parity phase."""
     rng = rng_for(61)
     space = GradedSpace((0, 1, 0, 0, 1, 0))
-    d, d_prime = (OddSelfAdjoint(GradedMatrix(space, random_odd_selfadjoint(rng, space).mat.real)) for _ in range(2))
+    d, d_prime = (OddSelfAdjoint(space, random_odd_selfadjoint(rng, space).entries.real) for _ in range(2))
     gens = {name: GradedMatrix(space, draw(rng, space, norm=1.0).entries.real) for name, draw in
             (("a_even", random_even), ("a_odd", random_odd))}
     return AsymptoticPair(gens, d), d_prime
@@ -497,7 +497,7 @@ def test_validate_pair_on_chiral_blocks_matches_mpmath():
 
 def mp_heat(d, s):
     """gauss0 and gauss1 of s D at 30 digits, from mpmath's eigh."""
-    values, vectors = mpmath.eigh(mpmath.matrix(d.mat.tolist()))
+    values, vectors = mpmath.eigh(mpmath.matrix(d.entries.tolist()))
     return [vectors * mpmath.diag([MP_FUNCTIONS[f](s * v) for v in values]) * vectors.H for f in ("gauss0", "gauss1")]
 
 
@@ -563,7 +563,7 @@ def test_perturbation_check_bott_matches_mpmath():
     homom_profiles, defect_even, _ = perturbation_check(pair, ops.clifford_mult, grid)
     with mpmath.workdps(30):
         s = 1 / mpmath.mpf(float(grid[-1]))
-        c, d = (mpmath.matrix(m.mat.tolist()) for m in (ops.clifford_mult, ops.dirac))
+        c, d = (mpmath.matrix(m.entries.tolist()) for m in (ops.clifford_mult, ops.dirac))
         squared = (s * c) ** 2
         resolvent = mpmath.inverse(mpmath.eye(c.rows) + squared)
         moved = {"cayley": -squared * resolvent, "g": s * c * resolvent}
@@ -588,7 +588,7 @@ def test_transform_sum_sweep_matches_oracle(dim, stack_rows):
     n_grid = (1.0, 4.0, 16.0)
     report = transform_sum_sweep(pair.d, d_prime, n_grid=n_grid, t_grid=grid)
     spec_d, spec_dp = Spectrum.of(pair.d), Spectrum.of(d_prime)
-    spec_sum = Spectrum.of(pair.d.mat + d_prime.mat)
+    spec_sum = Spectrum.of(pair.d.entries + d_prime.entries)
     want = np.zeros((len(n_grid), grid.size))
     for j, t in enumerate(grid):
         s = 1.0 / float(t)
@@ -626,7 +626,7 @@ def mp_sweep_defect(d, d_prime, n, t):
     from mpmath's eigh of D and D', full-matrix inverses and svd_c."""
     with mpmath.workdps(30):
         s, n2 = 1 / mpmath.mpf(float(t)), mpmath.mpf(float(n)) ** 2
-        m, m_prime = (mpmath.matrix(x.mat.tolist()) for x in (d, d_prime))
+        m, m_prime = (mpmath.matrix(x.entries.tolist()) for x in (d, d_prime))
 
         def transform(x):
             values, vectors = mpmath.eigh(x)
@@ -664,7 +664,7 @@ def test_exp_product_path_profiles_match_oracle(dim):
     want_lhs, want_rhs = [], []
     for t in grid:
         s = 1.0 / float(t) ** 2
-        x, y = -s * (pair.d.mat @ pair.d.mat), -s * (d_prime.mat @ d_prime.mat)
+        x, y = -s * (pair.d.entries @ pair.d.entries), -s * (d_prime.entries @ d_prime.entries)
         product = matrix_exp_oracle(x) @ matrix_exp_oracle(y)
         want_lhs.append(operator_norm(matrix_exp_oracle(x + y) - product))
         comm = operator_norm(graded_commutator(GradedMatrix(pair.space, x), GradedMatrix(pair.space, y)))

@@ -7,7 +7,6 @@ import pytest
 from gradedlab import (
     AsymptoticPair,
     GradedMatrix,
-    OddSelfAdjoint,
     Spectrum,
     compose_pairs,
     conjugate_by_grading,
@@ -34,7 +33,7 @@ from gradedlab.sampling import (
     rng_for,
 )
 
-from helpers import SIGMA_X, SIGMA_Y, SIGMA_Z, SX, SY, TWO, commutes_asymptotically, composes
+from helpers import SIGMA_X, SIGMA_Y, SIGMA_Z, SX, SY, TWO, as_odd, commutes_asymptotically, composes
 
 GRID = default_t_grid(points=24)
 
@@ -42,7 +41,7 @@ GRID = default_t_grid(points=24)
 def two_block_pair():
     """Four-dimensional pair whose algebra and operator live in the top block."""
     gen = direct_sum(identity(TWO), zeros(TWO))
-    d = OddSelfAdjoint(direct_sum(SIGMA_X, zeros(TWO)))
+    d = as_odd(direct_sum(SIGMA_X, zeros(TWO)))
     return AsymptoticPair({"unit_top": gen}, d)
 
 
@@ -149,7 +148,7 @@ def test_validate_pair_pauli_closed_form():
 
 
 def test_validate_pair_space_mismatch():
-    other = OddSelfAdjoint(direct_sum(SIGMA_X, zeros(TWO)))
+    other = as_odd(direct_sum(SIGMA_X, zeros(TWO)))
     with pytest.raises(ValueError, match="generator 'z' lives on the wrong space"):
         AsymptoticPair({"z": SIGMA_Z}, other)
 
@@ -173,7 +172,7 @@ def test_validate_pair_block_corner():
 def block_sum(p, q):
     """(diag(phi, psi), diag(D, D')) for pairs with the same generator names."""
     gens = {name: direct_sum(g, q.generators[name]) for name, g in p.generators.items()}
-    d = OddSelfAdjoint(direct_sum(p.d.underlying, q.d.underlying))
+    d = as_odd(direct_sum(p.d, q.d))
     return AsymptoticPair(gens, d)
 
 
@@ -188,7 +187,7 @@ def test_pair_sum_with_zero_pair_keeps_profiles():
     space = balanced_space(4)
     gens = {"a": random_even(rng, space, norm=1.0)}
     pair = AsymptoticPair(gens, random_odd_selfadjoint(rng, space))
-    zero_pair = AsymptoticPair({"a": zeros(space)}, OddSelfAdjoint(zeros(space)))
+    zero_pair = AsymptoticPair({"a": zeros(space)}, as_odd(zeros(space)))
     total = block_sum(pair, zero_pair)
     rep_a = validate_pair(pair, GRID)["a"]
     rep_total = validate_pair(total, GRID)["a"]
@@ -244,8 +243,8 @@ def test_sum_with_inverse_preserves_profiles():
 def test_bounded_commutator_self():
     rng = rng_for(39)
     d = random_odd_selfadjoint(rng, balanced_space(6))
-    norm = operator_norm(graded_commutator(d.underlying, d.underlying))
-    expected = 2.0 * operator_norm(GradedMatrix(d.space, d.mat @ d.mat))
+    norm = operator_norm(graded_commutator(d, d))
+    expected = 2.0 * operator_norm(GradedMatrix(d.space, d.entries @ d.entries))
     assert abs(norm - expected) <= 1e-10 * expected
 
 
@@ -265,8 +264,8 @@ def test_factorization_exact_for_anticommuting_paulis():
 
 
 def test_factorization_exact_for_tensor_lifts():
-    lift_left = OddSelfAdjoint(graded_tensor(SIGMA_X, identity(TWO)))
-    lift_right = OddSelfAdjoint(graded_tensor(identity(TWO), SIGMA_Y))
+    lift_left = as_odd(graded_tensor(SIGMA_X, identity(TWO)))
+    lift_right = as_odd(graded_tensor(identity(TWO), SIGMA_Y))
     even_prof, odd_prof = factorization_defect_profiles(lift_left, lift_right, GRID)
     assert even_prof.values.max() <= 1e-12
     assert odd_prof.values.max() <= 1e-12
@@ -287,7 +286,7 @@ def test_factorization_rate_and_limit():
         d = random_odd_selfadjoint(rng, space, norm=1.0)
         dp = random_odd_selfadjoint(rng, space, norm=1.0)
         even_prof, _ = factorization_defect_profiles(d, dp, grid)
-        comm = operator_norm(graded_commutator(d.underlying, dp.underlying))
+        comm = operator_norm(graded_commutator(d, dp))
         assert abs(even_prof.fitted_exponent + 2.0) <= 0.1
         t_last = grid[-1]
         assert abs(t_last**2 * even_prof.values[-1] - comm) <= 0.02 * comm
@@ -295,7 +294,7 @@ def test_factorization_rate_and_limit():
 
 def test_factorization_defect_rejects_space_mismatch():
     with pytest.raises(ValueError):
-        factorization_defect_profiles(SX, OddSelfAdjoint(direct_sum(SIGMA_X, zeros(TWO))), GRID)
+        factorization_defect_profiles(SX, as_odd(direct_sum(SIGMA_X, zeros(TWO))), GRID)
 
 
 # -- composition -----------------------------------------------------------------
@@ -306,9 +305,9 @@ def test_compose_with_trivial_pair_is_exact():
     space = balanced_space(6)
     gens = {"a": random_even(rng, space), "b": random_odd(rng, space)}
     pair = AsymptoticPair(gens, random_odd_selfadjoint(rng, space))
-    trivial = AsymptoticPair({"unit": identity(space)}, OddSelfAdjoint(zeros(space)))
+    trivial = AsymptoticPair({"unit": identity(space)}, as_odd(zeros(space)))
     composed, defect_profiles = compose_pairs(pair, trivial, identity_pushforward, GRID)
-    assert np.array_equal(composed.d.mat, pair.d.mat)
+    assert np.array_equal(composed.d.entries, pair.d.entries)
     for name in gens:
         assert np.array_equal(composed.generators[name].entries, gens[name].entries)
     assert composes(defect_profiles)
@@ -326,7 +325,7 @@ def test_compose_with_bounded_potential_gives_shifted_operator():
     pair = AsymptoticPair(gens, d)
     potential_pair = AsymptoticPair({"unit": identity(space)}, v)
     composed, defect_profiles = compose_pairs(pair, potential_pair, identity_pushforward, GRID)
-    assert np.abs(composed.d.mat - (d.mat + v.mat)).max() <= 1e-14
+    assert np.abs(composed.d.entries - (d.entries + v.entries)).max() <= 1e-14
     assert composes(defect_profiles)
 
 
@@ -384,11 +383,11 @@ def test_pushforward_functoriality():
 
 def lifts(d):
     one = identity(d.space)
-    return OddSelfAdjoint(graded_tensor(d.underlying, one)), OddSelfAdjoint(graded_tensor(one, d.underlying))
+    return as_odd(graded_tensor(d, one)), as_odd(graded_tensor(one, d))
 
 
 def test_comultiplication_zero():
-    left, right = lifts(OddSelfAdjoint(zeros(TWO)))
+    left, right = lifts(as_odd(zeros(TWO)))
     even_prof, odd_prof = factorization_defect_profiles(left, right, GRID)
     assert np.all(even_prof.values == 0.0) and np.all(odd_prof.values == 0.0)
 
@@ -401,8 +400,8 @@ def test_comultiplication_pauli_against_kron_oracle():
     # direct 4x4 oracle: lifts are sx (x) 1 and gamma (x) sx
     gamma = np.diag([1.0, -1.0]).astype(complex)
     sx = SIGMA_X.entries
-    assert np.array_equal(left.mat, np.kron(sx, np.eye(2)))
-    assert np.array_equal(right.mat, np.kron(gamma, sx))
+    assert np.array_equal(left.entries, np.kron(sx, np.eye(2)))
+    assert np.array_equal(right.entries, np.kron(gamma, sx))
     wx, vx = np.linalg.eigh(sx)
     heat_x = (vx * np.exp(-(wx**2))[None, :]) @ vx.conj().T
     heat_sum = Spectrum.of(left + right).apply(GAUSS0)
@@ -415,7 +414,7 @@ def test_comultiplication_pauli_against_kron_oracle():
 def test_comultiplication_random():
     rng = rng_for(46)
     left, right = lifts(random_odd_selfadjoint(rng, balanced_space(8)))
-    assert operator_norm(graded_commutator(left.underlying, right.underlying)) <= 1e-12
+    assert operator_norm(graded_commutator(left, right)) <= 1e-12
     even_prof, odd_prof = factorization_defect_profiles(left, right, GRID)
     assert even_prof.values.max() <= 1e-10
     assert odd_prof.values.max() <= 1e-10

@@ -59,10 +59,6 @@ DIMS = st.integers(2, 16)
 FUNCTIONS = (*NAMED_FUNCTIONS, bounded_transform_function(2.0))
 
 
-def parity_sets(space):
-    return ChiralSpectrum.parity_order(space)
-
-
 @TIER1
 @given(SEEDS, DIMS, st.floats(0.1, 20.0))
 def test_grading_covariance_on_random_parities(seed, dim, norm):
@@ -72,7 +68,7 @@ def test_grading_covariance_on_random_parities(seed, dim, norm):
     space = random_space(rng, dim)
     d = random_odd_selfadjoint(rng, space, norm=norm)
     signs = space.gamma_signs()
-    e, o = parity_sets(space)
+    e, o = space.parity_order()
     for f in FUNCTIONS:
         value = Spectrum.of(d).apply(f)
         flipped = Spectrum.of(-d).apply(f)
@@ -91,9 +87,9 @@ def test_anticommutator_of_odd_hermitians_is_even(seed, dim):
     larger of its diagonal blocks' norms."""
     rng = rng_for(seed)
     space = random_space(rng, dim)
-    a, b = (random_odd_selfadjoint(rng, space).mat for _ in range(2))
+    a, b = (random_odd_selfadjoint(rng, space).entries for _ in range(2))
     anti = a @ b + b @ a
-    e, o = parity_sets(space)
+    e, o = space.parity_order()
     assert np.all(anti[np.ix_(e, o)] == 0) and np.all(anti[np.ix_(o, e)] == 0)
     blocks = max(operator_norm(anti[np.ix_(e, e)]), operator_norm(anti[np.ix_(o, o)]))
     assert abs(blocks - operator_norm(anti)) <= 1e-12 * blocks
@@ -123,14 +119,14 @@ def test_odd_block_spectrum_on_random_parities(seed, dim, norm, real):
     space = random_space(rng, dim)
     b = random_odd_selfadjoint(rng, space, norm=norm)
     if real:
-        b = OddSelfAdjoint(GradedMatrix(space, b.mat.real))
+        b = OddSelfAdjoint(space, b.entries.real)
     eigenvalues, kernel_dim = spectrum_and_kernel(b)
-    e, o = parity_sets(space)
+    e, o = space.parity_order()
     assert np.array_equal(eigenvalues, -eigenvalues[::-1])
     assert np.count_nonzero(eigenvalues == 0.0) >= abs(e.size - o.size)
     assert kernel_dim >= abs(e.size - o.size)
     roundoff = 4 * dim * np.finfo(float).eps * operator_norm(b)
-    assert np.abs(eigenvalues - np.linalg.eigvalsh(b.mat)).max() <= roundoff
+    assert np.abs(eigenvalues - np.linalg.eigvalsh(b.entries)).max() <= roundoff
 
 
 @TIER1
@@ -182,13 +178,13 @@ def chiral_operator(rng, n_even, n_odd, rank, real):
     whose odd block A = D[e, o] has the given rank: |#e - #o| + 2 (min - rank)
     zero modes."""
     space = GradedSpace(tuple(int(p) for p in rng.permutation([0] * n_even + [1] * n_odd)))
-    e, o = parity_sets(space)
+    e, o = space.parity_order()
     a = rng.standard_normal((n_even, rank)) @ rng.standard_normal((rank, n_odd))
     if not real:
         a = a + 1j * rng.standard_normal((n_even, rank)) @ rng.standard_normal((rank, n_odd))
     entries = np.zeros((space.dim, space.dim), dtype=a.dtype)
     entries[np.ix_(e, o)], entries[np.ix_(o, e)] = a, a.conj().T
-    return OddSelfAdjoint(GradedMatrix(space, entries))
+    return OddSelfAdjoint(space, entries)
 
 
 @TIER1
@@ -205,7 +201,7 @@ def test_chiral_spectrum_on_random_parities(seed, n_even, n_odd, rank, real, sca
     rng = rng_for(seed)
     d = chiral_operator(rng, n_even, n_odd, min(rank, n_even, n_odd), real)
     space, signs = d.space, d.space.gamma_signs()
-    e, o = parity_sets(space)
+    e, o = space.parity_order()
     chiral, spec = ChiralSpectrum.of(d), Spectrum.of(d)
     cast = (lambda m: m.real) if real else (lambda m: m)
     gens = [GradedMatrix(space, cast(draw(rng, space, norm=1.0).entries)) for draw in (random_even, random_odd)]

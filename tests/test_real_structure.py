@@ -55,7 +55,7 @@ def bott_pair(n_basis=24):
 def complex_copy(pair):
     """The same pair with every matrix cast to complex128."""
     gens = {name: GradedMatrix(pair.space, g.entries.astype(complex)) for name, g in pair.generators.items()}
-    d = OddSelfAdjoint(GradedMatrix(pair.space, pair.d.mat.astype(complex)))
+    d = OddSelfAdjoint(pair.space, pair.d.entries.astype(complex))
     return AsymptoticPair(gens, d)
 
 
@@ -106,7 +106,7 @@ def test_dtype_follows_the_data():
 def test_bott_model_is_real():
     ops, pair = bott_pair()
     b = bott_operator(hermite_model(24))
-    for m in (ops.dirac.mat, ops.clifford_mult.mat, b.mat, *(g.entries for g in pair.generators.values())):
+    for m in (ops.dirac.entries, ops.clifford_mult.entries, b.entries, *(g.entries for g in pair.generators.values())):
         assert m.dtype == np.float64
     spec = Spectrum.of(b)
     assert spec.eigenvectors.dtype == np.float64
@@ -123,7 +123,7 @@ def test_random_suites_stay_complex_and_unchanged(dim):
     rng = rng_for((5, dim))
     space = balanced_space(dim)
     d = random_odd_selfadjoint(rng, space, norm=1.0)
-    assert d.mat.dtype == np.complex128
+    assert d.entries.dtype == np.complex128
     assert random_even(rng, space).entries.dtype == np.complex128
     assert random_odd(rng, space).entries.dtype == np.complex128
     spec = Spectrum.of(d)
@@ -166,7 +166,7 @@ def assert_two_coordinate_ladder_spectrum(k):
     multiplicity prod(1 if m_i = 0 else 2), split evenly between +-.  The
     spectrum comes from the odd block; its one zero is the dimension gap."""
     b = bott_operator(hermite_model(k, 2))
-    assert b.mat.dtype == np.float64
+    assert b.entries.dtype == np.float64
     eigenvalues, kernel_dim = spectrum_and_kernel(b)
     oracle = []
     for m in itertools.product(range(k), repeat=2):
