@@ -4,7 +4,8 @@
 
 Runs scripts/report_digests.py on TREE/src of each tree (head defaults to
 this checkout) and keeps the files it writes: the seven experiments at
-their default configs and the bott-2d config, once per seed (default 42).
+their default configs and the Bott configs CI's tier-1 job runs, once
+per seed (default 42).
 For example, compare a pull request with its parent commit by checking the
 parent out in a worktree:
 

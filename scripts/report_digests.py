@@ -2,13 +2,16 @@
 
     python scripts/report_digests.py [--src DIR] [--out DIR] [SEED ...]
 
-Runs the seven experiments at their default configs, and the two-coordinate
-Bott config {"experiment": "bott", "coordinates": 2, "n_basis": 12}, once per
-seed (default 42), and prints one line per output file:
+Runs the seven experiments at their default configs, and the Bott configs
+CI's tier-1 job runs beside them, once per seed (default 42), and prints
+one line per output file:
 
     <sha256>  <experiment>-<seed>/<file>
 
-with the Bott config labelled bott-2d.  The lines are sorted, so two
+The Bott configs are labelled by what they set: bott-2d is
+{"experiment": "bott", "coordinates": 2, "n_basis": 12}, the bott-2d
+benchmark config, and bott-c3-n24, bott-c6-n24 and bott-c2-n512 set
+coordinates 3, 6 and 2 at n_basis 24, 24 and 512.  The lines are sorted, so two
 listings of the same seeds diff line by line; a refactor that claims
 byte-identical reports compares its listing with the parent commit's.
 --src names the gradedlab sources to run (default: this checkout's src),
@@ -31,7 +34,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 CHECKOUT_SRC = Path(__file__).resolve().parents[1] / "src"
 
-BOTT_2D = {"experiment": "bott", "coordinates": 2, "n_basis": 12}
+BOTT_CONFIGS = {
+    "bott-2d": {"experiment": "bott", "coordinates": 2, "n_basis": 12},
+    "bott-c3-n24": {"experiment": "bott", "coordinates": 3, "n_basis": 24},
+    "bott-c6-n24": {"experiment": "bott", "coordinates": 6, "n_basis": 24},
+    "bott-c2-n512": {"experiment": "bott", "coordinates": 2, "n_basis": 512},
+}
 
 
 def emit_all(seeds: list[int], root: Path) -> None:
@@ -39,13 +47,15 @@ def emit_all(seeds: list[int], root: Path) -> None:
     from gradedlab.experiments import EXPERIMENT_NAMES, load_config, run_experiment
     from gradedlab.reporting import emit_report
 
-    bott_2d = root / "bott-2d.json"
-    bott_2d.write_text(json.dumps(BOTT_2D))
-    runs = [(name, {"experiment": name}) for name in EXPERIMENT_NAMES] + [("bott-2d", {"path": bott_2d})]
+    paths = {label: root / f"{label}.json" for label in BOTT_CONFIGS}
+    for label, path in paths.items():
+        path.write_text(json.dumps(BOTT_CONFIGS[label]))
+    runs = [(name, {"experiment": name}) for name in EXPERIMENT_NAMES] + [(k, {"path": v}) for k, v in paths.items()]
     for seed in seeds:
         for label, source in runs:
             emit_report(run_experiment(load_config(**source, seed=seed)), root / f"{label}-{seed}")
-    bott_2d.unlink()
+    for path in paths.values():
+        path.unlink()
 
 
 def digests(seeds: list[int], root: Path) -> list[str]:

@@ -46,7 +46,6 @@ from .pairs import (
 )
 from .bott import (
     BottOperators,
-    HermiteModel,
     LadderSpectrum,
     bott_dirac,
     dc_commutator_check,

@@ -31,14 +31,15 @@ spectrum is the n-fold sum set of b's squared one, held as distinct values
 with multiplicities (`ladder_spectrum`); any cross term left, as with
 S = 1, enters as a Weyl slack.  Likewise {D, C} is n lifts of the
 one-coordinate {d, c} plus cross terms of norm ||{d, S}|| ||c|| and
-||{c, S}|| ||d|| (`dc_commutator_check`).  `bott_dirac` is the one
-builder of those pieces, the dense one-coordinate d, c and interior, at
-any n; the ladder, the dc check and the generators take its result, and
-at one coordinate its d and c are the pairs' D and C.
+||{c, S}|| ||d|| (`dc_commutator_check`).  A rung, `bott_dirac(n_basis)`,
+is one coordinate's x, [e, o] blocks of d and c, and interior; the ladder
+and the dc check take it with the coordinate count and read only those
+blocks, and the pairs' dense D and C (n = 1) are built on first read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,7 +56,6 @@ from .pairs import (
 )
 
 __all__ = [
-    "HermiteModel",
     "hermite_model",
     "BottOperators",
     "LadderSpectrum",
@@ -71,22 +71,10 @@ __all__ = [
 KERNEL_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class HermiteModel:
-    """Truncated Hermite realization of one or more coordinates."""
-
-    n_basis: int
-    n: int
-    x_mat: np.ndarray
-    d_mat: np.ndarray
-
-
-def hermite_model(n_basis: int, n: int = 1) -> HermiteModel:
-    """Ladder-relation position and derivative matrices on n_basis levels."""
+def hermite_model(n_basis: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ladder-relation position and derivative matrices (x, d/dx) on n_basis levels."""
     if n_basis < 8:
         raise ValueError("need at least 8 Hermite levels")
-    if n < 1:
-        raise ValueError("need at least one coordinate")
     k = np.arange(1, n_basis)
     off = np.sqrt(k / 2.0)
     x = np.zeros((n_basis, n_basis))
@@ -95,36 +83,46 @@ def hermite_model(n_basis: int, n: int = 1) -> HermiteModel:
     d = np.zeros((n_basis, n_basis))
     d[k - 1, k] = off
     d[k, k - 1] = -off
-    return HermiteModel(int(n_basis), int(n), x, d)
+    return x, d
 
 
 @dataclass(frozen=True)
 class BottOperators:
-    """model's one-coordinate pieces on the paired subspace: the Dirac d,
-    the Clifford multiplication c (D and C at n = 1, B = D + C) and the
-    interior mask.  At any n every certificate comes from them."""
+    """One coordinate's rung on the paired subspace of n_basis levels, its
+    even indices first: the position matrix x, the [e, o] blocks of the Dirac
+    d and the Clifford multiplication c (real, so each [o, e] block is the
+    transpose) and the interior mask.  Dense d and c are built on first read."""
 
-    model: HermiteModel
+    n_basis: int
     space: GradedSpace
-    dirac: OddSelfAdjoint
-    clifford_mult: OddSelfAdjoint
+    x: np.ndarray
+    d_block: np.ndarray
+    c_block: np.ndarray
     interior: np.ndarray
 
+    def _dense(self, block: np.ndarray) -> OddSelfAdjoint:
+        e, o = block.shape
+        return OddSelfAdjoint(self.space, np.block([[np.zeros((e, e)), block], [block.T, np.zeros((o, o))]]))
 
-def bott_dirac(model: HermiteModel) -> BottOperators:
-    """model's one-coordinate d = d/dx (x) e^, c = x (x) e and interior,
-    dense, at any model.n.  The space is the even sector h_j (x) 1, j < n_basis,
+    @functools.cached_property
+    def dirac(self) -> OddSelfAdjoint:
+        return self._dense(self.d_block)
+
+    @functools.cached_property
+    def clifford_mult(self) -> OddSelfAdjoint:
+        return self._dense(self.c_block)
+
+
+def bott_dirac(n_basis: int) -> BottOperators:
+    """One coordinate's d = d/dx (x) e^, c = x (x) e and interior on
+    n_basis levels.  The space is the even sector h_j (x) 1, j < n_basis,
     then the odd one h_j (x) e, j < n_basis - 1.  x (x) e and d (x) e^ join
     the two sectors, the latter with -d from odd to even (+0.0, not -0.0,
     where d is 0)."""
-    k = model.n_basis
-    space = GradedSpace(tuple([0] * k + [1] * (k - 1)))
-    d, c = np.zeros((2, 2 * k - 1, 2 * k - 1))
-    d[:k, k:], d[k:, :k] = 0.0 - model.d_mat[:, :-1], model.d_mat[:-1]
-    c[:k, k:], c[k:, :k] = model.x_mat[:, :-1], model.x_mat[:-1]
+    x, d = hermite_model(n_basis)
     # interior: drop the top two Hermite levels in each fiber sector
-    interior = np.r_[np.arange(k) < k - 2, np.arange(k - 1) < k - 3].astype(float)
-    return BottOperators(model, space, OddSelfAdjoint(space, d), OddSelfAdjoint(space, c), interior)
+    interior = np.r_[np.arange(n_basis) < n_basis - 2, np.arange(n_basis - 1) < n_basis - 3].astype(float)
+    return BottOperators(n_basis, GradedSpace.split(n_basis, n_basis - 1), x, 0.0 - d[:, :-1], x[:, :-1], interior)
 
 
 def _koszul_sign(parity: np.ndarray) -> np.ndarray:
@@ -135,16 +133,16 @@ def _koszul_sign(parity: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * parity
 
 
-def _frobenius(m: np.ndarray) -> float:
-    """The Frobenius norm (a vector's 2-norm), a bound on the operator norm that costs d^2."""
-    return math.sqrt(float(np.vdot(m, m).real))
+def _frobenius(block: np.ndarray) -> float:
+    """The Frobenius norm of the real odd operator with this [e, o] block, a bound on its norm."""
+    return math.sqrt(2.0 * float(np.vdot(block, block)))
 
 
-def _cross_norm(m: np.ndarray, sign: np.ndarray) -> float:
-    """A bound on ||{m, S}||: an anticommutator of the lifts of m and m' to
-    two different slots is {m, S} (x) S..S (x) m', of norm ||{m, S}|| ||m'||.
-    Exactly 0 for an odd m and S = gamma."""
-    return _frobenius(m * sign + sign[:, None] * m)
+def _cross_norm(block: np.ndarray, sign: np.ndarray) -> float:
+    """A bound on ||{m, S}|| for the odd m with this [e, o] block: an anticommutator
+    of the lifts of m and m' to two different slots is {m, S} (x) S..S (x) m', of norm
+    ||{m, S}|| ||m'||.  {m, S} has [e, o] block block (S_e + S_o), 0 for S = gamma."""
+    return _frobenius(block * (sign[:len(block), None] + sign[len(block):]))
 
 
 # Sums of squared eigenvalues that agree to this relative tolerance are one
@@ -206,22 +204,23 @@ class LadderSpectrum:
         return (np.r_[-root[::-1], self.squares[~nonzero], root],
                 np.r_[half[::-1], self.multiplicity[~nonzero], half])
 
-
-def ladder_spectrum(ops: BottOperators) -> LadderSpectrum:
-    """B's spectrum on ops.model.n coordinates from the one-coordinate
-    b = d_1 + c_1: its eigenvalues from spectrum_and_kernel, their squares'
-    n-fold sum set, the Weyl slack of the cross terms, and the ground
-    residual ||B e_0|| = sqrt(n) ||b e_0|| (the n terms of B e_0 are
-    orthogonal, for b e_0 is odd and e_0 even)."""
-    n, b = ops.model.n, ops.dirac + ops.clifford_mult
-    eigenvalues, _ = spectrum_and_kernel(b)
+def ladder_spectrum(ops: BottOperators, n: int) -> LadderSpectrum:
+    """B's spectrum on n coordinates from the [e, o] block of the
+    one-coordinate b = d_1 + c_1: b's eigenvalues (_odd_eigenvalues), their
+    squares' n-fold sum set, the Weyl slack of the cross terms, and the
+    ground residual ||B e_0|| = sqrt(n) ||b e_0|| (the n terms of B e_0 are
+    orthogonal, for b e_0 is odd and e_0 even; b e_0 is the block's row 0)."""
+    if n < 1:
+        raise ValueError("need at least one coordinate")
+    b = ops.d_block + ops.c_block
+    eigenvalues = _odd_eigenvalues(b)
     one, count = _merged(eigenvalues**2, np.ones(eigenvalues.size, dtype=np.int64))
     squares, multiplicity = np.zeros(1), np.ones(1, dtype=np.int64)
     for _ in range(n):
         squares, multiplicity = _merged((squares[:, None] + one).ravel(), (multiplicity[:, None] * count).ravel())
-    cross = _cross_norm(b.entries, _koszul_sign(np.array(ops.space.parity)))
+    cross = _cross_norm(b, _koszul_sign(np.array(ops.space.parity)))
     slack = math.comb(n, 2) * cross * float(np.abs(eigenvalues).max())
-    return LadderSpectrum(squares, multiplicity, slack, math.sqrt(n) * _frobenius(b.entries[:, 0]))
+    return LadderSpectrum(squares, multiplicity, slack, math.sqrt(n) * float(np.linalg.norm(b[0])))
 
 
 def multiplication_generators(ops: BottOperators) -> dict[str, GradedMatrix]:
@@ -229,12 +228,9 @@ def multiplication_generators(ops: BottOperators) -> dict[str, GradedMatrix]:
 
     Returns an even generator (1 + x^2)^{-1} (x) 1 and an odd one
     x (1 + x^2)^{-1} (x) e, realized through the compressed position
-    operator on the paired one-coordinate space.  They belong to the
-    one-coordinate pair, so a model of n != 1 coordinates is refused.
+    operator on the paired one-coordinate space.
     """
-    if ops.model.n != 1:
-        raise ValueError("multiplication generators are built for one coordinate")
-    space, x, k = ops.space, ops.model.x_mat, ops.model.n_basis
+    space, x, k = ops.space, ops.x, ops.n_basis
     x_even = np.zeros((2 * k - 1, 2 * k - 1))  # x (x) 1, sector by sector
     x_even[:k, :k], x_even[k:, k:] = x, x[:-1, :-1]
     even = GradedMatrix(space, Spectrum.of(GradedMatrix(space, x_even)).apply(CAYLEY))
@@ -250,18 +246,22 @@ def spectrum_and_kernel(b: OddSelfAdjoint) -> tuple[np.ndarray, int]:
     its eigenvalues are +-sigma_i(A) and |#e - #o| exact zeros
     (Jordan-Wielandt), all from one values-only SVD of the #e x #o block.
     Weyl's inequality puts each eigenvalue of b within ||b_even|| of the
-    one returned.  `lab bott` reads it for each rung's one-coordinate b
-    (`ladder_spectrum`) and for the composed operator.
+    one returned.  `lab bott` reads it for the composed operator; the
+    ladder reads each rung's b[e, o] block the same way.
     """
     if not isinstance(b, OddSelfAdjoint):
         raise TypeError("spectrum_and_kernel reads the odd block of an OddSelfAdjoint operator")
-    e, o = b.space.parity_order()
-    sigma, gap = np.linalg.svd(b.entries[np.ix_(e, o)], compute_uv=False), np.zeros(abs(e.size - o.size))
-    eigenvalues = np.sort(np.concatenate([-sigma, gap, sigma]))
+    eigenvalues = _odd_eigenvalues(b.entries[np.ix_(*b.space.parity_order())])
     return eigenvalues, int(np.count_nonzero(np.abs(eigenvalues) < KERNEL_TOL))
 
 
-def dc_commutator_check(ops: BottOperators) -> dict:
+def _odd_eigenvalues(block: np.ndarray) -> np.ndarray:
+    """Sorted eigenvalues of the odd operator with this [e, o] block A: +-sigma_i(A), |#e - #o| zeros."""
+    sigma = np.linalg.svd(block, compute_uv=False)
+    return np.sort(np.concatenate([-sigma, np.zeros(abs(block.shape[0] - block.shape[1])), sigma]))
+
+
+def dc_commutator_check(ops: BottOperators, n: int) -> dict:
     """Measure the graded anticommutator of D and C on the interior.
 
     Away from the truncation edge the anticommutator equals the
@@ -276,15 +276,16 @@ def dc_commutator_check(ops: BottOperators) -> dict:
     most n times its one-coordinate norm (the interior mask is a tensor
     power of a 0/1 mask) plus C(n, 2) times the cross terms, which the
     Koszul sign S = gamma makes exactly 0; on this model the bound is the
-    norm itself, for {d, c} is diagonal.  {d, c} is formed from the odd
+    norm itself, for {d, c} is diagonal.  {d, c} is formed from the [e, o]
     blocks of d and c, and the three matrices are even, so everything runs
     on the half-size parity blocks (ParityBlocks.norms).
     """
-    n, k, degree = ops.model.n, ops.model.n_basis, np.array(ops.space.parity)
-    d, c = ops.dirac.entries, ops.clifford_mult.entries
-    sign = _koszul_sign(degree)
+    if n < 1:
+        raise ValueError("need at least one coordinate")
+    d, c, degree = ops.d_block, ops.c_block, np.array(ops.space.parity)
+    sign, k = _koszul_sign(degree), d.shape[0]
     cross = math.comb(n, 2) * (_cross_norm(d, sign) * _frobenius(c) + _cross_norm(c, sign) * _frobenius(d))
-    d, c = (ParityBlocks(None, m[:k, k:], m[k:, :k], None) for m in (d, c))
+    d, c = (ParityBlocks(None, m, m.T, None) for m in (d, c))
     anti = d @ c + c @ d
     # the targets 0, 2 deg - 1 and 1/n are diagonal; the masks act on columns
     targets = np.stack([np.zeros(degree.size), 2.0 * degree - 1.0, np.full(degree.size, 1.0 / n)])[..., None]

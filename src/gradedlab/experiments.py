@@ -24,7 +24,6 @@ from .bott import (
     KERNEL_TOL,
     bott_dirac,
     dc_commutator_check,
-    hermite_model,
     ladder_spectrum,
     multiplication_generators,
     perturbation_check,
@@ -160,9 +159,9 @@ class ExperimentConfig:
         """Dimension of the largest dense operator the experiment builds."""
         largest = max(self.dims)
         if self.experiment == "bott":
-            # the convergence ladder's top basis on one coordinate, 2 (2 n_basis) - 1; its
-            # spectrum on all of them has multiplicities summing to base**coordinates, refused
-            # by its logarithm before a huge power is ever evaluated
+            # the convergence ladder's top rung, one coordinate of 2 (2 n_basis) - 1, held as odd
+            # blocks of a quarter that size; its spectrum on all coordinates has multiplicities summing
+            # to base**coordinates, refused by its logarithm before a huge power is ever evaluated
             base = 4 * self.n_basis - 1
             if self.coordinates * math.log(base) > math.log(MAX_MULTIPLICITY):
                 raise ConfigError(f"the model would be {base}**{self.coordinates}-dimensional, "
@@ -505,13 +504,13 @@ def run_bott(cfg: ExperimentConfig):
     certs: list[BoundCertificate] = []
     summary: dict = {}
 
-    # the truncation ladder n_basis / 2, n_basis, 2 n_basis, each rung's one-coordinate pieces
+    # the truncation ladder n_basis / 2, n_basis, 2 n_basis, each rung one coordinate's odd blocks,
     # built once per basis, for at n_basis 8 the first two rungs coincide.  Each rung's spectrum
     # is the sum set of its b's, and each certificate takes the Weyl slack of the cross terms
     # against it.  The middle rung is the model.
     bases = (max(8, cfg.n_basis // 2), cfg.n_basis, 2 * cfg.n_basis)
-    rungs = {basis: bott_dirac(hermite_model(basis, cfg.coordinates)) for basis in dict.fromkeys(bases)}
-    ladder = {basis: ladder_spectrum(ops) for basis, ops in rungs.items()}
+    rungs = {basis: bott_dirac(basis) for basis in dict.fromkeys(bases)}
+    ladder = {basis: ladder_spectrum(ops, cfg.coordinates) for basis, ops in rungs.items()}
 
     def gap_defect(rung):
         return max(abs(float(bound[1]) - math.sqrt(2.0)) for bound in rung.magnitude_bounds(2))
@@ -523,8 +522,8 @@ def run_bott(cfg: ExperimentConfig):
     certs.append(BoundCertificate("bott_gap", gap_defect(rung), 1e-6))
     certs.append(BoundCertificate("bott_ground_residual", rung.ground_residual, 1e-10))
     ops = rungs.pop(cfg.n_basis)
-    del rungs  # frees the other rungs' pieces (1 MB at the default top rung) before the pairs
-    dc = dc_commutator_check(ops)
+    del rungs  # frees the other rungs' blocks (16 MB at n_basis 512's top rung) before the pairs
+    dc = dc_commutator_check(ops, cfg.coordinates)
     certs.append(BoundCertificate("bott_dc_involution", dc["interior_defect_vs_involution"], 1e-10))
     summary["kernel_dim"] = kernel_dim
     summary["smallest_magnitudes"] = [float(v) for v in np.sqrt(rung.smallest(8))]
@@ -541,7 +540,7 @@ def run_bott(cfg: ExperimentConfig):
         # np.max is NaN if any fit failed; max() would depend on the order
         return float(np.max([profile.fitted_exponent for _, _, profile in _table_rows(table)]))
 
-    # the two model pairs and their composition, on the model's one-coordinate D and C
+    # the two model pairs and their composition, on the model's dense D and C, built here
     if cfg.coordinates == 1:
         grid = cfg.t_grid()
         scalar_pair = AsymptoticPair({"unit": identity(ops.space)}, ops.clifford_mult)
@@ -583,7 +582,7 @@ def run_perturb(cfg: ExperimentConfig):
         potential = random_odd_selfadjoint(rng, space, norm=1.0)
         certify(f"trial={i}", perturbation_check(pair, potential, grid), seed)
 
-    ops = bott_dirac(hermite_model(cfg.n_basis, 1))
+    ops = bott_dirac(cfg.n_basis)
     bott_pair = AsymptoticPair(multiplication_generators(ops), ops.dirac)
     bott_report = perturbation_check(bott_pair, ops.clifford_mult, grid)
     certify("bott", bott_report, None)

@@ -113,8 +113,8 @@ class DecayProfile:
     def from_values(cls, t_grid: np.ndarray, values: Sequence[float]) -> "DecayProfile":
         t_grid = checked_t_grid(t_grid)
         values = np.asarray(values, dtype=float)
-        if t_grid.size != values.size:
-            raise ValueError("grid and value lengths differ")
+        if values.shape != t_grid.shape:
+            raise ValueError(f"values of shape {values.shape} on a grid of shape {t_grid.shape}")
         half = t_grid.size // 2
         return cls._fitted(t_grid, values[half:], lambda: values[:half])
 

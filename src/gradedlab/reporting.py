@@ -68,14 +68,14 @@ def jsonable(obj):
 
 
 def csv_text(columns: dict[str, np.ndarray]) -> str:
-    """CSV of equal-length named columns, {name: values}, under a header of
-    their names: integer columns in decimal, every other value through
-    fmt_float.  Each column's formatter is chosen once, from its dtype."""
+    """CSV of equal-length named columns, {name: values} (ValueError if the
+    lengths differ), under a header of their names: integer columns in
+    decimal, the rest through fmt_float, each column's formatter from its dtype."""
     cells = []
     for values in columns.values():
         values = np.asarray(values)
         cells.append(map(str if values.dtype.kind in "iu" else fmt_float, values.tolist()))
-    return "".join(",".join(row) + "\n" for row in [tuple(columns), *zip(*cells)])
+    return "".join(",".join(row) + "\n" for row in [tuple(columns), *zip(*cells, strict=True)])
 
 
 REPORT_SCHEMA = {

@@ -51,9 +51,9 @@ def max_abs(matrix) -> float:
     return float(np.abs(entries).max(initial=0.0))
 
 
-def bott_operator(model) -> OddSelfAdjoint:
-    """B = D + C of the Bott-Dirac model as a dense OddSelfAdjoint, scattered from its nonzeros."""
-    b = bott_nonzeros(model)
+def bott_operator(n_basis: int, n: int = 1) -> OddSelfAdjoint:
+    """B = D + C of the Bott-Dirac model on n coordinates as a dense OddSelfAdjoint, scattered from its nonzeros."""
+    b = bott_nonzeros(n_basis, n)
     return OddSelfAdjoint(GradedSpace(tuple(b.parity.tolist())), b.dense())
 
 
@@ -187,11 +187,12 @@ def _lift(m, n: int) -> OddNonzeros:
     return OddNonzeros(space, r, c, v)
 
 
-def bott_nonzeros(model) -> OddNonzeros:
-    """B = D + C, the lift of b_1 = d_1 + c_1, which joins h_j (x) e and
-    h_{j+1} (x) 1 with weight sqrt(2 (j + 1)) (their other entries cancel)."""
-    ops = bott_dirac(model)
-    return _lift(ops.dirac + ops.clifford_mult, model.n)
+def bott_nonzeros(n_basis: int, n: int = 1) -> OddNonzeros:
+    """B = D + C on n coordinates, the lift of b_1 = d_1 + c_1, which joins
+    h_j (x) e and h_{j+1} (x) 1 with weight sqrt(2 (j + 1)) (their other
+    entries cancel)."""
+    ops = bott_dirac(n_basis)
+    return _lift(ops.dirac + ops.clifford_mult, n)
 
 
 def unsigned_sign(parity):
@@ -201,24 +202,24 @@ def unsigned_sign(parity):
     return np.ones(parity.size)
 
 
-def lifted_dirac(model) -> tuple[OddNonzeros, OddNonzeros]:
-    """D = sum_i d_i (x) e^_i and C = sum_i x_i (x) e_i on model.n coordinates, as nonzeros."""
-    ops = bott_dirac(model)
-    return _lift(ops.dirac, model.n), _lift(ops.clifford_mult, model.n)
+def lifted_dirac(n_basis: int, n: int) -> tuple[OddNonzeros, OddNonzeros]:
+    """D = sum_i d_i (x) e^_i and C = sum_i x_i (x) e_i on n coordinates, as nonzeros."""
+    ops = bott_dirac(n_basis)
+    return _lift(ops.dirac, n), _lift(ops.clifford_mult, n)
 
 
-def dc_nonzeros(model) -> dict:
+def dc_nonzeros(n_basis: int, n: int) -> dict:
     """dc_commutator_check's three norms on the full lifts of D and C: D C and
     C D as nonzeros, summed apart so a Koszul cross term cancels to exactly 0,
     the interior mask a tensor power on columns and the degree involution
     diag(2 deg - n), each norm the largest of its component blocks'."""
-    ops = bott_dirac(model)
+    ops = bott_dirac(n_basis)
     parity, interior1 = ops.space, ops.interior
-    d, c = lifted_dirac(model)
+    d, c = lifted_dirac(n_basis, n)
     size = d.parity.size
     rows, cols, values = _summed(*(np.r_[a, b] for a, b in zip(_product(d, c), _product(c, d))), size)
-    inside = functools.reduce(np.kron, [interior1] * model.n) > 0
-    degree = sum(np.ix_(*[np.array(parity.parity)] * model.n)).ravel()  # odd factors per index
+    inside = functools.reduce(np.kron, [interior1] * n) > 0
+    degree = sum(np.ix_(*[np.array(parity.parity)] * n)).ravel()  # odd factors per index
 
     def interior_defect(diagonal):
         on, kept = np.flatnonzero(inside), inside[cols]
@@ -226,21 +227,28 @@ def dc_nonzeros(model) -> dict:
 
     return {
         "commutator_norm": nonzeros_norm(rows, cols, values, size),
-        "interior_defect_vs_involution": interior_defect(2.0 * degree - model.n),
+        "interior_defect_vs_involution": interior_defect(2.0 * degree - n),
         "interior_defect_vs_identity": interior_defect(np.ones(size)),
     }
 
 
-def dense_dc_check(ops) -> dict:
-    """dc_commutator_check as formed densely at 2 n_basis - 1: {d, c} as
-    d c + c d, its three targets and masks as a (3, d, d) stack, and the norms
-    of that stack's parity blocks, gathered back out of it."""
-    bott = gradedlab.bott
-    n, degree = ops.model.n, np.array(ops.space.parity)
+def dense_dc_check(ops, n: int) -> dict:
+    """dc_commutator_check on n coordinates as formed densely at
+    2 n_basis - 1: the cross terms from Frobenius norms of the dense d, c,
+    {d, S} and {c, S}, {d, c} as d c + c d, its three targets and masks as a
+    (3, d, d) stack, and the norms of that stack's parity blocks, gathered
+    back out of it."""
+    degree = np.array(ops.space.parity)
     d, c = ops.dirac.entries, ops.clifford_mult.entries
-    sign = bott._koszul_sign(degree)
-    cross = math.comb(n, 2) * (bott._cross_norm(d, sign) * bott._frobenius(c)
-                               + bott._cross_norm(c, sign) * bott._frobenius(d))
+    sign = gradedlab.bott._koszul_sign(degree)
+
+    def frobenius(m):
+        return math.sqrt(float(np.vdot(m, m).real))
+
+    def cross_norm(m):
+        return frobenius(m * sign + sign[:, None] * m)
+
+    cross = math.comb(n, 2) * (cross_norm(d) * frobenius(c) + cross_norm(c) * frobenius(d))
     anti = d @ c + c @ d
     targets = np.stack([np.zeros_like(anti), np.diag(2.0 * degree - 1.0), np.eye(degree.size) / n])
     masks = np.stack([np.ones(degree.size), ops.interior, ops.interior])[:, None]  # on columns

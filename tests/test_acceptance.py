@@ -27,7 +27,6 @@ from gradedlab import (
     factorization_defect_profiles,
     graded_commutator,
     graded_tensor,
-    hermite_model,
     identity,
     identity_pushforward,
     ladder_spectrum,
@@ -207,7 +206,7 @@ def test_criterion_07_double_limit_sweep():
 
 
 def _bott_measurements(n_basis: int):
-    rung = ladder_spectrum(bott_dirac(hermite_model(n_basis)))
+    rung = ladder_spectrum(bott_dirac(n_basis), 1)
     magnitudes = np.sqrt(rung.smallest(2))
     gap_defect = abs(float(magnitudes[1]) - math.sqrt(2.0))
     return rung.kernel_dim(), float(magnitudes[0]), gap_defect, rung.ground_residual
@@ -220,7 +219,7 @@ def test_criterion_08_bott_dirac_kernel_and_gap():
     as the basis doubles, under 5 s."""
     start = time.monotonic()
     kernel_dim, lam_min, gap_defect, ground_residual = _bott_measurements(64)
-    dc = dc_commutator_check(bott_dirac(hermite_model(64)))
+    dc = dc_commutator_check(bott_dirac(64), 1)
     history = []
     for n_basis in (32, 64, 128):
         _, _, gap, ground = _bott_measurements(n_basis)
@@ -255,7 +254,7 @@ def test_criterion_08_bott_dirac_kernel_and_gap():
     ),
 )
 def test_criterion_08_dc_anticommutator_identity_as_stated():
-    dc = dc_commutator_check(bott_dirac(hermite_model(64)))
+    dc = dc_commutator_check(bott_dirac(64), 1)
     print(
         f"[FAIL] criterion 8 (identity clause): interior ||[D,C] - 1|| = "
         f"{dc['interior_defect_vs_identity']:.3f} (involution defect "
@@ -284,7 +283,7 @@ def test_criterion_09_perturbation_invariance():
         worst["defect"] = max(worst["defect"], defect_even.fitted_exponent, defect_odd.fitted_exponent)
     from gradedlab import multiplication_generators
 
-    ops = bott_dirac(hermite_model(16))
+    ops = bott_dirac(16)
     pair = AsymptoticPair(multiplication_generators(ops), ops.dirac)
     homom_profiles, defect_even, defect_odd = perturbation_check(pair, ops.clifford_mult, grid)
     for per_fn in homom_profiles.values():

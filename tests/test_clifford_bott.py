@@ -101,60 +101,85 @@ def test_clifford_relations_all_supported_sizes():
 
 
 def test_hermite_ladder_matrix_element():
-    model = hermite_model(16)
-    assert abs(model.x_mat[0, 1] - 1.0 / math.sqrt(2.0)) <= 1e-15
-    assert abs(model.d_mat[0, 1] - 1.0 / math.sqrt(2.0)) <= 1e-15
-    assert abs(model.d_mat[1, 0] + 1.0 / math.sqrt(2.0)) <= 1e-15
+    x, d = hermite_model(16)
+    assert abs(x[0, 1] - 1.0 / math.sqrt(2.0)) <= 1e-15
+    assert abs(d[0, 1] - 1.0 / math.sqrt(2.0)) <= 1e-15
+    assert abs(d[1, 0] + 1.0 / math.sqrt(2.0)) <= 1e-15
 
 
 def test_hermite_structure():
-    model = hermite_model(32)
-    assert np.abs(model.x_mat - model.x_mat.T).max() == 0.0
-    assert np.abs(model.d_mat + model.d_mat.T).max() == 0.0
+    x, d = hermite_model(32)
+    assert np.abs(x - x.T).max() == 0.0
+    assert np.abs(d + d.T).max() == 0.0
 
 
 def test_hermite_canonical_commutation_interior():
     """[d, x] = 1 on all but the top truncation level."""
-    model = hermite_model(32)
-    comm = model.d_mat @ model.x_mat - model.x_mat @ model.d_mat
+    x, d = hermite_model(32)
+    comm = d @ x - x @ d
     interior = np.diag((np.arange(32) < 30).astype(float))
     assert np.abs(interior @ (comm - np.eye(32)) @ interior).max() <= 1e-12
 
 
 def test_hermite_eigenvalues_are_gauss_hermite_nodes():
-    model = hermite_model(64)
+    x, _ = hermite_model(64)
     nodes = np.polynomial.hermite.hermgauss(64)[0]
-    eigenvalues = np.linalg.eigvalsh(model.x_mat)
+    eigenvalues = np.linalg.eigvalsh(x)
     np.testing.assert_allclose(eigenvalues, nodes, atol=1e-8)
 
 
 def test_hermite_model_validation():
+    """Fewer than 8 Hermite levels, or fewer than one coordinate, is refused."""
     with pytest.raises(ValueError):
         hermite_model(4)
     with pytest.raises(ValueError):
-        hermite_model(16, 0)
+        bott_dirac(4)
+    ops = bott_dirac(16)
+    for read in (ladder_spectrum, dc_commutator_check):
+        with pytest.raises(ValueError, match="coordinate"):
+            read(ops, 0)
 
 
 # -- bott-dirac -----------------------------------------------------------------
 
 
 def test_bott_operators_are_odd_selfadjoint():
-    ops = bott_dirac(hermite_model(16))
+    ops = bott_dirac(16)
     # OddSelfAdjoint construction is itself the Hermitian/odd check
     assert isinstance(ops.dirac, OddSelfAdjoint)
     assert isinstance(ops.clifford_mult, OddSelfAdjoint)
     assert ops.space.dim == 31
 
 
+def test_bott_rung_builds_its_dense_operators_on_first_read():
+    """A rung holds x and the 16 x 15 [e, o] blocks; the ladder and the dc
+    check read only those, and D and C, built on first read and then kept,
+    are the blocks and their transposes around zero parity-diagonal blocks,
+    with x (x) e and -d (x) e^ as the blocks."""
+    ops = bott_dirac(16)
+    x, d = hermite_model(16)
+    assert ops.n_basis == 16 and ops.space == GradedSpace.split(16, 15)
+    assert np.array_equal(ops.x, x) and np.array_equal(ops.c_block, x[:, :-1])
+    assert np.array_equal(ops.d_block, -d[:, :-1]) and not np.any(np.signbit(ops.d_block[ops.d_block == 0]))
+    ladder_spectrum(ops, 2)
+    dc_commutator_check(ops, 2)
+    assert "dirac" not in vars(ops) and "clifford_mult" not in vars(ops)
+    for dense, block in ((ops.dirac, ops.d_block), (ops.clifford_mult, ops.c_block)):
+        m = dense.entries
+        assert np.array_equal(m[:16, 16:], block) and np.array_equal(m[16:, :16], block.T)
+        assert not np.any(m[:16, :16]) and not np.any(m[16:, 16:])
+    assert ops.dirac is ops.dirac and ops.clifford_mult is ops.clifford_mult
+
+
 def test_bott_ground_vector_is_annihilated():
     """B e_0, the Gaussian h_0 (x) 1 ground state, is column 0 of B."""
-    residual = np.linalg.norm(bott_nonzeros(hermite_model(64)).dense()[:, 0])
+    residual = np.linalg.norm(bott_nonzeros(64).dense()[:, 0])
     assert residual <= 1e-10
 
 
 def test_bott_kernel_is_one_dimensional():
     for n_basis in (32, 64):
-        magnitudes = np.sort(np.abs(bott_nonzeros(hermite_model(n_basis)).eigenvalues()))
+        magnitudes = np.sort(np.abs(bott_nonzeros(n_basis).eigenvalues()))
         assert np.count_nonzero(magnitudes < 1e-8) == 1
         assert abs(magnitudes[1] - math.sqrt(2.0)) <= 1e-6
 
@@ -162,7 +187,7 @@ def test_bott_kernel_is_one_dimensional():
 def test_bott_spectrum_matches_ladder_oracle():
     """Nonzero eigenvalue magnitudes are sqrt(2k), k = 1, 2, ..., each
     seen twice (once per fiber sector)."""
-    magnitudes = np.sort(np.abs(np.linalg.eigvalsh(bott_nonzeros(hermite_model(32)).dense())))
+    magnitudes = np.sort(np.abs(np.linalg.eigvalsh(bott_nonzeros(32).dense())))
     expected = np.sort(
         np.concatenate([[0.0], *[[math.sqrt(2 * k)] * 2 for k in range(1, 32)]])
     )
@@ -170,12 +195,12 @@ def test_bott_spectrum_matches_ladder_oracle():
 
 
 def test_bott_spectrum_is_symmetric():
-    eigenvalues = np.sort(np.linalg.eigvalsh(bott_nonzeros(hermite_model(24)).dense()))
+    eigenvalues = np.sort(np.linalg.eigvalsh(bott_nonzeros(24).dense()))
     np.testing.assert_allclose(eigenvalues, -eigenvalues[::-1], atol=1e-10)
 
 
 def test_dc_anticommutator_is_degree_involution_on_interior():
-    report = dc_commutator_check(bott_dirac(hermite_model(32)))
+    report = dc_commutator_check(bott_dirac(32), 1)
     assert report["interior_defect_vs_involution"] <= 1e-10
     # the anticommutator has both involution eigenvalues, so its distance
     # to the identity is exactly 2 and cannot vanish
@@ -187,7 +212,7 @@ def test_bott_truncation_convergence():
     in the Hermite frame both sit at rounding level."""
     residuals = []
     for n_basis in (32, 64, 128):
-        b = bott_nonzeros(hermite_model(n_basis)).dense()
+        b = bott_nonzeros(n_basis).dense()
         magnitudes = np.sort(np.abs(np.linalg.eigvalsh(b)))
         residuals.append((np.linalg.norm(b[:, 0]), abs(magnitudes[1] - math.sqrt(2.0))))
     for (g0, s0), (g1, s1) in zip(residuals, residuals[1:]):
@@ -206,7 +231,7 @@ def test_spectrum_and_kernel_zero_operator():
 def test_spectrum_and_kernel_refuses_a_plain_graded_matrix():
     """spectrum_and_kernel reads b[e, o] alone: a plain GradedMatrix, even
     one whose entries are B's, raises TypeError."""
-    b = bott_operator(hermite_model(8))
+    b = bott_operator(8)
     for entries in (b.entries, b.entries + np.eye(b.space.dim)):
         with pytest.raises(TypeError, match="OddSelfAdjoint"):
             spectrum_and_kernel(GradedMatrix(b.space, entries))
@@ -253,21 +278,16 @@ def test_odd_block_spectrum_matches_eigvalsh(b):
 def test_bott_operator_is_d_plus_c_bit_for_bit(n, n_basis):
     """B assembled as nonzeros, scattered dense, equals D + C, signed zeros
     included: bott_dirac's dense D and C at one coordinate (which carry no
-    -0.0), the lifts of d_1 and c_1 above.  bott_dirac's pieces are the
-    one-coordinate ones at every n, bit for bit those of the n = 1 model."""
-    model = hermite_model(n_basis, n)
-    b = bott_nonzeros(model)
-    ops, one = bott_dirac(model), bott_dirac(hermite_model(n_basis))
-    assert ops.model is model and ops.space == one.space
-    for mine, ones in ((ops.dirac.entries, one.dirac.entries),
-                       (ops.clifford_mult.entries, one.clifford_mult.entries), (ops.interior, one.interior)):
-        assert mine.dtype == np.float64 and np.array_equal(mine.view(np.uint64), ones.view(np.uint64))
+    -0.0), the lifts of d_1 and c_1 above."""
+    b = bott_nonzeros(n_basis, n)
+    ops = bott_dirac(n_basis)
     d, c = ops.dirac.entries, ops.clifford_mult.entries
+    assert d.dtype == c.dtype == np.float64
     assert not np.any(np.signbit(d[d == 0])) and not np.any(np.signbit(c[c == 0]))
     if n == 1:
         parity = ops.space.parity
     else:
-        lifts = lifted_dirac(model)
+        lifts = lifted_dirac(n_basis, n)
         parity, (d, c) = tuple(lifts[0].parity), (m.dense() for m in lifts)
     assert tuple(b.parity) == parity
     assert b.values.dtype == np.float64
@@ -293,13 +313,12 @@ def test_bott_dirac_equals_the_graded_tensor_lift(n_basis, n):
     lifts above, equal the sums of dense graded-tensor lifts of the
     one-coordinate d_1 and c_1 entry for entry (the lifts may carry -0.0
     where a scatter writes +0.0)."""
-    model = hermite_model(n_basis, n)
-    ops = bott_dirac(model)
+    ops = bott_dirac(n_basis)
     parity, d1, c1 = ops.space, ops.dirac, ops.clifford_mult
     if n == 1:
         space, d, c = parity, d1.entries, c1.entries
     else:
-        lifts = lifted_dirac(model)
+        lifts = lifted_dirac(n_basis, n)
         space, (d, c) = GradedSpace(tuple(lifts[0].parity.tolist())), (m.dense() for m in lifts)
     assert space == lift_sum(parity, n, d1).space
     for mine, one_coordinate in ((d, d1), (c, c1)):
@@ -313,8 +332,7 @@ def test_dc_check_matches_the_dense_oracle(n_basis, n):
     diag(2 deg - n) as sums of dense graded-tensor lifts of d_1, c_1 and
     -gamma, dense products, the interior mask on columns, and
     np.linalg.norm(., 2)."""
-    model = hermite_model(n_basis, n)
-    ops = bott_dirac(model)
+    ops = bott_dirac(n_basis)
     parity, d1, c1, interior1 = ops.space, ops.dirac, ops.clifford_mult, ops.interior
     gamma = GradedMatrix(parity, np.diag(parity.gamma_signs()))
     d, c, involution = (lift_sum(parity, n, m).entries for m in (d1, c1, -gamma))
@@ -327,7 +345,7 @@ def test_dc_check_matches_the_dense_oracle(n_basis, n):
         "interior_defect_vs_involution": np.linalg.norm((anticommutator - involution) * mask, 2),
         "interior_defect_vs_identity": np.linalg.norm((anticommutator - np.eye(d.shape[0])) * mask, 2),
     }
-    report = dc_commutator_check(ops)
+    report = dc_commutator_check(ops, n)
     tol = 4 * d.shape[0] * np.finfo(float).eps * np.linalg.norm(d, 2) * np.linalg.norm(c, 2)
     assert report.keys() == oracle.keys()
     for name, value in oracle.items():
@@ -342,7 +360,7 @@ def test_dc_check_closed_form(n_basis, n):
     n + 1 from the identity.  The identity defect is the exact one only up
     to the rounding of the ladder entries sqrt(k/2), k < n_basis, whose
     squares make up each diagonal entry: hence 4 n n_basis eps."""
-    report = dc_commutator_check(bott_dirac(hermite_model(n_basis, n)))
+    report = dc_commutator_check(bott_dirac(n_basis), n)
     assert report["commutator_norm"] == n * (n_basis - 1)
     assert abs(report["interior_defect_vs_identity"] - (n + 1)) <= 4 * n * n_basis * np.finfo(float).eps
     assert report["interior_defect_vs_involution"] <= 1e-10
@@ -352,18 +370,18 @@ def test_dc_check_closed_form(n_basis, n):
 def test_dc_check_on_odd_blocks_equals_the_dense_form(n_basis, n):
     """Formed from the odd blocks of d and c, the dc check's three norms
     equal the dense d c + c d, target and mask stack form bit for bit."""
-    ops = bott_dirac(hermite_model(n_basis, n))
-    assert dc_commutator_check(ops) == dense_dc_check(ops)
+    ops = bott_dirac(n_basis)
+    assert dc_commutator_check(ops, n) == dense_dc_check(ops, n)
 
 
 def test_dc_check_memory_stays_on_half_blocks():
     """At n_basis 128 (d = 255) the dc check stays below 3 MB of traced
     allocation; the dense form, with its d x d products and (3, d, d)
     target and mask stacks, peaks at about 5.4 MB."""
-    ops = bott_dirac(hermite_model(128))
+    ops = bott_dirac(128)
     tracemalloc.start()
     try:
-        dc_commutator_check(ops)
+        dc_commutator_check(ops, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -420,7 +438,7 @@ def paired_closed_form(n_basis, n):
 def test_component_spectrum_is_the_closed_form(n_basis, n):
     """The connected-component spectrum of B is the paired truncation's
     closed form, multiplicities included, to 1e-13."""
-    eigenvalues = bott_nonzeros(hermite_model(n_basis, n)).eigenvalues()
+    eigenvalues = bott_nonzeros(n_basis, n).eigenvalues()
     assert eigenvalues.shape == ((2 * n_basis - 1) ** n,)
     np.testing.assert_allclose(eigenvalues, paired_closed_form(n_basis, n), rtol=0, atol=1e-13)
 
@@ -428,8 +446,8 @@ def test_component_spectrum_is_the_closed_form(n_basis, n):
 @pytest.mark.parametrize("n_basis, n", [(8, 1), (12, 1), (8, 2), (12, 2)])
 def test_component_spectrum_matches_dense_eigvalsh(n_basis, n):
     """Within 4 d eps ||B|| of the dense eigensolve, with the same kernel count."""
-    b = bott_operator(hermite_model(n_basis, n))
-    eigenvalues = bott_nonzeros(hermite_model(n_basis, n)).eigenvalues()
+    b = bott_operator(n_basis, n)
+    eigenvalues = bott_nonzeros(n_basis, n).eigenvalues()
     oracle = np.linalg.eigvalsh(b.entries)
     d = b.space.dim
     np.testing.assert_allclose(eigenvalues, oracle, rtol=0, atol=4 * d * np.finfo(float).eps * operator_norm(b))
@@ -438,13 +456,13 @@ def test_component_spectrum_matches_dense_eigvalsh(n_basis, n):
 
 def test_bott_two_coordinates():
     """The two-coordinate model keeps the one-dimensional kernel."""
-    rung = ladder_spectrum(bott_dirac(hermite_model(8, 2)))
+    rung = ladder_spectrum(bott_dirac(8), 2)
     assert rung.multiplicity.sum() == 15**2 and rung.slack == 0.0
     assert rung.kernel_dim() == 1
-    magnitudes = np.sort(np.abs(bott_nonzeros(hermite_model(8, 2)).eigenvalues()))
+    magnitudes = np.sort(np.abs(bott_nonzeros(8, 2).eigenvalues()))
     assert np.count_nonzero(magnitudes < 1e-8) == 1
     assert abs(magnitudes[1] - math.sqrt(2.0)) <= 1e-8
-    report = dc_commutator_check(bott_dirac(hermite_model(8, 2)))
+    report = dc_commutator_check(bott_dirac(8), 2)
     assert report["interior_defect_vs_involution"] <= 1e-10
 
 
@@ -460,22 +478,20 @@ def test_sum_set_spectrum_matches_the_component_spectrum(n_basis, n):
     multiplicity, is the lifted B's exact component spectrum to 1e-12; the
     multiplicities sum to (2 n_basis - 1)^n, and the Koszul sign leaves no
     slack."""
-    model = hermite_model(n_basis, n)
-    rung = ladder_spectrum(bott_dirac(model))
+    rung = ladder_spectrum(bott_dirac(n_basis), n)
     assert rung.slack == 0.0
     assert rung.multiplicity.dtype == np.int64 and rung.multiplicity.sum() == (2 * n_basis - 1) ** n
     assert rung.squares.size == n * (n_basis - 1) + 1
-    np.testing.assert_allclose(expanded(rung), bott_nonzeros(model).eigenvalues(), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(expanded(rung), bott_nonzeros(n_basis, n).eigenvalues(), rtol=0, atol=1e-12)
     assert rung.kernel_dim() == 1
-    assert rung.ground_residual == np.linalg.norm(bott_nonzeros(model).dense()[:, 0]) == 0.0
+    assert rung.ground_residual == np.linalg.norm(bott_nonzeros(n_basis, n).dense()[:, 0]) == 0.0
 
 
 @pytest.mark.parametrize("n_basis, n", [(12, 2), (8, 3)])
 def test_one_slot_dc_matches_the_full_lift(n_basis, n):
     """The dc check's slot-wise bounds equal the norms taken on the full
     lifts' nonzeros: on this model the bounds are attained."""
-    model = hermite_model(n_basis, n)
-    mine, oracle = dc_commutator_check(bott_dirac(model)), dc_nonzeros(model)
+    mine, oracle = dc_commutator_check(bott_dirac(n_basis), n), dc_nonzeros(n_basis, n)
     assert mine.keys() == oracle.keys()
     for name, value in oracle.items():
         assert abs(mine[name] - value) <= 1e-12, name
@@ -498,10 +514,9 @@ def test_slack_covers_the_unsigned_sum(monkeypatch):
     set, which is what the sum set alone would miss."""
     import gradedlab.bott
 
-    model = hermite_model(8, 2)
     monkeypatch.setattr(gradedlab.bott, "_koszul_sign", unsigned_sign)
-    rung = ladder_spectrum(bott_dirac(model))
-    unsigned = np.sort(bott_nonzeros(model).eigenvalues() ** 2)
+    rung = ladder_spectrum(bott_dirac(8), 2)
+    unsigned = np.sort(bott_nonzeros(8, 2).eigenvalues() ** 2)
     sum_set = np.sort(expanded(rung) ** 2)
     assert rung.slack > 1.0
     assert np.abs(unsigned - sum_set).max() > 1e-6
@@ -511,7 +526,7 @@ def test_slack_covers_the_unsigned_sum(monkeypatch):
 def test_run_bott_two_coordinates(monkeypatch):
     """run_bott above one coordinate (d = 225, ladder bases up to d = 961)
     builds no n-coordinate operator: bott_dirac, called once per distinct
-    basis, builds one-coordinate pieces, and the only kernel calls are the
+    basis, builds one coordinate's odd blocks, and the only kernel calls are the
     ladder's values-only SVDs of the one-coordinate b_1[e, o] blocks, one
     per distinct basis, and the dc check's stacked Gram eigvalsh of its
     three one-coordinate matrices, one per parity block (they are even);
@@ -521,9 +536,9 @@ def test_run_bott_two_coordinates(monkeypatch):
     built = []
     original_bott_dirac = gradedlab.experiments.bott_dirac
 
-    def recording(model):
-        built.append((model.n_basis, model.n))
-        return original_bott_dirac(model)
+    def recording(n_basis):
+        built.append(n_basis)
+        return original_bott_dirac(n_basis)
 
     monkeypatch.setattr(gradedlab.experiments, "bott_dirac", recording)
     calls = []
@@ -536,7 +551,7 @@ def test_run_bott_two_coordinates(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, shape_recording)
     result = run_experiment(ExperimentConfig("bott", coordinates=2, n_basis=8))
-    assert built == [(8, 2), (16, 2)]
+    assert built == [8, 16]
     assert calls == [("svd", (8, 7)), ("svd", (16, 15)), ("eigvalsh", (3, 8, 8)), ("eigvalsh", (3, 7, 7))]
     assert result.passed and all(c.passed for c in result.certificates)
     assert result.summary["kernel_dim"] == 1
@@ -559,23 +574,23 @@ def test_run_bott_two_coordinates(monkeypatch):
 )
 def test_each_rung_is_built_once(cfg, bases, monkeypatch):
     """run_bott builds each distinct basis of its ladder once, and
-    run_perturb its one Bott model: one hermite_model and then one
-    bott_dirac call per basis, whose pieces every consumer reads."""
+    run_perturb its one Bott model: one bott_dirac call per basis, with its
+    one hermite_model call, whose blocks every consumer reads."""
+    import gradedlab.bott
     import gradedlab.experiments
 
     calls = []
-    for name in ("hermite_model", "bott_dirac"):
-        original = getattr(gradedlab.experiments, name)
+    for module, name in ((gradedlab.bott, "hermite_model"), (gradedlab.experiments, "bott_dirac")):
+        original = getattr(module, name)
 
-        def recording(*args, name=name, original=original):
-            result = original(*args)
-            model = result if name == "hermite_model" else result.model
-            calls.append((name, model.n_basis, model.n))
+        def recording(n_basis, name=name, original=original):
+            result = original(n_basis)
+            calls.append((name, n_basis))
             return result
 
-        monkeypatch.setattr(gradedlab.experiments, name, recording)
+        monkeypatch.setattr(module, name, recording)
     assert run_experiment(cfg).passed
-    assert calls == [(name, basis, cfg.coordinates) for basis in bases for name in ("hermite_model", "bott_dirac")]
+    assert calls == [(name, basis) for basis in bases for name in ("hermite_model", "bott_dirac")]
 
 
 def test_run_bott_sweeps_evaluate_the_fit_window_alone(tmp_path, monkeypatch):
@@ -613,8 +628,8 @@ def test_run_bott_sweeps_evaluate_the_fit_window_alone(tmp_path, monkeypatch):
 
 def test_run_bott_builds_no_dense_operator_above_one_coordinate(monkeypatch):
     """At the bott-2d config (coordinates 2, d = 529, ladder bases 8, 12
-    and 24 to d = 2209) the only GradedMatrix objects run_bott builds are
-    one-coordinate pieces, and its traced peak memory stays below one dense
+    and 24 to d = 2209) run_bott builds no GradedMatrix at all: each rung is
+    read from its odd blocks.  Its traced peak memory stays below one dense
     d x d operator."""
     built = []
     original = GradedMatrix.__post_init__
@@ -631,8 +646,23 @@ def test_run_bott_builds_no_dense_operator_above_one_coordinate(monkeypatch):
     finally:
         tracemalloc.stop()
     assert result.passed
-    assert set(built) == {2 * basis - 1 for basis in (8, 12, 24)}
+    assert built == []
     assert peak < 529**2 * np.dtype(float).itemsize
+
+
+def test_run_bott_peak_stays_below_three_dense_top_rungs():
+    """At (n_basis 128, coordinates 2) the traced peak of run_bott stays
+    below three dense one-coordinate operators of the top rung,
+    (4 * 128 - 1)^2 floats each (6.3 MB), which building the dense top rung
+    d and c and their sum b = d + c would reach."""
+    tracemalloc.start()
+    try:
+        result = run_experiment(ExperimentConfig("bott", coordinates=2, n_basis=128))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert peak < 3 * (4 * 128 - 1) ** 2 * np.dtype(float).itemsize
 
 
 @pytest.mark.parametrize("n_basis, n", [(8, 1), (8, 2)])
@@ -648,7 +678,7 @@ def test_spectrum_csv_is_the_component_spectrum(tmp_path, n_basis, n):
     values = np.array([float(row.split(",")[0]) for row in rows])
     multiplicity = np.array([int(row.split(",")[1]) for row in rows])
     assert np.all(np.diff(values) > 0) and multiplicity.sum() == (2 * n_basis - 1) ** n
-    eigenvalues = bott_nonzeros(hermite_model(n_basis, n)).eigenvalues()
+    eigenvalues = bott_nonzeros(n_basis, n).eigenvalues()
     np.testing.assert_allclose(np.repeat(values, multiplicity), eigenvalues, rtol=0, atol=1e-12)
     magnitudes = np.sort(np.abs(eigenvalues))
     assert result.summary["kernel_dim"] == np.count_nonzero(magnitudes < 1e-8) == 1
@@ -656,7 +686,7 @@ def test_spectrum_csv_is_the_component_spectrum(tmp_path, n_basis, n):
 
 
 def test_bott_pairs_validate():
-    ops = bott_dirac(hermite_model(24))
+    ops = bott_dirac(24)
     scalar_pair = AsymptoticPair({"unit": identity(ops.space)}, ops.clifford_mult)
     assert set(fitted_exponents(validate_pair(scalar_pair, GRID))) == {-math.inf}
     mult_pair = AsymptoticPair(multiplication_generators(ops), ops.dirac)
@@ -668,7 +698,7 @@ def test_bott_pair_certificate_records_the_worst_exponent():
     validate_pair on the same pair, against the commutation threshold."""
     cfg = ExperimentConfig("bott", n_basis=8, t_points=12)
     certs = {c.check: c for c in run_experiment(cfg).certificates}
-    ops = bott_dirac(hermite_model(8))
+    ops = bott_dirac(8)
     mult_pair = AsymptoticPair(multiplication_generators(ops), ops.dirac)
     exponents = fitted_exponents(validate_pair(mult_pair, cfg.t_grid()))
     cert = certs["bott_pair[multiplication]"]
@@ -705,13 +735,12 @@ def test_bott_composition_yields_bott_dirac():
     (M, D) gives the pair with operator D + C and one-dimensional kernel."""
     from gradedlab import compose_pairs, identity_pushforward
 
-    model = hermite_model(24)
-    ops = bott_dirac(model)
+    ops = bott_dirac(24)
     scalar_pair = AsymptoticPair({"unit": identity(ops.space)}, ops.clifford_mult)
     mult_pair = AsymptoticPair(multiplication_generators(ops), ops.dirac)
     composed, defect_profiles = compose_pairs(scalar_pair, mult_pair, identity_pushforward, GRID)
     assert composes(defect_profiles)
-    assert np.abs(composed.d.entries - bott_nonzeros(model).dense()).max() <= 1e-14
+    assert np.abs(composed.d.entries - bott_nonzeros(24).dense()).max() <= 1e-14
     _, kernel_dim = spectrum_and_kernel(composed.d)
     assert kernel_dim == 1
 
@@ -780,7 +809,7 @@ def test_perturbation_rejects_space_mismatch():
 def test_perturbation_bott_model():
     """Dirac perturbed by Clifford multiplication: the composition
     certificate decays at the t^-2 rate."""
-    ops = bott_dirac(hermite_model(16))
+    ops = bott_dirac(16)
     pair = AsymptoticPair(multiplication_generators(ops), ops.dirac)
     assert_perturbation_rates(*perturbation_check(pair, ops.clifford_mult, GRID))
 

@@ -14,7 +14,6 @@ from gradedlab import (
     BottOperators,
     GradedMatrix,
     GradedSpace,
-    OddSelfAdjoint,
     bott_dirac,
     graded_tensor,
     hermite_model,
@@ -26,26 +25,23 @@ from gradedlab.experiments import CHECKS, ExperimentConfig, load_config, run_exp
 from helpers import OddNonzeros, _lift, bott_nonzeros, unsigned_sign
 
 
-def product_pieces(model):
+def product_pieces(n_basis):
     """bott_dirac on the plain product truncation: both fiber sectors to
-    level K - 1, in interleaved (h_k (x) 1, h_k (x) e) order.  The top odd
-    state h_{K-1} (x) e loses its partner h_K (x) 1 and is orphaned."""
-    right_e_signed = np.array([[0.0, -1.0], [1.0, 0.0]])
-    left_e = np.array([[0.0, 1.0], [1.0, 0.0]])
-    parity = GradedSpace((0, 1) * model.n_basis)
-    d, c = (OddSelfAdjoint(parity, np.kron(m, e))
-            for m, e in ((model.d_mat, right_e_signed), (model.x_mat, left_e)))
-    return BottOperators(model, parity, d, c, np.ones(parity.dim))
+    level K - 1, the even h_k (x) 1 first, so the [e, o] blocks are square:
+    -d and x.  The top odd state h_{K-1} (x) e loses its partner h_K (x) 1
+    and is orphaned."""
+    x, d = hermite_model(n_basis)
+    return BottOperators(n_basis, GradedSpace.split(n_basis, n_basis), x, -d, x, np.ones(2 * n_basis))
 
 
-def product_truncation(model):
-    """B on the plain product truncation, as nonzeros, lifted to model.n
+def product_truncation(n_basis, n=1):
+    """B on the plain product truncation, as nonzeros, lifted to n
     coordinates by dense graded tensor products."""
-    ops = product_pieces(model)
+    ops = product_pieces(n_basis)
     b1 = ops.dirac + ops.clifford_mult
     one = identity(b1.space)
     b = b1
-    for _ in range(1, model.n):
+    for _ in range(1, n):
         b = graded_tensor(b, one) + graded_tensor(identity(b.space), b1)
     rows, cols = np.nonzero(b.entries)
     return OddNonzeros(np.array(b.space.parity), rows, cols, b.entries[rows, cols])
@@ -56,7 +52,7 @@ def test_product_truncation_has_a_spurious_zero_mode(n):
     """The component spectrum reports kernel 2^n (each coordinate has two
     zero modes) and a zero second magnitude on the product truncation, as
     the dense eigensolve does."""
-    b = product_truncation(hermite_model(8, n))
+    b = product_truncation(8, n)
     eigenvalues = b.eigenvalues()
     magnitudes = np.sort(np.abs(eigenvalues))
     assert np.count_nonzero(magnitudes < KERNEL_TOL) == 2**n
@@ -74,8 +70,8 @@ def test_convergence_fails_on_the_product_truncation(n, monkeypatch):
     cfg = ExperimentConfig("bott", coordinates=n, n_basis=8, t_points=8)
     paired = gradedlab.experiments.bott_dirac
 
-    def patched(model):
-        return product_pieces(model) if model.n_basis == 2 * cfg.n_basis else paired(model)
+    def patched(n_basis):
+        return product_pieces(n_basis) if n_basis == 2 * cfg.n_basis else paired(n_basis)
 
     monkeypatch.setattr(gradedlab.experiments, "bott_dirac", patched)
     result = run_experiment(cfg)
@@ -89,9 +85,8 @@ def test_convergence_fails_on_the_product_truncation(n, monkeypatch):
 def test_product_truncation_is_the_bott_dirac_spectrum_plus_one_zero():
     """Sanity check on the control itself: in one coordinate it differs
     from the paired model only by the orphaned zero mode."""
-    model = hermite_model(8)
-    paired = np.linalg.eigvalsh(bott_nonzeros(model).dense())
-    product = product_truncation(model).eigenvalues()
+    paired = np.linalg.eigvalsh(bott_nonzeros(8).dense())
+    product = product_truncation(8).eigenvalues()
     np.testing.assert_allclose(product, np.sort(np.r_[paired, 0.0]), rtol=0, atol=1e-12)
 
 
@@ -151,7 +146,7 @@ def test_unsigned_lift_differs_from_the_koszul_lift_only_in_sign(monkeypatch):
     """Sanity check on the control: with the sign replaced by 1 the lift is
     the plain Kronecker sum, and at two coordinates it has the Koszul lift's
     nonzeros up to sign, and some signs differ."""
-    ops = bott_dirac(hermite_model(8))
+    ops = bott_dirac(8)
     b1 = ops.dirac + ops.clifford_mult
     signed = _lift(b1, 2).dense()
     monkeypatch.setattr(gradedlab.bott, "_koszul_sign", unsigned_sign)

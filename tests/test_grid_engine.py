@@ -46,7 +46,7 @@ from gradedlab.funcalc import (
     grid_chunks,
     map_grid,
 )
-from gradedlab.bott import bott_dirac, hermite_model, multiplication_generators, perturbation_check
+from gradedlab.bott import bott_dirac, multiplication_generators, perturbation_check
 from gradedlab.experiments import _transform_commutator_certs
 from gradedlab.graded import (
     GradedMatrix,
@@ -396,7 +396,7 @@ def test_compose_pairs_matches_oracle(dim, stack_rows):
 
 def bott_pairs(n_basis=64):
     """The scalar and multiplication pairs of `lab bott`, at d = 2 n_basis - 1."""
-    ops = bott_dirac(hermite_model(n_basis, 1))
+    ops = bott_dirac(n_basis)
     scalar = AsymptoticPair({"unit": identity(ops.space)}, ops.clifford_mult)
     return scalar, AsymptoticPair(multiplication_generators(ops), ops.dirac)
 
@@ -557,7 +557,7 @@ def test_perturbation_check_bott_matches_mpmath():
     and the even heat defect are ~1e-6 to ~1e-3, against a 30-digit oracle to
     1e-13 relative: f(s V) - f(0) comes from the chiral weights, and the heat
     kernels from expm1, so no O(1) matrices cancel."""
-    ops = bott_dirac(hermite_model(16, 1))
+    ops = bott_dirac(16)
     pair = AsymptoticPair(multiplication_generators(ops), ops.dirac)
     grid = default_t_grid()
     homom_profiles, defect_even, _ = perturbation_check(pair, ops.clifford_mult, grid)

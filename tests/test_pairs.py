@@ -116,6 +116,17 @@ def test_decay_profile_grid_errors():
         DecayProfile.from_values(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
 
 
+def test_decay_profile_refuses_values_of_another_shape():
+    """Values with the grid's size but not its shape are refused: (2, 5) on a
+    10-point grid would leave an empty fit window, whose exponent -inf passes
+    every threshold."""
+    grid = default_t_grid(points=10)
+    for values in (np.ones((2, 5)), np.ones((10, 1)), np.ones((1, 10))):
+        with pytest.raises(ValueError, match="shape"):
+            DecayProfile.from_values(grid, values)
+    assert DecayProfile.from_values(grid, grid**-2.0).fitted_exponent == pytest.approx(-2.0)
+
+
 def test_decay_profile_serialization():
     profile = norm_profile(lambda t: (t**-1.0) * identity(TWO))
     lines = csv_text({"t": profile.t_grid, "value": profile.values}).splitlines()

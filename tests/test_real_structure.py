@@ -18,7 +18,6 @@ import pytest
 import gradedlab.funcalc
 from gradedlab.bott import (
     bott_dirac,
-    hermite_model,
     multiplication_generators,
     perturbation_check,
     spectrum_and_kernel,
@@ -48,7 +47,7 @@ GRID = default_t_grid(points=24)
 
 
 def bott_pair(n_basis=24):
-    ops = bott_dirac(hermite_model(n_basis, 1))
+    ops = bott_dirac(n_basis)
     return ops, AsymptoticPair(multiplication_generators(ops), ops.dirac)
 
 
@@ -105,7 +104,7 @@ def test_dtype_follows_the_data():
 
 def test_bott_model_is_real():
     ops, pair = bott_pair()
-    b = bott_operator(hermite_model(24))
+    b = bott_operator(24)
     for m in (ops.dirac.entries, ops.clifford_mult.entries, b.entries, *(g.entries for g in pair.generators.values())):
         assert m.dtype == np.float64
     spec = Spectrum.of(b)
@@ -165,7 +164,7 @@ def assert_two_coordinate_ladder_spectrum(k):
     so B^2/2 has eigenvalues m_1 + m_2 with m_i in {0, ..., K - 1}, each of
     multiplicity prod(1 if m_i = 0 else 2), split evenly between +-.  The
     spectrum comes from the odd block; its one zero is the dimension gap."""
-    b = bott_operator(hermite_model(k, 2))
+    b = bott_operator(k, 2)
     assert b.entries.dtype == np.float64
     eigenvalues, kernel_dim = spectrum_and_kernel(b)
     oracle = []

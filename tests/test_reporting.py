@@ -1,5 +1,6 @@
 """The certificates.jsonl line, written by BoundCertificate.jsonl_line alone,
-and the CSV files, written by csv_text alone."""
+and the CSV files, written by csv_text alone, which emit_report assembles
+before it writes any."""
 
 import json
 import math
@@ -7,7 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from gradedlab.reporting import CERTIFICATE_TOL, BoundCertificate, csv_text
+from gradedlab.experiments import ExperimentResult
+from gradedlab.reporting import CERTIFICATE_TOL, BoundCertificate, csv_text, emit_report
 
 
 def test_certificate_line_has_six_sorted_keys_and_formatted_numbers():
@@ -54,3 +56,21 @@ def test_csv_text_writes_floats_as_12e_and_integers_in_decimal():
     multiplicity = np.array([1, 2**62 + 1], dtype=np.int64)
     text = csv_text({"eigenvalue": np.array([-1.5, 0.0]), "multiplicity": multiplicity})
     assert text == "eigenvalue,multiplicity\n-1.500000000000e+00,1\n0.000000000000e+00,4611686018427387905\n"
+
+
+def test_csv_text_refuses_columns_of_unequal_length():
+    """A 3-row t with a 2-row value raises instead of writing 2 data rows."""
+    with pytest.raises(ValueError):
+        csv_text({"t": np.arange(3.0), "value": np.arange(2.0)})
+    with pytest.raises(ValueError):
+        csv_text({"t": np.arange(2.0), "value": np.arange(3.0)})
+
+
+def test_emit_report_with_unequal_columns_writes_nothing(tmp_path):
+    """emit_report assembles every file before writing any, so a table whose
+    columns differ in length leaves no file of the run."""
+    result = ExperimentResult("bott", {}, [BoundCertificate("bott_gap", 0.0, 1.0)],
+                              tables={"profile_x": {"t": np.arange(3.0), "value": np.arange(2.0)}})
+    with pytest.raises(ValueError):
+        emit_report(result, tmp_path / "out")
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
