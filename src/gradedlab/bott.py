@@ -32,9 +32,10 @@ with multiplicities (`ladder_spectrum`); any cross term left, as with
 S = 1, enters as a Weyl slack.  Likewise {D, C} is n lifts of the
 one-coordinate {d, c} plus cross terms of norm ||{d, S}|| ||c|| and
 ||{c, S}|| ||d|| (`dc_commutator_check`).  A rung, `bott_dirac(n_basis)`,
-is one coordinate's x, [e, o] blocks of d and c, and interior; the ladder
-and the dc check take it with the coordinate count and read only those
-blocks, and the pairs' dense D and C (n = 1) are built on first read.
+is one coordinate's x, [e, o] blocks of d and c, and interior; the ladder,
+the dc check and the multiplication generators (rational in x and c, so
+half-size inverses) read only those blocks, and the pairs' dense D and C
+(n = 1) are built on first read.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcalc import CAYLEY, MULTIPLIER_G, ChiralSpectrum, ParityBlocks, Spectrum
+from .funcalc import CAYLEY, MULTIPLIER_G, ChiralSpectrum, ParityBlocks
 from .graded import GradedMatrix, GradedSpace, OddSelfAdjoint
 from .pairs import (
     AsymptoticPair,
@@ -101,8 +102,7 @@ class BottOperators:
     interior: np.ndarray
 
     def _dense(self, block: np.ndarray) -> OddSelfAdjoint:
-        e, o = block.shape
-        return OddSelfAdjoint(self.space, np.block([[np.zeros((e, e)), block], [block.T, np.zeros((o, o))]]))
+        return OddSelfAdjoint(self.space, ParityBlocks(None, block, block.T, None).dense())
 
     @functools.cached_property
     def dirac(self) -> OddSelfAdjoint:
@@ -122,7 +122,7 @@ def bott_dirac(n_basis: int) -> BottOperators:
     x, d = hermite_model(n_basis)
     # interior: drop the top two Hermite levels in each fiber sector
     interior = np.r_[np.arange(n_basis) < n_basis - 2, np.arange(n_basis - 1) < n_basis - 3].astype(float)
-    return BottOperators(n_basis, GradedSpace.split(n_basis, n_basis - 1), x, 0.0 - d[:, :-1], x[:, :-1], interior)
+    return BottOperators(n_basis, GradedSpace(n_basis, n_basis - 1), x, 0.0 - d[:, :-1], x[:, :-1], interior)
 
 
 def _koszul_sign(parity: np.ndarray) -> np.ndarray:
@@ -224,25 +224,26 @@ def ladder_spectrum(ops: BottOperators, n: int) -> LadderSpectrum:
 
 
 def multiplication_generators(ops: BottOperators) -> dict[str, GradedMatrix]:
-    """Pointwise-multiplication generators for the function algebra.
+    """The even generator CAYLEY(x (x) 1) = (1 + x^2)^{-1} (x) 1 and the odd one
+    MULTIPLIER_G(C) = C (1 + C^2)^{-1}, C = x (x) e, from half-size inverses:
+    x (x) 1 is x on the even sector and x' = x[:-1, :-1] on the odd one, and
+    C^2 = diag(c c^T, c^T c) for C's [e, o] block c, so g(C) has [e, o] block
+    c (1 + c^T c)^{-1} and, exactly, its transpose as [o, e] block."""
+    even = ParityBlocks(_cayley(ops.x), None, None, _cayley(ops.x[:-1, :-1])).dense()
+    odd = ops.c_block @ _cayley(ops.c_block)
+    return {"mult_even": GradedMatrix(ops.space, even),
+            "mult_odd": GradedMatrix(ops.space, ParityBlocks(None, odd, odd.T, None).dense())}
 
-    Returns an even generator (1 + x^2)^{-1} (x) 1 and an odd one
-    x (1 + x^2)^{-1} (x) e, realized through the compressed position
-    operator on the paired one-coordinate space.
-    """
-    space, x, k = ops.space, ops.x, ops.n_basis
-    x_even = np.zeros((2 * k - 1, 2 * k - 1))  # x (x) 1, sector by sector
-    x_even[:k, :k], x_even[k:, k:] = x, x[:-1, :-1]
-    even = GradedMatrix(space, Spectrum.of(GradedMatrix(space, x_even)).apply(CAYLEY))
-    # through the chiral spectrum the odd g(C_1) = g(x (x) e) is exactly odd
-    odd = GradedMatrix(space, ChiralSpectrum.of(ops.clifford_mult).apply(MULTIPLIER_G))
-    return {"mult_even": even, "mult_odd": odd}
+
+def _cayley(m: np.ndarray) -> np.ndarray:
+    """(1 + m^T m)^{-1} of a real matrix m."""
+    return np.linalg.inv(np.eye(m.shape[1]) + m.T @ m)
 
 
 def spectrum_and_kernel(b: OddSelfAdjoint) -> tuple[np.ndarray, int]:
     """Sorted eigenvalues of b's odd part and the count of |lambda| < KERNEL_TOL.
 
-    In parity order the odd part is [[0, A], [A*, 0]] with A = b[e, o], so
+    The odd part is [[0, A], [A*, 0]] with A = b[e, o], the [e, o] block, so
     its eigenvalues are +-sigma_i(A) and |#e - #o| exact zeros
     (Jordan-Wielandt), all from one values-only SVD of the #e x #o block.
     Weyl's inequality puts each eigenvalue of b within ||b_even|| of the
@@ -251,7 +252,7 @@ def spectrum_and_kernel(b: OddSelfAdjoint) -> tuple[np.ndarray, int]:
     """
     if not isinstance(b, OddSelfAdjoint):
         raise TypeError("spectrum_and_kernel reads the odd block of an OddSelfAdjoint operator")
-    eigenvalues = _odd_eigenvalues(b.entries[np.ix_(*b.space.parity_order())])
+    eigenvalues = _odd_eigenvalues(b.entries[: b.space.even, b.space.even :])
     return eigenvalues, int(np.count_nonzero(np.abs(eigenvalues) < KERNEL_TOL))
 
 

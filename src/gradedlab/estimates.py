@@ -100,8 +100,9 @@ def matrix_exp(m: GradedMatrix) -> GradedMatrix:
 
 def _require_even(space: GradedSpace, stack: np.ndarray, label: str) -> None:
     """ValueError unless every matrix of the stack is even: its odd part, the
-    entries at the cross-parity positions, is negligible."""
-    if not np.all(negligible(stack[..., ~space.same_parity()], stack)):
+    [e, o] and [o, e] blocks, is negligible."""
+    k = space.even
+    if not np.all(negligible(stack[..., :k, k:], stack) & negligible(stack[..., k:, :k], stack)):
         raise ValueError(f"{label} must be an even matrix")
 
 

@@ -426,7 +426,7 @@ def run_expfactor(cfg: ExperimentConfig):
 
 
 def _exact_factorization_certs(grid) -> list[BoundCertificate]:
-    two = GradedSpace((0, 1))
+    two = GradedSpace(1, 1)
     sigma_x = OddSelfAdjoint(two, np.array([[0, 1], [1, 0]], dtype=complex))
     sigma_y = OddSelfAdjoint(two, np.array([[0, -1j], [1j, 0]], dtype=complex))
     lifts = graded_tensor(sigma_x, identity(two)), graded_tensor(identity(two), sigma_y)

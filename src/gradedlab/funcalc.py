@@ -5,10 +5,11 @@ functions, contractive (||f(D)|| <= sup|f|), and satisfies
 gamma f(D) gamma = f(-D), so even functions of D are even and odd
 functions are odd.
 
-An odd D is computed in its chiral form.  In parity order
-D = [[0, A], [A*, 0]]; ChiralSpectrum holds the SVD A = U Sigma V*, and
-with W = diag(U, V), W* D W is a sum of 2 x 2 blocks [[0, sigma], [sigma, 0]]
-plus |#e - #o| exact zeros.  So f(s D) is U f_even(s Sigma) U* and
+An odd D is computed in its chiral form.  Its space is in parity order,
+so D = [[0, A], [A*, 0]] with A its [e, o] block, a slice at index #e.
+ChiralSpectrum holds the SVD A = U Sigma V*, and with W = diag(U, V),
+W* D W is a sum of 2 x 2 blocks [[0, sigma], [sigma, 0]] plus |#e - #o|
+exact zeros.  So f(s D) is U f_even(s Sigma) U* and
 V f_even(s Sigma) V* on the diagonal parity blocks and U f_odd(s Sigma) V*
 on the off-diagonal ones, with f_even(x) = (f(x) + f(-x))/2 and
 f_odd(x) = (f(x) - f(-x))/2.  An even or odd f gives an exactly even or
@@ -24,7 +25,7 @@ matrix, U diag(f(lambda)) U*, for the even operators the chiral form does
 not cover; it agrees with the chiral form up to roundoff, not bit for bit.
 
 The named function table carries exact sup norms so contractivity can
-be certified without sampling.
+be certified without sampling, and parities that construction checks.
 """
 
 from __future__ import annotations
@@ -63,9 +64,11 @@ class ScalarFunction:
     """Named real-to-complex function with optional sup norm and parity.
 
     parity is 0 for even functions, 1 for odd ones, None when mixed or
-    unknown; sup_norm is None when no bound was declared.  increment, when
-    declared, computes f(x) - f(0) without the cancellation that
-    subtracting f(0) suffers near x = 0.
+    unknown; the chiral calculus drops the part a declared parity makes
+    zero, so construction checks f(-x) = (-1)^parity f(x) exactly at
+    x = 0.25, 0.5, 1 and 3.  sup_norm is None when no bound was declared.
+    increment, when declared, computes f(x) - f(0) without the cancellation
+    that subtracting f(0) suffers near x = 0.
     """
 
     name: str
@@ -73,6 +76,14 @@ class ScalarFunction:
     sup_norm: float | None = None
     parity: int | None = None
     increment: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def __post_init__(self):
+        if self.parity not in (None, 0, 1):
+            raise ValueError("parity must be None, 0 or 1")
+        with np.errstate(all="ignore"):
+            minus, plus = np.asarray(self((-0.25, -0.5, -1.0, -3.0, 0.25, 0.5, 1.0, 3.0))).reshape(2, -1)
+        if self.parity is not None and not np.array_equal(minus, (1 - 2 * self.parity) * plus):
+            raise ValueError(f"{self.name} is not {('even', 'odd')[self.parity]} at the parity points")
 
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
@@ -147,7 +158,8 @@ class Spectrum:
     """Validated eigendecomposition of one Hermitian matrix, eigenvalues ascending.
 
     Real symmetric input runs the real LAPACK kernel and has real
-    eigenvectors; complex input stays complex.
+    eigenvectors; complex input stays complex.  No `lab` path calls it; it
+    is the dense reference the chiral and block forms are tested against.
     """
 
     eigenvalues: np.ndarray
@@ -213,9 +225,9 @@ class ParityBlocks:
 
     @classmethod
     def gather(cls, space: GradedSpace, m: np.ndarray) -> "ParityBlocks":
-        """The parity blocks of a (..., d, d) stack of entries on space."""
-        e, o = space.parity_order()
-        return cls.of(*(m[..., rows[:, None], cols] for rows in (e, o) for cols in (e, o)))
+        """The parity blocks of a (..., d, d) stack of entries on space, as views."""
+        k = space.even
+        return cls.of(m[..., :k, :k], m[..., :k, k:], m[..., k:, :k], m[..., k:, k:])
 
     @property
     def blocks(self) -> tuple:
@@ -276,19 +288,16 @@ class ParityBlocks:
 
 @dataclass(frozen=True)
 class ChiralSpectrum:
-    """Chiral form of an odd self-adjoint D: the SVD A = D[e, o] = U Sigma V*.
+    """Chiral form of an odd self-adjoint D: the SVD of its [e, o] block A = U Sigma V*.
 
-    even and odd are the index sets e and o of the two parities, and
-    singular_values the k = min(#e, #o) values sigma, descending, with
-    U (#e x #e) and V (#o x #o).  In the chiral basis
-    W = diag(U, V), in parity order, D pairs index i < k with #e + i through
-    sigma_i, and its other |#e - #o| indices are exact zero modes.  This is
-    the spectrum of the odd Hermitian matrix built from A alone, which
-    OddSelfAdjoint puts within VALIDATION_TOL of D.
+    singular_values holds the k = min(#e, #o) values sigma, descending, with
+    U (#e x #e) and V (#o x #o).  In the chiral basis W = diag(U, V), in
+    parity order, D pairs index i < k with #e + i through sigma_i, and its
+    other |#e - #o| indices are exact zero modes.  This is the spectrum of
+    the odd Hermitian matrix built from A alone, which OddSelfAdjoint puts
+    within VALIDATION_TOL of D.
     """
 
-    even: np.ndarray
-    odd: np.ndarray
     singular_values: np.ndarray
     u: np.ndarray
     v: np.ndarray
@@ -296,15 +305,15 @@ class ChiralSpectrum:
     @classmethod
     def of(cls, operator: OddSelfAdjoint) -> "ChiralSpectrum":
         """The chiral spectrum of operator, its SVD validated as Spectrum.of
-        validates eigh, to DECOMPOSITION_TOL.  It reads only D[e, o], so
-        anything but an OddSelfAdjoint raises TypeError."""
+        validates eigh, to DECOMPOSITION_TOL.  It reads only the [e, o]
+        block, so anything but an OddSelfAdjoint raises TypeError."""
         if not isinstance(operator, OddSelfAdjoint):
             raise TypeError("the chiral spectrum is defined for an OddSelfAdjoint operator")
-        e, o = operator.space.parity_order()
-        a = operator.entries[np.ix_(e, o)]
+        k = operator.space.even
+        a = operator.entries[:k, k:]
         u, sigma, vh = np.linalg.svd(a)
         _check_decomposition("chiral decomposition", (u[:, : sigma.size] * sigma) @ vh[: sigma.size] - a, sigma, u, vh)
-        return cls(e, o, sigma, u, adjoint(vh))
+        return cls(sigma, u, adjoint(vh))
 
     def weights(self, f: ScalarFunction, scales, increment: bool = False) -> tuple:
         """Even and odd chiral weights of f(s D) for each s in scales, or with
@@ -325,8 +334,8 @@ class ChiralSpectrum:
         if f.parity is None:
             minus = np.asarray(g(-x))
             paired, odd = (paired + minus) * 0.5, (paired - minus) * 0.5
-        k, ne = x.shape[1], self.even.size
-        even = np.full((x.shape[0], ne + self.odd.size), np.asarray(g(np.zeros(1)))[0], dtype=paired.dtype)
+        k, ne, no = x.shape[1], len(self.u), len(self.v)
+        even = np.full((x.shape[0], ne + no), np.asarray(g(np.zeros(1)))[0], dtype=paired.dtype)
         even[:, :k] = even[:, ne : ne + k] = paired
         return even, (odd if f.parity is None else None)
 
@@ -341,7 +350,7 @@ class ChiralSpectrum:
         U diag(odd) V* with its partner V diag(odd) U* from the odd ones.  A
         weight part that is exactly zero leaves its parity part None (an
         all-zero f gives an even zero stack)."""
-        (u, v), (even, odd), ne = (self.u, self.v), self.weights(f, scales, increment), self.even.size
+        (u, v), (even, odd), ne = (self.u, self.v), self.weights(f, scales, increment), len(self.u)
         ee = eo = oe = oo = None
         if np.any(odd):
             eo, k = self.odd_block(odd), odd.shape[-1]
@@ -353,11 +362,8 @@ class ChiralSpectrum:
         return ParityBlocks(ee, eo, oe, oo)
 
     def apply(self, f: ScalarFunction, scale: float = 1.0) -> np.ndarray:
-        """Matrix of f(scale * D) in the original basis."""
-        order, value = np.concatenate([self.even, self.odd]), self.blocks(f, [scale]).dense()[0]
-        out = np.empty_like(value)
-        out[np.ix_(order, order)] = value
-        return out
+        """Matrix of f(scale * D), in the parity order of D's space."""
+        return self.blocks(f, [scale]).dense()[0]
 
     def chiral_parts(self, a: GradedMatrix) -> np.ndarray:
         """The operands of commutator_norms for a: W* a W in parity order, the
@@ -366,7 +372,7 @@ class ChiralSpectrum:
         u, v = self.u, self.v
         m = (ParityBlocks(adjoint(u), None, None, adjoint(v)) @ ParityBlocks.gather(a.space, a.entries)
              @ ParityBlocks(u, None, None, v)).dense()
-        ne, k = self.even.size, self.singular_values.size
+        ne, k = len(u), self.singular_values.size
         signed = m.copy()
         signed[:ne, ne:] *= -1
         signed[ne:, :ne] *= -1
@@ -385,7 +391,7 @@ class ChiralSpectrum:
         (w_i - w_j) a_ij + o_i a_p(i)j - (gamma a gamma)_ip(j) o_j, with o the
         odd weight of each index's pair (zero on unpaired indices).
         """
-        (m, rows, cols), (even, paired), ne = parts, self.weights(f, scales), self.even.size
+        (m, rows, cols), (even, paired), ne = parts, self.weights(f, scales), len(self.u)
         out = 0.0 if even is None else (even[:, :, None] - even[:, None, :]) * m
         if paired is not None:
             odd = np.zeros(paired.shape[:1] + m.shape[-1:], dtype=paired.dtype)

@@ -1,11 +1,12 @@
 """Dense Z/2-graded linear algebra.
 
-A graded space is a finite-dimensional vector space whose basis vectors
-carry a parity in {0, 1}.  The grading operator gamma is the diagonal
-sign matrix diag((-1)**parity); a matrix is even if it commutes with
-gamma and odd if it anticommutes.  Entries are float64 for real data and
-complex128 for complex data, so real models such as the Bott-Dirac
-operator stay in real arithmetic; mixing the two promotes to complex.
+A graded space H = H_0 + H_1 is its two dimensions, the basis in parity
+order, so the grading gamma is diag(1, .., 1, -1, .., -1) and a parity
+block is a slice at index `even`: an even matrix, commuting with gamma, is
+[[ee, 0], [0, oo]], and an odd one [[0, eo], [oe, 0]].  Entries are
+float64 for real data and complex128 for complex data, so real models such
+as the Bott-Dirac operator stay in real arithmetic; mixing the two
+promotes to complex.
 Everything in this module is a pure function of immutable values (entry
 arrays are marked read-only), so values are safe to share across threads.
 
@@ -16,7 +17,7 @@ Sign conventions:
 * graded tensor product a (x) b realized as the Kronecker product
   (a . gamma^pb) (x) b, which reproduces the Koszul sign
   (a (x) b)(c (x) d) = (-1)^(pb*pc) (ac) (x) (bd) with plain matrix
-  arithmetic.
+  arithmetic, then permuted into parity order.
 """
 
 from __future__ import annotations
@@ -65,39 +66,26 @@ def negligible(defect: np.ndarray, entries: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GradedSpace:
-    """Finite-dimensional space with one parity bit per basis vector."""
+    """Finite-dimensional space of `even` parity-0 basis vectors, then `odd` parity-1 ones."""
 
-    parity: tuple[int, ...]
+    even: int
+    odd: int
 
     def __post_init__(self):
-        if len(self.parity) < 1:
-            raise ValueError("graded space needs dimension >= 1")
-        if any(p not in (0, 1) for p in self.parity):
-            raise ValueError("parity entries must be 0 or 1")
-
-    @classmethod
-    def split(cls, even: int, odd: int) -> "GradedSpace":
-        """Space with `even` parity-0 vectors followed by `odd` parity-1 ones."""
-        return cls((0,) * even + (1,) * odd)
+        if min(self.even, self.odd) < 0 or self.even + self.odd < 1:
+            raise ValueError("graded space needs counts >= 0 and dimension >= 1")
 
     @property
     def dim(self) -> int:
-        return len(self.parity)
+        return self.even + self.odd
+
+    @property
+    def parity(self) -> tuple[int, ...]:
+        return (0,) * self.even + (1,) * self.odd
 
     def gamma_signs(self) -> np.ndarray:
         """Diagonal of the grading operator, exactly +-1."""
-        return np.where(np.asarray(self.parity) == 0, 1.0, -1.0)
-
-    def parity_order(self) -> tuple[np.ndarray, np.ndarray]:
-        """The index sets e and o of the even and odd basis vectors."""
-        parity = np.asarray(self.parity)
-        return np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
-
-    def same_parity(self) -> np.ndarray:
-        """d x d mask of the positions (i, j) whose basis vectors share a
-        parity: the entries of the even part; the rest hold the odd part."""
-        parity = np.asarray(self.parity)
-        return parity[:, None] == parity[None, :]
+        return np.repeat([1.0, -1.0], (self.even, self.odd))
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -176,8 +164,9 @@ class OddSelfAdjoint(GradedMatrix):
         super().__post_init__()
         if not self.is_hermitian():
             raise ValueError("odd self-adjoint operator must be Hermitian")
-        # gamma m gamma + m is exactly 2 m on the same-parity entries and 0 elsewhere
-        if not negligible(2.0 * self.entries[self.space.same_parity()], self.entries):
+        # gamma m gamma + m is exactly 2 m on the diagonal parity blocks and 0 elsewhere
+        m, k = self.entries, self.space.even
+        if not negligible(2.0 * np.concatenate((m[:k, :k], m[k:, k:]), axis=None), m):
             raise ValueError("operator does not anticommute with the grading")
 
 
@@ -206,29 +195,29 @@ def graded_commutators(space: GradedSpace, a: np.ndarray, b: np.ndarray) -> np.n
 
 
 def graded_tensor(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
-    """Koszul-signed tensor product (a . gamma^pb) Kron b.
+    """Koszul-signed tensor product (a . gamma^pb) Kron b, in parity order.
 
     Inhomogeneous b is handled by linear extension over its parity parts.
-    The product space carries parity p(i, j) = (pa_i + pb_j) mod 2 in
-    row-major Kronecker order.
+    The Kronecker basis vector (i, j) has parity (pa_i + pb_j) mod 2 and is
+    permuted stably into parity order, a conjugation that keeps the Koszul rule.
     """
     b0, b1 = parity_parts(b.space, b.entries)
     gamma = a.space.gamma_signs()
     out = np.kron(a.entries, b0)
     out += np.kron(a.entries * gamma[None, :], b1)
-    pa = np.asarray(a.space.parity)
-    pb = np.asarray(b.space.parity)
-    parity = tuple(int(p) for p in ((pa[:, None] + pb[None, :]) % 2).ravel())
-    return GradedMatrix(GradedSpace(parity), out)
+    parity = (np.asarray(a.space.parity)[:, None] + np.asarray(b.space.parity)).ravel() % 2
+    order, odd = np.argsort(parity, kind="stable"), int(parity.sum())
+    return GradedMatrix(GradedSpace(parity.size - odd, odd), out[order[:, None], order])
 
 
 def direct_sum(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
-    """Block-diagonal sum on the concatenated space."""
-    da, db = a.space.dim, b.space.dim
+    """Block-diagonal sum in parity order: a's even vectors, b's even, a's odd, b's odd."""
+    da, db, ea, eb = a.space.dim, b.space.dim, a.space.even, b.space.even
     out = np.zeros((da + db, da + db), dtype=np.result_type(a.entries, b.entries))
     out[:da, :da] = a.entries
     out[da:, da:] = b.entries
-    return GradedMatrix(GradedSpace(a.space.parity + b.space.parity), out)
+    order = np.r_[:ea, da : da + eb, ea:da, da + eb : da + db]
+    return GradedMatrix(GradedSpace(ea + eb, a.space.odd + b.space.odd), out[order[:, None], order])
 
 
 def conjugate_by_grading(a: GradedMatrix) -> GradedMatrix:

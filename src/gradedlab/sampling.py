@@ -1,8 +1,7 @@
 """Seeded random graded matrices for the certificate suites.
 
-Even samples have Gaussian entries on the parity-preserving positions
-(block-diagonal once the basis is sorted by parity), odd samples on the
-parity-flipping positions, Hermitized where a self-adjoint sample is
+Even samples have Gaussian entries on the diagonal parity blocks, odd
+samples on the off-diagonal ones, Hermitized where a self-adjoint sample is
 needed.  Trial seeds derive deterministically from a root seed so every
 randomized certificate can be reproduced from its recorded seed.
 """
@@ -42,15 +41,15 @@ def rng_for(seed) -> np.random.Generator:
 def balanced_space(dim: int) -> GradedSpace:
     if dim < 2 or dim % 2:
         raise ValueError("balanced space needs even dimension >= 2")
-    return GradedSpace.split(dim // 2, dim // 2)
+    return GradedSpace(dim // 2, dim // 2)
 
 
 def random_space(rng: np.random.Generator, dim: int) -> GradedSpace:
-    """Space with random parity pattern (at least one vector of each parity)."""
+    """Space with a random (even, odd) split, at least one of each for dim >= 2."""
     parity = rng.integers(0, 2, size=dim)
     if parity.min(initial=1) == parity.max(initial=0):
         parity[rng.integers(0, dim)] ^= 1
-    return GradedSpace(tuple(int(p) for p in parity))
+    return GradedSpace(dim - int(parity.sum()), int(parity.sum()))
 
 
 def _gaussian(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -73,8 +72,10 @@ def rescale(entries: np.ndarray, norm) -> np.ndarray:
 
 def even_gaussian(rng: np.random.Generator, space: GradedSpace) -> np.ndarray:
     """The entries random_even draws before rescaling: complex Gaussian on
-    the parity-preserving positions, zero elsewhere."""
-    return _gaussian(rng, space.dim) * space.same_parity()
+    the diagonal parity blocks, zero on the others."""
+    m, k = _gaussian(rng, space.dim), space.even
+    m[:k, k:] = m[k:, :k] = 0
+    return m
 
 
 def random_even(rng, space: GradedSpace, norm: float | None = None) -> GradedMatrix:
@@ -82,8 +83,9 @@ def random_even(rng, space: GradedSpace, norm: float | None = None) -> GradedMat
 
 
 def random_odd(rng, space: GradedSpace, norm: float | None = None) -> GradedMatrix:
-    entries = _gaussian(rng, space.dim) * ~space.same_parity()
-    return GradedMatrix(space, rescale(entries, norm))
+    m, k = _gaussian(rng, space.dim), space.even
+    m[:k, :k] = m[k:, k:] = 0
+    return GradedMatrix(space, rescale(m, norm))
 
 
 def random_homogeneous(rng, space: GradedSpace, parity: int, norm: float | None = None) -> GradedMatrix:
@@ -101,14 +103,12 @@ def random_odd_selfadjoint(rng, space: GradedSpace, norm: float | None = None) -
 
 
 def random_even_unitary(rng, space: GradedSpace) -> GradedMatrix:
-    """Grading-preserving unitary, drawn per parity class."""
-    dim = space.dim
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for idx in space.parity_order():
-        if idx.size == 0:
+    """Grading-preserving unitary, drawn per parity block, even then odd."""
+    out = np.zeros((space.dim, space.dim), dtype=np.complex128)
+    for start, size in ((0, space.even), (space.even, space.odd)):
+        if size == 0:
             continue
-        block = rng.standard_normal((idx.size, idx.size)) + 1j * rng.standard_normal((idx.size, idx.size))
-        q, r = np.linalg.qr(block)
-        q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))[None, :]
-        out[np.ix_(idx, idx)] = q
+        q, r = np.linalg.qr(rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))
+        block = slice(start, start + size)
+        out[block, block] = q * (np.diagonal(r) / np.abs(np.diagonal(r)))[None, :]
     return GradedMatrix(space, out)

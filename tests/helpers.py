@@ -17,7 +17,7 @@ from gradedlab.funcalc import ParityBlocks
 from gradedlab.graded import negligible, operator_norms
 from gradedlab.pairs import COMMUTATION_EXPONENT_THRESHOLD, COMPOSE_EXPONENT_THRESHOLD
 
-TWO = GradedSpace((0, 1))
+TWO = GradedSpace(1, 1)
 
 # every experiment at toy size, as config-file fields
 SMALL = {
@@ -52,9 +52,29 @@ def max_abs(matrix) -> float:
 
 
 def bott_operator(n_basis: int, n: int = 1) -> OddSelfAdjoint:
-    """B = D + C of the Bott-Dirac model on n coordinates as a dense OddSelfAdjoint, scattered from its nonzeros."""
-    b = bott_nonzeros(n_basis, n)
-    return OddSelfAdjoint(GradedSpace(tuple(b.parity.tolist())), b.dense())
+    """B = D + C of the Bott-Dirac model on n coordinates as a dense OddSelfAdjoint,
+    scattered from its nonzeros in Kronecker order (in_tensor_order)."""
+    return in_tensor_order(bott_nonzeros(n_basis, n), bott_dirac(n_basis).space, n)
+
+
+def tensor_order(*spaces: GradedSpace) -> np.ndarray:
+    """The Kronecker index of each basis vector of the graded tensor product
+    of spaces, in the order graded_tensor lists them when the factors are
+    multiplied from the left: each product's basis stably in parity order."""
+    order, degree = np.zeros(1, dtype=int), np.zeros(1, dtype=int)
+    for space in spaces:
+        kron = (order[:, None] * space.dim + np.arange(space.dim)).ravel()
+        total = (degree[:, None] + np.array(space.parity)).ravel() % 2
+        stable = np.argsort(total, kind="stable")
+        order, degree = kron[stable], total[stable]
+    return order
+
+
+def in_tensor_order(m: "OddNonzeros", space: GradedSpace, n: int) -> OddSelfAdjoint:
+    """The dense operator of nonzeros m in Kronecker order on the n-fold tensor
+    power of space, its basis permuted as nested graded_tensor products list it."""
+    order, odd = tensor_order(*[space] * n), int(m.parity.sum())
+    return OddSelfAdjoint(GradedSpace(m.parity.size - odd, odd), m.dense()[np.ix_(order, order)])
 
 
 def fitted_exponents(profiles) -> list[float]:

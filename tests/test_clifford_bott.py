@@ -27,7 +27,7 @@ from gradedlab import (
     zeros,
 )
 from gradedlab.experiments import ExperimentConfig, run_experiment
-from gradedlab.funcalc import CAYLEY
+from gradedlab.funcalc import CAYLEY, MULTIPLIER_G, ChiralSpectrum
 from gradedlab.graded import negligible, parity_parts
 from gradedlab.pairs import COMMUTATION_EXPONENT_THRESHOLD, COMPOSE_EXPONENT_THRESHOLD, DecayProfile, default_t_grid
 from gradedlab.sampling import balanced_space, random_even, random_odd_selfadjoint, random_space, rng_for
@@ -45,9 +45,11 @@ from helpers import (
     dc_nonzeros,
     dense_dc_check,
     fitted_exponents,
+    in_tensor_order,
     lifted_dirac,
     max_abs,
     nonzeros_norm,
+    tensor_order,
     unsigned_sign,
 )
 
@@ -158,7 +160,7 @@ def test_bott_rung_builds_its_dense_operators_on_first_read():
     with x (x) e and -d (x) e^ as the blocks."""
     ops = bott_dirac(16)
     x, d = hermite_model(16)
-    assert ops.n_basis == 16 and ops.space == GradedSpace.split(16, 15)
+    assert ops.n_basis == 16 and ops.space == GradedSpace(16, 15)
     assert np.array_equal(ops.x, x) and np.array_equal(ops.c_block, x[:, :-1])
     assert np.array_equal(ops.d_block, -d[:, :-1]) and not np.any(np.signbit(ops.d_block[ops.d_block == 0]))
     ladder_spectrum(ops, 2)
@@ -221,6 +223,39 @@ def test_bott_truncation_convergence():
     assert residuals[-1][0] <= 1e-10 and residuals[-1][1] <= 1e-6
 
 
+@pytest.mark.parametrize("n_basis", [8, 64])
+def test_multiplication_generators_match_the_dense_calculus(n_basis):
+    """The generators from half-size inverses equal the dense calculus,
+    CAYLEY of x (x) 1 by eigh and MULTIPLIER_G of C by the chiral SVD, to
+    1e-13 relative; the odd one is exactly odd and symmetric."""
+    ops = bott_dirac(n_basis)
+    gens = multiplication_generators(ops)
+    x_even = np.zeros((ops.space.dim, ops.space.dim))  # x (x) 1, sector by sector
+    x_even[:n_basis, :n_basis], x_even[n_basis:, n_basis:] = ops.x, ops.x[:-1, :-1]
+    dense = {"mult_even": Spectrum.of(x_even).apply(CAYLEY),
+             "mult_odd": ChiralSpectrum.of(ops.clifford_mult).apply(MULTIPLIER_G)}
+    for name, want in dense.items():
+        assert gens[name].space == ops.space
+        assert np.abs(gens[name].entries - want).max() <= 1e-13 * operator_norm(want), name
+    odd = gens["mult_odd"].entries
+    OddSelfAdjoint(ops.space, odd)
+    assert np.array_equal(odd, odd.T)
+
+
+def test_multiplication_generators_run_on_the_blocks(monkeypatch):
+    """Building the generators calls no eigensolver or SVD and leaves the
+    dense D and C of the rung unbuilt."""
+    ops = bott_dirac(16)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense decomposition ran")
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    multiplication_generators(ops)
+    assert "dirac" not in vars(ops) and "clifford_mult" not in vars(ops)
+
+
 def test_spectrum_and_kernel_zero_operator():
     d0 = as_odd(zeros(TWO))
     eigenvalues, kernel_dim = spectrum_and_kernel(d0)
@@ -241,21 +276,21 @@ def test_spectrum_and_kernel_refuses_a_plain_graded_matrix():
 
 
 def odd_block_cases():
-    """Odd self-adjoint operators on unbalanced, interleaved and all-even
-    spaces, complex and real, and the zero operator."""
+    """Odd self-adjoint operators on unbalanced, random-split, tensor-product
+    and all-even spaces, complex and real, and the zero operator."""
     rng = rng_for(60)
     spaces = {
-        "unbalanced": GradedSpace.split(7, 3),
-        "unbalanced-odd-heavy": GradedSpace.split(2, 9),
-        "interleaved": random_space(rng, 13),
-        "lift": graded_tensor(identity(GradedSpace((0, 1, 1))), identity(GradedSpace((1, 0)))).space,
-        "all-even": GradedSpace((0,) * 5),
+        "unbalanced": GradedSpace(7, 3),
+        "unbalanced-odd-heavy": GradedSpace(2, 9),
+        "random-split": random_space(rng, 13),
+        "lift": graded_tensor(identity(GradedSpace(1, 2)), identity(GradedSpace(1, 1))).space,
+        "all-even": GradedSpace(5, 0),
     }
     for name, space in spaces.items():
         b = random_odd_selfadjoint(rng, space)
         yield pytest.param(b, id=f"{name}-complex")
         yield pytest.param(OddSelfAdjoint(space, b.entries.real), id=f"{name}-real")
-    yield pytest.param(as_odd(zeros(GradedSpace.split(4, 6))), id="zero")
+    yield pytest.param(as_odd(zeros(GradedSpace(4, 6))), id="zero")
 
 
 @pytest.mark.parametrize("b", list(odd_block_cases()))
@@ -269,8 +304,7 @@ def test_odd_block_spectrum_matches_eigvalsh(b):
     assert np.all(np.diff(eigenvalues) >= 0)
     np.testing.assert_allclose(eigenvalues, oracle, rtol=0, atol=4 * d * np.finfo(float).eps * operator_norm(b))
     assert kernel_dim == int(np.count_nonzero(np.abs(oracle) < 1e-8))
-    parity = np.asarray(b.space.parity)
-    assert kernel_dim >= abs(int(np.count_nonzero(parity == 0)) - int(np.count_nonzero(parity == 1)))
+    assert kernel_dim >= abs(b.space.even - b.space.odd)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -318,8 +352,8 @@ def test_bott_dirac_equals_the_graded_tensor_lift(n_basis, n):
     if n == 1:
         space, d, c = parity, d1.entries, c1.entries
     else:
-        lifts = lifted_dirac(n_basis, n)
-        space, (d, c) = GradedSpace(tuple(lifts[0].parity.tolist())), (m.dense() for m in lifts)
+        d, c = (in_tensor_order(m, parity, n) for m in lifted_dirac(n_basis, n))
+        space, d, c = d.space, d.entries, c.entries
     assert space == lift_sum(parity, n, d1).space
     for mine, one_coordinate in ((d, d1), (c, c1)):
         assert np.array_equal(mine, lift_sum(parity, n, one_coordinate).entries)
@@ -336,9 +370,11 @@ def test_dc_check_matches_the_dense_oracle(n_basis, n):
     parity, d1, c1, interior1 = ops.space, ops.dirac, ops.clifford_mult, ops.interior
     gamma = GradedMatrix(parity, np.diag(parity.gamma_signs()))
     d, c, involution = (lift_sum(parity, n, m).entries for m in (d1, c1, -gamma))
-    degree = sum(np.ix_(*[np.array(parity.parity)] * n)).ravel()
+    # the degree and the mask in Kronecker order, then in the lifts' parity order
+    order = tensor_order(*[parity] * n)
+    degree = sum(np.ix_(*[np.array(parity.parity)] * n)).ravel()[order]
     assert np.array_equal(involution, np.diag(2.0 * degree - n))
-    mask = functools.reduce(np.kron, [interior1] * n)
+    mask = functools.reduce(np.kron, [interior1] * n)[order]
     anticommutator = d @ c + c @ d
     oracle = {
         "commutator_norm": np.linalg.norm(anticommutator, 2),

@@ -31,7 +31,7 @@ def product_pieces(n_basis):
     -d and x.  The top odd state h_{K-1} (x) e loses its partner h_K (x) 1
     and is orphaned."""
     x, d = hermite_model(n_basis)
-    return BottOperators(n_basis, GradedSpace.split(n_basis, n_basis), x, -d, x, np.ones(2 * n_basis))
+    return BottOperators(n_basis, GradedSpace(n_basis, n_basis), x, -d, x, np.ones(2 * n_basis))
 
 
 def product_truncation(n_basis, n=1):
@@ -176,11 +176,12 @@ def test_bott_checks_fail_on_a_lift_without_the_koszul_sign(seed, monkeypatch):
 
 
 def plain_tensor(a, b):
-    """graded_tensor without the Koszul sign: a (x) b on the same product
-    parities, (pa_i + pb_j) mod 2 in row-major Kronecker order."""
-    pa, pb = np.asarray(a.space.parity), np.asarray(b.space.parity)
-    parity = tuple(int(p) for p in ((pa[:, None] + pb[None, :]) % 2).ravel())
-    return GradedMatrix(GradedSpace(parity), np.kron(a.entries, b.entries))
+    """graded_tensor without the Koszul sign: a Kron b on the product
+    parities (pa_i + pb_j) mod 2, permuted stably into parity order as
+    graded_tensor permutes."""
+    parity = (np.asarray(a.space.parity)[:, None] + np.asarray(b.space.parity)).ravel() % 2
+    order, odd = np.argsort(parity, kind="stable"), int(parity.sum())
+    return GradedMatrix(GradedSpace(parity.size - odd, odd), np.kron(a.entries, b.entries)[np.ix_(order, order)])
 
 
 @pytest.mark.parametrize("seed", [42, 7])

@@ -109,7 +109,7 @@ def test_grading_covariance():
 
 def test_degenerate_eigenvalues_are_basis_invariant():
     """f(D) does not depend on the eigenbasis chosen inside eigenspaces."""
-    space = GradedSpace((0, 0, 1, 1))
+    space = GradedSpace(2, 2)
     block = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
     entries = np.zeros((4, 4), dtype=complex)
     entries[:2, 2:] = block  # doubly degenerate singular values
@@ -142,6 +142,24 @@ def test_bounded_transform_values():
     with pytest.raises(ValueError):
         bounded_transform_function(1e300)
     assert bounded_transform_function(MAX_TRANSFORM_SCALE).sup_norm == MAX_TRANSFORM_SCALE / 2.0
+
+
+def test_scalar_function_checks_its_declared_parity():
+    """The chiral weights drop the part a declared parity makes zero, so a
+    parity outside {None, 0, 1}, or one that f does not have at its check
+    points, raises: MULTIPLIER_G declared even or with parity 2 would
+    lose its odd part.  The named functions and the transforms, down to an
+    N whose square underflows, declare theirs exactly."""
+    for parity in (2, -1, 0.5):
+        with pytest.raises(ValueError, match="parity must be"):
+            ScalarFunction("g", MULTIPLIER_G.fn, 0.5, parity)
+    with pytest.raises(ValueError, match="not even"):
+        ScalarFunction("g", MULTIPLIER_G.fn, 0.5, 0)
+    for f in (CAYLEY, RESOLVENT_PLUS):
+        with pytest.raises(ValueError, match="not odd"):
+            ScalarFunction(f.name, f.fn, f.sup_norm, 1)
+    for n in (1e-200, 1.0, 3.0, MAX_TRANSFORM_SCALE):
+        bounded_transform_function(n)
 
 
 def test_bounded_transform_norm_bound():
@@ -224,7 +242,7 @@ def test_chiral_spectrum_refuses_a_plain_graded_matrix():
     """ChiralSpectrum.of reads D[e, o] alone, so only a validated odd
     operator may reach it: a plain GradedMatrix raises TypeError, whether
     its entries are odd and Hermitian or not."""
-    d = random_odd_selfadjoint(rng_for(72), GradedSpace((0, 1, 0, 0, 1)))
+    d = random_odd_selfadjoint(rng_for(72), GradedSpace(3, 2))
     for entries in (d.entries, d.entries + np.eye(d.space.dim)):
         with pytest.raises(TypeError, match="OddSelfAdjoint"):
             ChiralSpectrum.of(GradedMatrix(d.space, entries))
@@ -237,7 +255,7 @@ def test_chiral_spectrum_validates_its_svd(corrupt, monkeypatch):
     that no singular value reaches, as a unitarity defect (u); the
     values-only SVD of spectrum_and_kernel, which has no factors, does not
     validate."""
-    d = random_odd_selfadjoint(rng_for(71), GradedSpace((0, 1, 0, 0, 1, 0, 0)))
+    d = random_odd_selfadjoint(rng_for(71), GradedSpace(5, 2))
     ChiralSpectrum.of(d)
     svd = np.linalg.svd
 
@@ -253,4 +271,4 @@ def test_chiral_spectrum_validates_its_svd(corrupt, monkeypatch):
     with pytest.raises(ValueError, match="accuracy validation"):
         ChiralSpectrum.of(d)
     eigenvalues, _ = spectrum_and_kernel(d)
-    assert np.count_nonzero(eigenvalues > 0) == min(d.space.parity.count(0), d.space.parity.count(1))
+    assert np.count_nonzero(eigenvalues > 0) == min(d.space.even, d.space.odd)

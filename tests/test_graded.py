@@ -25,16 +25,19 @@ from gradedlab.sampling import (
     rng_for,
 )
 
-from helpers import SIGMA_X, SIGMA_Y, SIGMA_Z, TWO, max_abs
+from helpers import SIGMA_X, SIGMA_Y, SIGMA_Z, TWO, max_abs, tensor_order
 
 
 def test_space_validation():
-    with pytest.raises(ValueError):
-        GradedSpace(())
-    with pytest.raises(ValueError):
-        GradedSpace((0, 2))
-    space = GradedSpace((0, 1, 1))
-    assert space.dim == 3
+    """A space is two counts, (even, odd), neither negative and not both 0;
+    its basis is in parity order."""
+    for even, odd in ((0, 0), (-1, 2), (2, -1)):
+        with pytest.raises(ValueError):
+            GradedSpace(even, odd)
+    space = GradedSpace(1, 2)
+    assert (space.even, space.odd, space.dim) == (1, 2, 3)
+    assert GradedSpace(0, 3).parity == (1, 1, 1) and GradedSpace(4, 0).gamma_signs().tolist() == [1.0] * 4
+    assert GradedSpace(2, 1) == GradedSpace(2, 1) != GradedSpace(1, 2)
 
 
 def test_gamma_squares_to_identity_exactly():
@@ -70,7 +73,7 @@ def test_graded_commutator_identity_cases():
 
 
 def test_graded_commutator_space_mismatch():
-    other = identity(GradedSpace((0, 0, 1)))
+    other = identity(GradedSpace(2, 1))
     with pytest.raises(ValueError):
         graded_commutator(SIGMA_X, other)
 
@@ -148,7 +151,28 @@ def test_graded_leibniz_rule():
 def test_graded_tensor_identity():
     lifted = graded_tensor(identity(TWO), identity(TWO))
     assert np.array_equal(lifted.entries, np.eye(4, dtype=complex))
-    assert lifted.space.parity == (0, 1, 1, 0)
+    assert lifted.space == GradedSpace(2, 2)
+
+
+def test_graded_tensor_is_the_permuted_kronecker_oracle():
+    """On C^(1|1) (x) C^(1|1) the product basis e(x)e, o(x)o, e(x)o, o(x)e is
+    Kronecker order 0, 3, 1, 2.  On random spaces and homogeneous b,
+    graded_tensor(a, b) is (a gamma^pb) Kron b with rows and columns in the
+    stable parity order of the Kronecker basis, bit for bit, on the space
+    (#even, #odd) of the product parities."""
+    assert tensor_order(TWO, TWO).tolist() == [0, 3, 1, 2]
+    rng = rng_for(18)
+    for _ in range(30):
+        sa, sb = random_space(rng, int(rng.integers(1, 6))), random_space(rng, int(rng.integers(1, 6)))
+        a = GradedMatrix(sa, rng.standard_normal((sa.dim, sa.dim)) + 1j * rng.standard_normal((sa.dim, sa.dim)))
+        for pb in (0, 1):
+            b = random_homogeneous(rng, sb, pb)
+            order = tensor_order(sa, sb)
+            oracle = np.kron(a.entries * sa.gamma_signs() ** pb, b.entries)[np.ix_(order, order)]
+            lifted = graded_tensor(a, b)
+            assert np.array_equal(lifted.entries, oracle)
+            odd = sum((p + q) % 2 for p in sa.parity for q in sb.parity)
+            assert lifted.space == GradedSpace(sa.dim * sb.dim - odd, odd)
 
 
 def test_graded_tensor_lifts_commute():
@@ -192,8 +216,22 @@ def test_direct_sum_zero_and_parity():
     z = GradedMatrix(TWO, np.zeros((2, 2)))
     total = direct_sum(z, z)
     assert max_abs(total) == 0.0
-    assert total.space.parity == (0, 1, 0, 1)
+    assert total.space == GradedSpace(2, 2)
 
+
+def test_direct_sum_orders_its_basis_by_parity():
+    """a on (2, 1) and b on (1, 2) sum on (3, 3) with basis a's even, b's
+    even, a's odd, b's odd: a sits at 0, 1, 3 and b at 2, 4, 5, with exact
+    zeros between them, and a sum of odd operators is odd."""
+    rng = rng_for(20)
+    a, b = random_odd_selfadjoint(rng, GradedSpace(2, 1)), random_odd_selfadjoint(rng, GradedSpace(1, 2))
+    total = direct_sum(a, b)
+    assert total.space == GradedSpace(3, 3)
+    at_a, at_b = [0, 1, 3], [2, 4, 5]
+    assert np.array_equal(total.entries[np.ix_(at_a, at_a)], a.entries)
+    assert np.array_equal(total.entries[np.ix_(at_b, at_b)], b.entries)
+    assert not np.any(total.entries[np.ix_(at_a, at_b)]) and not np.any(total.entries[np.ix_(at_b, at_a)])
+    OddSelfAdjoint(total.space, total.entries)
 
 def test_direct_sum_norm_is_max_of_blocks():
     rng = rng_for(7)
@@ -324,17 +362,17 @@ def test_odd_selfadjoint_validation():
 
 
 def test_space_parity_forms():
-    """parity_order lists the even and odd basis vectors, and same_parity
-    marks the positions of the even part; the odd part is exactly the
-    entries at the other positions."""
-    space = GradedSpace((0, 1, 1, 0, 1))
-    e, o = space.parity_order()
-    assert e.tolist() == [0, 3] and o.tolist() == [1, 2, 4]
-    same = space.same_parity()
-    assert same.dtype == bool and same.tolist() == [[p == q for q in space.parity] for p in space.parity]
+    """The space (2, 3) lists parities (0, 0, 1, 1, 1) and gamma diag(1, 1,
+    -1, -1, -1); the even part of m is its [e, e] and [o, o] blocks and the
+    odd part its [e, o] and [o, e] blocks, each exactly, the other blocks
+    exact zeros."""
+    space = GradedSpace(2, 3)
+    assert space.parity == (0, 0, 1, 1, 1) and space.gamma_signs().tolist() == [1.0, 1.0, -1.0, -1.0, -1.0]
     m = random_homogeneous(rng_for(16), space, 0).entries + random_odd(rng_for(17), space).entries
     even, odd = parity_parts(space, m)
-    assert not np.any(even[~same]) and not np.any(odd[same]) and np.array_equal(odd[~same], m[~same])
+    ee, eo, oe, oo = np.s_[:2, :2], np.s_[:2, 2:], np.s_[2:, :2], np.s_[2:, 2:]
+    for part, kept, dropped in ((even, (ee, oo), (eo, oe)), (odd, (eo, oe), (ee, oo))):
+        assert all(np.array_equal(part[x], m[x]) for x in kept) and not any(np.any(part[x]) for x in dropped)
 
 
 def test_odd_selfadjoint_is_a_graded_matrix():
@@ -390,7 +428,7 @@ def test_oddness_check_on_blocks_matches_full_formula(real):
     """The same-parity block test gives the full formula's verdict on inputs
     whose even part sits just under, at and just over VALIDATION_TOL."""
     rng = rng_for(12)
-    for space in (GradedSpace.split(5, 3), random_space(rng, 9), random_space(rng, 12)):
+    for space in (GradedSpace(5, 3), random_space(rng, 9), random_space(rng, 12)):
         for norm in (0.5, 4.0):
             odd = random_odd_selfadjoint(rng, space, norm=norm).entries
             even = random_hermitian_even(rng, space).entries
@@ -422,7 +460,7 @@ def test_validation_rule_matrix_by_matrix(real):
     Hermitian and even with entries of size 1000, shows that each matrix is
     held to its own scale."""
     rng = rng_for(13)
-    space = GradedSpace((0, 1, 1, 0, 1, 0, 0, 1))
+    space = GradedSpace(4, 4)
     d = space.dim
     h = random_hermitian_even(rng, space).entries
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -463,15 +501,15 @@ def test_nan_entries_fail_validation():
     """A NaN is never negligible.  Spectrum.of and the even check once raised
     only on `defect > tol`, which a NaN never satisfies, and eigh then read
     one triangle and ignored the NaN."""
-    space = GradedSpace((0, 1, 0, 1))
+    space = GradedSpace(2, 2)
     m = np.eye(4)
-    m[0, 2] = np.nan  # an even position, above the diagonal
+    m[0, 1] = np.nan  # an even position, above the diagonal
     assert not negligible(m - adjoint(m), m)
     assert not GradedMatrix(space, m).is_hermitian()
     with pytest.raises(ValueError, match="Hermitian"):
         Spectrum.of(m)
     x = np.eye(4)
-    x[0, 1] = np.nan  # an odd position
+    x[0, 2] = np.nan  # an odd position
     with pytest.raises(ValueError, match="even"):
         exp_shift_bounds(space, x[None], 0.5 * np.eye(4)[None])
 

@@ -408,15 +408,17 @@ def test_comultiplication_pauli_against_kron_oracle():
     one-factor heat kernels, computed directly, and the heat kernel of
     the sum factors exactly."""
     left, right = lifts(SX)
-    # direct 4x4 oracle: lifts are sx (x) 1 and gamma (x) sx
+    # direct 4x4 oracle: lifts are sx (x) 1 and gamma (x) sx, in the parity
+    # order e(x)e, o(x)o, e(x)o, o(x)e of the Kronecker basis
+    order = np.ix_([0, 3, 1, 2], [0, 3, 1, 2])
     gamma = np.diag([1.0, -1.0]).astype(complex)
     sx = SIGMA_X.entries
-    assert np.array_equal(left.entries, np.kron(sx, np.eye(2)))
-    assert np.array_equal(right.entries, np.kron(gamma, sx))
+    assert np.array_equal(left.entries, np.kron(sx, np.eye(2))[order])
+    assert np.array_equal(right.entries, np.kron(gamma, sx)[order])
     wx, vx = np.linalg.eigh(sx)
     heat_x = (vx * np.exp(-(wx**2))[None, :]) @ vx.conj().T
     heat_sum = Spectrum.of(left + right).apply(GAUSS0)
-    assert np.abs(heat_sum - np.kron(heat_x, heat_x)).max() <= 1e-12
+    assert np.abs(heat_sum - np.kron(heat_x, heat_x)[order]).max() <= 1e-12
     even_prof, odd_prof = factorization_defect_profiles(left, right, GRID)
     assert even_prof.values.max() <= 1e-12
     assert odd_prof.values.max() <= 1e-12

@@ -1,11 +1,10 @@
-"""Property tests on random parity patterns, the premises of the block kernels.
+"""Property tests on random graded spaces, the premises of the block kernels.
 
-Each example draws a root seed and a dimension 2..16; random_space then
-gives a random parity pattern, so the parity classes interleave.  The
-fixed derandomized profile makes tier-1 run the same examples every time.
-The chiral spectrum's examples draw the two class sizes and the rank of
-D's odd block instead, for unbalanced spaces and kernels beyond the
-dimension gap.
+Each example draws a root seed and a space of (even, odd) counts 1..8
+each, so dimension 2..16 and any imbalance between the parity blocks.
+The fixed derandomized profile makes tier-1 run the same examples every
+time.  The chiral spectrum's examples also draw the rank of D's odd
+block, for kernels beyond the dimension gap.
 
 transform_commutator_check rests on three facts checked here: an odd f
 gives an odd f(D) (from gamma f(D) gamma = f(-D)); the anticommutator of
@@ -47,7 +46,6 @@ from gradedlab.sampling import (
     random_homogeneous,
     random_odd,
     random_odd_selfadjoint,
-    random_space,
     rng_for,
 )
 
@@ -55,52 +53,51 @@ settings.register_profile("tier1", derandomize=True, database=None, deadline=Non
 TIER1 = settings.get_profile("tier1")
 
 SEEDS = st.integers(0, 2**32 - 1)
-DIMS = st.integers(2, 16)
+COUNTS = st.integers(1, 8)
+SPACES = st.builds(GradedSpace, COUNTS, COUNTS)
+# tensor factors: (even, odd) counts 0..2 each, dimension 1..4
+FACTORS = st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any).map(lambda counts: GradedSpace(*counts))
 FUNCTIONS = (*NAMED_FUNCTIONS, bounded_transform_function(2.0))
 
 
 @TIER1
-@given(SEEDS, DIMS, st.floats(0.1, 20.0))
-def test_grading_covariance_on_random_parities(seed, dim, norm):
-    """gamma f(D) gamma = f(-D); odd f gives diagonal parity blocks, and
-    even f off-diagonal ones, at roundoff level."""
+@given(SEEDS, SPACES, st.floats(0.1, 20.0))
+def test_grading_covariance_on_random_parities(seed, space, norm):
+    """gamma f(D) gamma = f(-D); odd f gives zero diagonal parity blocks, and
+    even f zero off-diagonal ones, at roundoff level."""
     rng = rng_for(seed)
-    space = random_space(rng, dim)
     d = random_odd_selfadjoint(rng, space, norm=norm)
-    signs = space.gamma_signs()
-    e, o = space.parity_order()
+    signs, k = space.gamma_signs(), space.even
     for f in FUNCTIONS:
         value = Spectrum.of(d).apply(f)
         flipped = Spectrum.of(-d).apply(f)
         roundoff = 1e-12 * max(1.0, np.abs(value).max())
         assert np.abs(signs[:, None] * value * signs[None, :] - flipped).max() <= roundoff
         if f.parity == 1:
-            assert max(np.abs(value[np.ix_(e, e)]).max(), np.abs(value[np.ix_(o, o)]).max()) <= roundoff
+            assert max(np.abs(value[:k, :k]).max(), np.abs(value[k:, k:]).max()) <= roundoff
         elif f.parity == 0:
-            assert np.abs(value[np.ix_(e, o)]).max() <= roundoff
+            assert np.abs(value[:k, k:]).max() <= roundoff
 
 
 @TIER1
-@given(SEEDS, DIMS)
-def test_anticommutator_of_odd_hermitians_is_even(seed, dim):
+@given(SEEDS, SPACES)
+def test_anticommutator_of_odd_hermitians_is_even(seed, space):
     """{a, b} has exactly zero off-diagonal parity blocks, and its norm is the
     larger of its diagonal blocks' norms."""
     rng = rng_for(seed)
-    space = random_space(rng, dim)
     a, b = (random_odd_selfadjoint(rng, space).entries for _ in range(2))
     anti = a @ b + b @ a
-    e, o = space.parity_order()
-    assert np.all(anti[np.ix_(e, o)] == 0) and np.all(anti[np.ix_(o, e)] == 0)
-    blocks = max(operator_norm(anti[np.ix_(e, e)]), operator_norm(anti[np.ix_(o, o)]))
+    k = space.even
+    assert np.all(anti[:k, k:] == 0) and np.all(anti[k:, :k] == 0)
+    blocks = max(operator_norm(anti[:k, :k]), operator_norm(anti[k:, k:]))
     assert abs(blocks - operator_norm(anti)) <= 1e-12 * blocks
 
 
 @TIER1
-@given(SEEDS, DIMS)
-def test_transform_commutator_block_kernel_on_random_parities(seed, dim):
+@given(SEEDS, SPACES)
+def test_transform_commutator_block_kernel_on_random_parities(seed, space):
     """The block kernel's lhs equals the full anticommutator's norm to 1e-12."""
     rng = rng_for(seed)
-    space = random_space(rng, dim)
     d, d_prime = random_odd_selfadjoint(rng, space), random_odd_selfadjoint(rng, space)
     n = float(rng.uniform(0.5, 8.0))
     lhs, _ = transform_commutator_check(d, d_prime, (n,), default_t_grid(points=2))
@@ -111,40 +108,38 @@ def test_transform_commutator_block_kernel_on_random_parities(seed, dim):
 
 
 @TIER1
-@given(SEEDS, DIMS, st.floats(0.1, 20.0), st.booleans())
-def test_odd_block_spectrum_on_random_parities(seed, dim, norm, real):
+@given(SEEDS, SPACES, st.floats(0.1, 20.0), st.booleans())
+def test_odd_block_spectrum_on_random_parities(seed, space, norm, real):
     """The odd-block spectrum is symmetric under lambda -> -lambda, holds at
     least |#e - #o| exact zeros, and matches eigvalsh of the full matrix."""
     rng = rng_for(seed)
-    space = random_space(rng, dim)
     b = random_odd_selfadjoint(rng, space, norm=norm)
     if real:
         b = OddSelfAdjoint(space, b.entries.real)
     eigenvalues, kernel_dim = spectrum_and_kernel(b)
-    e, o = space.parity_order()
+    gap = abs(space.even - space.odd)
     assert np.array_equal(eigenvalues, -eigenvalues[::-1])
-    assert np.count_nonzero(eigenvalues == 0.0) >= abs(e.size - o.size)
-    assert kernel_dim >= abs(e.size - o.size)
-    roundoff = 4 * dim * np.finfo(float).eps * operator_norm(b)
+    assert np.count_nonzero(eigenvalues == 0.0) >= gap
+    assert kernel_dim >= gap
+    roundoff = 4 * space.dim * np.finfo(float).eps * operator_norm(b)
     assert np.abs(eigenvalues - np.linalg.eigvalsh(b.entries)).max() <= roundoff
 
 
 @TIER1
-@given(SEEDS, DIMS, st.floats(0.1, 20.0))
-def test_contractivity_on_random_parities(seed, dim, norm):
+@given(SEEDS, SPACES, st.floats(0.1, 20.0))
+def test_contractivity_on_random_parities(seed, space, norm):
     """||f(D)|| <= sup |f| for every function with a declared sup norm."""
     rng = rng_for(seed)
-    d = random_odd_selfadjoint(rng, random_space(rng, dim), norm=norm)
+    d = random_odd_selfadjoint(rng, space, norm=norm)
     for f in FUNCTIONS:
         assert operator_norm(Spectrum.of(d).apply(f)) <= f.sup_norm * (1 + 1e-12)
 
 
 @TIER1
-@given(SEEDS, DIMS, st.tuples(*[st.integers(0, 1)] * 3))
-def test_super_jacobi(seed, dim, parities):
+@given(SEEDS, SPACES, st.tuples(*[st.integers(0, 1)] * 3))
+def test_super_jacobi(seed, space, parities):
     """(-1)^(pa pc) [a, [b, c]] + (-1)^(pb pa) [b, [c, a]] + (-1)^(pc pb) [c, [a, b]] = 0."""
     rng = rng_for(seed)
-    space = random_space(rng, dim)
     a, b, c = (random_homogeneous(rng, space, p) for p in parities)
     pa, pb, pc = parities
     total = (
@@ -157,12 +152,11 @@ def test_super_jacobi(seed, dim, parities):
 
 
 @TIER1
-@given(SEEDS, st.integers(1, 4), st.integers(1, 4), st.tuples(*[st.integers(0, 1)] * 4))
-def test_graded_tensor_koszul_multiplicativity(seed, dim_a, dim_b, parities):
+@given(SEEDS, FACTORS, FACTORS, st.tuples(*[st.integers(0, 1)] * 4))
+def test_graded_tensor_koszul_multiplicativity(seed, left, right, parities):
     """(a (x) b)(c (x) d) = (-1)^(pb pc) (ac (x) bd) for homogeneous b, c, on
-    product spaces of dimension up to 16."""
+    product spaces of dimension up to 16, in their permuted parity order."""
     rng = rng_for(seed)
-    left, right = random_space(rng, dim_a), random_space(rng, dim_b)
     pa, pb, pc, pd = parities
     a, c = random_homogeneous(rng, left, pa), random_homogeneous(rng, left, pc)
     b, d = random_homogeneous(rng, right, pb), random_homogeneous(rng, right, pd)
@@ -174,17 +168,13 @@ def test_graded_tensor_koszul_multiplicativity(seed, dim_a, dim_b, parities):
 
 
 def chiral_operator(rng, n_even, n_odd, rank, real):
-    """Odd Hermitian D on a shuffled space of n_even even and n_odd odd vectors
-    whose odd block A = D[e, o] has the given rank: |#e - #o| + 2 (min - rank)
-    zero modes."""
-    space = GradedSpace(tuple(int(p) for p in rng.permutation([0] * n_even + [1] * n_odd)))
-    e, o = space.parity_order()
+    """Odd Hermitian D on the space (n_even, n_odd) whose odd block A = D[e, o]
+    has the given rank: |#e - #o| + 2 (min - rank) zero modes."""
     a = rng.standard_normal((n_even, rank)) @ rng.standard_normal((rank, n_odd))
     if not real:
         a = a + 1j * rng.standard_normal((n_even, rank)) @ rng.standard_normal((rank, n_odd))
-    entries = np.zeros((space.dim, space.dim), dtype=a.dtype)
-    entries[np.ix_(e, o)], entries[np.ix_(o, e)] = a, a.conj().T
-    return OddSelfAdjoint(space, entries)
+    return OddSelfAdjoint(GradedSpace(n_even, n_odd), np.block([[np.zeros((n_even, n_even)), a],
+                                                                [a.conj().T, np.zeros((n_odd, n_odd))]]))
 
 
 @TIER1
@@ -200,8 +190,7 @@ def test_chiral_spectrum_on_random_parities(seed, n_even, n_odd, rank, real, sca
     ||a|| absolute for these functions of Lipschitz constant at most 1."""
     rng = rng_for(seed)
     d = chiral_operator(rng, n_even, n_odd, min(rank, n_even, n_odd), real)
-    space, signs = d.space, d.space.gamma_signs()
-    e, o = space.parity_order()
+    space, signs, k = d.space, d.space.gamma_signs(), d.space.even
     chiral, spec = ChiralSpectrum.of(d), Spectrum.of(d)
     cast = (lambda m: m.real) if real else (lambda m: m)
     gens = [GradedMatrix(space, cast(draw(rng, space, norm=1.0).entries)) for draw in (random_even, random_odd)]
@@ -210,8 +199,8 @@ def test_chiral_spectrum_on_random_parities(seed, n_even, n_odd, rank, real, sca
         value = chiral.apply(f, scale)
         assert np.array_equal(signs[:, None] * value * signs[None, :], chiral.apply(f, -scale)), f.name
         if f.parity is not None:
-            zero_blocks = [(e, o), (o, e)] if f.parity == 0 else [(e, e), (o, o)]
-            assert all(not np.any(value[np.ix_(*block)]) for block in zero_blocks), f.name
+            zero_blocks = [value[:k, k:], value[k:, :k]] if f.parity == 0 else [value[:k, :k], value[k:, k:]]
+            assert not any(np.any(block) for block in zero_blocks), f.name
         full = spec.apply(f, scale)
         for a in gens:
             floor = 32 * np.finfo(float).eps * (1 + scale * operator_norm(d)) * operator_norm(a)

@@ -90,7 +90,7 @@ def norm_stacks(monkeypatch):
 
 
 def test_dtype_follows_the_data():
-    space = GradedSpace((0, 1, 1))
+    space = GradedSpace(1, 2)
     assert GradedMatrix(space, np.eye(3, dtype=int)).entries.dtype == np.float64
     assert GradedMatrix(space, np.eye(3, dtype=np.float32)).entries.dtype == np.float64
     assert GradedMatrix(space, np.eye(3, dtype=complex)).entries.dtype == np.complex128
