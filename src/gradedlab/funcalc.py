@@ -20,6 +20,16 @@ homogeneous matrix from its two half-size blocks.  Profiles over a t-grid
 evaluate a chunk of scales at a time, and map_grid cuts the grid into
 chunks that hold at most STACK_ENTRIES entries.
 
+The resolvents R+-(x) = (x +- i)^-1 have commutators of a factored norm.
+For homogeneous a, R(x) (x +- i) = 1 gives
+[R+-(s D), a] = -s R+-(s D) [D, a] R+-((-1)^p(a) s D), and
+R+-(y) = rho(y) u+-(y) with rho(y) = (1 + y^2)^(-1/2) even and |u+-| = 1, so
+the unitary factors drop out of the norm:
+||[R+-(s D), a]|| = s ||rho(s D) [D, a] rho(s D)||, for both signs.  In the
+chiral basis rho(s D) is diagonal, the square root of the even cayley
+weights, so the commutator norm is that of a Schur scaling of W* [D, a] W,
+a matrix of parity p(a) + 1, real when D and a are.
+
 Spectrum is the plain validated eigendecomposition of one Hermitian
 matrix, U diag(f(lambda)) U*, for the even operators the chiral form does
 not cover; it agrees with the chiral form up to roundoff, not bit for bit.
@@ -366,9 +376,13 @@ class ChiralSpectrum:
         return self.blocks(f, [scale]).dense()[0]
 
     def chiral_parts(self, a: GradedMatrix) -> np.ndarray:
-        """The operands of commutator_norms for a: W* a W in parity order, the
-        same with each row i replaced by row p(i), and gamma W* a W gamma with
-        each column j replaced by column p(j), for p the pairing of indices."""
+        """The operands of commutator_norms for a, built once per generator:
+        W* a W in parity order, the same with each row i replaced by row p(i),
+        gamma W* a W gamma with each column j replaced by column p(j), for p
+        the pairing of indices, and K = W* [D, a] W.  In the chiral basis D
+        carries sigma_i between the two indices of pair i, so
+        K_ij = o_i rows_ij - cols_ij o_j with o the sigma of each index's pair
+        (zero on unpaired indices)."""
         u, v = self.u, self.v
         m = (ParityBlocks(adjoint(u), None, None, adjoint(v)) @ ParityBlocks.gather(a.space, a.entries)
              @ ParityBlocks(u, None, None, v)).dense()
@@ -379,7 +393,10 @@ class ChiralSpectrum:
         partner = np.arange(m.shape[-1])
         partner[:k] += ne
         partner[ne : ne + k] -= ne
-        return np.stack([m, m[partner], signed[:, partner]])
+        o = np.zeros(m.shape[-1])
+        o[:k] = o[ne : ne + k] = self.singular_values
+        rows, cols = m[partner], signed[:, partner]
+        return np.stack([m, rows, cols, o[:, None] * rows - cols * o])
 
     def commutator_norms(self, f: ScalarFunction, scales, parts: np.ndarray) -> np.ndarray:
         """||[f(s D), a]|| for each s in scales, from parts = chiral_parts(a).
@@ -390,11 +407,32 @@ class ChiralSpectrum:
         f(s D) a - a_0 f(s D) - a_1 f(-s D) has the entries
         (w_i - w_j) a_ij + o_i a_p(i)j - (gamma a gamma)_ip(j) o_j, with o the
         odd weight of each index's pair (zero on unpaired indices).
+
+        The resolvents R+-(x) = (x +- i)^-1 take a factored form when
+        K = [D, a] is homogeneous, as it is for every homogeneous a:
+        ||[R+-(s D), a]|| = s ||rho(s D) K rho(s D)||, with
+        rho(x) = (1 + x^2)^(-1/2) the square root of the even cayley weights.
+        That is the Schur scaling s rho_i rho_j K_ij, of parity p(K), whose
+        norm comes from its two half-size blocks (real for real D and a).
+        Proof: for homogeneous b, R(x) (x +- i) = 1 gives
+        [R(s D), b] = -s R(s D) [D, b] R((-1)^p(b) s D).  [D, a_0] is odd
+        and [D, a_1] even, so when K is homogeneous one of them is zero and
+        [R(s D), a] is the other term alone.  R+-(y) = rho(y) u(y) with
+        |u| = 1 and rho even, so the unitaries u(s D) and u(+-s D) drop out
+        of the norm, which is therefore the same for R+ and R-.  A mixed K
+        keeps the Schur form above.
         """
-        (m, rows, cols), (even, paired), ne = parts, self.weights(f, scales), len(self.u)
+        (m, rows, cols, khat), space = parts, GradedSpace(len(self.u), len(self.v))
+        if f in (RESOLVENT_PLUS, RESOLVENT_MINUS):
+            rho = np.sqrt(self.weights(CAYLEY, scales)[0])
+            scaled = (np.asarray(scales, dtype=float)[:, None] * rho)[:, :, None] * khat * rho[:, None, :]
+            factored = ParityBlocks.gather(space, scaled)
+            if factored.ee is None or factored.eo is None:
+                return factored.norms()
+        (even, paired), ne = self.weights(f, scales), space.even
         out = 0.0 if even is None else (even[:, :, None] - even[:, None, :]) * m
         if paired is not None:
             odd = np.zeros(paired.shape[:1] + m.shape[-1:], dtype=paired.dtype)
             odd[:, : paired.shape[-1]] = odd[:, ne : ne + paired.shape[-1]] = paired
             out = out + odd[:, :, None] * rows - cols * odd[:, None, :]
-        return ParityBlocks.of(out[:, :ne, :ne], out[:, :ne, ne:], out[:, ne:, :ne], out[:, ne:, ne:]).norms()
+        return ParityBlocks.gather(space, out).norms()

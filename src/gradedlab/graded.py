@@ -22,6 +22,7 @@ Sign conventions:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,12 +67,18 @@ def negligible(defect: np.ndarray, entries: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GradedSpace:
-    """Finite-dimensional space of `even` parity-0 basis vectors, then `odd` parity-1 ones."""
+    """Finite-dimensional space of `even` parity-0 basis vectors, then `odd` parity-1 ones.
+
+    The counts are integers, numpy integers stored as int; any other type
+    raises TypeError.
+    """
 
     even: int
     odd: int
 
     def __post_init__(self):
+        object.__setattr__(self, "even", operator.index(self.even))
+        object.__setattr__(self, "odd", operator.index(self.odd))
         if min(self.even, self.odd) < 0 or self.even + self.odd < 1:
             raise ValueError("graded space needs counts >= 0 and dimension >= 1")
 

@@ -19,7 +19,10 @@ enters a fit: grid_profiles evaluates that window when called, and the t
 values below it once for all its profiles when one profile's values are
 read (a written profile, appendixB's path check, the exact factorization
 cases), which most profiles never are.  The commutation profiles are
-Schur products in D's chiral basis; the defects are formed from the
+Schur products in D's chiral basis.  For a homogeneous generator a, real
+or complex, both resolvent commutators have the norm
+s ||rho(s D) [D, a] rho(s D)|| with rho(x) = (1 + x^2)^(-1/2), so one
+profile serves resolvent+ and resolvent-.  The defects are formed from the
 parity blocks of f(s D), with e^{-x^2} written as 1 + expm1(-x^2) so the
 leading identities cancel exactly, and every norm of a homogeneous
 matrix comes from its two half-size parity blocks.  So the profiles match
@@ -173,20 +176,21 @@ def validate_pair(pair: AsymptoticPair, t_grid: np.ndarray) -> dict[str, dict[st
     every fitted exponent reaches COMMUTATION_EXPONENT_THRESHOLD, and a
     profile that vanishes up to roundoff (below FIT_FLOOR) fits the -inf
     sentinel.  A generator equal to c 1 is not measured: its profiles are
-    exact zeros.  With real D and a real generator, resolvent- reuses the
-    resolvent+ profile.
+    exact zeros.  For a homogeneous generator, real or complex, resolvent-
+    reuses the resolvent+ profile.
     """
     grid = checked_t_grid(t_grid)
     spec = ChiralSpectrum.of(pair.d)
-    # each measured generator moves to D's chiral basis once.  When it is real
-    # there, resolvent-(x) = conj(resolvent+(x)) makes the resolvent- commutators
-    # the conjugates of the resolvent+ ones, with the same norms
+    # each measured generator moves to D's chiral basis once.  When it is
+    # homogeneous, both resolvent commutators have the norm s ||rho(s D) [D, a] rho(s D)||
+    # (ChiralSpectrum.commutator_norms), so resolvent- is measured for mixed generators only
     measured = {}
     for name, gen in pair.generators.items():
         # c 1 graded-commutes with every f(D): its profiles are exact zeros
         if not np.array_equal(gen.entries, gen.entries[0, 0] * np.eye(pair.space.dim)):
-            parts = spec.chiral_parts(gen)
-            measured[name] = parts, [f for f in PAIR_FUNCTIONS if f is not RESOLVENT_MINUS or np.iscomplexobj(parts)]
+            blocks = ParityBlocks.gather(pair.space, gen.entries)
+            mixed = blocks.ee is not None and blocks.eo is not None
+            measured[name] = spec.chiral_parts(gen), [f for f in PAIR_FUNCTIONS if f is not RESOLVENT_MINUS or mixed]
 
     def norms(ts):
         return np.stack([spec.commutator_norms(f, 1.0 / ts, parts) for parts, fs in measured.values() for f in fs], -1)

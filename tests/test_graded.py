@@ -40,6 +40,17 @@ def test_space_validation():
     assert GradedSpace(2, 1) == GradedSpace(2, 1) != GradedSpace(1, 2)
 
 
+def test_space_counts_are_integers():
+    """A non-integer count is refused at construction, not at first use, and
+    numpy integer counts are stored as int."""
+    for even, odd in ((1.5, 0.5), (2.0, 1), (1, "2"), (1, None)):
+        with pytest.raises(TypeError):
+            GradedSpace(even, odd)
+    space = GradedSpace(np.int64(2), np.int32(1))
+    assert type(space.even) is int and type(space.odd) is int and type(space.dim) is int
+    assert space == GradedSpace(2, 1) and hash(space) == hash(GradedSpace(2, 1))
+
+
 def test_gamma_squares_to_identity_exactly():
     rng = rng_for(1)
     for dim in (2, 5, 9, 16):

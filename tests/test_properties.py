@@ -25,6 +25,7 @@ from gradedlab.bott import spectrum_and_kernel
 from gradedlab.estimates import transform_commutator_check
 from gradedlab.funcalc import (
     NAMED_FUNCTIONS,
+    RESOLVENT_MINUS,
     RESOLVENT_PLUS,
     ChiralSpectrum,
     ParityBlocks,
@@ -229,3 +230,31 @@ def test_parity_phase_norm_equals_complex_norm(seed, n_even, n_odd, rank, scale)
         assert all(not np.iscomplexobj(call.args[0]) for call in norms.call_args_list)
         want = operator_norms(product.dense())[0]
         assert abs(got - want) <= 1e-12 * want
+
+
+@TIER1
+@given(SEEDS, st.integers(1, 8), st.integers(1, 8), st.integers(0, 8), st.booleans(), st.floats(-3.0, 0.0))
+def test_factored_resolvent_norms_on_random_parities(seed, n_even, n_odd, rank, real, log_scale):
+    """For homogeneous a, ||[R+-(s D), a]|| = s ||rho(s D) [D, a] rho(s D)||
+    with rho(x) = (1 + x^2)^(-1/2): commutator_norms takes the resolvent
+    norms in this form, from half-size blocks only, on D with zero modes,
+    real and complex, for even and odd a, at scales s from 1 to 1e-3.  The
+    resolvent+ and resolvent- norms equal each other and the dense
+    graded_commutator norm of the eigh calculus to 1e-12 relative, up to the
+    floor 32 eps (1 + s ||D||) ||a||."""
+    rng = rng_for(seed)
+    d = chiral_operator(rng, n_even, n_odd, min(rank, n_even, n_odd), real)
+    scale = 10.0**log_scale
+    chiral, spec = ChiralSpectrum.of(d), Spectrum.of(d)
+    cast = (lambda m: m.real) if real else (lambda m: m)
+    for draw in (random_even, random_odd):
+        a = GradedMatrix(d.space, cast(draw(rng, d.space, norm=1.0).entries))
+        parts = chiral.chiral_parts(a)
+        with mock.patch.object(gradedlab.funcalc, "operator_norms", wraps=operator_norms) as norms:
+            plus, minus = (chiral.commutator_norms(f, [scale], parts)[0] for f in (RESOLVENT_PLUS, RESOLVENT_MINUS))
+        assert all(max(call.args[0].shape[-2:]) < d.space.dim for call in norms.call_args_list)
+        floor = 32 * np.finfo(float).eps * (1 + scale * operator_norm(d)) * operator_norm(a)
+        assert abs(plus - minus) <= 1e-12 * plus + floor
+        for f, got in ((RESOLVENT_PLUS, plus), (RESOLVENT_MINUS, minus)):
+            want = operator_norm(graded_commutator(GradedMatrix(d.space, spec.apply(f, scale)), a))
+            assert abs(got - want) <= 1e-12 * want + floor, f.name

@@ -5,8 +5,8 @@ complex128 for complex input), and Spectrum keeps the dtype of the
 operator and of the function applied.  The Bott-Dirac model is real, so
 its spectra, functional calculus stacks and norms stay real, while the
 random complex suites are untouched.  Two savings in validate_pair rest
-on exact algebra: a generator equal to c 1 has zero commutators, and on
-real data the resolvent- profile equals the resolvent+ one.
+on exact algebra: a generator equal to c 1 has zero commutators, and for a
+homogeneous generator the resolvent- profile equals the resolvent+ one.
 """
 
 import itertools
@@ -138,17 +138,16 @@ def test_random_suites_stay_complex_and_unchanged(dim):
 
 def test_bott_norms_run_on_real_stacks(norm_stacks):
     """validate_pair, compose_pairs and perturbation_check on the real model
-    take norms of real stacks only, and of half-size parity blocks except
-    for the resolvent commutators.  Those have an imaginary even part and a
-    real odd part, so the parity phase diag(1, i) makes them real with the
-    same norm.  Per generator and chunk, validate_pair takes the gauss0
-    norms of the two diagonal blocks, the stacked gauss1 norms of the two
-    off-diagonal blocks and one full-size resolvent+ norm."""
+    take norms of real half-size parity blocks only.  Per generator and
+    chunk, validate_pair takes the gauss0 norms of the two diagonal blocks,
+    and the stacked gauss1 and resolvent+ norms of the two off-diagonal
+    blocks: the resolvent commutator's norm is that of the real odd matrix
+    s rho(s D) [D, a] rho(s D), so no (d, d) stack is taken."""
     ops, pair = bott_pair()
     dim = ops.space.dim
     validate_pair(pair, GRID)
     assert norm_stacks and all(dtype == np.float64 for dtype, _ in norm_stacks)
-    assert sum(shape == (dim, dim) for _, shape in norm_stacks) * 4 == len(norm_stacks)
+    assert not any(shape == (dim, dim) for _, shape in norm_stacks)
     del norm_stacks[:]
     scalar = AsymptoticPair({"unit": identity(ops.space)}, ops.clifford_mult)
     compose_pairs(scalar, pair, identity_pushforward, GRID)
@@ -201,20 +200,27 @@ def test_real_pair_reuses_resolvent_plus(measured):
 
 
 def test_complex_copy_measures_the_same_profiles(measured):
-    """The complex-cast pair runs the complex kernels and measures resolvent-
-    on its own; every profile matches the real pair's to 1e-10 relative, up
-    to the 4 eps ||a|| absolute roundoff of the commutators."""
+    """The complex-cast pair runs the complex kernels; every profile matches
+    the real pair's to 1e-10 relative, up to the 4 eps ||a|| absolute
+    roundoff of the commutators.  resolvent- is measured on its own only for
+    a mixed generator: for a homogeneous one, real or complex, it reuses the
+    resolvent+ profile."""
     _, pair = bott_pair()
     real = validate_pair(pair, GRID)
     assert "resolvent-" not in measured
-    cplx = validate_pair(complex_copy(pair), GRID)
-    assert "resolvent-" in measured
+    cplx_pair = complex_copy(pair)
+    cplx = validate_pair(cplx_pair, GRID)
+    assert "resolvent-" not in measured
     for name, gen in pair.generators.items():
         roundoff = 4 * np.finfo(float).eps * operator_norm(gen)
         for f in PAIR_FUNCTIONS:
             np.testing.assert_allclose(
                 real[name][f.name].values, cplx[name][f.name].values, rtol=1e-10, atol=roundoff
             )
+    mixed = next(iter(cplx_pair.generators.values())) + cplx_pair.d
+    del measured[:]
+    validate_pair(AsymptoticPair({"mixed": mixed}, cplx_pair.d), GRID)
+    assert measured.count("resolvent-") == measured.count("resolvent+") > 0
 
 
 @pytest.mark.parametrize("scalar", [1.0, 2.5, 1.0 - 2.0j])
