@@ -31,8 +31,8 @@ weights, so the commutator norm is that of a Schur scaling of W* [D, a] W,
 a matrix of parity p(a) + 1, real when D and a are.
 
 Spectrum is the plain validated eigendecomposition of one Hermitian
-matrix, U diag(f(lambda)) U*, for the even operators the chiral form does
-not cover; it agrees with the chiral form up to roundoff, not bit for bit.
+matrix, U diag(f(lambda)) U*; it agrees with the chiral form up to
+roundoff, not bit for bit.
 
 The named function table carries exact sup norms so contractivity can
 be certified without sampling, and parities that construction checks.
@@ -216,9 +216,11 @@ class ParityBlocks:
     """A (..., d, d) stack in parity order, held as its blocks [[ee, eo], [oe, oo]].
 
     ee is #e x #e, eo is #e x #o, and so on; leading axes are stack axes.
-    An exactly zero parity part is None: a stack is even (ee, None, None,
-    oo), odd (None, eo, oe, None) or mixed.  Sums and products skip the
-    None blocks, so products of homogeneous stacks run on half-size blocks.
+    A parity part known to be zero is None: a stack is even (ee, None, None,
+    oo), odd (None, eo, oe, None) or mixed.  ChiralSpectrum.blocks leaves
+    None the part that f's declared parity makes zero, and ParityBlocks.of
+    also drops a part that is exactly zero.  Sums and products skip the None
+    blocks, so products of homogeneous stacks run on half-size blocks.
     """
 
     ee: np.ndarray | None
@@ -276,18 +278,10 @@ class ParityBlocks:
         norms, from one operator_norms call (the Gram kernel) per block
         shape; hermitian marks an even Hermitian stack, whose block norms
         are the largest |eigenvalue| of the blocks themselves.  A mixed
-        matrix whose even part is imaginary and odd part real, or the
-        reverse, is conjugated by the parity phase diag(1, i) into a real
-        matrix with the same norm; any other mixed matrix takes the
-        full-size norm.
+        matrix takes the full-size norm.
         """
         ee, eo, oe, oo = self.blocks
         if eo is not None and ee is not None:
-            if np.iscomplexobj(ee) or np.iscomplexobj(eo):
-                if not any(np.any(x) for x in (ee.real, oo.real, eo.imag, oe.imag)):
-                    return operator_norms(ParityBlocks(ee.imag, eo.real, -oe.real, oo.imag).dense())
-                if not any(np.any(x) for x in (ee.imag, oo.imag, eo.real, oe.real)):
-                    return operator_norms(ParityBlocks(ee.real, -eo.imag, oe.imag, oo.real).dense())
             return operator_norms(self.dense())
         pair = (ee, oo) if eo is None else (eo, oe.swapaxes(-1, -2))
         hermitian = hermitian and eo is None
@@ -344,10 +338,16 @@ class ChiralSpectrum:
         if f.parity is None:
             minus = np.asarray(g(-x))
             paired, odd = (paired + minus) * 0.5, (paired - minus) * 0.5
-        k, ne, no = x.shape[1], len(self.u), len(self.v)
-        even = np.full((x.shape[0], ne + no), np.asarray(g(np.zeros(1)))[0], dtype=paired.dtype)
-        even[:, :k] = even[:, ne : ne + k] = paired
+        even = self._spread(paired, np.asarray(g(np.zeros(1)))[0])
         return even, (odd if f.parity is None else None)
+
+    def _spread(self, paired: np.ndarray, unpaired=0.0) -> np.ndarray:
+        """(..., #e + #o) rows over the chiral basis from (..., k) values per
+        pair: paired on both indices of each pair, unpaired on the others."""
+        k, ne = paired.shape[-1], len(self.u)
+        out = np.full(paired.shape[:-1] + (ne + len(self.v),), unpaired, dtype=paired.dtype)
+        out[..., :k] = out[..., ne : ne + k] = paired
+        return out
 
     def odd_block(self, odd: np.ndarray) -> np.ndarray:
         """U diag(odd) V* for each row of odd chiral weights."""
@@ -357,17 +357,17 @@ class ChiralSpectrum:
     def blocks(self, f: ScalarFunction, scales, increment: bool = False) -> ParityBlocks:
         """f(s D), or f(s D) - f(0) with increment, for each s in scales:
         U diag(even_e) U* and V diag(even_o) V* from the even weights, and
-        U diag(odd) V* with its partner V diag(odd) U* from the odd ones.  A
-        weight part that is exactly zero leaves its parity part None (an
-        all-zero f gives an even zero stack)."""
+        U diag(odd) V* with its partner V diag(odd) U* from the odd ones.
+        The parts are those weights returns, so the stack has f's declared
+        parity (an odd f of a zero D gives an odd zero stack), and an f of
+        no declared parity gives a mixed one."""
         (u, v), (even, odd), ne = (self.u, self.v), self.weights(f, scales, increment), len(self.u)
         ee = eo = oe = oo = None
-        if np.any(odd):
+        if odd is not None:
             eo, k = self.odd_block(odd), odd.shape[-1]
             real = not (np.iscomplexobj(odd) and np.any(odd.imag))
             oe = adjoint(eo) if real else (v[:, :k] * odd[:, None, :]) @ adjoint(u[:, :k])
-        if eo is None or np.any(even):
-            even = np.zeros((len(scales), ne + v.shape[0])) if even is None else even
+        if even is not None:
             ee, oo = (u * even[:, None, :ne]) @ adjoint(u), (v * even[:, None, ne:]) @ adjoint(v)
         return ParityBlocks(ee, eo, oe, oo)
 
@@ -393,13 +393,13 @@ class ChiralSpectrum:
         partner = np.arange(m.shape[-1])
         partner[:k] += ne
         partner[ne : ne + k] -= ne
-        o = np.zeros(m.shape[-1])
-        o[:k] = o[ne : ne + k] = self.singular_values
+        o = self._spread(self.singular_values)
         rows, cols = m[partner], signed[:, partner]
         return np.stack([m, rows, cols, o[:, None] * rows - cols * o])
 
-    def commutator_norms(self, f: ScalarFunction, scales, parts: np.ndarray) -> np.ndarray:
-        """||[f(s D), a]|| for each s in scales, from parts = chiral_parts(a).
+    def commutator_norms(self, scales, parts: np.ndarray) -> np.ndarray:
+        """||[f(s D), a]|| for each s in scales (rows) and f in PAIR_FUNCTIONS
+        (columns), from parts = chiral_parts(a).
 
         In the chiral basis f(s D) = diag(w) + P, where P carries
         f_odd(s sigma_i) between the two indices of pair i, and
@@ -408,31 +408,38 @@ class ChiralSpectrum:
         (w_i - w_j) a_ij + o_i a_p(i)j - (gamma a gamma)_ip(j) o_j, with o the
         odd weight of each index's pair (zero on unpaired indices).
 
-        The resolvents R+-(x) = (x +- i)^-1 take a factored form when
-        K = [D, a] is homogeneous, as it is for every homogeneous a:
-        ||[R+-(s D), a]|| = s ||rho(s D) K rho(s D)||, with
-        rho(x) = (1 + x^2)^(-1/2) the square root of the even cayley weights.
-        That is the Schur scaling s rho_i rho_j K_ij, of parity p(K), whose
-        norm comes from its two half-size blocks (real for real D and a).
-        Proof: for homogeneous b, R(x) (x +- i) = 1 gives
+        This is the one place of the resolvent rule: when K = [D, a] is
+        homogeneous, as it is for every homogeneous a, both resolvents
+        R+-(x) = (x +- i)^-1 have the norm ||[R+-(s D), a]|| =
+        s ||rho(s D) K rho(s D)||, with rho(x) = (1 + x^2)^(-1/2) the square
+        root of the even cayley weights.  That is the Schur scaling
+        s rho_i rho_j K_ij, of parity p(K), whose norm comes once from its
+        two half-size blocks (real for real D and a) and fills both
+        resolvent columns.  Proof: for homogeneous b, R(x) (x +- i) = 1 gives
         [R(s D), b] = -s R(s D) [D, b] R((-1)^p(b) s D).  [D, a_0] is odd
         and [D, a_1] even, so when K is homogeneous one of them is zero and
         [R(s D), a] is the other term alone.  R+-(y) = rho(y) u(y) with
         |u| = 1 and rho even, so the unitaries u(s D) and u(+-s D) drop out
         of the norm, which is therefore the same for R+ and R-.  A mixed K
-        keeps the Schur form above.
+        takes the Schur form above for each resolvent.
         """
         (m, rows, cols, khat), space = parts, GradedSpace(len(self.u), len(self.v))
-        if f in (RESOLVENT_PLUS, RESOLVENT_MINUS):
-            rho = np.sqrt(self.weights(CAYLEY, scales)[0])
-            scaled = (np.asarray(scales, dtype=float)[:, None] * rho)[:, :, None] * khat * rho[:, None, :]
-            factored = ParityBlocks.gather(space, scaled)
-            if factored.ee is None or factored.eo is None:
-                return factored.norms()
-        (even, paired), ne = self.weights(f, scales), space.even
-        out = 0.0 if even is None else (even[:, :, None] - even[:, None, :]) * m
-        if paired is not None:
-            odd = np.zeros(paired.shape[:1] + m.shape[-1:], dtype=paired.dtype)
-            odd[:, : paired.shape[-1]] = odd[:, ne : ne + paired.shape[-1]] = paired
-            out = out + odd[:, :, None] * rows - cols * odd[:, None, :]
-        return ParityBlocks.gather(space, out).norms()
+        columns, resolvent = [], None
+        # resolvent- follows resolvent+ and reuses its factored norm; building the factored
+        # stack after the gauss stacks, not before them, measured ~2% faster at d = 127
+        for f in PAIR_FUNCTIONS:
+            if f is RESOLVENT_PLUS:
+                rho = np.sqrt(self.weights(CAYLEY, scales)[0])
+                scaled = (np.asarray(scales, dtype=float)[:, None] * rho)[:, :, None] * khat * rho[:, None, :]
+                factored = ParityBlocks.gather(space, scaled)
+                resolvent = factored.norms() if factored.ee is None or factored.eo is None else None
+            if resolvent is not None and f in (RESOLVENT_PLUS, RESOLVENT_MINUS):
+                columns.append(resolvent)
+                continue
+            even, odd = self.weights(f, scales)
+            out = 0.0 if even is None else (even[:, :, None] - even[:, None, :]) * m
+            if odd is not None:
+                odd = self._spread(odd)
+                out = out + odd[:, :, None] * rows - cols * odd[:, None, :]
+            columns.append(ParityBlocks.gather(space, out).norms())
+        return np.stack(columns, -1)

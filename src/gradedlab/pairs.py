@@ -19,10 +19,11 @@ enters a fit: grid_profiles evaluates that window when called, and the t
 values below it once for all its profiles when one profile's values are
 read (a written profile, appendixB's path check, the exact factorization
 cases), which most profiles never are.  The commutation profiles are
-Schur products in D's chiral basis.  For a homogeneous generator a, real
-or complex, both resolvent commutators have the norm
-s ||rho(s D) [D, a] rho(s D)|| with rho(x) = (1 + x^2)^(-1/2), so one
-profile serves resolvent+ and resolvent-.  The defects are formed from the
+Schur products in D's chiral basis, one column per PAIR_FUNCTIONS entry
+from ChiralSpectrum.commutator_norms, which holds the resolvent rule: for
+a homogeneous generator a, real or complex, both resolvent commutators
+have the norm s ||rho(s D) [D, a] rho(s D)|| with rho(x) = (1 + x^2)^(-1/2),
+taken once for both columns.  The defects are formed from the
 parity blocks of f(s D), with e^{-x^2} written as 1 + expm1(-x^2) so the
 leading identities cancel exactly, and every norm of a homogeneous
 matrix comes from its two half-size parity blocks.  So the profiles match
@@ -40,7 +41,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .funcalc import GAUSS0, GAUSS1, PAIR_FUNCTIONS, RESOLVENT_MINUS, RESOLVENT_PLUS, map_grid
+from .funcalc import GAUSS0, GAUSS1, PAIR_FUNCTIONS, map_grid
 from .funcalc import ChiralSpectrum, ParityBlocks
 from .graded import GradedMatrix, GradedSpace, OddSelfAdjoint
 
@@ -176,34 +177,22 @@ def validate_pair(pair: AsymptoticPair, t_grid: np.ndarray) -> dict[str, dict[st
     every fitted exponent reaches COMMUTATION_EXPONENT_THRESHOLD, and a
     profile that vanishes up to roundoff (below FIT_FLOOR) fits the -inf
     sentinel.  A generator equal to c 1 is not measured: its profiles are
-    exact zeros.  For a homogeneous generator, real or complex, resolvent-
-    reuses the resolvent+ profile.
+    exact zeros.  Every other generator moves to D's chiral basis once, and
+    ChiralSpectrum.commutator_norms gives its columns, the resolvent rule
+    (one norm for both resolvents of a homogeneous generator) included.
     """
     grid = checked_t_grid(t_grid)
     spec = ChiralSpectrum.of(pair.d)
-    # each measured generator moves to D's chiral basis once.  When it is
-    # homogeneous, both resolvent commutators have the norm s ||rho(s D) [D, a] rho(s D)||
-    # (ChiralSpectrum.commutator_norms), so resolvent- is measured for mixed generators only
-    measured = {}
-    for name, gen in pair.generators.items():
-        # c 1 graded-commutes with every f(D): its profiles are exact zeros
-        if not np.array_equal(gen.entries, gen.entries[0, 0] * np.eye(pair.space.dim)):
-            blocks = ParityBlocks.gather(pair.space, gen.entries)
-            mixed = blocks.ee is not None and blocks.eo is not None
-            measured[name] = spec.chiral_parts(gen), [f for f in PAIR_FUNCTIONS if f is not RESOLVENT_MINUS or mixed]
+    # c 1 graded-commutes with every f(D): its profiles are exact zeros
+    measured = {name: spec.chiral_parts(gen) for name, gen in pair.generators.items()
+                if not np.array_equal(gen.entries, gen.entries[0, 0] * np.eye(pair.space.dim))}
 
     def norms(ts):
-        return np.stack([spec.commutator_norms(f, 1.0 / ts, parts) for parts, fs in measured.values() for f in fs], -1)
+        return np.concatenate([spec.commutator_norms(1.0 / ts, parts) for parts in measured.values()], -1)
 
     columns = iter(grid_profiles(grid, pair.space.dim, norms) if measured else ())
-    profiles = {}
-    for name in pair.generators:
-        if name not in measured:
-            profiles[name] = {f.name: DecayProfile.from_values(grid, np.zeros(grid.size)) for f in PAIR_FUNCTIONS}
-            continue
-        by_name = {f.name: next(columns) for f in measured[name][1]}
-        profiles[name] = {f.name: by_name.get(f.name, by_name[RESOLVENT_PLUS.name]) for f in PAIR_FUNCTIONS}
-    return profiles
+    return {name: {f.name: next(columns) if name in measured else DecayProfile.from_values(grid, np.zeros(grid.size))
+                   for f in PAIR_FUNCTIONS} for name in pair.generators}
 
 
 def _heat_defects(

@@ -238,6 +238,26 @@ def test_parity_block_norms_refuse_non_finite_entries(block, hermitian):
         ParityBlocks(x, None, None, x).norms(hermitian=hermitian)
 
 
+@pytest.mark.parametrize("increment", [False, True])
+@pytest.mark.parametrize("zero", [False, True])
+def test_chiral_blocks_have_the_declared_parity(zero, increment):
+    """ChiralSpectrum.blocks(f, scales) has the parity f declares, on a random
+    D and on the zero operator alike: None diagonal parts for odd f, None
+    off-diagonal ones for even f, and the other parts present.  So gauss1 and
+    g of a zero D give an odd zero stack, not an even one."""
+    space = GradedSpace(3, 2)
+    d = random_odd_selfadjoint(rng_for(73), space)
+    if zero:
+        d = OddSelfAdjoint(space, np.zeros((space.dim, space.dim)))
+    spec = ChiralSpectrum.of(d)
+    declared = [f for f in NAMED_FUNCTIONS if f.parity is not None]
+    assert {f.parity for f in declared} == {0, 1}
+    for f in declared:
+        ee, eo, oe, oo = spec.blocks(f, [1.0, 0.5], increment=increment).blocks
+        absent, present = ((ee, oo), (eo, oe)) if f.parity == 1 else ((eo, oe), (ee, oo))
+        assert all(x is None for x in absent) and all(x is not None for x in present), f.name
+
+
 def test_chiral_spectrum_refuses_a_plain_graded_matrix():
     """ChiralSpectrum.of reads D[e, o] alone, so only a validated odd
     operator may reach it: a plain GradedMatrix raises TypeError, whether

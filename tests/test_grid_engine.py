@@ -219,10 +219,12 @@ def test_grid_profiles_over_several_chunks_equal_one_chunk():
     parts = spec.chiral_parts(pair.generators["a_odd"])
 
     def norms(ts):
-        return np.stack([spec.commutator_norms(f, 1.0 / ts, parts) for f in PAIR_FUNCTIONS], -1)
+        return spec.commutator_norms(1.0 / ts, parts)
 
     assert len(grid_chunks(grid.size, 34)) > 1 and len(grid_chunks(grid.size, 1)) == 1
-    for chunked, whole in zip(grid_profiles(grid, 34, norms), grid_profiles(grid, 1, norms), strict=True):
+    chunked_profiles, whole_profiles = grid_profiles(grid, 34, norms), grid_profiles(grid, 1, norms)
+    assert len(chunked_profiles) == len(PAIR_FUNCTIONS)
+    for chunked, whole in zip(chunked_profiles, whole_profiles, strict=True):
         assert np.array_equal(chunked.values, whole.values)
         assert chunked.fitted_exponent == whole.fitted_exponent
 
@@ -473,8 +475,8 @@ def test_validate_pair_matches_mpmath():
 def chiral_operands():
     """Real odd D and D' at d = 6 with four even and two odd basis vectors, so
     D has at least two zero modes, and a real even and a real odd generator:
-    every norm runs on the half-size blocks or, for the resolvents, on the
-    real matrix of the parity phase."""
+    every norm runs on the half-size blocks, the resolvents' on those of the
+    factored form s rho(s D) [D, a] rho(s D)."""
     rng = rng_for(61)
     space = GradedSpace(4, 2)
     d, d_prime = (OddSelfAdjoint(space, random_odd_selfadjoint(rng, space).entries.real) for _ in range(2))

@@ -25,6 +25,7 @@ from gradedlab.bott import spectrum_and_kernel
 from gradedlab.estimates import transform_commutator_check
 from gradedlab.funcalc import (
     NAMED_FUNCTIONS,
+    PAIR_FUNCTIONS,
     RESOLVENT_MINUS,
     RESOLVENT_PLUS,
     ChiralSpectrum,
@@ -185,10 +186,12 @@ def test_chiral_spectrum_on_random_parities(seed, n_even, n_odd, rank, real, sca
     odd for odd f, and gamma f(s D) gamma is f(-s D) bit for bit.  The
     parity-block norms of f(s D) a and [f(s D), a] match the full-matrix
     norms of the eigh calculus to 1e-12 relative, for even, odd and mixed
-    f and for even, odd and mixed a (the last two take the full-size
-    fallback, or the parity phase on real data), up to the eigh calculus's
-    own roundoff: f(s (D + E)) with ||E|| ~ eps ||D||, or 32 eps (1 + s ||D||)
-    ||a|| absolute for these functions of Lipschitz constant at most 1."""
+    f and for even, odd and mixed a, the commutators for each
+    PAIR_FUNCTIONS column.  A mixed product, as the resolvents' is, real D
+    and a included, takes the full-size norm.  The tolerance is the eigh
+    calculus's own roundoff: f(s (D + E)) with ||E|| ~ eps ||D||, or
+    32 eps (1 + s ||D||) ||a|| absolute for these functions of Lipschitz
+    constant at most 1."""
     rng = rng_for(seed)
     d = chiral_operator(rng, n_even, n_odd, min(rank, n_even, n_odd), real)
     space, signs, k = d.space, d.space.gamma_signs(), d.space.even
@@ -196,6 +199,8 @@ def test_chiral_spectrum_on_random_parities(seed, n_even, n_odd, rank, real, sca
     cast = (lambda m: m.real) if real else (lambda m: m)
     gens = [GradedMatrix(space, cast(draw(rng, space, norm=1.0).entries)) for draw in (random_even, random_odd)]
     gens.append(gens[0] + gens[1])
+    commutators = [dict(zip(PAIR_FUNCTIONS, chiral.commutator_norms([scale], chiral.chiral_parts(a))[0]))
+                   for a in gens]
     for f in FUNCTIONS:
         value = chiral.apply(f, scale)
         assert np.array_equal(signs[:, None] * value * signs[None, :], chiral.apply(f, -scale)), f.name
@@ -203,33 +208,13 @@ def test_chiral_spectrum_on_random_parities(seed, n_even, n_odd, rank, real, sca
             zero_blocks = [value[:k, k:], value[k:, :k]] if f.parity == 0 else [value[:k, :k], value[k:, k:]]
             assert not any(np.any(block) for block in zero_blocks), f.name
         full = spec.apply(f, scale)
-        for a in gens:
+        for a, columns in zip(gens, commutators):
             floor = 32 * np.finfo(float).eps * (1 + scale * operator_norm(d)) * operator_norm(a)
             product = (chiral.blocks(f, [scale]) @ ParityBlocks.gather(space, a.entries)).norms()[0]
             assert abs(product - operator_norm(full @ a.entries)) <= 1e-12 * product + floor, f.name
-            got = chiral.commutator_norms(f, [scale], chiral.chiral_parts(a))[0]
-            want = operator_norm(graded_commutator(GradedMatrix(space, full), a))
-            assert abs(got - want) <= 1e-12 * want + floor, f.name
-
-
-@TIER1
-@given(SEEDS, st.integers(1, 8), st.integers(1, 8), st.integers(1, 8), st.floats(0.1, 5.0))
-def test_parity_phase_norm_equals_complex_norm(seed, n_even, n_odd, rank, scale):
-    """On real D != 0 and a real homogeneous a, the resolvent's product f(s D) a
-    has an imaginary even part and a real odd part (or the reverse); its norm
-    is taken from a real matrix and equals the complex SVD norm to 1e-12."""
-    rng = rng_for(seed)
-    d = chiral_operator(rng, n_even, n_odd, min(rank, n_even, n_odd), True)
-    chiral = ChiralSpectrum.of(d)
-    for draw in (random_even, random_odd):
-        a = ParityBlocks.gather(d.space, draw(rng, d.space, norm=1.0).entries.real)
-        product = chiral.blocks(RESOLVENT_PLUS, [scale]) @ a
-        assert np.iscomplexobj(product.dense())
-        with mock.patch.object(gradedlab.funcalc, "operator_norms", wraps=operator_norms) as norms:
-            got = product.norms()[0]
-        assert all(not np.iscomplexobj(call.args[0]) for call in norms.call_args_list)
-        want = operator_norms(product.dense())[0]
-        assert abs(got - want) <= 1e-12 * want
+            if f in columns:
+                want = operator_norm(graded_commutator(GradedMatrix(space, full), a))
+                assert abs(columns[f] - want) <= 1e-12 * want + floor, f.name
 
 
 @TIER1
@@ -239,9 +224,9 @@ def test_factored_resolvent_norms_on_random_parities(seed, n_even, n_odd, rank, 
     with rho(x) = (1 + x^2)^(-1/2): commutator_norms takes the resolvent
     norms in this form, from half-size blocks only, on D with zero modes,
     real and complex, for even and odd a, at scales s from 1 to 1e-3.  The
-    resolvent+ and resolvent- norms equal each other and the dense
-    graded_commutator norm of the eigh calculus to 1e-12 relative, up to the
-    floor 32 eps (1 + s ||D||) ||a||."""
+    resolvent+ and resolvent- columns are one norm, bit for bit, and equal
+    the dense graded_commutator norm of the eigh calculus to 1e-12
+    relative, up to the floor 32 eps (1 + s ||D||) ||a||."""
     rng = rng_for(seed)
     d = chiral_operator(rng, n_even, n_odd, min(rank, n_even, n_odd), real)
     scale = 10.0**log_scale
@@ -251,10 +236,11 @@ def test_factored_resolvent_norms_on_random_parities(seed, n_even, n_odd, rank, 
         a = GradedMatrix(d.space, cast(draw(rng, d.space, norm=1.0).entries))
         parts = chiral.chiral_parts(a)
         with mock.patch.object(gradedlab.funcalc, "operator_norms", wraps=operator_norms) as norms:
-            plus, minus = (chiral.commutator_norms(f, [scale], parts)[0] for f in (RESOLVENT_PLUS, RESOLVENT_MINUS))
+            columns = dict(zip(PAIR_FUNCTIONS, chiral.commutator_norms([scale], parts)[0]))
         assert all(max(call.args[0].shape[-2:]) < d.space.dim for call in norms.call_args_list)
+        plus, minus = columns[RESOLVENT_PLUS], columns[RESOLVENT_MINUS]
         floor = 32 * np.finfo(float).eps * (1 + scale * operator_norm(d)) * operator_norm(a)
-        assert abs(plus - minus) <= 1e-12 * plus + floor
+        assert plus == minus
         for f, got in ((RESOLVENT_PLUS, plus), (RESOLVENT_MINUS, minus)):
             want = operator_norm(graded_commutator(GradedMatrix(d.space, spec.apply(f, scale)), a))
             assert abs(got - want) <= 1e-12 * want + floor, f.name

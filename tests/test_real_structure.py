@@ -6,7 +6,7 @@ operator and of the function applied.  The Bott-Dirac model is real, so
 its spectra, functional calculus stacks and norms stay real, while the
 random complex suites are untouched.  Two savings in validate_pair rest
 on exact algebra: a generator equal to c 1 has zero commutators, and for a
-homogeneous generator the resolvent- profile equals the resolvent+ one.
+homogeneous generator one factored norm gives both resolvent profiles.
 """
 
 import itertools
@@ -22,7 +22,7 @@ from gradedlab.bott import (
     perturbation_check,
     spectrum_and_kernel,
 )
-from gradedlab.funcalc import NAMED_FUNCTIONS, PAIR_FUNCTIONS, ChiralSpectrum, Spectrum
+from gradedlab.funcalc import CAYLEY, NAMED_FUNCTIONS, PAIR_FUNCTIONS, ChiralSpectrum, ParityBlocks, Spectrum
 from gradedlab.graded import (
     GradedMatrix,
     GradedSpace,
@@ -60,16 +60,36 @@ def complex_copy(pair):
 
 @pytest.fixture
 def measured(monkeypatch):
-    """Record the function name of every ChiralSpectrum.commutator_norms call."""
-    names = []
-    original = ChiralSpectrum.commutator_norms
+    """One record per ChiralSpectrum.commutator_norms call: the names of the
+    functions whose Schur stacks it forms, and the number of norm stacks it
+    takes.  It reads the cayley weights for rho, the factored stack's
+    scaling, so a homogeneous generator's record is SCHUR_PAIR and 3 stacks:
+    one factored stack serves both resolvents.  validate_pair reads weights
+    and takes norms inside commutator_norms only."""
+    records = []
+    commutator_norms, weights, norms = ChiralSpectrum.commutator_norms, ChiralSpectrum.weights, ParityBlocks.norms
 
-    def recording(self, f, scales, parts):
-        names.append(f.name)
-        return original(self, f, scales, parts)
+    def recording_commutator_norms(self, *args):
+        records.append([[], 0])
+        return commutator_norms(self, *args)
 
-    monkeypatch.setattr(ChiralSpectrum, "commutator_norms", recording)
-    return names
+    def recording_weights(self, f, *args, **kwargs):
+        if f is not CAYLEY:
+            records[-1][0].append(f.name)
+        return weights(self, f, *args, **kwargs)
+
+    def recording_norms(self, *args, **kwargs):
+        records[-1][1] += 1
+        return norms(self, *args, **kwargs)
+
+    monkeypatch.setattr(ChiralSpectrum, "commutator_norms", recording_commutator_norms)
+    monkeypatch.setattr(ChiralSpectrum, "weights", recording_weights)
+    monkeypatch.setattr(ParityBlocks, "norms", recording_norms)
+    return records
+
+
+# the functions whose Schur stacks a homogeneous generator's commutator_norms call forms
+SCHUR_PAIR = ["gauss0", "gauss1"]
 
 
 @pytest.fixture
@@ -192,7 +212,7 @@ def test_two_coordinate_spectrum_matches_ladder_oracle_at_benchmark_size():
 def test_real_pair_reuses_resolvent_plus(measured):
     _, pair = bott_pair()
     profiles = validate_pair(pair, GRID)
-    assert "resolvent-" not in measured
+    assert measured and all(record == [SCHUR_PAIR, 3] for record in measured)
     for per_fn in profiles.values():
         assert list(per_fn) == [f.name for f in PAIR_FUNCTIONS]
         assert np.array_equal(per_fn["resolvent-"].values, per_fn["resolvent+"].values)
@@ -202,15 +222,14 @@ def test_real_pair_reuses_resolvent_plus(measured):
 def test_complex_copy_measures_the_same_profiles(measured):
     """The complex-cast pair runs the complex kernels; every profile matches
     the real pair's to 1e-10 relative, up to the 4 eps ||a|| absolute
-    roundoff of the commutators.  resolvent- is measured on its own only for
-    a mixed generator: for a homogeneous one, real or complex, it reuses the
-    resolvent+ profile."""
+    roundoff of the commutators.  Each resolvent takes a Schur stack of its
+    own only for a mixed generator: a homogeneous one, real or complex,
+    takes one factored stack for both."""
     _, pair = bott_pair()
     real = validate_pair(pair, GRID)
-    assert "resolvent-" not in measured
     cplx_pair = complex_copy(pair)
     cplx = validate_pair(cplx_pair, GRID)
-    assert "resolvent-" not in measured
+    assert measured and all(record == [SCHUR_PAIR, 3] for record in measured)
     for name, gen in pair.generators.items():
         roundoff = 4 * np.finfo(float).eps * operator_norm(gen)
         for f in PAIR_FUNCTIONS:
@@ -220,7 +239,7 @@ def test_complex_copy_measures_the_same_profiles(measured):
     mixed = next(iter(cplx_pair.generators.values())) + cplx_pair.d
     del measured[:]
     validate_pair(AsymptoticPair({"mixed": mixed}, cplx_pair.d), GRID)
-    assert measured.count("resolvent-") == measured.count("resolvent+") > 0
+    assert measured and all(record == [[f.name for f in PAIR_FUNCTIONS], 4] for record in measured)
 
 
 @pytest.mark.parametrize("scalar", [1.0, 2.5, 1.0 - 2.0j])
@@ -243,6 +262,6 @@ def test_nearly_scalar_generator_is_measured(measured):
     entries[0, 1] = entries[1, 0] = 1e-9
     gen = GradedMatrix(pair.space, entries)
     profiles = validate_pair(AsymptoticPair({"a": gen}, pair.d), GRID)
-    assert set(measured) == {"gauss0", "gauss1", "resolvent+"}
+    assert measured and all(record == [SCHUR_PAIR, 3] for record in measured)
     values = profiles["a"]["gauss1"].values
     assert 0.0 < values.max() < 1e-8
