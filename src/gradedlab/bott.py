@@ -317,7 +317,7 @@ def perturbation_check(
     spec_v = ChiralSpectrum.of(potential)
     # f(s V) - f(0) from the chiral weights f(s sigma) - f(0), by f.increment
     # where f(0) != 0, so no two O(1) matrices are subtracted
-    generators = {name: ParityBlocks.gather(pair.space, gen.entries) for name, gen in pair.generators.items()}
+    generators = {name: ParityBlocks.gather(pair.space, g.entries, g.parity) for name, g in pair.generators.items()}
     functions = (CAYLEY, MULTIPLIER_G)
 
     def norms(ts):

@@ -134,6 +134,13 @@ class ExperimentConfig:
             raise ConfigError(f"trials x len(n_grid) may not exceed {6 * MAX_TRIALS}")
         if not self.dims or any(d < 2 or d % 2 for d in self.dims):
             raise ConfigError("dims must be a non-empty list of even integers >= 2")
+        if self.n_basis < 8:
+            raise ConfigError("n_basis must be >= 8")
+        if self.coordinates < 1:
+            raise ConfigError("coordinates must be >= 1")
+        largest = self._largest_dense_dim()
+        if largest > MAX_DENSE_DIM:
+            raise ConfigError(f"largest operator would be {largest}-dimensional, above {MAX_DENSE_DIM}")
         # the largest grid-shaped arrays: the odd chiral weight stacks of commbound
         # and techlemma, one row of min(#e, #o) weights per (N, t) pair, bounded
         # here by max(dims) weights a row
@@ -147,13 +154,6 @@ class ExperimentConfig:
         # expfactor's rate certificate squares the last grid point
         if self.experiment == "expfactor" and self.t_stop > MAX_TRANSFORM_SCALE:
             raise ConfigError("expfactor needs a t_grid stop with a finite square")
-        if self.n_basis < 8:
-            raise ConfigError("n_basis must be >= 8")
-        if self.coordinates < 1:
-            raise ConfigError("coordinates must be >= 1")
-        largest = self._largest_dense_dim()
-        if largest > MAX_DENSE_DIM:
-            raise ConfigError(f"largest operator would be {largest}-dimensional, above {MAX_DENSE_DIM}")
 
     def _largest_dense_dim(self) -> int:
         """Dimension of the largest dense operator the experiment builds."""

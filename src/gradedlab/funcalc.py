@@ -16,9 +16,10 @@ f_odd(x) = (f(x) - f(-x))/2.  An even or odd f gives an exactly even or
 odd f(s D), and gamma f(D) gamma equals f(-D) (the scale -1) bit for bit.
 Results come as ParityBlocks, stacks held as their four parity blocks:
 products skip the zero blocks, and ParityBlocks.norms takes the norm of a
-homogeneous matrix from its two half-size blocks.  Profiles over a t-grid
-evaluate a chunk of scales at a time, and map_grid cuts the grid into
-chunks that hold at most STACK_ENTRIES entries.
+homogeneous matrix from its two half-size blocks.  Every stack is gathered
+at its known parity, p(f) + p(a), never found by scanning.  Profiles over
+a t-grid evaluate a chunk of scales at a time, and map_grid cuts the grid
+into chunks that hold at most STACK_ENTRIES entries.
 
 The resolvents R+-(x) = (x +- i)^-1 have commutators of a factored norm.
 For homogeneous a, R(x) (x +- i) = 1 gives
@@ -217,10 +218,10 @@ class ParityBlocks:
 
     ee is #e x #e, eo is #e x #o, and so on; leading axes are stack axes.
     A parity part known to be zero is None: a stack is even (ee, None, None,
-    oo), odd (None, eo, oe, None) or mixed.  ChiralSpectrum.blocks leaves
-    None the part that f's declared parity makes zero, and ParityBlocks.of
-    also drops a part that is exactly zero.  Sums and products skip the None
-    blocks, so products of homogeneous stacks run on half-size blocks.
+    oo), odd (None, eo, oe, None) or mixed.  Each producer declares the
+    parity (ChiralSpectrum.blocks f's, gather its argument's), and no part is
+    dropped for being exactly zero.  Sums and products skip the None blocks,
+    so products of homogeneous stacks run on half-size blocks.
     """
 
     ee: np.ndarray | None
@@ -229,17 +230,12 @@ class ParityBlocks:
     oo: np.ndarray | None
 
     @classmethod
-    def of(cls, ee, eo, oe, oo) -> "ParityBlocks":
-        """These blocks with an exactly zero odd part, or else even part, as None."""
-        if not (np.any(eo) or np.any(oe)):
-            return cls(ee, None, None, oo)
-        return cls(None, eo, oe, None) if not (np.any(ee) or np.any(oo)) else cls(ee, eo, oe, oo)
-
-    @classmethod
-    def gather(cls, space: GradedSpace, m: np.ndarray) -> "ParityBlocks":
-        """The parity blocks of a (..., d, d) stack of entries on space, as views."""
+    def gather(cls, space: GradedSpace, m: np.ndarray, parity: int) -> "ParityBlocks":
+        """The parity blocks, as views, of a (..., d, d) stack on space whose parity, 0 or 1, the caller knows."""
         k = space.even
-        return cls.of(m[..., :k, :k], m[..., :k, k:], m[..., k:, :k], m[..., k:, k:])
+        if parity:
+            return cls(None, m[..., :k, k:], m[..., k:, :k], None)
+        return cls(m[..., :k, :k], None, None, m[..., k:, k:])
 
     @property
     def blocks(self) -> tuple:
@@ -375,71 +371,61 @@ class ChiralSpectrum:
         """Matrix of f(scale * D), in the parity order of D's space."""
         return self.blocks(f, [scale]).dense()[0]
 
-    def chiral_parts(self, a: GradedMatrix) -> np.ndarray:
-        """The operands of commutator_norms for a, built once per generator:
-        W* a W in parity order, the same with each row i replaced by row p(i),
-        gamma W* a W gamma with each column j replaced by column p(j), for p
-        the pairing of indices, and K = W* [D, a] W.  In the chiral basis D
-        carries sigma_i between the two indices of pair i, so
+    def chiral_parts(self, a: GradedMatrix) -> tuple[int, np.ndarray]:
+        """The operands of commutator_norms for a homogeneous a (a mixed one
+        raises ValueError), built once per generator: p(a) and the stack of
+        m = W* a W in parity order, m with each row i replaced by row q(i),
+        gamma m gamma = (-1)^p(a) m with each column j replaced by column
+        q(j), for q the pairing of indices, and K = W* [D, a] W.  In the
+        chiral basis D carries sigma_i between the two indices of pair i, so
         K_ij = o_i rows_ij - cols_ij o_j with o the sigma of each index's pair
         (zero on unpaired indices)."""
+        if a.parity is None:
+            raise ValueError("commutator norms take a homogeneous generator; split a mixed one into its parity parts")
         u, v = self.u, self.v
-        m = (ParityBlocks(adjoint(u), None, None, adjoint(v)) @ ParityBlocks.gather(a.space, a.entries)
+        m = (ParityBlocks(adjoint(u), None, None, adjoint(v)) @ ParityBlocks.gather(a.space, a.entries, a.parity)
              @ ParityBlocks(u, None, None, v)).dense()
         ne, k = len(u), self.singular_values.size
-        signed = m.copy()
-        signed[:ne, ne:] *= -1
-        signed[ne:, :ne] *= -1
         partner = np.arange(m.shape[-1])
         partner[:k] += ne
         partner[ne : ne + k] -= ne
         o = self._spread(self.singular_values)
-        rows, cols = m[partner], signed[:, partner]
-        return np.stack([m, rows, cols, o[:, None] * rows - cols * o])
+        rows, cols = m[partner], m[:, partner] if a.parity == 0 else -m[:, partner]
+        return a.parity, np.stack([m, rows, cols, o[:, None] * rows - cols * o])
 
-    def commutator_norms(self, scales, parts: np.ndarray) -> np.ndarray:
+    def commutator_norms(self, scales, parts: tuple[int, np.ndarray]) -> np.ndarray:
         """||[f(s D), a]|| for each s in scales (rows) and f in PAIR_FUNCTIONS
         (columns), from parts = chiral_parts(a).
 
         In the chiral basis f(s D) = diag(w) + P, where P carries
         f_odd(s sigma_i) between the two indices of pair i, and
         gamma f(s D) gamma = diag(w) - P.  So the graded commutator
-        f(s D) a - a_0 f(s D) - a_1 f(-s D) has the entries
-        (w_i - w_j) a_ij + o_i a_p(i)j - (gamma a gamma)_ip(j) o_j, with o the
-        odd weight of each index's pair (zero on unpaired indices).
+        f(s D) a - a f((-1)^p(a) s D) has the entries
+        (w_i - w_j) a_ij + o_i a_q(i)j - (gamma a gamma)_iq(j) o_j, with o the
+        odd weight of each index's pair (zero on unpaired indices): for the
+        even gauss0 the first term alone, a stack of parity p(a), and for the
+        odd gauss1 the other two, of parity p(a) + 1.  The columns follow
+        PAIR_FUNCTIONS: gauss0, gauss1, resolvent+, resolvent-.
 
-        This is the one place of the resolvent rule: when K = [D, a] is
-        homogeneous, as it is for every homogeneous a, both resolvents
-        R+-(x) = (x +- i)^-1 have the norm ||[R+-(s D), a]|| =
-        s ||rho(s D) K rho(s D)||, with rho(x) = (1 + x^2)^(-1/2) the square
-        root of the even cayley weights.  That is the Schur scaling
-        s rho_i rho_j K_ij, of parity p(K), whose norm comes once from its
-        two half-size blocks (real for real D and a) and fills both
-        resolvent columns.  Proof: for homogeneous b, R(x) (x +- i) = 1 gives
-        [R(s D), b] = -s R(s D) [D, b] R((-1)^p(b) s D).  [D, a_0] is odd
-        and [D, a_1] even, so when K is homogeneous one of them is zero and
-        [R(s D), a] is the other term alone.  R+-(y) = rho(y) u(y) with
-        |u| = 1 and rho even, so the unitaries u(s D) and u(+-s D) drop out
-        of the norm, which is therefore the same for R+ and R-.  A mixed K
-        takes the Schur form above for each resolvent.
+        This is the one place of the resolvent rule, keyed on p(a): both
+        resolvents R+-(x) = (x +- i)^-1 have the norm ||[R+-(s D), a]|| =
+        s ||rho(s D) K rho(s D)||, with K = [D, a] and rho(x) =
+        (1 + x^2)^(-1/2) the square root of the even cayley weights.  That is
+        the Schur scaling s rho_i rho_j K_ij, of parity p(a) + 1, whose norm
+        comes once from its two half-size blocks (real for real D and a) and
+        fills both resolvent columns.  Proof: R(x) (x +- i) = 1 gives
+        [R(s D), a] = -s R(s D) [D, a] R((-1)^p(a) s D), and R+-(y) =
+        rho(y) u(y) with |u| = 1 and rho even, so the unitaries u(s D) and
+        u(+-s D) drop out of the norm, which is therefore the same for R+
+        and R-.
         """
-        (m, rows, cols, khat), space = parts, GradedSpace(len(self.u), len(self.v))
-        columns, resolvent = [], None
-        # resolvent- follows resolvent+ and reuses its factored norm; building the factored
-        # stack after the gauss stacks, not before them, measured ~2% faster at d = 127
-        for f in PAIR_FUNCTIONS:
-            if f is RESOLVENT_PLUS:
-                rho = np.sqrt(self.weights(CAYLEY, scales)[0])
-                scaled = (np.asarray(scales, dtype=float)[:, None] * rho)[:, :, None] * khat * rho[:, None, :]
-                factored = ParityBlocks.gather(space, scaled)
-                resolvent = factored.norms() if factored.ee is None or factored.eo is None else None
-            if resolvent is not None and f in (RESOLVENT_PLUS, RESOLVENT_MINUS):
-                columns.append(resolvent)
-                continue
-            even, odd = self.weights(f, scales)
-            out = 0.0 if even is None else (even[:, :, None] - even[:, None, :]) * m
-            if odd is not None:
-                odd = self._spread(odd)
-                out = out + odd[:, :, None] * rows - cols * odd[:, None, :]
-            columns.append(ParityBlocks.gather(space, out).norms())
-        return np.stack(columns, -1)
+        (p, (m, rows, cols, khat)), space = parts, GradedSpace(len(self.u), len(self.v))
+        even = self.weights(GAUSS0, scales)[0]
+        columns = [ParityBlocks.gather(space, (even[:, :, None] - even[:, None, :]) * m, p).norms()]
+        odd = self._spread(self.weights(GAUSS1, scales)[1])
+        columns.append(ParityBlocks.gather(space, odd[:, :, None] * rows - cols * odd[:, None, :], 1 - p).norms())
+        # building the factored stack after the gauss stacks, not before them, measured ~2% faster at d = 127
+        rho = np.sqrt(self.weights(CAYLEY, scales)[0])
+        scaled = (np.asarray(scales, dtype=float)[:, None] * rho)[:, :, None] * khat * rho[:, None, :]
+        resolvent = ParityBlocks.gather(space, scaled, 1 - p).norms()
+        return np.stack([*columns, resolvent, resolvent], -1)

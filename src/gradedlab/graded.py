@@ -22,6 +22,7 @@ Sign conventions:
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -120,6 +121,14 @@ class GradedMatrix:
 
     def is_hermitian(self) -> bool:
         return bool(negligible(self.entries - adjoint(self.entries), self.entries))
+
+    @functools.cached_property
+    def parity(self) -> int | None:
+        """0 if the odd blocks are exactly zero (the zero matrix too), else 1 if the even blocks are, else None."""
+        m, k = self.entries, self.space.even
+        if not (np.any(m[:k, k:]) or np.any(m[k:, :k])):
+            return 0
+        return None if np.any(m[:k, :k]) or np.any(m[k:, k:]) else 1
 
     # -- arithmetic: a sum, difference or negation keeps a subtype's validation
 

@@ -21,12 +21,13 @@ read (a written profile, appendixB's path check, the exact factorization
 cases), which most profiles never are.  The commutation profiles are
 Schur products in D's chiral basis, one column per PAIR_FUNCTIONS entry
 from ChiralSpectrum.commutator_norms, which holds the resolvent rule: for
-a homogeneous generator a, real or complex, both resolvent commutators
-have the norm s ||rho(s D) [D, a] rho(s D)|| with rho(x) = (1 + x^2)^(-1/2),
-taken once for both columns.  The defects are formed from the
-parity blocks of f(s D), with e^{-x^2} written as 1 + expm1(-x^2) so the
-leading identities cancel exactly, and every norm of a homogeneous
-matrix comes from its two half-size parity blocks.  So the profiles match
+a generator a, real or complex, both resolvent commutators have the norm
+s ||rho(s D) [D, a] rho(s D)|| with rho(x) = (1 + x^2)^(-1/2), taken once
+for both columns.  The defects are formed from the parity blocks of
+f(s D), with e^{-x^2} written as 1 + expm1(-x^2) so the leading
+identities cancel exactly.  Generators are homogeneous, so every stack
+has the known parity p(f) + p(a) and its norm comes from two half-size
+parity blocks.  So the profiles match
 a point-by-point evaluation of the same formulas through Spectrum.apply
 to roundoff, not bit for bit.  Profiles hold numbers only; reporting
 writes them out.
@@ -147,10 +148,11 @@ def grid_profiles(t_grid: np.ndarray, dim: int, norms: Callable[[np.ndarray], np
 
 @dataclass(frozen=True)
 class AsymptoticPair:
-    """Named generator images phi(a) with an odd self-adjoint D on their space.
+    """Named homogeneous generator images phi(a) with an odd self-adjoint D on their space.
 
-    Construction checks structure only: at least one generator, each on
-    D's space.  The defining decay condition is measured by validate_pair.
+    Construction checks structure only: at least one generator, each on D's space and
+    even or odd (GradedMatrix.parity), for the pair conditions are linear in a, so
+    homogeneous generators fix a pair.  The decay condition is measured by validate_pair.
     """
 
     generators: Mapping[str, GradedMatrix]
@@ -163,6 +165,8 @@ class AsymptoticPair:
         for name, g in self.generators.items():
             if g.space != self.d.space:
                 raise ValueError(f"generator {name!r} lives on the wrong space")
+            if g.parity is None:
+                raise ValueError(f"generator {name!r} is neither even nor odd; give its parity parts as two generators")
 
     @property
     def space(self) -> GradedSpace:
@@ -178,8 +182,8 @@ def validate_pair(pair: AsymptoticPair, t_grid: np.ndarray) -> dict[str, dict[st
     profile that vanishes up to roundoff (below FIT_FLOOR) fits the -inf
     sentinel.  A generator equal to c 1 is not measured: its profiles are
     exact zeros.  Every other generator moves to D's chiral basis once, and
-    ChiralSpectrum.commutator_norms gives its columns, the resolvent rule
-    (one norm for both resolvents of a homogeneous generator) included.
+    ChiralSpectrum.commutator_norms gives its columns at its parity, the
+    resolvent rule (one norm for both resolvents) included.
     """
     grid = checked_t_grid(t_grid)
     spec = ChiralSpectrum.of(pair.d)
@@ -265,7 +269,7 @@ def compose_pairs(
     composed = AsymptoticPair({name: pushforward(gen) for name, gen in p_ab.generators.items()}, d_total)
 
     spectra = ChiralSpectrum.of(d_total), ChiralSpectrum.of(p_bc.d), ChiralSpectrum.of(pushed_d)
-    gens = {name: ParityBlocks.gather(p_bc.space, gen.entries) for name, gen in composed.generators.items()}
+    gens = {name: ParityBlocks.gather(p_bc.space, gen.entries, gen.parity) for name, gen in composed.generators.items()}
 
     def norms(ts):
         defects = _heat_defects(*spectra, 1.0 / ts)

@@ -257,7 +257,7 @@ def dense_dc_check(ops, n: int) -> dict:
     2 n_basis - 1: the cross terms from Frobenius norms of the dense d, c,
     {d, S} and {c, S}, {d, c} as d c + c d, its three targets and masks as a
     (3, d, d) stack, and the norms of that stack's parity blocks, gathered
-    back out of it."""
+    back out of it at parity 0 (the products of two odd matrices are even)."""
     degree = np.array(ops.space.parity)
     d, c = ops.dirac.entries, ops.clifford_mult.entries
     sign = gradedlab.bott._koszul_sign(degree)
@@ -275,5 +275,5 @@ def dense_dc_check(ops, n: int) -> dict:
     return {
         name: n * float(norm) + cross
         for name, norm in zip(("commutator_norm", "interior_defect_vs_involution", "interior_defect_vs_identity"),
-                              ParityBlocks.gather(ops.space, (anti - targets) * masks).norms())
+                              ParityBlocks.gather(ops.space, (anti - targets) * masks, 0).norms())
     }

@@ -298,7 +298,9 @@ def test_tolerances_key_is_unknown(tmp_path):
 def test_oversized_dense_config_exits_3_and_writes_nothing(tmp_path):
     """bott builds dense operators on one coordinate only, the convergence
     ladder's top basis 4 n_basis - 1: n_basis = 1024 gives 4,095 dimensions
-    and 1025 gives 4,099, above MAX_DENSE_DIM, at any coordinate count."""
+    and 1025 gives 4,099, above MAX_DENSE_DIM, at any coordinate count.  An
+    oversized dims entry is named as the operator it is, not as the weight
+    count of its default grid."""
     # config-level checks first, so a broken guard fails here and not by allocating
     ExperimentConfig(experiment="bott", n_basis=1024)
     for coordinates in (1, 2):
@@ -309,6 +311,8 @@ def test_oversized_dense_config_exits_3_and_writes_nothing(tmp_path):
         ExperimentConfig(experiment="perturb", n_basis=2049)
     with pytest.raises(ConfigError):
         ExperimentConfig(experiment="commbound", dims=(MAX_DENSE_DIM + 2,))
+    with pytest.raises(ConfigError, match="^largest operator would be 40000-dimensional, above 4096$"):
+        load_config(write_config(tmp_path, experiment="compose", dims=[40000]))
     ExperimentConfig(experiment="bott", n_basis=12, coordinates=2)  # bott-2d: 23-dimensional pieces, accepted
     ExperimentConfig(experiment="bott", n_basis=64, coordinates=2)  # 255**2 = 65,025 dimensions, never built
     config = write_config(tmp_path, experiment="bott", coordinates=2, n_basis=1025)

@@ -454,22 +454,27 @@ def mp_commutator_norm(f, d, a, t):
 
 
 def test_validate_pair_matches_mpmath():
-    """A 30-digit oracle at d = 4 for a mixed-parity, non-Hermitian
-    generator: 1e-12 relative, up to 4 eps ||a|| absolute.  The absolute
-    term matters at t = 1e3 only, where the gauss0 commutator is ~1e-6 and
-    the weights w_i - w_j cancel down to eps."""
+    """A 30-digit oracle at d = 4 for the two parity parts of a mixed,
+    non-Hermitian generator, each a generator of its own: 1e-12 relative,
+    up to 4 eps ||a|| absolute.  The absolute term matters at t = 1e3 only,
+    where the gauss0 commutator is ~1e-6 and the weights w_i - w_j cancel
+    down to eps.  The mixed generator itself is refused."""
     rng = rng_for((30, 4))
     space = balanced_space(4)
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    gen = GradedMatrix(space, m / np.linalg.norm(m, 2))
-    assert not any(negligible(part, gen.entries) for part in parity_parts(space, gen.entries))
-    assert not gen.is_hermitian()
+    mixed = GradedMatrix(space, m / np.linalg.norm(m, 2))
+    parts = {name: GradedMatrix(space, part) for name, part in zip(("a0", "a1"), parity_parts(space, mixed.entries))}
+    assert not any(negligible(part.entries, mixed.entries) for part in parts.values())
+    assert [part.parity for part in parts.values()] == [0, 1] and not mixed.is_hermitian()
     d = random_odd_selfadjoint(rng, space, norm=1.0)
+    with pytest.raises(ValueError, match="generator 'a' is neither even nor odd"):
+        AsymptoticPair({"a": mixed}, d)
     grid = default_t_grid(points=3)
-    profiles = validate_pair(AsymptoticPair({"a": gen}, d), grid)["a"]
-    for f in PAIR_FUNCTIONS:
-        want = [mp_commutator_norm(f, d, gen, t) for t in grid]
-        np.testing.assert_allclose(profiles[f.name].values, want, rtol=1e-12, atol=4 * np.finfo(float).eps)
+    profiles = validate_pair(AsymptoticPair(parts, d), grid)
+    for name, gen in parts.items():
+        for f in PAIR_FUNCTIONS:
+            want = [mp_commutator_norm(f, d, gen, t) for t in grid]
+            np.testing.assert_allclose(profiles[name][f.name].values, want, rtol=1e-12, atol=4 * np.finfo(float).eps)
 
 
 def chiral_operands():

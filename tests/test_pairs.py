@@ -21,7 +21,9 @@ from gradedlab import (
     validate_pair,
     zeros,
 )
-from gradedlab.funcalc import GAUSS0, GAUSS1
+from gradedlab.bott import bott_dirac, multiplication_generators
+from gradedlab.funcalc import GAUSS0, GAUSS1, PAIR_FUNCTIONS
+from gradedlab.graded import parity_parts
 from gradedlab.pairs import COMMUTATION_EXPONENT_THRESHOLD, COMPOSE_EXPONENT_THRESHOLD, DecayProfile
 from gradedlab.reporting import csv_text
 from gradedlab.sampling import (
@@ -30,6 +32,7 @@ from gradedlab.sampling import (
     random_even_unitary,
     random_odd,
     random_odd_selfadjoint,
+    random_space,
     rng_for,
 )
 
@@ -171,6 +174,44 @@ def test_pair_needs_a_generator_and_copies_its_mapping():
     pair = AsymptoticPair(gens, SX)
     gens["x"] = SIGMA_X
     assert list(pair.generators) == ["z"] and pair.space == SX.space
+
+
+def test_pair_refuses_a_mixed_generator():
+    """Generators are homogeneous: one with an even and an odd part, a random
+    sum or the Bott pair's mult_even + D, is refused by name, while the zero
+    matrix, c 1 and even and odd generators are taken."""
+    rng = rng_for(47)
+    space = random_space(rng, 7)
+    d = random_odd_selfadjoint(rng, space, norm=1.0)
+    even, odd = random_even(rng, space, norm=1.0), random_odd(rng, space, norm=1.0)
+    ops = bott_dirac(8)
+    mult_even = multiplication_generators(ops)["mult_even"]
+    for gens, dirac in (({"even": even, "a": even + odd}, d), ({"a": mult_even + ops.dirac}, ops.dirac)):
+        with pytest.raises(ValueError, match="generator 'a' is neither even nor odd"):
+            AsymptoticPair(gens, dirac)
+    gens = {"zero": zeros(space), "scalar": (2.0 - 1.0j) * identity(space), "even": even, "odd": odd}
+    pair = AsymptoticPair(gens, d)
+    assert {name: g.parity for name, g in pair.generators.items()} == {"zero": 0, "scalar": 0, "even": 0, "odd": 1}
+
+
+def test_mixed_commutator_is_bounded_by_its_parity_parts():
+    """What the refusal of a mixed a rests on: [f(D/t), a] is linear in a, so
+    its dense norm (the Spectrum reference) is at most the sum of
+    validate_pair's profiles for a's even and odd parts, for every
+    PAIR_FUNCTIONS entry and t, within the roundoff 1e-12 relative plus
+    32 eps (1 + ||D|| / t) ||a||."""
+    rng = rng_for(48)
+    space = random_space(rng, 7)
+    d = random_odd_selfadjoint(rng, space, norm=2.0)
+    a = random_even(rng, space, norm=1.0) + random_odd(rng, space, norm=1.0)
+    parts = dict(zip(("a0", "a1"), (GradedMatrix(space, part) for part in parity_parts(space, a.entries))))
+    profiles = validate_pair(AsymptoticPair(parts, d), GRID)
+    spec = Spectrum.of(d)
+    floor = 32 * np.finfo(float).eps * (1 + operator_norm(d) / GRID) * operator_norm(a)
+    for f in PAIR_FUNCTIONS:
+        dense = [operator_norm(graded_commutator(GradedMatrix(space, spec.apply(f, 1.0 / t)), a)) for t in GRID]
+        bound = profiles["a0"][f.name].values + profiles["a1"][f.name].values
+        assert np.all(np.asarray(dense) <= bound * (1 + 1e-12) + floor), f.name
 
 
 def test_validate_pair_block_corner():

@@ -4,7 +4,8 @@ Each example draws a root seed and a space of (even, odd) counts 1..8
 each, so dimension 2..16 and any imbalance between the parity blocks.
 The fixed derandomized profile makes tier-1 run the same examples every
 time.  The chiral spectrum's examples also draw the rank of D's odd
-block, for kernels beyond the dimension gap.
+block, for kernels beyond the dimension gap, and the parity examples
+draw counts 0..8, so one parity block may be empty.
 
 transform_commutator_check rests on three facts checked here: an odd f
 gives an odd f(D) (from gamma f(D) gamma = f(-D)); the anticommutator of
@@ -17,6 +18,7 @@ rests on a fourth: an odd Hermitian matrix has the spectrum
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,6 +43,7 @@ from gradedlab.graded import (
     graded_tensor,
     operator_norm,
     operator_norms,
+    zeros,
 )
 from gradedlab.pairs import default_t_grid
 from gradedlab.sampling import (
@@ -59,7 +62,25 @@ COUNTS = st.integers(1, 8)
 SPACES = st.builds(GradedSpace, COUNTS, COUNTS)
 # tensor factors: (even, odd) counts 0..2 each, dimension 1..4
 FACTORS = st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any).map(lambda counts: GradedSpace(*counts))
+# (even, odd) counts 0..8 each, dimension 1..16
+SPLITS = st.tuples(st.integers(0, 8), st.integers(0, 8)).filter(any).map(lambda counts: GradedSpace(*counts))
 FUNCTIONS = (*NAMED_FUNCTIONS, bounded_transform_function(2.0))
+
+
+@TIER1
+@given(SEEDS, SPLITS)
+def test_parity_reads_exact_zero_blocks(seed, space):
+    """GradedMatrix.parity is 0 for an even draw and the zero matrix, 1 for an
+    odd draw and None for the sum of an even and an odd draw, or a full
+    Gaussian draw; on a space with no even or no odd vectors the odd blocks
+    are empty, so every matrix has parity 0."""
+    rng = rng_for(seed)
+    even, odd = random_even(rng, space), random_odd(rng, space)
+    full = GradedMatrix(space, rng.standard_normal((space.dim, space.dim)))
+    one_sided = 0 in (space.even, space.odd)
+    assert even.parity == zeros(space).parity == 0
+    assert odd.parity == (0 if one_sided else 1)
+    assert (even + odd).parity == full.parity == (0 if one_sided else None)
 
 
 @TIER1
@@ -184,13 +205,14 @@ def chiral_operator(rng, n_even, n_odd, rank, real):
 def test_chiral_spectrum_on_random_parities(seed, n_even, n_odd, rank, real, scale):
     """f(s D) from the chiral spectrum is exactly even for even f and exactly
     odd for odd f, and gamma f(s D) gamma is f(-s D) bit for bit.  The
-    parity-block norms of f(s D) a and [f(s D), a] match the full-matrix
-    norms of the eigh calculus to 1e-12 relative, for even, odd and mixed
-    f and for even, odd and mixed a, the commutators for each
-    PAIR_FUNCTIONS column.  A mixed product, as the resolvents' is, real D
-    and a included, takes the full-size norm.  The tolerance is the eigh
-    calculus's own roundoff: f(s (D + E)) with ||E|| ~ eps ||D||, or
-    32 eps (1 + s ||D||) ||a|| absolute for these functions of Lipschitz
+    parity-block norms of f(s D) a match the full-matrix norms of the eigh
+    calculus to 1e-12 relative, for even, odd and mixed f and for even, odd
+    and mixed a (gathered as its two parity parts), and so do those of
+    [f(s D), a] for even and odd a in each PAIR_FUNCTIONS column;
+    chiral_parts refuses the mixed a.  A mixed product, as the resolvents'
+    is, real D and a included, takes the full-size norm.  The tolerance is
+    the eigh calculus's own roundoff: f(s (D + E)) with ||E|| ~ eps ||D||,
+    or 32 eps (1 + s ||D||) ||a|| absolute for these functions of Lipschitz
     constant at most 1."""
     rng = rng_for(seed)
     d = chiral_operator(rng, n_even, n_odd, min(rank, n_even, n_odd), real)
@@ -198,9 +220,14 @@ def test_chiral_spectrum_on_random_parities(seed, n_even, n_odd, rank, real, sca
     chiral, spec = ChiralSpectrum.of(d), Spectrum.of(d)
     cast = (lambda m: m.real) if real else (lambda m: m)
     gens = [GradedMatrix(space, cast(draw(rng, space, norm=1.0).entries)) for draw in (random_even, random_odd)]
-    gens.append(gens[0] + gens[1])
     commutators = [dict(zip(PAIR_FUNCTIONS, chiral.commutator_norms([scale], chiral.chiral_parts(a))[0]))
                    for a in gens]
+    blocks = [ParityBlocks.gather(space, a.entries, a.parity) for a in gens]
+    gens.append(gens[0] + gens[1])
+    with pytest.raises(ValueError, match="homogeneous"):
+        chiral.chiral_parts(gens[2])
+    blocks.append(blocks[0] + blocks[1])
+    commutators.append({})
     for f in FUNCTIONS:
         value = chiral.apply(f, scale)
         assert np.array_equal(signs[:, None] * value * signs[None, :], chiral.apply(f, -scale)), f.name
@@ -208,9 +235,9 @@ def test_chiral_spectrum_on_random_parities(seed, n_even, n_odd, rank, real, sca
             zero_blocks = [value[:k, k:], value[k:, :k]] if f.parity == 0 else [value[:k, :k], value[k:, k:]]
             assert not any(np.any(block) for block in zero_blocks), f.name
         full = spec.apply(f, scale)
-        for a, columns in zip(gens, commutators):
+        for a, a_blocks, columns in zip(gens, blocks, commutators):
             floor = 32 * np.finfo(float).eps * (1 + scale * operator_norm(d)) * operator_norm(a)
-            product = (chiral.blocks(f, [scale]) @ ParityBlocks.gather(space, a.entries)).norms()[0]
+            product = (chiral.blocks(f, [scale]) @ a_blocks).norms()[0]
             assert abs(product - operator_norm(full @ a.entries)) <= 1e-12 * product + floor, f.name
             if f in columns:
                 want = operator_norm(graded_commutator(GradedMatrix(space, full), a))

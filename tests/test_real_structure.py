@@ -5,8 +5,9 @@ complex128 for complex input), and Spectrum keeps the dtype of the
 operator and of the function applied.  The Bott-Dirac model is real, so
 its spectra, functional calculus stacks and norms stay real, while the
 random complex suites are untouched.  Two savings in validate_pair rest
-on exact algebra: a generator equal to c 1 has zero commutators, and for a
-homogeneous generator one factored norm gives both resolvent profiles.
+on exact algebra: a generator equal to c 1 has zero commutators, and one
+factored norm gives both resolvent profiles of every generator, for a pair
+takes homogeneous generators only and refuses a mixed one.
 """
 
 import itertools
@@ -63,7 +64,7 @@ def measured(monkeypatch):
     """One record per ChiralSpectrum.commutator_norms call: the names of the
     functions whose Schur stacks it forms, and the number of norm stacks it
     takes.  It reads the cayley weights for rho, the factored stack's
-    scaling, so a homogeneous generator's record is SCHUR_PAIR and 3 stacks:
+    scaling, so every generator's record is SCHUR_PAIR and 3 stacks:
     one factored stack serves both resolvents.  validate_pair reads weights
     and takes norms inside commutator_norms only."""
     records = []
@@ -88,7 +89,7 @@ def measured(monkeypatch):
     return records
 
 
-# the functions whose Schur stacks a homogeneous generator's commutator_norms call forms
+# the functions whose Schur stacks a generator's commutator_norms call forms
 SCHUR_PAIR = ["gauss0", "gauss1"]
 
 
@@ -222,9 +223,9 @@ def test_real_pair_reuses_resolvent_plus(measured):
 def test_complex_copy_measures_the_same_profiles(measured):
     """The complex-cast pair runs the complex kernels; every profile matches
     the real pair's to 1e-10 relative, up to the 4 eps ||a|| absolute
-    roundoff of the commutators.  Each resolvent takes a Schur stack of its
-    own only for a mixed generator: a homogeneous one, real or complex,
-    takes one factored stack for both."""
+    roundoff of the commutators.  Every generator, real or complex, takes
+    one factored stack for both resolvents; a mixed one, such as
+    mult_even + D, is refused by the pair."""
     _, pair = bott_pair()
     real = validate_pair(pair, GRID)
     cplx_pair = complex_copy(pair)
@@ -236,10 +237,9 @@ def test_complex_copy_measures_the_same_profiles(measured):
             np.testing.assert_allclose(
                 real[name][f.name].values, cplx[name][f.name].values, rtol=1e-10, atol=roundoff
             )
-    mixed = next(iter(cplx_pair.generators.values())) + cplx_pair.d
-    del measured[:]
-    validate_pair(AsymptoticPair({"mixed": mixed}, cplx_pair.d), GRID)
-    assert measured and all(record == [[f.name for f in PAIR_FUNCTIONS], 4] for record in measured)
+    mixed = cplx_pair.generators["mult_even"] + cplx_pair.d
+    with pytest.raises(ValueError, match="generator 'mixed' is neither even nor odd"):
+        AsymptoticPair({"mixed": mixed}, cplx_pair.d)
 
 
 @pytest.mark.parametrize("scalar", [1.0, 2.5, 1.0 - 2.0j])
