@@ -13,13 +13,15 @@ parent out in a worktree:
     python scripts/report_diff.py --base ../base 42 7
 
 It prints
-  * every output file whose bytes differ, with its number of changed lines;
+  * every output file whose bytes differ, with its number of changed lines,
+    and for a CSV the largest relative and absolute change of its numeric
+    cells;
   * for each check of each run, its certificates, how many of their
     certificates.jsonl lines changed, and the largest relative change of
     lhs and of rhs;
   * every change in a pass flag, check name, seed or count: of a
-    certificate, or of report.json's pass flag and per-check counts, or a
-    file that only one tree writes.
+    certificate, or of report.json's pass flag and per-check counts, or of
+    a CSV's header or row count, or a file that only one tree writes.
 It exits 0 when there is no change of the last kind and 1 when there is.
 """
 
@@ -55,6 +57,23 @@ def relative(old: str, new: str) -> float:
 
 def changed_lines(old: list[str], new: list[str]) -> int:
     return sum(a != b for a, b in zip(old, new)) + abs(len(old) - len(new))
+
+
+def compare_csv(name: str, old: list[str], new: list[str], flags: list[str]) -> str:
+    """', max rel R, max abs A' over the numeric cells of a CSV whose header
+    and row count agree; a changed header or row count is flagged instead."""
+    if old[:1] != new[:1]:
+        flags.append(f"{name}: header {old[:1]} -> {new[:1]}")
+        return ""
+    if len(old) != len(new):
+        flags.append(f"{name}: {len(old) - 1} rows -> {len(new) - 1}")
+        return ""
+    rel = diff = 0.0
+    for a, b in zip(old[1:], new[1:]):
+        for x, y in zip(a.split(","), b.split(",")):
+            if x != y:
+                rel, diff = max(rel, relative(x, y)), max(diff, abs(float(y) - float(x)))
+    return f", max rel {rel:.1e}, max abs {diff:.1e}"
 
 
 def compare_certificates(run: str, old: list[str], new: list[str], flags: list[str]) -> dict:
@@ -98,7 +117,8 @@ def compare(base: Path, head: Path) -> tuple[list[str], list[str]]:
         texts = [(root / name).read_text() for root in (base, head)]
         old, new = (text.splitlines() for text in texts)
         if old != new:
-            files.append(f"  {name}  {changed_lines(old, new)} lines")
+            magnitudes = compare_csv(name, old, new, flags) if file.endswith(".csv") else ""
+            files.append(f"  {name}  {changed_lines(old, new)} lines{magnitudes}")
         if file == "report.json":
             compare_report(run, *texts, flags)
         elif file == "certificates.jsonl":

@@ -102,7 +102,7 @@ class BottOperators:
     interior: np.ndarray
 
     def _dense(self, block: np.ndarray) -> OddSelfAdjoint:
-        return OddSelfAdjoint(self.space, ParityBlocks(None, block, block.T, None).dense())
+        return OddSelfAdjoint(self.space, ParityBlocks(1, block, block.T).dense())
 
     @functools.cached_property
     def dirac(self) -> OddSelfAdjoint:
@@ -229,10 +229,10 @@ def multiplication_generators(ops: BottOperators) -> dict[str, GradedMatrix]:
     x (x) 1 is x on the even sector and x' = x[:-1, :-1] on the odd one, and
     C^2 = diag(c c^T, c^T c) for C's [e, o] block c, so g(C) has [e, o] block
     c (1 + c^T c)^{-1} and, exactly, its transpose as [o, e] block."""
-    even = ParityBlocks(_cayley(ops.x), None, None, _cayley(ops.x[:-1, :-1])).dense()
+    even = ParityBlocks(0, _cayley(ops.x), _cayley(ops.x[:-1, :-1])).dense()
     odd = ops.c_block @ _cayley(ops.c_block)
     return {"mult_even": GradedMatrix(ops.space, even),
-            "mult_odd": GradedMatrix(ops.space, ParityBlocks(None, odd, odd.T, None).dense())}
+            "mult_odd": GradedMatrix(ops.space, ParityBlocks(1, odd, odd.T).dense())}
 
 
 def _cayley(m: np.ndarray) -> np.ndarray:
@@ -286,17 +286,17 @@ def dc_commutator_check(ops: BottOperators, n: int) -> dict:
     d, c, degree = ops.d_block, ops.c_block, np.array(ops.space.parity)
     sign, k = _koszul_sign(degree), d.shape[0]
     cross = math.comb(n, 2) * (_cross_norm(d, sign) * _frobenius(c) + _cross_norm(c, sign) * _frobenius(d))
-    d, c = (ParityBlocks(None, m, m.T, None) for m in (d, c))
+    d, c = (ParityBlocks(1, m, m.T) for m in (d, c))
     anti = d @ c + c @ d
     # the targets 0, 2 deg - 1 and 1/n are diagonal; the masks act on columns
     targets = np.stack([np.zeros(degree.size), 2.0 * degree - 1.0, np.full(degree.size, 1.0 / n)])[..., None]
     masks = np.stack([np.ones(degree.size), ops.interior, ops.interior])[:, None]
     ee, oo = ((block - targets[:, side] * np.eye(block.shape[-1])) * masks[..., side]
-              for block, side in ((anti.ee, slice(None, k)), (anti.oo, slice(k, None))))
+              for block, side in ((anti.top, slice(None, k)), (anti.bottom, slice(k, None))))
     return {
         name: n * float(norm) + cross
         for name, norm in zip(("commutator_norm", "interior_defect_vs_involution", "interior_defect_vs_identity"),
-                              ParityBlocks(ee, None, None, oo).norms())
+                              ParityBlocks(0, ee, oo).norms())
     }
 
 

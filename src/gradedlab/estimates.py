@@ -9,8 +9,10 @@ one-matrix stack; each stacked result equals its one-matrix evaluation
 bit for bit.  The matrix exponential needs numpy alone: one kernel,
 degree-13 Pade scaling and squaring (Higham 2005), for every matrix,
 Hermitian or not.  The transform checks work on the parity blocks of the odd
-transforms, from the chiral spectra of D and D' (funcalc.ChiralSpectrum),
-and equal the full-matrix evaluation up to roundoff, not bit for bit.
+transforms, from the chiral spectra of D and D' (funcalc.ChiralSpectrum);
+the sweep's plain resolvent (x + i)^-1 = g(x) - i cayley(x) comes from the
+odd g and the even cayley of D + D'.  They equal the full-matrix
+evaluation up to roundoff, not bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .funcalc import RESOLVENT_PLUS, ChiralSpectrum, ParityBlocks, bounded_transform_function, map_grid
+from .funcalc import CAYLEY, MULTIPLIER_G, ChiralSpectrum, ParityBlocks, bounded_transform_function, map_grid
 from .graded import (
     GradedMatrix,
     GradedSpace,
@@ -235,7 +237,7 @@ def _transform_weights(d: OddSelfAdjoint, d_prime: OddSelfAdjoint, n_values, sca
         raise ValueError("transform scales must be non-empty and positive")
     spectra = ChiralSpectrum.of(d), ChiralSpectrum.of(d_prime)
     transforms = [bounded_transform_function(n) for n in n_values]
-    return spectra, tuple(np.concatenate([spec.weights(f, scales)[1] for f in transforms]) for spec in spectra)
+    return spectra, tuple(np.concatenate([spec.weights(f, scales) for f in transforms]) for spec in spectra)
 
 
 def transform_commutator_check(
@@ -265,7 +267,7 @@ def transform_commutator_check(
         # B = b[e, o] it is diag(A B* + B A*, A* B + B* A)
         a, b = spec_d.odd_block(w_d[rows]), spec_dp.odd_block(w_dp[rows])
         upper, lower = a @ adjoint(b), adjoint(a) @ b
-        return ParityBlocks(upper + adjoint(upper), None, None, lower + adjoint(lower)).norms(hermitian=True)
+        return ParityBlocks(0, upper + adjoint(upper), lower + adjoint(lower)).norms(hermitian=True)
 
     lhs = map_grid(odd_commutator_norms, np.arange(len(w_d)), d.space.dim).reshape(len(n_grid), -1)
     return lhs, rhs
@@ -301,7 +303,7 @@ def transform_sum_sweep(
 
     n_grid defaults to 2^k max(||D||, ||D'||) for k = 0 .. 6.  The odd
     transforms of s D and s D' come from their chiral spectra, the plain
-    resolvent from that of D + D', all in parity order.
+    resolvent from that of D + D' as g - i cayley, all in parity order.
     """
     grid = checked_t_grid(t_grid)
     scales = 1.0 / grid
@@ -314,14 +316,16 @@ def transform_sum_sweep(
     shift = 1j * np.eye(d.space.dim)
 
     def defects_of(columns):
-        # the plain resolvent of a chunk of t values, built once for every N.
-        # The smoothed sum S is odd with off-diagonal block A_N + A'_N; S is
+        # the plain resolvent of a chunk of t values, built once for every N
+        # from its odd and even parts, (x + i)^-1 = g(x) - i cayley(x).  The
+        # smoothed sum S is odd with off-diagonal block A_N + A'_N; S is
         # Hermitian, so ||(S + i)^-1|| <= 1 and the inverse is well conditioned
-        plain = spec_sum.blocks(RESOLVENT_PLUS, scales[columns]).dense()
+        s = scales[columns]
+        plain = spec_sum.blocks(MULTIPLIER_G, s).dense() - 1j * spec_sum.blocks(CAYLEY, s).dense()
         by_n = []
         for rows in columns + grid.size * np.arange(n_values.size)[:, None]:
             upper = spec_d.odd_block(w_d[rows]) + spec_dp.odd_block(w_dp[rows])
-            smoothed = np.linalg.inv(ParityBlocks(None, upper, adjoint(upper), None).dense() + shift)
+            smoothed = np.linalg.inv(ParityBlocks(1, upper, adjoint(upper)).dense() + shift)
             by_n.append(operator_norms(smoothed - plain))
         return np.stack(by_n, -1)
 

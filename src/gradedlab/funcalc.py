@@ -9,17 +9,18 @@ An odd D is computed in its chiral form.  Its space is in parity order,
 so D = [[0, A], [A*, 0]] with A its [e, o] block, a slice at index #e.
 ChiralSpectrum holds the SVD A = U Sigma V*, and with W = diag(U, V),
 W* D W is a sum of 2 x 2 blocks [[0, sigma], [sigma, 0]] plus |#e - #o|
-exact zeros.  So f(s D) is U f_even(s Sigma) U* and
-V f_even(s Sigma) V* on the diagonal parity blocks and U f_odd(s Sigma) V*
-on the off-diagonal ones, with f_even(x) = (f(x) + f(-x))/2 and
-f_odd(x) = (f(x) - f(-x))/2.  An even or odd f gives an exactly even or
-odd f(s D), and gamma f(D) gamma equals f(-D) (the scale -1) bit for bit.
-Results come as ParityBlocks, stacks held as their four parity blocks:
-products skip the zero blocks, and ParityBlocks.norms takes the norm of a
-homogeneous matrix from its two half-size blocks.  Every stack is gathered
-at its known parity, p(f) + p(a), never found by scanning.  Profiles over
-a t-grid evaluate a chunk of scales at a time, and map_grid cuts the grid
-into chunks that hold at most STACK_ENTRIES entries.
+exact zeros.  So an even f gives f(s D) as U f(s Sigma) U* and
+V f(s Sigma) V* on the diagonal parity blocks, and an odd f as
+U f(s Sigma) V* and its partner on the off-diagonal ones: f(s D) is
+exactly even or odd, and gamma f(D) gamma equals f(-D) (the scale -1) bit
+for bit.  The chiral calculus takes an even or odd f only; the plain
+resolvent (x + i)^-1 is g(x) - i cayley(x), its odd and even parts.
+Results come as ParityBlocks, a stack of one parity held as its two
+nonzero half-size blocks: products run on those blocks, and
+ParityBlocks.norms takes the norm of each matrix from them.  Every stack
+is gathered at its known parity, p(f) + p(a), never found by scanning.
+Profiles over a t-grid evaluate a chunk of scales at a time, and map_grid
+cuts the grid into chunks that hold at most STACK_ENTRIES entries.
 
 The resolvents R+-(x) = (x +- i)^-1 have commutators of a factored norm.
 For homogeneous a, R(x) (x +- i) = 1 gives
@@ -42,6 +43,7 @@ be certified without sampling, and parities that construction checks.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -75,9 +77,9 @@ class ScalarFunction:
     """Named real-to-complex function with optional sup norm and parity.
 
     parity is 0 for even functions, 1 for odd ones, None when mixed or
-    unknown; the chiral calculus drops the part a declared parity makes
-    zero, so construction checks f(-x) = (-1)^parity f(x) exactly at
-    x = 0.25, 0.5, 1 and 3.  sup_norm is None when no bound was declared.
+    unknown.  The chiral calculus takes only a declared parity and drops
+    the part it makes zero, so construction checks f(-x) = (-1)^parity f(x)
+    exactly at x = 0.25, 0.5, 1 and 3.  sup_norm is None when no bound was declared.
     increment, when declared, computes f(x) - f(0) without the cancellation
     that subtracting f(0) suffers near x = 0.
     """
@@ -89,6 +91,8 @@ class ScalarFunction:
     increment: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
+        if self.parity is not None:
+            object.__setattr__(self, "parity", operator.index(self.parity))
         if self.parity not in (None, 0, 1):
             raise ValueError("parity must be None, 0 or 1")
         with np.errstate(all="ignore"):
@@ -196,15 +200,6 @@ class Spectrum:
         return (self.eigenvectors * np.asarray(f(scale * self.eigenvalues))) @ adjoint(self.eigenvectors)
 
 
-def _add(x, y):
-    """x + y, where None stands for an exact zero."""
-    return y if x is None else x if y is None else x + y
-
-
-def _product(x, y):
-    return None if x is None or y is None else x @ y
-
-
 def _block_norms(x: np.ndarray, hermitian: bool) -> np.ndarray:
     """Largest |eigenvalue| of finite Hermitian blocks; else operator_norms, which raises on non-finite entries."""
     if hermitian and np.isfinite(x).all():
@@ -214,76 +209,62 @@ def _block_norms(x: np.ndarray, hermitian: bool) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ParityBlocks:
-    """A (..., d, d) stack in parity order, held as its blocks [[ee, eo], [oe, oo]].
+    """A (..., d, d) stack in parity order of one parity, held as its two nonzero blocks.
 
-    ee is #e x #e, eo is #e x #o, and so on; leading axes are stack axes.
-    A parity part known to be zero is None: a stack is even (ee, None, None,
-    oo), odd (None, eo, oe, None) or mixed.  Each producer declares the
-    parity (ChiralSpectrum.blocks f's, gather its argument's), and no part is
-    dropped for being exactly zero.  Sums and products skip the None blocks,
-    so products of homogeneous stacks run on half-size blocks.
+    An even stack (parity 0) is [[top, 0], [0, bottom]] and an odd one
+    (parity 1) is [[0, top], [bottom, 0]]: top holds the #e even rows (ee
+    or eo) and bottom the #o odd rows (oo or oe).  Leading axes are stack
+    axes.  Each producer declares the parity (ChiralSpectrum.blocks f's,
+    gather its argument's), so no block is dropped for being exactly zero.
+    Stacks of one parity add and subtract, and a product has the sum of
+    its factors' parities, so products run on half-size blocks.
     """
 
-    ee: np.ndarray | None
-    eo: np.ndarray | None
-    oe: np.ndarray | None
-    oo: np.ndarray | None
+    parity: int
+    top: np.ndarray
+    bottom: np.ndarray
 
     @classmethod
     def gather(cls, space: GradedSpace, m: np.ndarray, parity: int) -> "ParityBlocks":
         """The parity blocks, as views, of a (..., d, d) stack on space whose parity, 0 or 1, the caller knows."""
         k = space.even
         if parity:
-            return cls(None, m[..., :k, k:], m[..., k:, :k], None)
-        return cls(m[..., :k, :k], None, None, m[..., k:, k:])
-
-    @property
-    def blocks(self) -> tuple:
-        return self.ee, self.eo, self.oe, self.oo
+            return cls(1, m[..., :k, k:], m[..., k:, :k])
+        return cls(0, m[..., :k, :k], m[..., k:, k:])
 
     def __add__(self, other: "ParityBlocks") -> "ParityBlocks":
-        return ParityBlocks(*map(_add, self.blocks, other.blocks))
+        if other.parity != self.parity:
+            raise ValueError("only parity-block stacks of one parity add or subtract")
+        return ParityBlocks(self.parity, self.top + other.top, self.bottom + other.bottom)
 
     def __sub__(self, other: "ParityBlocks") -> "ParityBlocks":
-        return self + ParityBlocks(*(None if x is None else -x for x in other.blocks))
+        return self + ParityBlocks(other.parity, -other.top, -other.bottom)
 
     def __matmul__(self, other: "ParityBlocks") -> "ParityBlocks":
-        a, b = self, other
-        return ParityBlocks(
-            _add(_product(a.ee, b.ee), _product(a.eo, b.oe)),
-            _add(_product(a.ee, b.eo), _product(a.eo, b.oo)),
-            _add(_product(a.oe, b.ee), _product(a.oo, b.oe)),
-            _add(_product(a.oe, b.eo), _product(a.oo, b.oo)),
-        )
+        p = self.parity
+        return ParityBlocks(p ^ other.parity, self.top @ (other.bottom if p else other.top),
+                            self.bottom @ (other.top if p else other.bottom))
 
     def dense(self) -> np.ndarray:
         """The stack as (..., d, d) matrices in parity order."""
-        ee, eo, oe, oo = self.blocks
-        if eo is None:
-            eo = np.zeros(ee.shape[:-1] + oo.shape[-1:], ee.dtype)
-            oe = np.zeros(oo.shape[:-1] + ee.shape[-1:], oo.dtype)
-        elif ee is None:
-            ee = np.zeros(eo.shape[:-1] + oe.shape[-1:], eo.dtype)
-            oo = np.zeros(oe.shape[:-1] + eo.shape[-1:], oe.dtype)
-        return np.block([[ee, eo], [oe, oo]])
+        top, bottom = self.top, self.bottom
+        upper = [top, np.zeros(top.shape[:-1] + bottom.shape[-1:], top.dtype)]
+        lower = [np.zeros(bottom.shape[:-1] + top.shape[-1:], bottom.dtype), bottom]
+        order = slice(None, None, 1 - 2 * self.parity)  # an odd stack's blocks sit off the diagonal
+        return np.block([upper[order], lower[order]])
 
     def norms(self, hermitian: bool = False) -> np.ndarray:
-        """Operator norm of each matrix of the stack.
-
-        A homogeneous matrix takes the larger of its two half-size block
-        norms, from one operator_norms call (the Gram kernel) per block
-        shape; hermitian marks an even Hermitian stack, whose block norms
-        are the largest |eigenvalue| of the blocks themselves.  A mixed
-        matrix takes the full-size norm.
-        """
-        ee, eo, oe, oo = self.blocks
-        if eo is not None and ee is not None:
-            return operator_norms(self.dense())
-        pair = (ee, oo) if eo is None else (eo, oe.swapaxes(-1, -2))
-        hermitian = hermitian and eo is None
-        if pair[0].shape == pair[1].shape:
-            return _block_norms(np.stack(pair), hermitian).max(axis=0)
-        return np.maximum(*(_block_norms(x, hermitian) for x in pair))
+        """Operator norm of each matrix of the stack: the larger of its two
+        block norms, from one operator_norms call (the Gram kernel) per block
+        shape.  hermitian marks an even Hermitian stack, whose block norms
+        are the largest |eigenvalue| of the blocks themselves."""
+        top, bottom = self.top, self.bottom
+        if self.parity:
+            bottom = bottom.swapaxes(-1, -2)
+        hermitian = hermitian and not self.parity
+        if top.shape == bottom.shape:
+            return _block_norms(np.stack((top, bottom)), hermitian).max(axis=0)
+        return np.maximum(_block_norms(top, hermitian), _block_norms(bottom, hermitian))
 
 
 @dataclass(frozen=True)
@@ -315,27 +296,23 @@ class ChiralSpectrum:
         _check_decomposition("chiral decomposition", (u[:, : sigma.size] * sigma) @ vh[: sigma.size] - a, sigma, u, vh)
         return cls(sigma, u, adjoint(vh))
 
-    def weights(self, f: ScalarFunction, scales, increment: bool = False) -> tuple:
-        """Even and odd chiral weights of f(s D) for each s in scales, or with
-        increment of f(s D) - f(0), from f.increment when declared.
+    def weights(self, f: ScalarFunction, scales, increment: bool = False) -> np.ndarray:
+        """Chiral weights of f(s D) for each s in scales, at f's declared
+        parity, or with increment of f(s D) - f(0), from f.increment when
+        declared.  An f of no declared parity raises ValueError.
 
         An even row runs over the chiral basis, e side then o side:
-        f_even(s sigma) on the k paired indices of each side and f(0) on
-        the others.  An odd row is f_odd(s sigma).  A part that f's declared
-        parity makes exactly zero is None.
+        f(s sigma) on the k paired indices of each side and f(0) on the
+        others.  An odd row is f(s sigma), the weight between the two
+        indices of each pair.
         """
+        if f.parity is None:
+            raise ValueError(f"the chiral calculus takes an even or odd function, and {f.name} declares no parity")
         g = f
         if increment:
             g = f.increment or (lambda x: f(x) - f(np.zeros(1))[0])
-        x = np.asarray(scales, dtype=float)[:, None] * self.singular_values
-        paired = odd = np.asarray(g(x))
-        if f.parity == 1:
-            return None, odd
-        if f.parity is None:
-            minus = np.asarray(g(-x))
-            paired, odd = (paired + minus) * 0.5, (paired - minus) * 0.5
-        even = self._spread(paired, np.asarray(g(np.zeros(1)))[0])
-        return even, (odd if f.parity is None else None)
+        values = np.asarray(g(np.asarray(scales, dtype=float)[:, None] * self.singular_values))
+        return values if f.parity else self._spread(values, np.asarray(g(np.zeros(1)))[0])
 
     def _spread(self, paired: np.ndarray, unpaired=0.0) -> np.ndarray:
         """(..., #e + #o) rows over the chiral basis from (..., k) values per
@@ -351,25 +328,17 @@ class ChiralSpectrum:
         return (self.u[:, :k] * odd[:, None, :]) @ adjoint(self.v[:, :k])
 
     def blocks(self, f: ScalarFunction, scales, increment: bool = False) -> ParityBlocks:
-        """f(s D), or f(s D) - f(0) with increment, for each s in scales:
-        U diag(even_e) U* and V diag(even_o) V* from the even weights, and
-        U diag(odd) V* with its partner V diag(odd) U* from the odd ones.
-        The parts are those weights returns, so the stack has f's declared
-        parity (an odd f of a zero D gives an odd zero stack), and an f of
-        no declared parity gives a mixed one."""
-        (u, v), (even, odd), ne = (self.u, self.v), self.weights(f, scales, increment), len(self.u)
-        ee = eo = oe = oo = None
-        if odd is not None:
-            eo, k = self.odd_block(odd), odd.shape[-1]
-            real = not (np.iscomplexobj(odd) and np.any(odd.imag))
-            oe = adjoint(eo) if real else (v[:, :k] * odd[:, None, :]) @ adjoint(u[:, :k])
-        if even is not None:
-            ee, oo = (u * even[:, None, :ne]) @ adjoint(u), (v * even[:, None, ne:]) @ adjoint(v)
-        return ParityBlocks(ee, eo, oe, oo)
-
-    def apply(self, f: ScalarFunction, scale: float = 1.0) -> np.ndarray:
-        """Matrix of f(scale * D), in the parity order of D's space."""
-        return self.blocks(f, [scale]).dense()[0]
+        """f(s D), or f(s D) - f(0) with increment, for each s in scales, at
+        f's declared parity: U diag(w_e) U* and V diag(w_o) V* from even
+        weights w, and U diag(w) V* with its partner V diag(w) U* from odd
+        ones, the partner the adjoint when w is real.  So an odd f of a zero
+        D gives an odd zero stack, and an f of no declared parity raises
+        ValueError."""
+        (u, v), w, ne = (self.u, self.v), self.weights(f, scales, increment), len(self.u)
+        if not f.parity:
+            return ParityBlocks(0, (u * w[:, None, :ne]) @ adjoint(u), (v * w[:, None, ne:]) @ adjoint(v))
+        eo, k = self.odd_block(w), w.shape[-1]
+        return ParityBlocks(1, eo, adjoint(eo) if np.isrealobj(w) else (v[:, :k] * w[:, None, :]) @ adjoint(u[:, :k]))
 
     def chiral_parts(self, a: GradedMatrix) -> tuple[int, np.ndarray]:
         """The operands of commutator_norms for a homogeneous a (a mixed one
@@ -383,8 +352,8 @@ class ChiralSpectrum:
         if a.parity is None:
             raise ValueError("commutator norms take a homogeneous generator; split a mixed one into its parity parts")
         u, v = self.u, self.v
-        m = (ParityBlocks(adjoint(u), None, None, adjoint(v)) @ ParityBlocks.gather(a.space, a.entries, a.parity)
-             @ ParityBlocks(u, None, None, v)).dense()
+        m = (ParityBlocks(0, adjoint(u), adjoint(v)) @ ParityBlocks.gather(a.space, a.entries, a.parity)
+             @ ParityBlocks(0, u, v)).dense()
         ne, k = len(u), self.singular_values.size
         partner = np.arange(m.shape[-1])
         partner[:k] += ne
@@ -420,12 +389,12 @@ class ChiralSpectrum:
         and R-.
         """
         (p, (m, rows, cols, khat)), space = parts, GradedSpace(len(self.u), len(self.v))
-        even = self.weights(GAUSS0, scales)[0]
+        even = self.weights(GAUSS0, scales)
         columns = [ParityBlocks.gather(space, (even[:, :, None] - even[:, None, :]) * m, p).norms()]
-        odd = self._spread(self.weights(GAUSS1, scales)[1])
+        odd = self._spread(self.weights(GAUSS1, scales))
         columns.append(ParityBlocks.gather(space, odd[:, :, None] * rows - cols * odd[:, None, :], 1 - p).norms())
         # building the factored stack after the gauss stacks, not before them, measured ~2% faster at d = 127
-        rho = np.sqrt(self.weights(CAYLEY, scales)[0])
+        rho = np.sqrt(self.weights(CAYLEY, scales))
         scaled = (np.asarray(scales, dtype=float)[:, None] * rho)[:, :, None] * khat * rho[:, None, :]
         resolvent = ParityBlocks.gather(space, scaled, 1 - p).norms()
         return np.stack([*columns, resolvent, resolvent], -1)

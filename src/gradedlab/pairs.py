@@ -24,13 +24,13 @@ from ChiralSpectrum.commutator_norms, which holds the resolvent rule: for
 a generator a, real or complex, both resolvent commutators have the norm
 s ||rho(s D) [D, a] rho(s D)|| with rho(x) = (1 + x^2)^(-1/2), taken once
 for both columns.  The defects are formed from the parity blocks of
-f(s D), with e^{-x^2} written as 1 + expm1(-x^2) so the leading
-identities cancel exactly.  Generators are homogeneous, so every stack
-has the known parity p(f) + p(a) and its norm comes from two half-size
-parity blocks.  So the profiles match
-a point-by-point evaluation of the same formulas through Spectrum.apply
-to roundoff, not bit for bit.  Profiles hold numbers only; reporting
-writes them out.
+f(s D), a stack of f's parity, with e^{-x^2} written as 1 + expm1(-x^2)
+so the leading identities cancel exactly.  Generators are homogeneous, so
+every stack has the known parity p(f) + p(a), sums take stacks of one
+parity only, and each norm comes from two half-size parity blocks.  So
+the profiles match a point-by-point evaluation of the same formulas
+through Spectrum.apply to roundoff, not bit for bit.  Profiles hold
+numbers only; reporting writes them out.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ import gradedlab.bott
 from gradedlab import GradedMatrix, GradedSpace, OddSelfAdjoint
 from gradedlab.bott import bott_dirac
 from gradedlab.estimates import pade_exps
-from gradedlab.funcalc import ParityBlocks
+from gradedlab.funcalc import CAYLEY, MULTIPLIER_G, ParityBlocks
 from gradedlab.graded import negligible, operator_norms
 from gradedlab.pairs import COMMUTATION_EXPONENT_THRESHOLD, COMPOSE_EXPONENT_THRESHOLD
 
@@ -44,6 +44,20 @@ def as_odd(m: GradedMatrix) -> OddSelfAdjoint:
 
 SX = as_odd(SIGMA_X)
 SY = as_odd(SIGMA_Y)
+
+
+def chiral_apply(spec, f, scale: float = 1.0) -> np.ndarray:
+    """Matrix of f(scale * D) from the chiral spectrum of D, in the parity order of D's space."""
+    return spec.blocks(f, [scale]).dense()[0]
+
+
+def homogeneous_parts(f) -> list:
+    """(coefficient, function) pairs of declared parity that sum to f: f
+    itself, or for a resolvent (x -+ i)^-1, of no declared parity, its odd
+    and even parts g(x) and f(0) cayley(x), with f(0) = -+i."""
+    if f.parity is not None:
+        return [(1.0, f)]
+    return [(1.0, MULTIPLIER_G), (complex(f(np.zeros(1))[0]), CAYLEY)]
 
 
 def max_abs(matrix) -> float:

@@ -20,7 +20,6 @@ from gradedlab.experiments import (
     load_config,
     run_experiment,
 )
-from gradedlab.funcalc import ParityBlocks
 from gradedlab.pairs import DecayProfile, grid_profiles
 from gradedlab.reporting import REPORT_SCHEMA, BoundCertificate, emit_report
 
@@ -181,24 +180,6 @@ def test_check_registry_matches_the_emitted_names(tmp_path):
         assert names <= set(CHECKS), experiment
         emitted |= names
     assert emitted == set(CHECKS)
-
-
-def test_toy_experiments_take_no_mixed_parity_norm(tmp_path, monkeypatch):
-    """The seven experiments at toy size take every norm of a homogeneous
-    stack: no ParityBlocks.norms call meets a mixed one.  compose's trivial
-    composition, whose second operator is zero, once gave mixed defects,
-    because gauss1 of a zero operator came out as an even zero stack."""
-    mixed, norms = [], ParityBlocks.norms
-
-    def recording(self, *args, **kwargs):
-        if self.ee is not None and self.eo is not None:
-            mixed.append(experiment)
-        return norms(self, *args, **kwargs)
-
-    monkeypatch.setattr(ParityBlocks, "norms", recording)
-    for experiment, fields in SMALL.items():
-        run_experiment(load_config(write_config(tmp_path, experiment=experiment, **fields)))
-    assert mixed == []
 
 
 def test_one_resolvable_fit_point_exits_1(tmp_path):

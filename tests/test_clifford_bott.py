@@ -40,6 +40,7 @@ from helpers import (
     as_odd,
     bott_nonzeros,
     bott_operator,
+    chiral_apply,
     commutes_asymptotically,
     composes,
     dc_nonzeros,
@@ -233,7 +234,7 @@ def test_multiplication_generators_match_the_dense_calculus(n_basis):
     x_even = np.zeros((ops.space.dim, ops.space.dim))  # x (x) 1, sector by sector
     x_even[:n_basis, :n_basis], x_even[n_basis:, n_basis:] = ops.x, ops.x[:-1, :-1]
     dense = {"mult_even": Spectrum.of(x_even).apply(CAYLEY),
-             "mult_odd": ChiralSpectrum.of(ops.clifford_mult).apply(MULTIPLIER_G)}
+             "mult_odd": chiral_apply(ChiralSpectrum.of(ops.clifford_mult), MULTIPLIER_G)}
     for name, want in dense.items():
         assert gens[name].space == ops.space
         assert np.abs(gens[name].entries - want).max() <= 1e-13 * operator_norm(want), name

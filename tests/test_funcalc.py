@@ -150,7 +150,7 @@ def test_scalar_function_checks_its_declared_parity():
     points, raises: MULTIPLIER_G declared even or with parity 2 would
     lose its odd part.  The named functions and the transforms, down to an
     N whose square underflows, declare theirs exactly."""
-    for parity in (2, -1, 0.5):
+    for parity in (2, -1):
         with pytest.raises(ValueError, match="parity must be"):
             ScalarFunction("g", MULTIPLIER_G.fn, 0.5, parity)
     with pytest.raises(ValueError, match="not even"):
@@ -160,6 +160,17 @@ def test_scalar_function_checks_its_declared_parity():
             ScalarFunction(f.name, f.fn, f.sup_norm, 1)
     for n in (1e-200, 1.0, 3.0, MAX_TRANSFORM_SCALE):
         bounded_transform_function(n)
+
+
+def test_scalar_function_parity_is_an_integer():
+    """parity passes through operator.index, as GradedSpace's counts do: a
+    float raises TypeError whether or not f has that parity, where 1.0 once
+    constructed an odd function whose parity broke the parity-block product,
+    and a wrong 1.0 failed on a tuple index.  An integer type is stored as an int."""
+    for fn in (lambda x: x**3, lambda x: x + 1.0):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            ScalarFunction("h", fn, None, 1.0)
+    assert type(ScalarFunction("h", lambda x: x**3, None, np.int64(1)).parity) is int
 
 
 def test_bounded_transform_norm_bound():
@@ -232,19 +243,48 @@ def test_spectrum_rejects_non_hermitian():
 @pytest.mark.parametrize("hermitian", [True, False])
 def test_parity_block_norms_refuse_non_finite_entries(block, hermitian):
     """Both block-norm kernels raise on NaN, the Hermitian eigvalsh one as
-    the Gram kernel does, rather than read a norm off the finite entries."""
+    the Gram kernel does, rather than read a norm off the finite entries;
+    an odd stack, which takes the Gram kernel whether or not it is marked
+    Hermitian, raises too."""
     x = np.array([block])
-    with pytest.raises(np.linalg.LinAlgError):
-        ParityBlocks(x, None, None, x).norms(hermitian=hermitian)
+    for parity in (0, 1):
+        with pytest.raises(np.linalg.LinAlgError):
+            ParityBlocks(parity, x, x).norms(hermitian=hermitian)
+
+
+def test_parity_blocks_add_one_parity_only():
+    """Stacks of two parities have no two-block sum: adding or subtracting
+    an even stack and an odd one raises ValueError, either way round."""
+    space = GradedSpace(3, 2)
+    m = np.arange(25.0).reshape(1, 5, 5)
+    even, odd = (ParityBlocks.gather(space, m, parity) for parity in (0, 1))
+    for x, y in ((odd, even), (even, odd)):
+        for combine in (lambda x, y: x + y, lambda x, y: x - y):
+            with pytest.raises(ValueError, match="one parity"):
+                combine(x, y)
+    assert np.array_equal((odd + odd).dense(), 2 * parity_parts(space, m)[1])
+
+
+def test_chiral_calculus_refuses_a_function_of_no_declared_parity():
+    """The chiral weights and blocks exist at f's declared parity only, so
+    the resolvents raise a ValueError naming them; the plain resolvent is
+    g - i cayley, its odd and even parts."""
+    d = random_odd_selfadjoint(rng_for(74), GradedSpace(3, 2))
+    spec = ChiralSpectrum.of(d)
+    for method in (spec.weights, spec.blocks):
+        with pytest.raises(ValueError, match="resolvent\\+"):
+            method(RESOLVENT_PLUS, [1.0])
+    plain = spec.blocks(MULTIPLIER_G, [0.5]).dense()[0] - 1j * spec.blocks(CAYLEY, [0.5]).dense()[0]
+    assert max_abs(plain - Spectrum.of(d).apply(RESOLVENT_PLUS, 0.5)) <= 1e-14
 
 
 @pytest.mark.parametrize("increment", [False, True])
 @pytest.mark.parametrize("zero", [False, True])
 def test_chiral_blocks_have_the_declared_parity(zero, increment):
     """ChiralSpectrum.blocks(f, scales) has the parity f declares, on a random
-    D and on the zero operator alike: None diagonal parts for odd f, None
-    off-diagonal ones for even f, and the other parts present.  So gauss1 and
-    g of a zero D give an odd zero stack, not an even one."""
+    D and on the zero operator alike, with top and bottom the #e and #o rows
+    of its diagonal blocks for even f and of its off-diagonal ones for odd
+    f.  So gauss1 and g of a zero D give an odd zero stack, not an even one."""
     space = GradedSpace(3, 2)
     d = random_odd_selfadjoint(rng_for(73), space)
     if zero:
@@ -253,9 +293,10 @@ def test_chiral_blocks_have_the_declared_parity(zero, increment):
     declared = [f for f in NAMED_FUNCTIONS if f.parity is not None]
     assert {f.parity for f in declared} == {0, 1}
     for f in declared:
-        ee, eo, oe, oo = spec.blocks(f, [1.0, 0.5], increment=increment).blocks
-        absent, present = ((ee, oo), (eo, oe)) if f.parity == 1 else ((eo, oe), (ee, oo))
-        assert all(x is None for x in absent) and all(x is not None for x in present), f.name
+        stack = spec.blocks(f, [1.0, 0.5], increment=increment)
+        assert stack.parity == f.parity, f.name
+        shapes = ((2, 3, 2), (2, 2, 3)) if f.parity else ((2, 3, 3), (2, 2, 2))
+        assert (stack.top.shape, stack.bottom.shape) == shapes, f.name
 
 
 def test_chiral_spectrum_refuses_a_plain_graded_matrix():

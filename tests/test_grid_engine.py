@@ -82,7 +82,7 @@ from gradedlab.sampling import (
     rng_for,
 )
 
-from helpers import as_odd, matrix_exp_oracle
+from helpers import as_odd, homogeneous_parts, matrix_exp_oracle
 
 GRID_FUNCTIONS = (*NAMED_FUNCTIONS, bounded_transform_function(3.0))
 # 4 runs every grid in one stack; 34 needs 14-matrix chunks, so grids cross chunk boundaries
@@ -116,10 +116,7 @@ def stack_rows(monkeypatch):
 
         return wrapper
 
-    def blocks_length(out):
-        return next(block for block in out.blocks if block is not None).shape[0]
-
-    monkeypatch.setattr(ChiralSpectrum, "blocks", recording(ChiralSpectrum.blocks, blocks_length))
+    monkeypatch.setattr(ChiralSpectrum, "blocks", recording(ChiralSpectrum.blocks, lambda out: len(out.top)))
     monkeypatch.setattr(ChiralSpectrum, "odd_block", recording(ChiralSpectrum.odd_block, len))
     monkeypatch.setattr(ChiralSpectrum, "commutator_norms", recording(ChiralSpectrum.commutator_norms, len))
     return rows
@@ -132,11 +129,18 @@ def within_cap(stack_rows, dim):
 # -- the primitive -----------------------------------------------------------
 
 
+def chiral_stack(spec, f, scales):
+    """f(s D) for each s in scales from ChiralSpectrum.blocks, which takes an
+    even or odd f; a resolvent as the sum of its two parts."""
+    return sum(c * spec.blocks(part, scales).dense() for c, part in homogeneous_parts(f))
+
+
 @pytest.mark.parametrize("dim", [2, 8, 16, 31, 127])
 def test_apply_grid_rows_equal_apply(dim):
     """Rows of a chunked grid of ChiralSpectrum.blocks equal the one-scale
-    evaluation bit for bit, and Spectrum.apply to roundoff.  At odd dim the
-    space has one more even than odd vector, so D has a zero mode."""
+    evaluation bit for bit, and Spectrum.apply to roundoff; the resolvents
+    through their two parts.  At odd dim the space has one more even than
+    odd vector, so D has a zero mode."""
     space = GradedSpace((dim + 1) // 2, dim // 2)
     d = random_odd_selfadjoint(rng_for(dim), space, norm=1.0)
     spec, full = ChiralSpectrum.of(d), Spectrum.of(d)
@@ -144,10 +148,10 @@ def test_apply_grid_rows_equal_apply(dim):
     scales = 1.0 / np.geomspace(1.0, 1e3, per_chunk + 3)
     assert len(grid_chunks(scales.size, dim)) >= 2
     for f in GRID_FUNCTIONS:
-        stacked = map_grid(lambda chunk, f=f: spec.blocks(f, chunk).dense(), scales, dim)
+        stacked = map_grid(lambda chunk, f=f: chiral_stack(spec, f, chunk), scales, dim)
         assert stacked.shape == (scales.size, dim, dim)
         for row, s in zip(stacked, scales):
-            assert np.array_equal(row, spec.blocks(f, [s]).dense()[0]), f.name
+            assert np.array_equal(row, chiral_stack(spec, f, [s])[0]), f.name
             np.testing.assert_allclose(row, full.apply(f, float(s)), rtol=0, atol=1e-12)
 
 
@@ -611,21 +615,23 @@ def test_transform_sum_sweep_matches_oracle(dim, stack_rows):
 
 def test_transform_sum_sweep_builds_each_plain_resolvent_once(monkeypatch):
     """The plain resolvent of s (D + D') depends on t alone: the sweep builds
-    it once per t value for all seven default N, chunk by chunk."""
-    built = []
+    it, as g - i cayley, once per t value for all seven default N, chunk by
+    chunk, and builds no other chiral stack."""
+    built = {}
     blocks = ChiralSpectrum.blocks
 
     def recording(self, f, scales, **kwargs):
-        if f is RESOLVENT_PLUS:
-            built.append(np.array(scales))
+        built.setdefault(f.name, []).append(np.array(scales))
         return blocks(self, f, scales, **kwargs)
 
     monkeypatch.setattr(ChiralSpectrum, "blocks", recording)
     _, pair, d_prime = operands(34)
     grid = default_t_grid(10.0, 1e3, 30)
     transform_sum_sweep(pair.d, d_prime, grid)
-    assert [len(scales) for scales in built] == [14, 14, 2]
-    assert np.array_equal(np.concatenate(built), 1.0 / grid)
+    assert sorted(built) == ["cayley", "g"]
+    for chunks in built.values():
+        assert [len(scales) for scales in chunks] == [14, 14, 2]
+        assert np.array_equal(np.concatenate(chunks), 1.0 / grid)
 
 
 def mp_sweep_defect(d, d_prime, n, t):

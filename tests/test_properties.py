@@ -54,6 +54,8 @@ from gradedlab.sampling import (
     rng_for,
 )
 
+from helpers import chiral_apply, homogeneous_parts
+
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None, max_examples=40)
 TIER1 = settings.get_profile("tier1")
 
@@ -204,16 +206,17 @@ def chiral_operator(rng, n_even, n_odd, rank, real):
 @given(SEEDS, st.integers(1, 8), st.integers(1, 8), st.integers(0, 8), st.booleans(), st.floats(0.1, 5.0))
 def test_chiral_spectrum_on_random_parities(seed, n_even, n_odd, rank, real, scale):
     """f(s D) from the chiral spectrum is exactly even for even f and exactly
-    odd for odd f, and gamma f(s D) gamma is f(-s D) bit for bit.  The
+    odd for odd f, and gamma f(s D) gamma is f(-s D) bit for bit, the
+    resolvents (x -+ i)^-1 included as g(x) + f(0) cayley(x).  The
     parity-block norms of f(s D) a match the full-matrix norms of the eigh
-    calculus to 1e-12 relative, for even, odd and mixed f and for even, odd
-    and mixed a (gathered as its two parity parts), and so do those of
-    [f(s D), a] for even and odd a in each PAIR_FUNCTIONS column;
-    chiral_parts refuses the mixed a.  A mixed product, as the resolvents'
-    is, real D and a included, takes the full-size norm.  The tolerance is
-    the eigh calculus's own roundoff: f(s (D + E)) with ||E|| ~ eps ||D||,
-    or 32 eps (1 + s ||D||) ||a|| absolute for these functions of Lipschitz
-    constant at most 1."""
+    calculus to 1e-12 relative for homogeneous f and a, and so do those of
+    [f(s D), a] in each PAIR_FUNCTIONS column.  A resolvent or a mixed a
+    (a sum of its two parity parts) has no one-parity stack: the parity
+    blocks refuse the mixed sum and chiral_parts the mixed a, and the dense
+    sum of the homogeneous parts' products is the full product.  The
+    tolerance is the eigh calculus's own roundoff: f(s (D + E)) with
+    ||E|| ~ eps ||D||, or 32 eps (1 + s ||D||) ||a|| absolute for these
+    functions of Lipschitz constant at most 1."""
     rng = rng_for(seed)
     d = chiral_operator(rng, n_even, n_odd, min(rank, n_even, n_odd), real)
     space, signs, k = d.space, d.space.gamma_signs(), d.space.even
@@ -223,25 +226,33 @@ def test_chiral_spectrum_on_random_parities(seed, n_even, n_odd, rank, real, sca
     commutators = [dict(zip(PAIR_FUNCTIONS, chiral.commutator_norms([scale], chiral.chiral_parts(a))[0]))
                    for a in gens]
     blocks = [ParityBlocks.gather(space, a.entries, a.parity) for a in gens]
-    gens.append(gens[0] + gens[1])
+    mixed = gens[0] + gens[1]
     with pytest.raises(ValueError, match="homogeneous"):
-        chiral.chiral_parts(gens[2])
-    blocks.append(blocks[0] + blocks[1])
-    commutators.append({})
+        chiral.chiral_parts(mixed)
+    with pytest.raises(ValueError, match="one parity"):
+        blocks[0] + blocks[1]
     for f in FUNCTIONS:
-        value = chiral.apply(f, scale)
-        assert np.array_equal(signs[:, None] * value * signs[None, :], chiral.apply(f, -scale)), f.name
+        parts = homogeneous_parts(f)
+        value, flipped = (sum(c * chiral_apply(chiral, part, s) for c, part in parts) for s in (scale, -scale))
+        assert np.array_equal(signs[:, None] * value * signs[None, :], flipped), f.name
         if f.parity is not None:
             zero_blocks = [value[:k, k:], value[k:, :k]] if f.parity == 0 else [value[:k, :k], value[k:, k:]]
             assert not any(np.any(block) for block in zero_blocks), f.name
         full = spec.apply(f, scale)
         for a, a_blocks, columns in zip(gens, blocks, commutators):
             floor = 32 * np.finfo(float).eps * (1 + scale * operator_norm(d)) * operator_norm(a)
-            product = (chiral.blocks(f, [scale]) @ a_blocks).norms()[0]
-            assert abs(product - operator_norm(full @ a.entries)) <= 1e-12 * product + floor, f.name
+            for _, part in parts:
+                product = (chiral.blocks(part, [scale]) @ a_blocks).norms()[0]
+                want = operator_norm(spec.apply(part, scale) @ a.entries)
+                assert abs(product - want) <= 1e-12 * product + floor, (f.name, part.name)
             if f in columns:
                 want = operator_norm(graded_commutator(GradedMatrix(space, full), a))
                 assert abs(columns[f] - want) <= 1e-12 * want + floor, f.name
+        floor = 32 * np.finfo(float).eps * (1 + scale * operator_norm(d)) * operator_norm(mixed)
+        product = operator_norm(sum(c * (chiral.blocks(part, [scale]) @ a_blocks).dense()[0]
+                                    for c, part in parts for a_blocks in blocks))
+        want = operator_norm(full @ mixed.entries)
+        assert abs(product - want) <= 1e-12 * want + floor, f.name
 
 
 @TIER1

@@ -35,7 +35,7 @@ def test_roundoff_changes_are_counted_not_flagged(tmp_path):
     lines, flags = report_diff.compare(tmp_path / "base", tmp_path / "head")
     assert flags == []
     assert lines[0] == "files: 2 of 3 differ"
-    assert "  demo-42/profile.csv  1 lines" in lines
+    assert "  demo-42/profile.csv  1 lines, max rel 5.0e-01, max abs 1.0e+00" in lines
     assert "certificate lines: 1 of 2 differ" in lines
     (row,) = [line for line in lines if " bound " in line]
     assert row.split()[2:5] == ["2", "1", "2.0e-12"]
@@ -67,6 +67,33 @@ def test_verdict_changes_are_flagged(tmp_path, change, expected):
     _, flags = report_diff.compare(tmp_path / "base", tmp_path / "head")
     assert len(flags) == len(expected)
     assert all(flag.startswith("demo-42/") and want in flag for flag, want in zip(flags, expected))
+
+
+def test_csv_roundoff_reports_its_largest_cell_changes(tmp_path):
+    """A CSV whose numbers moved by roundoff is counted, not flagged, with the
+    largest relative and absolute change over its changed cells."""
+    certs = [_cert("bound[a]", 1.0, 2.0)]
+    _write(tmp_path / "base", certs, extra={"profile.csv": "t,value\n1.0e+01,4.0e-03\n2.0e+01,1.0e-06\n"})
+    _write(tmp_path / "head", certs, extra={"profile.csv": "t,value\n1.0e+01,4.0e-03\n2.0e+01,1.0000000001e-06\n"})
+    lines, flags = report_diff.compare(tmp_path / "base", tmp_path / "head")
+    assert flags == []
+    (row,) = [line for line in lines if "profile.csv" in line]
+    assert row == "  demo-42/profile.csv  1 lines, max rel 1.0e-10, max abs 1.0e-16"
+
+
+@pytest.mark.parametrize("head_csv, expected", [
+    ("t,norm\n1.0e+01,4.0e-03\n", "demo-42/profile.csv: header ['t,value'] -> ['t,norm']"),
+    ("t,value\n1.0e+01,4.0e-03\n2.0e+01,1.0e-06\n", "demo-42/profile.csv: 1 rows -> 2"),
+], ids=["header", "rows"])
+def test_a_reshaped_csv_is_flagged(tmp_path, head_csv, expected):
+    """A CSV whose header or row count changed is flagged, as a certificate
+    count change is, and its cells are not compared."""
+    certs = [_cert("bound[a]", 1.0, 2.0)]
+    _write(tmp_path / "base", certs, extra={"profile.csv": "t,value\n1.0e+01,4.0e-03\n"})
+    _write(tmp_path / "head", certs, extra={"profile.csv": head_csv})
+    lines, flags = report_diff.compare(tmp_path / "base", tmp_path / "head")
+    assert flags == [expected]
+    assert "  demo-42/profile.csv  1 lines" in lines
 
 
 def test_a_file_written_by_one_tree_is_flagged(tmp_path):
