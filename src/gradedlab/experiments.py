@@ -8,6 +8,12 @@ summary, all of them numbers that reporting alone turns into text;
 run_experiment wraps them in an ExperimentResult, whose checks count the
 certificates under the claims of CHECKS.  Trials run serially in a fixed
 order so reports are byte-identical for identical configuration and seed.
+
+Every decay rate is certified by a proved constant, t^k value <= rhs(t) at
+the smallest-margin point of the profile's window (_rate_cert): the pair
+bound t ||[f(D/t), a]|| <= c_f ||[D, a]|| (PAIR_CONSTANTS), |cayley(x) - 1|
+<= x^2 and |g(x)| <= |x| for perturb_homom, and the heat-defect bounds of
+_heat_bounds.  The README gives each proof.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from .estimates import (
     transform_commutator_check,
     transform_sum_sweep,
 )
-from .funcalc import MAX_TRANSFORM_SCALE, grid_chunks
+from .funcalc import MAX_TRANSFORM_SCALE, ParityBlocks, grid_chunks
 from .graded import (
     GradedMatrix,
     GradedSpace,
@@ -51,8 +57,6 @@ from .graded import (
     operator_norms,
 )
 from .pairs import (
-    COMMUTATION_EXPONENT_THRESHOLD,
-    COMPOSE_EXPONENT_THRESHOLD,
     AsymptoticPair,
     DecayProfile,
     compose_pairs,
@@ -105,6 +109,9 @@ MAX_MULTIPLICITY = np.iinfo(np.int64).max
 # emit_report), so 0.77 GB at the bound.  commbound certifies each scale twice a trial, so
 # trials x len(n_grid) is bounded by the same budget, 6 MAX_TRIALS.
 MAX_TRIALS = 100_000
+# c_f = (2 pi)^-1 int |xi f^(xi)| d xi of each PAIR_FUNCTIONS entry, by name: with f^(xi) = sqrt(pi) e^(-xi^2/4)
+# for gauss0, -i (xi/2) sqrt(pi) e^(-xi^2/4) for gauss1 and 2 pi e^(-|xi|) on one half-line for each resolvent.
+PAIR_CONSTANTS = {"gauss0": 2.0 / math.sqrt(math.pi), "gauss1": 1.0, "resolvent+": 1.0, "resolvent-": 1.0}
 
 
 @dataclass(frozen=True)
@@ -275,12 +282,12 @@ CHECKS: dict[str, str] = {
     "transform_commutator": "commutator norm of smoothed transforms never exceeds the plain commutator norm",
     "transform_commutator_scaled": "the same contraction holds after t-rescaling, uniformly on the grid",
     "factorization_rate": "t^2 times the even heat-factorization defect reaches the commutator norm within 2%",
-    "factorization_exponent": "even heat-factorization defect decays with exponent -2 +- 0.1",
+    "factorization_exponent": "t^2 times the even heat-factorization defect is at most ||K|| (1 + 2 ||L|| ||R|| / t^2)",
     "factorization_exact": "graded-commuting operators factor exactly (defects at rounding level)",
     "sweep_monotone": "per-scale suprema of the smoothed-sum calculus defect are nonincreasing",
     "sweep_final": "the supremum at the largest transform scale is below 1e-6",
     "relative_bound": "||D (D + D' + i)^-1||^2 <= 1 + ||[D, D']||",
-    "compose_defect": "naive two-step composition defect decays with fitted exponent <= -1.75",
+    "compose_defect": "t^2 times the naive two-step composition defect is at most its heat-defect bound",
     "compose_identity": "composition with the trivial pair (identity, 0) is exact",
     "bott_kernel_dim": "the Bott-Dirac operator has a one-dimensional kernel",
     "bott_lambda_min": "the kernel eigenvalue is numerically zero",
@@ -288,11 +295,11 @@ CHECKS: dict[str, str] = {
     "bott_ground_residual": "the Gaussian ground vector is annihilated",
     "bott_dc_involution": "interior anticommutator of D and C equals the degree involution",
     "bott_convergence": "kernel and gap residuals do not grow as the basis doubles",
-    "bott_pair": "the model pairs satisfy the decay conditions",
+    "bott_pair": "the model pairs satisfy the decay conditions: t ||[f(D/t), a]|| <= c_f ||[D, a]||",
     "bott_compose_kernel": "composing the two model pairs yields the Bott-Dirac operator with kernel dimension 1, "
-                           "and the composition defects decay with fitted exponent <= -1.75",
-    "perturb_homom": "f(t^-1 V) phi(a) converges to f(0) phi(a) at the resolvent rate",
-    "perturb_defect": "heat factorization defect of (D, V) decays with exponent <= -1.75",
+                           "and t^2 times each composition defect is at most its heat-defect bound",
+    "perturb_homom": "t^2 ||(cayley(V/t) - 1) b|| <= ||V||^2 ||b|| and t ||g(V/t) b|| <= ||V|| ||b||",
+    "perturb_defect": "t^2 times each heat factorization defect of (D, V) is at most its heat-defect bound",
     "exp_shift": "||e^(x+y) - e^x|| <= ||y|| e^(2||x||)",
     "exp_product": "||e^(x+y) - e^x e^y|| is below the swap-counting series bound",
     "exp_product_commuting": "commuting pairs have defect at rounding level",
@@ -305,7 +312,7 @@ CHECKS: dict[str, str] = {
 @dataclass(frozen=True)
 class CheckSummary:
     """The certificates of one check: its claim, pass and fail counts, and the
-    certificate with the smallest margin (a NaN margin, a failed fit, first)."""
+    certificate with the smallest margin (a NaN margin, an unmeasured value, first)."""
 
     name: str
     claim: str
@@ -360,6 +367,46 @@ def _written(profile: DecayProfile) -> dict[str, np.ndarray]:
     return {"t": profile.t_grid, "value": profile.values}
 
 
+def _smallest_margin(lhs: np.ndarray, rhs: np.ndarray) -> tuple:
+    """Index of the smallest margin rhs - lhs, the first of equal ones (as a strict-less scan), a NaN first."""
+    return np.unravel_index(np.argmin(rhs - lhs), lhs.shape)
+
+
+def _rate_cert(name: str, rows, seed=None) -> BoundCertificate:
+    """The certificate of t^k value <= bound at its smallest-margin point over
+    the windows of rows, (profile, k, bound) on one grid, with bound a number
+    or a function of the window's t values; a non-finite value records NaN."""
+    ts = rows[0][0].t_grid[-rows[0][0].window.size:]
+    # t^k value a factor t at a time: an underflowed 0 stays 0, never 0 * inf
+    lhs = np.array([functools.reduce(np.multiply, [ts] * k, profile.window) for profile, k, _ in rows])
+    rhs = np.array([np.broadcast_to(bound(ts) if callable(bound) else bound, ts.shape) for *_, bound in rows])
+    lhs[~np.isfinite(lhs)] = np.nan  # a non-finite norm is no measurement, and fails first
+    j = _smallest_margin(lhs, rhs)
+    return BoundCertificate(name, float(lhs[j]), float(rhs[j]), seed)
+
+
+def _norm(m: GradedMatrix, parity: int) -> float:
+    """||m|| of an m of the given parity, from its two half-size parity blocks."""
+    return float(ParityBlocks.gather(m.space, m.entries, parity).norms())
+
+
+def _commutator_norm(d: OddSelfAdjoint, a: GradedMatrix, parity: int) -> float:
+    """||[D, a]|| = ||D a - (-1)^p a D|| of an odd D and an a of parity p, from half-size parity blocks."""
+    d, a = ParityBlocks.gather(d.space, d.entries, 1), ParityBlocks.gather(a.space, a.entries, parity)
+    return float((d @ a + a @ d if parity else d @ a - a @ d).norms())
+
+
+def _heat_bounds(left: GradedMatrix, right: GradedMatrix):
+    """Bounds of t^2 ||even|| and t^2 ||odd||, functions of t, for the heat defects of the odd self-adjoint
+    L = left and R = right as pairs._heat_defects pairs them, with K = LR + RL, B = L + R and each odd norm
+    its [e, o] block's: ||K|| (1 + 2 ||L|| ||R|| / t^2) by Duhamel's formula and Trotter's error bound, and
+    ||K|| (6 / sqrt(2 e) + 2 ||B|| ||L|| ||R|| / t^3).  A generator on their right multiplies both by its norm."""
+    e, k = left.space.even, _commutator_norm(left, right, 1)
+    l, r, b = operator_norms(np.stack([x[:e, e:] for x in (left.entries, right.entries, left.entries + right.entries)]))
+    return (lambda ts: k * (1.0 + 2.0 * l * r / ts / ts),
+            lambda ts: k * (6.0 / math.sqrt(2.0 * math.e) + 2.0 * b * l * r / ts / ts / ts))
+
+
 # -- individual experiments -------------------------------------------------
 
 
@@ -383,8 +430,7 @@ def _transform_commutator_certs(n_grid, grid, lhs, rhs, seed) -> list[BoundCerti
     ]
     bounds = rhs * (1.0 / grid) * (1.0 / grid)
     for k, n in enumerate(n_grid):
-        # argmin takes the first of equal margins, as a strict-less scan would
-        j = int(np.argmin(bounds - lhs[k, 1:]))
+        (j,) = _smallest_margin(lhs[k, 1:], bounds)
         name = f"transform_commutator_scaled[N={n:g},t={grid[j]:.6g}]"
         certs.append(BoundCertificate(name, float(lhs[k, 1 + j]), float(bounds[j]), seed))
     return certs
@@ -394,35 +440,20 @@ def run_expfactor(cfg: ExperimentConfig):
     grid = cfg.t_grid()
     certs: list[BoundCertificate] = []
     tables = {}
-    exponents = []
     for i, seed, rng, space in _trials(cfg):
         d = random_odd_selfadjoint(rng, space, norm=1.0)
         d_prime = random_odd_selfadjoint(rng, space, norm=1.0)
         even_prof, odd_prof = factorization_defect_profiles(d, d_prime, grid)
         comm = operator_norm(graded_commutator(d, d_prime))
-        t_last = float(grid[-1])
-        certs.append(
-            BoundCertificate(
-                f"factorization_rate[trial={i}]",
-                abs(t_last**2 * float(even_prof.window[-1]) - comm),
-                0.02 * comm,
-                seed,
-            )
-        )
-        certs.append(
-            BoundCertificate(
-                f"factorization_exponent[trial={i}]",
-                abs(even_prof.fitted_exponent + 2.0),
-                0.1,
-                seed,
-            )
-        )
-        exponents.append(even_prof.fitted_exponent)
+        rate = abs(float(grid[-1]) ** 2 * float(even_prof.window[-1]) - comm)
+        certs.append(BoundCertificate(f"factorization_rate[trial={i}]", rate, 0.02 * comm, seed))
+        even_bound, _ = _heat_bounds(d, d_prime)
+        certs.append(_rate_cert(f"factorization_exponent[trial={i}]", [(even_prof, 2, even_bound)], seed))
         if i < 3:
             tables[f"profile_expfactor_trial{i}_even"] = _written(even_prof)
             tables[f"profile_expfactor_trial{i}_odd"] = _written(odd_prof)
     certs.extend(_exact_factorization_certs(grid))
-    return certs, tables, {"even_exponents": exponents}
+    return certs, tables, {}
 
 
 def _exact_factorization_certs(grid) -> list[BoundCertificate]:
@@ -465,7 +496,6 @@ def run_compose(cfg: ExperimentConfig):
     grid = cfg.t_grid()
     certs: list[BoundCertificate] = []
     tables = {}
-    exponents = []
     for i, seed, rng, space in _trials(cfg):
         gens = {"a_even": random_even(rng, space, norm=1.0), "a_odd": random_odd(rng, space, norm=1.0)}
         p_ab = AsymptoticPair(gens, random_odd_selfadjoint(rng, space, norm=1.0))
@@ -475,15 +505,17 @@ def run_compose(cfg: ExperimentConfig):
             return GradedMatrix(m.space, _u.entries @ m.entries @ _u.entries.conj().T)
 
         p_bc = AsymptoticPair({"b": random_even(rng, space, norm=1.0)}, random_odd_selfadjoint(rng, space, norm=1.0))
-        _, defect_profiles = compose_pairs(p_ab, p_bc, pushforward, grid)
-        for gen, fn, profile in _table_rows(defect_profiles):
-            exponents.append(profile.fitted_exponent)
-            name = f"compose_defect[trial={i},{gen},{fn}]"
-            certs.append(BoundCertificate(name, exponents[-1], COMPOSE_EXPONENT_THRESHOLD, seed))
-            if i == 0:
-                tables[f"profile_compose_trial0_{gen}_{fn}"] = _written(profile)
+        composed, defect_profiles = compose_pairs(p_ab, p_bc, pushforward, grid)
+        bounds = _heat_bounds(p_bc.d, pushforward(p_ab.d))
+        for gen, a in composed.generators.items():
+            rho = _norm(a, a.parity)
+            for (fn, profile), bound in zip(defect_profiles[gen].items(), bounds):
+                row = (profile, 2, lambda ts, rho=rho, bound=bound: rho * bound(ts))
+                certs.append(_rate_cert(f"compose_defect[trial={i},{gen},{fn}]", [row], seed))
+                if i == 0:
+                    tables[f"profile_compose_trial0_{gen}_{fn}"] = _written(profile)
     certs.append(_identity_composition_cert(cfg))
-    return certs, tables, {"exponents": exponents}
+    return certs, tables, {}
 
 
 def _identity_composition_cert(cfg: ExperimentConfig) -> BoundCertificate:
@@ -536,28 +568,24 @@ def run_bott(cfg: ExperimentConfig):
     growth = [max(g1 - g0, s1 - s0) for (_, g0, s0), (_, g1, s1) in zip(residuals, residuals[1:])]
     certs.append(BoundCertificate("bott_convergence", max([0.0, *growth]), 1e-12))
 
-    def worst_exponent(table):
-        # np.max is NaN if any fit failed; max() would depend on the order
-        return float(np.max([profile.fitted_exponent for _, _, profile in _table_rows(table)]))
-
     # the two model pairs and their composition, on the model's dense D and C, built here
     if cfg.coordinates == 1:
         grid = cfg.t_grid()
         scalar_pair = AsymptoticPair({"unit": identity(ops.space)}, ops.clifford_mult)
         dirac_pair = AsymptoticPair(multiplication_generators(ops), ops.dirac)
         for name, pair in (("scalar", scalar_pair), ("multiplication", dirac_pair)):
-            worst = worst_exponent(validate_pair(pair, grid))
-            certs.append(BoundCertificate(f"bott_pair[{name}]", worst, COMMUTATION_EXPONENT_THRESHOLD))
+            # t ||[f(D/t), a]|| <= c_f ||[D, a]||
+            norms = {gen: _commutator_norm(pair.d, a, a.parity) for gen, a in pair.generators.items()}
+            rows = [(p, 1, PAIR_CONSTANTS[fn] * norms[gen]) for gen, fn, p in _table_rows(validate_pair(pair, grid))]
+            certs.append(_rate_cert(f"bott_pair[{name}]", rows))
         composed, defect_profiles = compose_pairs(scalar_pair, dirac_pair, identity_pushforward, grid)
         _, comp_kernel = spectrum_and_kernel(composed.d)
         certs.append(BoundCertificate("bott_compose_kernel", float(abs(comp_kernel - 1)), 0.0))
-        certs.append(
-            BoundCertificate(
-                "bott_compose_kernel[defect-exponents]",
-                worst_exponent(defect_profiles),
-                COMPOSE_EXPONENT_THRESHOLD,
-            )
-        )
+        # the composed generator is the unit, of norm 1; (L, R) = (D, C) as compose_pairs pairs them
+        bounds = _heat_bounds(dirac_pair.d, scalar_pair.d)
+        rows = [(profile, 2, bound) for per_fn in defect_profiles.values()
+                for profile, bound in zip(per_fn.values(), bounds)]
+        certs.append(_rate_cert("bott_compose_kernel[defect-exponents]", rows))
     return certs, tables, summary
 
 
@@ -565,28 +593,26 @@ def run_perturb(cfg: ExperimentConfig):
     grid = cfg.t_grid()
     certs: list[BoundCertificate] = []
 
-    def certify(tag, report, seed):
+    def certify(tag, pair, potential, seed):
         # certifies one perturbation_check report as it is made, so no trial's profiles outlive the trial
-        homom_profiles, defect_even, defect_odd = report
+        homom_profiles, defect_even, defect_odd = report = perturbation_check(pair, potential, grid)
+        v, norms = _norm(potential, 1), {gen: _norm(a, a.parity) for gen, a in pair.generators.items()}
         for gen, fn, profile in _table_rows(homom_profiles):
-            # f(s V) - f(0) is O(s^2) for the even cayley, O(s) for the odd g
-            threshold = COMPOSE_EXPONENT_THRESHOLD if fn == "cayley" else COMMUTATION_EXPONENT_THRESHOLD
-            certs.append(BoundCertificate(f"perturb_homom[{tag},{gen},{fn}]", profile.fitted_exponent, threshold, seed))
-        for part, profile in (("even", defect_even), ("odd", defect_odd)):
-            exponent = profile.fitted_exponent
-            certs.append(BoundCertificate(f"perturb_defect[{tag},{part}]", exponent, COMPOSE_EXPONENT_THRESHOLD, seed))
+            k = 2 if fn == "cayley" else 1  # |cayley(x) - 1| <= x^2 and |g(x)| <= |x|
+            certs.append(_rate_cert(f"perturb_homom[{tag},{gen},{fn}]", [(profile, k, v**k * norms[gen])], seed))
+        for part, profile, bound in zip(("even", "odd"), (defect_even, defect_odd), _heat_bounds(pair.d, potential)):
+            certs.append(_rate_cert(f"perturb_defect[{tag},{part}]", [(profile, 2, bound)], seed))
+        return report
 
     for i, seed, rng, space in _trials(cfg):
         gens = {"a_even": random_even(rng, space, norm=1.0), "a_odd": random_odd(rng, space, norm=1.0)}
         pair = AsymptoticPair(gens, random_odd_selfadjoint(rng, space, norm=1.0))
         potential = random_odd_selfadjoint(rng, space, norm=1.0)
-        certify(f"trial={i}", perturbation_check(pair, potential, grid), seed)
+        certify(f"trial={i}", pair, potential, seed)
 
     ops = bott_dirac(cfg.n_basis)
-    bott_pair = AsymptoticPair(multiplication_generators(ops), ops.dirac)
-    bott_report = perturbation_check(bott_pair, ops.clifford_mult, grid)
-    certify("bott", bott_report, None)
-    bott_homom, bott_defect_even, _ = bott_report
+    bott_homom, bott_defect_even, _ = certify("bott", AsymptoticPair(multiplication_generators(ops), ops.dirac),
+                                              ops.clifford_mult, None)
     tables = {"profile_perturb_bott_defect_even": _written(bott_defect_even)}
     tables |= {f"profile_perturb_bott_{gen}_{fn}": _written(profile) for gen, fn, profile in _table_rows(bott_homom)}
     return certs, tables, {}

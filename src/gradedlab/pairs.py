@@ -3,8 +3,8 @@
 An asymptotic pair (phi, D) is a named family of generator matrices
 phi(a) together with an odd self-adjoint operator D; the pair lives on
 D's graded space.  Its defining condition, asymptotic commutation, is
-measured, not assumed: t -> ||[f(t^-1 D), phi(a)]|| decays, certified by
-fitting a log-log slope over a geometric t-grid.
+measured, not assumed: t -> ||[f(t^-1 D), phi(a)]|| over a geometric
+t-grid, which `lab` bounds by t^-1 c_f ||[D, a]|| (experiments).
 
 The composition of two pairs is (psi o phi, psi(D) + D'), certified by
 measuring the defect between the functional calculus of the summed
@@ -15,7 +15,7 @@ Everything is pure and deterministic.  Every measured profile comes from
 grid_profiles, the one t-grid stage: its callback maps a chunk of t values
 to a column of norms per profile, from the chiral spectra of the odd
 operators (funcalc.ChiralSpectrum).  Only the upper half of the grid
-enters a fit: grid_profiles evaluates that window when called, and the t
+enters a certificate: grid_profiles evaluates that window when called, and the t
 values below it once for all its profiles when one profile's values are
 read (a written profile, appendixB's path check, the exact factorization
 cases), which most profiles never are.  The commutation profiles are
@@ -48,9 +48,6 @@ from .graded import GradedMatrix, GradedSpace, OddSelfAdjoint
 
 __all__ = [
     "DEFAULT_GRID_POINTS",
-    "FIT_FLOOR",
-    "COMMUTATION_EXPONENT_THRESHOLD",
-    "COMPOSE_EXPONENT_THRESHOLD",
     "default_t_grid",
     "checked_t_grid",
     "DecayProfile",
@@ -63,12 +60,6 @@ __all__ = [
 ]
 
 DEFAULT_GRID_POINTS = 60
-# Norm values below this are treated as exact zeros and excluded from fits.
-FIT_FLOOR = 1e-14
-# Slope thresholds: t^-1 decay for pair commutators, t^-2 for composition
-# defects, each with 0.25 slack absorbing fit noise (a policy, not a theorem).
-COMMUTATION_EXPONENT_THRESHOLD = -1.0 + 0.25
-COMPOSE_EXPONENT_THRESHOLD = -2.0 + 0.25
 
 
 def default_t_grid(start: float = 1.0, stop: float = 1e3, points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
@@ -91,23 +82,15 @@ def checked_t_grid(t_grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DecayProfile:
-    """Sampled norms over a t-grid with a fitted log-log decay exponent.
+    """Sampled norms over a t-grid.
 
-    The fit is ordinary least squares of log(value) against log(t) over
-    the upper half of the grid, the fit window t_grid[t_grid.size // 2:];
-    early-t transients would otherwise pollute the asymptotic slope.
-    Sub-floor values are excluded, and a profile that is zero on the whole
-    fit window reports exponent -inf.  A non-finite value in the fit
-    window, or a window with a single value at or above FIT_FLOOR, makes
-    the fit fail: the exponent is NaN, so no threshold comparison passes.
-
-    window holds the values on the fit window; values, read once, adds those
-    below it from below().
+    window holds the values on the upper half of the grid,
+    t_grid[t_grid.size // 2:], the points a certificate reads; values, read
+    once, adds those below it from below().
     """
 
     t_grid: np.ndarray
     window: np.ndarray
-    fitted_exponent: float
     below: Callable[[], np.ndarray]
 
     @functools.cached_property
@@ -121,29 +104,19 @@ class DecayProfile:
         if values.shape != t_grid.shape:
             raise ValueError(f"values of shape {values.shape} on a grid of shape {t_grid.shape}")
         half = t_grid.size // 2
-        return cls._fitted(t_grid, values[half:], lambda: values[:half])
-
-    @classmethod
-    def _fitted(cls, t_grid: np.ndarray, window: np.ndarray, below: Callable[[], np.ndarray]) -> "DecayProfile":
-        ts, usable = t_grid[t_grid.size // 2:], window >= FIT_FLOOR
-        if not np.all(np.isfinite(window)) or usable.sum() == 1:
-            return cls(t_grid, window, np.nan, below)
-        if not usable.any():
-            return cls(t_grid, window, float("-inf"), below)
-        slope, _ = np.polyfit(np.log(ts[usable]), np.log(window[usable]), 1)
-        return cls(t_grid, window, float(slope), below)
+        return cls(t_grid, values[half:], lambda: values[:half])
 
 
 def grid_profiles(t_grid: np.ndarray, dim: int, norms: Callable[[np.ndarray], np.ndarray]) -> list[DecayProfile]:
     """One DecayProfile per column of norms(ts), a (len(ts), k) array, for
     each chunk ts of the t values, chunked for operators of dimension dim
-    (funcalc.map_grid).  norms runs on the fit window's t values now, and on
+    (funcalc.map_grid).  norms runs on the window's t values now, and on
     those below it, for all k columns at once, when values are first read."""
     grid = checked_t_grid(t_grid)
     half = grid.size // 2
     below = functools.cache(lambda: map_grid(norms, grid[:half], dim))
     upper = map_grid(norms, grid[half:], dim).T
-    return [DecayProfile._fitted(grid, column, lambda k=k: below()[:, k]) for k, column in enumerate(upper)]
+    return [DecayProfile(grid, column, lambda k=k: below()[:, k]) for k, column in enumerate(upper)]
 
 
 @dataclass(frozen=True)
@@ -176,12 +149,12 @@ class AsymptoticPair:
 def validate_pair(pair: AsymptoticPair, t_grid: np.ndarray) -> dict[str, dict[str, DecayProfile]]:
     """Commutation profiles of an asymptotic pair, {generator: {function: profile}}.
 
-    Profiles are fitted per generator and PAIR_FUNCTIONS entry, the shape
+    Profiles are taken per generator and PAIR_FUNCTIONS entry, the shape
     of compose_pairs's defect profiles.  A pair commutes asymptotically when
-    every fitted exponent reaches COMMUTATION_EXPONENT_THRESHOLD, and a
-    profile that vanishes up to roundoff (below FIT_FLOOR) fits the -inf
-    sentinel.  A generator equal to c 1 is not measured: its profiles are
-    exact zeros.  Every other generator moves to D's chiral basis once, and
+    each profile is O(t^-1); every finite pair does, with
+    t ||[f(t^-1 D), a]|| <= c_f ||[D, a]|| (experiments certifies it).  A
+    generator equal to c 1 is not measured: its profiles are exact zeros.
+    Every other generator moves to D's chiral basis once, and
     ChiralSpectrum.commutator_norms gives its columns at its parity, the
     resolvent rule (one norm for both resolvents) included.
     """
@@ -255,8 +228,8 @@ def compose_pairs(
     psi(phi(a)).  The defect profiles measure, for every composed
     generator, the distance between f(t^-1(psi(D) + D')) rho(a) and the
     naive two-step image built from the separate calculi of D' and
-    psi(D); the composition formula holds when their fitted exponents
-    reach COMPOSE_EXPONENT_THRESHOLD (t^-2 rate with slack).
+    psi(D), (L, R) = (D', psi(D)) in _heat_defects: t^2 times each is at most
+    ||LR + RL|| ||rho(a)|| times a constant plus O(t^-2) (experiments).
     """
     if pushforward is None:
         raise ValueError("composition needs an explicit pushforward")

@@ -15,7 +15,6 @@ from gradedlab.bott import bott_dirac
 from gradedlab.estimates import pade_exps
 from gradedlab.funcalc import CAYLEY, MULTIPLIER_G, ParityBlocks
 from gradedlab.graded import negligible, operator_norms
-from gradedlab.pairs import COMMUTATION_EXPONENT_THRESHOLD, COMPOSE_EXPONENT_THRESHOLD
 
 TWO = GradedSpace(1, 1)
 
@@ -91,19 +90,41 @@ def in_tensor_order(m: "OddNonzeros", space: GradedSpace, n: int) -> OddSelfAdjo
     return OddSelfAdjoint(GradedSpace(m.parity.size - odd, odd), m.dense()[np.ix_(order, order)])
 
 
+# Slope thresholds of the acceptance criteria: t^-1 decay for pair commutators
+# and t^-2 for composition defects, each with 0.25 slack.
+COMMUTATION_SLOPE = -1.0 + 0.25
+COMPOSE_SLOPE = -2.0 + 0.25
+# Norm values below this count as exact zeros in a slope fit.
+FIT_FLOOR = 1e-14
+
+
+def fitted_slope(profile) -> float:
+    """Least-squares slope of log(value) against log(t) over a DecayProfile's
+    window, the upper half of its grid, values below FIT_FLOOR left out:
+    -inf when all of them are, NaN when a value is not finite or only one is
+    at or above FIT_FLOOR, so no threshold comparison passes."""
+    ts, window = profile.t_grid[-profile.window.size:], profile.window
+    usable = window >= FIT_FLOOR
+    if not np.all(np.isfinite(window)) or usable.sum() == 1:
+        return math.nan
+    if not usable.any():
+        return -math.inf
+    return float(np.polyfit(np.log(ts[usable]), np.log(window[usable]), 1)[0])
+
+
 def fitted_exponents(profiles) -> list[float]:
-    """Every fitted exponent of a {generator: {function: DecayProfile}} map."""
-    return [p.fitted_exponent for per_fn in profiles.values() for p in per_fn.values()]
+    """The fitted slope of every profile of a {generator: {function: DecayProfile}} map."""
+    return [fitted_slope(p) for per_fn in profiles.values() for p in per_fn.values()]
 
 
 def commutes_asymptotically(profiles) -> bool:
-    """Every commutation exponent of validate_pair reaches the threshold `lab` certifies."""
-    return all(e <= COMMUTATION_EXPONENT_THRESHOLD for e in fitted_exponents(profiles))
+    """Every commutation profile of validate_pair fits a slope at or below COMMUTATION_SLOPE."""
+    return all(e <= COMMUTATION_SLOPE for e in fitted_exponents(profiles))
 
 
 def composes(defect_profiles) -> bool:
-    """Every composition-defect exponent of compose_pairs reaches the threshold `lab` certifies."""
-    return all(e <= COMPOSE_EXPONENT_THRESHOLD for e in fitted_exponents(defect_profiles))
+    """Every composition-defect profile of compose_pairs fits a slope at or below COMPOSE_SLOPE."""
+    return all(e <= COMPOSE_SLOPE for e in fitted_exponents(defect_profiles))
 
 
 def matrix_exp_oracle(entries):

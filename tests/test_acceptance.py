@@ -49,7 +49,7 @@ from gradedlab.sampling import (
     trial_seed,
 )
 
-from helpers import SX, SY, as_odd
+from helpers import SX, SY, as_odd, fitted_slope
 
 ROOT_SEED = 42
 
@@ -124,7 +124,7 @@ def test_criterion_04_factorization_rate():
         even_prof, _ = factorization_defect_profiles(d, dp, grid)
         comm = operator_norm(graded_commutator(d, dp))
         rel = abs(grid[-1] ** 2 * even_prof.values[-1] - comm) / comm
-        exp_err = abs(even_prof.fitted_exponent + 2.0)
+        exp_err = abs(fitted_slope(even_prof) + 2.0)
         worst_rel, worst_exp = max(worst_rel, rel), max(worst_exp, exp_err)
         ok = ok and rel <= 0.02 and exp_err <= 0.1
     elapsed = time.monotonic() - start
@@ -170,7 +170,7 @@ def test_criterion_06_composition_formula():
         _, defect_profiles = compose_pairs(p_ab, p_bc, push, grid)
         for per_fn in defect_profiles.values():
             for profile in per_fn.values():
-                worst_exponent = max(worst_exponent, profile.fitted_exponent)
+                worst_exponent = max(worst_exponent, fitted_slope(profile))
 
     rng = rng_for(trial_seed(ROOT_SEED, 5999))
     space = balanced_space(8)
@@ -278,18 +278,18 @@ def test_criterion_09_perturbation_invariance():
         potential = random_odd_selfadjoint(rng, space, norm=1.0)
         homom_profiles, defect_even, defect_odd = perturbation_check(pair, potential, grid)
         for per_fn in homom_profiles.values():
-            worst["cayley"] = max(worst["cayley"], per_fn["cayley"].fitted_exponent)
-            worst["g"] = max(worst["g"], per_fn["g"].fitted_exponent)
-        worst["defect"] = max(worst["defect"], defect_even.fitted_exponent, defect_odd.fitted_exponent)
+            worst["cayley"] = max(worst["cayley"], fitted_slope(per_fn["cayley"]))
+            worst["g"] = max(worst["g"], fitted_slope(per_fn["g"]))
+        worst["defect"] = max(worst["defect"], fitted_slope(defect_even), fitted_slope(defect_odd))
     from gradedlab import multiplication_generators
 
     ops = bott_dirac(16)
     pair = AsymptoticPair(multiplication_generators(ops), ops.dirac)
     homom_profiles, defect_even, defect_odd = perturbation_check(pair, ops.clifford_mult, grid)
     for per_fn in homom_profiles.values():
-        worst["cayley"] = max(worst["cayley"], per_fn["cayley"].fitted_exponent)
-        worst["g"] = max(worst["g"], per_fn["g"].fitted_exponent)
-    worst["defect"] = max(worst["defect"], defect_even.fitted_exponent, defect_odd.fitted_exponent)
+        worst["cayley"] = max(worst["cayley"], fitted_slope(per_fn["cayley"]))
+        worst["g"] = max(worst["g"], fitted_slope(per_fn["g"]))
+    worst["defect"] = max(worst["defect"], fitted_slope(defect_even), fitted_slope(defect_odd))
     ok = worst["cayley"] <= -1.75 and worst["g"] <= -0.75 and worst["defect"] <= -1.75
     verdict(9, ok,
             f"perturbation invariance (worst cayley {worst['cayley']:.2f}, "

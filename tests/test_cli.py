@@ -100,7 +100,7 @@ def test_crash_exits_5_and_writes_nothing(tmp_path, capsys, monkeypatch):
 
 
 def test_failure_below_a_fit_window_exits_5_and_writes_nothing(tmp_path, capsys, monkeypatch):
-    """A profile evaluates the values below its fit window when its runner
+    """A profile evaluates the values below its window when its runner
     reads them into a written table; an exception there is a crash, raised
     before any file is written."""
     def runner(cfg):
@@ -152,16 +152,16 @@ def test_worst_certificate_is_the_smallest_margin_and_a_failed_fit_first():
     certs = [BoundCertificate("bott_pair[a]", 0.0, 1.0), BoundCertificate("bott_pair[b]", 0.0, -5.0)]
     result = ExperimentResult("bott", {}, certs)
     assert result.checks[0].worst.check == "bott_pair[b]"
-    failed_fit = BoundCertificate("bott_pair[c]", float("nan"), -0.75)
-    (check,) = ExperimentResult("bott", {}, [*certs, failed_fit]).checks
+    unmeasured = BoundCertificate("bott_pair[c]", float("nan"), 1.0)
+    (check,) = ExperimentResult("bott", {}, [*certs, unmeasured]).checks
     assert (check.worst.check, check.passed_count, check.failed_count) == ("bott_pair[c]", 1, 2)
 
 
 def test_techlemma_fits_no_decay_profile(tmp_path, monkeypatch):
     """techlemma certifies its sweeps by their suprema and writes the first
-    trial's seven sweep rows as tables, so a run fits no DecayProfile."""
-    fits, fitted = [], DecayProfile._fitted.__func__
-    monkeypatch.setattr(DecayProfile, "_fitted", classmethod(lambda cls, *a: fits.append(a) or fitted(cls, *a)))
+    trial's seven sweep rows as tables, so a run builds no DecayProfile."""
+    fits, build = [], DecayProfile.__init__
+    monkeypatch.setattr(DecayProfile, "__init__", lambda self, *a: fits.append(a) or build(self, *a))
     result = run_experiment(load_config(write_config(tmp_path, experiment="techlemma", **SMALL["techlemma"])))
     assert fits == []
     assert len(result.tables) == 7 and all(name.startswith("profile_techlemma_N") for name in result.tables)
@@ -182,16 +182,32 @@ def test_check_registry_matches_the_emitted_names(tmp_path):
     assert emitted == set(CHECKS)
 
 
-def test_one_resolvable_fit_point_exits_1(tmp_path):
-    """A two-point grid leaves one point in each fit window; its profiles fall
-    from about 0.35 to 1e-6, so no fit can be made and every compose_defect
-    certificate fails, where the exact-zero sentinel -inf used to pass them."""
+def test_two_point_compose_grid_is_certified_at_its_window_point_exits_0(tmp_path):
+    """A two-point grid leaves one point, t = 1e3, in each window: every
+    compose_defect certificate is t^2 times the defect there against its
+    heat bound, and passes, as a rate bound needs no second point."""
     config = write_config(tmp_path, experiment="compose", trials=1, dims=[4], t_grid={"points": 2})
     out = tmp_path / "out"
-    assert main(["--config", config, "--out", str(out)]) == 1
+    assert main(["--config", config, "--out", str(out)]) == 0
     checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
-    assert (checks["compose_defect"]["passed"], checks["compose_defect"]["failed"]) == (0, 4)
+    assert (checks["compose_defect"]["passed"], checks["compose_defect"]["failed"]) == (4, 0)
     assert checks["compose_identity"]["failed"] == 0
+    lines = [json.loads(line) for line in (out / "certificates.jsonl").read_text().splitlines()]
+    defects = [line for line in lines if line["check"].startswith("compose_defect")]
+    assert len(defects) == 4 and all(0.0 < float(line["lhs"]) <= float(line["rhs"]) for line in defects)
+
+
+@pytest.mark.parametrize("stop", [1e9, 1e14])
+def test_perturb_far_out_on_the_t_grid_exits_0(tmp_path, stop):
+    """perturb's four trials to t = 1e9 and 1e14, where the profiles fall to
+    roundoff (a least-squares slope there failed as NaN): every rate bound
+    still holds, each certificate at its smallest-margin window point."""
+    config = write_config(tmp_path, experiment="perturb", trials=4, t_grid={"stop": stop})
+    out = tmp_path / "out"
+    assert main(["--config", config, "--out", str(out)]) == 0
+    checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
+    assert (checks["perturb_homom"]["failed"], checks["perturb_defect"]["failed"]) == (0, 0)
+    assert (checks["perturb_homom"]["passed"], checks["perturb_defect"]["passed"]) == (20, 10)
 
 
 @pytest.mark.parametrize("t_grid", [{"start": 0.1}, {"stop": 1e80}], ids=["path-m-100", "subnormal-commutator"])
@@ -389,7 +405,7 @@ def test_unwritable_output_exits_4(tmp_path):
 
 def test_compose_at_default_scale(tmp_path):
     """The default compose suite (seed 42, 50 trials, dim 8) exits 0 with
-    every fitted exponent certified."""
+    every defect within its heat bound."""
     out = tmp_path / "out"
     assert main(["compose", "--seed", "42", "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())

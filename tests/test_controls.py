@@ -21,6 +21,7 @@ from gradedlab import (
 )
 from gradedlab.bott import KERNEL_TOL
 from gradedlab.experiments import CHECKS, ExperimentConfig, load_config, run_experiment
+from gradedlab.funcalc import ChiralSpectrum
 
 from helpers import OddNonzeros, _lift, bott_nonzeros, unsigned_sign
 
@@ -198,6 +199,45 @@ def test_factorization_exact_fails_on_an_unsigned_tensor_lift(seed, monkeypatch)
     assert not result.passed
 
 
+# The lhs / rhs that each rate check reaches at least once under the doubled scale below:
+# about 2 for the t^-1 pair bound and 4 for the sharp t^-2 heat bounds.
+DOUBLED_SCALE_RATIOS = {
+    "bott_pair": 1.9, "bott_compose_kernel": 3.9, "compose_defect": 3.5,
+    "factorization_exponent": 3.9, "perturb_homom": 1.5, "perturb_defect": 3.9,
+}
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_rate_checks_fail_on_a_calculus_at_twice_its_scale(seed, monkeypatch):
+    """The default bott, compose, expfactor and perturb with every chiral
+    weight of f(s D) evaluated at 2 s: each profile then measures the
+    operator at t / 2, and each proved constant bounds it only there.  The
+    sharp bounds are exceeded about twofold (t^-1) or fourfold (t^-2), so
+    each of the six rate checks fails, bott_compose_kernel by its defect
+    certificate, and so does factorization_rate, t^2 times the defect at
+    the last t against ||[D, D']||; the kernel checks still pass."""
+    weights = ChiralSpectrum.weights
+
+    def doubled(self, f, scales, increment=False):
+        return weights(self, f, 2.0 * np.asarray(scales, dtype=float), increment)
+
+    monkeypatch.setattr(ChiralSpectrum, "weights", doubled)
+    ratios, results = {}, {}
+    for experiment in ("bott", "compose", "expfactor", "perturb"):
+        results[experiment] = result = run_experiment(load_config(experiment=experiment, seed=seed))
+        for cert in result.certificates:
+            name = cert.check.split("[")[0]
+            if name in DOUBLED_SCALE_RATIOS and cert.rhs > 0:
+                ratios[name] = max(ratios.get(name, 0.0), cert.lhs / cert.rhs)
+    for name, ratio in DOUBLED_SCALE_RATIOS.items():
+        assert ratios[name] >= ratio, (name, ratios[name])
+    checks = {check.name: check for result in results.values() for check in result.checks}
+    assert all(checks[name].failed_count for name in DOUBLED_SCALE_RATIOS)
+    certs = {c.check: c for c in results["bott"].certificates}
+    assert certs["bott_compose_kernel"].passed and not certs["bott_compose_kernel[defect-exponents]"].passed
+    assert checks["bott_kernel_dim"].failed_count == 0 and checks["factorization_rate"].failed_count > 0
+
+
 # Each check name with the control above that makes it fail.
 CONTROLS = {
     "bott_convergence": test_convergence_fails_on_the_product_truncation,
@@ -206,14 +246,15 @@ CONTROLS = {
     "bott_gap": test_bott_checks_fail_on_a_lift_without_the_koszul_sign,
     "bott_dc_involution": test_bott_checks_fail_on_a_lift_without_the_koszul_sign,
     "factorization_exact": test_factorization_exact_fails_on_an_unsigned_tensor_lift,
+    **dict.fromkeys([*DOUBLED_SCALE_RATIOS, "factorization_rate"],
+                    test_rate_checks_fail_on_a_calculus_at_twice_its_scale),
 }
 
 # The check names that no control makes fail yet.
 OPEN = {
-    "transform_commutator", "transform_commutator_scaled", "factorization_exponent", "factorization_rate",
-    "relative_bound", "sweep_monotone", "compose_defect", "compose_identity", "bott_compose_kernel",
-    "bott_ground_residual", "bott_lambda_min", "bott_pair", "perturb_defect", "perturb_homom", "exp_product",
-    "exp_product_commuting", "exp_product_path", "exp_selftest", "exp_shift", "series_ratio",
+    "transform_commutator", "transform_commutator_scaled", "relative_bound", "sweep_monotone", "compose_identity",
+    "bott_ground_residual", "bott_lambda_min", "exp_product", "exp_product_commuting", "exp_product_path",
+    "exp_selftest", "exp_shift", "series_ratio",
 }
 
 

@@ -40,7 +40,7 @@ from gradedlab.sampling import (
     trial_seed,
 )
 
-from helpers import SIGMA_X, SIGMA_Y, SX, TWO, as_odd, matrix_exp_oracle
+from helpers import SIGMA_X, SIGMA_Y, SX, TWO, as_odd, fitted_slope, matrix_exp_oracle
 
 GRID = default_t_grid()
 # techlemma's default t grid
@@ -253,7 +253,7 @@ def test_exp_product_path_profiles_decay():
     dp = random_odd_selfadjoint(rng, space, norm=1.0)
     lhs, rhs = exp_product_path_profiles(d, dp, GRID)
     assert np.all(lhs.values <= rhs.values + 1e-10)
-    assert lhs.fitted_exponent <= -1.75
+    assert fitted_slope(lhs) <= -1.75
 
 
 def test_series_bound_is_finite_and_scales_linearly():

@@ -9,7 +9,7 @@ half-size blocks.  Another factorization and other products change the
 last bits, so every such profile is held to the plain loops below, which
 call Spectrum.apply (the eigendecomposition of the full matrix) and
 operator_norm once per grid point, to 1e-10 relative up to the loop's
-own cancellation floor; values below FIT_FLOOR stay below it.  The
+own cancellation floor; values below RESOLVED stay below it.  The
 certificates commbound names from its table match the full-matrix loop's
 with equal check names and lhs to 1e-12 relative.  30-digit mpmath
 oracles hold transform_commutator_check, validate_pair, compose_pairs and
@@ -47,7 +47,7 @@ from gradedlab.funcalc import (
     map_grid,
 )
 from gradedlab.bott import bott_dirac, multiplication_generators, perturbation_check
-from gradedlab.experiments import _transform_commutator_certs
+from gradedlab.experiments import ExperimentConfig, _transform_commutator_certs, run_experiment
 from gradedlab.graded import (
     GradedMatrix,
     GradedSpace,
@@ -61,7 +61,6 @@ from gradedlab.graded import (
     zeros,
 )
 from gradedlab.pairs import (
-    FIT_FLOOR,
     AsymptoticPair,
     DecayProfile,
     compose_pairs,
@@ -87,6 +86,8 @@ from helpers import as_odd, homogeneous_parts, matrix_exp_oracle
 GRID_FUNCTIONS = (*NAMED_FUNCTIONS, bounded_transform_function(3.0))
 # 4 runs every grid in one stack; 34 needs 14-matrix chunks, so grids cross chunk boundaries
 TOY_DIMS = (4, 34)
+# Oracle values below this are roundoff, held only to stay below it.
+RESOLVED = 1e-14
 
 
 def random_hermitian(rng, dim):
@@ -175,7 +176,7 @@ def test_apply_grid_needs_a_single_spectrum():
 def test_grid_profiles_take_columns_in_order_from_t_values():
     """grid_profiles passes each chunk of t values itself (callers take 1/t)
     and returns one profile per column of norms, in column order.  The call
-    evaluates the fit window, the upper half of the grid, in order; the
+    evaluates the window, the upper half of the grid, in order; the
     first read of values evaluates the lower half, once for all columns."""
     grid, seen = default_t_grid(points=40), []
 
@@ -191,8 +192,7 @@ def test_grid_profiles_take_columns_in_order_from_t_values():
     lower_chunks = len(seen)
     assert np.array_equal(square.values, grid**-2) and np.array_equal(zero.values, np.zeros(grid.size))
     assert len(seen) == lower_chunks
-    assert inverse.fitted_exponent == pytest.approx(-1.0) and square.fitted_exponent == pytest.approx(-2.0)
-    assert zero.fitted_exponent == float("-inf")
+    assert np.array_equal(inverse.window, 1.0 / grid[20:]) and np.array_equal(square.window, grid[20:] ** -2)
 
 
 @pytest.mark.parametrize("read", [False, True])
@@ -230,7 +230,6 @@ def test_grid_profiles_over_several_chunks_equal_one_chunk():
     assert len(chunked_profiles) == len(PAIR_FUNCTIONS)
     for chunked, whole in zip(chunked_profiles, whole_profiles, strict=True):
         assert np.array_equal(chunked.values, whole.values)
-        assert chunked.fitted_exponent == whole.fitted_exponent
 
 
 # -- routed profile functions against per-point oracles ----------------------
@@ -420,12 +419,12 @@ def test_validate_pair_matches_oracle(case, stack_rows):
                 for t in grid
             ])
             got = profiles[name][f.name].values
-            resolved = want >= FIT_FLOOR
+            resolved = want >= RESOLVED
             # the loop's products carry about eps ||a|| absolute error: at
             # t = 1e3 its gauss0 values (~1e-6) are off by 4e-10 relative
             roundoff = 4 * np.finfo(float).eps * operator_norm(gen)
             np.testing.assert_allclose(got[resolved], want[resolved], rtol=1e-10, atol=roundoff)
-            assert np.all(got[~resolved] < FIT_FLOOR)
+            assert np.all(got[~resolved] < RESOLVED)
     assert within_cap(stack_rows, pair.space.dim)
 
 
@@ -537,11 +536,13 @@ def test_compose_pairs_on_chiral_blocks_matches_mpmath():
 
 def test_bott_scalar_pair_stays_below_the_fit_floor():
     """The unit generator commutes exactly, so validate_pair records exact
-    zeros for it without measuring; the bott_pair[scalar] certificate needs
-    them below FIT_FLOOR, fitting -inf."""
+    zeros for it without measuring, below any floor; ||[C, 1]|| is an exact
+    0 too, so at the same n_basis the bott_pair[scalar] certificate holds as
+    0 <= 0."""
     profiles = validate_pair(bott_pairs()[0], default_t_grid())["unit"]
-    assert max(p.values.max() for p in profiles.values()) == 0.0 < FIT_FLOOR
-    assert all(p.fitted_exponent == -np.inf for p in profiles.values())
+    assert max(p.values.max() for p in profiles.values()) == 0.0
+    (cert,) = [c for c in run_experiment(ExperimentConfig("bott")).certificates if c.check == "bott_pair[scalar]"]
+    assert (cert.lhs, cert.rhs) == (0.0, 0.0) and cert.passed
 
 
 @pytest.mark.parametrize("dim", TOY_DIMS)
